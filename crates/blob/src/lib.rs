@@ -18,6 +18,12 @@
 //! the paper's single-weight-copy invariant — while training code, whose
 //! blobs are uniquely owned, pays nothing but a refcount check.
 //!
+//! The buffers may be *larger* than the shape (Caffe's `Reshape`
+//! convention): [`Blob::resize`] to a smaller shape keeps the allocation
+//! and every accessor exposes only the first `count()` elements, so a
+//! serving net can seat a batch of `n <= capacity` samples without
+//! touching the allocator.
+//!
 //! ```
 //! use blob::Blob;
 //!
@@ -43,11 +49,21 @@ use std::sync::Arc;
 /// Clones share storage (`Arc`); the first write through a `*_mut`
 /// accessor detaches a private copy (`Arc::make_mut`). A blob that is the
 /// sole owner of its buffers mutates in place with no copying.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Blob<S: Scalar = f32> {
     shape: Shape,
+    /// Both buffers hold `capacity() >= shape.count()` elements; every
+    /// accessor slices them to `count()`.
     data: Arc<Vec<S>>,
     diff: Arc<Vec<S>>,
+}
+
+impl<S: Scalar> PartialEq for Blob<S> {
+    /// Logical equality: shape and the `count()` live elements of both
+    /// buffers. Spare capacity is not part of a blob's value.
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data() == other.data() && self.diff() == other.diff()
+    }
 }
 
 impl<S: Scalar> Default for Blob<S> {
@@ -105,6 +121,12 @@ impl<S: Scalar> Blob<S> {
         self.shape.count()
     }
 
+    /// Elements each buffer has allocated; [`Blob::resize`] to any shape
+    /// of at most this many elements reuses the allocation.
+    pub fn capacity(&self) -> usize {
+        self.data.len()
+    }
+
     /// Element count over axes `[from, to)` — Caffe's `count(start, end)`.
     pub fn count_range(&self, from: usize, to: usize) -> usize {
         self.shape.count_range(from, to)
@@ -153,12 +175,14 @@ impl<S: Scalar> Blob<S> {
         self.shape = shape;
     }
 
-    /// Resize to a new shape, reallocating and zero-filling both buffers if
-    /// the element count changes.
+    /// Resize to a new shape (Caffe's `Reshape`). A shape that fits the
+    /// current [`Blob::capacity`] only changes the logical shape: no
+    /// allocation, no zero-fill, and the elements that stay in range keep
+    /// their values. A larger one reallocates both buffers zero-filled.
     pub fn resize(&mut self, shape: impl Into<Shape>) {
         let shape = shape.into();
         let count = shape.count();
-        if count != self.data.len() {
+        if count > self.capacity() {
             self.data = Arc::new(vec![S::ZERO; count]);
             self.diff = Arc::new(vec![S::ZERO; count]);
         }
@@ -167,31 +191,32 @@ impl<S: Scalar> Blob<S> {
 
     /// Immutable view of the data buffer.
     pub fn data(&self) -> &[S] {
-        &self.data
+        &self.data[..self.shape.count()]
     }
 
     /// Mutable view of the data buffer. Detaches a private copy first if
     /// the buffer is shared with another blob (copy-on-write).
     pub fn data_mut(&mut self) -> &mut [S] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        &mut Arc::make_mut(&mut self.data)[..self.shape.count()]
     }
 
     /// Immutable view of the diff (gradient) buffer.
     pub fn diff(&self) -> &[S] {
-        &self.diff
+        &self.diff[..self.shape.count()]
     }
 
     /// Mutable view of the diff buffer. Detaches a private copy first if
     /// the buffer is shared with another blob (copy-on-write).
     pub fn diff_mut(&mut self) -> &mut [S] {
-        Arc::make_mut(&mut self.diff).as_mut_slice()
+        &mut Arc::make_mut(&mut self.diff)[..self.shape.count()]
     }
 
     /// Simultaneous mutable borrows of data and diff (they are disjoint).
     pub fn data_diff_mut(&mut self) -> (&mut [S], &mut [S]) {
+        let count = self.count();
         (
-            Arc::make_mut(&mut self.data).as_mut_slice(),
-            Arc::make_mut(&mut self.diff).as_mut_slice(),
+            &mut Arc::make_mut(&mut self.data)[..count],
+            &mut Arc::make_mut(&mut self.diff)[..count],
         )
     }
 
@@ -211,7 +236,7 @@ impl<S: Scalar> Blob<S> {
     /// counted as 0 here because another blob already pays for them. Used
     /// by the replica memory accounting.
     pub fn unique_bytes(&self) -> usize {
-        let per_buf = self.count() * std::mem::size_of::<S>();
+        let per_buf = self.capacity() * std::mem::size_of::<S>();
         let mut total = 0;
         if Arc::strong_count(&self.data) == 1 {
             total += per_buf;
@@ -234,25 +259,25 @@ impl<S: Scalar> Blob<S> {
     /// Data slice of sample `n`.
     pub fn sample_data(&self, n: usize) -> &[S] {
         let len = self.sample_len();
-        &self.data[n * len..(n + 1) * len]
+        &self.data()[n * len..(n + 1) * len]
     }
 
     /// Mutable data slice of sample `n`.
     pub fn sample_data_mut(&mut self, n: usize) -> &mut [S] {
         let len = self.sample_len();
-        &mut Arc::make_mut(&mut self.data)[n * len..(n + 1) * len]
+        &mut self.data_mut()[n * len..(n + 1) * len]
     }
 
     /// Diff slice of sample `n`.
     pub fn sample_diff(&self, n: usize) -> &[S] {
         let len = self.sample_len();
-        &self.diff[n * len..(n + 1) * len]
+        &self.diff()[n * len..(n + 1) * len]
     }
 
     /// Mutable diff slice of sample `n`.
     pub fn sample_diff_mut(&mut self, n: usize) -> &mut [S] {
         let len = self.sample_len();
-        &mut Arc::make_mut(&mut self.diff)[n * len..(n + 1) * len]
+        &mut self.diff_mut()[n * len..(n + 1) * len]
     }
 
     /// Elements per `(sample, channel)` segment — the blob "segment" of the
@@ -270,52 +295,54 @@ impl<S: Scalar> Blob<S> {
     pub fn segment_data(&self, n: usize, c: usize) -> &[S] {
         let len = self.segment_len();
         let start = self.offset(n, c, 0, 0);
-        &self.data[start..start + len]
+        &self.data()[start..start + len]
     }
 
     /// Diff slice of segment `(n, c)`.
     pub fn segment_diff(&self, n: usize, c: usize) -> &[S] {
         let len = self.segment_len();
         let start = self.offset(n, c, 0, 0);
-        &self.diff[start..start + len]
+        &self.diff()[start..start + len]
     }
 
     /// Zero the data buffer.
     pub fn zero_data(&mut self) {
-        mmblas::zero(Arc::make_mut(&mut self.data).as_mut_slice());
+        mmblas::zero(self.data_mut());
     }
 
     /// Zero the diff buffer — `caffe_zero` on the privatized gradients
     /// (Algorithm 5, line 5).
     pub fn zero_diff(&mut self) {
-        mmblas::zero(Arc::make_mut(&mut self.diff).as_mut_slice());
+        mmblas::zero(self.diff_mut());
     }
 
     /// Scale the data buffer by `alpha`.
     pub fn scale_data(&mut self, alpha: S) {
-        mmblas::scal(alpha, Arc::make_mut(&mut self.data).as_mut_slice());
+        mmblas::scal(alpha, self.data_mut());
     }
 
     /// Scale the diff buffer by `alpha`.
     pub fn scale_diff(&mut self, alpha: S) {
-        mmblas::scal(alpha, Arc::make_mut(&mut self.diff).as_mut_slice());
+        mmblas::scal(alpha, self.diff_mut());
     }
 
     /// L1 norm of the data buffer.
     pub fn asum_data(&self) -> S {
-        mmblas::asum(&self.data)
+        mmblas::asum(self.data())
     }
 
     /// L1 norm of the diff buffer.
     pub fn asum_diff(&self) -> S {
-        mmblas::asum(&self.diff)
+        mmblas::asum(self.diff())
     }
 
     /// Caffe's `Blob::Update`: `data -= diff` (the diff already holds the
     /// solver-scaled step).
     pub fn update(&mut self) {
-        let diff = Arc::clone(&self.diff);
-        for (d, &g) in Arc::make_mut(&mut self.data).iter_mut().zip(diff.iter()) {
+        // Only `data` is written: a shared `diff` stays shared.
+        let count = self.count();
+        let diff = &self.diff[..count];
+        for (d, &g) in Arc::make_mut(&mut self.data)[..count].iter_mut().zip(diff) {
             *d -= g;
         }
     }
@@ -327,11 +354,7 @@ impl<S: Scalar> Blob<S> {
     /// Panics if counts differ.
     pub fn accumulate_diff_from(&mut self, other: &Blob<S>) {
         assert_eq!(self.count(), other.count(), "accumulate_diff_from: count");
-        mmblas::axpy(
-            S::ONE,
-            &other.diff,
-            Arc::make_mut(&mut self.diff).as_mut_slice(),
-        );
+        mmblas::axpy(S::ONE, other.diff(), self.diff_mut());
     }
 
     /// Copy data (and optionally diff) from another blob of identical count.
@@ -340,16 +363,16 @@ impl<S: Scalar> Blob<S> {
     /// Panics if counts differ.
     pub fn copy_from(&mut self, other: &Blob<S>, copy_diff: bool) {
         assert_eq!(self.count(), other.count(), "copy_from: count");
-        Arc::make_mut(&mut self.data).copy_from_slice(&other.data);
+        self.data_mut().copy_from_slice(other.data());
         if copy_diff {
-            Arc::make_mut(&mut self.diff).copy_from_slice(&other.diff);
+            self.diff_mut().copy_from_slice(other.diff());
         }
     }
 
-    /// Approximate heap footprint in bytes (both buffers) — used by the
-    /// memory-overhead experiment (paper §3.2.1).
+    /// Heap footprint in bytes (both buffers, at their allocated
+    /// capacity) — used by the memory-overhead experiment (paper §3.2.1).
     pub fn bytes(&self) -> usize {
-        2 * self.count() * std::mem::size_of::<S>()
+        2 * self.capacity() * std::mem::size_of::<S>()
     }
 }
 
@@ -427,6 +450,44 @@ mod tests {
         b.resize([4usize]);
         assert_eq!(b.count(), 4);
         assert_eq!(b.data(), &[0.0; 4]);
+    }
+
+    #[test]
+    fn resize_within_capacity_keeps_the_allocation_and_the_prefix() {
+        let mut b: Blob<f32> = Blob::from_data([4usize, 2], (0..8).map(|i| i as f32).collect());
+        b.diff_mut().fill(1.0);
+        let (data_ptr, diff_ptr) = (b.data().as_ptr(), b.diff().as_ptr());
+        b.resize([1usize, 2]);
+        assert_eq!((b.num(), b.count(), b.capacity()), (1, 2, 8));
+        assert_eq!(b.data(), &[0.0, 1.0], "only the live prefix is visible");
+        assert_eq!(b.diff().len(), 2);
+        assert_eq!(b.asum_data(), 1.0, "reductions see the live elements only");
+        assert_eq!(b.bytes(), 2 * 8 * 4, "the heap footprint is the capacity");
+        // Whole-buffer writes stop at the logical end ...
+        b.zero_data();
+        b.resize([4usize, 2]);
+        // ... so growing back exposes the old rows, not zeros, in place.
+        assert_eq!(b.data(), &[0.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(
+            (b.data().as_ptr(), b.diff().as_ptr()),
+            (data_ptr, diff_ptr),
+            "no reallocation within capacity"
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn rows_beyond_the_logical_shape_are_out_of_bounds() {
+        let mut b: Blob<f32> = Blob::new([4usize, 2]);
+        b.resize([2usize, 2]);
+        let _ = b.sample_data(2);
+    }
+
+    #[test]
+    fn equality_ignores_spare_capacity() {
+        let mut big: Blob<f32> = Blob::from_data([3usize], vec![1.0, 2.0, 3.0]);
+        big.resize([2usize]);
+        assert_eq!(big, Blob::from_data([2usize], vec![1.0, 2.0]));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! PCG stream, so masks are identical for any thread count and any
 //! schedule — dropout does not break the convergence-invariance property.
 
+use crate::batch_cache::BatchCache;
 use crate::ctx::{ExecCtx, Phase};
 use crate::drivers::parallel_segments;
 use crate::profile::{LayerProfile, PassProfile};
@@ -19,7 +20,7 @@ pub struct DropoutLayer<S: Scalar = f32> {
     seg_len: usize,
     n_segs: usize,
     /// Mask values: 0 or `1/(1-ratio)`, cached for backward.
-    mask: Vec<S>,
+    mask: BatchCache<S>,
 }
 
 impl<S: Scalar> DropoutLayer<S> {
@@ -35,7 +36,7 @@ impl<S: Scalar> DropoutLayer<S> {
             seed,
             seg_len: 0,
             n_segs: 0,
-            mask: Vec::new(),
+            mask: BatchCache::new(),
         }
     }
 }
@@ -53,7 +54,7 @@ impl<S: Scalar> Layer<S> for DropoutLayer<S> {
         assert_eq!(bottom.len(), 1, "Dropout: exactly one bottom");
         self.seg_len = bottom[0].segment_len().max(1);
         self.n_segs = bottom[0].count() / self.seg_len;
-        self.mask = vec![S::ZERO; bottom[0].count()];
+        self.mask.seat(bottom[0].count());
         vec![bottom[0].shape().clone()]
     }
 

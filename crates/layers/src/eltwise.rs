@@ -1,6 +1,7 @@
 //! Elementwise combination of multiple bottoms — Caffe's `Eltwise` layer
 //! (SUM / PROD / MAX over two or more equally-shaped inputs).
 
+use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
 use crate::profile::{LayerProfile, PassProfile};
@@ -30,7 +31,7 @@ pub struct EltwiseLayer<S: Scalar = f32> {
     seg_len: usize,
     count: usize,
     /// For MAX: which bottom supplied each output element.
-    argmax: Vec<u8>,
+    argmax: BatchCache<u8>,
 }
 
 impl<S: Scalar> EltwiseLayer<S> {
@@ -44,7 +45,7 @@ impl<S: Scalar> EltwiseLayer<S> {
             n_bottoms: 0,
             seg_len: 0,
             count: 0,
-            argmax: Vec::new(),
+            argmax: BatchCache::new(),
         }
     }
 }
@@ -78,7 +79,7 @@ impl<S: Scalar> Layer<S> for EltwiseLayer<S> {
         self.seg_len = bottom[0].segment_len().max(1);
         self.count = bottom[0].count();
         if self.op == EltwiseOp::Max {
-            self.argmax = vec![0u8; self.count];
+            self.argmax.seat(self.count);
         }
         vec![bottom[0].shape().clone()]
     }

@@ -20,6 +20,7 @@
 
 pub mod accuracy;
 pub mod activation;
+mod batch_cache;
 pub mod concat;
 pub mod conv;
 pub mod ctx;

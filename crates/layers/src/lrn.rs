@@ -8,6 +8,7 @@
 //! the norm layers *changing the data-thread distribution* relative to the
 //! surrounding convolution layers.
 
+use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
 use crate::profile::{LayerProfile, PassProfile};
@@ -48,7 +49,7 @@ pub struct LrnLayer<S: Scalar = f32> {
     channels: usize,
     spatial: usize,
     /// Cached `scale` blob from the forward pass (needed by backward).
-    scale: Vec<S>,
+    scale: BatchCache<S>,
 }
 
 impl<S: Scalar> LrnLayer<S> {
@@ -61,7 +62,7 @@ impl<S: Scalar> LrnLayer<S> {
             batch: 0,
             channels: 0,
             spatial: 0,
-            scale: Vec::new(),
+            scale: BatchCache::new(),
         }
     }
 }
@@ -81,7 +82,7 @@ impl<S: Scalar> Layer<S> for LrnLayer<S> {
         self.batch = b.num();
         self.channels = b.channels();
         self.spatial = b.height() * b.width();
-        self.scale = vec![S::ZERO; b.count()];
+        self.scale.seat(b.count());
         vec![b.shape().clone()]
     }
 

@@ -7,6 +7,7 @@
 //! the pooling granularity the paper analyses (pool2 on MNIST saturates
 //! because these segments become tiny).
 
+use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
 use crate::profile::{LayerProfile, PassProfile};
@@ -83,7 +84,7 @@ pub struct PoolingLayer<S: Scalar = f32> {
     out_h: usize,
     out_w: usize,
     /// Argmax mask (index within the bottom `(s, c)` segment) for MAX mode.
-    mask: Vec<u32>,
+    mask: BatchCache<u32>,
     _marker: std::marker::PhantomData<S>,
 }
 
@@ -99,7 +100,7 @@ impl<S: Scalar> PoolingLayer<S> {
             in_w: 0,
             out_h: 0,
             out_w: 0,
-            mask: Vec::new(),
+            mask: BatchCache::new(),
             _marker: std::marker::PhantomData,
         }
     }
@@ -145,7 +146,7 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         self.out_w = pooled_dim(self.in_w, self.cfg.kernel, self.cfg.pad, self.cfg.stride);
         let out_count = self.batch * self.channels * self.out_h * self.out_w;
         if self.cfg.method == PoolMethod::Max {
-            self.mask = vec![0u32; out_count];
+            self.mask.seat(out_count);
         }
         vec![Shape::from(vec![
             self.batch,

@@ -8,6 +8,7 @@
 //! Backward: `dx_s = (p_s - onehot(label_s)) * loss_weight / N` — disjoint
 //! per sample.
 
+use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::{parallel_map_ordered_sum, parallel_segments};
 use crate::profile::{LayerProfile, PassProfile};
@@ -25,7 +26,7 @@ pub struct SoftmaxLossLayer<S: Scalar = f32> {
     batch: usize,
     classes: usize,
     /// Cached probabilities from the forward pass.
-    prob: Vec<S>,
+    prob: BatchCache<S>,
 }
 
 impl<S: Scalar> SoftmaxLossLayer<S> {
@@ -35,7 +36,7 @@ impl<S: Scalar> SoftmaxLossLayer<S> {
             name: name.into(),
             batch: 0,
             classes: 0,
-            prob: Vec::new(),
+            prob: BatchCache::new(),
         }
     }
 
@@ -70,7 +71,7 @@ impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
             self.batch,
             "SoftmaxWithLoss: one label per sample"
         );
-        self.prob = vec![S::ZERO; bottom[0].count()];
+        self.prob.seat(bottom[0].count());
         vec![Shape::from(vec![1usize])]
     }
 

@@ -101,6 +101,11 @@ pub struct Net<S: Scalar = f32> {
     /// Per-layer parallelization strategy (from the active plan; all
     /// sample-split when no plan is loaded).
     strategies: Vec<LayerStrategy>,
+    /// Externally-fed input blobs (ids into `blobs`), in declaration order.
+    inputs: Vec<usize>,
+    /// Leading dimension the input blobs were built with: the ceiling of
+    /// [`Net::set_batch`]. 0 for a net fed by a data layer.
+    batch_capacity: usize,
 }
 
 impl<S: Scalar> Net<S> {
@@ -117,8 +122,10 @@ impl<S: Scalar> Net<S> {
     /// (Caffe's deploy-net `input:`/`input_dim:` mechanism) — the
     /// forward-only entry point used by the serving engine. Each `(name,
     /// shape)` pair is registered as a blob before any layer is built, so
-    /// layers may use them as bottoms; fill them with [`Net::set_input`]
-    /// before calling [`Net::forward`].
+    /// layers may use them as bottoms; fill them through [`Net::input_mut`]
+    /// before calling [`Net::forward`]. The shapes given here fix the
+    /// net's batch *capacity*; [`Net::set_batch`] seats any smaller batch
+    /// without reallocating.
     pub fn from_spec_with_inputs(
         spec: &NetSpec,
         mut data_source: Option<Box<dyn BatchSource<S>>>,
@@ -140,6 +147,8 @@ impl<S: Scalar> Net<S> {
             bwd_secs: Vec::new(),
             iteration: 0,
             strategies: Vec::new(),
+            inputs: Vec::new(),
+            batch_capacity: 0,
         };
         let mut data_tops: Vec<String> = Vec::new();
 
@@ -153,9 +162,26 @@ impl<S: Scalar> Net<S> {
             net.blobs.push(Blob::new(ishape.clone()));
             net.blob_index.insert(iname.clone(), id);
             net.blob_names.push(iname.clone());
+            net.inputs.push(id);
             // Input blobs behave like data-layer outputs: layers sitting
             // directly on them skip their bottom-diff computation.
             data_tops.push(iname.clone());
+        }
+
+        // One batch axis for the whole net: the inputs' shared leading
+        // dimension is the capacity `set_batch` seats batches within.
+        if let Some(&first) = net.inputs.first() {
+            net.batch_capacity = net.blobs[first].num();
+            if let Some(&odd) = net
+                .inputs
+                .iter()
+                .find(|&&i| net.blobs[i].num() != net.batch_capacity)
+            {
+                return Err(SpecError::new(format!(
+                    "input blobs '{}' and '{}' disagree on the batch (leading) dimension",
+                    net.blob_names[first], net.blob_names[odd]
+                )));
+            }
         }
 
         for ls in &spec.layers {
@@ -290,25 +316,71 @@ impl<S: Scalar> Net<S> {
         self.blob_index.get(name).map(|&i| &self.blobs[i])
     }
 
-    /// Copy `data` into the named blob (an input blob of a net built with
-    /// [`Net::from_spec_with_inputs`], usually).
+    /// Mutable view of an input blob's data: `batch() * sample_len`
+    /// values, sample-major — where a caller writes the samples of the
+    /// batch seated with [`Net::set_batch`]. `None` unless `name` is one
+    /// of the blobs declared to [`Net::from_spec_with_inputs`].
+    pub fn input_mut(&mut self, name: &str) -> Option<&mut [S]> {
+        let &i = self.blob_index.get(name)?;
+        if !self.inputs.contains(&i) {
+            return None;
+        }
+        Some(self.blobs[i].data_mut())
+    }
+
+    /// Leading dimension the input blobs were built with — the largest
+    /// batch [`Net::set_batch`] accepts. 0 for a net without input blobs.
+    pub fn batch_capacity(&self) -> usize {
+        self.batch_capacity
+    }
+
+    /// The active batch: the leading dimension the input blobs expose
+    /// (0 for a net without input blobs).
+    pub fn batch(&self) -> usize {
+        self.inputs.first().map_or(0, |&i| self.blobs[i].num())
+    }
+
+    /// Seat an active batch of `n` samples (Caffe's `Reshape`): the input
+    /// blobs' leading dimension becomes `n` and every layer's `setup`
+    /// re-propagates shapes from there, so the next [`Net::forward`] does
+    /// work proportional to `n`, not to the capacity. Blobs and the layers'
+    /// per-batch caches keep their capacity-sized allocations — seating a
+    /// batch allocates no buffer and clears nothing — and parameters are
+    /// untouched. Per-sample outputs do not depend on `n`: no forward
+    /// kernel reads across samples.
     ///
     /// # Errors
-    /// Fails when the blob does not exist or `data` has the wrong length.
-    pub fn set_input(&mut self, name: &str, data: &[S]) -> Result<(), SpecError> {
-        let &i = self
-            .blob_index
-            .get(name)
-            .ok_or_else(|| SpecError::new(format!("set_input: unknown blob '{name}'")))?;
-        let blob = &mut self.blobs[i];
-        if blob.count() != data.len() {
+    /// Fails when the net has no input blobs, or `n` is outside
+    /// `1..=batch_capacity()`; the net is left as it was.
+    pub fn set_batch(&mut self, n: usize) -> Result<(), SpecError> {
+        if n == 0 || n > self.batch_capacity {
             return Err(SpecError::new(format!(
-                "set_input: blob '{name}' holds {} values, got {}",
-                blob.count(),
-                data.len()
+                "set_batch: batch {n} is outside 1..={} (net '{}' has {} input blob(s))",
+                self.batch_capacity,
+                self.name,
+                self.inputs.len()
             )));
         }
-        blob.data_mut().copy_from_slice(data);
+        if n == self.batch() {
+            return Ok(());
+        }
+        for &i in &self.inputs {
+            // n != batch rules out the axis-less (scalar) input, whose
+            // capacity and batch are both 1.
+            let mut dims = self.blobs[i].shape().dims().to_vec();
+            dims[0] = n;
+            self.blobs[i].resize(dims);
+        }
+        for i in 0..self.layers.len() {
+            let shapes = {
+                let bottoms: Vec<&Blob<S>> =
+                    self.bottoms[i].iter().map(|&b| &self.blobs[b]).collect();
+                self.layers[i].setup(&bottoms)
+            };
+            for (&b, shape) in self.tops[i].iter().zip(shapes) {
+                self.blobs[b].resize(shape);
+            }
+        }
         Ok(())
     }
 

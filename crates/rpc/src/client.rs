@@ -62,7 +62,7 @@ fn read_err(e: io::Error) -> RpcError {
     if e.kind() == io::ErrorKind::UnexpectedEof {
         RpcError::ServerShutdown
     } else {
-        RpcError::Io(e.to_string())
+        e.into()
     }
 }
 

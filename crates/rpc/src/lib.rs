@@ -43,8 +43,12 @@ use std::fmt;
 /// response frames; the rest are local.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
-    /// Socket-level failure (connect, read, write, timeout).
+    /// Socket-level failure (connect, read, write).
     Io(String),
+    /// A socket read or write made no progress within the client's I/O
+    /// timeout (see [`RpcClient::connect_with`]): the server is stalled or
+    /// unreachable, as opposed to having answered [`RpcError::TimedOut`].
+    IoTimeout,
     /// The peer violated the wire protocol (bad magic/version/CRC,
     /// mismatched response id, unknown frame kind).
     Protocol(String),
@@ -71,6 +75,7 @@ impl fmt::Display for RpcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RpcError::Io(m) => write!(f, "io: {m}"),
+            RpcError::IoTimeout => write!(f, "no progress within the client's i/o timeout"),
             RpcError::Protocol(m) => write!(f, "protocol violation: {m}"),
             RpcError::Busy => write!(f, "server at connection capacity"),
             RpcError::ShapeMismatch { got, want } => {
@@ -88,7 +93,12 @@ impl std::error::Error for RpcError {}
 
 impl From<std::io::Error> for RpcError {
     fn from(e: std::io::Error) -> Self {
-        RpcError::Io(e.to_string())
+        match e.kind() {
+            // An expired SO_RCVTIMEO/SO_SNDTIMEO surfaces as EAGAIN on unix
+            // and as a timeout elsewhere.
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => RpcError::IoTimeout,
+            _ => RpcError::Io(e.to_string()),
+        }
     }
 }
 

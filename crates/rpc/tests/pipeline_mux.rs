@@ -140,6 +140,30 @@ fn client_matches_reversed_responses_from_scripted_server() {
     script.join().unwrap();
 }
 
+/// A server that greets and then goes silent: the client's read timeout
+/// must surface as the typed [`rpc::RpcError::IoTimeout`], not as an `Io`
+/// string carrying an errno. The script holds the socket open until the
+/// client has seen the timeout, so this is a stall, never a hangup.
+#[test]
+fn silent_server_surfaces_as_a_typed_io_timeout() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let script = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        s.write_all(&proto::encode_server_hello(proto::HELLO_OK, 2, 1))
+            .unwrap();
+        let mut hello = [0u8; proto::CLIENT_HELLO_LEN];
+        s.read_exact(&mut hello).unwrap();
+        done_rx.recv().unwrap();
+    });
+
+    let mut client = RpcClient::connect_with(addr, Duration::from_millis(50)).unwrap();
+    assert_eq!(client.infer(&[0.5, 0.5]), Err(rpc::RpcError::IoTimeout));
+    done_tx.send(()).unwrap();
+    script.join().unwrap();
+}
+
 /// A stream frame and unary frames interleaved on one connection: every
 /// sample's wire output is bit-identical to the in-process answer, and
 /// the K stream responses are demuxed by index.

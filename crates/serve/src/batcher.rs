@@ -539,13 +539,22 @@ fn worker_loop<S: Scalar + Send + 'static>(
         metrics.on_dequeue();
         let mut batch = vec![first];
         // Phase 2: straggler window — top up to max_batch or max_delay.
+        // From here on the worker holds unanswered requests, so it never
+        // *waits* for the receiver: a sibling sitting on it takes the next
+        // arrival itself (nothing to top up with), and an idle sibling
+        // re-takes the lock nanoseconds after each IDLE_POLL release, a
+        // race a parked waiter can lose for seconds on end.
         let window_end = Instant::now() + policy.max_delay;
         while batch.len() < max_batch {
             let now = Instant::now();
             if now >= window_end {
                 break;
             }
-            let next = { rx.lock().recv_timeout(window_end - now) };
+            let Some(guard) = rx.try_lock() else {
+                break;
+            };
+            let next = guard.recv_timeout(window_end - now);
+            drop(guard);
             match next {
                 Ok(r) => {
                     metrics.on_dequeue();
@@ -692,6 +701,30 @@ layer {
         assert_eq!(report.completed, 8);
         assert_eq!(report.rejected, 0);
         assert!(report.n_batches >= 2, "two replicas, >= 2 batches");
+    }
+
+    /// A worker holding a batch's first request must not queue for the
+    /// receiver behind an idle sibling: the sibling re-takes the lock right
+    /// after every 20 ms idle poll, and the waiter used to lose that race
+    /// for rounds on end (about one request in four took 20-260 ms on two
+    /// replicas, the worst over a minute — the 5 s client read timeouts of
+    /// `rpc_loopback`). One closed-loop client is the sharpest probe: the
+    /// second replica is idle the whole time. The bound is 2.5 straggler
+    /// windows per request; the stall averaged 8 of them.
+    #[test]
+    fn idle_sibling_never_stalls_a_partial_batch() {
+        const REQUESTS: u32 = 300;
+        let server = Server::start(engines(2), BatchPolicy::default()).unwrap();
+        let t0 = Instant::now();
+        for _ in 0..REQUESTS {
+            server.infer(&[0.25; 6]).unwrap();
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < REQUESTS * Duration::from_millis(5),
+            "{REQUESTS} sequential requests took {took:?}"
+        );
+        assert_eq!(server.shutdown().completed, u64::from(REQUESTS));
     }
 
     #[test]

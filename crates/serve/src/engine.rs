@@ -6,11 +6,16 @@
 //! where thread creation and workspace allocation are hoisted out of the
 //! hot path.
 //!
-//! The engine's input blob is fixed at `[max_batch, sample...]`; partial
-//! batches are zero-padded up to `max_batch` and only the first `n` output
-//! rows are read back. Forward runs under `Phase::Test` (dropout disabled)
-//! with canonical-group reduction, so results are bit-identical for any
-//! team size — the property the serving determinism test pins down.
+//! The engine's blobs are allocated once for `[max_batch, sample...]`,
+//! and that is only a capacity: each call seats its own `n` samples as the
+//! net's active batch ([`net::Net::set_batch`]), writes them into the
+//! first `n` input rows and runs the ordinary [`net::Net::forward`], so a
+//! call costs what `n` samples cost, whatever `max_batch` is. Every
+//! forward kernel is per-sample, which makes a sample's output independent
+//! of `n` and of its row. Forward runs under `Phase::Test` (dropout
+//! disabled) with canonical-group reduction, so results are bit-identical
+//! for any team size — the property the serving determinism test pins
+//! down.
 
 use crate::deploy::deploy_spec;
 use crate::ServeError;
@@ -24,7 +29,8 @@ use std::io::Read;
 /// Construction-time engine parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Fixed batch capacity of the input blob (the batcher's `max_batch`).
+    /// Batch capacity of the input blob (the batcher's `max_batch`): the
+    /// most samples one `infer_batch` call may carry.
     pub max_batch: usize,
     /// Thread-team size for the coalesced layer loops.
     pub n_threads: usize,
@@ -40,7 +46,6 @@ pub struct Engine<S: Scalar = f32> {
     max_batch: usize,
     sample_len: usize,
     output_len: usize,
-    input_buf: Vec<S>,
 }
 
 impl<S: Scalar> Engine<S> {
@@ -92,7 +97,6 @@ impl<S: Scalar> Engine<S> {
         net.ensure_workspace(team.size(), run.reduction);
 
         Ok(Self {
-            input_buf: vec![S::ZERO; cfg.max_batch * sample_len],
             net,
             team,
             run,
@@ -138,8 +142,9 @@ impl<S: Scalar> Engine<S> {
     /// values, sample-major, borrowed from the engine's output blob — no
     /// allocation on the hot path (the batcher demuxes into pooled
     /// buffers). The slice is valid until the next `infer_batch` call.
-    /// The unused tail of the input blob is zeroed, so a partial batch
-    /// produces the same bits regardless of what ran before.
+    /// Only the `samples.len()` seated rows are computed; rows left over
+    /// from a larger earlier batch are outside the active batch and can
+    /// neither be read nor cost anything.
     pub fn infer_batch(&mut self, samples: &[&[S]]) -> Result<&[S], ServeError> {
         let n = samples.len();
         if n == 0 || n > self.max_batch {
@@ -148,25 +153,33 @@ impl<S: Scalar> Engine<S> {
                 self.max_batch
             )));
         }
-        for (i, s) in samples.iter().enumerate() {
-            if s.len() != self.sample_len {
-                return Err(ServeError::BadInput(format!(
-                    "sample {i} has {} values, engine expects {}",
-                    s.len(),
-                    self.sample_len
-                )));
-            }
-            self.input_buf[i * self.sample_len..(i + 1) * self.sample_len].copy_from_slice(s);
+        if let Some((i, s)) = samples
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.len() != self.sample_len)
+        {
+            return Err(ServeError::BadInput(format!(
+                "sample {i} has {} values, engine expects {}",
+                s.len(),
+                self.sample_len
+            )));
         }
-        self.input_buf[n * self.sample_len..].fill(S::ZERO);
 
+        // `build` created both blobs and `n` is within capacity, so a
+        // failure below is this replica's net gone wrong, not the request.
         self.net
-            .set_input(&self.input_name, &self.input_buf)
-            .map_err(|e| ServeError::Build(e.to_string()))?;
+            .set_batch(n)
+            .map_err(|e| ServeError::Replica(e.to_string()))?;
+        let rows = self.net.input_mut(&self.input_name).ok_or_else(|| {
+            ServeError::Replica(format!("input blob '{}' disappeared", self.input_name))
+        })?;
+        for (row, s) in rows.chunks_exact_mut(self.sample_len).zip(samples) {
+            row.copy_from_slice(s);
+        }
         self.net.forward(&self.team, &self.run);
 
         let out = self.net.blob(&self.output_name).ok_or_else(|| {
-            ServeError::Build(format!("output blob '{}' disappeared", self.output_name))
+            ServeError::Replica(format!("output blob '{}' disappeared", self.output_name))
         })?;
         Ok(&out.data()[..n * self.output_len])
     }

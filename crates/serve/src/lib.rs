@@ -16,8 +16,9 @@
 //!   label-consuming layers (`Accuracy`, losses) are dropped. Learnable
 //!   parameters are untouched, so training snapshots load unchanged.
 //! - [`Engine`] — a deploy net + persistent [`omprt::ThreadTeam`] with a
-//!   pre-sized workspace; [`Engine::infer_batch`] pads partial batches to
-//!   the engine's fixed batch shape and slices per-sample outputs back out.
+//!   pre-sized workspace; [`Engine::infer_batch`] seats the samples it was
+//!   sent as the net's active batch (`max_batch` is only the capacity), so
+//!   a call computes exactly those rows and returns them.
 //! - [`Server`] — admission control (bounded queue, [`ServeError::Rejected`]
 //!   on overload), per-request deadlines ([`ServeError::TimedOut`]), one
 //!   worker thread per engine replica, and [`metrics::ServingMetrics`]

@@ -2,7 +2,8 @@
 //!
 //! The build container has no access to a crates.io registry, so the
 //! workspace vendors the tiny slice of the parking_lot API it actually
-//! uses: [`Mutex`] / [`MutexGuard`] with non-poisoning `lock()`, and a
+//! uses: [`Mutex`] / [`MutexGuard`] with non-poisoning `lock()` and
+//! `try_lock()`, and a
 //! [`Condvar`] whose `wait` takes `&mut MutexGuard`. Poisoned std locks
 //! are transparently recovered (parking_lot has no poisoning).
 
@@ -27,6 +28,16 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, recovering from poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+    }
+
+    /// Acquire the lock only if that takes no waiting; `None` means
+    /// another thread holds it right now.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(g) => Some(MutexGuard(Some(g))),
+            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
+            Err(sync::TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Mutable access without locking (requires `&mut self`).
@@ -95,6 +106,16 @@ impl Default for Condvar {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn try_lock_refuses_only_while_held() {
+        let m = Mutex::new(1);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        *m.try_lock().expect("free now") += 1;
+        assert_eq!(*m.lock(), 2);
+    }
 
     #[test]
     fn mutex_round_trip() {

@@ -11,33 +11,7 @@ use cgdnn::prelude::*;
 use layers::LayerStrategy;
 use machine::CpuModel;
 
-use common::tiny_net;
-
-/// A deterministic mixed assignment: for every layer prefer a dimension
-/// split (channel/output) if its executable space has one, otherwise
-/// replicate odd-indexed layers, otherwise sample-split. This exercises
-/// every strategy kind the net supports in a single plan.
-fn mixed_strategies(net: &Net<f32>) -> Vec<LayerStrategy> {
-    net.layer_strategy_spaces()
-        .iter()
-        .enumerate()
-        .map(|(i, space)| {
-            let split = space.iter().rev().find(|s| {
-                matches!(
-                    s,
-                    LayerStrategy::ChannelSplit { .. } | LayerStrategy::OutputSplit { .. }
-                )
-            });
-            if let Some(&s) = split {
-                s
-            } else if i % 2 == 1 && space.contains(&LayerStrategy::Replicate) {
-                LayerStrategy::Replicate
-            } else {
-                LayerStrategy::SampleSplit
-            }
-        })
-        .collect()
-}
+use common::{mixed_strategies, tiny_net};
 
 #[test]
 fn search_picks_a_split_for_a_batch_starved_net() {

@@ -156,3 +156,180 @@ fn deadline_expiry_is_reported_per_request() {
     assert_eq!(report.completed, 1);
     assert_eq!(report.timed_out, 1);
 }
+
+/// A plan exercising every strategy kind `train_net` supports: channel /
+/// output splits wherever a layer has one, replication elsewhere.
+fn split_plan(train_net: &Net<f32>) -> cgdnn::plan::Plan {
+    let strategies = common::mixed_strategies(train_net);
+    let plan = cgdnn::plan::plan_for_net(train_net, &strategies, 2, "test");
+    assert!(
+        plan.non_sample_layers() > 0,
+        "plan must actually split layers"
+    );
+    plan
+}
+
+/// The active-batch contract, for one net: an engine of capacity
+/// `max_batch` answers a batch of any `n` with exactly the rows a
+/// capacity-1 engine gives each sample alone — for every team size, with
+/// and without a dimension-splitting plan — and a large → small → large
+/// sequence of batches shows no row of an earlier batch.
+fn assert_active_batch_matches_solo(
+    spec: &NetSpec,
+    train_net: &Net<f32>,
+    sample_shape: &Shape,
+    samples: &[Vec<f32>],
+    max_batch: usize,
+) {
+    assert!(samples.len() >= 2 * max_batch);
+    let factory = |max_batch: usize, n_threads: usize| {
+        serve::EngineFactory::<f32>::new(
+            spec,
+            sample_shape,
+            &EngineConfig {
+                max_batch,
+                n_threads,
+            },
+            None,
+        )
+        .unwrap()
+    };
+    // The oracle has no second row to be confused by.
+    let mut solo = factory(1, 1).build().unwrap();
+    let expected: Vec<Vec<f32>> = samples.iter().map(|s| solo.infer_one(s).unwrap()).collect();
+    let out_len = expected[0].len();
+
+    for threads in [1usize, 2] {
+        for planned in [false, true] {
+            let what = format!("threads {threads}, plan {planned}");
+            let mut f = factory(max_batch, threads);
+            if planned {
+                f = f.with_plan(split_plan(train_net));
+            }
+            let mut engine = f.build().unwrap();
+            let mut check = |range: std::ops::Range<usize>| {
+                let refs: Vec<&[f32]> = samples[range.clone()].iter().map(|s| &s[..]).collect();
+                let got = engine.infer_batch(&refs).unwrap();
+                assert_eq!(got.len(), range.len() * out_len, "{what}: {range:?}");
+                for (row, want) in got.chunks(out_len).zip(&expected[range.clone()]) {
+                    assert_eq!(row, &want[..], "{what}: batch {range:?} row differs");
+                }
+            };
+            // Every n, each at a different offset into the sample pool so
+            // row i never holds the sample it held one call earlier.
+            for n in 1..=max_batch {
+                check(n..2 * n);
+            }
+            // Large, small, large: the single row overwrites row 0 only,
+            // and the regrown batch brings its own rows 1.. back.
+            check(0..max_batch);
+            check(max_batch..max_batch + 1);
+            check(max_batch - 1..2 * max_batch - 1);
+
+            assert!(matches!(
+                engine.infer_batch(&[]),
+                Err(ServeError::BadInput(_))
+            ));
+            let too_many: Vec<&[f32]> = samples[..=max_batch].iter().map(|s| &s[..]).collect();
+            assert!(matches!(
+                engine.infer_batch(&too_many),
+                Err(ServeError::BadInput(_))
+            ));
+        }
+    }
+}
+
+#[test]
+fn active_batch_matches_solo_inference_on_tiny() {
+    let spec = NetSpec::parse(TINY_SPEC).unwrap();
+    assert_active_batch_matches_solo(
+        &spec,
+        &common::tiny_net(5),
+        &Shape::from([1usize, 12, 12]),
+        &request_samples(16),
+        8,
+    );
+}
+
+#[test]
+fn active_batch_matches_solo_inference_on_lenet() {
+    let source = SyntheticMnist::new(64, 9);
+    let samples: Vec<Vec<f32>> = (0..8)
+        .map(|i| {
+            let mut s = vec![0.0f32; 28 * 28];
+            source.fill(i, &mut s);
+            s
+        })
+        .collect();
+    assert_active_batch_matches_solo(
+        &nets::lenet_spec(),
+        &nets::lenet(Box::new(source)).unwrap(),
+        &Shape::from([1usize, 28, 28]),
+        &samples,
+        4,
+    );
+}
+
+/// Work really shrinks, by count rather than by clock: after seating `n`
+/// of `capacity`, every layer of the deploy net reports `n / capacity` of
+/// its full coalesced iterations, no blob was reallocated, and seating the
+/// capacity again restores the full profile.
+#[test]
+fn seated_batch_scales_every_layers_coalesced_iterations() {
+    const CAPACITY: usize = 8;
+    let deploy = serve::deploy_spec(&nets::lenet_spec()).unwrap();
+    let mut net = Net::<f32>::from_spec_with_inputs(
+        &deploy.spec,
+        None,
+        &[(deploy.input.clone(), Shape::from([CAPACITY, 1, 28, 28]))],
+    )
+    .unwrap();
+    assert_eq!((net.batch_capacity(), net.batch()), (CAPACITY, CAPACITY));
+    let full = net.profiles();
+    // LeNet names each top after its layer; the input blob comes first.
+    let buffers = |net: &Net<f32>| -> Vec<*const f32> {
+        std::iter::once(deploy.input.as_str())
+            .chain(net.layer_names())
+            .filter_map(|name| net.blob(name))
+            .map(|b| b.data().as_ptr())
+            .collect()
+    };
+    let allocated = buffers(&net);
+    assert_eq!(
+        allocated.len(),
+        1 + net.num_layers(),
+        "every blob is watched"
+    );
+
+    for n in [1usize, 3, CAPACITY] {
+        net.set_batch(n).unwrap();
+        assert_eq!(net.batch(), n);
+        for (p, f) in net.profiles().iter().zip(&full) {
+            assert!(
+                f.forward.coalesced_iters > 0,
+                "{}: has forward work",
+                f.name
+            );
+            assert_eq!(
+                p.forward.coalesced_iters * CAPACITY,
+                f.forward.coalesced_iters * n,
+                "{}: forward iterations must scale by {n}/{CAPACITY}",
+                f.name
+            );
+            assert_eq!(p.batch, n, "{}", f.name);
+            assert_eq!(
+                p.forward.flops_per_iter, f.forward.flops_per_iter,
+                "{}: per-iteration work is untouched",
+                f.name
+            );
+        }
+        assert_eq!(buffers(&net), allocated, "batch {n}: no buffer reallocated");
+    }
+
+    for bad in [0, CAPACITY + 1] {
+        assert!(net.set_batch(bad).is_err(), "batch {bad} is out of range");
+        assert_eq!(net.batch(), CAPACITY, "a refused batch changes nothing");
+    }
+    // A net fed by a data layer has no input blob to seat.
+    assert!(common::tiny_net(1).set_batch(1).is_err());
+}

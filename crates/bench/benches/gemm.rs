@@ -1,9 +1,8 @@
-//! GEMM implementation shoot-out: naive vs cache-blocked vs packed
-//! microkernel, at the matrix shapes the two networks actually use
-//! (conv-layer `W x col` products).
+//! The one GEMM kernel against the naive test oracle, at the matrix shapes
+//! the two networks actually use (conv-layer `W x col` products).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmblas::{gemm_blocked, gemm_microkernel, gemm_naive, Transpose};
+use mmblas::{gemm, gemm_naive, Transpose};
 use std::hint::black_box;
 
 fn fill(n: usize, seed: u64) -> Vec<f32> {
@@ -45,28 +44,9 @@ fn bench_gemm(c: &mut Criterion) {
                 )
             })
         });
-        group.bench_with_input(BenchmarkId::new("blocked", name), &(), |bench, _| {
+        group.bench_with_input(BenchmarkId::new("gemm", name), &(), |bench, _| {
             bench.iter(|| {
-                gemm_blocked(
-                    Transpose::No,
-                    Transpose::No,
-                    m,
-                    n,
-                    k,
-                    1.0f32,
-                    black_box(&a),
-                    k,
-                    black_box(&b),
-                    n,
-                    0.0,
-                    &mut cbuf,
-                    n,
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("microkernel", name), &(), |bench, _| {
-            bench.iter(|| {
-                gemm_microkernel(
+                gemm(
                     Transpose::No,
                     Transpose::No,
                     m,

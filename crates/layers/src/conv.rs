@@ -182,24 +182,23 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
         );
         // Under ChannelSplit the per-sample segment is divided into `nb`
         // contiguous channel blocks; block `blk` computes output rows
-        // `[blk*mb, (blk+1)*mb)` of the same per-sample GEMM via the
-        // row-block entry point (full-problem dispatch), so every element
-        // is bit-identical to the unsplit call. The im2col lowering is
+        // `[blk*mb, (blk+1)*mb)` of the same per-sample GEMM — a plain
+        // `gemm` on those rows of `w`, which is bit-identical to the same
+        // rows of the unsplit call (`mmblas::level3`). The im2col lowering is
         // recomputed per unit — the replication cost the planner's oracle
         // charges for finer splits.
         parallel_units_scratch(ctx, top[0].data_mut(), out_seg, |s, blk, nb, y, scratch| {
             let mb = m / nb;
             let col = &mut scratch.col[..cr * cc];
             mmblas::im2col(&g, &x[s * in_len..(s + 1) * in_len], col);
-            mmblas::gemm_rowblock(
+            mmblas::gemm(
                 Transpose::No,
-                m,
+                Transpose::No,
+                mb,
                 cc,
                 cr,
-                blk * mb,
-                mb,
                 S::ONE,
-                w,
+                &w[blk * mb * cr..],
                 cr,
                 col,
                 cc,

@@ -106,8 +106,8 @@ where
 ///
 /// The kernel must write sub-block `block` of sample `sample`'s output with
 /// values bit-identical to the corresponding region of the unsplit kernel —
-/// conv/IP achieve this via row-block GEMM/GEMV with full-problem dispatch
-/// (`mmblas::gemm_rowblock`), which pins per-element accumulation order.
+/// conv/IP achieve this by calling `mmblas::gemm`/`gemv` on the block's rows,
+/// whose per-element accumulation order does not depend on the row range.
 ///
 /// # Panics
 /// Panics unless `split_ways` divides `seg_len`.

@@ -1,4 +1,13 @@
 //! Level-2 BLAS: matrix-vector operations.
+//!
+//! **Deviation from IEEE propagation, kept on purpose:** [`ger`] and the
+//! transposed [`gemv`] skip row `i` when `alpha * x[i] == 0`, so a NaN or
+//! infinity in that row of the other operand does not reach the result
+//! (`0 * NaN` is dropped; [`crate::gemm`] and its oracle never skip). The
+//! inner-product layers call these with `x` = the output diff, which is
+//! exactly zero wherever a following ReLU was inactive: at 50 % zeros the
+//! LeNet `ip1` shapes (500 x 800) run in 22 µs instead of 41 µs, for one
+//! compare per row. `skip_rows_with_zero_coefficient` pins the behaviour.
 
 use crate::{Scalar, Transpose};
 
@@ -94,6 +103,22 @@ pub fn ger<S: Scalar>(m: usize, n: usize, alpha: S, x: &[S], y: &[S], a: &mut [S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The documented deviation: a zero coefficient skips its row, NaN and
+    /// all; a non-zero one propagates it.
+    #[test]
+    fn skip_rows_with_zero_coefficient() {
+        let a = [f32::NAN, 1.0, 2.0, 3.0]; // 2 x 2, NaN in row 0
+        let mut y = [9.0f32; 2];
+        gemv(Transpose::Yes, 2, 2, 1.0, &a, 2, &[0.0, 1.0], 0.0, &mut y);
+        assert_eq!(y, [2.0, 3.0]);
+        gemv(Transpose::Yes, 2, 2, 1.0, &a, 2, &[1.0, 1.0], 0.0, &mut y);
+        assert!(y[0].is_nan() && y[1] == 4.0);
+
+        let mut m = [0.0f32; 4];
+        ger(2, 2, 1.0, &[0.0, 1.0], &[f32::NAN, 2.0], &mut m, 2);
+        assert!(m[0] == 0.0 && m[1] == 0.0 && m[2].is_nan() && m[3] == 2.0);
+    }
 
     #[test]
     fn gemv_notrans() {

@@ -1,27 +1,116 @@
 //! Level-3 BLAS: general matrix-matrix multiply.
 //!
-//! Three implementations with identical semantics:
+//! One kernel, [`gemm`], plus the triple-loop test oracle [`gemm_naive`].
+//! Convolution layers call [`gemm`] per data segment from inside the
+//! coarse-grain parallel region, exactly as Caffe's layers call a sequential
+//! OpenBLAS kernel.
 //!
-//! * [`gemm_naive`] — reference triple loop (ikj order for contiguous access).
-//! * [`gemm_blocked`] — cache-tiled over `MC x KC x NC` panels.
-//! * [`gemm_microkernel`] — GotoBLAS-style packing into contiguous A/B panels
-//!   with a register-tiled `MR x NR` microkernel.
+//! # Structure
 //!
-//! [`gemm`] dispatches by problem size. Convolution and inner-product layers
-//! call these per data segment from inside the coarse-grain parallel region,
-//! exactly as Caffe's layers call sequential OpenBLAS kernels.
+//! The kernel is a register-tiled `MR x NR` (6 x 16) outer-product
+//! microkernel over fixed `KC`-deep panels of the `k` dimension:
+//!
+//! * the **lane operand** (the one whose columns become vector lanes) is
+//!   packed, one `kb x NR` strip at a time, into a zero-padded stack buffer
+//!   that stays in L1 while the strip is swept down the other operand;
+//! * the **broadcast operand** is never copied: the microkernel reads its
+//!   `MR` rows through `(row, column)` strides, which covers stored and
+//!   transposed layouts alike;
+//! * when `op(B)` is a transposed matrix its rows are not contiguous, so the
+//!   product is evaluated as `C^T = op(B)^T * op(A)^T` — the operands swap
+//!   roles and the tile is written back through `C`'s transposed strides.
+//!   That keeps the one transposing copy on the *smaller-reuse* side (for a
+//!   convolution's weight gradient: the `m x k` output diff, not the big
+//!   column matrix).
+//!
+//! The microkernel exists twice: `tile_scalar`, portable Rust, and an
+//! AVX2/FMA twin for `f32` selected once per call by
+//! `is_x86_feature_detected!`. `f64`, and `f32` on hosts without AVX2+FMA,
+//! run the scalar twin.
+//!
+//! # Bit-identity
+//!
+//! Every element `C[i][j]` has **its own accumulator**. Vector lanes run over
+//! `j` (or, in the swapped orientation, over `i`) and never over `k`, so no
+//! lane-reduction tree exists. Per panel the accumulator starts at `+0.0` and
+//! takes `acc = fma(a[i][p], b[p][j], acc)` for ascending `p`; panels are
+//! `KC` deep, start at `p = 0` and are visited in ascending order; each panel
+//! is folded into `C` by the same expression (`write_back`): `alpha * acc`
+//! when `beta == 0` on the first panel, `fma(alpha, acc, beta * C[i][j])`
+//! otherwise (`beta` is 1 after the first panel). Nothing in that recipe
+//! depends on where `(i, j)` sits in a tile, on the tile's position, on the
+//! orientation (`fma` commutes in its factors) or on which rows and columns
+//! the call covers, and the scalar twin's `mul_add` is the same correctly
+//! rounded `fma` the vector instruction computes per lane. Hence:
+//!
+//! * the SIMD and scalar paths return the same bits;
+//! * any row range of a product, computed by calling [`gemm`] on
+//!   `&a[row0 * lda..]`, equals the same rows of the full call bit for bit —
+//!   which is all a channel-split layer or a row-parallel driver needs.
+//!
+//! Padding never leaks: padded lanes and the clamped duplicate rows of an
+//! edge tile are accumulated but not written back.
 
 use crate::{Scalar, Transpose};
 
-/// Cache-blocking parameters (elements, not bytes). Tuned for ~32KB L1 /
-/// 256KB L2 class cores; correctness never depends on them.
-const MC: usize = 64;
-const KC: usize = 128;
-const NC: usize = 512;
+/// Register tile of the microkernel: `MR` broadcast rows by `NR` lanes.
+/// For `f32` on AVX2 that is 12 accumulator registers, 2 for the `B` row and
+/// 1 for the broadcast — 15 of 16.
+pub(crate) const MR: usize = 6;
+pub(crate) const NR: usize = 16;
 
-/// Register tile of the microkernel.
-const MR: usize = 4;
-const NR: usize = 8;
+/// Depth of one `k` panel. A packed strip is `KC * NR` elements (16 KiB of
+/// `f32`), sized to sit in L1 beside the `MR` rows being streamed. Part of
+/// the numerical contract: changing it changes the summation association.
+pub(crate) const KC: usize = 256;
+
+/// One microkernel result: row-major `MR x NR` accumulators.
+type Tile<S> = [S; MR * NR];
+
+/// A read-only strided matrix: element `(i, j)` is `data[i * rs + j * cs]`.
+/// A stored row-major matrix has `cs == 1`; its transpose swaps the strides.
+#[derive(Clone, Copy)]
+struct MatRef<'a, S> {
+    data: &'a [S],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a, S> MatRef<'a, S> {
+    fn stored(data: &'a [S], ld: usize) -> Self {
+        MatRef {
+            data,
+            rs: ld,
+            cs: 1,
+        }
+    }
+
+    fn t(self) -> Self {
+        MatRef {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
+}
+
+/// One product in the kernel's own terms, after [`gemm`] has checked the
+/// arguments and chosen the orientation: `C (m x n) = alpha * A * B + beta *
+/// C` with `A` the broadcast operand (`m x k`), `B` the lane operand
+/// (`k x n`), and element `(i, j)` of `C` at `c[i * c_rs + j * c_cs]`.
+/// `m`, `n`, `k` and `alpha` are non-zero.
+#[doc(hidden)]
+pub struct Strided<'a, S> {
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: S,
+    a: MatRef<'a, S>,
+    b: MatRef<'a, S>,
+    beta: S,
+    c_rs: usize,
+    c_cs: usize,
+}
 
 fn check_gemm_args<S: Scalar>(
     ta: Transpose,
@@ -66,14 +155,6 @@ fn a_at<S: Scalar>(a: &[S], lda: usize, ta: Transpose, i: usize, p: usize) -> S 
     }
 }
 
-#[inline]
-fn b_at<S: Scalar>(b: &[S], ldb: usize, tb: Transpose, p: usize, j: usize) -> S {
-    match tb {
-        Transpose::No => b[p * ldb + j],
-        Transpose::Yes => b[j * ldb + p],
-    }
-}
-
 fn scale_c<S: Scalar>(m: usize, n: usize, beta: S, c: &mut [S], ldc: usize) {
     if beta == S::ONE {
         return;
@@ -88,7 +169,9 @@ fn scale_c<S: Scalar>(m: usize, n: usize, beta: S, c: &mut [S], ldc: usize) {
     }
 }
 
-/// Reference GEMM: `C = alpha * op(A) * op(B) + beta * C`.
+/// Reference GEMM and test oracle: `C = alpha * op(A) * op(B) + beta * C` as
+/// a plain triple loop (unfused multiply-add, no blocking, no skipping — a
+/// zero in `A` still meets a NaN or infinity in `B`).
 ///
 /// All matrices row-major; `lda`/`ldb`/`ldc` are row strides of the *stored*
 /// operands.
@@ -119,9 +202,6 @@ pub fn gemm_naive<S: Scalar>(
     for i in 0..m {
         for p in 0..k {
             let aip = alpha * a_at(a, lda, ta, i, p);
-            if aip == S::ZERO {
-                continue;
-            }
             let crow = &mut c[i * ldc..i * ldc + n];
             match tb {
                 Transpose::No => {
@@ -140,201 +220,19 @@ pub fn gemm_naive<S: Scalar>(
     }
 }
 
-/// Cache-blocked GEMM. Same semantics as [`gemm_naive`].
-pub fn gemm_blocked<S: Scalar>(
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: S,
-    a: &[S],
-    lda: usize,
-    b: &[S],
-    ldb: usize,
-    beta: S,
-    c: &mut [S],
-    ldc: usize,
-) {
-    check_gemm_args(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
-    scale_c(m, n, beta, c, ldc);
-    if alpha == S::ZERO || k == 0 {
-        return;
-    }
-    for jc in (0..n).step_by(NC) {
-        let nb = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            for ic in (0..m).step_by(MC) {
-                let mb = MC.min(m - ic);
-                for i in ic..ic + mb {
-                    for p in pc..pc + kb {
-                        let aip = alpha * a_at(a, lda, ta, i, p);
-                        if aip == S::ZERO {
-                            continue;
-                        }
-                        let crow = &mut c[i * ldc + jc..i * ldc + jc + nb];
-                        match tb {
-                            Transpose::No => {
-                                let brow = &b[p * ldb + jc..p * ldb + jc + nb];
-                                for (cij, &bpj) in crow.iter_mut().zip(brow) {
-                                    *cij += aip * bpj;
-                                }
-                            }
-                            Transpose::Yes => {
-                                for (dj, cij) in crow.iter_mut().enumerate() {
-                                    *cij += aip * b[(jc + dj) * ldb + p];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Pack an `mb x kb` panel of `op(A)` into row-major `MR`-wide strips.
-fn pack_a<S: Scalar>(
-    a: &[S],
-    lda: usize,
-    ta: Transpose,
-    ic: usize,
-    pc: usize,
-    mb: usize,
-    kb: usize,
-    packed: &mut [S],
-) {
-    // Layout: strips of MR rows, each strip stored column-major within the
-    // strip so the microkernel reads MR contiguous values per k step.
-    let mut w = 0usize;
-    for is in (0..mb).step_by(MR) {
-        let mrb = MR.min(mb - is);
-        for p in 0..kb {
-            for di in 0..MR {
-                packed[w] = if di < mrb {
-                    a_at(a, lda, ta, ic + is + di, pc + p)
-                } else {
-                    S::ZERO
-                };
-                w += 1;
-            }
-        }
-    }
-}
-
-/// Pack a `kb x nb` panel of `op(B)` into `NR`-wide strips.
-fn pack_b<S: Scalar>(
-    b: &[S],
-    ldb: usize,
-    tb: Transpose,
-    pc: usize,
-    jc: usize,
-    kb: usize,
-    nb: usize,
-    packed: &mut [S],
-) {
-    let mut w = 0usize;
-    for js in (0..nb).step_by(NR) {
-        let nrb = NR.min(nb - js);
-        for p in 0..kb {
-            for dj in 0..NR {
-                packed[w] = if dj < nrb {
-                    b_at(b, ldb, tb, pc + p, jc + js + dj)
-                } else {
-                    S::ZERO
-                };
-                w += 1;
-            }
-        }
-    }
-}
-
-/// `MR x NR` register-tiled microkernel over packed panels.
-#[inline]
-fn microkernel<S: Scalar>(kb: usize, alpha: S, ap: &[S], bp: &[S], cacc: &mut [S; MR * NR]) {
-    for v in cacc.iter_mut() {
-        *v = S::ZERO;
-    }
-    for p in 0..kb {
-        let avec = &ap[p * MR..p * MR + MR];
-        let bvec = &bp[p * NR..p * NR + NR];
-        for (i, &ai) in avec.iter().enumerate() {
-            let row = &mut cacc[i * NR..i * NR + NR];
-            for (cij, &bj) in row.iter_mut().zip(bvec) {
-                *cij += ai * bj;
-            }
-        }
-    }
-    if alpha != S::ONE {
-        for v in cacc.iter_mut() {
-            *v *= alpha;
-        }
-    }
-}
-
-/// Packed-panel GEMM with a register-tiled microkernel (GotoBLAS scheme).
-/// Same semantics as [`gemm_naive`]. Allocates two small packing buffers.
-pub fn gemm_microkernel<S: Scalar>(
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: S,
-    a: &[S],
-    lda: usize,
-    b: &[S],
-    ldb: usize,
-    beta: S,
-    c: &mut [S],
-    ldc: usize,
-) {
-    check_gemm_args(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
-    scale_c(m, n, beta, c, ldc);
-    if alpha == S::ZERO || k == 0 || m == 0 || n == 0 {
-        return;
-    }
-
-    let mut apack = vec![S::ZERO; MC.div_ceil(MR) * MR * KC];
-    let mut bpack = vec![S::ZERO; NC.div_ceil(NR) * NR * KC];
-    let mut cacc = [S::ZERO; MR * NR];
-
-    for jc in (0..n).step_by(NC) {
-        let nb = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kb = KC.min(k - pc);
-            pack_b(b, ldb, tb, pc, jc, kb, nb, &mut bpack);
-            for ic in (0..m).step_by(MC) {
-                let mb = MC.min(m - ic);
-                pack_a(a, lda, ta, ic, pc, mb, kb, &mut apack);
-                for js in (0..nb).step_by(NR) {
-                    let nrb = NR.min(nb - js);
-                    let bp = &bpack[(js / NR) * kb * NR..(js / NR + 1) * kb * NR];
-                    for is in (0..mb).step_by(MR) {
-                        let mrb = MR.min(mb - is);
-                        let ap = &apack[(is / MR) * kb * MR..(is / MR + 1) * kb * MR];
-                        microkernel(kb, alpha, ap, bp, &mut cacc);
-                        for di in 0..mrb {
-                            let crow = &mut c[(ic + is + di) * ldc + jc + js
-                                ..(ic + is + di) * ldc + jc + js + nrb];
-                            let arow = &cacc[di * NR..di * NR + nrb];
-                            for (cij, &v) in crow.iter_mut().zip(arow) {
-                                *cij += v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Dispatching GEMM: picks an implementation by problem size.
+/// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
 ///
-/// Small problems (the per-segment calls dominating DNN layers) go to the
-/// blocked kernel, which has no packing overhead; larger ones use the packed
-/// microkernel.
+/// All matrices row-major; `lda`/`ldb`/`ldc` are row strides of the *stored*
+/// operands. `beta == 0` overwrites `C` without reading it, and
+/// `alpha == 0` leaves `A` and `B` unread (the BLAS conventions).
+///
+/// The result is bit-identical with or without SIMD, and every row range
+/// computed on its own (`&a[row0 * lda..]`, the matching rows of `c`) is
+/// bit-identical to those rows of the full product; see the
+/// [module docs](self) for the argument. The call allocates nothing.
+///
+/// # Panics
+/// Panics if any slice is too short for its dimensions.
 pub fn gemm<S: Scalar>(
     ta: Transpose,
     tb: Transpose,
@@ -350,40 +248,33 @@ pub fn gemm<S: Scalar>(
     c: &mut [S],
     ldc: usize,
 ) {
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if flops < 64 * 64 * 64 * 2 {
-        gemm_blocked(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-    } else {
-        gemm_microkernel(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-    }
+    gemm_with(
+        S::gemm_strided,
+        ta,
+        tb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        beta,
+        c,
+        ldc,
+    );
 }
 
-/// Row-block GEMM with **full-problem dispatch**: computes rows
-/// `[row0, row0 + rows)` of the `m × n` product `C = alpha·A·op(B) + beta·C`
-/// into the caller's `rows × n` block `c`, producing bit-identical values to
-/// the same rows of a single [`gemm`] call over all `m` rows.
-///
-/// Both kernels accumulate each `C[i][j]` in ascending-`p` order within
-/// ascending `KC` panels regardless of which row range is computed, so the
-/// only way a row block can diverge bitwise from the full call is the
-/// size-based kernel dispatch in [`gemm`]. This entry point pins the
-/// dispatch decision to the *full* problem's flop count (`2·m·n·k`) so a
-/// channel-split layer that computes output rows in disjoint blocks stays
-/// bit-identical to batch-only execution.
-///
-/// `A` must be non-transposed (its rows are C's rows); `a` and `b` are the
-/// *full* operands while `c` is only the block being produced.
-///
-/// # Panics
-/// Panics if `row0 + rows > m` or any slice is too small for its role.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_rowblock<S: Scalar>(
+/// [`gemm`] over an explicit strided core: argument checks, the degenerate
+/// cases, and the choice of orientation.
+fn gemm_with<S: Scalar>(
+    core: fn(&Strided<'_, S>, &mut [S]),
+    ta: Transpose,
     tb: Transpose,
     m: usize,
     n: usize,
     k: usize,
-    row0: usize,
-    rows: usize,
     alpha: S,
     a: &[S],
     lda: usize,
@@ -393,334 +284,625 @@ pub fn gemm_rowblock<S: Scalar>(
     c: &mut [S],
     ldc: usize,
 ) {
-    assert!(
-        row0 + rows <= m,
-        "gemm_rowblock: rows {row0}..{} out of 0..{m}",
-        row0 + rows
-    );
-    let a_block = &a[row0 * lda..];
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if flops < 64 * 64 * 64 * 2 {
-        gemm_blocked(
-            Transpose::No,
-            tb,
-            rows,
-            n,
+    check_gemm_args(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
+    if m == 0 || n == 0 {
+        return;
+    }
+    if alpha == S::ZERO || k == 0 {
+        scale_c(m, n, beta, c, ldc);
+        return;
+    }
+    let (a, b) = (MatRef::stored(a, lda), MatRef::stored(b, ldb));
+    let a = if ta.is_trans() { a.t() } else { a }; // op(A), m x k
+    let b = if tb.is_trans() { b.t() } else { b }; // op(B), k x n
+    let problem = if tb.is_trans() {
+        // Rows of op(B) are strided: evaluate C^T = op(B)^T * op(A)^T, so
+        // stored B is streamed as the broadcast operand and op(A)^T packed.
+        Strided {
+            m: n,
+            n: m,
             k,
             alpha,
-            a_block,
-            lda,
-            b,
-            ldb,
+            a: b.t(),
+            b: a.t(),
             beta,
-            c,
-            ldc,
-        );
+            c_rs: 1,
+            c_cs: ldc,
+        }
     } else {
-        gemm_microkernel(
-            Transpose::No,
-            tb,
-            rows,
+        Strided {
+            m,
             n,
             k,
             alpha,
-            a_block,
-            lda,
+            a,
             b,
-            ldb,
             beta,
+            c_rs: ldc,
+            c_cs: 1,
+        }
+    };
+    core(&problem, c);
+}
+
+/// The strided core with the portable microkernel: the scalar twin, and the
+/// whole kernel for `f64` and for hosts without AVX2+FMA.
+pub(crate) fn gemm_portable<S: Scalar>(p: &Strided<'_, S>, c: &mut [S]) {
+    gemm_loops(tile_scalar::<S>, p, c);
+}
+
+/// The strided core for `f32`: the single SIMD dispatch site.
+pub(crate) fn gemm_f32(p: &Strided<'_, f32>, c: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        // SAFETY: `gemm_avx2` requires the `avx2` and `fma` CPU features,
+        // and both were detected on the running CPU on the line above.
+        unsafe { avx2::gemm_avx2(p, c) };
+        return;
+    }
+    gemm_portable(p, c);
+}
+
+/// Loop nest shared by both twins.
+///
+/// `inline(always)` so that the AVX2 twin's copy — packing, write-back and
+/// all — is compiled with that function's target features.
+#[inline(always)]
+fn gemm_loops<S: Scalar>(
+    tile: impl Fn(usize, &[S], &[usize; MR], usize, &[S], &mut Tile<S>),
+    p: &Strided<'_, S>,
+    c: &mut [S],
+) {
+    let (a, b) = (p.a, p.b);
+    let mut strip = [S::ZERO; KC * NR];
+    let mut acc = [S::ZERO; MR * NR];
+    for pc in (0..p.k).step_by(KC) {
+        let kb = KC.min(p.k - pc);
+        // Later panels add to what the first one wrote.
+        let beta = if pc == 0 { p.beta } else { S::ONE };
+        for jr in (0..p.n).step_by(NR) {
+            let nr = NR.min(p.n - jr);
+            pack_strip(&mut strip, b, pc, kb, jr, nr);
+            for ir in (0..p.m).step_by(MR) {
+                let mr = MR.min(p.m - ir);
+                // Offsets of the tile's rows at column `pc`; an edge tile
+                // re-reads its last row instead of reading past the matrix.
+                let a_off: [usize; MR] =
+                    std::array::from_fn(|i| (ir + i.min(mr - 1)) * a.rs + pc * a.cs);
+                tile(kb, a.data, &a_off, a.cs, &strip, &mut acc);
+                let c_tile = &mut c[ir * p.c_rs + jr * p.c_cs..];
+                write_back(&acc, p.alpha, beta, c_tile, p.c_rs, p.c_cs, mr, nr);
+            }
+        }
+    }
+}
+
+/// Copies the `kb x nr` block of `b` at `(pc, jr)` to `strip[p * NR + j]`
+/// and zeroes lanes `nr..NR`, so the microkernel always reads full rows.
+#[inline(always)]
+fn pack_strip<S: Scalar>(
+    strip: &mut [S; KC * NR],
+    b: MatRef<'_, S>,
+    pc: usize,
+    kb: usize,
+    jr: usize,
+    nr: usize,
+) {
+    let block = &b.data[pc * b.rs + jr * b.cs..];
+    if b.cs == 1 {
+        for (p, dst) in strip.chunks_exact_mut(NR).take(kb).enumerate() {
+            dst[..nr].copy_from_slice(&block[p * b.rs..][..nr]);
+            dst[nr..].fill(S::ZERO);
+        }
+    } else {
+        // Column j of the block is the strided run starting at its top
+        // element; walk each run once (contiguous when `b.rs == 1`).
+        for j in 0..nr {
+            let run = &block[j * b.cs..];
+            for p in 0..kb {
+                strip[p * NR + j] = run[p * b.rs];
+            }
+        }
+        if nr < NR {
+            for dst in strip.chunks_exact_mut(NR).take(kb) {
+                dst[nr..].fill(S::ZERO);
+            }
+        }
+    }
+}
+
+/// Folds one panel's accumulators into the `mr x nr` corner of the tile of
+/// `C` starting at `c[0]`. The one place `alpha` and `beta` are applied.
+#[inline(always)]
+fn write_back<S: Scalar>(
+    acc: &Tile<S>,
+    alpha: S,
+    beta: S,
+    c: &mut [S],
+    c_rs: usize,
+    c_cs: usize,
+    mr: usize,
+    nr: usize,
+) {
+    let fold = |cij: &mut S, v: S| {
+        *cij = if beta == S::ZERO {
+            alpha * v
+        } else {
+            alpha.mul_add_s(v, beta * *cij)
+        };
+    };
+    for (i, arow) in acc.chunks_exact(NR).take(mr).enumerate() {
+        if c_cs == 1 {
+            // Contiguous row of C: a slice, so the loop vectorizes.
+            for (cij, &v) in c[i * c_rs..][..nr].iter_mut().zip(arow) {
+                fold(cij, v);
+            }
+        } else {
+            for (j, &v) in arow[..nr].iter().enumerate() {
+                fold(&mut c[i * c_rs + j * c_cs], v);
+            }
+        }
+    }
+}
+
+/// Portable microkernel, the scalar twin of `avx2::tile_avx2`:
+/// `acc[i][j] = sum over p < kb of a[a_off[i] + p * a_cs] * strip[p][j]`,
+/// fused, ascending `p`, from `+0.0`.
+#[inline(always)]
+fn tile_scalar<S: Scalar>(
+    kb: usize,
+    a: &[S],
+    a_off: &[usize; MR],
+    a_cs: usize,
+    strip: &[S],
+    acc: &mut Tile<S>,
+) {
+    *acc = [S::ZERO; MR * NR];
+    for (p, brow) in strip.chunks_exact(NR).take(kb).enumerate() {
+        for (row, &off) in acc.chunks_exact_mut(NR).zip(a_off) {
+            let aip = a[off + p * a_cs];
+            for (cij, &bpj) in row.iter_mut().zip(brow) {
+                *cij = aip.mul_add_s(bpj, *cij);
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{gemm_loops, Strided, Tile, MR, NR};
+    use std::arch::x86_64::{
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+
+    /// [`gemm_loops`] compiled for AVX2+FMA around [`tile_avx2`].
+    ///
+    /// # Safety
+    /// The running CPU must support the `avx2` and `fma` features.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gemm_avx2(p: &Strided<'_, f32>, c: &mut [f32]) {
+        // The closure inherits this function's target features, which is
+        // what makes its call to `tile_avx2` a safe one.
+        gemm_loops(
+            |kb, a, a_off, a_cs, strip, acc| tile_avx2(kb, a, a_off, a_cs, strip, acc),
+            p,
             c,
-            ldc,
         );
+    }
+
+    /// AVX2/FMA microkernel, the vector twin of [`super::tile_scalar`]: row
+    /// `i` of the tile lives in two 8-lane registers, lane = column `j`, and
+    /// takes one `vfmadd` per `p` — the same fused operation, in the same
+    /// order, as the scalar twin applies to each `acc[i][j]`.
+    #[target_feature(enable = "avx2,fma")]
+    fn tile_avx2(
+        kb: usize,
+        a: &[f32],
+        a_off: &[usize; MR],
+        a_cs: usize,
+        strip: &[f32],
+        acc: &mut Tile<f32>,
+    ) {
+        assert!(kb >= 1 && strip.len() >= kb * NR, "tile: bad panel");
+        // The largest index read below is `max(a_off) + (kb - 1) * a_cs`;
+        // checked, so that no smaller `off + p * a_cs` can wrap either.
+        let last = a_off.iter().copied().max().and_then(|off| {
+            let span = (kb - 1).checked_mul(a_cs)?;
+            off.checked_add(span)
+        });
+        assert!(
+            last.is_some_and(|last| last < a.len()),
+            "tile: A rows out of range"
+        );
+        let mut c = [[_mm256_setzero_ps(); 2]; MR];
+        for p in 0..kb {
+            // SAFETY: `p < kb` and `strip.len() >= kb * NR` (asserted above),
+            // so both 8-float loads end at or before `p * NR + 16 <=
+            // strip.len()`; `loadu` has no alignment requirement.
+            let (b0, b1) = unsafe {
+                let row = strip.as_ptr().add(p * NR);
+                (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
+            };
+            for (ci, &off) in c.iter_mut().zip(a_off) {
+                // SAFETY: `off + p * a_cs <= max(a_off) + (kb - 1) * a_cs <
+                // a.len()` by the assert above.
+                let aip = _mm256_set1_ps(unsafe { *a.get_unchecked(off + p * a_cs) });
+                ci[0] = _mm256_fmadd_ps(aip, b0, ci[0]);
+                ci[1] = _mm256_fmadd_ps(aip, b1, ci[1]);
+            }
+        }
+        for (row, ci) in acc.chunks_exact_mut(NR).zip(&c) {
+            // SAFETY: `row` is exactly `NR = 16` floats, so the two 8-float
+            // unaligned stores cover it and nothing else.
+            unsafe {
+                _mm256_storeu_ps(row.as_mut_ptr(), ci[0]);
+                _mm256_storeu_ps(row.as_mut_ptr().add(8), ci[1]);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Transpose::{No, Yes};
 
-    type GemmFn = fn(
-        Transpose,
-        Transpose,
-        usize,
-        usize,
-        usize,
-        f64,
-        &[f64],
-        usize,
-        &[f64],
-        usize,
-        f64,
-        &mut [f64],
-        usize,
-    );
-
-    const IMPLS: [(&str, GemmFn); 4] = [
-        ("naive", gemm_naive::<f64>),
-        ("blocked", gemm_blocked::<f64>),
-        ("micro", gemm_microkernel::<f64>),
-        ("dispatch", gemm::<f64>),
-    ];
-
-    fn dense(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
-        // Simple deterministic LCG fill; values in [-1, 1).
-        let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        (0..rows * cols)
-            .map(|_| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-            .collect()
-    }
-
-    fn reference(
+    /// One GEMM call: shape, transposes, scalars, and `pad` extra elements on
+    /// every leading dimension (0 = tight, as the layers call it).
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
         ta: Transpose,
         tb: Transpose,
         m: usize,
         n: usize,
         k: usize,
         alpha: f64,
-        a: &[f64],
-        lda: usize,
-        b: &[f64],
-        ldb: usize,
         beta: f64,
-        c0: &[f64],
-        ldc: usize,
-    ) -> Vec<f64> {
-        let mut c = c0.to_vec();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += a_at(a, lda, ta, i, p) * b_at(b, ldb, tb, p, j);
-                }
-                c[i * ldc + j] = alpha * acc + beta * c0[i * ldc + j];
-            }
-        }
-        c
+        pad: usize,
     }
 
-    fn check_all(m: usize, n: usize, k: usize, ta: Transpose, tb: Transpose) {
-        let (ar, ac) = if ta.is_trans() { (k, m) } else { (m, k) };
-        let (br, bc) = if tb.is_trans() { (n, k) } else { (k, n) };
-        let a = dense(ar, ac, 1);
-        let b = dense(br, bc, 2);
-        let c0 = dense(m, n, 3);
-        let want = reference(
-            ta,
-            tb,
-            m,
-            n,
-            k,
-            1.5,
-            &a,
-            ac.max(1),
-            &b,
-            bc.max(1),
-            0.5,
-            &c0,
-            n.max(1),
-        );
-        for (name, f) in IMPLS {
-            let mut c = c0.clone();
-            f(
+    impl Case {
+        fn new(ta: Transpose, tb: Transpose, m: usize, n: usize, k: usize, beta: f64) -> Self {
+            Case {
                 ta,
                 tb,
                 m,
                 n,
                 k,
-                1.5,
-                &a,
-                ac.max(1),
-                &b,
-                bc.max(1),
-                0.5,
-                &mut c,
-                n.max(1),
-            );
-            for (i, (&got, &w)) in c.iter().zip(&want).enumerate() {
-                assert!(
-                    (got - w).abs() < 1e-9 * (1.0 + w.abs()),
-                    "{name} mismatch at {i}: got {got}, want {w} (m={m} n={n} k={k} ta={ta:?} tb={tb:?})"
-                );
+                alpha: 1.0,
+                beta,
+                pad: 0,
             }
+        }
+        /// (rows, cols) of stored A and stored B.
+        fn stored(&self) -> ((usize, usize), (usize, usize)) {
+            let Case { m, n, k, .. } = *self;
+            (
+                if self.ta.is_trans() { (k, m) } else { (m, k) },
+                if self.tb.is_trans() { (n, k) } else { (k, n) },
+            )
+        }
+        fn lds(&self) -> (usize, usize, usize) {
+            let ((_, ac), (_, bc)) = self.stored();
+            (
+                ac.max(1) + self.pad,
+                bc.max(1) + self.pad,
+                self.n.max(1) + self.pad,
+            )
         }
     }
 
+    /// `(num_output, col_rows, col_cols, propagates_down)` of the five
+    /// convolutions of LeNet and the CIFAR-10 net, in net order.
+    const CONVS: [(usize, usize, usize, bool); 5] = [
+        (20, 25, 576, false),  // LeNet conv1
+        (50, 500, 64, true),   // LeNet conv2
+        (32, 75, 1024, false), // CIFAR conv1
+        (32, 800, 256, true),  // CIFAR conv2
+        (64, 800, 64, true),   // CIFAR conv3
+    ];
+
+    /// The 13 GEMMs those layers issue per sample, with the transposes and
+    /// `beta` `ConvolutionLayer` passes: forward `W * col`, weight gradient
+    /// `dy * col^T` (accumulating), input gradient `W^T * dy`.
+    fn conv_cases() -> Vec<Case> {
+        let mut cases = Vec::new();
+        for (m, cr, cc, propagates) in CONVS {
+            cases.push(Case::new(No, No, m, cc, cr, 0.0));
+            cases.push(Case::new(No, Yes, m, cr, cc, 1.0));
+            if propagates {
+                cases.push(Case::new(Yes, No, cr, cc, m, 0.0));
+            }
+        }
+        assert_eq!(cases.len(), 13);
+        cases
+    }
+
+    /// Sizes on and one either side of every blocking constant, for all four
+    /// transpose pairs, with general `alpha`/`beta` and padded strides.
+    fn edge_cases() -> Vec<Case> {
+        let mut cases = Vec::new();
+        for (ta, tb) in [(No, No), (No, Yes), (Yes, No), (Yes, Yes)] {
+            for &(m, n, k) in &[
+                (1, 1, 1),
+                (MR - 1, NR - 1, 3),
+                (MR, NR, KC),
+                (MR + 1, NR + 1, KC + 1),
+                (2 * MR + 5, NR - 1, KC - 1),
+                (MR - 1, 2 * NR + 1, 2 * KC + 1),
+                (NR + 1, MR + 1, 5),
+                (63, 65, 31),
+            ] {
+                for (alpha, beta, pad) in [(1.5, 0.5, 0), (1.0, 0.0, 3), (-0.75, 1.0, 1)] {
+                    cases.push(Case {
+                        ta,
+                        tb,
+                        m,
+                        n,
+                        k,
+                        alpha,
+                        beta,
+                        pad,
+                    });
+                }
+            }
+        }
+        cases
+    }
+
+    /// Reproducible values in [-1, 1).
+    fn dense<S: Scalar>(len: usize, seed: u64) -> Vec<S> {
+        let mut rng = crate::Pcg32::seeded(seed);
+        (0..len)
+            .map(|_| S::from_f64(rng.uniform_range(-1.0, 1.0)))
+            .collect()
+    }
+
+    /// `(a, b, c0)` for a case, sized by its padded leading dimensions.
+    fn operands<S: Scalar>(case: &Case) -> (Vec<S>, Vec<S>, Vec<S>) {
+        let ((ar, _), (br, _)) = case.stored();
+        let (lda, ldb, ldc) = case.lds();
+        (
+            dense(ar * lda, 1),
+            dense(br * ldb, 2),
+            dense(case.m * ldc, 3),
+        )
+    }
+
+    type GemmFn<S> = fn(
+        Transpose,
+        Transpose,
+        usize,
+        usize,
+        usize,
+        S,
+        &[S],
+        usize,
+        &[S],
+        usize,
+        S,
+        &mut [S],
+        usize,
+    );
+
+    /// [`gemm`] forced onto the scalar twin, whatever the CPU supports.
+    fn gemm_twin<S: Scalar>(
+        ta: Transpose,
+        tb: Transpose,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: S,
+        a: &[S],
+        lda: usize,
+        b: &[S],
+        ldb: usize,
+        beta: S,
+        c: &mut [S],
+        ldc: usize,
+    ) {
+        gemm_with(
+            gemm_portable::<S>,
+            ta,
+            tb,
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            lda,
+            b,
+            ldb,
+            beta,
+            c,
+            ldc,
+        );
+    }
+
+    fn run<S: Scalar>(f: GemmFn<S>, case: &Case, a: &[S], b: &[S], c0: &[S]) -> Vec<S> {
+        let (lda, ldb, ldc) = case.lds();
+        let mut c = c0.to_vec();
+        f(
+            case.ta,
+            case.tb,
+            case.m,
+            case.n,
+            case.k,
+            S::from_f64(case.alpha),
+            a,
+            lda,
+            b,
+            ldb,
+            S::from_f64(case.beta),
+            &mut c,
+            ldc,
+        );
+        c
+    }
+
+    fn assert_bitwise<S: Scalar>(got: &[S], want: &[S], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_f64().to_bits() == w.to_f64().to_bits(),
+                "{what}: element {i} differs: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    /// `|got - want| <= tol * k * (1 + |want|)`: both sides round every one
+    /// of the `k` products, so the bound scales with `k`.
+    fn assert_close<S: Scalar>(got: &[S], want: &[S], k: usize, eps: f64, what: &str) {
+        let tol = eps * k.max(1) as f64;
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let (g, w) = (g.to_f64(), w.to_f64());
+            assert!(
+                (g - w).abs() <= tol * (1.0 + w.abs()),
+                "{what}: element {i}: got {g}, want {w}"
+            );
+        }
+    }
+
+    /// (a) + (b) on the nets' own shapes: `f32` kernel against the oracle to
+    /// a `k`-scaled tolerance, and against its scalar twin bit for bit.
     #[test]
-    fn all_impls_match_reference_small() {
-        for &(m, n, k) in &[(1, 1, 1), (2, 3, 4), (5, 7, 3), (8, 8, 8)] {
-            for ta in [Transpose::No, Transpose::Yes] {
-                for tb in [Transpose::No, Transpose::Yes] {
-                    check_all(m, n, k, ta, tb);
+    fn conv_shapes_match_oracle_and_twin_bitwise() {
+        for case in conv_cases() {
+            let (a, b, c0) = operands::<f32>(&case);
+            let got = run(gemm::<f32>, &case, &a, &b, &c0);
+            let twin = run(gemm_twin::<f32>, &case, &a, &b, &c0);
+            let want = run(gemm_naive::<f32>, &case, &a, &b, &c0);
+            let what = format!("{case:?}");
+            assert_bitwise(&got, &twin, &what);
+            assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+        }
+    }
+
+    /// (b) + (d) + (e) at the tile and panel edges: SIMD against the twin
+    /// bitwise, `f32` and `f64` against the oracle, padding of a strided `C`
+    /// untouched (the oracle leaves it alone, and all of `C` is compared).
+    #[test]
+    fn edge_sizes_match_oracle_and_twin_bitwise() {
+        for case in edge_cases() {
+            let what = format!("{case:?}");
+            let (a, b, c0) = operands::<f32>(&case);
+            let got = run(gemm::<f32>, &case, &a, &b, &c0);
+            assert_bitwise(&got, &run(gemm_twin::<f32>, &case, &a, &b, &c0), &what);
+            let want = run(gemm_naive::<f32>, &case, &a, &b, &c0);
+            assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+
+            let (a, b, c0) = operands::<f64>(&case);
+            let got = run(gemm::<f64>, &case, &a, &b, &c0);
+            let want = run(gemm_naive::<f64>, &case, &a, &b, &c0);
+            assert_close(&got, &want, 1, 1e-9, &what);
+        }
+    }
+
+    /// (c) Every `(row0, rows)` range of `m` rows, computed on its own, is
+    /// bit-equal to the same rows of the full call — in both orientations
+    /// (`tb = Yes` puts C's rows on the vector lanes) and for a transposed
+    /// `A`, whose row range is a column range of the stored matrix.
+    #[test]
+    fn every_row_range_is_bitwise_the_full_call() {
+        let mut cases = Vec::new();
+        for m in [20, 50, 64] {
+            cases.push(Case::new(No, No, m, NR + 3, 37, 0.0));
+            cases.push(Case::new(No, Yes, m, MR + 1, 37, 1.0));
+        }
+        cases.push(Case::new(Yes, No, 20, NR + 3, 2 * KC + 5, 0.5));
+        cases.push(Case::new(Yes, Yes, 20, MR + 1, 2 * KC + 5, 0.5));
+        for case in cases {
+            let (a, b, c0) = operands::<f32>(&case);
+            let full = run(gemm::<f32>, &case, &a, &b, &c0);
+            let (lda, ldb, ldc) = case.lds();
+            for row0 in 0..case.m {
+                for rows in 1..=case.m - row0 {
+                    let a_rows = if case.ta.is_trans() {
+                        &a[row0..]
+                    } else {
+                        &a[row0 * lda..]
+                    };
+                    let c_rows = row0 * ldc..(row0 + rows) * ldc;
+                    let mut got = c0[c_rows.clone()].to_vec();
+                    gemm(
+                        case.ta,
+                        case.tb,
+                        rows,
+                        case.n,
+                        case.k,
+                        case.alpha as f32,
+                        a_rows,
+                        lda,
+                        &b,
+                        ldb,
+                        case.beta as f32,
+                        &mut got,
+                        ldc,
+                    );
+                    assert_bitwise(
+                        &got,
+                        &full[c_rows],
+                        &format!("rows {row0}+{rows} of {case:?}"),
+                    );
                 }
             }
         }
     }
 
+    /// A NaN or infinity in either operand reaches `C` through the kernel
+    /// exactly where it does through the oracle (no `alpha * a == 0`
+    /// shortcut on either side), while `beta == 0` still overwrites
+    /// non-finite garbage in `C`.
     #[test]
-    fn all_impls_match_reference_odd_sizes() {
-        // Sizes that straddle block and microkernel tile boundaries.
-        for &(m, n, k) in &[
-            (MR - 1, NR - 1, 1),
-            (MR + 1, NR + 1, KC + 1),
-            (MC + 3, NR * 2 + 5, 17),
-            (63, 65, 31),
-        ] {
-            check_all(m, n, k, Transpose::No, Transpose::No);
-            check_all(m, n, k, Transpose::Yes, Transpose::Yes);
+    fn non_finite_operands_propagate_like_the_oracle() {
+        for (ta, tb) in [(No, No), (No, Yes), (Yes, No), (Yes, Yes)] {
+            let case = Case::new(ta, tb, MR + 2, NR + 3, 9, 0.0);
+            let (clean_a, clean_b, mut c0) = operands::<f32>(&case);
+            c0.fill(f32::NAN);
+            for poison in [f32::NAN, f32::INFINITY] {
+                for in_a in [true, false] {
+                    let (mut a, mut b) = (clean_a.clone(), clean_b.clone());
+                    // Zero the other operand's matching entries so the only
+                    // route into C is `0 * poison`.
+                    if in_a {
+                        a[4] = poison;
+                        b.fill(0.0);
+                    } else {
+                        b[4] = poison;
+                        a.fill(0.0);
+                    }
+                    let want = run(gemm_naive::<f32>, &case, &a, &b, &c0);
+                    assert!(want.iter().any(|v| v.is_nan()), "oracle dropped {poison}");
+                    for f in [gemm::<f32>, gemm_twin::<f32>] {
+                        let got = run(f, &case, &a, &b, &c0);
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(g.is_nan(), w.is_nan(), "element {i} of {case:?}");
+                            assert!(g.is_nan() || g == w, "element {i} of {case:?}");
+                        }
+                    }
+                }
+            }
+            // Finite operands: nothing of the NaN-filled C survives beta = 0.
+            let got = run(gemm::<f32>, &case, &clean_a, &clean_b, &c0);
+            assert!(got.iter().all(|v| v.is_finite()), "{case:?}");
         }
     }
 
     #[test]
     fn zero_dimensions_are_noops() {
-        let a: Vec<f64> = vec![];
-        let b: Vec<f64> = vec![];
+        let empty: [f64; 0] = [];
         let mut c = vec![7.0f64; 4];
         // k == 0: C = beta * C only.
-        gemm(
-            Transpose::No,
-            Transpose::No,
-            2,
-            2,
-            0,
-            1.0,
-            &a,
-            1,
-            &b,
-            2,
-            2.0,
-            &mut c,
-            2,
-        );
+        gemm(No, No, 2, 2, 0, 1.0, &empty, 1, &empty, 2, 2.0, &mut c, 2);
         assert_eq!(c, vec![14.0; 4]);
-    }
-
-    #[test]
-    fn beta_zero_overwrites_nan() {
-        // BLAS convention: beta == 0 must overwrite even NaN garbage in C.
-        let a = [1.0f64];
-        let b = [2.0f64];
-        let mut c = [f64::NAN];
-        for (_, f) in IMPLS {
-            c[0] = f64::NAN;
-            f(
-                Transpose::No,
-                Transpose::No,
-                1,
-                1,
-                1,
-                1.0,
-                &a,
-                1,
-                &b,
-                1,
-                0.0,
-                &mut c,
-                1,
-            );
-            assert_eq!(c[0], 2.0);
-        }
-    }
-
-    #[test]
-    fn strided_c_untouched_outside_ldc_window() {
-        let a = [1.0f64, 1.0];
-        let b = [1.0f64, 1.0];
-        // C is 2x1 but stored with ldc = 3; pad values must be preserved.
-        let mut c = [0.0, 99.0, 98.0, 0.0, 97.0, 96.0];
-        gemm_naive(
-            Transpose::No,
-            Transpose::No,
-            2,
-            1,
-            1,
-            1.0,
-            &a,
-            1,
-            &b,
-            1,
-            0.0,
-            &mut c,
-            3,
-        );
-        assert_eq!(c, [1.0, 99.0, 98.0, 1.0, 97.0, 96.0]);
-    }
-
-    /// Cover `gemm_rowblock` against the rows of a full `gemm` call on both
-    /// sides of the kernel-dispatch threshold, with `k` spanning multiple
-    /// `KC` panels so a wrong dispatch would change summation association.
-    #[test]
-    fn rowblock_bitwise_matches_full_gemm_rows() {
-        for &(m, n, k, tb) in &[
-            (8usize, 6usize, 5usize, Transpose::No), // tiny: blocked kernel
-            (50, 64, 500, Transpose::No),            // LeNet conv2 shape: microkernel, k > KC
-            (50, 64, 500, Transpose::Yes),
-            (12, 10, KC * 3 + 7, Transpose::No),
-        ] {
-            let a = dense(m, k, 1);
-            let (brows, bcols) = if tb.is_trans() { (n, k) } else { (k, n) };
-            let b = dense(brows, bcols, 2);
-            let ldb = bcols;
-            let mut c_full = dense(m, n, 3);
-            let c0 = c_full.clone();
-            gemm(
-                Transpose::No,
-                tb,
-                m,
-                n,
-                k,
-                1.5,
-                &a,
-                k,
-                &b,
-                ldb,
-                0.5,
-                &mut c_full,
-                n,
-            );
-            // Uneven block boundaries, including a degenerate 1-row block.
-            for &(row0, rows) in &[(0usize, m), (0, m / 2), (m / 2, m - m / 2), (m - 1, 1)] {
-                let mut c_blk = c0[row0 * n..(row0 + rows) * n].to_vec();
-                gemm_rowblock(
-                    tb, m, n, k, row0, rows, 1.5, &a, k, &b, ldb, 0.5, &mut c_blk, n,
-                );
-                assert!(
-                    c_blk
-                        .iter()
-                        .zip(&c_full[row0 * n..(row0 + rows) * n])
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "rowblock ({row0},{rows}) of {m}x{n}x{k} not bitwise equal"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gemm_rowblock: rows")]
-    fn rowblock_out_of_range_panics() {
-        let a = [0.0f64; 4];
-        let b = [0.0f64; 4];
-        let mut c = [0.0f64; 4];
-        gemm_rowblock(
-            Transpose::No,
-            2,
-            2,
-            2,
-            1,
-            2,
-            1.0,
-            &a,
-            2,
-            &b,
-            2,
-            0.0,
-            &mut c,
-            2,
-        );
+        // alpha == 0: likewise, and A / B are not read (NaN stays out).
+        let nan = [f64::NAN; 4];
+        gemm(No, No, 2, 2, 2, 0.0, &nan, 2, &nan, 2, 0.5, &mut c, 2);
+        assert_eq!(c, vec![7.0; 4]);
+        // m == 0 or n == 0: C untouched.
+        gemm(No, No, 0, 2, 2, 1.0, &empty, 2, &nan, 2, 0.0, &mut c, 2);
+        gemm(No, Yes, 2, 0, 2, 1.0, &nan, 2, &empty, 2, 0.0, &mut c, 1);
+        assert_eq!(c, vec![7.0; 4]);
     }
 
     #[test]
@@ -729,20 +911,15 @@ mod tests {
         let a = [1.0f64];
         let b = [1.0f64; 4];
         let mut c = [0.0f64; 4];
-        gemm_naive(
-            Transpose::No,
-            Transpose::No,
-            2,
-            2,
-            2,
-            1.0,
-            &a,
-            2,
-            &b,
-            2,
-            0.0,
-            &mut c,
-            2,
-        );
+        gemm(No, No, 2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: C slice too short")]
+    fn short_c_panics() {
+        let a = [1.0f64; 4];
+        let b = [1.0f64; 4];
+        let mut c = [0.0f64; 3];
+        gemm_naive(No, Yes, 2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 2);
     }
 }

@@ -10,9 +10,13 @@
 //! reads like the Caffe `caffe_cpu_gemm`/`caffe_cpu_gemv` call sites it
 //! mirrors.
 //!
-//! Three GEMM implementations are provided and benchmarked against each
-//! other (`naive`, cache-`blocked`, and a packed `microkernel` version);
-//! [`gemm`] dispatches to the fastest for the problem size.
+//! There is one GEMM, [`gemm`]: a register-tiled 6x16 microkernel over
+//! packed strips, written with AVX2/FMA intrinsics for `f32` (selected at run
+//! time) beside a scalar twin that performs the same fused operations in the
+//! same order. Its results are therefore bit-identical with or without SIMD
+//! and for any row range of a product — the property the coarse-grain
+//! drivers' bit-identity guarantees rest on ([`level3`] has the argument).
+//! [`gemm_naive`] is the triple-loop oracle the tests compare against.
 //!
 //! ```
 //! use mmblas::{gemm, Transpose};
@@ -40,7 +44,7 @@ pub mod scalar;
 pub use im2col::{col2im, conv_out_dim, im2col, Conv2dGeometry};
 pub use level1::*;
 pub use level2::{gemv, ger};
-pub use level3::{gemm, gemm_blocked, gemm_microkernel, gemm_naive, gemm_rowblock};
+pub use level3::{gemm, gemm_naive};
 pub use par::{gemm_par, gemv_par};
 pub use rng::Pcg32;
 pub use scalar::Scalar;

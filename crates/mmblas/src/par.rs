@@ -13,7 +13,7 @@
 //! Built on rayon (the workspace's sanctioned data-parallelism substrate)
 //! rather than `omprt` so `mmblas` stays dependency-light and reusable.
 
-use crate::{gemm_blocked, gemv, Scalar, Transpose};
+use crate::{gemm, gemv, Scalar, Transpose};
 use rayon::prelude::*;
 
 /// Row-block size per parallel task: coarse enough to amortize task
@@ -21,9 +21,10 @@ use rayon::prelude::*;
 const ROW_BLOCK: usize = 16;
 
 /// Parallel GEMM: `C = alpha * op(A) * op(B) + beta * C`, parallelized
-/// over row blocks of `C`. Always uses the cache-blocked kernel per strip,
-/// so the result is bitwise-identical to [`gemm_blocked`] for any thread
-/// count (each output row is computed with identical arithmetic).
+/// over row blocks of `C`. Each strip is a row-range call of the one
+/// sequential kernel, so the result is bitwise-identical to [`gemm`] for any
+/// thread count (every `C[i][j]` has its own accumulator and `k` order; see
+/// [`crate::level3`]).
 ///
 /// # Panics
 /// Panics on inconsistent dimensions (same contract as [`crate::gemm`]).
@@ -45,34 +46,24 @@ pub fn gemm_par<S: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
-    // Row i of C depends on row i of op(A): compute independent horizontal
-    // strips. For transposed A the strip of op(A) is a column block of the
-    // stored matrix; the sequential kernel handles that via lda, so each
-    // task simply offsets into C and re-derives its A view.
+    // Row i of C depends on row i of op(A) only. Rows `row0..` of op(A)
+    // start at stored row `row0` (as stored) or stored column `row0`
+    // (transposed); either way the strip keeps the stored `lda`.
     c.par_chunks_mut(ROW_BLOCK * ldc)
         .enumerate()
         .for_each(|(blk, cchunk)| {
             let row0 = blk * ROW_BLOCK;
-            let rows = ROW_BLOCK.min(m - row0.min(m));
-            if rows == 0 {
+            if row0 >= m {
                 return;
             }
-            match ta {
-                Transpose::No => {
-                    let astrip = &a[row0 * lda..];
-                    gemm_blocked(
-                        ta, tb, rows, n, k, alpha, astrip, lda, b, ldb, beta, cchunk, ldc,
-                    );
-                }
-                Transpose::Yes => {
-                    // op(A) row block = stored-A column block starting at
-                    // column row0; keep the stored layout, offset the base.
-                    let astrip = &a[row0..];
-                    gemm_blocked(
-                        ta, tb, rows, n, k, alpha, astrip, lda, b, ldb, beta, cchunk, ldc,
-                    );
-                }
-            }
+            let rows = ROW_BLOCK.min(m - row0);
+            let astrip = match ta {
+                Transpose::No => &a[row0 * lda..],
+                Transpose::Yes => &a[row0..],
+            };
+            gemm(
+                ta, tb, rows, n, k, alpha, astrip, lda, b, ldb, beta, cchunk, ldc,
+            );
         });
 }
 
@@ -130,90 +121,38 @@ mod tests {
         (0..n).map(|_| rng.uniform_range(-2.0, 2.0)).collect()
     }
 
+    /// The strips are fixed `ROW_BLOCK`-row ranges whatever the pool size,
+    /// and a row range of the one kernel is bit-equal to the same rows of
+    /// the full call — so `gemm_par` equals `gemm` bit for bit for any
+    /// thread count, on the SIMD (`f32`) path as on the scalar one.
     #[test]
-    fn gemm_par_matches_sequential_notrans() {
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (7, 9, 5),
-            (40, 33, 21),
-            (64, 64, 64),
-        ] {
-            let a = dense(m * k, 1);
-            let b = dense(k * n, 2);
-            let mut c1 = dense(m * n, 3);
-            let mut c2 = c1.clone();
-            gemm_blocked(
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.5,
-                &a,
-                k,
-                &b,
-                n,
-                0.5,
-                &mut c1,
-                n,
-            );
-            gemm_par(
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.5,
-                &a,
-                k,
-                &b,
-                n,
-                0.5,
-                &mut c2,
-                n,
-            );
-            assert_eq!(c1, c2, "m={m} n={n} k={k}");
+    fn gemm_par_is_bitwise_gemm() {
+        use Transpose::{No, Yes};
+        for (ta, tb) in [(No, No), (No, Yes), (Yes, No), (Yes, Yes)] {
+            for &(m, n, k) in &[
+                (1usize, 1usize, 1usize),
+                (7, 9, 5),
+                (37, 18, 25),
+                (64, 33, 300),
+            ] {
+                let (lda, ldb) = (
+                    if ta.is_trans() { m } else { k },
+                    if tb.is_trans() { k } else { n },
+                );
+                let dense32 = |len, seed| -> Vec<f32> {
+                    dense(len, seed).iter().map(|&v| v as f32).collect()
+                };
+                let (a, b) = (dense32(m * k, 1), dense32(k * n, 2));
+                let mut c1 = dense32(m * n, 3);
+                let mut c2 = c1.clone();
+                gemm(ta, tb, m, n, k, 1.5, &a, lda, &b, ldb, 0.5, &mut c1, n);
+                gemm_par(ta, tb, m, n, k, 1.5, &a, lda, &b, ldb, 0.5, &mut c2, n);
+                assert!(
+                    c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "m={m} n={n} k={k} ta={ta:?} tb={tb:?}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn gemm_par_matches_sequential_transposed_a() {
-        let (m, n, k) = (37usize, 18usize, 25usize);
-        let a = dense(k * m, 4); // stored k x m for op(A) = A^T
-        let b = dense(k * n, 5);
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        gemm_blocked(
-            Transpose::Yes,
-            Transpose::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            m,
-            &b,
-            n,
-            0.0,
-            &mut c1,
-            n,
-        );
-        gemm_par(
-            Transpose::Yes,
-            Transpose::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            m,
-            &b,
-            n,
-            0.0,
-            &mut c2,
-            n,
-        );
-        assert_eq!(c1, c2);
     }
 
     #[test]

@@ -58,10 +58,16 @@ pub trait Scalar:
     fn mul_add_s(self, a: Self, b: Self) -> Self;
     /// `true` if the value is finite (not NaN/inf).
     fn is_finite_s(self) -> bool;
+
+    /// Hook for [`crate::gemm`]: the kernel for this element type. `f32`
+    /// dispatches to the AVX2/FMA microkernel where the CPU has it; every
+    /// implementation returns the bits of the portable one.
+    #[doc(hidden)]
+    fn gemm_strided(problem: &crate::level3::Strided<'_, Self>, c: &mut [Self]);
 }
 
 macro_rules! impl_scalar {
-    ($t:ty) => {
+    ($t:ty, $gemm:path) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -118,12 +124,16 @@ macro_rules! impl_scalar {
             fn is_finite_s(self) -> bool {
                 <$t>::is_finite(self)
             }
+            #[inline]
+            fn gemm_strided(problem: &crate::level3::Strided<'_, Self>, c: &mut [Self]) {
+                $gemm(problem, c)
+            }
         }
     };
 }
 
-impl_scalar!(f32);
-impl_scalar!(f64);
+impl_scalar!(f32, crate::level3::gemm_f32);
+impl_scalar!(f64, crate::level3::gemm_portable::<f64>);
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,7 @@
 //! must hold for arbitrary shapes and values.
 
 use mmblas::{
-    axpy, col2im, dot, dot_seq, gemm, gemm_blocked, gemm_microkernel, gemm_naive, gemv, im2col,
-    scal, Conv2dGeometry, Transpose,
+    axpy, col2im, dot, dot_seq, gemm, gemm_naive, gemv, im2col, scal, Conv2dGeometry, Transpose,
 };
 use proptest::prelude::*;
 
@@ -18,13 +17,18 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The `f64` leg of the differential matrix (the conv shapes, tile
+    /// edges, SIMD-vs-twin and row-range legs are `level3`'s unit tests):
+    /// arbitrary shape, transposes, scalars and padded strides against the
+    /// oracle, with the padding of `C` left untouched.
     #[test]
-    fn all_gemm_impls_agree((m, n, k) in dims(),
-                            ta in prop::bool::ANY,
-                            tb in prop::bool::ANY,
-                            alpha in -2.0f64..2.0,
-                            beta in -2.0f64..2.0,
-                            seed in 0u64..1000) {
+    fn gemm_agrees_with_oracle((m, n, k) in dims(),
+                               ta in prop::bool::ANY,
+                               tb in prop::bool::ANY,
+                               alpha in -2.0f64..2.0,
+                               beta in -2.0f64..2.0,
+                               pad in 0usize..3,
+                               seed in 0u64..1000) {
         let mut rng = mmblas::Pcg32::seeded(seed);
         let (ta, tb) = (
             if ta { Transpose::Yes } else { Transpose::No },
@@ -32,19 +36,43 @@ proptest! {
         );
         let (ar, ac) = if ta.is_trans() { (k, m) } else { (m, k) };
         let (br, bc) = if tb.is_trans() { (n, k) } else { (k, n) };
-        let a: Vec<f64> = (0..ar * ac).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
-        let b: Vec<f64> = (0..br * bc).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
-        let c0: Vec<f64> = (0..m * n).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
+        let (lda, ldb, ldc) = (ac + pad, bc + pad, n + pad);
+        let a: Vec<f64> = (0..ar * lda).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
+        let b: Vec<f64> = (0..br * ldb).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
+        let c0: Vec<f64> = (0..m * ldc).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
 
         let mut c1 = c0.clone();
-        gemm_naive(ta, tb, m, n, k, alpha, &a, ac.max(1), &b, bc.max(1), beta, &mut c1, n);
-        for f in [gemm_blocked::<f64>, gemm_microkernel::<f64>, gemm::<f64>] {
-            let mut c2 = c0.clone();
-            f(ta, tb, m, n, k, alpha, &a, ac.max(1), &b, bc.max(1), beta, &mut c2, n);
-            for (x, y) in c1.iter().zip(&c2) {
-                prop_assert!((x - y).abs() < 1e-9 * (1.0 + x.abs()));
+        gemm_naive(ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c1, ldc);
+        let mut c2 = c0.clone();
+        gemm(ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c2, ldc);
+        for (i, (x, y)) in c1.iter().zip(&c2).enumerate() {
+            if i % ldc >= n {
+                prop_assert_eq!(*y, c0[i]);
             }
+            prop_assert!((x - y).abs() < 1e-9 * (1.0 + x.abs()));
         }
+    }
+
+    /// Splitting the rows of an `f32` product anywhere gives the bits of the
+    /// unsplit call (what channel-split layers and `gemm_par` stand on).
+    #[test]
+    fn gemm_row_split_is_bitwise((m, n, k) in (2usize..40, 1usize..40, 1usize..600),
+                                 tb in prop::bool::ANY,
+                                 cut in 1usize..39,
+                                 seed in 0u64..1000) {
+        let cut = 1 + cut % (m - 1);
+        let mut rng = mmblas::Pcg32::seeded(seed);
+        let tb = if tb { Transpose::Yes } else { Transpose::No };
+        let ldb = if tb.is_trans() { k } else { n };
+        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+        let mut full = vec![0.0f32; m * n];
+        gemm(Transpose::No, tb, m, n, k, 1.0, &a, k, &b, ldb, 0.0, &mut full, n);
+        let mut split = vec![0.0f32; m * n];
+        let (top, bottom) = split.split_at_mut(cut * n);
+        gemm(Transpose::No, tb, cut, n, k, 1.0, &a, k, &b, ldb, 0.0, top, n);
+        gemm(Transpose::No, tb, m - cut, n, k, 1.0, &a[cut * k..], k, &b, ldb, 0.0, bottom, n);
+        prop_assert!(full.iter().zip(&split).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! Execution semantics keep results bit-identical to the batch-only
 //! baseline: splits apply to the forward pass only (each unit computes a
 //! disjoint output block with the same flop order, see
-//! `mmblas::gemm_rowblock`), backward stays sample-split with the ordered
+//! `mmblas::level3`), backward stays sample-split with the ordered
 //! gradient merge, and `Replicate` runs the layer inline with identical
 //! slot math. A plan therefore changes *where* work runs, never *what* is
 //! computed — and a stale plan is rejected with a typed error naming the

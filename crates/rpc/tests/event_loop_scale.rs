@@ -59,14 +59,26 @@ fn start_stack(cfg: RpcConfig) -> (Server<f32>, RpcServer, obs::Registry) {
     (server, rpc, reg)
 }
 
-/// This process's thread count, from `/proc/self/status`.
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line in /proc/self/status")
+/// Serializes the tests of this file: each starts its own server stack, and
+/// the thread-count test must see exactly one. Held for a whole test.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed sibling poisons the lock; the guarded state is `()`.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Threads of the serving stack in this process: the tasks under
+/// `/proc/self/task` whose name starts `rpc-` or `serve-` (the event loop,
+/// the batch workers, the supervisor). A thread spawned without a name
+/// inherits its creator's, so a per-connection thread started by any of
+/// them is counted too — while the test harness's own threads, which come
+/// and go as sibling tests start and finish, are not.
+fn server_thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("rpc-") || comm.starts_with("serve-"))
+        .count()
 }
 
 /// Complete the handshake on a raw socket so the connection is Open.
@@ -84,11 +96,13 @@ fn handshake(s: &mut TcpStream) {
 /// thread per accept), and new work on a fresh connection still answers.
 #[test]
 fn a_thousand_idle_connections_cost_no_threads() {
+    let _serial = serial();
     let (server, rpc, _reg) = start_stack(RpcConfig {
         max_connections: 1200,
         ..RpcConfig::default()
     });
-    let baseline = thread_count();
+    let baseline = server_thread_count();
+    assert!(baseline >= 2, "event loop and a batch worker are running");
 
     let mut idle = Vec::with_capacity(1000);
     for _ in 0..1000 {
@@ -97,7 +111,7 @@ fn a_thousand_idle_connections_cost_no_threads() {
         idle.push(s);
     }
     assert_eq!(
-        thread_count(),
+        server_thread_count(),
         baseline,
         "idle connections must not grow the thread count"
     );
@@ -106,7 +120,7 @@ fn a_thousand_idle_connections_cost_no_threads() {
     let mut client = RpcClient::connect(rpc.local_addr()).unwrap();
     let probs = client.infer(&[0.2f32; 6]).unwrap();
     assert_eq!(probs.len(), 3);
-    assert_eq!(thread_count(), baseline);
+    assert_eq!(server_thread_count(), baseline);
 
     drop(idle);
     rpc.shutdown();
@@ -120,6 +134,7 @@ fn a_thousand_idle_connections_cost_no_threads() {
 /// scheduler hiccup from failing the run.
 #[test]
 fn connect_to_hello_latency_is_not_tick_quantised() {
+    let _serial = serial();
     let (server, rpc, _reg) = start_stack(RpcConfig::default());
     // Warm-up: first accept pays one-time lazy costs.
     drop(RpcClient::connect(rpc.local_addr()).unwrap());
@@ -151,6 +166,7 @@ fn connect_to_hello_latency_is_not_tick_quantised() {
 /// counter stays flat.
 #[test]
 fn idle_loop_does_not_spin() {
+    let _serial = serial();
     let (server, rpc, reg) = start_stack(RpcConfig::default());
     let mut conns: Vec<TcpStream> = (0..4)
         .map(|_| {

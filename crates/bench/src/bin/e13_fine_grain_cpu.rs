@@ -4,10 +4,9 @@
 //! The paper enumerates three sources of parallelism (§3.1): BLAS-level,
 //! blob-level and batch-level, and argues batch-level wins on CPUs because
 //! its work units stay coarse everywhere while per-call parallelism
-//! collapses in the small, deep layers. The simulated comparison below
-//! quantifies this on both networks; the `mmblas::par` kernels
-//! (`gemm_par`/`gemv_par`) are the real executable fine-grain counterpart
-//! and are verified bitwise against the sequential kernels in unit tests.
+//! collapses in the small, deep layers. The comparison below quantifies
+//! this on both networks with `machine`'s two execution models: both sides
+//! are simulated, there is no executable fine-grain kernel in the workspace.
 
 use cgdnn_bench::{banner, cifar_net, mnist_net, PAPER_THREADS};
 use machine::report::total_time;

@@ -12,6 +12,7 @@ use solvers::{Solver, SolverConfig};
 use std::io;
 use std::path::Path;
 use std::time::Instant;
+use wire::{Put, Reader};
 
 /// Cached handles into the global metrics registry, resolved once per
 /// trainer so the per-step updates are pure atomic operations.
@@ -215,16 +216,16 @@ impl<S: Scalar> CoarseGrainTrainer<S> {
         let mut solver_state = Vec::new();
         self.solver.save_state(&mut solver_state)?;
         let mut meta = Vec::with_capacity(16);
-        meta.extend_from_slice(&self.solver.iteration().to_le_bytes());
-        meta.extend_from_slice(&self.solver.lr_scale().to_le_bytes());
+        meta.put_u64(self.solver.iteration());
+        meta.put_f64(self.solver.lr_scale());
         let mut sections: Vec<([u8; 4], &[u8])> = vec![
             (SEC_PARAMS, &params),
             (SEC_SOLVER, &solver_state),
             (SEC_META, &meta),
         ];
-        let cursor_bytes;
+        let mut cursor_bytes = Vec::with_capacity(8);
         if let Some(c) = self.net.data_cursor() {
-            cursor_bytes = (c as u64).to_le_bytes();
+            cursor_bytes.put_u64(c as u64);
             sections.push((SEC_CURSOR, &cursor_bytes));
         }
         let mut out = Vec::new();
@@ -264,10 +265,10 @@ impl<S: Scalar> CoarseGrainTrainer<S> {
         self.solver.load_state(solver_state)?;
         snapshot::params_from_bytes(&mut self.net, params)?;
         if let Some(meta) = find(SEC_META) {
-            if meta.len() < 16 {
-                return Err(invalid("checkpoint META section truncated"));
-            }
-            let iter = u64::from_le_bytes(meta[0..8].try_into().unwrap());
+            // iteration u64 | lr_scale f64; later fields may follow.
+            let mut r = Reader::new(meta);
+            let iter = r.u64()?;
+            r.f64()?;
             if iter != self.solver.iteration() {
                 return Err(invalid(
                     "checkpoint META iteration disagrees with solver state",
@@ -275,11 +276,10 @@ impl<S: Scalar> CoarseGrainTrainer<S> {
             }
         }
         if let Some(cur) = find(SEC_CURSOR) {
-            if cur.len() != 8 {
-                return Err(invalid("checkpoint CURS section malformed"));
-            }
-            self.net
-                .set_data_cursor(u64::from_le_bytes(cur.try_into().unwrap()) as usize);
+            let mut r = Reader::new(cur);
+            let cursor = r.u64()?;
+            r.finish()?;
+            self.net.set_data_cursor(cursor as usize);
         }
         self.net.set_iteration(self.solver.iteration());
         Ok(())

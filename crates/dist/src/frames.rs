@@ -3,41 +3,37 @@
 //! (`rpc::proto`), all CRC-protected.
 //!
 //! Gradients and parameters are flat `f32` vectors in the net's learnable
-//! parameter order, split into chunks of at most
-//! [`proto::MAX_CHUNK_F32S`] values. Each chunk frame carries the step in
-//! `id` and `(chunk_idx, n_chunks)` packed into `aux`, so the receiver
-//! detects reordering, truncation, and length lies with typed
-//! [`DistError`]s — every decode failure also bumps the shared
-//! `rpc.decode_errors` counter, mirroring the serving tier.
+//! parameter order, sent as one `rpc::proto` chunk run: frames of at most
+//! [`MAX_CHUNK_BYTES`] carrying the step in `id` and `(chunk_idx,
+//! n_chunks)` in `aux`, so the receiver detects reordering, truncation,
+//! and length lies with typed [`DistError`]s. Everything here is
+//! `proto::{read_frame, write_run, read_run}` plus what only `dist` has:
+//! the `net::faults` chaos points on both directions, the
+//! `rpc.decode_errors` bump on every decode failure (mirroring the serving
+//! tier), and `FRAME_DONE` turning into the peer's reason.
 
 use crate::DistError;
 use net::Net;
-use rpc::proto::{self, DecodeError};
+use rpc::proto::{self, DecodeError, FrameError};
 use std::io::{Read, Write};
+use wire::{Put, Reader};
 
-/// Hard cap on a single tensor-chunk payload, in bytes (256 KiB).
-pub const MAX_CHUNK_BYTES: u32 = (proto::MAX_CHUNK_F32S * 4) as u32;
-
-/// One received frame: validated header fields plus its payload.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// Frame kind (`rpc::proto::FRAME_*`).
-    pub kind: u8,
-    /// Step number (or rank, for `FRAME_JOIN`).
-    pub id: u64,
-    /// Kind-specific auxiliary word.
-    pub aux: u32,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-}
-
-fn bump_decode_errors() {
-    obs::registry::global().counter("rpc.decode_errors").inc();
-}
+pub use rpc::proto::{Frame, MAX_BLOB_BYTES, MAX_CHUNK_BYTES};
 
 fn decode_err(e: DecodeError) -> DistError {
-    bump_decode_errors();
+    obs::registry::global().counter("rpc.decode_errors").inc();
     DistError::Decode(e)
+}
+
+/// Every rejected byte sequence is counted, whichever layer rejected it.
+impl From<FrameError> for DistError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => DistError::Io(e.to_string()),
+            FrameError::Decode(e) => decode_err(e),
+            FrameError::Protocol(m) => DistError::Protocol(m),
+        }
+    }
 }
 
 /// Write one frame: header (with CRC) then payload.
@@ -54,12 +50,28 @@ pub fn send_frame(
     payload: &[u8],
 ) -> Result<(), DistError> {
     net::faults::hit("dist.frame.send")?;
-    let mut buf = Vec::with_capacity(proto::FRAME_HEADER_LEN + payload.len());
-    buf.extend_from_slice(&proto::encode_header(kind, id, aux, payload.len() as u32));
-    buf.extend_from_slice(payload);
+    let mut buf = proto::encode_frame(kind, id, aux, payload);
     net::faults::corrupt("dist.frame.send", &mut buf);
     w.write_all(&buf)?;
     Ok(())
+}
+
+/// The `dist.frame.recv` corrupt point: flips a byte in the first bytes a
+/// frame read delivers — the header, before its CRC is verified — so the
+/// decode must reject it as `BadCrc`, never trust it.
+struct CorruptHeader<'a, R> {
+    inner: &'a mut R,
+    armed: bool,
+}
+
+impl<R: Read> Read for CorruptHeader<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        if n > 0 && std::mem::take(&mut self.armed) {
+            net::faults::corrupt("dist.frame.recv", &mut buf[..n]);
+        }
+        Ok(n)
+    }
 }
 
 /// Read and validate one frame. CRC failures, oversized announcements
@@ -67,53 +79,35 @@ pub fn send_frame(
 /// back as [`DistError::Decode`] and bump `rpc.decode_errors`.
 pub fn recv_frame(r: &mut impl Read) -> Result<Frame, DistError> {
     net::faults::hit("dist.frame.recv")?;
-    let mut hdr = [0u8; proto::FRAME_HEADER_LEN];
-    read_exact_or(r, &mut hdr, "frame header")?;
-    // Chaos point: flip a received header byte before CRC verification —
-    // the decode below must reject it as `BadCrc`, never trust it.
-    net::faults::corrupt("dist.frame.recv", &mut hdr);
-    let h = proto::decode_header(&hdr).map_err(decode_err)?;
-    if h.payload_len > proto::MAX_PAYLOAD {
-        return Err(decode_err(DecodeError::Oversize {
-            len: h.payload_len,
-            max: proto::MAX_PAYLOAD,
-        }));
-    }
-    let mut payload = vec![0u8; h.payload_len as usize];
-    read_exact_or(r, &mut payload, "frame payload")?;
-    Ok(Frame {
-        kind: h.kind,
-        id: h.id,
-        aux: h.aux,
-        payload,
-    })
+    let mut r = CorruptHeader {
+        inner: r,
+        armed: true,
+    };
+    Ok(proto::read_frame(&mut r)?)
 }
 
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(), DistError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            decode_err(DecodeError::Truncated(what))
-        } else {
-            DistError::Io(e.to_string())
-        }
-    })
+/// The next frame of a run: `first` if the caller already pulled one off
+/// the stream, else a fresh read. A `FRAME_DONE` arriving instead surfaces
+/// as the peer's reason — its abort reaches the waiter directly.
+fn next_frame(r: &mut impl Read, first: &mut Option<Frame>) -> Result<Frame, DistError> {
+    let f = match first.take() {
+        Some(f) => f,
+        None => recv_frame(r)?,
+    };
+    if f.kind == proto::FRAME_DONE {
+        return Err(done_to_err(&f));
+    }
+    Ok(f)
 }
 
 /// Send `vals` as a run of chunk frames of `kind` for step `step`.
 pub fn send_tensor(w: &mut impl Write, kind: u8, step: u64, vals: &[f32]) -> Result<(), DistError> {
-    let n_chunks = vals.len().div_ceil(proto::MAX_CHUNK_F32S).max(1);
-    for (i, chunk) in vals.chunks(proto::MAX_CHUNK_F32S).enumerate() {
-        let mut payload = Vec::new();
-        proto::write_f32s(&mut payload, chunk);
-        send_frame(
-            w,
-            kind,
-            step,
-            proto::encode_chunk_aux(i, n_chunks),
-            &payload,
-        )?;
-    }
-    Ok(())
+    let mut payload = Vec::new();
+    proto::write_run(std::mem::size_of_val(vals), |aux, part| {
+        payload.clear();
+        proto::write_f32s(&mut payload, &vals[part.start / 4..part.end / 4]);
+        send_frame(w, kind, step, aux, &payload)
+    })
 }
 
 /// Receive a chunked tensor of exactly `want_len` values: frames of
@@ -130,60 +124,17 @@ pub fn recv_tensor(
     want_len: usize,
     mut first: Option<Frame>,
 ) -> Result<Vec<f32>, DistError> {
-    let mut vals: Vec<f32> = Vec::with_capacity(want_len);
-    let mut n_chunks: Option<usize> = None;
-    let mut next_idx = 0usize;
-    loop {
-        let f = match first.take() {
-            Some(f) => f,
-            None => recv_frame(r)?,
-        };
-        if f.kind == proto::FRAME_DONE {
-            return Err(done_to_err(&f));
-        }
-        if f.kind != want_kind {
-            return Err(DistError::Protocol(format!(
-                "expected frame kind {want_kind}, got {}",
-                f.kind
-            )));
-        }
-        if f.id != want_step {
-            return Err(DistError::Protocol(format!(
-                "tensor frame for step {}, expected step {want_step}",
-                f.id
-            )));
-        }
-        if f.payload.len() as u32 > MAX_CHUNK_BYTES {
-            return Err(decode_err(DecodeError::Oversize {
-                len: f.payload.len() as u32,
-                max: MAX_CHUNK_BYTES,
-            }));
-        }
-        let (idx, n) = proto::decode_chunk_aux(f.aux);
-        if n == 0 {
-            return Err(DistError::Protocol("tensor with zero chunks".into()));
-        }
-        match n_chunks {
-            None => n_chunks = Some(n),
-            Some(expect) if expect != n => {
-                return Err(DistError::Protocol(format!(
-                    "chunk count changed mid-tensor: {expect} then {n}"
-                )))
-            }
-            _ => {}
-        }
-        if idx != next_idx {
-            return Err(decode_err(DecodeError::BadChunk {
-                expected: next_idx,
-                got: idx,
-            }));
-        }
-        vals.extend(proto::read_f32s(&f.payload).map_err(decode_err)?);
-        next_idx += 1;
-        if next_idx == n_chunks.unwrap() {
-            break;
-        }
-    }
+    let mut vals = Vec::with_capacity(want_len);
+    proto::read_run(
+        want_kind,
+        want_step,
+        want_len * 4,
+        || next_frame(r, &mut first),
+        |part| {
+            vals.extend(proto::read_f32s(part).map_err(decode_err)?);
+            Ok(())
+        },
+    )?;
     if vals.len() != want_len {
         return Err(DistError::Protocol(format!(
             "tensor has {} values, expected {want_len}",
@@ -229,49 +180,40 @@ pub struct Welcome {
 /// world | effective batch | iters | flags | coordinator clock (µs).
 pub fn encode_welcome(w: &Welcome) -> [u8; 24] {
     let mut b = [0u8; 24];
-    b[0..4].copy_from_slice(&w.world.to_le_bytes());
-    b[4..8].copy_from_slice(&w.effective_batch.to_le_bytes());
-    b[8..12].copy_from_slice(&w.iters.to_le_bytes());
-    b[12..16].copy_from_slice(&w.flags.to_le_bytes());
-    b[16..24].copy_from_slice(&w.coord_clock_us.to_le_bytes());
+    let mut out = &mut b[..];
+    out.put_u32(w.world);
+    out.put_u32(w.effective_batch);
+    out.put_u32(w.iters);
+    out.put_u32(w.flags);
+    out.put_u64(w.coord_clock_us);
     b
 }
 
-/// Decode a `FRAME_WELCOME` payload into a [`Welcome`].
+/// Decode a `FRAME_WELCOME` payload into a [`Welcome`]. Anything but the
+/// exact 24 bytes is rejected, not half-read.
 pub fn decode_welcome(b: &[u8]) -> Result<Welcome, DistError> {
-    if b.len() != 24 {
-        return Err(decode_err(DecodeError::BadPayload(
-            "welcome payload is not 24 bytes",
-        )));
-    }
-    Ok(Welcome {
-        world: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-        effective_batch: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-        iters: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-        flags: u32::from_le_bytes(b[12..16].try_into().unwrap()),
-        coord_clock_us: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-    })
+    let parse = || -> Result<_, wire::Error> {
+        let mut r = Reader::new(b);
+        let w = Welcome {
+            world: r.u32()?,
+            effective_batch: r.u32()?,
+            iters: r.u32()?,
+            flags: r.u32()?,
+            coord_clock_us: r.u64()?,
+        };
+        r.finish()?;
+        Ok(w)
+    };
+    parse().map_err(|_| decode_err(DecodeError::BadPayload("welcome payload is not 24 bytes")))
 }
 
-/// Hard cap on a reassembled byte blob (stats snapshot or trace flush):
-/// 16 MiB. The chunk-count word could theoretically announce far more;
-/// this keeps a lying peer from making the receiver allocate it.
-pub const MAX_BLOB_BYTES: usize = 16 << 20;
-
 /// Send an opaque byte blob (registry snapshot, trace flush) as a run of
-/// chunk frames of `kind` with the given `id`, mirroring [`send_tensor`]'s
-/// `(chunk_idx, n_chunks)` aux packing. An empty blob still sends one
-/// empty chunk so the receiver always sees the run.
+/// chunk frames of `kind` with the given `id`. An empty blob still sends
+/// one empty chunk so the receiver always sees the run.
 pub fn send_blob(w: &mut impl Write, kind: u8, id: u64, bytes: &[u8]) -> Result<(), DistError> {
-    let chunk = MAX_CHUNK_BYTES as usize;
-    let n_chunks = bytes.len().div_ceil(chunk).max(1);
-    if bytes.is_empty() {
-        return send_frame(w, kind, id, proto::encode_chunk_aux(0, 1), &[]);
-    }
-    for (i, part) in bytes.chunks(chunk).enumerate() {
-        send_frame(w, kind, id, proto::encode_chunk_aux(i, n_chunks), part)?;
-    }
-    Ok(())
+    proto::write_run(bytes.len(), |aux, part| {
+        send_frame(w, kind, id, aux, &bytes[part])
+    })
 }
 
 /// Receive a chunked byte blob of `want_kind` / `want_id`: strict chunk
@@ -283,60 +225,7 @@ pub fn recv_blob(
     want_id: u64,
     mut first: Option<Frame>,
 ) -> Result<Vec<u8>, DistError> {
-    let mut bytes = Vec::new();
-    let mut n_chunks: Option<usize> = None;
-    let mut next_idx = 0usize;
-    loop {
-        let f = match first.take() {
-            Some(f) => f,
-            None => recv_frame(r)?,
-        };
-        if f.kind == proto::FRAME_DONE {
-            return Err(done_to_err(&f));
-        }
-        if f.kind != want_kind {
-            return Err(DistError::Protocol(format!(
-                "expected frame kind {want_kind}, got {}",
-                f.kind
-            )));
-        }
-        if f.id != want_id {
-            return Err(DistError::Protocol(format!(
-                "blob frame with id {}, expected {want_id}",
-                f.id
-            )));
-        }
-        let (idx, n) = proto::decode_chunk_aux(f.aux);
-        if n == 0 {
-            return Err(DistError::Protocol("blob with zero chunks".into()));
-        }
-        match n_chunks {
-            None => n_chunks = Some(n),
-            Some(expect) if expect != n => {
-                return Err(DistError::Protocol(format!(
-                    "chunk count changed mid-blob: {expect} then {n}"
-                )))
-            }
-            _ => {}
-        }
-        if idx != next_idx {
-            return Err(decode_err(DecodeError::BadChunk {
-                expected: next_idx,
-                got: idx,
-            }));
-        }
-        if bytes.len() + f.payload.len() > MAX_BLOB_BYTES {
-            return Err(DistError::Protocol(format!(
-                "blob exceeds {MAX_BLOB_BYTES} byte cap"
-            )));
-        }
-        bytes.extend_from_slice(&f.payload);
-        next_idx += 1;
-        if next_idx == n_chunks.unwrap() {
-            break;
-        }
-    }
-    Ok(bytes)
+    proto::read_blob(want_kind, want_id, || next_frame(r, &mut first))
 }
 
 /// Trace categories this workspace emits. Wire-decoded events intern
@@ -361,18 +250,14 @@ fn intern_cat(s: &str) -> &'static str {
 /// prefixed by a `u32` event count.
 pub fn encode_trace_events(events: &[obs::trace::Event]) -> Vec<u8> {
     let mut b = Vec::with_capacity(4 + events.len() * 48);
-    b.extend_from_slice(&(events.len() as u32).to_le_bytes());
+    b.put_u32(events.len() as u32);
     for e in events {
-        let name = e.name.as_bytes();
-        let cat = e.cat.as_bytes();
-        b.extend_from_slice(&(name.len().min(u16::MAX as usize) as u16).to_le_bytes());
-        b.extend_from_slice(&name[..name.len().min(u16::MAX as usize)]);
-        b.extend_from_slice(&(cat.len().min(u16::MAX as usize) as u16).to_le_bytes());
-        b.extend_from_slice(&cat[..cat.len().min(u16::MAX as usize)]);
-        b.extend_from_slice(&e.ts_us.to_le_bytes());
-        b.extend_from_slice(&e.dur_us.to_le_bytes());
-        b.extend_from_slice(&e.tid.to_le_bytes());
-        b.extend_from_slice(&e.pid.to_le_bytes());
+        b.put_str(&e.name);
+        b.put_str(e.cat);
+        b.put_f64(e.ts_us);
+        b.put_f64(e.dur_us);
+        b.put_u64(e.tid);
+        b.put_u64(e.pid);
     }
     b
 }
@@ -380,42 +265,23 @@ pub fn encode_trace_events(events: &[obs::trace::Event]) -> Vec<u8> {
 /// Decode a `FRAME_TRACE` payload back into events. Every read is
 /// bounds-checked; a short or lying payload is a typed decode error.
 pub fn decode_trace_events(b: &[u8]) -> Result<Vec<obs::trace::Event>, DistError> {
-    let bad = || decode_err(DecodeError::BadPayload("malformed trace flush"));
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], DistError> {
-        let s = b.get(*pos..*pos + n).ok_or_else(bad)?;
-        *pos += n;
-        Ok(s)
+    let parse = || -> Result<_, wire::Error> {
+        let mut r = Reader::new(b);
+        let mut out = Vec::new();
+        for _ in 0..r.u32()? {
+            out.push(obs::trace::Event {
+                name: std::borrow::Cow::Owned(r.str()?.to_string()),
+                cat: intern_cat(r.str()?),
+                ts_us: r.f64()?,
+                dur_us: r.f64()?,
+                tid: r.u64()?,
+                pid: r.u64()?,
+            });
+        }
+        r.finish()?;
+        Ok(out)
     };
-    let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    // Smallest possible event is 36 bytes (empty name and cat).
-    if n > b.len() / 36 + 1 {
-        return Err(bad());
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(&mut pos, name_len)?.to_vec()).map_err(|_| bad())?;
-        let cat_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-        let cat = std::str::from_utf8(take(&mut pos, cat_len)?).map_err(|_| bad())?;
-        let cat = intern_cat(cat);
-        let ts_us = f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let dur_us = f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let tid = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let pid = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        out.push(obs::trace::Event {
-            name: std::borrow::Cow::Owned(name),
-            cat,
-            ts_us,
-            dur_us,
-            tid,
-            pid,
-        });
-    }
-    if pos != b.len() {
-        return Err(bad());
-    }
-    Ok(out)
+    parse().map_err(|_| decode_err(DecodeError::BadPayload("malformed trace flush")))
 }
 
 /// Flatten the net's learnable parameter *data* in parameter order.

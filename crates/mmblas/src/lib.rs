@@ -37,7 +37,6 @@ pub mod im2col;
 pub mod level1;
 pub mod level2;
 pub mod level3;
-pub mod par;
 pub mod rng;
 pub mod scalar;
 
@@ -45,7 +44,6 @@ pub use im2col::{col2im, conv_out_dim, im2col, Conv2dGeometry};
 pub use level1::*;
 pub use level2::{gemv, ger};
 pub use level3::{gemm, gemm_naive};
-pub use par::{gemm_par, gemv_par};
 pub use rng::Pcg32;
 pub use scalar::Scalar;
 

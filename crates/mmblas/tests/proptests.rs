@@ -54,7 +54,7 @@ proptest! {
     }
 
     /// Splitting the rows of an `f32` product anywhere gives the bits of the
-    /// unsplit call (what channel-split layers and `gemm_par` stand on).
+    /// unsplit call (what channel-split layers stand on).
     #[test]
     fn gemm_row_split_is_bitwise((m, n, k) in (2usize..40, 1usize..40, 1usize..600),
                                  tb in prop::bool::ANY,

@@ -37,7 +37,7 @@ use crate::Net;
 use mmblas::Scalar;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::OnceLock;
+use wire::{Put, Reader};
 
 const MAGIC: &[u8; 4] = b"CGDN";
 const VERSION_V1: u32 = 1;
@@ -46,49 +46,8 @@ const VERSION_V2: u32 = 2;
 /// Section tag of the learnable-parameter payload.
 pub const SEC_PARAMS: [u8; 4] = *b"PRMS";
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// IEEE CRC-32 (the zlib/PNG polynomial), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 /// Serialize the learnable parameters of `net` as a [`SEC_PARAMS`] payload
@@ -96,27 +55,26 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub fn params_to_bytes<S: Scalar>(net: &Net<S>) -> Vec<u8> {
     let params = net.learnable_params();
     let mut w = Vec::new();
-    write_u32(&mut w, params.len() as u32).expect("vec write");
+    w.put_u32(params.len() as u32);
     for p in params {
         let dims = p.shape().dims();
-        write_u32(&mut w, dims.len() as u32).expect("vec write");
+        w.put_u32(dims.len() as u32);
         for &d in dims {
-            write_u32(&mut w, d as u32).expect("vec write");
+            w.put_u32(d as u32);
         }
-        for &v in p.data() {
-            w.extend_from_slice(&v.to_f64().to_le_bytes());
-        }
+        wire::put_f64s(&mut w, p.data().iter().map(|v| v.to_f64()));
     }
     w
 }
 
 /// Restore parameters from a [`SEC_PARAMS`] payload into an
-/// identically-shaped network. Shapes are validated blob by blob. Bytes
-/// past the promised blob count are ignored (v1 tolerated trailing
-/// garbage; in v2 the section length and CRC already bound the payload).
+/// identically-shaped network. Shapes are validated blob by blob, before
+/// anything is sized by what the file announces. Bytes past the promised
+/// blob count are ignored (v1 tolerated trailing garbage; in v2 the section
+/// length and CRC already bound the payload).
 pub fn params_from_bytes<S: Scalar>(net: &mut Net<S>, bytes: &[u8]) -> io::Result<()> {
-    let mut r = bytes;
-    let n = read_u32(&mut r)? as usize;
+    let mut r = Reader::new(bytes);
+    let n = r.u32()? as usize;
     let mut params = net.learnable_params_mut();
     if n != params.len() {
         return Err(bad(format!(
@@ -125,20 +83,24 @@ pub fn params_from_bytes<S: Scalar>(net: &mut Net<S>, bytes: &[u8]) -> io::Resul
         )));
     }
     for (i, p) in params.iter_mut().enumerate() {
-        let ndim = read_u32(&mut r)? as usize;
-        let mut dims = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            dims.push(read_u32(&mut r)? as usize);
-        }
-        if dims != p.shape().dims() {
+        let want = p.shape().dims();
+        let ndim = r.u32()? as usize;
+        if ndim != want.len() {
             return Err(bad(format!(
-                "snapshot: blob {i} shape {:?} does not match network {:?}",
-                dims,
-                p.shape().dims()
+                "snapshot: blob {i} has {ndim} dims, network shape is {want:?}"
             )));
         }
-        for v in p.data_mut() {
-            *v = S::from_f64(read_f64(&mut r)?);
+        let dims = (0..ndim)
+            .map(|_| r.u32().map(|d| d as usize))
+            .collect::<Result<Vec<_>, _>>()?;
+        if dims != want {
+            return Err(bad(format!(
+                "snapshot: blob {i} shape {dims:?} does not match network {want:?}"
+            )));
+        }
+        let values = r.f64s(p.count())?;
+        for (v, f) in p.data_mut().iter_mut().zip(values) {
+            *v = S::from_f64(f);
         }
     }
     Ok(())
@@ -148,16 +110,16 @@ pub fn params_from_bytes<S: Scalar>(net: &mut Net<S>, bytes: &[u8]) -> io::Resul
 /// trailer).
 pub fn save_sections(sections: &[([u8; 4], &[u8])], mut w: impl Write) -> io::Result<()> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V2.to_le_bytes());
-    buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    buf.put(MAGIC);
+    buf.put_u32(VERSION_V2);
+    buf.put_u32(sections.len() as u32);
     for (tag, payload) in sections {
-        buf.extend_from_slice(tag);
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        buf.extend_from_slice(payload);
+        buf.put(tag);
+        buf.put_u64(payload.len() as u64);
+        buf.put(payload);
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    let crc = wire::crc32(&buf);
+    buf.put_u32(crc);
     w.write_all(&buf)
 }
 
@@ -169,48 +131,40 @@ pub fn save_sections(sections: &[([u8; 4], &[u8])], mut w: impl Write) -> io::Re
 pub fn read_sections(mut r: impl Read) -> io::Result<Vec<([u8; 4], Vec<u8>)>> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
-    if buf.len() < 8 {
-        return Err(bad("snapshot: truncated header"));
-    }
-    if &buf[0..4] != MAGIC {
+    let sections = parse_sections(&buf)?;
+    Ok(sections.into_iter().map(|(t, p)| (t, p.to_vec())).collect())
+}
+
+/// [`read_sections`] over bytes already in memory, borrowing the payloads.
+fn parse_sections(buf: &[u8]) -> io::Result<Vec<([u8; 4], &[u8])>> {
+    let mut head = Reader::new(buf);
+    if head.array::<4>()? != *MAGIC {
         return Err(bad("snapshot: bad magic"));
     }
-    let version = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    match version {
-        VERSION_V1 => Ok(vec![(SEC_PARAMS, buf[8..].to_vec())]),
+    match head.u32()? {
+        VERSION_V1 => Ok(vec![(SEC_PARAMS, head.rest())]),
         VERSION_V2 => {
-            if buf.len() < 16 {
-                return Err(bad("snapshot: truncated trailer"));
-            }
-            let body_end = buf.len() - 4;
-            let stored = u32::from_le_bytes(buf[body_end..].try_into().expect("4 bytes"));
-            let computed = crc32(&buf[..body_end]);
+            let body_len = head
+                .remaining()
+                .checked_sub(4)
+                .ok_or_else(|| bad("snapshot: truncated before the crc trailer"))?;
+            let mut body = Reader::new(head.bytes(body_len)?);
+            let stored = head.u32()?;
+            let computed = wire::crc32(&buf[..buf.len() - 4]);
             if stored != computed {
                 return Err(bad(format!(
                     "snapshot: crc mismatch (stored {stored:08x}, computed {computed:08x}) — \
                      file is corrupt or truncated"
                 )));
             }
-            let n = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")) as usize;
-            let mut sections = Vec::with_capacity(n);
-            let mut off = 12;
+            let n = body.u32()?;
+            let mut sections = Vec::new();
             for _ in 0..n {
-                if off + 12 > body_end {
-                    return Err(bad("snapshot: section header overruns file"));
-                }
-                let tag: [u8; 4] = buf[off..off + 4].try_into().expect("4 bytes");
-                let len = u64::from_le_bytes(buf[off + 4..off + 12].try_into().expect("8 bytes"))
-                    as usize;
-                off += 12;
-                if off + len > body_end {
-                    return Err(bad("snapshot: section payload overruns file"));
-                }
-                sections.push((tag, buf[off..off + len].to_vec()));
-                off += len;
+                let tag = body.array::<4>()?;
+                let len = usize::try_from(body.u64()?).unwrap_or(usize::MAX);
+                sections.push((tag, body.bytes(len)?));
             }
-            if off != body_end {
-                return Err(bad("snapshot: trailing bytes after last section"));
-            }
+            body.finish()?;
             Ok(sections)
         }
         v => Err(bad(format!("snapshot: unsupported version {v}"))),
@@ -234,23 +188,26 @@ pub fn save_params<S: Scalar>(net: &Net<S>, w: impl Write) -> io::Result<()> {
 /// Legacy v1 writer, kept so the v1→v2 compatibility path stays testable
 /// (and so old tooling can still be fed if ever needed).
 pub fn save_params_v1<S: Scalar>(net: &Net<S>, mut w: impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION_V1)?;
-    w.write_all(&params_to_bytes(net))?;
-    Ok(())
+    let mut buf = Vec::new();
+    buf.put(MAGIC);
+    buf.put_u32(VERSION_V1);
+    buf.put(&params_to_bytes(net));
+    w.write_all(&buf)
 }
 
 /// Restore parameters saved by [`save_params`] (v2) or [`save_params_v1`]
 /// into an identically-shaped network. Shapes are validated blob by blob.
-pub fn load_params<S: Scalar>(net: &mut Net<S>, r: impl Read) -> io::Result<()> {
+pub fn load_params<S: Scalar>(net: &mut Net<S>, mut r: impl Read) -> io::Result<()> {
     let _span = obs::trace::span("snapshot_load", "ckpt");
     let t0 = std::time::Instant::now();
-    let sections = read_sections(r)?;
+    let mut buf = Vec::new();
+    r.read_to_end(&mut buf)?;
+    let sections = parse_sections(&buf)?;
     let params = sections
         .iter()
         .find(|(tag, _)| *tag == SEC_PARAMS)
         .ok_or_else(|| bad("snapshot: no parameter section"))?;
-    let out = params_from_bytes(net, &params.1);
+    let out = params_from_bytes(net, params.1);
     let reg = obs::registry::global();
     reg.counter("ckpt.loads").inc();
     reg.histogram("ckpt.load_seconds", &obs::registry::DURATION_BOUNDS_SECS)
@@ -352,12 +309,6 @@ layer {
     }
 
     #[test]
-    fn crc32_matches_reference_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn round_trip_preserves_parameters() {
         let src = make();
         let mut buf = Vec::new();
@@ -413,6 +364,26 @@ layer {
             let e = load_params(&mut net, buf.as_slice()).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "flip at {pos}: {e}");
         }
+    }
+
+    #[test]
+    fn v1_file_announcing_u32_max_dims_is_invalid_data_not_an_allocation() {
+        // magic | version 1 | 2 blobs | ndim u32::MAX, then nothing. No CRC
+        // guards a v1 file, so this reaches `params_from_bytes` — which used
+        // to size a Vec by that ndim (32 GiB) before reading one dim.
+        let mut buf = b"CGDN".to_vec();
+        buf.put_u32(1);
+        buf.put_u32(2);
+        buf.put_u32(u32::MAX);
+        let e = load_params(&mut make(), buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        // Right ndim, but the values are not there.
+        let mut buf = b"CGDN".to_vec();
+        for v in [1, 2, 2, 3, 2] {
+            buf.put_u32(v);
+        }
+        let e = load_params(&mut make(), buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
     }
 
     #[test]

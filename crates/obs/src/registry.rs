@@ -8,12 +8,13 @@
 //! (bucket bounds never grow), so a metric's memory footprint is bounded
 //! regardless of how many samples it absorbs.
 
-use crate::reservoir::Reservoir;
+use crate::reservoir::{nearest_rank, Reservoir};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use wire::{Put, Reader};
 
 /// Default histogram bounds for durations in seconds: decades from 1 µs to
 /// 100 s (plus the implicit +Inf bucket).
@@ -457,45 +458,7 @@ impl Registry {
     /// summaries to the same aggregate and quantile rows (nearest-rank over
     /// the reservoir, no bucket rows).
     pub fn csv(&self) -> String {
-        let mut out = String::from("metric,value\n");
-        for (name, metric) in self.metrics.lock().iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "{name},{}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "{name},{:.6}", g.get());
-                }
-                Metric::Histogram(h) => {
-                    let _ = writeln!(out, "{name}_count,{}", h.count());
-                    let _ = writeln!(out, "{name}_sum,{:.6}", h.sum());
-                    let _ = writeln!(out, "{name}_mean,{:.6}", h.mean());
-                    let _ = writeln!(out, "{name}_min,{:.6}", h.min());
-                    let _ = writeln!(out, "{name}_max,{:.6}", h.max());
-                    for (q, tag) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")] {
-                        let _ = writeln!(out, "{name}_{tag},{:.6}", h.quantile(q));
-                    }
-                    for (bound, cum) in h.cumulative_buckets() {
-                        if bound.is_finite() {
-                            let _ = writeln!(out, "{name}_le_{bound:e},{cum}");
-                        } else {
-                            let _ = writeln!(out, "{name}_le_inf,{cum}");
-                        }
-                    }
-                }
-                Metric::Summary(s) => {
-                    let _ = writeln!(out, "{name}_count,{}", s.count());
-                    let _ = writeln!(out, "{name}_sum,{:.6}", s.sum());
-                    let _ = writeln!(out, "{name}_mean,{:.6}", s.mean());
-                    let _ = writeln!(out, "{name}_min,{:.6}", s.min());
-                    let _ = writeln!(out, "{name}_max,{:.6}", s.max());
-                    for (q, tag) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")] {
-                        let _ = writeln!(out, "{name}_{tag},{:.6}", s.quantile(q));
-                    }
-                }
-            }
-        }
-        out
+        self.snapshot().csv()
     }
 
     /// Human-readable one-line-per-metric rendering.
@@ -680,81 +643,12 @@ const TAG_GAUGE: u8 = 1;
 const TAG_HISTOGRAM: u8 = 2;
 const TAG_SUMMARY: u8 = 3;
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked little-endian cursor over untrusted snapshot bytes.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("snapshot truncated at byte {}", self.pos))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, String> {
-        let raw = self.take(n.checked_mul(8).ok_or("length overflow")?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
-    }
-
-    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, String> {
-        let raw = self.take(n.checked_mul(8).ok_or("length overflow")?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
+/// The `count | sum | min | max` tail histograms and summaries share.
+fn put_aggregates(out: &mut Vec<u8>, count: u64, sum: f64, min: f64, max: f64) {
+    out.put_u64(count);
+    out.put_f64(sum);
+    out.put_f64(min);
+    out.put_f64(max);
 }
 
 impl Snapshot {
@@ -831,18 +725,17 @@ impl Snapshot {
     /// `FRAME_STATS` payloads (layout documented in DESIGN.md).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u32(&mut out, self.metrics.len() as u32);
+        out.put_u32(self.metrics.len() as u32);
         for (name, value) in &self.metrics {
-            put_u16(&mut out, name.len() as u16);
-            out.extend_from_slice(name.as_bytes());
+            out.put_str(name);
             match value {
                 MetricValue::Counter(n) => {
-                    out.push(TAG_COUNTER);
-                    put_u64(&mut out, *n);
+                    out.put_u8(TAG_COUNTER);
+                    out.put_u64(*n);
                 }
                 MetricValue::Gauge(v) => {
-                    out.push(TAG_GAUGE);
-                    put_f64(&mut out, *v);
+                    out.put_u8(TAG_GAUGE);
+                    out.put_f64(*v);
                 }
                 MetricValue::Histogram {
                     bounds,
@@ -852,18 +745,13 @@ impl Snapshot {
                     min,
                     max,
                 } => {
-                    out.push(TAG_HISTOGRAM);
-                    put_u16(&mut out, bounds.len() as u16);
-                    for b in bounds {
-                        put_f64(&mut out, *b);
-                    }
+                    out.put_u8(TAG_HISTOGRAM);
+                    out.put_u16(bounds.len() as u16);
+                    wire::put_f64s(&mut out, bounds.iter().copied());
                     for b in buckets {
-                        put_u64(&mut out, *b);
+                        out.put_u64(*b);
                     }
-                    put_u64(&mut out, *count);
-                    put_f64(&mut out, *sum);
-                    put_f64(&mut out, *min);
-                    put_f64(&mut out, *max);
+                    put_aggregates(&mut out, *count, *sum, *min, *max);
                 }
                 MetricValue::Summary {
                     samples,
@@ -872,15 +760,10 @@ impl Snapshot {
                     min,
                     max,
                 } => {
-                    out.push(TAG_SUMMARY);
-                    put_u32(&mut out, samples.len() as u32);
-                    for s in samples {
-                        put_f64(&mut out, *s);
-                    }
-                    put_u64(&mut out, *count);
-                    put_f64(&mut out, *sum);
-                    put_f64(&mut out, *min);
-                    put_f64(&mut out, *max);
+                    out.put_u8(TAG_SUMMARY);
+                    out.put_u32(samples.len() as u32);
+                    wire::put_f64s(&mut out, samples.iter().copied());
+                    put_aggregates(&mut out, *count, *sum, *min, *max);
                 }
             }
         }
@@ -891,24 +774,22 @@ impl Snapshot {
     /// bounds-checked against the remaining input, so corrupt or truncated
     /// payloads fail with an error rather than a huge allocation or panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, String> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        let n = r.u32()? as usize;
+        Self::decode(bytes).map_err(|e| format!("metric snapshot: {e}"))
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Snapshot, Box<dyn std::error::Error>> {
+        let mut r = Reader::new(bytes);
         let mut metrics = BTreeMap::new();
-        for _ in 0..n {
-            let name_len = r.u16()? as usize;
-            let name = std::str::from_utf8(r.take(name_len)?)
-                .map_err(|_| "metric name is not UTF-8".to_string())?
-                .to_string();
+        for _ in 0..r.u32()? {
+            let name = r.str()?.to_string();
             let value = match r.u8()? {
                 TAG_COUNTER => MetricValue::Counter(r.u64()?),
                 TAG_GAUGE => MetricValue::Gauge(r.f64()?),
                 TAG_HISTOGRAM => {
                     let n_bounds = r.u16()? as usize;
-                    let bounds = r.f64s(n_bounds)?;
-                    let buckets = r.u64s(n_bounds + 1)?;
                     MetricValue::Histogram {
-                        bounds,
-                        buckets,
+                        bounds: r.f64s(n_bounds)?.collect(),
+                        buckets: r.u64s(n_bounds + 1)?.collect(),
                         count: r.u64()?,
                         sum: r.f64()?,
                         min: r.f64()?,
@@ -917,25 +798,19 @@ impl Snapshot {
                 }
                 TAG_SUMMARY => {
                     let n_samples = r.u32()? as usize;
-                    let samples = r.f64s(n_samples)?;
                     MetricValue::Summary {
-                        samples,
+                        samples: r.f64s(n_samples)?.collect(),
                         count: r.u64()?,
                         sum: r.f64()?,
                         min: r.f64()?,
                         max: r.f64()?,
                     }
                 }
-                t => return Err(format!("unknown metric tag {t}")),
+                t => return Err(format!("unknown metric tag {t}").into()),
             };
             metrics.insert(name, value);
         }
-        if r.pos != bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after snapshot",
-                bytes.len() - r.pos
-            ));
-        }
+        r.finish()?;
         Ok(Snapshot { metrics })
     }
 
@@ -1007,7 +882,7 @@ impl Snapshot {
                     let _ = writeln!(out, "{name}_min,{shown_min:.6}");
                     let _ = writeln!(out, "{name}_max,{shown_max:.6}");
                     for (q, tag) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")] {
-                        let _ = writeln!(out, "{name}_{tag},{:.6}", sample_quantile(samples, q));
+                        let _ = writeln!(out, "{name}_{tag},{:.6}", nearest_rank(samples, q));
                     }
                 }
             }
@@ -1077,7 +952,7 @@ impl Snapshot {
                     min,
                     max,
                 } => {
-                    let qs = [0.5, 0.9, 0.99].map(|q| sample_quantile(samples, q));
+                    let qs = [0.5, 0.9, 0.99].map(|q| nearest_rank(samples, q));
                     dist(&mut out, *count, *sum, *min, *max, qs);
                 }
             }
@@ -1085,24 +960,6 @@ impl Snapshot {
         out.push('}');
         out
     }
-}
-
-/// Nearest-rank quantile over an unsorted sample slice (0 when empty) —
-/// the snapshot-side twin of [`Reservoir::quantile`].
-fn sample_quantile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    if q <= 0.0 {
-        return sorted[0];
-    }
-    if q >= 1.0 {
-        return sorted[sorted.len() - 1];
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// The process-wide registry that `Trainer`, the checkpoint writer, and
@@ -1381,16 +1238,6 @@ mod tests {
         assert!(lat.get("p50").is_some() && lat.get("p99").is_some());
         let rtt = v.get("rtt").expect("rtt object");
         assert_eq!(rtt.get("p90").and_then(|n| n.as_f64()), Some(7.0));
-    }
-
-    #[test]
-    fn snapshot_csv_matches_registry_csv() {
-        let reg = Registry::new();
-        reg.counter("c").add(2);
-        reg.gauge("g").set(1.5);
-        reg.histogram("h", &[1.0, 10.0]).observe(3.0);
-        reg.summary("s").observe(4.0);
-        assert_eq!(reg.snapshot().csv(), reg.csv());
     }
 
     #[test]

@@ -149,19 +149,7 @@ impl Reservoir {
     /// nearest rank over the sorted samples. Exact while `count <= cap`;
     /// 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        if q <= 0.0 {
-            return sorted[0];
-        }
-        if q >= 1.0 {
-            return sorted[sorted.len() - 1];
-        }
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        nearest_rank(&self.samples, q)
     }
 
     /// Merge `other` into `self`. The aggregates fold **exactly**:
@@ -226,6 +214,22 @@ impl Reservoir {
         r.merge_parts(samples, count, sum, min, max);
         r
     }
+}
+
+/// Nearest-rank `q`-quantile (`0.0..=1.0`) of an unsorted sample; 0 when
+/// empty. The one percentile rule behind [`Reservoir::quantile`], metric
+/// snapshots and the serving report.
+pub fn nearest_rank(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    // total_cmp, not partial_cmp().unwrap(): a NaN sample (e.g. a poisoned
+    // clock delta) must not panic the reporting path. NaN sorts above every
+    // real value, so it can only inflate the top percentile.
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
+    v[rank - 1]
 }
 
 #[cfg(test)]
@@ -404,5 +408,27 @@ mod tests {
         assert_eq!(r.quantile(0.9), 5.0);
         assert_eq!(r.quantile(1.0), 5.0);
         assert_eq!(Reservoir::new(4, 1).quantile(0.5), 0.0);
+    }
+
+    #[test]
+    fn nearest_rank_over_a_hundred_values() {
+        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(nearest_rank(&v, 0.50), 50.0);
+        assert_eq!(nearest_rank(&v, 0.95), 95.0);
+        assert_eq!(nearest_rank(&v, 0.99), 99.0);
+        assert_eq!(nearest_rank(&v, 1.0), 100.0);
+        assert_eq!(nearest_rank(&[], 0.5), 0.0);
+        assert_eq!(nearest_rank(&[7.0], 0.99), 7.0);
+    }
+
+    #[test]
+    fn nearest_rank_survives_nan_samples() {
+        // Regression: sort_by(partial_cmp().unwrap()) panicked here. NaN
+        // must neither panic nor leak into the lower percentiles.
+        let v = vec![3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(nearest_rank(&v, 0.50), 2.0);
+        assert_eq!(nearest_rank(&v, 0.25), 1.0);
+        assert!(nearest_rank(&v, 1.0).is_nan(), "NaN sorts to the top rank");
+        assert!(nearest_rank(&[f64::NAN], 0.5).is_nan());
     }
 }

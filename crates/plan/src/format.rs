@@ -22,10 +22,10 @@
 
 use layers::strategy::LayerStrategy;
 use mmblas::Scalar;
-use net::snapshot::crc32;
 use net::Net;
 use std::fmt;
 use std::path::Path;
+use wire::crc32;
 
 /// Format version emitted and accepted by this build.
 pub const PLAN_VERSION: &str = "v1";

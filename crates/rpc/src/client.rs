@@ -14,10 +14,10 @@
 //! stream ([`RpcError::Protocol`]) — with the bookkeeping in place that
 //! can only mean desynchronisation, never pipelining.
 
-use crate::proto::{self};
+use crate::proto::{self, DecodeError, Frame, FrameError};
 use crate::RpcError;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -57,13 +57,43 @@ pub struct RpcClient {
     ready: VecDeque<Completion>,
 }
 
-/// Map a failed read: a clean hangup means the server finished draining.
-fn read_err(e: io::Error) -> RpcError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        RpcError::ServerShutdown
-    } else {
-        e.into()
+/// A clean hangup — end-of-stream inside a frame or between two — means the
+/// server finished draining; any other rejected byte is a protocol violation.
+impl From<FrameError> for RpcError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => e.into(),
+            FrameError::Decode(DecodeError::Truncated(_)) => RpcError::ServerShutdown,
+            FrameError::Decode(e) => e.into(),
+            FrameError::Protocol(m) => RpcError::Protocol(m),
+        }
     }
+}
+
+/// Open a connection, read the server hello and answer it — the start of
+/// both [`RpcClient::connect_with`] and [`fetch_stats`].
+fn handshake(
+    addr: impl ToSocketAddrs,
+    io_timeout: Duration,
+) -> Result<(TcpStream, proto::ServerHello), RpcError> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
+    let mut hello = [0u8; proto::SERVER_HELLO_LEN];
+    stream.read_exact(&mut hello).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => RpcError::ServerShutdown,
+        _ => e.into(),
+    })?;
+    let h = proto::decode_server_hello(&hello)?;
+    match h.status {
+        proto::HELLO_OK => {}
+        proto::HELLO_BUSY => return Err(RpcError::Busy),
+        proto::HELLO_DRAINING => return Err(RpcError::ServerShutdown),
+        s => return Err(RpcError::Protocol(format!("unknown hello status {s}"))),
+    }
+    stream.write_all(&proto::encode_client_hello())?;
+    Ok((stream, h))
 }
 
 impl RpcClient {
@@ -75,32 +105,16 @@ impl RpcClient {
     /// Connect, perform the handshake, and learn the server's sample and
     /// output shapes. `io_timeout` bounds every subsequent read and write.
     pub fn connect_with(addr: impl ToSocketAddrs, io_timeout: Duration) -> Result<Self, RpcError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(io_timeout))?;
-        stream.set_write_timeout(Some(io_timeout))?;
-        let mut client = Self {
+        let (stream, h) = handshake(addr, io_timeout)?;
+        Ok(Self {
             stream,
-            sample_len: 0,
-            output_len: 0,
+            sample_len: h.sample_len as usize,
+            output_len: h.output_len as usize,
             next_id: 1,
             buf: Vec::new(),
             outstanding: HashMap::new(),
             ready: VecDeque::new(),
-        };
-        let mut hello = [0u8; proto::SERVER_HELLO_LEN];
-        client.stream.read_exact(&mut hello).map_err(read_err)?;
-        let h = proto::decode_server_hello(&hello)?;
-        match h.status {
-            proto::HELLO_OK => {}
-            proto::HELLO_BUSY => return Err(RpcError::Busy),
-            proto::HELLO_DRAINING => return Err(RpcError::ServerShutdown),
-            s => return Err(RpcError::Protocol(format!("unknown hello status {s}"))),
-        }
-        client.stream.write_all(&proto::encode_client_hello())?;
-        client.sample_len = h.sample_len as usize;
-        client.output_len = h.output_len as usize;
-        Ok(client)
+        })
     }
 
     /// Values per sample, from the handshake.
@@ -130,11 +144,7 @@ impl RpcClient {
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.buf.clear();
-        proto::write_f32s(&mut self.buf, sample);
-        let head = proto::encode_header(proto::REQ_INFER, id, budget_us, self.buf.len() as u32);
-        self.stream.write_all(&head)?;
-        self.stream.write_all(&self.buf)?;
+        self.send(proto::REQ_INFER, id, budget_us, sample)?;
         self.outstanding.insert(id, 1);
         Ok(id)
     }
@@ -164,18 +174,21 @@ impl RpcClient {
         let k = flat.len() / self.sample_len;
         let id = self.next_id;
         self.next_id += 1;
-        self.buf.clear();
-        proto::write_f32s(&mut self.buf, flat);
-        let head = proto::encode_header(
-            proto::REQ_INFER_STREAM,
-            id,
-            budget_us,
-            self.buf.len() as u32,
-        );
-        self.stream.write_all(&head)?;
-        self.stream.write_all(&self.buf)?;
+        self.send(proto::REQ_INFER_STREAM, id, budget_us, flat)?;
         self.outstanding.insert(id, k);
         Ok((id, k))
+    }
+
+    /// Put one request frame of `vals` on the wire: header and payload
+    /// assembled in the reused buffer, one write.
+    fn send(&mut self, kind: u8, id: u64, budget_us: u32, vals: &[f32]) -> Result<(), RpcError> {
+        let payload_len = std::mem::size_of_val(vals) as u32;
+        self.buf.clear();
+        self.buf
+            .extend_from_slice(&proto::encode_header(kind, id, budget_us, payload_len));
+        proto::write_f32s(&mut self.buf, vals);
+        self.stream.write_all(&self.buf)?;
+        Ok(())
     }
 
     /// Block for the next completion from any outstanding request —
@@ -229,17 +242,16 @@ impl RpcClient {
     pub fn drain_server(&mut self) -> Result<(), RpcError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.stream
-            .write_all(&proto::encode_header(proto::REQ_DRAIN, id, 0, 0))?;
+        proto::write_frame(&mut self.stream, proto::REQ_DRAIN, id, 0, &[])?;
         loop {
-            let (kind, rid, aux, payload) = self.read_response()?;
-            if kind == proto::RESP_SHUTDOWN {
-                if rid == id {
+            let f = proto::read_frame(&mut self.stream)?;
+            if f.kind == proto::RESP_SHUTDOWN {
+                if f.id == id {
                     return Ok(());
                 }
                 return Err(RpcError::ServerShutdown);
             }
-            let c = self.match_completion(kind, rid, aux, payload)?;
+            let c = self.match_completion(f)?;
             self.ready.push_back(c);
         }
     }
@@ -265,21 +277,21 @@ impl RpcClient {
                 "no requests in flight to receive for".into(),
             ));
         }
-        let (kind, rid, aux, payload) = self.read_response()?;
-        if kind == proto::RESP_SHUTDOWN {
+        let f = proto::read_frame(&mut self.stream)?;
+        if f.kind == proto::RESP_SHUTDOWN {
             return Err(RpcError::ServerShutdown);
         }
-        self.match_completion(kind, rid, aux, payload)
+        self.match_completion(f)
     }
 
     /// Decode a non-shutdown response against the outstanding table.
-    fn match_completion(
-        &mut self,
-        kind: u8,
-        rid: u64,
-        aux: u32,
-        payload: Vec<u8>,
-    ) -> Result<Completion, RpcError> {
+    fn match_completion(&mut self, f: Frame) -> Result<Completion, RpcError> {
+        let Frame {
+            kind,
+            id: rid,
+            aux,
+            payload,
+        } = f;
         let Some(left) = self.outstanding.get_mut(&rid) else {
             return Err(RpcError::Protocol(format!(
                 "response carries id {rid}, which has no outstanding request"
@@ -312,21 +324,6 @@ impl RpcClient {
             outcome,
         })
     }
-
-    fn read_response(&mut self) -> Result<(u8, u64, u32, Vec<u8>), RpcError> {
-        let mut head = [0u8; proto::FRAME_HEADER_LEN];
-        self.stream.read_exact(&mut head).map_err(read_err)?;
-        let h = proto::decode_header(&head)?;
-        if h.payload_len > proto::MAX_PAYLOAD {
-            return Err(RpcError::Protocol(format!(
-                "response payload of {} bytes exceeds the cap",
-                h.payload_len
-            )));
-        }
-        let mut payload = vec![0u8; h.payload_len as usize];
-        self.stream.read_exact(&mut payload).map_err(read_err)?;
-        Ok((h.kind, h.id, h.aux, payload))
-    }
 }
 
 /// Fetch a live [`obs::Snapshot`] of a serving process's metrics registry
@@ -339,61 +336,12 @@ pub fn fetch_stats(
     addr: impl ToSocketAddrs,
     io_timeout: Duration,
 ) -> Result<obs::Snapshot, RpcError> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
-    let mut hello = [0u8; proto::SERVER_HELLO_LEN];
-    stream.read_exact(&mut hello).map_err(read_err)?;
-    let h = proto::decode_server_hello(&hello)?;
-    match h.status {
-        proto::HELLO_OK => {}
-        proto::HELLO_BUSY => return Err(RpcError::Busy),
-        proto::HELLO_DRAINING => return Err(RpcError::ServerShutdown),
-        s => return Err(RpcError::Protocol(format!("unknown hello status {s}"))),
-    }
-    stream.write_all(&proto::encode_client_hello())?;
-    stream.write_all(&proto::encode_header(proto::FRAME_STATS, 1, 0, 0))?;
-    // The snapshot arrives as FRAME_STATS chunks (tensor-style aux).
-    let mut chunks: Vec<Option<Vec<u8>>> = Vec::new();
-    let mut got = 0usize;
-    while chunks.is_empty() || got < chunks.len() {
-        let mut head = [0u8; proto::FRAME_HEADER_LEN];
-        stream.read_exact(&mut head).map_err(read_err)?;
-        let fh = proto::decode_header(&head)?;
-        if fh.kind != proto::FRAME_STATS {
-            return Err(RpcError::Protocol(format!(
-                "expected a stats frame, got kind {}",
-                fh.kind
-            )));
-        }
-        if fh.payload_len > proto::MAX_PAYLOAD {
-            return Err(RpcError::Protocol(format!(
-                "stats payload of {} bytes exceeds the cap",
-                fh.payload_len
-            )));
-        }
-        let mut payload = vec![0u8; fh.payload_len as usize];
-        stream.read_exact(&mut payload).map_err(read_err)?;
-        let (idx, n) = proto::decode_chunk_aux(fh.aux);
-        if chunks.is_empty() {
-            if n == 0 {
-                return Err(RpcError::Protocol("stats frame announces 0 chunks".into()));
-            }
-            chunks = vec![None; n];
-        }
-        if n != chunks.len() || idx >= n || chunks[idx].is_some() {
-            return Err(RpcError::Protocol(format!(
-                "stats chunk {idx}/{n} is out of range or duplicated"
-            )));
-        }
-        chunks[idx] = Some(payload);
-        got += 1;
-    }
-    let mut bytes = Vec::new();
-    for c in chunks {
-        bytes.extend_from_slice(&c.expect("all chunks received"));
-    }
+    let (mut stream, _) = handshake(addr, io_timeout)?;
+    proto::write_frame(&mut stream, proto::FRAME_STATS, 1, 0, &[])?;
+    // The snapshot comes back as a FRAME_STATS chunk run.
+    let bytes = proto::read_blob(proto::FRAME_STATS, 1, || {
+        proto::read_frame(&mut stream).map_err(RpcError::from)
+    })?;
     obs::Snapshot::from_bytes(&bytes).map_err(RpcError::Protocol)
 }
 

@@ -1,8 +1,9 @@
 //! The `CGRP` wire protocol: versioned handshake and CRC-protected,
 //! length-prefixed binary frames.
 //!
-//! Everything on the wire is little-endian and fixed-layout, so both ends
-//! can encode/decode with no allocation beyond the payload itself.
+//! Everything on the wire is little-endian and fixed-layout (encoded and
+//! decoded through the `wire` crate), so both ends can encode/decode with
+//! no allocation beyond the payload itself.
 //!
 //! **Handshake** — the server speaks first, so a client learns the sample
 //! and output shapes (and whether the server is full or draining) before
@@ -24,8 +25,8 @@
 //! `aux` carries the request's deadline budget in microseconds (0 = no
 //! deadline). In responses `aux` is the sample index for
 //! [`REQ_INFER_STREAM`] answers and 0 otherwise. `crc` is IEEE CRC-32
-//! (the snapshot format's [`net::snapshot::crc32`]) over the first 20
-//! header bytes, so a corrupted or misaligned header is detected before
+//! (the snapshot format's [`wire::crc32`]) over the first 20 header
+//! bytes, so a corrupted or misaligned header is detected before
 //! `payload_len` is trusted. Request payloads are `f32` little-endian
 //! samples; [`RESP_PROBS`] payloads are `f32` outputs; [`RESP_ERROR`]
 //! payloads are UTF-8 diagnostics.
@@ -46,8 +47,18 @@
 //! The only ordering guarantee is per-request: each request gets its
 //! response(s) exactly once. Clients that need FIFO behavior simply keep
 //! one request in flight.
+//!
+//! **Blocking I/O** — [`read_frame`] / [`write_frame`] are the one blocking
+//! frame path (the client, `fetch_stats` and every `dist` socket; the
+//! server's event loop parses incrementally out of its own buffers), and
+//! [`write_run`] / [`read_run`] the one chunk-run: anything larger than a
+//! frame — a gradient, a parameter vector, a metric snapshot, a trace
+//! flush — travels as frames of one kind and id whose `aux` counts
+//! `(chunk_idx, n_chunks)`.
 
 use std::fmt;
+use std::io::{self, Read, Write};
+use wire::{Put, Reader};
 
 /// Protocol magic, first bytes of both hello messages.
 pub const MAGIC: [u8; 4] = *b"CGRP";
@@ -143,6 +154,12 @@ pub const FRAME_TRACE: u8 = 25;
 
 /// Maximum `f32` values per gradient/parameter chunk (256 KiB payload).
 pub const MAX_CHUNK_F32S: usize = 65_536;
+/// The same cap in bytes: no frame of a chunk run carries more.
+pub const MAX_CHUNK_BYTES: u32 = (MAX_CHUNK_F32S * 4) as u32;
+/// Cap on a reassembled byte blob (metric snapshot, trace flush): 16 MiB.
+/// The chunk-count word could announce far more; this keeps a lying peer
+/// from making the receiver hold it.
+pub const MAX_BLOB_BYTES: usize = 16 << 20;
 
 /// Pack a chunk position into a frame's `aux` field.
 ///
@@ -211,6 +228,12 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl From<wire::Error> for DecodeError {
+    fn from(_: wire::Error) -> Self {
+        DecodeError::BadPayload("fields run past the end or leave bytes over")
+    }
+}
+
 /// Decoded server hello.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerHello {
@@ -225,48 +248,53 @@ pub struct ServerHello {
 /// Encode the server's opening message.
 pub fn encode_server_hello(status: u8, sample_len: u32, output_len: u32) -> [u8; SERVER_HELLO_LEN] {
     let mut b = [0u8; SERVER_HELLO_LEN];
-    b[0..4].copy_from_slice(&MAGIC);
-    b[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    b[6] = status;
-    b[8..12].copy_from_slice(&sample_len.to_le_bytes());
-    b[12..16].copy_from_slice(&output_len.to_le_bytes());
+    let mut w = &mut b[..];
+    w.put(&MAGIC);
+    w.put_u16(VERSION);
+    w.put_u8(status);
+    w.put_u8(0);
+    w.put_u32(sample_len);
+    w.put_u32(output_len);
     b
+}
+
+/// Read and validate the `magic | version` start of either hello.
+fn hello_prefix(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    let magic = r.array()?;
+    if magic != MAGIC {
+        return Err(DecodeError::BadMagic(magic));
+    }
+    match r.u16()? {
+        VERSION => Ok(()),
+        v => Err(DecodeError::BadVersion(v)),
+    }
 }
 
 /// Decode and validate a server hello.
 pub fn decode_server_hello(b: &[u8; SERVER_HELLO_LEN]) -> Result<ServerHello, DecodeError> {
-    if b[0..4] != MAGIC {
-        return Err(DecodeError::BadMagic([b[0], b[1], b[2], b[3]]));
-    }
-    let version = u16::from_le_bytes([b[4], b[5]]);
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
+    let mut r = Reader::new(b);
+    hello_prefix(&mut r)?;
+    let status = r.u8()?;
+    r.u8()?;
     Ok(ServerHello {
-        status: b[6],
-        sample_len: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-        output_len: u32::from_le_bytes(b[12..16].try_into().unwrap()),
+        status,
+        sample_len: r.u32()?,
+        output_len: r.u32()?,
     })
 }
 
 /// Encode the client's hello reply.
 pub fn encode_client_hello() -> [u8; CLIENT_HELLO_LEN] {
     let mut b = [0u8; CLIENT_HELLO_LEN];
-    b[0..4].copy_from_slice(&MAGIC);
-    b[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    let mut w = &mut b[..];
+    w.put(&MAGIC);
+    w.put_u16(VERSION);
     b
 }
 
 /// Decode and validate a client hello.
 pub fn decode_client_hello(b: &[u8; CLIENT_HELLO_LEN]) -> Result<(), DecodeError> {
-    if b[0..4] != MAGIC {
-        return Err(DecodeError::BadMagic([b[0], b[1], b[2], b[3]]));
-    }
-    let version = u16::from_le_bytes([b[4], b[5]]);
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    Ok(())
+    hello_prefix(&mut Reader::new(b))
 }
 
 /// Decoded frame header. `kind` is direction-dependent (`REQ_*` on the
@@ -289,37 +317,37 @@ pub struct FrameHeader {
 /// Encode a frame header, computing the CRC over the first 20 bytes.
 pub fn encode_header(kind: u8, id: u64, aux: u32, payload_len: u32) -> [u8; FRAME_HEADER_LEN] {
     let mut b = [0u8; FRAME_HEADER_LEN];
-    b[0] = kind;
-    b[4..12].copy_from_slice(&id.to_le_bytes());
-    b[12..16].copy_from_slice(&aux.to_le_bytes());
-    b[16..20].copy_from_slice(&payload_len.to_le_bytes());
-    let crc = net::snapshot::crc32(&b[0..20]);
-    b[20..24].copy_from_slice(&crc.to_le_bytes());
+    let mut w = &mut b[..];
+    w.put(&[kind, 0, 0, 0]);
+    w.put_u64(id);
+    w.put_u32(aux);
+    w.put_u32(payload_len);
+    let crc = wire::crc32(&b[..20]);
+    (&mut b[20..]).put_u32(crc);
     b
 }
 
 /// Decode a frame header, verifying its CRC. The payload-length cap is the
 /// caller's to enforce (it is configurable server-side).
 pub fn decode_header(b: &[u8; FRAME_HEADER_LEN]) -> Result<FrameHeader, DecodeError> {
-    let stored = u32::from_le_bytes(b[20..24].try_into().unwrap());
-    let computed = net::snapshot::crc32(&b[0..20]);
+    let mut r = Reader::new(b);
+    let [kind, ..] = r.array::<4>()?;
+    let (id, aux, payload_len, stored) = (r.u64()?, r.u32()?, r.u32()?, r.u32()?);
+    let computed = wire::crc32(&b[..20]);
     if stored != computed {
         return Err(DecodeError::BadCrc { stored, computed });
     }
     Ok(FrameHeader {
-        kind: b[0],
-        id: u64::from_le_bytes(b[4..12].try_into().unwrap()),
-        aux: u32::from_le_bytes(b[12..16].try_into().unwrap()),
-        payload_len: u32::from_le_bytes(b[16..20].try_into().unwrap()),
+        kind,
+        id,
+        aux,
+        payload_len,
     })
 }
 
 /// Append `vals` to `out` as little-endian `f32` bytes.
 pub fn write_f32s(out: &mut Vec<u8>, vals: &[f32]) {
-    out.reserve(vals.len() * 4);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    wire::put_f32s(out, vals.iter().copied());
 }
 
 /// Decode a little-endian `f32` payload.
@@ -327,10 +355,181 @@ pub fn read_f32s(bytes: &[u8]) -> Result<Vec<f32>, DecodeError> {
     if !bytes.len().is_multiple_of(4) {
         return Err(DecodeError::BadPayload("length is not a multiple of 4"));
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
+    Ok(Reader::new(bytes).f32s(bytes.len() / 4)?.collect())
+}
+
+/// One received frame: validated header fields plus its payload.
+#[derive(Debug, Clone)]
+pub struct Frame {
+    /// Frame kind (`REQ_*` / `RESP_*` / `FRAME_*`).
+    pub kind: u8,
+    /// Request id, or the step number on `dist` sockets.
+    pub id: u64,
+    /// Kind-specific auxiliary word.
+    pub aux: u32,
+    /// Payload bytes.
+    pub payload: Vec<u8>,
+}
+
+/// Why a blocking frame read, or a chunk run over it, failed. Each caller
+/// maps the three cases into its own error type.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The socket failed (anything but end-of-stream).
+    Io(io::Error),
+    /// The bytes were rejected; end-of-stream inside a frame is
+    /// [`DecodeError::Truncated`].
+    Decode(DecodeError),
+    /// Well-formed frames that break the chunk-run rules.
+    Protocol(String),
+}
+
+impl From<DecodeError> for FrameError {
+    fn from(e: DecodeError) -> Self {
+        FrameError::Decode(e)
+    }
+}
+
+/// Encode a complete frame (header + payload) into one buffer.
+pub fn encode_frame(kind: u8, id: u64, aux: u32, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame.put(&encode_header(kind, id, aux, payload.len() as u32));
+    frame.put(payload);
+    frame
+}
+
+/// Write one frame with a single `write_all`.
+pub fn write_frame(
+    w: &mut impl Write,
+    kind: u8,
+    id: u64,
+    aux: u32,
+    payload: &[u8],
+) -> io::Result<()> {
+    w.write_all(&encode_frame(kind, id, aux, payload))
+}
+
+/// Block for one frame: header, CRC, then the [`MAX_PAYLOAD`] check
+/// *before* the payload is allocated, then the payload.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    read_exact_or(r, &mut head, "frame header")?;
+    let h = decode_header(&head)?;
+    if h.payload_len > MAX_PAYLOAD {
+        return Err(FrameError::Decode(DecodeError::Oversize {
+            len: h.payload_len,
+            max: MAX_PAYLOAD,
+        }));
+    }
+    let mut payload = vec![0u8; h.payload_len as usize];
+    read_exact_or(r, &mut payload, "frame payload")?;
+    Ok(Frame {
+        kind: h.kind,
+        id: h.id,
+        aux: h.aux,
+        payload,
+    })
+}
+
+fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &'static str) -> Result<(), FrameError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => FrameError::Decode(DecodeError::Truncated(what)),
+        _ => FrameError::Io(e),
+    })
+}
+
+/// Send a run of `len` bytes: `send(aux, range)` once per chunk, `range`
+/// being that chunk's part of the run (at most [`MAX_CHUNK_BYTES`] long, so
+/// chunk boundaries fall on whole `f32`s) and `aux` packing `(chunk_idx,
+/// n_chunks)`. An empty run is one empty chunk, so the receiver always
+/// sees it.
+pub fn write_run<E>(
+    len: usize,
+    mut send: impl FnMut(u32, std::ops::Range<usize>) -> Result<(), E>,
+) -> Result<(), E> {
+    let chunk = MAX_CHUNK_BYTES as usize;
+    let n_chunks = len.div_ceil(chunk).max(1);
+    for i in 0..n_chunks {
+        send(
+            encode_chunk_aux(i, n_chunks),
+            i * chunk..len.min((i + 1) * chunk),
+        )?;
+    }
+    Ok(())
+}
+
+/// Receive the chunk run of `kind` / `id` from the frames `next` yields,
+/// handing each chunk's bytes to `keep` in order: chunk indices strictly
+/// ascending from 0, a chunk count that never changes, no chunk over
+/// [`MAX_CHUNK_BYTES`], and at most `max_bytes` in all — checked before a
+/// chunk is kept, so what a peer announces never sizes anything.
+pub fn read_run<E: From<FrameError>>(
+    kind: u8,
+    id: u64,
+    max_bytes: usize,
+    mut next: impl FnMut() -> Result<Frame, E>,
+    mut keep: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let protocol = |m: String| E::from(FrameError::Protocol(m));
+    let decode = |e: DecodeError| E::from(FrameError::Decode(e));
+    let (mut n_chunks, mut total) = (0, 0);
+    for expected in 0.. {
+        let f = next()?;
+        if f.kind != kind {
+            return Err(protocol(format!(
+                "expected frame kind {kind}, got {}",
+                f.kind
+            )));
+        }
+        if f.id != id {
+            return Err(protocol(format!(
+                "chunk frame with id {}, expected {id}",
+                f.id
+            )));
+        }
+        if f.payload.len() > MAX_CHUNK_BYTES as usize {
+            return Err(decode(DecodeError::Oversize {
+                len: f.payload.len() as u32,
+                max: MAX_CHUNK_BYTES,
+            }));
+        }
+        let (got, n) = decode_chunk_aux(f.aux);
+        if n == 0 {
+            return Err(protocol("chunk run announces zero chunks".into()));
+        }
+        if expected > 0 && n != n_chunks {
+            return Err(protocol(format!(
+                "chunk count changed mid-run: {n_chunks} then {n}"
+            )));
+        }
+        n_chunks = n;
+        if got != expected {
+            return Err(decode(DecodeError::BadChunk { expected, got }));
+        }
+        total += f.payload.len();
+        if total > max_bytes {
+            return Err(protocol(format!("chunk run exceeds {max_bytes} byte cap")));
+        }
+        keep(&f.payload)?;
+        if expected + 1 == n_chunks {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// [`read_run`] into one buffer — a metric snapshot or a trace flush.
+pub fn read_blob<E: From<FrameError>>(
+    kind: u8,
+    id: u64,
+    next: impl FnMut() -> Result<Frame, E>,
+) -> Result<Vec<u8>, E> {
+    let mut bytes = Vec::new();
+    read_run(kind, id, MAX_BLOB_BYTES, next, |part| {
+        bytes.extend_from_slice(part);
+        Ok(())
+    })?;
+    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@
 //! bumps `rpc.decode_errors`.
 
 use crate::poller::{PollSet, WakePipe, Waker};
-use crate::proto::{self, DecodeError};
+use crate::proto::{self, encode_frame, DecodeError};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -384,15 +384,6 @@ impl Conn {
     fn queue(&mut self, bytes: &[u8]) {
         self.wbuf.extend_from_slice(bytes);
     }
-}
-
-/// Encode a complete response frame (header + payload) into one buffer.
-fn encode_frame(kind: u8, id: u64, aux: u32, payload: &[u8]) -> Vec<u8> {
-    let head = proto::encode_header(kind, id, aux, payload.len() as u32);
-    let mut frame = Vec::with_capacity(head.len() + payload.len());
-    frame.extend_from_slice(&head);
-    frame.extend_from_slice(payload);
-    frame
 }
 
 struct EventLoop {
@@ -863,14 +854,11 @@ impl EventLoop {
                 // registry: that is where the trainer/serving/rpc tiers
                 // publish, and it is what `--metrics` would export.
                 let bytes = obs::registry::global().snapshot().to_bytes();
-                let chunk = proto::MAX_CHUNK_F32S * std::mem::size_of::<f32>();
-                let n_chunks = bytes.len().div_ceil(chunk).max(1);
-                // to_bytes() always emits the 4-byte count, so there is at
-                // least one chunk.
-                for (i, part) in bytes.chunks(chunk).enumerate() {
-                    let aux = proto::encode_chunk_aux(i, n_chunks);
-                    self.queue_response(id, proto::FRAME_STATS, header.id, aux, part);
-                }
+                let _: Result<(), std::convert::Infallible> =
+                    proto::write_run(bytes.len(), |aux, part| {
+                        self.queue_response(id, proto::FRAME_STATS, header.id, aux, &bytes[part]);
+                        Ok(())
+                    });
             }
             proto::REQ_INFER if payload.len() != sample_bytes => {
                 m.decode_errors.inc();

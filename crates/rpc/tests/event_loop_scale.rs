@@ -81,6 +81,22 @@ fn server_thread_count() -> usize {
         .count()
 }
 
+/// [`server_thread_count`] once it holds still. A thread names itself only
+/// when it first runs, so right after `start_stack` the count is still
+/// rising; taking the baseline then failed whenever this test ran first.
+fn settled_thread_count() -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut last = server_thread_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = server_thread_count();
+        if (now == last && now >= 2) || Instant::now() > deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
 /// Complete the handshake on a raw socket so the connection is Open.
 fn handshake(s: &mut TcpStream) {
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -101,7 +117,7 @@ fn a_thousand_idle_connections_cost_no_threads() {
         max_connections: 1200,
         ..RpcConfig::default()
     });
-    let baseline = server_thread_count();
+    let baseline = settled_thread_count();
     assert!(baseline >= 2, "event loop and a batch worker are running");
 
     let mut idle = Vec::with_capacity(1000);

@@ -211,9 +211,9 @@ impl ServingMetrics {
             completed,
             rejected: self.rejected.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
-            p50_us: percentile(latencies.samples(), 0.50),
-            p95_us: percentile(latencies.samples(), 0.95),
-            p99_us: percentile(latencies.samples(), 0.99),
+            p50_us: latencies.quantile(0.50),
+            p95_us: latencies.quantile(0.95),
+            p99_us: latencies.quantile(0.99),
             mean_latency_us: latencies.mean(),
             max_latency_us: latencies.max(),
             mean_queue_wait_us: waits.mean(),
@@ -237,20 +237,6 @@ impl ServingMetrics {
             },
         }
     }
-}
-
-/// Nearest-rank percentile of an unsorted sample; 0 when empty.
-pub fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    // total_cmp, not partial_cmp().unwrap(): a NaN latency sample (e.g. a
-    // poisoned clock delta) must not panic the reporting path. NaN sorts
-    // above every real value, so it can only inflate the top percentile.
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
-    v[rank - 1]
 }
 
 /// Immutable summary of one serving run.
@@ -405,28 +391,6 @@ impl fmt::Display for ServingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 0.50), 50.0);
-        assert_eq!(percentile(&v, 0.95), 95.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-    }
-
-    #[test]
-    fn percentile_survives_nan_samples() {
-        // Regression: sort_by(partial_cmp().unwrap()) panicked here. NaN
-        // must neither panic nor leak into the lower percentiles.
-        let v = vec![3.0, f64::NAN, 1.0, 2.0];
-        assert_eq!(percentile(&v, 0.50), 2.0);
-        assert_eq!(percentile(&v, 0.25), 1.0);
-        assert!(percentile(&v, 1.0).is_nan(), "NaN sorts to the top rank");
-        assert!(percentile(&[f64::NAN], 0.5).is_nan());
-    }
 
     #[test]
     fn report_aggregates_counters() {

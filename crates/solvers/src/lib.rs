@@ -19,6 +19,7 @@ use blob::Blob;
 use mmblas::Scalar;
 use net::{Net, RunConfig};
 use omprt::ThreadTeam;
+use wire::{Put, Reader};
 
 /// Which update rule to apply. The paper's §2.1 lists SGD, AdaGrad and
 /// Nesterov; RMSProp and AdaDelta are the two further solvers Caffe grew
@@ -300,41 +301,39 @@ impl<S: Scalar> Solver<S> {
     /// | lr_scale f64 | n_buffers u32 | per buffer: len u32, values f64 x
     /// len`. v1 files (no `lr_scale` field) still load.
     pub fn save_state(&self, mut w: impl std::io::Write) -> std::io::Result<()> {
-        w.write_all(b"CGSS")?;
-        w.write_all(&2u32.to_le_bytes())?;
-        w.write_all(&self.iter.to_le_bytes())?;
-        w.write_all(&self.lr_scale.to_le_bytes())?;
-        w.write_all(&(self.history.len() as u32).to_le_bytes())?;
+        let mut buf = Vec::new();
+        buf.put(b"CGSS");
+        buf.put_u32(2);
+        buf.put_u64(self.iter);
+        buf.put_f64(self.lr_scale);
+        buf.put_u32(self.history.len() as u32);
         for h in &self.history {
-            w.write_all(&(h.len() as u32).to_le_bytes())?;
-            for &v in h {
-                w.write_all(&v.to_f64().to_le_bytes())?;
-            }
+            buf.put_u32(h.len() as u32);
+            wire::put_f64s(&mut buf, h.iter().map(|v| v.to_f64()));
         }
-        Ok(())
+        w.write_all(&buf)
     }
 
-    /// Restore state saved by [`Solver::save_state`] (v1 or v2).
+    /// Restore state saved by [`Solver::save_state`] (v1 or v2). Nothing
+    /// is sized by a count from the file before the bytes behind it are
+    /// known to be there, and `self` is untouched unless the whole state
+    /// parsed.
     pub fn load_state(&mut self, mut r: impl std::io::Read) -> std::io::Result<()> {
         use std::io::{Error, ErrorKind};
         let bad = |m: &str| Error::new(ErrorKind::InvalidData, format!("solverstate: {m}"));
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"CGSS" {
+        let mut buf = Vec::new();
+        r.read_to_end(&mut buf)?;
+        let mut r = Reader::new(&buf);
+        if &r.array::<4>()? != b"CGSS" {
             return Err(bad("bad magic"));
         }
-        let mut b4 = [0u8; 4];
-        r.read_exact(&mut b4)?;
-        let version = u32::from_le_bytes(b4);
+        let version = r.u32()?;
         if version != 1 && version != 2 {
             return Err(bad(&format!("unsupported version {version}")));
         }
-        let mut b8 = [0u8; 8];
-        r.read_exact(&mut b8)?;
-        let iter = u64::from_le_bytes(b8);
+        let iter = r.u64()?;
         let lr_scale = if version >= 2 {
-            r.read_exact(&mut b8)?;
-            let s = f64::from_le_bytes(b8);
+            let s = r.f64()?;
             if !s.is_finite() || s <= 0.0 {
                 return Err(bad(&format!("non-positive lr_scale {s}")));
             }
@@ -342,18 +341,10 @@ impl<S: Scalar> Solver<S> {
         } else {
             1.0
         };
-        r.read_exact(&mut b4)?;
-        let n = u32::from_le_bytes(b4) as usize;
-        let mut history = Vec::with_capacity(n);
-        for _ in 0..n {
-            r.read_exact(&mut b4)?;
-            let len = u32::from_le_bytes(b4) as usize;
-            let mut h = Vec::with_capacity(len);
-            for _ in 0..len {
-                r.read_exact(&mut b8)?;
-                h.push(S::from_f64(f64::from_le_bytes(b8)));
-            }
-            history.push(h);
+        let mut history = Vec::new();
+        for _ in 0..r.u32()? {
+            let len = r.u32()? as usize;
+            history.push(r.f64s(len)?.map(S::from_f64).collect());
         }
         self.iter = iter;
         self.lr_scale = lr_scale;
@@ -641,6 +632,30 @@ mod extended_solver_tests {
         assert_eq!(s.iteration(), 7);
         assert_eq!(s.lr_scale(), 1.0);
         assert_eq!(s.history, vec![vec![0.5, 0.25]]);
+    }
+
+    #[test]
+    fn lying_buffer_counts_are_invalid_data_not_an_allocation() {
+        // The 24-byte v2 header, then a count of u32::MAX history buffers:
+        // sizing a Vec by that count asked for 103 GB and aborted the process.
+        let mut buf = b"CGSS".to_vec();
+        buf.put_u32(2);
+        buf.put_u64(7);
+        buf.put_f64(1.0);
+        assert_eq!(buf.len(), 24);
+        buf.put_u32(u32::MAX);
+        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Sgd, 0.9));
+        let e = s.load_state(buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        // One buffer announcing u32::MAX values (34 GB of f64).
+        buf.truncate(24);
+        buf.put_u32(1);
+        buf.put_u32(u32::MAX);
+        let e = s.load_state(buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        // A failed load leaves the solver as it was.
+        assert_eq!(s.iteration(), 0);
+        assert!(s.history.is_empty());
     }
 
     #[test]

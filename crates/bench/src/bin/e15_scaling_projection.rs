@@ -42,8 +42,8 @@ fn main() {
          iterations cannot feed 128 threads, and the serialized ordered\n\
          reduction grows linearly with the thread count. Scaling further\n\
          requires larger batches (which the convergence-invariance property\n\
-         forbids changing unilaterally) or the multi-replica data\n\
-         parallelism of `cgdnn::SyncDataParallel`, which multiplies\n\
-         parallelism without touching the tuned batch size."
+         forbids changing unilaterally) or the sharded data parallelism\n\
+         of the `dist` crate, which multiplies parallelism without\n\
+         touching the tuned batch size."
     );
 }

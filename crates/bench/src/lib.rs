@@ -1,5 +1,5 @@
 //! Shared helpers for the figure-regeneration binaries (`src/bin/fig*.rs`,
-//! `src/bin/e*.rs`) and the Criterion benches.
+//! `src/bin/e*.rs`). Timing measurements live in `benchmark/`.
 //!
 //! Each binary regenerates one table/figure of the paper; `EXPERIMENTS.md`
 //! records the paper-reported vs. simulated/measured values.

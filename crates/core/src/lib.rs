@@ -33,7 +33,6 @@ pub mod cli;
 pub mod invariance;
 pub mod nets;
 pub mod observe;
-pub mod replica;
 pub mod trainer;
 
 pub use checkpoint::{
@@ -42,7 +41,6 @@ pub use checkpoint::{
 };
 pub use invariance::check_loss_invariance;
 pub use observe::LayerTimeProfile;
-pub use replica::{ShardedSource, SyncDataParallel};
 pub use trainer::CoarseGrainTrainer;
 
 // Re-export the whole stack under one roof.

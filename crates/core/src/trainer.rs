@@ -158,19 +158,6 @@ impl<S: Scalar> CoarseGrainTrainer<S> {
         loss
     }
 
-    /// Forward + backward only — accumulate gradients into the net's param
-    /// diffs *without* applying an update or advancing the solver. The
-    /// distributed worker loop uses this: gradients ship to the coordinator,
-    /// which applies the reduced update and broadcasts parameters back.
-    /// Returns the local loss.
-    pub fn forward_backward(&mut self) -> S {
-        self.net.set_iteration(self.solver.iteration());
-        self.net.zero_param_diffs();
-        let loss = self.net.forward(&self.team, &self.run);
-        self.net.backward(&self.team, &self.run);
-        loss
-    }
-
     /// Evaluate over `batches` test batches:
     /// `(mean loss, mean accuracy if the net has an accuracy blob)`.
     pub fn evaluate(&mut self, batches: usize) -> (S, Option<S>) {

@@ -2,14 +2,10 @@
 //! cursor — the only process that mutates training state.
 //!
 //! Per step it broadcasts the current parameters, releases the step
-//! barrier, collects one gradient per worker *in fixed rank order*, folds
-//! them with an exact `1/W` rescale into the net's parameter diffs (the
-//! same `axpy` merge sequence the in-process canonical reduction uses),
-//! reconstructs the global loss from the per-rank partial losses, applies
-//! the solver update, and advances the LR schedule and the data cursor
-//! exactly as [`solvers::Solver::step`] would have. A checkpoint taken
-//! from the coordinator's net + solver is therefore bit-identical to a
-//! single-process checkpoint at the same iteration.
+//! barrier, collects one gradient per worker *in fixed rank order* and
+//! runs the one fold-and-update (`crate::step`) on them, so a checkpoint
+//! taken from its net + solver is bit-identical to a single-process
+//! checkpoint at the same iteration.
 //!
 //! # Elastic recovery
 //!
@@ -18,12 +14,9 @@
 //! *survives* worker loss without giving up bit-identity:
 //!
 //! - A rank whose connection fails mid-step is marked **dead**; its
-//!   contribution for the step is recomputed locally on that rank's exact
-//!   shard (same parameters, same data cursor `step · B/W`, one thread,
-//!   one canonical reduction slot — precisely the dead worker's own
-//!   computation), and folded into the *same slot* of the fixed-rank-order
-//!   reduction. Every merge is therefore the merge the healthy run would
-//!   have performed, bit for bit; only wall-clock and the `dist.*`
+//!   contribution is computed here instead, by the function the worker
+//!   runs (`step::shard_gradient`) on that rank's shard net, into the
+//!   *same slot* of the rank-order fold. Only wall-clock and the `dist.*`
 //!   recovery counters can tell the runs apart.
 //! - Each death draws on a sliding-window restart budget (the
 //!   `serve::SupervisorPolicy` shape). Within budget, [`ElasticHooks`]
@@ -34,18 +27,15 @@
 //! - At every step boundary the coordinator polls its listener for
 //!   `FRAME_REJOIN` handshakes: a restarted worker presents its rank, is
 //!   acked with the resume step + run shape, and is seated back into its
-//!   slot before the next broadcast. Workers are stateless between steps
-//!   apart from the data cursor, which the rejoin ack lets them re-seat.
+//!   slot before the next broadcast (no rank state outlives a step).
 
 use crate::frames::{
-    accumulate_scaled_into_diffs, decode_trace_events, done_to_err, encode_welcome, flatten_diffs,
-    flatten_params, load_params, recv_blob, recv_frame, recv_tensor, send_blob, send_frame,
-    send_tensor, Welcome, WELCOME_FLAG_TRACING,
+    decode_trace_events, encode_welcome, expect_frame, flatten_params, recv_blob, recv_frame,
+    recv_tensor, send_blob, send_frame, send_tensor, Frame, Welcome, WELCOME_FLAG_TRACING,
 };
+use crate::step::{fold_and_update, shard_gradient};
 use crate::{DistConfig, DistError};
-use layers::ReductionMode;
-use net::{Net, RunConfig};
-use omprt::ThreadTeam;
+use net::Net;
 use rpc::proto;
 use solvers::Solver;
 use std::collections::VecDeque;
@@ -109,8 +99,8 @@ pub trait ElasticHooks {
 }
 
 /// Cached `dist.*` metric handles.
-struct Metrics {
-    steps: obs::Counter,
+pub(crate) struct Metrics {
+    pub(crate) steps: obs::Counter,
     grad_bytes: obs::Counter,
     param_bytes: obs::Counter,
     worker_deaths: obs::Counter,
@@ -118,12 +108,12 @@ struct Metrics {
     degraded_steps: obs::Counter,
     rejoins: obs::Counter,
     step_seconds: obs::Histogram,
-    reduce_seconds: obs::Histogram,
-    last_loss: obs::Gauge,
+    pub(crate) reduce_seconds: obs::Histogram,
+    pub(crate) last_loss: obs::Gauge,
 }
 
 impl Metrics {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let reg = obs::registry::global();
         Self {
             steps: reg.counter("dist.steps"),
@@ -160,15 +150,39 @@ fn welcome_payload(cfg: &CoordinatorConfig) -> [u8; 24] {
     })
 }
 
-/// Accept and admit `world` workers: hello exchange, `FRAME_JOIN` with the
-/// rank in `aux`, `FRAME_WELCOME` reply. Returns streams indexed by rank.
+/// Open one accepted connection: blocking, `io_timeout` on every read and
+/// write, hello exchange, then the peer's first frame. The server speaks
+/// first, advertising the flat parameter count and the world size so a
+/// mismatched worker fails before training starts.
+fn handshake(
+    stream: &mut TcpStream,
+    cfg: &CoordinatorConfig,
+    num_params: usize,
+) -> Result<Frame, DistError> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(cfg.dist.io_timeout))?;
+    stream.set_write_timeout(Some(cfg.dist.io_timeout))?;
+    let hello =
+        proto::encode_server_hello(proto::HELLO_OK, num_params as u32, cfg.dist.world as u32);
+    io::Write::write_all(stream, &hello)
+        .map_err(|e| DistError::Io(format!("writing hello: {e}")))?;
+    let mut hello = [0u8; proto::CLIENT_HELLO_LEN];
+    io::Read::read_exact(stream, &mut hello)
+        .map_err(|e| DistError::Io(format!("reading client hello: {e}")))?;
+    proto::decode_client_hello(&hello)?;
+    recv_frame(stream)
+}
+
+/// Accept and admit `world` workers: [`handshake`], `FRAME_JOIN` with the
+/// rank in `aux`, `FRAME_WELCOME` reply. Returns the slots, every one live.
 /// Leaves the listener nonblocking — the elastic step loop keeps polling
 /// it for rejoins.
 fn admit_workers(
     listener: &TcpListener,
     cfg: &CoordinatorConfig,
     num_params: usize,
-) -> Result<Vec<TcpStream>, DistError> {
+) -> Result<Vec<Option<TcpStream>>, DistError> {
     let _span = obs::trace::span("dist_admit", "dist");
     listener.set_nonblocking(true)?;
     let deadline = Instant::now() + cfg.join_timeout;
@@ -187,22 +201,7 @@ fn admit_workers(
             }
             Err(e) => return Err(e.into()),
         };
-        stream.set_nonblocking(false)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(cfg.dist.io_timeout))?;
-        stream.set_write_timeout(Some(cfg.dist.io_timeout))?;
-        // Server speaks first: advertise the flat parameter count and the
-        // world size so a mismatched worker fails before training starts.
-        io::Write::write_all(
-            &mut stream,
-            &proto::encode_server_hello(proto::HELLO_OK, num_params as u32, world as u32),
-        )
-        .map_err(|e| DistError::Io(format!("writing hello: {e}")))?;
-        let mut hello = [0u8; proto::CLIENT_HELLO_LEN];
-        io::Read::read_exact(&mut stream, &mut hello)
-            .map_err(|e| DistError::Io(format!("reading client hello: {e}")))?;
-        proto::decode_client_hello(&hello)?;
-        let join = recv_frame(&mut stream)?;
+        let join = handshake(&mut stream, cfg, num_params)?;
         if join.kind != proto::FRAME_JOIN {
             return Err(DistError::Protocol(format!(
                 "expected FRAME_JOIN, got kind {}",
@@ -218,17 +217,12 @@ fn admit_workers(
         if streams[rank].is_some() {
             return Err(DistError::Protocol(format!("duplicate rank {rank}")));
         }
-        send_frame(
-            &mut stream,
-            proto::FRAME_WELCOME,
-            0,
-            rank as u32,
-            &welcome_payload(cfg),
-        )?;
+        let welcome = welcome_payload(cfg);
+        send_frame(&mut stream, proto::FRAME_WELCOME, 0, rank as u32, &welcome)?;
         streams[rank] = Some(stream);
         joined += 1;
     }
-    Ok(streams.into_iter().map(|s| s.unwrap()).collect())
+    Ok(streams)
 }
 
 /// Elastic-mode state: the budget, the embedder's hooks, and the cached
@@ -241,33 +235,12 @@ struct Elastic<'h> {
     /// Budget exhausted under `degraded_ok`: stop respawning, keep going.
     respawn_stopped: bool,
     shard_nets: Vec<Option<Net<f32>>>,
-    team: ThreadTeam,
-    run: RunConfig,
 }
 
-impl<'h> Elastic<'h> {
-    fn new(policy: RecoveryPolicy, hooks: &'h mut dyn ElasticHooks, world: usize) -> Self {
-        Self {
-            policy,
-            hooks,
-            deaths: VecDeque::new(),
-            respawn_stopped: false,
-            shard_nets: (0..world).map(|_| None).collect(),
-            // The dead worker's exact configuration: one thread, one
-            // canonical reduction slot (crate docs, point 2).
-            team: ThreadTeam::new(1),
-            run: RunConfig {
-                reduction: ReductionMode::Canonical { groups: 1 },
-                ..RunConfig::default()
-            },
-        }
-    }
-
-    /// Recompute rank `rank`'s step-`step` contribution on its own shard:
-    /// load the broadcast parameters, seat the data cursor where the live
-    /// worker's would be (`step · local_batch`, mod shard size), run one
-    /// forward/backward. Returns `(flat gradient, local loss)` — bitwise
-    /// what the dead worker would have sent.
+impl Elastic<'_> {
+    /// Rank `rank`'s step-`step` contribution, computed here by the
+    /// function the worker runs, on that rank's (cached) shard net —
+    /// bitwise what the dead worker would have sent.
     fn recompute(
         &mut self,
         rank: usize,
@@ -276,22 +249,20 @@ impl<'h> Elastic<'h> {
         local_batch: usize,
     ) -> Result<(Vec<f32>, f32), DistError> {
         let _span = obs::trace::span("dist_recover", "dist");
-        if self.shard_nets[rank].is_none() {
-            self.shard_nets[rank] = Some(self.hooks.shard_net(rank)?);
+        let slot = &mut self.shard_nets[rank];
+        if slot.is_none() {
+            *slot = Some(self.hooks.shard_net(rank)?);
         }
-        let net = self.shard_nets[rank].as_mut().unwrap();
-        load_params(net, params)?;
-        net.set_iteration(step);
-        net.set_data_cursor(step as usize * local_batch);
-        net.zero_param_diffs();
-        let loss = net.forward(&self.team, &self.run);
-        net.backward(&self.team, &self.run);
-        Ok((flatten_diffs(net), loss))
+        let net = slot.as_mut().expect("seated just above");
+        shard_gradient(net, params, step, local_batch)
     }
 }
 
+/// The `on_step` hook, as the step loop holds it.
+type OnStep<'a> = &'a mut dyn FnMut(u64, f32, &mut Net<f32>, &mut Solver<f32>) -> io::Result<()>;
+
 /// The per-run state bundle the step loop mutates.
-struct StepLoop<'a, 'h, F> {
+struct StepLoop<'a, 'h> {
     listener: TcpListener,
     net: &'a mut Net<f32>,
     solver: &'a mut Solver<f32>,
@@ -300,28 +271,17 @@ struct StepLoop<'a, 'h, F> {
     /// Per-rank connection; `None` = dead, awaiting respawn/rejoin.
     slots: Vec<Option<TcpStream>>,
     elastic: Option<Elastic<'h>>,
-    on_step: F,
+    on_step: OnStep<'a>,
     num_params: usize,
-    losses: Vec<f32>,
 }
 
-impl<F> StepLoop<'_, '_, F>
-where
-    F: FnMut(u64, f32, &mut Net<f32>, &mut Solver<f32>) -> io::Result<()>,
-{
-    fn run(&mut self) -> Result<(), DistError> {
-        for _ in 0..self.cfg.dist.iters {
-            self.step()?;
-        }
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<(), DistError> {
+impl StepLoop<'_, '_> {
+    /// One synchronous step; returns its global loss.
+    fn step(&mut self) -> Result<f32, DistError> {
         let _span = obs::trace::span("dist_step", "dist");
         let t0 = Instant::now();
         let step = self.solver.iteration();
         let world = self.cfg.dist.world;
-        let inv_world = 1.0f32 / world as f32;
         let local_batch = self.cfg.dist.local_batch();
 
         self.poll_control(step);
@@ -350,89 +310,61 @@ where
         // concurrently; rank r+1's frames sit in kernel buffers (or its
         // sends block) until rank r is drained — order on the reduction,
         // not on the computation.
-        let mut contribs: Vec<Option<(Vec<f32>, f32)>> = (0..world).map(|_| None).collect();
+        let mut collected: Vec<Option<(Vec<f32>, f32)>> = (0..world).map(|_| None).collect();
         {
             let _span = obs::trace::span("dist_collect", "dist");
-            for (rank, contrib) in contribs.iter_mut().enumerate() {
+            for (rank, slot) in collected.iter_mut().enumerate() {
                 let Some(s) = self.slots[rank].as_mut() else {
                     continue;
                 };
                 match collect_one(s, step, self.num_params) {
                     Ok(c) => {
                         self.metrics.grad_bytes.add((c.0.len() * 4) as u64);
-                        *contrib = Some(c);
+                        *slot = Some(c);
                     }
                     Err(e) => self.handle_rank_error(rank, e)?,
                 }
             }
         }
 
-        // Any hole left is a dead rank: recompute its contribution locally
-        // on its own shard, into its own slot — the fold below is then the
+        // Any hole left is a dead rank: recompute its contribution here on
+        // its own shard, into its own slot — the fold below is then the
         // fold the healthy run would have performed, bit for bit.
-        let mut degraded = false;
-        for (rank, contrib) in contribs.iter_mut().enumerate() {
-            if contrib.is_none() {
-                degraded = true;
-                let el = self
-                    .elastic
-                    .as_mut()
-                    .expect("dead ranks survive only in elastic mode");
-                *contrib = Some(el.recompute(rank, step, &params, local_batch)?);
-            }
-        }
-        if degraded {
+        if collected.iter().any(Option::is_none) {
             self.metrics.degraded_steps.inc();
         }
-
-        // Fold in fixed rank order with the exact 1/W rescale; reconstruct
-        // the global loss by undoing each worker's 1/b normalization
-        // (exact: b is a power of two) and folding partial sums in order.
-        self.net.zero_param_diffs();
-        let mut total_loss = 0.0f32;
-        let tr = Instant::now();
-        for c in contribs.iter() {
-            let (grad, local_loss) = c.as_ref().expect("every slot filled above");
-            accumulate_scaled_into_diffs(self.net, grad, inv_world)?;
-            total_loss += local_loss * local_batch as f32;
+        let mut contribs = Vec::with_capacity(world);
+        for (rank, c) in collected.into_iter().enumerate() {
+            contribs.push(match c {
+                Some(c) => c,
+                None => self
+                    .elastic
+                    .as_mut()
+                    .expect("dead ranks survive only in elastic mode")
+                    .recompute(rank, step, &params, local_batch)?,
+            });
         }
-        self.metrics
-            .reduce_seconds
-            .observe(tr.elapsed().as_secs_f64());
-        let loss = total_loss / self.cfg.dist.effective_batch as f32;
 
-        {
-            let _span = obs::trace::span("dist_update", "dist");
-            let lr = self.solver.lr_at(step);
-            let mults = self.net.param_lr_mults();
-            self.solver
-                .apply_update_with_mults(self.net.learnable_params_mut(), lr, &mults);
-            self.solver.advance_iteration();
-        }
-        // The coordinator's data layer never runs forward, so walk its
-        // cursor by hand — checkpoints then carry the exact cursor the
-        // single-process run would have.
-        if let Some(c) = self.net.data_cursor() {
-            self.net
-                .set_data_cursor((c + self.cfg.dist.effective_batch) % self.cfg.dist.num_samples);
-        }
-        self.net.set_iteration(self.solver.iteration());
-
-        self.metrics.steps.inc();
+        let loss = fold_and_update(
+            self.net,
+            self.solver,
+            &self.cfg.dist,
+            &contribs,
+            &self.metrics,
+        )?;
         self.metrics
             .step_seconds
             .observe(t0.elapsed().as_secs_f64());
-        self.metrics.last_loss.set(loss as f64);
-        self.losses.push(loss);
         (self.on_step)(self.solver.iteration(), loss, self.net, self.solver)
-            .map_err(|e| DistError::Io(format!("on_step hook: {e}")))
+            .map_err(|e| DistError::Io(format!("on_step hook: {e}")))?;
+        Ok(loss)
     }
 
-    /// A stream-level failure talking to `rank`. Fail-stop mode returns
-    /// the PR 6 typed error; elastic mode marks the rank dead, charges the
-    /// restart budget, and asks the hooks to respawn.
+    /// A failure talking to `rank` — at socket level, that worker dying.
+    /// Fail-stop mode returns the PR 6 typed error; elastic mode marks the
+    /// rank dead, charges the restart budget, and asks the hooks to respawn.
     fn handle_rank_error(&mut self, rank: usize, e: DistError) -> Result<(), DistError> {
-        let e = died_if_io(rank, e);
+        let e = e.or_peer_lost(|detail| DistError::WorkerDied { rank, detail });
         let Some(el) = self.elastic.as_mut() else {
             return Err(e);
         };
@@ -494,7 +426,7 @@ where
         }
     }
 
-    /// One bounded control handshake: hello exchange, then dispatch on the
+    /// One bounded control connection: [`handshake`], then dispatch on the
     /// first frame — `FRAME_STATS` is answered with a chunked registry
     /// snapshot (any mode; `cgdnn stats --connect` against a training
     /// coordinator), `FRAME_REJOIN(rank)` is acked with
@@ -502,20 +434,7 @@ where
     /// read/write is under `io_timeout`.
     fn serve_control(&mut self, mut stream: TcpStream, resume_step: u64) -> Result<(), DistError> {
         let world = self.cfg.dist.world;
-        stream.set_nonblocking(false)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.cfg.dist.io_timeout))?;
-        stream.set_write_timeout(Some(self.cfg.dist.io_timeout))?;
-        io::Write::write_all(
-            &mut stream,
-            &proto::encode_server_hello(proto::HELLO_OK, self.num_params as u32, world as u32),
-        )
-        .map_err(|e| DistError::Io(format!("writing hello: {e}")))?;
-        let mut hello = [0u8; proto::CLIENT_HELLO_LEN];
-        io::Read::read_exact(&mut stream, &mut hello)
-            .map_err(|e| DistError::Io(format!("reading client hello: {e}")))?;
-        proto::decode_client_hello(&hello)?;
-        let req = recv_frame(&mut stream)?;
+        let req = handshake(&mut stream, self.cfg, self.num_params)?;
         match req.kind {
             proto::FRAME_STATS => {
                 let bytes = obs::registry::global().snapshot().to_bytes();
@@ -530,31 +449,29 @@ where
             }
         }
         let _span = obs::trace::span("dist_rejoin", "dist");
-        if self.elastic.is_none() {
-            let _ = send_frame(&mut stream, proto::FRAME_DONE, 0, 1, b"run is not elastic");
-            return Err(DistError::Protocol(
-                "rejoin attempt on a fail-stop run".into(),
-            ));
-        }
         let rank = req.aux as usize;
-        if rank >= world {
-            let _ = send_frame(&mut stream, proto::FRAME_DONE, 0, 1, b"rank outside world");
+        let refusal = if self.elastic.is_none() {
+            Some("run is not elastic")
+        } else if rank >= world {
+            Some("rank outside world")
+        } else if self.slots[rank].is_some() {
+            Some("rank is healthy")
+        } else {
+            None
+        };
+        if let Some(why) = refusal {
+            let _ = send_frame(&mut stream, proto::FRAME_DONE, 0, 1, why.as_bytes());
             return Err(DistError::Protocol(format!(
-                "rejoin with rank {rank}, world is {world}"
+                "rejoin of rank {rank} (world {world}) refused: {why}"
             )));
         }
-        if self.slots[rank].is_some() {
-            let _ = send_frame(&mut stream, proto::FRAME_DONE, 0, 1, b"rank is healthy");
-            return Err(DistError::Protocol(format!(
-                "rejoin for healthy rank {rank}"
-            )));
-        }
+        let ack = welcome_payload(self.cfg);
         send_frame(
             &mut stream,
             proto::FRAME_REJOIN,
             resume_step,
             rank as u32,
-            &welcome_payload(self.cfg),
+            &ack,
         )?;
         self.slots[rank] = Some(stream);
         self.metrics.rejoins.inc();
@@ -609,25 +526,13 @@ fn collect_one(
     num_params: usize,
 ) -> Result<(Vec<f32>, f32), DistError> {
     let grad = recv_tensor(s, proto::FRAME_GRAD, step, num_params, None)?;
-    let loss_frame = recv_frame(s)?;
-    if loss_frame.kind != proto::FRAME_LOSS || loss_frame.id != step {
-        if loss_frame.kind == proto::FRAME_DONE {
-            return Err(done_to_err(&loss_frame));
-        }
-        return Err(DistError::Protocol(format!(
-            "expected FRAME_LOSS for step {step}, got kind {} id {}",
-            loss_frame.kind, loss_frame.id
-        )));
+    let loss_frame = expect_frame(s, proto::FRAME_LOSS, Some(step))?;
+    match proto::read_f32s(&loss_frame.payload).as_deref() {
+        Ok([local_loss]) => Ok((grad, *local_loss)),
+        _ => Err(DistError::Protocol(
+            "FRAME_LOSS payload is not one f32".into(),
+        )),
     }
-    let local_loss = match proto::read_f32s(&loss_frame.payload) {
-        Ok(v) if v.len() == 1 => v[0],
-        _ => {
-            return Err(DistError::Protocol(
-                "FRAME_LOSS payload is not one f32".into(),
-            ))
-        }
-    };
-    Ok((grad, local_loss))
 }
 
 /// Run the coordinator over an already-bound listener: admit `world`
@@ -649,12 +554,12 @@ pub fn run_coordinator<F>(
     net: &mut Net<f32>,
     solver: &mut Solver<f32>,
     cfg: &CoordinatorConfig,
-    on_step: F,
+    mut on_step: F,
 ) -> Result<Vec<f32>, DistError>
 where
     F: FnMut(u64, f32, &mut Net<f32>, &mut Solver<f32>) -> io::Result<()>,
 {
-    drive(listener, net, solver, cfg, None, on_step)
+    drive(listener, net, solver, cfg, None, &mut on_step)
 }
 
 /// [`run_coordinator`], but surviving worker death: dead ranks are
@@ -668,47 +573,48 @@ pub fn run_coordinator_elastic<F>(
     cfg: &CoordinatorConfig,
     policy: RecoveryPolicy,
     hooks: &mut dyn ElasticHooks,
-    on_step: F,
+    mut on_step: F,
 ) -> Result<Vec<f32>, DistError>
 where
     F: FnMut(u64, f32, &mut Net<f32>, &mut Solver<f32>) -> io::Result<()>,
 {
-    let elastic = Elastic::new(policy, hooks, cfg.dist.world);
-    drive(listener, net, solver, cfg, Some(elastic), on_step)
+    let elastic = Elastic {
+        policy,
+        hooks,
+        deaths: VecDeque::new(),
+        respawn_stopped: false,
+        shard_nets: (0..cfg.dist.world).map(|_| None).collect(),
+    };
+    drive(listener, net, solver, cfg, Some(elastic), &mut on_step)
 }
 
-fn drive<F>(
+fn drive(
     listener: TcpListener,
     net: &mut Net<f32>,
     solver: &mut Solver<f32>,
     cfg: &CoordinatorConfig,
     elastic: Option<Elastic<'_>>,
-    on_step: F,
-) -> Result<Vec<f32>, DistError>
-where
-    F: FnMut(u64, f32, &mut Net<f32>, &mut Solver<f32>) -> io::Result<()>,
-{
+    on_step: OnStep<'_>,
+) -> Result<Vec<f32>, DistError> {
     cfg.dist.validate()?;
     let num_params = net.num_params();
-    let metrics = Metrics::new();
-    let streams = admit_workers(&listener, cfg, num_params)?;
+    let slots = admit_workers(&listener, cfg, num_params)?;
     let mut sl = StepLoop {
         listener,
         net,
         solver,
         cfg,
-        metrics,
-        slots: streams.into_iter().map(Some).collect(),
+        metrics: Metrics::new(),
+        slots,
         elastic,
         on_step,
         num_params,
-        losses: Vec::with_capacity(cfg.dist.iters),
     };
-    match sl.run() {
-        Ok(()) => {
+    match (0..cfg.dist.iters).map(|_| sl.step()).collect() {
+        Ok(losses) => {
             sl.broadcast_done(0, "training complete");
             sl.collect_observability();
-            Ok(sl.losses)
+            Ok(losses)
         }
         Err(e) => {
             if matches!(e, DistError::WorkerDied { .. }) {
@@ -717,18 +623,5 @@ where
             sl.broadcast_done(1, &e.to_string());
             Err(e)
         }
-    }
-}
-
-/// On the coordinator, a socket-level failure talking to rank `r` *is*
-/// that worker dying; protocol/decode failures keep their own type.
-fn died_if_io(rank: usize, e: DistError) -> DistError {
-    match e {
-        DistError::Io(detail) => DistError::WorkerDied { rank, detail },
-        DistError::Decode(proto::DecodeError::Truncated(what)) => DistError::WorkerDied {
-            rank,
-            detail: format!("connection closed mid-{what}"),
-        },
-        other => other,
     }
 }

@@ -100,6 +100,23 @@ fn next_frame(r: &mut impl Read, first: &mut Option<Frame>) -> Result<Frame, Dis
     Ok(f)
 }
 
+/// Read the next frame, which must be of `kind` and, when `id` is given,
+/// carry it. A `FRAME_DONE` instead surfaces as the peer's reason.
+pub(crate) fn expect_frame(
+    r: &mut impl Read,
+    kind: u8,
+    id: Option<u64>,
+) -> Result<Frame, DistError> {
+    let f = next_frame(r, &mut None)?;
+    if f.kind != kind || id.is_some_and(|id| f.id != id) {
+        return Err(DistError::Protocol(format!(
+            "expected frame kind {kind} (id {id:?}), got kind {} id {}",
+            f.kind, f.id
+        )));
+    }
+    Ok(f)
+}
+
 /// Send `vals` as a run of chunk frames of `kind` for step `step`.
 pub fn send_tensor(w: &mut impl Write, kind: u8, step: u64, vals: &[f32]) -> Result<(), DistError> {
     let mut payload = Vec::new();

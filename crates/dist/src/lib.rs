@@ -6,16 +6,20 @@
 //! FireCaffe-style step where the batch is split across processes and the
 //! gradient is aggregated over a wire. One [`coordinator`] owns the
 //! parameters, the solver, and the data cursor; `world` [`worker`]s each
-//! own a shard of every global batch (`datasets::ShardedSource`), run
-//! forward/backward locally, and ship their gradient back per step:
+//! own a shard of every global batch (`datasets::ShardedSource`) and ship
+//! its gradient back per step:
 //!
 //! ```text
 //! coordinator                                worker r (of W)
-//!   FRAME_PARAMS chunks (step s) ──────────▶  load parameters
-//!   FRAME_STEP (step s)          ──────────▶  fwd/bwd on local shard
-//!   reduce in rank order         ◀──────────  FRAME_GRAD chunks + FRAME_LOSS
-//!   apply SGD update, advance LR schedule, advance data cursor
+//!   FRAME_PARAMS chunks (step s) ──────────▶
+//!   FRAME_STEP (step s)          ──────────▶  shard gradient of step s
+//!   fold in rank order + update  ◀──────────  FRAME_GRAD chunks + FRAME_LOSS
 //! ```
+//!
+//! The step itself is written once, in `step.rs` — a rank's *shard
+//! gradient* and the coordinator's *fold-and-update* — and has three
+//! seats: a live worker, the coordinator standing in for a dead one, and
+//! [`train_local`], where every rank is local and there is no socket.
 //!
 //! **The determinism contract.** The headline claim — proven by test — is
 //! that the distributed loss trajectory and final parameters are
@@ -45,21 +49,19 @@
 //! timeout, a dead worker surfaces as [`DistError::WorkerDied`] and the
 //! coordinator broadcasts `FRAME_DONE(error)` so surviving workers tear
 //! down instead of hanging the barrier. That is the *fail-stop* mode;
-//! [`run_coordinator_elastic`] goes further and survives worker loss
-//! without giving up bit-identity — a dead rank's contribution is
-//! recomputed locally on its exact shard into its exact reduction slot,
-//! the worker is respawned within a sliding-window restart budget
-//! ([`RecoveryPolicy`]), and a restarted worker resumes its rank through
-//! the `FRAME_REJOIN` handshake (see `coordinator` module docs for the
-//! full state machine).
+//! [`run_coordinator_elastic`] survives worker loss without giving up
+//! bit-identity (recompute, respawn within a [`RecoveryPolicy`] budget,
+//! rejoin — see the `coordinator` module docs).
 
 pub mod coordinator;
 pub mod frames;
+mod step;
 pub mod worker;
 
 pub use coordinator::{
     run_coordinator, run_coordinator_elastic, CoordinatorConfig, ElasticHooks, RecoveryPolicy,
 };
+pub use step::train_local;
 pub use worker::{run_worker, WorkerConfig, WorkerReport};
 
 use rpc::proto::DecodeError;
@@ -127,6 +129,21 @@ impl fmt::Display for DistError {
 }
 
 impl std::error::Error for DistError {}
+
+impl DistError {
+    /// A socket-level failure (or a stream that ended mid-frame) means the
+    /// peer behind it is gone: re-type it with `lost`, which says which
+    /// peer. Protocol and decode failures keep their own type.
+    pub(crate) fn or_peer_lost(self, lost: impl FnOnce(String) -> DistError) -> DistError {
+        match self {
+            DistError::Io(detail) => lost(detail),
+            DistError::Decode(DecodeError::Truncated(what)) => {
+                lost(format!("connection closed mid-{what}"))
+            }
+            other => other,
+        }
+    }
+}
 
 impl From<std::io::Error> for DistError {
     fn from(e: std::io::Error) -> Self {

@@ -1,17 +1,13 @@
 //! The worker: a stateless compute loop over its shard of each batch.
 //!
 //! Workers never apply updates and never advance a solver — per step they
-//! load the broadcast parameters, run one forward/backward on their local
-//! shard, and ship the raw accumulated gradient plus the local loss back.
-//! Determinism requires the *least* parallel configuration: one thread and
-//! one canonical reduction slot, so the local gradient is a single flat
-//! sequential accumulation over the shard (crate docs, point 2). The
-//! coordinator's rank-ordered fold supplies the cross-shard structure.
+//! receive the broadcast parameters, run `step::shard_gradient` on their
+//! shard net and ship the gradient plus the local loss back.
 //!
-//! Because the only cross-step worker state is the data cursor, a worker
+//! Because no worker state outlives a step — parameters arrive with every
+//! broadcast and the data cursor is seated from the step number — a worker
 //! can *rejoin* a running coordinator: the `FRAME_REJOIN` handshake
-//! (instead of `FRAME_JOIN`) carries the rank out and the resume step
-//! back, the worker re-seats its cursor at `resume_step · local_batch`,
+//! (instead of `FRAME_JOIN`) carries the rank out and the run shape back,
 //! and the next broadcast supplies everything else. [`run_worker`] uses
 //! this two ways — a respawned process first-connects with
 //! [`WorkerConfig::rejoin`], and a surviving process that loses the
@@ -19,13 +15,12 @@
 //! backoff, up to [`WorkerConfig::max_rejoins`] times.
 
 use crate::frames::{
-    decode_welcome, done_to_err, encode_trace_events, flatten_diffs, load_params, recv_frame,
-    recv_tensor, send_blob, send_frame, send_tensor, WELCOME_FLAG_TRACING,
+    decode_welcome, done_to_err, encode_trace_events, expect_frame, recv_frame, recv_tensor,
+    send_blob, send_frame, send_tensor, WELCOME_FLAG_TRACING,
 };
+use crate::step::shard_gradient;
 use crate::DistError;
-use layers::ReductionMode;
-use net::{Net, RunConfig};
-use omprt::ThreadTeam;
+use net::Net;
 use rpc::proto;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -99,8 +94,6 @@ fn connect(cfg: &WorkerConfig) -> Result<TcpStream, DistError> {
 /// coordinator ends the run or the link fails.
 struct Session<'a> {
     cfg: &'a WorkerConfig,
-    team: ThreadTeam,
-    run: RunConfig,
     num_params: usize,
     /// Steps completed across *all* sessions (survives rejoins).
     steps: u64,
@@ -122,6 +115,7 @@ impl Session<'_> {
     /// Connect and run until clean `FRAME_DONE` (→ `Ok`) or failure.
     fn run(&mut self, net: &mut Net<f32>, rejoin: bool) -> Result<(), DistError> {
         let cfg = self.cfg;
+        let rank = cfg.rank;
         let mut stream = connect(cfg)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(cfg.io_timeout))?;
@@ -152,23 +146,8 @@ impl Session<'_> {
         } else {
             (proto::FRAME_JOIN, proto::FRAME_WELCOME)
         };
-        send_frame(
-            &mut stream,
-            join_kind,
-            cfg.rank as u64,
-            cfg.rank as u32,
-            &[],
-        )?;
-        let ack = recv_frame(&mut stream).map_err(lost_if_io)?;
-        if ack.kind != ack_kind {
-            if ack.kind == proto::FRAME_DONE {
-                return Err(done_to_err(&ack));
-            }
-            return Err(DistError::Protocol(format!(
-                "expected frame kind {ack_kind} to admit rank {}, got kind {}",
-                cfg.rank, ack.kind
-            )));
-        }
+        send_frame(&mut stream, join_kind, rank as u64, rank as u32, &[])?;
+        let ack = expect_frame(&mut stream, ack_kind, None).map_err(lost_if_io)?;
         let welcome = decode_welcome(&ack.payload)?;
         // Observability handshake: pin the clock offset against the
         // coordinator's stamp, and mirror its tracing switch so worker
@@ -177,21 +156,15 @@ impl Session<'_> {
         if welcome.flags & WELCOME_FLAG_TRACING != 0 {
             obs::trace::set_enabled(true);
         }
-        let (world, effective_batch) = (welcome.world, welcome.effective_batch);
-        if cfg.rank >= world as usize {
+        let world = welcome.world as usize;
+        if rank >= world {
             return Err(DistError::Config(format!(
-                "rank {} outside world {world}",
-                cfg.rank
+                "rank {rank} outside world {world}"
             )));
         }
-        if rejoin {
-            // The only worker state that outlives a step is the data
-            // cursor; seat it where the dead incarnation's would be.
-            let local_batch = effective_batch as usize / world as usize;
-            net.set_data_cursor(ack.id as usize * local_batch);
-        }
+        let local_batch = welcome.effective_batch as usize / world;
 
-        let rank_fault = format!("dist.worker.step.r{}", cfg.rank);
+        let rank_fault = format!("dist.worker.step.r{rank}");
         loop {
             let frame = recv_frame(&mut stream).map_err(lost_if_io)?;
             match frame.kind {
@@ -217,18 +190,8 @@ impl Session<'_> {
                         Some(frame),
                     )
                     .map_err(lost_if_io)?;
-                    let barrier = recv_frame(&mut stream).map_err(lost_if_io)?;
-                    if barrier.kind != proto::FRAME_STEP || barrier.id != step {
-                        return Err(DistError::Protocol(format!(
-                            "expected FRAME_STEP for step {step}, got kind {} id {}",
-                            barrier.kind, barrier.id
-                        )));
-                    }
-                    load_params(net, &params)?;
-                    net.set_iteration(step);
-                    net.zero_param_diffs();
-                    let loss = net.forward(&self.team, &self.run);
-                    net.backward(&self.team, &self.run);
+                    expect_frame(&mut stream, proto::FRAME_STEP, Some(step)).map_err(lost_if_io)?;
+                    let (grad, loss) = shard_gradient(net, &params, step, local_batch)?;
                     // Crash-injection window: the gradient is computed but
                     // not yet sent — the coordinator is left waiting at
                     // the barrier, the worst place to lose a worker.
@@ -240,7 +203,7 @@ impl Session<'_> {
                             "injected worker failure (fail_after_steps)".into(),
                         ));
                     }
-                    send_tensor(&mut stream, proto::FRAME_GRAD, step, &flatten_diffs(net))?;
+                    send_tensor(&mut stream, proto::FRAME_GRAD, step, &grad)?;
                     let mut loss_payload = Vec::with_capacity(4);
                     proto::write_f32s(&mut loss_payload, &[loss]);
                     send_frame(&mut stream, proto::FRAME_LOSS, step, 0, &loss_payload)?;
@@ -292,10 +255,8 @@ fn retryable(e: &DistError) -> bool {
 /// Run the worker loop on `net` (already built with the *local* batch and
 /// this rank's `ShardedSource`) until the coordinator ends the run.
 ///
-/// The net's parallel configuration is pinned here — one thread, one
-/// canonical reduction slot — because the bitwise claim depends on it; a
-/// multi-threaded worker is a future extension that would need per-worker
-/// sub-grouping (see DESIGN.md).
+/// The shard runs on one thread with one canonical reduction slot
+/// (`step::shard_gradient` pins both): the bitwise claim depends on it.
 ///
 /// With [`WorkerConfig::max_rejoins`] > 0, a lost coordinator link is
 /// retried: sleep with capped exponential backoff, reconnect, and resume
@@ -307,11 +268,6 @@ pub fn run_worker(net: &mut Net<f32>, cfg: &WorkerConfig) -> Result<WorkerReport
     obs::trace::set_pid(cfg.rank as u64 + 2);
     let mut session = Session {
         cfg,
-        team: ThreadTeam::new(1),
-        run: RunConfig {
-            reduction: ReductionMode::Canonical { groups: 1 },
-            ..RunConfig::default()
-        },
         num_params: net.num_params(),
         steps: 0,
         fail_after: cfg.fail_after_steps,
@@ -352,11 +308,5 @@ pub fn run_worker(net: &mut Net<f32>, cfg: &WorkerConfig) -> Result<WorkerReport
 /// On the worker, a socket-level failure talking to the coordinator means
 /// the coordinator (or the link) is gone.
 fn lost_if_io(e: DistError) -> DistError {
-    match e {
-        DistError::Io(detail) => DistError::CoordinatorLost(detail),
-        DistError::Decode(proto::DecodeError::Truncated(what)) => {
-            DistError::CoordinatorLost(format!("connection closed mid-{what}"))
-        }
-        other => other,
-    }
+    e.or_peer_lost(DistError::CoordinatorLost)
 }

@@ -111,7 +111,10 @@ pub struct WorkerCtx<'a> {
 
 impl WorkerCtx<'_> {
     /// `#pragma omp barrier` — all team threads must call it the same number
-    /// of times.
+    /// of times. No layer calls it by name; the worksharing constructs do:
+    /// the implicit barrier that ends [`for_each_index`] and
+    /// [`WorkerCtx::single`], and the two around the shared-counter reset
+    /// on entry to a dynamic or guided loop.
     pub fn barrier(&self) {
         let _span = obs::trace::span("barrier_wait", "omprt");
         self.shared.user_barrier.wait();

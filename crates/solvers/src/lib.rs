@@ -142,29 +142,30 @@ impl<S: Scalar> Solver<S> {
         self.cfg.lr_policy.lr(self.cfg.base_lr, it) * self.lr_scale
     }
 
-    /// Advance the iteration counter without running a step — for drivers
-    /// (the distributed coordinator) that assemble the gradient themselves
-    /// and call [`Solver::apply_update_with_mults`] directly, then need the
-    /// LR schedule to move exactly as [`Solver::step`] would have moved it.
+    /// Advance the iteration counter by one, as [`Solver::update`] does.
     pub fn advance_iteration(&mut self) {
         self.iter += 1;
     }
 
-    /// Run one training iteration: zero diffs, forward, backward, update.
+    /// Run one training iteration — [`gradient`] then [`Solver::update`].
     /// Returns the loss.
     pub fn step(&mut self, net: &mut Net<S>, team: &ThreadTeam, run: &RunConfig) -> S {
-        net.set_iteration(self.iter);
-        net.zero_param_diffs();
-        let loss = net.forward(team, run);
-        net.backward(team, run);
+        let loss = gradient(net, team, run, self.iter);
+        self.update(net);
+        loss
+    }
+
+    /// The update half of a step: consume the gradient in `net`'s diffs
+    /// ([`gradient`]'s, or a fold of per-shard ones) at this iteration's
+    /// learning rate, then advance the schedule.
+    pub fn update(&mut self, net: &mut Net<S>) {
         let lr = self.lr_at(self.iter);
         let mults = net.param_lr_mults();
         {
             let _span = obs::trace::span("solver_update", "solver");
             self.apply_update_with_mults(net.learnable_params_mut(), lr, &mults);
         }
-        self.iter += 1;
-        loss
+        self.advance_iteration();
     }
 
     /// Run `n` iterations; returns the per-iteration losses.
@@ -203,7 +204,7 @@ impl<S: Scalar> Solver<S> {
     /// Apply the configured update rule to every parameter, consuming the
     /// accumulated diffs. `lr_mults` scales the learning rate per parameter
     /// (Caffe's `lr_mult`); gradient clipping (if configured) is applied
-    /// over the global L2 norm first. [`Solver::step`] calls this.
+    /// over the global L2 norm first. [`Solver::update`] calls this.
     ///
     /// # Panics
     /// Panics if `lr_mults.len() != params.len()`.
@@ -351,6 +352,23 @@ impl<S: Scalar> Solver<S> {
         self.history = history;
         Ok(())
     }
+}
+
+/// The gradient half of a step — the workspace's one training
+/// forward/backward: stamp `iteration` on the net (it seeds the dropout
+/// masks), zero the diffs, forward, backward. Leaves the batch gradient in
+/// the diffs and returns the loss; `dist` runs it per shard.
+pub fn gradient<S: Scalar>(
+    net: &mut Net<S>,
+    team: &ThreadTeam,
+    run: &RunConfig,
+    iteration: u64,
+) -> S {
+    net.set_iteration(iteration);
+    net.zero_param_diffs();
+    let loss = net.forward(team, run);
+    net.backward(team, run);
+    loss
 }
 
 /// Evaluate a network: run `batches` forward passes in test phase and

@@ -1,60 +1,68 @@
 //! The paper's multi-GPU compatibility claim, executed: one logical batch
-//! sharded across model replicas ("devices"), gradients all-reduced in
-//! replica order, one identical update — convergence is *not* altered,
-//! unlike the conventional halve-the-batch multi-GPU scheme.
+//! sharded across model replicas ("devices"), gradients folded in replica
+//! order, one update — the trajectory is the single-model one *bit for
+//! bit*, unlike the conventional halve-the-batch multi-GPU scheme. The
+//! replicas run `dist::train_local`: the distributed coordinator's step
+//! with every rank in this process and no socket.
 //!
 //! ```text
 //! cargo run --release --example multi_replica [replicas] [iterations]
 //! ```
 
 use cgdnn::prelude::*;
-use cgdnn::SyncDataParallel;
+use datasets::ShardedSource;
+use dist::DistConfig;
 
-/// LeNet with the local (per-replica) batch baked into the data layer.
-fn lenet_spec_with_batch(batch: usize) -> NetSpec {
+const LOGICAL_BATCH: usize = 64;
+const SAMPLES: usize = 4096;
+
+/// LeNet over `source` with `batch` baked into the data layer.
+fn lenet(batch: usize, source: Box<dyn BatchSource<f32>>) -> Net<f32> {
     let text = cgdnn::nets::LENET_SPEC.replace("batch: 64", &format!("batch: {batch}"));
-    NetSpec::parse(&text).expect("patched spec parses")
+    let spec = NetSpec::parse(&text).expect("patched spec parses");
+    Net::from_spec(&spec, Some(source)).expect("LeNet builds")
+}
+
+fn mnist() -> Box<dyn BatchSource<f32>> {
+    Box::new(SyntheticMnist::new(SAMPLES, 17))
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let replicas: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2);
     let iters: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(6);
-    let logical_batch = 64usize;
-    assert!(
-        logical_batch.is_multiple_of(replicas),
-        "replicas must divide the logical batch of {logical_batch}"
-    );
+    let cfg = DistConfig {
+        world: replicas,
+        effective_batch: LOGICAL_BATCH,
+        num_samples: SAMPLES,
+        iters,
+        io_timeout: std::time::Duration::ZERO, // no socket is opened
+    };
+    // Bit-equality needs the exact 1/replicas rescale: a power of two.
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    let local_batch = cfg.local_batch();
+    println!("== synchronous data parallelism: {replicas} replicas x batch {local_batch}");
 
-    println!(
-        "== synchronous data parallelism: {replicas} replicas x batch {}",
-        logical_batch / replicas
-    );
-
-    // Reference: one model, the full logical batch.
-    let ref_spec = lenet_spec_with_batch(logical_batch);
-    let mut net =
-        Net::<f32>::from_spec(&ref_spec, Some(Box::new(SyntheticMnist::new(4096, 17)))).unwrap();
+    // Reference: one model, the full logical batch, one reduction slot per
+    // replica-sized chunk (any team size gives the same bits).
+    let mut net = lenet(LOGICAL_BATCH, mnist());
     let team = ThreadTeam::new(2);
     let run = RunConfig {
-        reduction: ReductionMode::Canonical { groups: 16 },
+        reduction: ReductionMode::Canonical { groups: replicas },
         ..RunConfig::default()
     };
-    let mut solver = Solver::<f32>::new(SolverConfig::lenet());
-    let single: Vec<f32> = solver.train(&mut net, &team, &run, iters);
+    let single = Solver::<f32>::new(SolverConfig::lenet()).train(&mut net, &team, &run, iters);
 
-    // Data-parallel: `replicas` models, each on a shard of the same stream.
-    let dp_spec = lenet_spec_with_batch(logical_batch / replicas);
-    let mut dp = SyncDataParallel::<f32>::new(
-        &dp_spec,
-        || Box::new(SyntheticMnist::new(4096, 17)),
-        SolverConfig::lenet(),
-        replicas,
-        logical_batch,
-        2,
-    )
-    .unwrap();
-    let sharded = dp.train(iters);
+    // Data-parallel: `replicas` models, each on its shard of the same stream.
+    let mut shards: Vec<Net<f32>> = (0..replicas)
+        .map(|r| {
+            let shard = ShardedSource::new(mnist(), r, replicas, LOGICAL_BATCH);
+            lenet(local_batch, Box::new(shard))
+        })
+        .collect();
+    let mut master = lenet(LOGICAL_BATCH, mnist());
+    let mut solver = Solver::<f32>::new(SolverConfig::lenet());
+    let sharded = dist::train_local(&mut master, &mut solver, &mut shards, &cfg).unwrap();
 
     println!(
         "\n{:<6}{:>16}{:>16}{:>12}",
@@ -67,9 +75,9 @@ fn main() {
         println!("{:<6}{:>16.6}{:>16.6}{:>12.2e}", i + 1, a, b, d);
     }
     println!(
-        "\nmax loss deviation: {max_delta:.3e} — the data-parallel run follows \
-         the single-model trajectory\n(float-regrouping noise only; no training \
-         parameter changed, unlike batch-splitting multi-GPU)."
+        "\nmax loss deviation: {max_delta} — the data-parallel run *is* the \
+         single-model trajectory\n(no training parameter changed, unlike \
+         batch-splitting multi-GPU)."
     );
-    assert!(max_delta < 1e-3, "convergence altered!");
+    assert!(max_delta == 0.0, "convergence altered!");
 }

@@ -13,8 +13,9 @@ use crate::drivers::parallel_segments;
 use crate::profile::{LayerProfile, PassProfile};
 use crate::Layer;
 use blob::{Blob, Shape};
-use mmblas::Scalar;
+use mmblas::{Scalar, TapSpan};
 use omprt::sendptr::DisjointSlices;
+use std::hint::select_unpredictable;
 
 /// Pooling operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +64,15 @@ impl PoolConfig {
 /// Caffe ceil-mode pooled output dimension.
 pub fn pooled_dim(dim: usize, kernel: usize, pad: usize, stride: usize) -> usize {
     let numer = (dim + 2 * pad).saturating_sub(kernel);
-    let mut pooled = numer.div_ceil(stride) + 1;
-    if pad > 0 {
-        // Caffe: the last window must start inside the (unpadded) input.
-        if (pooled - 1) * stride >= dim + pad {
-            pooled -= 1;
-        }
+    let pooled = numer.div_ceil(stride) + 1;
+    // The last window must start inside the (unpadded) input. Caffe clips
+    // only when `pad > 0`; without padding the case needs `stride > kernel`
+    // and would leave a window with nothing in it.
+    if (pooled - 1) * stride >= dim + pad {
+        pooled - 1
+    } else {
+        pooled
     }
-    pooled
 }
 
 /// Caffe `Pooling` layer.
@@ -83,6 +85,9 @@ pub struct PoolingLayer<S: Scalar = f32> {
     in_w: usize,
     out_h: usize,
     out_w: usize,
+    /// MAX mode, per kernel column `w`: the outputs of a row whose tap `w`
+    /// lies inside the input, and the input column the first of them reads.
+    taps: Vec<TapSpan>,
     /// Argmax mask (index within the bottom `(s, c)` segment) for MAX mode.
     mask: BatchCache<u32>,
     _marker: std::marker::PhantomData<S>,
@@ -100,29 +105,80 @@ impl<S: Scalar> PoolingLayer<S> {
             in_w: 0,
             out_h: 0,
             out_w: 0,
+            taps: Vec::new(),
             mask: BatchCache::new(),
             _marker: std::marker::PhantomData,
         }
     }
 }
 
-/// Clipped pooling window for output `(oy, ox)`:
-/// `(h_range, w_range)` in bottom coordinates.
+/// Input positions `start..end` that window `o` covers along an axis of
+/// `dim` pixels, clipped to it. Never empty: `pad < kernel` and
+/// [`pooled_dim`] starts the last window inside the input.
 #[inline]
-fn window(
+fn extent(cfg: &PoolConfig, dim: usize, o: usize) -> std::ops::Range<usize> {
+    let start = o * cfg.stride;
+    start.saturating_sub(cfg.pad)..(start + cfg.kernel - cfg.pad).min(dim)
+}
+
+/// One tap of a row of windows: folds `src[i * stride]`, the segment's
+/// element `first + i * stride`, into the running maximum `best[i]` and its
+/// arg-max `arg[i]`. Two selects per output and no branch, with the outputs
+/// innermost so that the loop vectorizes; strict `>` keeps the earlier tap
+/// on ties and lets a NaN neither win nor lose its place, exactly as a scan
+/// of one window at a time does.
+#[inline(always)]
+fn max_tap<S: Scalar>(best: &mut [S], arg: &mut [u32], src: &[S], stride: usize, first: usize) {
+    let outs = best.iter_mut().zip(arg.iter_mut()).zip(src.chunks(stride));
+    for (i, ((b, a), tap)) in outs.enumerate() {
+        let take = tap[0] > *b;
+        *b = select_unpredictable(take, tap[0], *b);
+        *a = select_unpredictable(take, (first + i * stride) as u32, *a);
+    }
+}
+
+/// MAX-pools one `(sample, channel)` segment `xin` into `out`, with the
+/// arg-max indices in `mask`. A row of windows is swept tap by tap — for
+/// each input row `h` of the row's extent and each kernel column `w`, every
+/// output whose tap `(h, w)` is inside the input at once — instead of window
+/// by window. An output still meets its taps in the `(h, w)` order of a
+/// window scan, so values and indices are those of the scan; the border
+/// needs no code of its own because the clipping is in `taps`.
+fn max_segment<S: Scalar>(
     cfg: &PoolConfig,
-    in_h: usize,
+    taps: &[TapSpan],
     in_w: usize,
-    oy: usize,
-    ox: usize,
-) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-    let hs = (oy * cfg.stride).saturating_sub(cfg.pad);
-    let ws = (ox * cfg.stride).saturating_sub(cfg.pad);
-    let hstart = (oy * cfg.stride) as isize - cfg.pad as isize;
-    let wstart = (ox * cfg.stride) as isize - cfg.pad as isize;
-    let he = ((hstart + cfg.kernel as isize).max(0) as usize).min(in_h);
-    let we = ((wstart + cfg.kernel as isize).max(0) as usize).min(in_w);
-    (hs.min(he)..he, ws.min(we)..we)
+    out_w: usize,
+    xin: &[S],
+    out: &mut [S],
+    mask: &mut [u32],
+) {
+    let in_h = xin.len() / in_w;
+    let rows = out
+        .chunks_exact_mut(out_w)
+        .zip(mask.chunks_exact_mut(out_w));
+    for (oy, (best, arg)) in rows.enumerate() {
+        let hs = extent(cfg, in_h, oy);
+        // A window starts out as its first in-image tap.
+        for (ox, (b, a)) in best.iter_mut().zip(arg.iter_mut()).enumerate() {
+            let idx = hs.start * in_w + extent(cfg, in_w, ox).start;
+            (*b, *a) = (xin[idx], idx as u32);
+        }
+        for h in hs {
+            for t in taps {
+                let first = h * in_w + t.first;
+                let (best, arg) = (&mut best[t.lo..t.hi], &mut arg[t.lo..t.hi]);
+                let src = &xin[first..(h + 1) * in_w];
+                // Spelled out for the strides the nets pool with, the tap
+                // loop steps by a constant and vectorizes.
+                match cfg.stride {
+                    1 => max_tap(best, arg, src, 1, first),
+                    2 => max_tap(best, arg, src, 2, first),
+                    s => max_tap(best, arg, src, s, first),
+                }
+            }
+        }
+    }
 }
 
 impl<S: Scalar> Layer<S> for PoolingLayer<S> {
@@ -142,11 +198,26 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         self.channels = b.channels();
         self.in_h = b.height();
         self.in_w = b.width();
-        self.out_h = pooled_dim(self.in_h, self.cfg.kernel, self.cfg.pad, self.cfg.stride);
-        self.out_w = pooled_dim(self.in_w, self.cfg.kernel, self.cfg.pad, self.cfg.stride);
+        let PoolConfig {
+            kernel,
+            pad,
+            stride,
+            ..
+        } = self.cfg;
+        assert!(
+            kernel > 0 && stride > 0 && pad < kernel,
+            "Pooling '{}': needs kernel > 0, stride > 0 and pad < kernel",
+            self.name
+        );
+        self.out_h = pooled_dim(self.in_h, kernel, pad, stride);
+        self.out_w = pooled_dim(self.in_w, kernel, pad, stride);
         let out_count = self.batch * self.channels * self.out_h * self.out_w;
         if self.cfg.method == PoolMethod::Max {
             self.mask.seat(out_count);
+            self.taps = (0..kernel)
+                .map(|w| TapSpan::new(self.out_w, self.in_w, w, pad, stride))
+                .filter(|tap| !tap.is_empty())
+                .collect();
         }
         vec![Shape::from(vec![
             self.batch,
@@ -160,8 +231,9 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         let x = bottom[0].data();
         let in_seg = self.in_h * self.in_w;
         let out_seg = self.out_h * self.out_w;
-        let (out_h, out_w, in_h, in_w) = (self.out_h, self.out_w, self.in_h, self.in_w);
+        let (out_w, in_h, in_w) = (self.out_w, self.in_h, self.in_w);
         let cfg = self.cfg;
+        let taps = &self.taps;
         match cfg.method {
             PoolMethod::Max => {
                 let mask_ds = DisjointSlices::new(&mut self.mask, out_seg);
@@ -169,44 +241,23 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
                     // SAFETY: each segment index runs exactly once.
                     let mseg = unsafe { mask_ds.segment_mut(sc) };
                     let xin = &x[sc * in_seg..(sc + 1) * in_seg];
-                    for oy in 0..out_h {
-                        for ox in 0..out_w {
-                            let (hr, wr) = window(&cfg, in_h, in_w, oy, ox);
-                            let mut best_idx = hr.start * in_w + wr.start;
-                            let mut best = xin[best_idx];
-                            for h in hr.clone() {
-                                for w in wr.clone() {
-                                    let idx = h * in_w + w;
-                                    if xin[idx] > best {
-                                        best = xin[idx];
-                                        best_idx = idx;
-                                    }
-                                }
-                            }
-                            out[oy * out_w + ox] = best;
-                            mseg[oy * out_w + ox] = best_idx as u32;
-                        }
-                    }
+                    max_segment(&cfg, taps, in_w, out_w, xin, out, mseg);
                 });
             }
             PoolMethod::Ave => {
                 parallel_segments(ctx, top[0].data_mut(), out_seg, |sc, out| {
                     let xin = &x[sc * in_seg..(sc + 1) * in_seg];
-                    for oy in 0..out_h {
-                        for ox in 0..out_w {
-                            let (hr, wr) = window(&cfg, in_h, in_w, oy, ox);
-                            let area = hr.len() * wr.len();
+                    for (oy, row) in out.chunks_exact_mut(out_w).enumerate() {
+                        let hr = extent(&cfg, in_h, oy);
+                        for (ox, o) in row.iter_mut().enumerate() {
+                            let wr = extent(&cfg, in_w, ox);
                             let mut acc = S::ZERO;
                             for h in hr.clone() {
-                                for w in wr.clone() {
-                                    acc += xin[h * in_w + w];
+                                for &v in &xin[h * in_w..][wr.clone()] {
+                                    acc += v;
                                 }
                             }
-                            out[oy * out_w + ox] = if area > 0 {
-                                acc / S::from_usize(area)
-                            } else {
-                                S::ZERO
-                            };
+                            *o = acc / S::from_usize(hr.len() * wr.len());
                         }
                     }
                 });
@@ -234,15 +285,12 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
                 PoolMethod::Ave => {
                     for oy in 0..out_h {
                         for ox in 0..out_w {
-                            let (hr, wr) = window(&cfg, in_h, in_w, oy, ox);
+                            let (hr, wr) = (extent(&cfg, in_h, oy), extent(&cfg, in_w, ox));
                             let area = hr.len() * wr.len();
-                            if area == 0 {
-                                continue;
-                            }
                             let share = dy[oy * out_w + ox] / S::from_usize(area);
                             for h in hr.clone() {
-                                for w in wr.clone() {
-                                    dx[h * in_w + w] += share;
+                                for d in &mut dx[h * in_w..][wr.clone()] {
+                                    *d += share;
                                 }
                             }
                         }
@@ -263,7 +311,8 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
             layer_type: "Pooling".to_string(),
             forward: PassProfile {
                 coalesced_iters: self.batch * self.channels,
-                // Window scans are bounds-check heavy: ~4 ops per tap.
+                // Per tap: a load, a compare and two selects (MAX), or a
+                // load and an add in a short window loop (AVE): ~4 ops.
                 flops_per_iter: out_seg * window * 4.0,
                 bytes_in_per_iter: in_seg * elem,
                 bytes_out_per_iter: out_seg * elem,
@@ -419,5 +468,217 @@ mod tests {
             assert_eq!(t1, t4);
             assert_eq!(d1, d4);
         }
+    }
+
+    /// The forward pass as it was before the tap sweep — one clipped window
+    /// at a time, strict `>` in `(h, w)` order, `h`-then-`w` sums — kept as
+    /// the oracle of the differential tests: `(top, mask)` of one segment.
+    fn scan_oracle<S: Scalar>(
+        cfg: &PoolConfig,
+        in_h: usize,
+        in_w: usize,
+        xin: &[S],
+    ) -> (Vec<S>, Vec<u32>) {
+        let clip = |dim: usize, o: usize| {
+            let start = (o * cfg.stride) as isize - cfg.pad as isize;
+            let end = ((start + cfg.kernel as isize).max(0) as usize).min(dim);
+            (start.max(0) as usize).min(end)..end
+        };
+        let out_h = pooled_dim(in_h, cfg.kernel, cfg.pad, cfg.stride);
+        let out_w = pooled_dim(in_w, cfg.kernel, cfg.pad, cfg.stride);
+        let (mut top, mut mask) = (Vec::new(), Vec::new());
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let (hr, wr) = (clip(in_h, oy), clip(in_w, ox));
+                let mut best_idx = hr.start * in_w + wr.start;
+                let mut best = xin[best_idx];
+                let mut acc = S::ZERO;
+                for h in hr.clone() {
+                    for w in wr.clone() {
+                        let idx = h * in_w + w;
+                        acc += xin[idx];
+                        if xin[idx] > best {
+                            best = xin[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                match cfg.method {
+                    PoolMethod::Max => {
+                        top.push(best);
+                        mask.push(best_idx as u32);
+                    }
+                    PoolMethod::Ave => top.push(acc / S::from_usize(hr.len() * wr.len())),
+                }
+            }
+        }
+        (top, mask)
+    }
+
+    /// Forward output and mask of the layer against the oracle, bit for
+    /// bit, on a `(2, 2, in_h, in_w)` bottom at 1 and 2 threads.
+    fn assert_forward_matches_oracle<S: Scalar>(
+        cfg: PoolConfig,
+        in_h: usize,
+        in_w: usize,
+        data: &[S],
+    ) {
+        // Widening to `f64` is exact, so equal bits there are equal bits in `S`.
+        let bits = |v: &[S]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+        let seg = in_h * in_w;
+        assert_eq!(data.len(), 4 * seg);
+        let (mut want_top, mut want_mask) = (Vec::new(), Vec::new());
+        for xin in data.chunks(seg) {
+            let (top, mask) = scan_oracle(&cfg, in_h, in_w, xin);
+            want_top.extend(top);
+            want_mask.extend(mask);
+        }
+        for threads in [1, 2] {
+            let mut l: PoolingLayer<S> = PoolingLayer::new("p", cfg);
+            let b: Blob<S> = Blob::from_data([2usize, 2, in_h, in_w], data.to_vec());
+            let shapes = l.setup(&[&b]);
+            let team = ThreadTeam::new(threads);
+            let ws = Workspace::<S>::empty();
+            let ctx = ExecCtx::new(&team, &ws);
+            let mut tops = vec![Blob::new(shapes[0].clone())];
+            l.forward(&ctx, &[&b], &mut tops);
+            assert_eq!(
+                bits(tops[0].data()),
+                bits(&want_top),
+                "{cfg:?} {in_h}x{in_w} at {threads} threads"
+            );
+            assert_eq!(&l.mask[..], &want_mask[..], "{cfg:?} {in_h}x{in_w} mask");
+        }
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<f64> {
+        let mut rng = mmblas::Pcg32::seeded(seed);
+        (0..len).map(|_| rng.uniform_range(-1.0, 1.0)).collect()
+    }
+
+    fn both_methods(kernel: usize, pad: usize, stride: usize) -> [PoolConfig; 2] {
+        [PoolMethod::Max, PoolMethod::Ave].map(|method| PoolConfig {
+            method,
+            kernel,
+            pad,
+            stride,
+        })
+    }
+
+    #[test]
+    fn forward_is_the_window_scan_bit_for_bit() {
+        // (kernel, pad, stride, in_h, in_w): the two nets' poolings (CIFAR's
+        // k3/s2 ceil mode clips its last row and column of windows), padded
+        // ones, odd and non-square inputs, stride 1, stride > kernel (whose
+        // last window `pooled_dim` drops), a kernel wider than the input.
+        let cases = [
+            (2, 0, 2, 24, 24),
+            (2, 0, 2, 8, 8),
+            (3, 0, 2, 32, 32),
+            (3, 0, 2, 16, 16),
+            (3, 0, 2, 8, 8),
+            (3, 1, 2, 32, 32),
+            (3, 1, 1, 7, 11),
+            (3, 2, 2, 9, 5),
+            (5, 2, 3, 13, 17),
+            (2, 1, 2, 5, 5),
+            (3, 0, 1, 6, 7),
+            (1, 0, 3, 5, 7),
+            (2, 0, 5, 11, 6),
+            (5, 0, 2, 3, 4),
+            (4, 3, 1, 2, 3),
+        ];
+        for (seed, (kernel, pad, stride, in_h, in_w)) in cases.into_iter().enumerate() {
+            let data = noise(4 * in_h * in_w, seed as u64);
+            let single: Vec<f32> = data.iter().map(|&v| v as f32).collect();
+            for cfg in both_methods(kernel, pad, stride) {
+                assert_forward_matches_oracle(cfg, in_h, in_w, &data);
+                assert_forward_matches_oracle(cfg, in_h, in_w, &single);
+            }
+        }
+    }
+
+    #[test]
+    fn ties_nan_and_infinities_resolve_as_in_the_scan() {
+        let (in_h, in_w) = (9, 10);
+        let len = 4 * in_h * in_w;
+        // All-equal windows: the first index wins.
+        let flat = vec![0.25f32; len];
+        // Few distinct values: ties everywhere, signed zeros included.
+        let coarse: Vec<f32> = noise(len, 1)
+            .iter()
+            .map(|v| [-0.0f32, 0.0, 1.0, -1.0][(v.abs() * 4.0) as usize % 4])
+            .collect();
+        // NaN (either sign), -inf and +inf sprinkled over noise; the first
+        // segment starts on a NaN, the second on -inf.
+        let mut wild: Vec<f32> = noise(len, 2).iter().map(|&v| v as f32).collect();
+        for (i, v) in wild.iter_mut().enumerate() {
+            match i % 7 {
+                0 => *v = f32::NAN,
+                2 => *v = f32::NEG_INFINITY,
+                3 if i % 5 == 0 => *v = f32::INFINITY,
+                5 if i % 3 == 0 => *v = -f32::NAN,
+                _ => {}
+            }
+        }
+        wild[in_h * in_w] = f32::NEG_INFINITY;
+        let all_neg_inf = vec![f32::NEG_INFINITY; len];
+        for data in [flat, coarse, wild, all_neg_inf] {
+            for (kernel, pad, stride) in [(2, 0, 2), (3, 0, 2), (3, 1, 2), (3, 1, 1)] {
+                for cfg in both_methods(kernel, pad, stride) {
+                    assert_forward_matches_oracle(cfg, in_h, in_w, &data);
+                }
+            }
+        }
+        // The documented tie rule, stated directly.
+        let mut l: PoolingLayer<f32> = PoolingLayer::new("p", PoolConfig::max(3, 2));
+        let b: Blob<f32> = Blob::from_data([1usize, 1, 4, 4], vec![7.0; 16]);
+        let shapes = l.setup(&[&b]);
+        let team = ThreadTeam::new(1);
+        let ws = Workspace::<f32>::empty();
+        let mut tops = vec![Blob::new(shapes[0].clone())];
+        l.forward(&ExecCtx::new(&team, &ws), &[&b], &mut tops);
+        assert_eq!(&l.mask[..], &[0, 2, 8, 10]);
+    }
+
+    #[test]
+    fn every_window_has_a_pixel() {
+        // `pad < kernel` plus the clip in `pooled_dim`: no window is empty,
+        // for any stride — what lets forward and backward go without an
+        // empty-window case.
+        for kernel in 1..6 {
+            for pad in 0..kernel {
+                for stride in 1..8 {
+                    for dim in 1..20 {
+                        let cfg = PoolConfig {
+                            method: PoolMethod::Max,
+                            kernel,
+                            pad,
+                            stride,
+                        };
+                        for o in 0..pooled_dim(dim, kernel, pad, stride) {
+                            let e = extent(&cfg, dim, o);
+                            assert!(e.start < e.end && e.end <= dim, "{cfg:?} dim {dim} o {o}");
+                        }
+                    }
+                }
+            }
+        }
+        // Stride past the kernel, no padding: Caffe would emit a third,
+        // empty window starting at 6.
+        assert_eq!(pooled_dim(5, 1, 0, 3), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pad < kernel")]
+    fn setup_rejects_pad_not_below_kernel() {
+        let cfg = PoolConfig {
+            method: PoolMethod::Ave,
+            kernel: 2,
+            pad: 2,
+            stride: 1,
+        };
+        let mut l: PoolingLayer<f32> = PoolingLayer::new("p", cfg);
+        l.setup(&[&Blob::new([1usize, 1, 4, 4])]);
     }
 }

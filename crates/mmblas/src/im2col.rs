@@ -97,6 +97,62 @@ pub fn conv_out_dim(dim: usize, kernel: usize, pad: usize, stride: usize) -> usi
     (dim + 2 * pad - kernel) / stride + 1
 }
 
+/// The outputs of one axis that kernel tap `k` keeps inside the image:
+/// outputs `lo..hi` read input positions `first`, `first + stride`, ...;
+/// every other output of the axis reads padding. Convolution lowering and
+/// pooling clip with this and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapSpan {
+    /// First output whose tap is inside the image.
+    pub lo: usize,
+    /// One past the last such output.
+    pub hi: usize,
+    /// Input position read by output `lo`.
+    pub first: usize,
+}
+
+impl TapSpan {
+    /// Solves `0 <= o * stride + k - pad < dim` for `o` in `0..out`.
+    pub fn new(out: usize, dim: usize, k: usize, pad: usize, stride: usize) -> Self {
+        let lo = pad.saturating_sub(k).div_ceil(stride).min(out);
+        let hi = (dim + pad)
+            .checked_sub(k + 1)
+            .map_or(0, |last| last / stride + 1)
+            .clamp(lo, out);
+        TapSpan {
+            lo,
+            hi,
+            first: (lo * stride + k).saturating_sub(pad),
+        }
+    }
+
+    /// Whether the tap misses the image for every output.
+    pub fn is_empty(&self) -> bool {
+        self.lo == self.hi
+    }
+}
+
+/// Calls `f(block, plane, rows, cols)` for every `(c, kh, kw)` row of the
+/// column matrix, in that order: `block` is the offset of its
+/// `out_h x out_w` entries, `plane` that of channel `c` in the image, and
+/// `rows` / `cols` say which entries mirror a pixel of the plane. All
+/// clipping is decided here, once per row of the matrix; the loops of
+/// [`im2col`] and [`col2im`] over a span test nothing.
+fn for_each_tap(geom: &Conv2dGeometry, mut f: impl FnMut(usize, usize, TapSpan, TapSpan)) {
+    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let mut block = 0usize;
+    for c in 0..geom.channels {
+        for kh in 0..geom.kernel_h {
+            let rows = TapSpan::new(oh, geom.height, kh, geom.pad_h, geom.stride_h);
+            for kw in 0..geom.kernel_w {
+                let cols = TapSpan::new(ow, geom.width, kw, geom.pad_w, geom.stride_w);
+                f(block, c * geom.height * geom.width, rows, cols);
+                block += oh * ow;
+            }
+        }
+    }
+}
+
 /// Expand one `(C, H, W)` image into a `(C*kh*kw) x (out_h*out_w)` row-major
 /// column matrix. Out-of-bounds (padding) taps read as zero.
 ///
@@ -108,40 +164,55 @@ pub fn im2col<S: Scalar>(geom: &Conv2dGeometry, image: &[S], col: &mut [S]) {
     assert_eq!(col.len(), geom.col_len(), "im2col: col length");
 
     let (oh, ow) = (geom.out_h(), geom.out_w());
-    let hw = geom.height * geom.width;
-    let mut w = 0usize;
-    for c in 0..geom.channels {
-        let plane = &image[c * hw..(c + 1) * hw];
-        for kh in 0..geom.kernel_h {
-            for kw in 0..geom.kernel_w {
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                    if iy < 0 || iy >= geom.height as isize {
-                        for _ in 0..ow {
-                            col[w] = S::ZERO;
-                            w += 1;
-                        }
-                        continue;
-                    }
-                    let row = &plane[iy as usize * geom.width..(iy as usize + 1) * geom.width];
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                        col[w] = if ix < 0 || ix >= geom.width as isize {
-                            S::ZERO
-                        } else {
-                            row[ix as usize]
-                        };
-                        w += 1;
+    let (width, sh, sw) = (geom.width, geom.stride_h, geom.stride_w);
+    for_each_tap(geom, |block, plane, rows, cols| {
+        let block = &mut col[block..block + oh * ow];
+        if rows.is_empty() || cols.is_empty() {
+            block.fill(S::ZERO);
+            return;
+        }
+        // Padding before the first mirrored entry and after the last one.
+        let (head, tail) = (rows.lo * ow + cols.lo, (rows.hi - 1) * ow + cols.hi);
+        block[..head].fill(S::ZERO);
+        block[tail..].fill(S::ZERO);
+        let src = &image[plane + rows.first * width + cols.first..];
+        let n = cols.hi - cols.lo;
+        if sw == 1 && sh == 1 && ow == width {
+            // Output rows and image rows have one pitch ("same" padding), so
+            // the tap is a single shifted copy of the plane; what it drags
+            // across the row ends is zeroed below.
+            block[head..tail].copy_from_slice(&src[..tail - head]);
+        } else {
+            let rows = block[head..tail].chunks_mut(ow).zip(src.chunks(sh * width));
+            for (dst, src) in rows {
+                if sw == 1 {
+                    dst[..n].copy_from_slice(&src[..n]);
+                } else {
+                    for (d, s) in dst[..n].iter_mut().zip(src.iter().step_by(sw)) {
+                        *d = *s;
                     }
                 }
             }
         }
-    }
+        // The padding between two mirrored rows (the end of one, the start
+        // of the next) is `ow - n` adjacent entries, stored column by
+        // column: a `fill` per row is a `memset` call for an entry or two.
+        let gaps = &mut block[head + n..tail];
+        if !gaps.is_empty() {
+            for g in 0..ow - n {
+                for d in gaps[g..].iter_mut().step_by(ow) {
+                    *d = S::ZERO;
+                }
+            }
+        }
+    });
 }
 
 /// Inverse of [`im2col`]: scatter-accumulate a column matrix back into an
 /// image. Overlapping taps sum (the gradient semantics of convolution).
-/// The output image is zeroed first.
+/// The output image is zeroed first. Each pixel receives its contributions
+/// in `(kh, kw, oy)` order, which is part of the contract: training is
+/// reproducible bit for bit only while that order stands.
 ///
 /// # Panics
 /// Panics if slice lengths do not match the geometry.
@@ -151,35 +222,238 @@ pub fn col2im<S: Scalar>(geom: &Conv2dGeometry, col: &[S], image: &mut [S]) {
     assert_eq!(col.len(), geom.col_len(), "col2im: col length");
 
     crate::level1::zero(image);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let hw = geom.height * geom.width;
-    let mut r = 0usize;
-    for c in 0..geom.channels {
-        for kh in 0..geom.kernel_h {
-            for kw in 0..geom.kernel_w {
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                    if iy < 0 || iy >= geom.height as isize {
-                        r += ow;
-                        continue;
-                    }
-                    let base = c * hw + iy as usize * geom.width;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                        if ix >= 0 && ix < geom.width as isize {
-                            image[base + ix as usize] += col[r];
-                        }
-                        r += 1;
-                    }
+    let ow = geom.out_w();
+    let (width, sh, sw) = (geom.width, geom.stride_h, geom.stride_w);
+    for_each_tap(geom, |block, plane, rows, cols| {
+        if rows.is_empty() || cols.is_empty() {
+            return;
+        }
+        let (head, tail) = (rows.lo * ow + cols.lo, (rows.hi - 1) * ow + cols.hi);
+        let dst = &mut image[plane + rows.first * width + cols.first..];
+        let n = cols.hi - cols.lo;
+        let rows = col[block + head..block + tail]
+            .chunks(ow)
+            .zip(dst.chunks_mut(sh * width));
+        // A row holds at most one contribution per pixel, so the order
+        // within it is free.
+        for (src, dst) in rows {
+            if sw == 1 {
+                for (d, s) in dst[..n].iter_mut().zip(&src[..n]) {
+                    *d += *s;
+                }
+            } else {
+                for (d, s) in dst.iter_mut().step_by(sw).zip(&src[..n]) {
+                    *d += *s;
                 }
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `im2col` one element and one bounds test at a time, as it was before
+    /// the row-wise rewrite: the oracle of the differential tests.
+    fn im2col_elementwise<S: Scalar>(geom: &Conv2dGeometry, image: &[S], col: &mut [S]) {
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let hw = geom.height * geom.width;
+        let mut w = 0usize;
+        for c in 0..geom.channels {
+            let plane = &image[c * hw..(c + 1) * hw];
+            for kh in 0..geom.kernel_h {
+                for kw in 0..geom.kernel_w {
+                    for oy in 0..oh {
+                        let iy = (oy * geom.stride_h + kh) as isize - geom.pad_h as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * geom.stride_w + kw) as isize - geom.pad_w as isize;
+                            let inside = iy >= 0
+                                && iy < geom.height as isize
+                                && ix >= 0
+                                && ix < geom.width as isize;
+                            col[w] = if inside {
+                                plane[iy as usize * geom.width + ix as usize]
+                            } else {
+                                S::ZERO
+                            };
+                            w += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `col2im` one element at a time, in the `(c, kh, kw, oy, ox)` order
+    /// that fixes every pixel's order of accumulation.
+    fn col2im_elementwise<S: Scalar>(geom: &Conv2dGeometry, col: &[S], image: &mut [S]) {
+        crate::level1::zero(image);
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let hw = geom.height * geom.width;
+        let mut r = 0usize;
+        for c in 0..geom.channels {
+            for kh in 0..geom.kernel_h {
+                for kw in 0..geom.kernel_w {
+                    for oy in 0..oh {
+                        let iy = (oy * geom.stride_h + kh) as isize - geom.pad_h as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * geom.stride_w + kw) as isize - geom.pad_w as isize;
+                            if iy >= 0
+                                && iy < geom.height as isize
+                                && ix >= 0
+                                && ix < geom.width as isize
+                            {
+                                image[c * hw + iy as usize * geom.width + ix as usize] += col[r];
+                            }
+                            r += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both lowerings against their oracles, bit for bit, on noise. The
+    /// column buffer starts out as NaN so that an entry left unwritten shows.
+    fn assert_matches_oracle<S: Scalar>(geom: &Conv2dGeometry, seed: u64) {
+        let mut rng = crate::Pcg32::seeded(seed);
+        let mut noise = |len: usize| -> Vec<S> {
+            (0..len)
+                .map(|_| S::from_f64(rng.uniform_range(-1.0, 1.0)))
+                .collect()
+        };
+        let (image, col) = (noise(geom.image_len()), noise(geom.col_len()));
+        // Widening to `f64` is exact, so equal bits there are equal bits in `S`.
+        let bits = |v: &[S]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+
+        let unwritten = S::from_f64(f64::NAN);
+        let (mut got, mut want) = (vec![unwritten; col.len()], vec![unwritten; col.len()]);
+        im2col(geom, &image, &mut got);
+        im2col_elementwise(geom, &image, &mut want);
+        assert_eq!(bits(&got), bits(&want), "im2col differs for {geom:?}");
+
+        let (mut got, mut want) = (image.clone(), image.clone());
+        col2im(geom, &col, &mut got);
+        col2im_elementwise(geom, &col, &mut want);
+        assert_eq!(bits(&got), bits(&want), "col2im differs for {geom:?}");
+    }
+
+    fn assert_matches_oracle_f32_f64(geom: &Conv2dGeometry, seed: u64) {
+        assert_matches_oracle::<f32>(geom, seed);
+        assert_matches_oracle::<f64>(geom, seed);
+    }
+
+    #[test]
+    fn lowering_matches_the_oracle_on_the_nets_geometries() {
+        // (channels, size, kernel, pad, stride): the five convolutions of
+        // `benchmark/src/corpus.rs` — LeNet conv1/conv2, CIFAR conv1/2/3 —
+        // and CIFAR's k3/s2 pooling window as the strided sixth.
+        let corpus = [
+            (1, 28, 5, 0, 1),
+            (20, 12, 5, 0, 1),
+            (3, 32, 5, 2, 1),
+            (32, 16, 5, 2, 1),
+            (32, 8, 5, 2, 1),
+            (32, 32, 3, 0, 2),
+        ];
+        for (seed, (channels, size, kernel, pad, stride)) in corpus.into_iter().enumerate() {
+            let geom = Conv2dGeometry::square(channels, size, kernel, pad, stride);
+            assert_matches_oracle_f32_f64(&geom, seed as u64);
+        }
+    }
+
+    #[test]
+    fn lowering_matches_the_oracle_at_the_edges() {
+        let geom =
+            |height, width, kernel_h, kernel_w, pad_h, pad_w, stride_h, stride_w| Conv2dGeometry {
+                channels: 2,
+                height,
+                width,
+                kernel_h,
+                kernel_w,
+                pad_h,
+                pad_w,
+                stride_h,
+                stride_w,
+            };
+        let edges = [
+            // Kernel as large as the padded input: one output.
+            geom(3, 4, 5, 6, 1, 1, 1, 1),
+            geom(5, 5, 5, 5, 0, 0, 2, 3),
+            // One output column, several rows, and the reverse.
+            geom(6, 3, 2, 3, 0, 0, 1, 1),
+            geom(3, 9, 3, 2, 0, 0, 1, 2),
+            // Padding as wide as the kernel allows, and wider: some taps
+            // miss the image for every output.
+            geom(4, 5, 3, 3, 2, 2, 1, 1),
+            geom(2, 2, 3, 3, 4, 5, 2, 1),
+            // "Same" padding (output pitch == image pitch) with unequal
+            // strides, and a stride past the kernel.
+            geom(7, 6, 3, 3, 1, 1, 2, 1),
+            geom(9, 8, 3, 5, 1, 2, 1, 1),
+            geom(9, 11, 2, 2, 0, 1, 3, 3),
+            // 1x1 kernel, 1x1 image.
+            geom(4, 4, 1, 1, 0, 0, 1, 1),
+            geom(1, 1, 3, 3, 1, 1, 1, 1),
+        ];
+        for (seed, geom) in edges.iter().enumerate() {
+            assert_matches_oracle_f32_f64(geom, 100 + seed as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Non-square images and kernels, strides 1-3, every `pad` below
+        /// the kernel: `im2col` and `col2im` (same accumulation order, so
+        /// equal bits, not a tolerance) against the element-wise oracles.
+        #[test]
+        fn lowering_matches_the_oracle((height, width) in (1usize..12, 1usize..12),
+                                       (kernel_h, kernel_w) in (1usize..6, 1usize..6),
+                                       (pad_h, pad_w) in (0usize..5, 0usize..5),
+                                       (stride_h, stride_w) in (1usize..4, 1usize..4),
+                                       channels in 1usize..4,
+                                       seed in 0u64..1000) {
+            let geom = Conv2dGeometry {
+                channels,
+                height,
+                width,
+                kernel_h,
+                kernel_w,
+                pad_h: pad_h % kernel_h,
+                pad_w: pad_w % kernel_w,
+                stride_h,
+                stride_w,
+            };
+            prop_assume!(height + 2 * geom.pad_h >= kernel_h && width + 2 * geom.pad_w >= kernel_w);
+            assert_matches_oracle_f32_f64(&geom, seed);
+        }
+    }
+
+    #[test]
+    fn tap_span_solves_the_clipping_inequality() {
+        for dim in 1..9 {
+            for k in 0..6 {
+                for pad in 0..7 {
+                    for stride in 1..4 {
+                        for out in 0..8 {
+                            let span = TapSpan::new(out, dim, k, pad, stride);
+                            let inside = |o: usize| (pad..dim + pad).contains(&(o * stride + k));
+                            assert!(span.lo <= span.hi && span.hi <= out);
+                            for o in 0..out {
+                                assert_eq!(inside(o), (span.lo..span.hi).contains(&o));
+                            }
+                            if !span.is_empty() {
+                                assert_eq!(span.first, span.lo * stride + k - pad);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn out_dims() {

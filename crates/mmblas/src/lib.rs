@@ -40,7 +40,7 @@ pub mod level3;
 pub mod rng;
 pub mod scalar;
 
-pub use im2col::{col2im, conv_out_dim, im2col, Conv2dGeometry};
+pub use im2col::{col2im, conv_out_dim, im2col, Conv2dGeometry, TapSpan};
 pub use level1::*;
 pub use level2::{gemv, ger};
 pub use level3::{gemm, gemm_naive};

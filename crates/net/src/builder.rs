@@ -29,6 +29,27 @@ fn parse_filler(ls: &LayerSpec, which: &str, default: Filler) -> Result<Filler, 
     }
 }
 
+/// `(kernel, pad, stride)` of a `Convolution` or `Pooling` block, held to
+/// Caffe's `CHECK_GT(kernel, 0)`, `CHECK_GT(stride, 0)` and
+/// `CHECK_LT(pad, kernel)`: past this point the layers divide by the stride
+/// and take every window to cover at least one pixel.
+fn window_params(ls: &LayerSpec) -> Result<(usize, usize, usize), SpecError> {
+    let kernel = ls.get_usize("kernel")?;
+    let pad = ls.get_usize_or("pad", 0)?;
+    let stride = ls.get_usize_or("stride", 1)?;
+    let reject = |what: &str| Err(SpecError::new(format!("layer '{}': {what}", ls.name)));
+    if kernel == 0 {
+        return reject("kernel must be at least 1");
+    }
+    if stride == 0 {
+        return reject("stride must be at least 1");
+    }
+    if pad >= kernel {
+        return reject(&format!("pad {pad} must be smaller than kernel {kernel}"));
+    }
+    Ok((kernel, pad, stride))
+}
+
 /// Construct a layer object from its spec block.
 ///
 /// `data_source` is consumed by the first `Data` layer. `after_data` tells
@@ -52,12 +73,9 @@ pub fn build_layer<S: Scalar>(
             Box::new(DataLayer::new(name, source, batch))
         }
         "Convolution" => {
-            let mut cfg = ConvConfig::new(
-                ls.get_usize("num_output")?,
-                ls.get_usize("kernel")?,
-                ls.get_usize_or("pad", 0)?,
-                ls.get_usize_or("stride", 1)?,
-            );
+            let num_output = ls.get_usize("num_output")?;
+            let (kernel, pad, stride) = window_params(ls)?;
+            let mut cfg = ConvConfig::new(num_output, kernel, pad, stride);
             cfg.weight_filler = parse_filler(ls, "weight_filler", Filler::Xavier)?;
             cfg.bias_filler = parse_filler(ls, "bias_filler", Filler::Constant(0.0))?;
             cfg.seed = ls.get_usize_or("seed", cfg.seed as usize)? as u64;
@@ -79,11 +97,12 @@ pub fn build_layer<S: Scalar>(
                     )))
                 }
             };
+            let (kernel, pad, stride) = window_params(ls)?;
             let cfg = PoolConfig {
                 method,
-                kernel: ls.get_usize("kernel")?,
-                pad: ls.get_usize_or("pad", 0)?,
-                stride: ls.get_usize_or("stride", 1)?,
+                kernel,
+                pad,
+                stride,
             };
             Box::new(PoolingLayer::new(name, cfg))
         }
@@ -229,6 +248,36 @@ mod tests {
         assert!(build_layer::<f32>(&ls, &mut none, false).is_ok());
         let bad = spec_of("layer {\n name: p\n type: Pooling\n method: MED\n kernel: 3\n}");
         assert!(build_layer::<f32>(&bad, &mut none, false).is_err());
+    }
+
+    #[test]
+    fn degenerate_windows_are_spec_errors() {
+        // From a spec file these used to reach a division by zero in
+        // `pooled_dim`, the assert in `Conv2dGeometry::validate`, or a read
+        // outside an empty pooling window.
+        let cases = [
+            ("kernel: 0", "kernel must be at least 1"),
+            ("kernel: 3\n stride: 0", "stride must be at least 1"),
+            ("kernel: 3\n pad: 3", "pad 3 must be smaller than kernel 3"),
+            (
+                "kernel: 2\n pad: 5\n stride: 2",
+                "pad 5 must be smaller than kernel 2",
+            ),
+        ];
+        for head in ["type: Pooling", "type: Convolution\n num_output: 4"] {
+            for (params, want) in cases {
+                let ls = spec_of(&format!("layer {{\n name: edge\n {head}\n {params}\n}}"));
+                let mut none: Option<Box<dyn BatchSource<f32>>> = None;
+                let e = build_layer::<f32>(&ls, &mut none, false)
+                    .err()
+                    .unwrap_or_else(|| panic!("{head} with {params} must not build"));
+                assert_eq!(e.to_string(), format!("layer 'edge': {want}"));
+            }
+        }
+        // The largest legal padding still builds.
+        let ls = spec_of("layer {\n name: p\n type: Pooling\n kernel: 3\n pad: 2\n}");
+        let mut none: Option<Box<dyn BatchSource<f32>>> = None;
+        assert!(build_layer::<f32>(&ls, &mut none, false).is_ok());
     }
 
     #[test]

@@ -194,6 +194,7 @@ fn overload_demo(snapshot: &[u8]) {
     )
     .expect("server starts");
     let (ok, err) = drive(&server, 400, 16);
+    let metrics = server.metrics();
     let r = server.shutdown();
     println!(
         "  queue_depth 4, burst 16 clients: {ok} served, {err} rejected \
@@ -204,8 +205,10 @@ fn overload_demo(snapshot: &[u8]) {
         r.max_queue_depth <= 4 + 16,
         "queue depth must stay near its bound"
     );
-    println!("\nfull report of the overloaded run:\n{}", r.csv());
-    println!("{}", r.batch_hist_csv());
+    println!(
+        "\nfull report of the overloaded run:\n{}",
+        metrics.registry().csv()
+    );
 }
 
 fn main() {

@@ -785,6 +785,10 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         },
     )
     .map_err(|e| e.to_string())?;
+    // The server's live `serve.*` handles join the process registry here,
+    // once: `--metrics`, `--metrics-every` and `stats --connect` read them
+    // while the server runs, beside the training and `rpc.*` metrics.
+    obs::registry::global().adopt(server.metrics().registry());
 
     // `--listen ADDR` turns this process into a network server on the
     // same micro-batcher instead of running the in-process load loop.
@@ -839,19 +843,22 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         ok += d;
         failed += e;
     }
-    let report = server.shutdown();
-    println!("{report}");
+    finish_serving(args, server)?;
     println!("client view: {ok} ok, {failed} rejected/timed out");
+    Ok(())
+}
+
+/// Drain `server`, print its report and write the run's outputs: `--csv`
+/// gets the server's `serve.*` rows, rendered like every other exposition.
+fn finish_serving(args: &Args, server: serve::Server<f32>) -> Result<(), String> {
+    let metrics = server.metrics();
+    println!("{}", server.shutdown());
     if let Some(path) = args.get("csv") {
-        net::write_atomic(Path::new(path), report.csv().as_bytes())
+        net::write_atomic(Path::new(path), metrics.registry().csv().as_bytes())
             .map_err(|e| format!("{path}: {e}"))?;
         println!("report written to {path}");
     }
-    // Serving numbers live in the same registry as the training metrics,
-    // so `--metrics` sees the whole process in one exposition.
-    report.publish(obs::registry::global());
-    write_observability(args, finish_tracing(args).as_deref())?;
-    Ok(())
+    write_observability(args, finish_tracing(args).as_deref())
 }
 
 /// Serve the micro-batcher over TCP until a client sends a drain request
@@ -896,16 +903,7 @@ fn run_rpc_server(args: &Args, server: serve::Server<f32>, listen: &str) -> Resu
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
     rpc_server.shutdown();
-    let report = server.shutdown();
-    println!("{report}");
-    if let Some(path) = args.get("csv") {
-        net::write_atomic(Path::new(path), report.csv().as_bytes())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("report written to {path}");
-    }
-    report.publish(obs::registry::global());
-    write_observability(args, finish_tracing(args).as_deref())?;
-    Ok(())
+    finish_serving(args, server)
 }
 
 /// `cgdnn load` — closed-loop wire load against a `--listen` server.

@@ -485,7 +485,10 @@ impl StepLoop<'_, '_> {
     /// order — each read bounded by `io_timeout`, each rank best-effort —
     /// merging metrics under the `r{rank}.` prefix and folding the events
     /// into this process's trace store, so the coordinator's `--metrics` /
-    /// `--trace` exports carry every rank.
+    /// `--trace` exports carry every rank. A name that already carries a
+    /// rank prefix is not the rank's own: an in-process worker shares this
+    /// registry and ships back what earlier sessions folded into it, and
+    /// nesting that (`r1.r0.*`) would multiply the registry every session.
     fn collect_observability(&mut self) {
         let reg = obs::registry::global();
         for rank in 0..self.cfg.dist.world {
@@ -494,7 +497,8 @@ impl StepLoop<'_, '_> {
             };
             let got = recv_blob(s, proto::FRAME_STATS, rank as u64, None)
                 .and_then(|b| obs::Snapshot::from_bytes(&b).map_err(DistError::Protocol))
-                .and_then(|snap| {
+                .and_then(|mut snap| {
+                    snap.retain(|name| !rank_prefixed(name));
                     reg.merge(&snap, &format!("r{rank}."))
                         .map_err(DistError::Protocol)
                 })
@@ -517,6 +521,13 @@ impl StepLoop<'_, '_> {
             let _ = send_frame(s, proto::FRAME_DONE, 0, aux, reason.as_bytes());
         }
     }
+}
+
+/// Whether `name` starts with an `r<digits>.` rank prefix.
+fn rank_prefixed(name: &str) -> bool {
+    name.strip_prefix('r')
+        .and_then(|rest| rest.split_once('.'))
+        .is_some_and(|(rank, _)| !rank.is_empty() && rank.bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// Receive one rank's `(gradient, local loss)` for `step`.

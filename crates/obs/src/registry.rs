@@ -63,6 +63,20 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Add `d` (negative to subtract) atomically and return the new value:
+    /// an up/down count kept in the gauge itself, with no shadow integer
+    /// beside it.
+    #[inline]
+    pub fn add(&self, d: f64) -> f64 {
+        atomic_f64_update(&self.0, |v| v + d)
+    }
+
+    /// Raise the gauge to `v` if it is below it — a high-water mark.
+    #[inline]
+    pub fn set_max(&self, v: f64) {
+        atomic_f64_update(&self.0, |m| m.max(v));
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
@@ -81,13 +95,15 @@ struct HistCore {
     max_bits: AtomicU64,
 }
 
-/// Lock-free CAS update of an `f64` stored as bits.
-fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
+/// Lock-free CAS update of an `f64` stored as bits; returns the value
+/// written.
+fn atomic_f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) -> f64 {
     let mut cur = cell.load(Ordering::Relaxed);
     loop {
-        let next = f(f64::from_bits(cur)).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
+        let next = f(f64::from_bits(cur));
+        match cell.compare_exchange_weak(cur, next.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => return next,
             Err(seen) => cur = seen,
         }
     }
@@ -378,10 +394,11 @@ impl Metric {
 }
 
 /// A named collection of metrics. Cheap to update (see module docs),
-/// exported as text or `metric,value` CSV.
-#[derive(Default)]
+/// exported as text or `metric,value` CSV. Cloning is cheap and yields a
+/// handle on the *same* collection.
+#[derive(Clone, Default)]
 pub struct Registry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
+    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
 }
 
 impl Registry {
@@ -446,14 +463,25 @@ impl Registry {
         m.entry(name.to_string()).or_insert_with(make).clone()
     }
 
+    /// Expose every metric of `other` here too, under the same name and as
+    /// the *same* handle: an update through either registry shows in both,
+    /// with no copy. This is how a component that keeps metrics of its own
+    /// (one `serve::Server` among several in a process) joins a process-wide
+    /// exposition. A name already present is replaced, so adopting the same
+    /// registry twice changes nothing.
+    pub fn adopt(&self, other: &Registry) {
+        let theirs = other.metrics.lock().clone();
+        self.metrics.lock().extend(theirs);
+    }
+
     /// Registered metric names, sorted.
     pub fn names(&self) -> Vec<String> {
         self.metrics.lock().keys().cloned().collect()
     }
 
     /// `metric,value` CSV of every metric, sorted by name — the same form
-    /// factor as `machine::csv` and `ServingReport::csv`. Histograms expand
-    /// to `_count`/`_sum`/`_mean`/`_min`/`_max` rows, interpolated
+    /// factor as `machine::csv`. Histograms expand to
+    /// `_count`/`_sum`/`_mean`/`_min`/`_max` rows, interpolated
     /// `_p50`/`_p90`/`_p99` rows, and cumulative `_le_<bound>` bucket rows;
     /// summaries to the same aggregate and quantile rows (nearest-rank over
     /// the reservoir, no bucket rows).
@@ -670,6 +698,11 @@ impl Snapshot {
     /// Iterate `(name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Drop every metric whose name `keep` rejects.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.metrics.retain(|name, _| keep(name));
     }
 
     /// What changed since `base` (an earlier snapshot of the *same*

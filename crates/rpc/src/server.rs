@@ -61,7 +61,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -174,7 +174,6 @@ pub struct RpcMetrics {
     /// stats scrape carries true quantiles (p50/p90/p99), not just the
     /// `frame_seconds` bucket shape.
     pub frame_service_us: obs::Summary,
-    active: AtomicI64,
 }
 
 impl RpcMetrics {
@@ -207,18 +206,7 @@ impl RpcMetrics {
             conns_closing: reg.gauge("rpc.conns_closing"),
             stalled_conns_reaped: reg.counter("rpc.stalled_conns_reaped"),
             frame_service_us: reg.summary("rpc.frame_service_us"),
-            active: AtomicI64::new(0),
         })
-    }
-
-    fn conn_opened(&self) {
-        let n = self.active.fetch_add(1, Ordering::SeqCst) + 1;
-        self.active_connections.set(n as f64);
-    }
-
-    fn conn_closed(&self) {
-        let n = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
-        self.active_connections.set(n as f64);
     }
 }
 
@@ -237,7 +225,7 @@ impl RpcServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
     /// serving `bridge`. `output_len` is what the server hello advertises
     /// (take it from [`serve::Server::output_len`]); `reg` receives the
-    /// `rpc.*` metrics.
+    /// `rpc.*` metrics and is what `FRAME_STATS` scrapes answer from.
     pub fn start(
         addr: impl ToSocketAddrs,
         bridge: serve::Client<f32>,
@@ -265,6 +253,7 @@ impl RpcServer {
             stop: Arc::clone(&stop),
             drain: Arc::clone(&drain),
             metrics: Arc::clone(&metrics),
+            registry: reg.clone(),
             hello_ok: proto::encode_server_hello(
                 proto::HELLO_OK,
                 sample_len as u32,
@@ -398,6 +387,8 @@ struct EventLoop {
     stop: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
     metrics: Arc<RpcMetrics>,
+    /// What a `FRAME_STATS` scrape snapshots.
+    registry: obs::Registry,
     hello_ok: [u8; proto::SERVER_HELLO_LEN],
     hello_busy: [u8; proto::SERVER_HELLO_LEN],
     sample_len: usize,
@@ -596,7 +587,7 @@ impl EventLoop {
                     }
                     let id = self.next_conn;
                     self.next_conn += 1;
-                    self.metrics.conn_opened();
+                    self.metrics.active_connections.add(1.0);
                     self.metrics.bytes_out.add(self.hello_ok.len() as u64);
                     let mut conn = Conn {
                         stream,
@@ -664,7 +655,7 @@ impl EventLoop {
     /// Drop a connection immediately (fatal I/O error or panic).
     fn kill_conn(&mut self, id: u64) {
         if self.conns.remove(&id).is_some() {
-            self.metrics.conn_closed();
+            self.metrics.active_connections.add(-1.0);
         }
     }
 
@@ -693,7 +684,7 @@ impl EventLoop {
             }
             if let Some(c) = self.conns.remove(&id) {
                 let _ = c.stream.shutdown(Shutdown::Both);
-                self.metrics.conn_closed();
+                self.metrics.active_connections.add(-1.0);
             }
         }
     }
@@ -850,10 +841,11 @@ impl EventLoop {
                 // Read-only registry scrape, answered synchronously on the
                 // loop (a snapshot is a few atomic loads per metric — no
                 // compute, no serve-tier round trip, so in-flight requests
-                // are undisturbed). The snapshot is of the process-global
-                // registry: that is where the trainer/serving/rpc tiers
-                // publish, and it is what `--metrics` would export.
-                let bytes = obs::registry::global().snapshot().to_bytes();
+                // are undisturbed). The snapshot is of the registry this
+                // server was started with: the process-global one under
+                // `cgdnn infer --listen`, where it is what `--metrics`
+                // would export.
+                let bytes = self.registry.snapshot().to_bytes();
                 let _: Result<(), std::convert::Infallible> =
                     proto::write_run(bytes.len(), |aux, part| {
                         self.queue_response(id, proto::FRAME_STATS, header.id, aux, &bytes[part]);

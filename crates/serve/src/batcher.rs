@@ -21,7 +21,7 @@
 //! drops it — the steady-state reply path performs no allocation.
 //!
 //! A server started with [`Server::start_supervised`] also runs a
-//! supervisor thread: it watches the `healthy_replicas` gauge, rebuilds
+//! supervisor thread: it scans the replicas' liveness flags, rebuilds
 //! dead engines from the [`EngineFactory`] (sharing the one decoded weight
 //! copy — no snapshot re-read), and re-staffs their worker threads. The
 //! [`SupervisorPolicy`] bounds restarts to `max_restarts` per sliding
@@ -30,7 +30,7 @@
 //! keeps serving on the surviving replicas.
 
 use crate::engine::{Engine, EngineFactory};
-use crate::metrics::{ServingMetrics, ServingReport};
+use crate::metrics::{micros, ServingMetrics, ServingReport};
 use crate::pool::{BufferPool, OutputBuf};
 use crate::ServeError;
 use mmblas::Scalar;
@@ -69,7 +69,7 @@ pub struct SupervisorPolicy {
     pub max_restarts: usize,
     /// Width of the sliding restart-budget window.
     pub restart_window: Duration,
-    /// How often the supervisor scans the `healthy_replicas` gauge.
+    /// How often the supervisor scans for dead replicas.
     pub poll: Duration,
 }
 
@@ -120,6 +120,10 @@ struct WorkerShared<S: Scalar + Send + 'static> {
     rx: Arc<Mutex<Receiver<Request<S>>>>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServingMetrics>,
+    /// Which replicas have a worker attached: the supervisor's work list
+    /// and [`Client`]'s admission check. `serve.healthy_replicas` shows
+    /// the count; no decision reads the gauge.
+    alive: Arc<[AtomicBool]>,
     pool: BufferPool<S>,
     policy: BatchPolicy,
 }
@@ -130,9 +134,25 @@ impl<S: Scalar + Send + 'static> Clone for WorkerShared<S> {
             rx: Arc::clone(&self.rx),
             stop: Arc::clone(&self.stop),
             metrics: Arc::clone(&self.metrics),
+            alive: Arc::clone(&self.alive),
             pool: self.pool.clone(),
             policy: self.policy,
         }
+    }
+}
+
+impl<S: Scalar + Send + 'static> WorkerShared<S> {
+    /// Replica `i` is out of service: its worker retired or never spawned.
+    fn retire(&self, i: usize) {
+        self.alive[i].store(false, Ordering::SeqCst);
+        self.metrics.healthy_replicas.add(-1.0);
+    }
+
+    /// Replica `i` is back: the supervisor re-staffed its worker.
+    fn revive(&self, i: usize) {
+        self.alive[i].store(true, Ordering::SeqCst);
+        self.metrics.healthy_replicas.add(1.0);
+        self.metrics.replica_restarts.inc();
     }
 }
 
@@ -150,15 +170,14 @@ fn spawn_worker<S: Scalar + Send + 'static>(
 /// A running inference service: engines, workers, queue, metrics, and
 /// (optionally) a supervisor re-staffing dead replicas.
 pub struct Server<S: Scalar + Send + 'static = f32> {
-    tx: SyncSender<Request<S>>,
+    /// The submit side; [`Server::client`] hands out clones.
+    client: Client<S>,
     /// Shared with the supervisor, which appends re-staffed workers here
     /// so shutdown joins every thread it ever started.
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     supervisor: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    metrics: Arc<ServingMetrics>,
     pool: BufferPool<S>,
-    sample_len: usize,
     output_len: usize,
 }
 
@@ -207,13 +226,12 @@ impl<S: Scalar + Send + 'static> Server<S> {
             return Err(ServeError::Build("queue_depth must be >= 1".into()));
         }
         let (tx, rx) = std::sync::mpsc::sync_channel::<Request<S>>(policy.queue_depth);
-        let metrics = Arc::new(ServingMetrics::default());
         let n_replicas = engines.len();
-        metrics.set_replicas(n_replicas);
         let shared = WorkerShared {
             rx: Arc::new(Mutex::new(rx)),
             stop: Arc::new(AtomicBool::new(false)),
-            metrics: Arc::clone(&metrics),
+            metrics: Arc::new(ServingMetrics::new(n_replicas, max_batch)),
+            alive: (0..n_replicas).map(|_| AtomicBool::new(true)).collect(),
             // Worst case every queued request plus a full in-flight batch
             // per replica holds a buffer at once.
             pool: BufferPool::new(policy.queue_depth + n_replicas * max_batch),
@@ -228,7 +246,7 @@ impl<S: Scalar + Send + 'static> Server<S> {
                     // A replica we cannot staff is a dead replica, not a
                     // fatal error — serve on whatever did spawn (or let
                     // the supervisor retry it).
-                    metrics.on_replica_dead(i);
+                    shared.retire(i);
                     spawn_err = Some(e);
                 }
             }
@@ -256,20 +274,23 @@ impl<S: Scalar + Send + 'static> Server<S> {
             }
         };
         Ok(Self {
-            tx,
+            client: Client {
+                tx,
+                metrics: shared.metrics,
+                alive: shared.alive,
+                sample_len,
+            },
             workers,
             supervisor,
             stop: shared.stop,
-            metrics,
             pool: shared.pool,
-            sample_len,
             output_len,
         })
     }
 
     /// Values per input sample, as the engine replicas expect.
     pub fn sample_len(&self) -> usize {
-        self.sample_len
+        self.client.sample_len
     }
 
     /// Values per output row the engines produce (the wire front-end
@@ -281,16 +302,12 @@ impl<S: Scalar + Send + 'static> Server<S> {
     /// A cheap cloneable handle for submitting requests from other threads
     /// (the load generator's client side).
     pub fn client(&self) -> Client<S> {
-        Client {
-            tx: self.tx.clone(),
-            metrics: Arc::clone(&self.metrics),
-            sample_len: self.sample_len,
-        }
+        self.client.clone()
     }
 
     /// Submit one sample and block for its output. See [`Client::infer`].
     pub fn infer(&self, input: &[S]) -> Result<OutputBuf<S>, ServeError> {
-        self.client().infer(input)
+        self.client.infer(input)
     }
 
     /// Submit with a deadline. See [`Client::infer_with_deadline`].
@@ -299,13 +316,14 @@ impl<S: Scalar + Send + 'static> Server<S> {
         input: &[S],
         deadline: Instant,
     ) -> Result<OutputBuf<S>, ServeError> {
-        self.client().infer_with_deadline(input, deadline)
+        self.client.infer_with_deadline(input, deadline)
     }
 
-    /// Live metrics handle (snapshot any time with
-    /// [`ServingMetrics::report`]).
+    /// This server's `serve.*` handles (read any time with
+    /// [`ServingMetrics::report`]; expose them process-wide with
+    /// [`obs::Registry::adopt`] of [`ServingMetrics::registry`]).
     pub fn metrics(&self) -> Arc<ServingMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.client.metrics)
     }
 
     /// The reply-buffer pool (hit/miss counters show whether the reply
@@ -321,7 +339,7 @@ impl<S: Scalar + Send + 'static> Server<S> {
         self.stop.store(true, Ordering::SeqCst);
         // Dropping our sender closes the channel once all clients are gone;
         // workers also poll `stop` so they exit even while clients linger.
-        drop(self.tx);
+        drop(self.client.tx);
         // Supervisor first, so no new workers appear while we drain.
         if let Some(s) = self.supervisor {
             let _ = s.join();
@@ -329,7 +347,7 @@ impl<S: Scalar + Send + 'static> Server<S> {
         for w in self.workers.lock().drain(..) {
             let _ = w.join();
         }
-        self.metrics.report()
+        self.client.metrics.report()
     }
 }
 
@@ -337,6 +355,7 @@ impl<S: Scalar + Send + 'static> Server<S> {
 pub struct Client<S: Scalar + Send + 'static = f32> {
     tx: SyncSender<Request<S>>,
     metrics: Arc<ServingMetrics>,
+    alive: Arc<[AtomicBool]>,
     sample_len: usize,
 }
 
@@ -345,6 +364,7 @@ impl<S: Scalar + Send + 'static> Clone for Client<S> {
         Self {
             tx: self.tx.clone(),
             metrics: Arc::clone(&self.metrics),
+            alive: Arc::clone(&self.alive),
             sample_len: self.sample_len,
         }
     }
@@ -413,7 +433,7 @@ impl<S: Scalar + Send + 'static> Client<S> {
                 self.sample_len
             )));
         }
-        if self.metrics.healthy_replicas() == 0 {
+        if !self.alive.iter().any(|a| a.load(Ordering::SeqCst)) {
             // Every worker has died; nothing will ever drain the queue.
             // (Under a supervisor this is a transient state — the caller
             // may retry — but blocking here until a restart would turn a
@@ -427,17 +447,17 @@ impl<S: Scalar + Send + 'static> Client<S> {
             reply,
         };
         // Count before sending so a worker's dequeue can never observe the
-        // counter below zero; undo on the failure paths.
-        self.metrics.on_enqueue();
+        // depth below zero; undo on the failure paths.
+        self.metrics.on_enqueue(req.submitted);
         match self.tx.try_send(req) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
-                self.metrics.on_dequeue();
-                self.metrics.on_rejected();
+                self.metrics.queue_depth.add(-1.0);
+                self.metrics.rejected.inc();
                 Err(ServeError::Rejected)
             }
             Err(TrySendError::Disconnected(_)) => {
-                self.metrics.on_dequeue();
+                self.metrics.queue_depth.add(-1.0);
                 Err(ServeError::Closed)
             }
         }
@@ -461,7 +481,10 @@ fn supervisor_loop<S: Scalar + Send + 'static>(
             return;
         }
         std::thread::sleep(sup.poll);
-        for i in shared.metrics.dead_replicas() {
+        for i in 0..shared.alive.len() {
+            if shared.alive[i].load(Ordering::SeqCst) {
+                continue;
+            }
             if shared.stop.load(Ordering::SeqCst) {
                 return;
             }
@@ -482,10 +505,10 @@ fn supervisor_loop<S: Scalar + Send + 'static>(
             match spawn_worker(i, engine, shared.clone()) {
                 Ok(h) => {
                     restarts.push(now);
-                    // Re-staff before flipping the gauge so a client never
-                    // observes "healthy" with no worker attached.
+                    // Re-staff before flipping the flag so a client never
+                    // observes "alive" with no worker attached.
                     workers.lock().push(h);
-                    shared.metrics.on_replica_restarted(i);
+                    shared.revive(i);
                 }
                 Err(_) => continue,
             }
@@ -502,7 +525,7 @@ fn supervisor_loop<S: Scalar + Send + 'static>(
 /// it never takes the process (or the other replicas) down with it, and
 /// the shared queue keeps draining through the survivors. Under
 /// [`Server::start_supervised`] the retirement is what the supervisor's
-/// gauge scan picks up.
+/// scan picks up.
 fn worker_loop<S: Scalar + Send + 'static>(
     replica: usize,
     mut engine: Engine<S>,
@@ -517,7 +540,8 @@ fn worker_loop<S: Scalar + Send + 'static>(
         metrics,
         pool,
         policy,
-    } = shared;
+        ..
+    } = &shared;
     let max_batch = engine.max_batch();
     loop {
         // Phase 1: wait for the batch's first request. The receiver lock
@@ -536,7 +560,7 @@ fn worker_loop<S: Scalar + Send + 'static>(
                 Err(RecvTimeoutError::Disconnected) => return,
             }
         };
-        metrics.on_dequeue();
+        metrics.queue_depth.add(-1.0);
         let mut batch = vec![first];
         // Phase 2: straggler window — top up to max_batch or max_delay.
         // From here on the worker holds unanswered requests, so it never
@@ -557,7 +581,7 @@ fn worker_loop<S: Scalar + Send + 'static>(
             drop(guard);
             match next {
                 Ok(r) => {
-                    metrics.on_dequeue();
+                    metrics.queue_depth.add(-1.0);
                     batch.push(r);
                 }
                 Err(RecvTimeoutError::Timeout) => break,
@@ -570,7 +594,7 @@ fn worker_loop<S: Scalar + Send + 'static>(
             .into_iter()
             .partition(|r| r.deadline.is_none_or(|d| d > now));
         for r in dead {
-            metrics.on_timed_out();
+            metrics.timed_out.inc();
             r.reply.respond(Err(ServeError::TimedOut));
         }
         if live.is_empty() {
@@ -579,8 +603,10 @@ fn worker_loop<S: Scalar + Send + 'static>(
         // Phase 4: run and demux. `live` stays outside the unwind boundary
         // so a panicking engine cannot drop the reply channels — every
         // in-flight request gets an explicit error instead of a hangup.
-        let waits: Vec<Duration> = live.iter().map(|r| now - r.submitted).collect();
-        metrics.on_batch(live.len(), &waits);
+        metrics.batch_size.observe(live.len() as f64);
+        for r in &live {
+            metrics.queue_wait_us.observe(micros(r.submitted, now));
+        }
         let inputs: Vec<&[S]> = live.iter().map(|r| r.input.as_slice()).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             net::faults::hit("serve.worker").map_err(|e| ServeError::Replica(e.to_string()))?;
@@ -600,12 +626,12 @@ fn worker_loop<S: Scalar + Send + 'static>(
             Ok(Ok(outputs)) => {
                 let done = Instant::now();
                 for (r, out) in live.into_iter().zip(outputs) {
-                    metrics.on_completed(done - r.submitted);
+                    metrics.on_completed(r.submitted, done);
                     r.reply.respond(Ok(out));
                 }
             }
             Ok(Err(e)) => {
-                metrics.on_replica_error(replica);
+                metrics.replica_errors[replica].inc();
                 for r in live {
                     r.reply.respond(Err(e.clone()));
                 }
@@ -616,8 +642,8 @@ fn worker_loop<S: Scalar + Send + 'static>(
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                metrics.on_replica_error(replica);
-                metrics.on_replica_dead(replica);
+                metrics.replica_errors[replica].inc();
+                shared.retire(replica);
                 let err = ServeError::Replica(format!("replica {replica} panicked: {msg}"));
                 for r in live {
                     r.reply.respond(Err(err.clone()));
@@ -679,6 +705,60 @@ layer {
 
     fn engines(n: usize) -> Vec<Engine<f32>> {
         factory().build_n(n).unwrap()
+    }
+
+    /// The liveness state and handles of an `n`-replica server, without
+    /// the threads.
+    fn shared(n: usize) -> WorkerShared<f32> {
+        let (_tx, rx) = std::sync::mpsc::sync_channel(1);
+        WorkerShared {
+            rx: Arc::new(Mutex::new(rx)),
+            stop: Arc::new(AtomicBool::new(false)),
+            metrics: Arc::new(ServingMetrics::new(n, 4)),
+            alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
+            pool: BufferPool::new(1),
+            policy: BatchPolicy::default(),
+        }
+    }
+
+    fn dead_replicas(s: &WorkerShared<f32>) -> Vec<usize> {
+        (0..s.alive.len())
+            .filter(|&i| !s.alive[i].load(Ordering::SeqCst))
+            .collect()
+    }
+
+    #[test]
+    fn replica_health_is_tracked() {
+        let s = shared(3);
+        assert_eq!(s.metrics.report().healthy_replicas, 3);
+        s.metrics.replica_errors[1].inc();
+        s.metrics.replica_errors[1].inc();
+        s.retire(1);
+        let r = s.metrics.report();
+        assert_eq!(r.replica_errors, vec![0, 2, 0]);
+        assert_eq!(r.healthy_replicas, 2);
+        let csv = s.metrics.registry().csv();
+        assert!(csv.contains("serve.replica_1_errors,2\n"), "csv:\n{csv}");
+        assert!(
+            csv.contains("serve.healthy_replicas,2.000000\n"),
+            "csv:\n{csv}"
+        );
+    }
+
+    #[test]
+    fn restart_revives_replica_and_is_counted() {
+        let s = shared(2);
+        s.retire(0);
+        assert_eq!(dead_replicas(&s), vec![0]);
+        assert_eq!(s.metrics.report().healthy_replicas, 1);
+        s.revive(0);
+        assert_eq!(dead_replicas(&s), Vec::<usize>::new());
+        let r = s.metrics.report();
+        assert_eq!(r.healthy_replicas, 2);
+        assert_eq!(r.replica_restarts, 1);
+        let csv = s.metrics.registry().csv();
+        assert!(csv.contains("serve.replica_restarts,1\n"), "csv:\n{csv}");
+        assert!(r.to_string().contains("1 restarted"));
     }
 
     #[test]

@@ -22,13 +22,14 @@
 //! - [`Server`] — admission control (bounded queue, [`ServeError::Rejected`]
 //!   on overload), per-request deadlines ([`ServeError::TimedOut`]), one
 //!   worker thread per engine replica, and [`metrics::ServingMetrics`]
-//!   (latency percentiles, batch-size distribution, throughput, CSV).
+//!   (live `serve.*` handles: latency percentiles, batch-size
+//!   distribution, queue depth, throughput).
 //! - [`EngineFactory`] — decodes a snapshot once and stamps out replicas
 //!   whose parameter blobs share that one decoded copy (`Arc`-backed
 //!   copy-on-write inside [`blob::Blob`]), so replica count does not
 //!   multiply weight memory.
-//! - [`Server::start_supervised`] — a supervisor thread that watches the
-//!   `healthy_replicas` gauge and re-staffs dead replicas from the
+//! - [`Server::start_supervised`] — a supervisor thread that scans the
+//!   replicas' liveness flags and re-staffs dead replicas from the
 //!   factory, bounded by [`SupervisorPolicy`] restarts per time window.
 //! - [`pool::BufferPool`] / [`OutputBuf`] — recycled reply buffers; the
 //!   steady-state reply path performs no per-request allocation.

@@ -235,7 +235,7 @@ fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
     )
     .unwrap();
     let metrics = server.metrics();
-    assert_eq!(metrics.healthy_replicas(), 2);
+    assert_eq!(metrics.healthy_replicas.get(), 2.0);
 
     // Kill one replica mid-batch: the in-flight request errors, the
     // worker retires, and the gauge drops.
@@ -245,14 +245,14 @@ fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
 
     // The supervisor notices within its poll interval and re-staffs.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while metrics.healthy_replicas() < 2 {
+    while metrics.healthy_replicas.get() < 2.0 {
         assert!(
             std::time::Instant::now() < deadline,
             "supervisor did not restore healthy_replicas within 5 s"
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    assert_eq!(metrics.replica_restarts(), 1);
+    assert_eq!(metrics.replica_restarts.get(), 1);
 
     // Post-restart outputs are bit-identical to the never-killed
     // reference: the rebuilt engine adopted the same shared weight copy.
@@ -263,7 +263,10 @@ fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
     let report = server.shutdown();
     assert_eq!(report.healthy_replicas, 2);
     assert_eq!(report.replica_restarts, 1);
-    assert!(report.csv().contains("replica_restarts,1\n"));
+    assert!(metrics
+        .registry()
+        .csv()
+        .contains("serve.replica_restarts,1\n"));
 }
 
 #[test]
@@ -283,7 +286,7 @@ fn serve_worker_panic_degrades_but_does_not_kill_the_server() {
     .unwrap();
     let server = serve::Server::start(engines, serve::BatchPolicy::default()).unwrap();
     let metrics = server.metrics();
-    assert_eq!(metrics.healthy_replicas(), 2);
+    assert_eq!(metrics.healthy_replicas.get(), 2.0);
 
     // The first batch executed anywhere panics its replica mid-inference.
     arm("serve.worker", FaultMode::Panic, 0);
@@ -292,7 +295,11 @@ fn serve_worker_panic_degrades_but_does_not_kill_the_server() {
         matches!(e, serve::ServeError::Replica(_)),
         "in-flight request gets an explicit error, not a hangup: {e}"
     );
-    assert_eq!(metrics.healthy_replicas(), 1, "panicked replica retired");
+    assert_eq!(
+        metrics.healthy_replicas.get(),
+        1.0,
+        "panicked replica retired"
+    );
 
     // The surviving replica keeps serving the queue.
     for i in 0..6 {

@@ -198,11 +198,31 @@ fn distributed_observability_is_invisible_and_aggregates_per_rank() {
         );
     }
 
+    // In-process workers share this registry, so each session's delta also
+    // carries what earlier sessions folded in. A rank's fold must not nest
+    // that under a second prefix (`r1.r0.*`): the registry would multiply
+    // with every session. Other tests register names meanwhile, so the
+    // bound is relative: at most one copy per rank of each plain name.
+    let events = obs::trace::take_events();
+    dist_obs_run(4, false);
+    let names = obs::registry::global().names();
+    let ranked = |n: &str| n.starts_with("r0.") || n.starts_with("r1.");
+    let (folded, plain): (Vec<&String>, Vec<&String>) = names.iter().partition(|n| ranked(n));
+    assert!(
+        folded.iter().all(|n| !ranked(&n[3..])),
+        "a rank prefix was nested: {folded:?}"
+    );
+    assert!(
+        folded.len() <= 2 * plain.len(),
+        "{} rank-prefixed names over {} plain ones after three sessions",
+        folded.len(),
+        plain.len()
+    );
+
     // The observed run's merged trace (worker events arrived over
     // FRAME_TRACE and were injected coordinator-side) is a valid Chrome
     // trace. Per-rank pid separation is asserted in the CI smoke with real
     // spawned processes — in-process workers share the pid atomic.
-    let events = obs::trace::take_events();
     assert!(!events.is_empty(), "observed dist run produced no spans");
     assert!(
         events.iter().any(|e| e.cat == "dist"),

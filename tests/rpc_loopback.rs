@@ -37,9 +37,9 @@ layer {
 }
 "#;
 
-fn start_stack(replicas: usize, policy: BatchPolicy) -> (Server<f32>, RpcServer, obs::Registry) {
+fn factory() -> EngineFactory<f32> {
     let spec = net::NetSpec::parse(TRAIN).unwrap();
-    let factory = EngineFactory::<f32>::new(
+    EngineFactory::<f32>::new(
         &spec,
         &blob::Shape::from(vec![6usize]),
         &EngineConfig {
@@ -48,9 +48,15 @@ fn start_stack(replicas: usize, policy: BatchPolicy) -> (Server<f32>, RpcServer,
         },
         None,
     )
-    .unwrap();
-    let server = Server::start(factory.build_n(replicas).unwrap(), policy).unwrap();
+    .unwrap()
+}
+
+/// One server behind one RPC front end, their `serve.*` and `rpc.*`
+/// metrics together in a registry private to the stack.
+fn start_stack(replicas: usize, policy: BatchPolicy) -> (Server<f32>, RpcServer, obs::Registry) {
+    let server = Server::start(factory().build_n(replicas).unwrap(), policy).unwrap();
     let reg = obs::Registry::new();
+    reg.adopt(server.metrics().registry());
     let rpc = RpcServer::start(
         "127.0.0.1:0",
         server.client(),
@@ -178,41 +184,30 @@ fn queue_pressure_rejections_propagate_over_the_wire() {
 
 #[test]
 fn live_stats_scrape_is_invisible_to_inflight_requests() {
-    // `FRAME_STATS` answers from the process-global registry (where `cgdnn
-    // serve` publishes), so this stack registers its metrics there too.
-    let spec = net::NetSpec::parse(TRAIN).unwrap();
-    let factory = EngineFactory::<f32>::new(
-        &spec,
-        &blob::Shape::from(vec![6usize]),
-        &EngineConfig {
-            max_batch: 4,
-            n_threads: 1,
-        },
-        None,
-    )
-    .unwrap();
-    let server = Server::start(factory.build_n(1).unwrap(), BatchPolicy::default()).unwrap();
-    let rpc = RpcServer::start(
-        "127.0.0.1:0",
-        server.client(),
-        server.output_len(),
-        RpcConfig::default(),
-        obs::registry::global(),
-    )
-    .unwrap();
-    let addr = rpc.local_addr();
+    // In-process baselines from a server of their own, so every request
+    // the stack's batcher completes arrived over its wire.
+    let baseline = Server::start(factory().build_n(1).unwrap(), BatchPolicy::default()).unwrap();
     let baselines: Vec<Vec<u32>> = (0..16)
-        .map(|i| bits(&server.infer(&sample(i)).unwrap()))
+        .map(|i| bits(&baseline.infer(&sample(i)).unwrap()))
         .collect();
+    baseline.shutdown();
+    let (server, rpc, _reg) = start_stack(1, BatchPolicy::default());
+    let addr = rpc.local_addr();
 
     // Scrape the live registry repeatedly while an inference stream is in
     // flight on the same event loop: every response must stay bit-identical
-    // to the in-process baseline, and every scrape must parse.
+    // to the in-process baseline, and every scrape must parse and carry the
+    // batcher's live `serve.*` series beside `rpc.*`. The stream signals
+    // after its first round and keeps going until the scrapes are done, so
+    // each scrape below is taken mid-stream.
+    let (first_round, started) = std::sync::mpsc::channel();
+    let scraped = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
-        let baselines = &baselines;
+        let (baselines, scraped) = (&baselines, &scraped);
         let infer = s.spawn(move || {
             let mut client = RpcClient::connect(addr).unwrap();
-            for round in 0..4 {
+            let mut round = 0;
+            while round < 4 || !scraped.load(std::sync::atomic::Ordering::SeqCst) {
                 for (i, want) in baselines.iter().enumerate() {
                     let got = client.infer(&sample(i)).unwrap();
                     assert_eq!(
@@ -221,22 +216,41 @@ fn live_stats_scrape_is_invisible_to_inflight_requests() {
                         "round {round} sample {i} diverged under live stats scrape"
                     );
                 }
+                round += 1;
+                let _ = first_round.send(());
             }
         });
+        started.recv().unwrap();
         for _ in 0..8 {
             let snap = rpc::fetch_stats(addr, Duration::from_secs(10)).unwrap();
-            assert!(!snap.is_empty(), "live snapshot carried no metrics");
+            assert!(counter(&snap, "serve.completed") > 0);
+            match snap.get("serve.queue_wait_us") {
+                Some(obs::MetricValue::Summary { count, .. }) => assert!(*count > 0),
+                other => panic!("serve.queue_wait_us missing or mistyped: {other:?}"),
+            }
+            match snap.get("serve.batch_size") {
+                Some(obs::MetricValue::Histogram { count, .. }) => assert!(*count > 0),
+                other => panic!("serve.batch_size missing or mistyped: {other:?}"),
+            }
+            assert_eq!(
+                snap.get("serve.healthy_replicas"),
+                Some(&obs::MetricValue::Gauge(1.0))
+            );
         }
+        scraped.store(true, std::sync::atomic::Ordering::SeqCst);
         infer.join().unwrap();
     });
 
     let snap = rpc::fetch_stats(addr, Duration::from_secs(10)).unwrap();
-    match snap.get("rpc.frames_total") {
-        Some(obs::MetricValue::Counter(n)) => {
-            assert!(*n > 0, "event loop served frames but counted none")
-        }
-        other => panic!("rpc.frames_total missing or mistyped: {other:?}"),
-    }
+    assert!(
+        counter(&snap, "rpc.frames_total") > 0,
+        "event loop served frames but counted none"
+    );
+    // A private registry: the batcher answered exactly what the wire asked.
+    assert_eq!(
+        counter(&snap, "serve.completed"),
+        counter(&snap, "rpc.completed")
+    );
     // The JSON rendering of the scraped snapshot is strict JSON with the
     // scraped counter visible — what `cgdnn stats --connect --json` prints.
     let v = obs::json::parse(&snap.json()).expect("snapshot json parses");
@@ -246,6 +260,14 @@ fn live_stats_scrape_is_invisible_to_inflight_requests() {
     );
     rpc.shutdown();
     server.shutdown();
+}
+
+/// The counter `name` of a scraped snapshot.
+fn counter(snap: &obs::Snapshot, name: &str) -> u64 {
+    match snap.get(name) {
+        Some(obs::MetricValue::Counter(n)) => *n,
+        other => panic!("{name} missing or mistyped: {other:?}"),
+    }
 }
 
 /// One raw frame exchange on an already-handshaken socket.

@@ -157,6 +157,33 @@ fn deadline_expiry_is_reported_per_request() {
     assert_eq!(report.timed_out, 1);
 }
 
+/// Each server keeps handles of its own, so two servers alive in one
+/// process count apart, and adopting one server's handles into a shared
+/// registry exposes the live values as the same handles: no copy to
+/// repeat, nothing to double.
+#[test]
+fn two_servers_in_one_process_count_apart() {
+    let snap = trained_snapshot();
+    let s = request_samples(1).remove(0);
+    let a = Server::start(build_engines(1, &snap), BatchPolicy::default()).unwrap();
+    let b = Server::start(build_engines(1, &snap), BatchPolicy::default()).unwrap();
+    let reg = obs::Registry::new();
+    reg.adopt(a.metrics().registry());
+    reg.adopt(a.metrics().registry());
+    for _ in 0..3 {
+        a.infer(&s).unwrap();
+    }
+    for _ in 0..5 {
+        b.infer(&s).unwrap();
+    }
+    assert_eq!(a.metrics().report().completed, 3);
+    assert_eq!(b.metrics().report().completed, 5);
+    assert_eq!(reg.counter("serve.completed").get(), 3);
+    assert_eq!(reg.summary("serve.queue_wait_us").count(), 3);
+    assert_eq!(a.shutdown().completed, 3);
+    assert_eq!(b.shutdown().completed, 5);
+}
+
 /// A plan exercising every strategy kind `train_net` supports: channel /
 /// output splits wherever a layer has one, replication elsewhere.
 fn split_plan(train_net: &Net<f32>) -> cgdnn::plan::Plan {

@@ -31,40 +31,21 @@ fn lenet_snapshot() -> Vec<u8> {
     buf
 }
 
-fn drive(server: &Server<f32>, requests: usize, clients: usize) -> (u64, u64) {
+/// `requests` LeNet-shaped samples through `clients` closed-loop clients;
+/// returns (answered, failed).
+fn drive(server: &Server<f32>, requests: usize, clients: usize) -> (usize, usize) {
     use layers::data::BatchSource;
     let source = datasets::SyntheticMnist::new(512, 11);
     let n_samples = BatchSource::<f32>::num_samples(&source);
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let client = server.client();
-            let quota = requests / clients + usize::from(c < requests % clients);
-            let inputs: Vec<Vec<f32>> = (0..quota)
-                .map(|i| {
-                    let mut s = vec![0.0f32; SAMPLE];
-                    source.fill((c + i * clients) % n_samples, &mut s);
-                    s
-                })
-                .collect();
-            std::thread::spawn(move || {
-                let (mut ok, mut err) = (0u64, 0u64);
-                for s in &inputs {
-                    match client.infer(s) {
-                        Ok(_) => ok += 1,
-                        Err(_) => err += 1,
-                    }
-                }
-                (ok, err)
-            })
+    let inputs = (0..requests)
+        .map(|i| {
+            let mut s = vec![0.0f32; SAMPLE];
+            source.fill(i % n_samples, &mut s);
+            s
         })
         .collect();
-    let mut totals = (0u64, 0u64);
-    for h in handles {
-        let (a, b) = h.join().expect("client thread");
-        totals.0 += a;
-        totals.1 += b;
-    }
-    totals
+    let ok = server.drive(inputs, clients, None);
+    (ok, requests - ok)
 }
 
 fn run_config(

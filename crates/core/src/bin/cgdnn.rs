@@ -1,176 +1,180 @@
 //! `cgdnn` — command-line front end (the `caffe` binary equivalent).
 //!
-//! ```text
-//! cgdnn summary  <spec.prototxt> [--data KIND]
-//! cgdnn train    <spec.prototxt> [--data KIND] [--threads N] [--iters N]
-//!                [--lr X] [--solver sgd|nesterov|adagrad]
-//!                [--reduction ordered|canonical[:G]|unordered]
-//!                [--snapshot FILE] [--weights FILE] [--loss-log FILE]
-//!                [--snapshot-every K] [--resume DIR] [--snapshot-dir DIR]
-//!                [--keep N] [--keep-epoch-every N]
-//!                [--profile] [--profile-csv FILE] [--trace FILE]
-//!                [--trace-stream FILE] [--metrics FILE]
-//! cgdnn train    <spec.prototxt> --coordinator ADDR --workers N ...
-//!                                      # distributed: spawn + coordinate
-//! cgdnn train    <spec.prototxt> --worker-connect ADDR --rank R --workers N
-//!                                      # distributed: one worker process
-//! cgdnn infer    <spec.prototxt> [--weights FILE] [--replicas N] ...
-//!                [--listen ADDR]      # serve over TCP instead of in-process
-//! cgdnn load     --connect ADDR [--clients N] [--requests M] [--fuzz K]
-//!                [--drain-server]     # wire load generator (E17)
-//! cgdnn stats    --connect ADDR [--watch SECS] [--csv|--json]
-//!                                      # live metrics scrape of any
-//!                                      # serving / coordinating process
-//! cgdnn simulate <spec.prototxt> [--data KIND]
-//! cgdnn plan     <spec.prototxt> [--data KIND] [--threads N] [--beam B]
-//!                [--model xeon|scaled:SxC] [--profile-csv FILE]
-//!                [--out FILE] [--json FILE]
-//!                                      # search per-layer parallelism
-//!                                      # strategies; execute the emitted
-//!                                      # .plan with train/infer --plan
-//! ```
-//!
-//! `KIND` is `synthetic-mnist` (default), `synthetic-cifar`, or
-//! `idx:<images>,<labels>` / `cifar-bin:<file>` for real data.
+//! Every flag is one row of the table in `cgdnn::cli`: it parses the
+//! command line, rejects flags a subcommand does not take, supplies the
+//! defaults, and is what `cgdnn --help` / `cgdnn <subcommand> --help` print.
 
-use cgdnn::checkpoint::{train_with_checkpoints, CheckpointDir, GuardConfig};
-use cgdnn::cli::{make_source, Args};
+use cgdnn::cli::{self, make_source, Args};
 use cgdnn::observe;
 use cgdnn::prelude::*;
 use machine::report::NetworkSim;
-use std::fs::File;
+use std::net::SocketAddr;
 use std::path::Path;
-use std::process::ExitCode;
+use std::process::{Child, Command, ExitCode, Stdio};
+use std::time::{Duration, Instant};
 
-/// Start span collection when `--trace` was given (drains any stale
-/// buffered events first so the written file covers only this run).
-/// `--trace-limit N` bounds retained events per thread; beyond it the
-/// oldest are overwritten and counted in the flushed `dropped_events`.
-fn start_tracing(args: &Args) -> Result<(), String> {
-    obs::trace::set_event_limit(args.get_parse("trace-limit", obs::trace::MAX_EVENTS_PER_THREAD)?);
-    if args.get("trace").is_some() && args.get("trace-stream").is_some() {
-        return Err("--trace and --trace-stream are mutually exclusive".into());
-    }
-    if let Some(path) = args.get("trace-stream") {
-        // Streaming mode: events go to disk as they finish instead of
-        // accumulating in memory; any stale buffered events are discarded
-        // first so the file covers only this run.
-        let _ = obs::trace::take_events();
-        obs::trace::stream_open(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        obs::trace::set_enabled(true);
-    } else if args.get("trace").is_some() {
-        obs::trace::set_enabled(true);
-        let _ = obs::trace::take_events();
+/// Write `bytes` to `path` atomically (temp + fsync + rename), so a reader
+/// never sees half a file.
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
+    net::write_atomic(Path::new(path), bytes).map_err(|e| format!("{path}: {e}"))
+}
+
+/// When `--flag FILE` was given, write `bytes()` there and say so.
+fn write_flag(
+    args: &Args,
+    flag: &str,
+    what: &str,
+    bytes: impl FnOnce() -> Result<Vec<u8>, String>,
+) -> Result<(), String> {
+    if let Some(path) = args.get(flag) {
+        write_file(path, &bytes()?)?;
+        println!("{what} written to {path}");
     }
     Ok(())
 }
 
-/// Stop tracing and collect the run's events (`None` without `--trace`;
-/// streamed runs buffer nothing, so they also yield `None`).
-fn finish_tracing(args: &Args) -> Option<Vec<obs::Event>> {
-    if args.get("trace-stream").is_some() {
-        obs::trace::set_enabled(false);
-        return None;
+/// Start span collection for `--trace FILE` (buffered) or `--trace-stream
+/// FILE` (each span written as it finishes); stale buffered events are
+/// dropped so the output covers only this run. `--trace-limit N` bounds the
+/// events a thread retains: beyond it the oldest are overwritten and
+/// counted in the trace's `dropped_events`.
+fn start_tracing(args: &Args) -> Result<(), String> {
+    obs::trace::set_event_limit(args.get_parse("trace-limit")?);
+    if args.has("trace") && args.has("trace-stream") {
+        return Err("--trace and --trace-stream are mutually exclusive".into());
     }
-    args.get("trace").map(|_| {
-        obs::trace::set_enabled(false);
-        obs::trace::take_events()
-    })
+    let _ = obs::trace::take_events();
+    if let Some(path) = args.get("trace-stream") {
+        obs::trace::stream_open(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    }
+    obs::trace::set_enabled(args.has("trace") || args.has("trace-stream"));
+    Ok(())
 }
 
-/// Write the collected trace (`--trace FILE`), terminate a streamed trace
-/// (`--trace-stream FILE`), and dump the global metrics registry
-/// (`--metrics FILE`, `-` for stdout).
+/// Stop tracing and collect a `--trace` run's events (`None` otherwise:
+/// streamed runs buffer nothing).
+fn finish_tracing(args: &Args) -> Option<Vec<obs::Event>> {
+    obs::trace::set_enabled(false);
+    args.has("trace").then(obs::trace::take_events)
+}
+
+/// Close a `--trace-stream`, write the `--trace` events, and dump the
+/// global metrics registry to `--metrics FILE` (`-` for stdout).
 fn write_observability(args: &Args, events: Option<&[obs::Event]>) -> Result<(), String> {
+    let dropped = obs::trace::dropped_events();
     if let Some(path) = args.get("trace-stream") {
-        let dropped = obs::trace::dropped_events();
         let n = obs::trace::stream_close(dropped).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "trace streamed to {path} ({n} events{})",
-            if dropped > 0 {
-                format!(", {dropped} write failures dropped")
-            } else {
-                String::new()
-            }
-        );
+        println!("trace streamed to {path} ({n} events, {dropped} write failures dropped)");
     }
     if let (Some(path), Some(events)) = (args.get("trace"), events) {
-        let dropped = obs::trace::dropped_events();
         let mut buf = Vec::new();
         obs::trace::write_chrome_trace_with_dropped(&mut buf, events, dropped)
             .map_err(|e| format!("trace encode: {e}"))?;
-        net::write_atomic(Path::new(path), &buf).map_err(|e| format!("{path}: {e}"))?;
+        write_file(path, &buf)?;
         println!(
-            "trace written to {path} ({} events{})",
-            events.len(),
-            if dropped > 0 {
-                format!(", {dropped} oldest dropped at the event limit")
-            } else {
-                String::new()
-            }
+            "trace written to {path} ({} events, {dropped} oldest dropped at the event limit)",
+            events.len()
         );
     }
-    if let Some(path) = args.get("metrics") {
-        let csv = obs::registry::global().csv();
-        if path == "-" {
-            print!("{csv}");
-        } else {
-            net::write_atomic(Path::new(path), csv.as_bytes())
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("metrics written to {path}");
-        }
+    match args.get("metrics") {
+        Some("-") => print!("{}", obs::registry::global().csv()),
+        _ => write_flag(args, "metrics", "metrics", || {
+            Ok(obs::registry::global().csv().into_bytes())
+        })?,
     }
     Ok(())
 }
 
-/// Periodic `--metrics FILE` rewrite during a long run
-/// (`--metrics-every SECS`): each flush replaces the file atomically via
-/// [`net::write_atomic`], so a scraper tailing it never reads a torn CSV.
-/// Idle (every tick a no-op) unless both flags are present.
-struct MetricsFlusher {
-    path: Option<String>,
-    every: std::time::Duration,
-    last: std::time::Instant,
+/// The `--metrics-every SECS` tick: once the interval has passed, rewrite
+/// `--metrics FILE` atomically, so a scraper tailing it never reads a torn
+/// CSV; a no-op without the flag. A failed write is reported, never fatal —
+/// the flush is telemetry, not state.
+fn metrics_flusher(args: &Args) -> Result<impl FnMut(), String> {
+    let every = args.parse_opt::<f64>("metrics-every")?.filter(|s| *s > 0.0);
+    let path = every.and(args.get("metrics")).map(String::from);
+    let every = Duration::from_secs_f64(every.unwrap_or(0.0).max(1e-3));
+    let mut last = Instant::now();
+    Ok(move || match &path {
+        Some(path) if last.elapsed() >= every => {
+            last = Instant::now();
+            if let Err(e) = write_file(path, obs::registry::global().csv().as_bytes()) {
+                eprintln!("warning: periodic metrics flush failed: {e}");
+            }
+        }
+        _ => {}
+    })
 }
 
-impl MetricsFlusher {
-    fn from_args(args: &Args) -> Result<Self, String> {
-        let every_secs: f64 = args.get_parse("metrics-every", 0.0)?;
-        let path = (every_secs > 0.0)
-            .then(|| args.get("metrics").filter(|p| *p != "-"))
-            .flatten()
-            .map(String::from);
+/// Per-step progress shared by every training path: the `--loss-log` line,
+/// a printed line every `target / 20` iterations and at the target, and the
+/// `--metrics-every` rewrite.
+struct Progress {
+    lines: Vec<String>,
+    every: u64,
+    target: u64,
+    flush_metrics: Box<dyn FnMut()>,
+}
+
+impl Progress {
+    fn new(args: &Args, target: usize) -> Result<Self, String> {
         Ok(Self {
-            path,
-            every: std::time::Duration::from_secs_f64(every_secs.max(1e-3)),
-            last: std::time::Instant::now(),
+            lines: Vec::new(),
+            every: (target / 20).max(1) as u64,
+            target: target as u64,
+            flush_metrics: Box::new(metrics_flusher(args)?),
         })
     }
 
-    /// Rewrite the file if the interval has elapsed. Write failures are
-    /// reported once per occurrence but never interrupt the run — the
-    /// flusher is telemetry, not state.
-    fn tick(&mut self) {
-        let Some(path) = &self.path else { return };
-        if self.last.elapsed() < self.every {
-            return;
+    /// `{:.8e}` prints 9 significant digits, which round-trips an `f32`
+    /// loss exactly: logs of bit-identical runs compare equal with `cmp`.
+    fn step(&mut self, it: u64, loss: f64) {
+        self.lines.push(format!("{it} {loss:.8e}"));
+        if it.is_multiple_of(self.every) || it == self.target {
+            println!("iter {it:>6}  loss {loss:.8e}");
         }
-        self.last = std::time::Instant::now();
-        let csv = obs::registry::global().csv();
-        if let Err(e) = net::write_atomic(Path::new(path), csv.as_bytes()) {
-            eprintln!("warning: periodic metrics flush to {path} failed: {e}");
-        }
+        (self.flush_metrics)();
     }
 }
 
-fn load_net(args: &Args) -> Result<Net<f32>, String> {
-    let spec_path = args
+/// Write a finished training run's `--loss-log` (one `<iteration> <loss>`
+/// line per step) and `--snapshot`.
+fn write_run(args: &Args, net: &Net<f32>, progress: &Progress) -> Result<(), String> {
+    write_flag(args, "loss-log", "loss log", || {
+        Ok((progress.lines.join("\n") + "\n").into_bytes())
+    })?;
+    write_flag(args, "snapshot", "snapshot", || {
+        let mut bytes = Vec::new();
+        net::save_params(net, &mut bytes).map_err(|e| e.to_string())?;
+        Ok(bytes)
+    })
+}
+
+/// The `<spec.prototxt>` argument, parsed, and the `--data` source.
+fn load_spec(args: &Args) -> Result<(NetSpec, Box<dyn BatchSource<f32>>), String> {
+    let path = args
         .positional
-        .get(1)
+        .first()
         .ok_or("missing <spec.prototxt> argument")?;
-    let text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let spec = NetSpec::parse(&text).map_err(|e| e.to_string())?;
-    let source = make_source(args.get("data").unwrap_or("synthetic-mnist"))?;
+    Ok((spec, make_source(args.get("data").unwrap_or_default())?))
+}
+
+/// The first `n` samples of `source` (cycling), materialized: a
+/// `BatchSource` is `Send` but not `Sync`, so load clients get copies.
+fn samples(source: &dyn BatchSource<f32>, n: usize) -> Vec<Vec<f32>> {
+    let len = source.sample_shape().count();
+    (0..n)
+        .map(|i| {
+            let mut sample = vec![0.0; len];
+            source.fill(i % source.num_samples(), &mut sample);
+            sample
+        })
+        .collect()
+}
+
+fn load_net(args: &Args) -> Result<Net<f32>, String> {
+    let (spec, source) = load_spec(args)?;
     Net::from_spec(&spec, Some(source)).map_err(|e| e.to_string())
 }
 
@@ -182,124 +186,91 @@ fn cmd_summary(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `--solver` flag to solver type.
-fn parse_solver(args: &Args) -> Result<SolverType, String> {
-    match args.get("solver").unwrap_or("sgd") {
-        "sgd" => Ok(SolverType::Sgd),
-        "nesterov" => Ok(SolverType::Nesterov),
-        "adagrad" => Ok(SolverType::AdaGrad),
-        other => Err(format!("unknown solver '{other}'")),
-    }
+/// `--lr` and `--solver` over the LeNet solver defaults.
+fn solver_config(args: &Args) -> Result<SolverConfig, String> {
+    let solver_type = match args.get("solver").unwrap_or_default() {
+        "sgd" => SolverType::Sgd,
+        "nesterov" => SolverType::Nesterov,
+        "adagrad" => SolverType::AdaGrad,
+        other => return Err(format!("unknown solver '{other}'")),
+    };
+    Ok(SolverConfig {
+        base_lr: args.get_parse("lr")?,
+        solver_type,
+        ..SolverConfig::lenet()
+    })
 }
 
 /// `--reduction` flag to reduction mode; `canonical:G` pins the canonical
 /// group count (the knob that makes a single process reproduce a G-worker
 /// distributed run bit-for-bit — see DESIGN.md).
 fn parse_reduction(s: &str) -> Result<ReductionMode, String> {
-    if let Some(g) = s.strip_prefix("canonical:") {
-        let groups: usize = g
-            .parse()
-            .map_err(|_| format!("bad canonical group count '{g}'"))?;
-        if groups == 0 {
-            return Err("canonical group count must be >= 1".into());
+    let groups = s.strip_prefix("canonical:").map(str::parse::<usize>);
+    Ok(match (s, groups) {
+        ("ordered", _) => ReductionMode::Ordered,
+        ("canonical", _) => ReductionMode::Canonical { groups: 16 },
+        ("unordered", _) => ReductionMode::Unordered,
+        (_, Some(Ok(groups))) if groups > 0 => ReductionMode::Canonical { groups },
+        _ => {
+            return Err(format!(
+                "unknown reduction '{s}' (canonical:G needs G >= 1)"
+            ))
         }
-        return Ok(ReductionMode::Canonical { groups });
-    }
-    match s {
-        "ordered" => Ok(ReductionMode::Ordered),
-        "canonical" => Ok(ReductionMode::Canonical { groups: 16 }),
-        "unordered" => Ok(ReductionMode::Unordered),
-        other => Err(format!("unknown reduction '{other}'")),
-    }
+    })
 }
 
-/// Write the `--loss-log` file: one `<iteration> <loss:.8e>` line per
-/// step. 9 significant digits round-trip f32 exactly, so two logs from
-/// bit-identical runs compare equal with `cmp`.
-fn write_loss_log(args: &Args, lines: &[String]) -> Result<(), String> {
-    if let Some(path) = args.get("loss-log") {
-        let mut body = lines.join("\n");
-        body.push('\n');
-        net::write_atomic(Path::new(path), body.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
-        println!("loss log written to {path} ({} steps)", lines.len());
-    }
-    Ok(())
+/// Load the `--plan FILE` schedule, if any, and publish it.
+fn load_plan(args: &Args) -> Result<Option<plan::Plan>, String> {
+    let Some(path) = args.get("plan") else {
+        return Ok(None);
+    };
+    let p = plan::Plan::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    publish_plan_metrics(&p);
+    println!(
+        "plan {path}: {} layer(s), {} non-sample-split",
+        p.entries.len(),
+        p.non_sample_layers()
+    );
+    Ok(Some(p))
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
-    // Distributed data-parallel modes divert before the in-process
-    // trainer is built: the coordinator owns the solver, workers own
-    // only their shard's compute.
-    if args.get("worker-connect").is_some() {
-        return cmd_train_worker(args);
-    }
-    if args.get("coordinator").is_some() {
-        return cmd_train_coordinator(args);
-    }
     let mut net = load_net(args)?;
     if let Some(w) = args.get("weights") {
-        net::load_params(&mut net, File::open(w).map_err(|e| format!("{w}: {e}"))?)
-            .map_err(|e| e.to_string())?;
+        let file = std::fs::File::open(w).map_err(|e| format!("{w}: {e}"))?;
+        net::load_params(&mut net, file).map_err(|e| e.to_string())?;
         println!("initialized from {w}");
     }
     // A plan only changes where forward work runs, never what is computed,
     // so the trajectory below is bit-identical with or without it.
-    if let Some(path) = args.get("plan") {
-        let p = plan::Plan::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        plan::apply_to_net(&p, &mut net).map_err(|e| format!("{path}: {e}"))?;
-        publish_plan_metrics(&p);
-        println!(
-            "plan {path}: {} layer(s), {} non-sample-split",
-            p.entries.len(),
-            p.non_sample_layers()
-        );
+    if let Some(p) = load_plan(args)? {
+        plan::apply_to_net(&p, &mut net).map_err(|e| format!("--plan: {e}"))?;
     }
-    let threads: usize = args.get_parse("threads", 4)?;
-    let iters: usize = args.get_parse("iters", 100)?;
-    let lr: f64 = args.get_parse("lr", 0.01)?;
-    let solver_type = parse_solver(args)?;
-    let reduction = parse_reduction(args.get("reduction").unwrap_or("ordered"))?;
-    let snapshot_every: usize = args.get_parse("snapshot-every", 0)?;
-    let resume_dir = args.get("resume");
-    let keep: usize = args.get_parse("keep", 3)?;
-    let guard_factor: f64 = args.get_parse("guard-factor", 4.0)?;
-    let guard_window: usize = args.get_parse("guard-window", 8)?;
-    let guard_lr_drop: f64 = args.get_parse("guard-lr-drop", 0.5)?;
-    let max_rollbacks: usize = args.get_parse("max-rollbacks", 3)?;
-
-    let mut trainer = CoarseGrainTrainer::new(
-        net,
-        SolverConfig {
-            base_lr: lr,
-            solver_type,
-            ..SolverConfig::lenet()
-        },
-        threads,
-    )
-    .with_reduction(reduction);
+    let threads: usize = args.get_parse("threads")?;
+    let iters: usize = args.get_parse("iters")?;
+    let cfg = solver_config(args)?;
+    let reduction = parse_reduction(args.get("reduction").unwrap_or_default())?;
+    let run = format!(
+        "on {threads} threads ({:?}, lr {}, {reduction:?})",
+        cfg.solver_type, cfg.base_lr
+    );
+    let mut trainer = CoarseGrainTrainer::new(net, cfg, threads).with_reduction(reduction);
     if args.has("profile") {
         trainer.enable_profiling();
     }
     start_tracing(args)?;
-    let mut flusher = MetricsFlusher::from_args(args)?;
+    let mut progress = Progress::new(args, iters)?;
 
-    let mut loss_lines: Vec<String> = Vec::new();
-    let fault_tolerant = snapshot_every > 0 || resume_dir.is_some();
-    if fault_tolerant {
+    let snapshot_every: usize = args.get_parse("snapshot-every")?;
+    let resume = args.get("resume");
+    if snapshot_every > 0 || resume.is_some() {
         // Checkpointed path: crash-safe snapshots + divergence rollback.
         // `--iters` is the absolute target, so a resumed run finishes the
         // remaining work instead of training N more.
-        let dir_path = args
-            .get("snapshot-dir")
-            .or(resume_dir)
-            .unwrap_or("checkpoints");
-        let keep_epoch_every: usize = args.get_parse("keep-epoch-every", 0)?;
-        let keep_bytes: u64 = args.get_parse("keep-bytes", 0)?;
-        let dir = CheckpointDir::new(dir_path)
-            .with_keep(keep)
-            .with_keep_bytes(keep_bytes)
-            .with_keep_epoch_every(keep_epoch_every);
-        if resume_dir.is_some() {
+        let dir_path = args.get("snapshot-dir").or(resume).unwrap_or("checkpoints");
+        let keep: usize = args.get_parse("keep")?;
+        let dir = CheckpointDir::new(dir_path).with_keep(keep);
+        if resume.is_some() {
             let outcome = dir.resume_latest(&mut trainer).map_err(|e| e.to_string())?;
             for (p, why) in &outcome.skipped {
                 eprintln!("warning: skipped corrupt checkpoint {}: {why}", p.display());
@@ -310,107 +281,70 @@ fn cmd_train(args: &Args) -> Result<(), String> {
                 outcome.iteration
             );
         }
-        let target = iters as u64;
         let done = trainer.solver().iteration();
-        let remaining = target.saturating_sub(done) as usize;
+        let remaining = (iters as u64).saturating_sub(done) as usize;
         if remaining == 0 {
-            println!("nothing to train: already at iteration {done} (target {target})");
+            println!("nothing to train: already at iteration {done} (target {iters})");
             return Ok(());
         }
-        let guard = (guard_factor > 0.0).then_some(GuardConfig {
-            window: guard_window,
-            factor: guard_factor,
-            lr_drop: guard_lr_drop,
-            max_rollbacks,
-        });
+        let guard_factor: f64 = args.get_parse("guard-factor")?;
+        let guard = if guard_factor > 0.0 {
+            Some(GuardConfig {
+                window: args.get_parse("guard-window")?,
+                factor: guard_factor,
+                lr_drop: args.get_parse("guard-lr-drop")?,
+                max_rollbacks: args.get_parse("max-rollbacks")?,
+            })
+        } else {
+            None
+        };
         println!(
-            "training iterations {}..{target} on {threads} threads ({solver_type:?}, lr {lr}, \
-             {reduction:?}), checkpoints in {dir_path} (every {snapshot_every}, keep {keep})",
+            "training iterations {}..{iters} {run}, checkpoints in {dir_path} \
+             (every {snapshot_every}, keep {keep})",
             done + 1
         );
-        let every = (iters / 20).max(1) as u64;
-        // `{:.8e}` prints 9 significant digits — enough to round-trip f32
-        // losses exactly, so resumed logs can be compared bitwise.
         let report = train_with_checkpoints(
             &mut trainer,
             remaining,
             &dir,
             snapshot_every,
             guard,
-            |it, loss| {
-                loss_lines.push(format!("{it} {loss:.8e}"));
-                if it % every == 0 || it == target {
-                    println!("iter {it:>6}  loss {loss:.8e}");
-                }
-                flusher.tick();
-            },
+            |it, l| progress.step(it, l),
         )
         .map_err(|e| e.to_string())?;
         if report.rollbacks > 0 {
             println!(
-                "{} divergence rollback(s); see {}/training.log",
-                report.rollbacks, dir_path
+                "{} divergence rollback(s); see {dir_path}/training.log",
+                report.rollbacks
             );
         }
     } else {
-        println!(
-            "training {iters} iterations on {threads} threads ({solver_type:?}, lr {lr}, \
-             {reduction:?})"
-        );
-        let every = (iters / 20).max(1);
-        for i in 0..iters {
+        println!("training {iters} iterations {run}");
+        for it in 1..=iters as u64 {
             let loss = trainer.step();
-            loss_lines.push(format!("{} {loss:.8e}", i + 1));
-            if i % every == 0 || i + 1 == iters {
-                println!("iter {:>6}  loss {loss:.5}", i + 1);
-            }
-            flusher.tick();
+            progress.step(it, loss.into());
             if !loss.is_finite() {
                 return Err(format!(
-                    "diverged at iteration {i}; rerun with --snapshot-every to get \
+                    "diverged at iteration {it}; rerun with --snapshot-every to get \
                      rollback instead of a dead run"
                 ));
             }
         }
     }
-    write_loss_log(args, &loss_lines)?;
-    if let Some(path) = args.get("snapshot") {
-        let mut bytes = Vec::new();
-        net::save_params(trainer.net(), &mut bytes).map_err(|e| e.to_string())?;
-        net::write_atomic(Path::new(path), &bytes).map_err(|e| format!("{path}: {e}"))?;
-        println!("snapshot written to {path}");
-    }
+    write_run(args, trainer.net(), &progress)?;
 
     let events = finish_tracing(args);
     if let Some(profile) = trainer.profile() {
         print!("{}", profile.table());
         let analytic = observe::analytic_imbalance(&trainer.net().profiles(), threads);
         let measured = events.as_deref().and_then(observe::measured_imbalance);
-        print!(
-            "{}",
-            observe::imbalance_comparison(measured.as_ref(), &analytic)
-        );
-        if let Some(path) = args.get("profile-csv") {
-            net::write_atomic(Path::new(path), profile.csv().as_bytes())
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("profile written to {path}");
-        }
+        let comparison = observe::imbalance_comparison(measured.as_ref(), &analytic);
+        print!("{comparison}");
+        write_flag(args, "profile-csv", "profile", || {
+            Ok(profile.csv().into_bytes())
+        })?;
     }
-    write_observability(args, events.as_deref())?;
-    Ok(())
-}
-
-/// Spec path + parsed spec + data kind — shared by both distributed roles.
-fn load_spec(args: &Args) -> Result<(String, NetSpec, String), String> {
-    let spec_path = args
-        .positional
-        .get(1)
-        .ok_or("missing <spec.prototxt> argument")?
-        .clone();
-    let text = std::fs::read_to_string(&spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let spec = NetSpec::parse(&text).map_err(|e| e.to_string())?;
-    let data_kind = args.get("data").unwrap_or("synthetic-mnist").to_string();
-    Ok((spec_path, spec, data_kind))
+    write_observability(args, events.as_deref())
 }
 
 /// The spec's `Data` layer batch size — the distributed *effective* batch.
@@ -423,10 +357,9 @@ fn spec_batch(spec: &NetSpec) -> Result<usize, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Build rank `rank`'s worker net: the spec with its Data batch rewritten
-/// to the local shard size, over that rank's [`datasets::ShardedSource`] —
-/// the exact net a worker process runs, shared by the worker command and
-/// the coordinator's elastic recompute hook.
+/// Rank `rank`'s worker net — the spec's Data batch cut to the local shard
+/// over that rank's [`datasets::ShardedSource`] — for the worker command and
+/// the coordinator's elastic recompute alike.
 fn build_shard_net(
     spec: &NetSpec,
     data_kind: &str,
@@ -434,25 +367,19 @@ fn build_shard_net(
     world: usize,
 ) -> Result<Net<f32>, String> {
     let effective_batch = spec_batch(spec)?;
-    let local_batch = effective_batch / world;
     let mut spec = spec.clone();
-    let data_layer = spec
-        .layers
-        .iter_mut()
-        .find(|l| l.layer_type == "Data")
-        .expect("checked by spec_batch");
-    data_layer
-        .params
-        .insert("batch".to_string(), local_batch.to_string());
-    let source = make_source(data_kind)?;
-    let sharded = datasets::ShardedSource::new(source, rank, world, effective_batch);
+    if let Some(data) = spec.layers.iter_mut().find(|l| l.layer_type == "Data") {
+        let local_batch = effective_batch / world;
+        data.params.insert("batch".into(), local_batch.to_string());
+    }
+    let sharded =
+        datasets::ShardedSource::new(make_source(data_kind)?, rank, world, effective_batch);
     Net::from_spec(&spec, Some(Box::new(sharded))).map_err(|e| e.to_string())
 }
 
-/// The coordinator's [`dist::ElasticHooks`]: shard nets come from the same
-/// spec rewrite the worker command performs, respawns re-run this binary
-/// in `--worker-connect --rejoin` mode. Respawned children join the reap
-/// list so teardown still waits on (or kills) every process we created.
+/// The coordinator's worker processes — this binary in `--worker-connect`
+/// mode, first spawn or respawn — and its [`dist::ElasticHooks`]. `children`
+/// is the reap list: teardown waits on (or kills) every process created.
 struct CliHooks {
     exe: std::path::PathBuf,
     spec_path: String,
@@ -460,7 +387,24 @@ struct CliHooks {
     data_kind: String,
     addr: String,
     world: usize,
-    children: Vec<std::process::Child>,
+    children: Vec<Child>,
+}
+
+impl CliHooks {
+    /// Start rank `rank`'s worker; a respawn passes `rejoin` so the worker
+    /// resumes its rank in the running session.
+    fn spawn(&mut self, rank: usize, rejoin: bool) -> std::io::Result<()> {
+        let (rank, world) = (rank.to_string(), self.world.to_string());
+        let mut cmd = Command::new(&self.exe);
+        cmd.args(["train", &self.spec_path, "--worker-connect", &self.addr]);
+        cmd.args(["--rank", &rank, "--workers", &world]);
+        cmd.args(["--data", &self.data_kind]);
+        if rejoin {
+            cmd.arg("--rejoin");
+        }
+        self.children.push(cmd.stdin(Stdio::null()).spawn()?);
+        Ok(())
+    }
 }
 
 impl dist::ElasticHooks for CliHooks {
@@ -470,22 +414,8 @@ impl dist::ElasticHooks for CliHooks {
     }
 
     fn respawn(&mut self, rank: usize) -> Result<bool, dist::DistError> {
-        let child = std::process::Command::new(&self.exe)
-            .arg("train")
-            .arg(&self.spec_path)
-            .arg("--worker-connect")
-            .arg(&self.addr)
-            .arg("--rank")
-            .arg(rank.to_string())
-            .arg("--workers")
-            .arg(self.world.to_string())
-            .arg("--data")
-            .arg(&self.data_kind)
-            .arg("--rejoin")
-            .stdin(std::process::Stdio::null())
-            .spawn()
+        self.spawn(rank, true)
             .map_err(|e| dist::DistError::Io(format!("respawning worker {rank}: {e}")))?;
-        self.children.push(child);
         Ok(true)
     }
 }
@@ -493,141 +423,100 @@ impl dist::ElasticHooks for CliHooks {
 /// Wait for every spawned worker to exit; after `grace` the stragglers are
 /// killed (they already received `FRAME_DONE`, so a straggler is stuck,
 /// not slow). Returns each worker's exit code (`-1` = killed/unknown).
-fn reap_workers(children: &mut [std::process::Child], grace: std::time::Duration) -> Vec<i32> {
-    let deadline = std::time::Instant::now() + grace;
-    let mut codes: Vec<Option<i32>> = vec![None; children.len()];
-    loop {
-        let mut pending = false;
-        for (i, c) in children.iter_mut().enumerate() {
-            if codes[i].is_none() {
-                match c.try_wait() {
-                    Ok(Some(st)) => codes[i] = Some(st.code().unwrap_or(-1)),
-                    Ok(None) => pending = true,
-                    Err(_) => codes[i] = Some(-1),
-                }
+fn reap_workers(children: &mut [Child], grace: Duration) -> Vec<i32> {
+    let deadline = Instant::now() + grace;
+    let reap = |c: &mut Child| loop {
+        match c.try_wait() {
+            Ok(Some(status)) => return status.code().unwrap_or(-1),
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            Ok(None) => {
+                let _ = c.kill();
+                let _ = c.wait();
+                return -1;
             }
+            Err(_) => return -1,
         }
-        if !pending {
-            break;
-        }
-        if std::time::Instant::now() >= deadline {
-            for (i, c) in children.iter_mut().enumerate() {
-                if codes[i].is_none() {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                    codes[i] = Some(-1);
-                }
-            }
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    codes.into_iter().map(|c| c.unwrap_or(-1)).collect()
+    };
+    children.iter_mut().map(reap).collect()
 }
 
-/// `cgdnn train --coordinator ADDR --workers N`: bind, self-spawn the
-/// worker processes (same binary, `--worker-connect` mode), and drive the
-/// synchronous data-parallel run. The loss trajectory and final parameters
-/// are bit-identical to `--reduction canonical:N --threads 1` on one
-/// process (see DESIGN.md for the argument; tests/dist_training.rs and the
-/// CI smoke prove it).
+/// Publish a bound address to `--port-file`, for ephemeral-port scripts.
+fn write_port_file(args: &Args, addr: SocketAddr) -> Result<(), String> {
+    match args.get("port-file") {
+        Some(path) => write_file(path, addr.to_string().as_bytes()),
+        None => Ok(()),
+    }
+}
+
+/// `cgdnn train --coordinator ADDR --workers N`: bind, spawn the workers and
+/// drive the synchronous data-parallel run, bit-identical to `--reduction
+/// canonical:N --threads 1` on one process (DESIGN.md has the argument).
 fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
-    let (spec_path, spec, data_kind) = load_spec(args)?;
-    let source = make_source(&data_kind)?;
+    let (spec, source) = load_spec(args)?;
     let num_samples = source.num_samples();
     let effective_batch = spec_batch(&spec)?;
     let mut net = Net::from_spec(&spec, Some(source)).map_err(|e| e.to_string())?;
 
-    let workers: usize = args.get_parse("workers", 2)?;
-    let iters: usize = args.get_parse("iters", 100)?;
-    let lr: f64 = args.get_parse("lr", 0.01)?;
-    let solver_type = parse_solver(args)?;
-    let mut solver = Solver::<f32>::new(SolverConfig {
-        base_lr: lr,
-        solver_type,
-        ..SolverConfig::lenet()
-    });
-
+    let workers: usize = args.get_parse("workers")?;
+    let iters: usize = args.get_parse("iters")?;
+    let cfg = solver_config(args)?;
+    let run = format!("({:?}, lr {})", cfg.solver_type, cfg.base_lr);
+    let mut solver = Solver::<f32>::new(cfg);
     let dist_cfg = dist::DistConfig {
         world: workers,
         effective_batch,
         num_samples,
         iters,
-        io_timeout: std::time::Duration::from_secs(30),
+        io_timeout: Duration::from_secs(30),
     };
     // Fail on a bad shape before any child process exists.
     dist_cfg.validate().map_err(|e| e.to_string())?;
 
-    let bind = args.get("coordinator").unwrap();
+    let bind = args.get("coordinator").unwrap_or_default();
     let listener = std::net::TcpListener::bind(bind).map_err(|e| format!("bind {bind}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    if let Some(pf) = args.get("port-file") {
-        net::write_atomic(Path::new(pf), addr.to_string().as_bytes())
-            .map_err(|e| format!("{pf}: {e}"))?;
-    }
+    write_port_file(args, addr)?;
     println!(
-        "coordinator on {addr}: {workers} worker(s) x local batch {}, {iters} iterations \
-         ({solver_type:?}, lr {lr})",
+        "coordinator on {addr}: {workers} worker(s) x local batch {}, {iters} iterations {run}",
         effective_batch / workers
     );
     start_tracing(args)?;
 
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let mut children = Vec::with_capacity(workers);
+    let mut hooks = CliHooks {
+        exe: std::env::current_exe().map_err(|e| e.to_string())?,
+        spec_path: args.positional[0].clone(),
+        spec,
+        data_kind: args.get("data").unwrap_or_default().to_string(),
+        addr: addr.to_string(),
+        world: workers,
+        children: Vec::with_capacity(workers),
+    };
     for r in 0..workers {
-        let child = std::process::Command::new(&exe)
-            .arg("train")
-            .arg(&spec_path)
-            .arg("--worker-connect")
-            .arg(addr.to_string())
-            .arg("--rank")
-            .arg(r.to_string())
-            .arg("--workers")
-            .arg(workers.to_string())
-            .arg("--data")
-            .arg(&data_kind)
-            .stdin(std::process::Stdio::null())
-            .spawn()
+        hooks
+            .spawn(r, false)
             .map_err(|e| format!("spawning worker {r}: {e}"))?;
-        children.push(child);
     }
 
-    let mut loss_lines: Vec<String> = Vec::new();
-    let mut flusher = MetricsFlusher::from_args(args)?;
-    let every = (iters / 20).max(1) as u64;
+    let mut progress = Progress::new(args, iters)?;
+    let mut on_step = |it: u64, loss: f32, _: &mut Net<f32>, _: &mut Solver<f32>| {
+        progress.step(it, loss.into());
+        Ok(())
+    };
     let coord_cfg = dist::CoordinatorConfig {
         dist: dist_cfg,
-        join_timeout: std::time::Duration::from_secs(20),
-    };
-    let mut on_step = |it: u64, loss: f32, _net: &mut Net<f32>, _solver: &mut Solver<f32>| {
-        loss_lines.push(format!("{it} {loss:.8e}"));
-        if it.is_multiple_of(every) || it == iters as u64 {
-            println!("iter {it:>6}  loss {loss:.8e}");
-        }
-        flusher.tick();
-        Ok(())
+        join_timeout: Duration::from_secs(20),
     };
     // Elastic mode is opt-in: a restart budget or an explicit willingness
     // to run degraded turns worker death from fatal into recoverable.
-    let max_worker_restarts: usize = args.get_parse("max-worker-restarts", 0)?;
-    let restart_window_ms: u64 = args.get_parse("restart-window", 30_000)?;
+    let max_restarts: usize = args.get_parse("max-worker-restarts")?;
     let degraded_ok = args.has("degraded-ok");
-    let (result, codes) = if max_worker_restarts > 0 || degraded_ok {
-        let mut hooks = CliHooks {
-            exe,
-            spec_path,
-            spec,
-            data_kind,
-            addr: addr.to_string(),
-            world: workers,
-            children,
-        };
+    let result = if max_restarts > 0 || degraded_ok {
         let policy = dist::RecoveryPolicy {
-            max_restarts: max_worker_restarts.max(1),
-            restart_window: std::time::Duration::from_millis(restart_window_ms),
+            max_restarts: max_restarts.max(1),
+            restart_window: Duration::from_millis(args.get_parse("restart-window")?),
             degraded_ok,
         };
-        let result = dist::run_coordinator_elastic(
+        dist::run_coordinator_elastic(
             listener,
             &mut net,
             &mut solver,
@@ -635,14 +524,11 @@ fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
             policy,
             &mut hooks,
             &mut on_step,
-        );
-        let codes = reap_workers(&mut hooks.children, std::time::Duration::from_secs(10));
-        (result, codes)
+        )
     } else {
-        let result = dist::run_coordinator(listener, &mut net, &mut solver, &coord_cfg, on_step);
-        let codes = reap_workers(&mut children, std::time::Duration::from_secs(10));
-        (result, codes)
+        dist::run_coordinator(listener, &mut net, &mut solver, &coord_cfg, &mut on_step)
     };
+    let codes = reap_workers(&mut hooks.children, Duration::from_secs(10));
 
     match result {
         Ok(_losses) => {
@@ -651,15 +537,8 @@ fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
                  (final iteration {})",
                 solver.iteration()
             );
-            write_loss_log(args, &loss_lines)?;
-            if let Some(path) = args.get("snapshot") {
-                let mut bytes = Vec::new();
-                net::save_params(&net, &mut bytes).map_err(|e| e.to_string())?;
-                net::write_atomic(Path::new(path), &bytes).map_err(|e| format!("{path}: {e}"))?;
-                println!("snapshot written to {path}");
-            }
-            write_observability(args, finish_tracing(args).as_deref())?;
-            Ok(())
+            write_run(args, &net, &progress)?;
+            write_observability(args, finish_tracing(args).as_deref())
         }
         Err(e) => {
             let _ = finish_tracing(args);
@@ -669,39 +548,26 @@ fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
 }
 
 /// `cgdnn train --worker-connect ADDR --rank R --workers N`: one worker
-/// process. The spec's Data batch is rewritten to the local shard size and
-/// the source is wrapped in [`datasets::ShardedSource`] so this rank sees
-/// exactly its slice of every global batch.
+/// process, computing rank R's slice of every global batch.
 fn cmd_train_worker(args: &Args) -> Result<(), String> {
-    let addr = args.get("worker-connect").unwrap().to_string();
-    let rank: usize = args.get_parse("rank", 0)?;
-    let world: usize = args.get_parse("workers", 2)?;
-    let (_, spec, data_kind) = load_spec(args)?;
-    let effective_batch = spec_batch(&spec)?;
-    if world == 0 || rank >= world {
-        return Err(format!("--rank {rank} outside --workers {world}"));
-    }
-    if effective_batch % world != 0 {
+    let rank: usize = args.get_parse("rank")?;
+    let world: usize = args.get_parse("workers")?;
+    let (spec, source) = load_spec(args)?;
+    let (batch, samples) = (spec_batch(&spec)?, source.num_samples());
+    if rank >= world || batch % world != 0 || samples % batch != 0 {
         return Err(format!(
-            "batch {effective_batch} not divisible by {world} workers"
+            "rank {rank} of {world} workers cannot shard batch {batch} of {samples} samples"
         ));
     }
-    {
-        let source = make_source(&data_kind)?;
-        if source.num_samples() % effective_batch != 0 {
-            return Err(format!(
-                "{} samples not a multiple of effective batch {effective_batch}",
-                source.num_samples()
-            ));
-        }
-    }
-    let mut net = build_shard_net(&spec, &data_kind, rank, world)?;
-    let mut cfg = dist::WorkerConfig::new(addr, rank);
+    let data_kind = args.get("data").unwrap_or_default();
+    let mut net = build_shard_net(&spec, data_kind, rank, world)?;
+    let addr = args.get("worker-connect").unwrap_or_default();
+    let mut cfg = dist::WorkerConfig::new(addr.to_string(), rank);
     // A respawned worker resumes its rank in the running session instead
     // of joining a fresh one; a manually-managed worker can additionally
     // ride out coordinator-link loss with its own reconnect budget.
     cfg.rejoin = args.has("rejoin");
-    cfg.max_rejoins = args.get_parse("max-rejoins", 0)?;
+    cfg.max_rejoins = args.get_parse("max-rejoins")?;
     let report = dist::run_worker(&mut net, &cfg).map_err(|e| format!("worker {rank}: {e}"))?;
     println!(
         "worker {rank} done: {} step(s), {} rejoin(s)",
@@ -711,31 +577,25 @@ fn cmd_train_worker(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_infer(args: &Args) -> Result<(), String> {
-    let spec_path = args
-        .positional
-        .get(1)
-        .ok_or("missing <spec.prototxt> argument")?;
-    let text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let spec = NetSpec::parse(&text).map_err(|e| e.to_string())?;
-    let source = make_source(args.get("data").unwrap_or("synthetic-mnist"))?;
+    let (spec, source) = load_spec(args)?;
     let sample_shape = source.sample_shape();
 
     start_tracing(args)?;
-    let threads: usize = args.get_parse("threads", 4)?;
-    let replicas: usize = args.get_parse("replicas", 1)?;
-    let requests: usize = args.get_parse("requests", 1000)?;
-    let clients: usize = args.get_parse("clients", 4)?;
-    let max_batch: usize = args.get_parse("max-batch", 16)?;
-    let max_delay_us: u64 = args.get_parse("max-delay-us", 2000)?;
-    let queue_depth: usize = args.get_parse("queue-depth", 64)?;
-    let deadline_us: u64 = args.get_parse("deadline-us", 0)?;
-    let max_restarts: usize = args.get_parse("max-restarts", 5)?;
-    let restart_window_ms: u64 = args.get_parse("restart-window", 30_000)?;
+    let threads: usize = args.get_parse("threads")?;
+    let replicas: usize = args.get_parse("replicas")?;
+    let requests: usize = args.get_parse("requests")?;
+    let clients: usize = args.get_parse("clients")?;
+    let max_batch: usize = args.get_parse("max-batch")?;
+    let max_delay_us: u64 = args.get_parse("max-delay-us")?;
+    let queue_depth: usize = args.get_parse("queue-depth")?;
+    let deadline_us: u64 = args.get_parse("deadline-us")?;
+    let max_restarts: usize = args.get_parse("max-restarts")?;
+    let restart_window_ms: u64 = args.get_parse("restart-window")?;
 
-    let weights = match args.get("weights") {
-        Some(w) => Some(std::fs::read(w).map_err(|e| format!("{w}: {e}"))?),
-        None => None,
-    };
+    let weights = args
+        .get("weights")
+        .map(|w| std::fs::read(w).map_err(|e| format!("{w}: {e}")))
+        .transpose()?;
     // One factory: the snapshot is decoded exactly once, every replica
     // shares that decoded copy, and the supervisor rebuilds dead replicas
     // from it without touching the filesystem again.
@@ -751,13 +611,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     // Serving executes the plan leniently: entries for training-only
     // layers (data, loss) are skipped; stale entries fail replica builds.
-    if let Some(path) = args.get("plan") {
-        let p = plan::Plan::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        publish_plan_metrics(&p);
-        println!(
-            "plan {path}: {} non-sample-split layer(s)",
-            p.non_sample_layers()
-        );
+    if let Some(p) = load_plan(args)? {
         factory = factory.with_plan(p);
     }
     println!(
@@ -775,12 +629,12 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         factory,
         replicas,
         serve::BatchPolicy {
-            max_delay: std::time::Duration::from_micros(max_delay_us),
+            max_delay: Duration::from_micros(max_delay_us),
             queue_depth,
         },
         serve::SupervisorPolicy {
             max_restarts,
-            restart_window: std::time::Duration::from_millis(restart_window_ms),
+            restart_window: Duration::from_millis(restart_window_ms),
             ..serve::SupervisorPolicy::default()
         },
     )
@@ -796,55 +650,12 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         return run_rpc_server(args, server, listen);
     }
 
-    // Load generation: `clients` threads submit single-sample requests
-    // drawn from the data source, blocking on each reply. Samples are
-    // materialized up front (`BatchSource` is `Send` but not `Sync`).
-    let sample_len = sample_shape.count();
-    let n_samples = source.num_samples();
-    let clients = clients.max(1);
-    let mut next = 0usize;
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let client = server.client();
-            let quota = requests / clients + usize::from(c < requests % clients);
-            let inputs: Vec<Vec<f32>> = (0..quota)
-                .map(|_| {
-                    let mut s = vec![0.0f32; sample_len];
-                    source.fill(next % n_samples, &mut s);
-                    next += 1;
-                    s
-                })
-                .collect();
-            std::thread::spawn(move || {
-                let (mut done, mut errs) = (0u64, 0u64);
-                for sample in &inputs {
-                    let r = if deadline_us > 0 {
-                        client.infer_with_deadline(
-                            sample,
-                            std::time::Instant::now()
-                                + std::time::Duration::from_micros(deadline_us),
-                        )
-                    } else {
-                        client.infer(sample)
-                    };
-                    match r {
-                        Ok(_) => done += 1,
-                        Err(_) => errs += 1,
-                    }
-                }
-                (done, errs)
-            })
-        })
-        .collect();
-    let mut ok = 0u64;
-    let mut failed = 0u64;
-    for h in handles {
-        let (d, e) = h.join().map_err(|_| "load-generator thread panicked")?;
-        ok += d;
-        failed += e;
-    }
+    // Load generation: `clients` closed-loop threads submit single-sample
+    // requests drawn from the data source.
+    let budget = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
+    let ok = server.drive(samples(&*source, requests), clients, budget);
     finish_serving(args, server)?;
-    println!("client view: {ok} ok, {failed} rejected/timed out");
+    println!("client view: {ok} ok, {} rejected/timed out", requests - ok);
     Ok(())
 }
 
@@ -853,30 +664,21 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
 fn finish_serving(args: &Args, server: serve::Server<f32>) -> Result<(), String> {
     let metrics = server.metrics();
     println!("{}", server.shutdown());
-    if let Some(path) = args.get("csv") {
-        net::write_atomic(Path::new(path), metrics.registry().csv().as_bytes())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("report written to {path}");
-    }
+    write_flag(args, "csv", "report", || {
+        Ok(metrics.registry().csv().into_bytes())
+    })?;
     write_observability(args, finish_tracing(args).as_deref())
 }
 
 /// Serve the micro-batcher over TCP until a client sends a drain request
-/// (or `--serve-for-ms` elapses). Blocks the main thread; the acceptor and
-/// connection handlers run on their own threads inside [`rpc::RpcServer`].
+/// (or `--serve-for-ms` elapses). Blocks the main thread; the connections
+/// are multiplexed on the event loop inside [`rpc::RpcServer`].
 fn run_rpc_server(args: &Args, server: serve::Server<f32>, listen: &str) -> Result<(), String> {
     let cfg = rpc::RpcConfig {
-        handlers: args.get_parse("rpc-handlers", 8usize)?,
-        read_timeout: std::time::Duration::from_millis(
-            args.get_parse("rpc-read-timeout-ms", 100u64)?,
-        ),
-        write_timeout: std::time::Duration::from_millis(
-            args.get_parse("rpc-write-timeout-ms", 1000u64)?,
-        ),
-        max_connections: args.get_parse("rpc-max-conns", 0usize)?,
+        max_connections: args.get_parse("rpc-max-conns")?,
         ..rpc::RpcConfig::default()
     };
-    let serve_for_ms: u64 = args.get_parse("serve-for-ms", 0)?;
+    let serve_for = Duration::from_millis(args.get_parse("serve-for-ms")?);
     let rpc_server = rpc::RpcServer::start(
         listen,
         server.client(),
@@ -887,65 +689,60 @@ fn run_rpc_server(args: &Args, server: serve::Server<f32>, listen: &str) -> Resu
     .map_err(|e| format!("listen on {listen}: {e}"))?;
     let addr = rpc_server.local_addr();
     println!("listening on {addr} (send a drain frame or `cgdnn load --drain-server` to stop)");
-    if let Some(path) = args.get("port-file") {
-        // Written atomically so a poller never reads a half-written addr.
-        net::write_atomic(Path::new(path), addr.to_string().as_bytes())
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    let t0 = std::time::Instant::now();
-    let mut flusher = MetricsFlusher::from_args(args)?;
+    write_port_file(args, addr)?;
+    let t0 = Instant::now();
+    let mut flush_metrics = metrics_flusher(args)?;
     while !rpc_server.drain_requested() {
-        if serve_for_ms > 0 && t0.elapsed().as_millis() as u64 >= serve_for_ms {
+        if !serve_for.is_zero() && t0.elapsed() >= serve_for {
             println!("--serve-for-ms elapsed; draining");
             break;
         }
-        flusher.tick();
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        flush_metrics();
+        std::thread::sleep(Duration::from_millis(50));
     }
     rpc_server.shutdown();
     finish_serving(args, server)
 }
 
-/// `cgdnn load` — closed-loop wire load against a `--listen` server.
-fn cmd_load(args: &Args) -> Result<(), String> {
+/// `--connect ADDR`, resolved.
+fn connect_addr(args: &Args) -> Result<SocketAddr, String> {
     let connect = args.get("connect").ok_or("missing --connect ADDR")?;
-    let addr = std::net::ToSocketAddrs::to_socket_addrs(connect)
+    std::net::ToSocketAddrs::to_socket_addrs(connect)
         .map_err(|e| format!("{connect}: {e}"))?
         .next()
-        .ok_or_else(|| format!("{connect}: resolves to no address"))?;
+        .ok_or_else(|| format!("{connect}: resolves to no address"))
+}
+
+/// `cgdnn load` — closed-loop wire load against a `--listen` server.
+fn cmd_load(args: &Args) -> Result<(), String> {
+    let addr = connect_addr(args)?;
     let cfg = rpc::LoadConfig {
-        clients: args.get_parse("clients", 4usize)?,
-        requests: args.get_parse("requests", 1000usize)?,
-        deadline_us: args.get_parse("deadline-us", 0u32)?,
-        pipeline: args.get_parse("pipeline", 1usize)?,
-        idle_conns: args.get_parse("idle-conns", 0usize)?,
+        clients: args.get_parse("clients")?,
+        requests: args.get_parse("requests")?,
+        deadline_us: args.get_parse("deadline-us")?,
+        pipeline: args.get_parse("pipeline")?,
+        idle_conns: args.get_parse("idle-conns")?,
         ..rpc::LoadConfig::default()
     };
-    let fuzz_conns: usize = args.get_parse("fuzz", 0)?;
+    let fuzz_conns: usize = args.get_parse("fuzz")?;
 
     // Probe handshake: learn the server's sample shape and fail fast on a
     // mismatched data source. Dropped before the run so it does not hold a
-    // handler slot while the load clients connect.
-    let sample_len = {
-        let probe = rpc::RpcClient::connect(addr).map_err(|e| e.to_string())?;
-        probe.sample_len()
-    };
-    let source = make_source(args.get("data").unwrap_or("synthetic-mnist"))?;
+    // connection seat while the load clients connect.
+    let probe = rpc::RpcClient::connect(addr).map_err(|e| e.to_string())?;
+    let sample_len = probe.sample_len();
+    drop(probe);
+    let source = make_source(args.get("data").unwrap_or_default())?;
     if source.sample_shape().count() != sample_len {
         return Err(format!(
             "--data samples have {} values but the server expects {sample_len}",
             source.sample_shape().count()
         ));
     }
-    let n_samples = source.num_samples();
-    let distinct = cfg.requests.clamp(1, 256).min(n_samples);
-    let samples: Vec<Vec<f32>> = (0..distinct)
-        .map(|i| {
-            let mut s = vec![0.0f32; sample_len];
-            source.fill(i % n_samples, &mut s);
-            s
-        })
-        .collect();
+    let samples = samples(
+        &*source,
+        cfg.requests.clamp(1, 256).min(source.num_samples()),
+    );
 
     println!(
         "wire load against {addr}: {} clients (pipeline {}, {} idle), {} requests, deadline {} us",
@@ -955,7 +752,7 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     println!("{report}");
 
     if fuzz_conns > 0 {
-        let fz = rpc::load::fuzz(addr, fuzz_conns, 0x5eed, std::time::Duration::from_secs(5))
+        let fz = rpc::load::fuzz(addr, fuzz_conns, 0x5eed, Duration::from_secs(5))
             .map_err(|e| format!("fuzz: {e}"))?;
         println!(
             "fuzz: {} malformed connections sent, {} answered with an error frame",
@@ -967,43 +764,23 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         c.drain_server().map_err(|e| e.to_string())?;
         println!("server acknowledged drain");
     }
-    if let Some(path) = args.get("csv") {
-        net::write_atomic(Path::new(path), report.csv().as_bytes())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("report written to {path}");
-    }
-    if let Some(path) = args.get("json") {
-        net::write_atomic(Path::new(path), report.json().as_bytes())
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("json report written to {path}");
-    }
-    Ok(())
+    write_flag(args, "csv", "report", || Ok(report.csv().into_bytes()))?;
+    write_flag(args, "json", "json report", || {
+        Ok(report.json().into_bytes())
+    })
 }
 
-/// `cgdnn stats --connect ADDR` — scrape a live process's metric registry
-/// over the wire (`FRAME_STATS`). Works against both a `cgdnn infer
-/// --listen` event loop and a training coordinator; neither is disturbed
-/// (the RPC loop answers inline between request frames, the coordinator
-/// at its next step boundary). `--watch SECS` re-scrapes forever;
-/// `--csv` (default) and `--json` pick the exposition.
+/// `cgdnn stats --connect ADDR` — scrape the metric registry of a live
+/// `infer --listen` server or training coordinator over the wire
+/// (`FRAME_STATS`), without disturbing it.
 fn cmd_stats(args: &Args) -> Result<(), String> {
-    let connect = args.get("connect").ok_or("missing --connect ADDR")?;
-    let addr = std::net::ToSocketAddrs::to_socket_addrs(connect)
-        .map_err(|e| format!("{connect}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{connect}: resolves to no address"))?;
+    let addr = connect_addr(args)?;
     if args.has("csv") && args.has("json") {
         return Err("--csv and --json are mutually exclusive".into());
     }
-    let watch_secs: f64 = args.get_parse("watch", 0.0)?;
-    let io_timeout = std::time::Duration::from_secs(10);
-    let mut first = true;
+    let watch_secs: f64 = args.get_parse("watch")?;
     loop {
-        let snap = rpc::fetch_stats(addr, io_timeout).map_err(|e| e.to_string())?;
-        if !first {
-            println!();
-        }
-        first = false;
+        let snap = rpc::fetch_stats(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
         if args.has("json") {
             println!("{}", snap.json());
         } else {
@@ -1012,7 +789,8 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
         if watch_secs <= 0.0 {
             return Ok(());
         }
-        std::thread::sleep(std::time::Duration::from_secs_f64(watch_secs));
+        std::thread::sleep(Duration::from_secs_f64(watch_secs));
+        println!();
     }
 }
 
@@ -1033,17 +811,14 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     // data-parallel step onto a multi-node cluster under the two
     // FireCaffe aggregation schemes.
     if let Some(list) = args.get("cluster") {
-        let counts: Vec<usize> = list
+        let counts = list
             .split(',')
             .map(|s| {
                 s.trim()
-                    .parse::<usize>()
+                    .parse()
                     .map_err(|_| format!("bad worker count '{s}' in --cluster"))
             })
-            .collect::<Result<_, _>>()?;
-        if counts.is_empty() {
-            return Err("--cluster needs at least one worker count".into());
-        }
+            .collect::<Result<Vec<usize>, _>>()?;
         let model = machine::ClusterModel::from_sim(&sim, net.num_params());
         println!(
             "\nmulti-node data-parallel projection ({:.2} MB gradients over 10 GbE, \
@@ -1055,12 +830,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             "{}",
             machine::cluster::format_cluster_table(&model, &counts)
         );
-        if let Some(path) = args.get("csv") {
-            let csv = machine::cluster::cluster_csv(&model, &counts);
-            net::write_atomic(Path::new(path), csv.as_bytes())
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("cluster projection written to {path}");
-        }
     }
     Ok(())
 }
@@ -1076,12 +845,9 @@ fn publish_plan_metrics(p: &plan::Plan) {
         .set(p.non_sample_layers() as f64);
     reg.gauge("plan.threads").set(p.threads as f64);
     for e in &p.entries {
-        reg.gauge(&format!(
-            "plan.strategy.{}.{}",
-            e.name,
-            plan::strategy_tag(e.strategy)
-        ))
-        .set(1.0);
+        let tag = plan::strategy_tag(e.strategy);
+        reg.gauge(&format!("plan.strategy.{}.{tag}", e.name))
+            .set(1.0);
     }
 }
 
@@ -1092,32 +858,23 @@ fn parse_model(s: &str) -> Result<machine::CpuModel, String> {
     if s == "xeon" {
         return Ok(machine::CpuModel::xeon_e5_2667v2());
     }
-    if let Some(spec) = s.strip_prefix("scaled:") {
-        let (sockets, cores) = spec
-            .split_once('x')
-            .ok_or_else(|| format!("bad --model '{s}': want scaled:SxC, e.g. scaled:8x16"))?;
-        let sockets: usize = sockets
-            .parse()
-            .map_err(|_| format!("bad socket count in --model '{s}'"))?;
-        let cores: usize = cores
-            .parse()
-            .map_err(|_| format!("bad cores-per-socket in --model '{s}'"))?;
-        if sockets == 0 || cores == 0 {
-            return Err(format!("--model '{s}': sockets and cores must be >= 1"));
-        }
-        return Ok(machine::CpuModel::scaled_node(sockets, cores));
-    }
-    Err(format!("unknown --model '{s}' (want xeon or scaled:SxC)"))
+    let count = |n: &str| n.parse::<usize>().ok().filter(|&n| n > 0);
+    let (sockets, cores) = s
+        .strip_prefix("scaled:")
+        .and_then(|sc| sc.split_once('x'))
+        .and_then(|(sk, c)| Some((count(sk)?, count(c)?)))
+        .ok_or_else(|| format!("bad --model '{s}': want xeon or scaled:SxC, S and C >= 1"))?;
+    Ok(machine::CpuModel::scaled_node(sockets, cores))
 }
 
 /// `cgdnn plan` — search per-layer parallelism strategies for a spec on a
 /// modeled machine and emit an executable `.plan` schedule.
 fn cmd_plan(args: &Args) -> Result<(), String> {
     let net = load_net(args)?;
-    let model_desc = args.get("model").unwrap_or("xeon").to_string();
-    let model = parse_model(&model_desc)?;
-    let threads: usize = args.get_parse("threads", model.cores)?;
-    let beam: usize = args.get_parse("beam", 4)?;
+    let model_desc = args.get("model").unwrap_or_default();
+    let model = parse_model(model_desc)?;
+    let threads: usize = args.parse_opt("threads")?.unwrap_or(model.cores);
+    let beam: usize = args.get_parse("beam")?;
     if threads == 0 || beam == 0 {
         return Err("--threads and --beam must be >= 1".into());
     }
@@ -1159,7 +916,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         .set(result.batch_only_secs * 1e6);
     reg.gauge("plan.projected_step_us")
         .set(result.planned_secs * 1e6);
-    let emitted = plan::plan_for_net(&net, &result.strategies, threads, &model_desc);
+    let emitted = plan::plan_for_net(&net, &result.strategies, threads, model_desc);
     publish_plan_metrics(&emitted);
 
     if let Some(path) = args.get("out") {
@@ -1168,7 +925,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?;
         println!("plan written to {path}");
     }
-    if let Some(path) = args.get("json") {
+    write_flag(args, "json", "json report", || {
         let layers: Vec<String> = result
             .layers
             .iter()
@@ -1184,7 +941,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
                 )
             })
             .collect();
-        let json = format!(
+        Ok(format!(
             "{{\"net\":\"{}\",\"threads\":{threads},\"model\":\"{model_desc}\",\"beam\":{beam},\
              \"batch_only_step_us\":{:.3},\"projected_step_us\":{:.3},\
              \"projected_speedup\":{:.4},\"non_sample_layers\":{},\
@@ -1198,163 +955,36 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             batch_imb.imbalance_factor,
             plan_imb.imbalance_factor,
             layers.join(",")
-        );
-        net::write_atomic(Path::new(path), json.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
-        println!("json report written to {path}");
-    }
-    write_observability(args, None)?;
-    Ok(())
+        )
+        .into_bytes())
+    })?;
+    write_observability(args, None)
 }
 
-const USAGE: &str =
-    "usage: cgdnn <summary|train|infer|load|stats|simulate|plan> <spec.prototxt> [flags]
-  --data synthetic-mnist|synthetic-cifar|idx:<imgs>,<lbls>|cifar-bin:<file>
-  --threads N     team size (train, infer)
-  --iters N       iterations (train)
-  --lr X          base learning rate (train)
-  --solver sgd|nesterov|adagrad
-  --reduction ordered|canonical[:G]|unordered (canonical:G pins G groups)
-  --snapshot FILE write parameters after training
-  --weights FILE  initialize parameters before training / serving
-  --loss-log FILE write '<iter> <loss>' per step (f32-exact; two
-                  bit-identical runs produce byte-identical logs)
-per-layer parallelism planning (plan; execute with train/infer --plan):
-  --model xeon|scaled:SxC  cost model: the paper's 16-core Xeon (default)
-                  or S sockets x C cores of the same silicon
-  --threads N     (plan) team size to plan for (default: the model's cores)
-  --beam B        (plan) beam width of the strategy search (default 4)
-  --profile-csv FILE  (plan) seed the cost model from a measured
-                  `train --profile-csv` table instead of analytic flops
-  --out FILE      (plan) write the executable .plan schedule
-  --json FILE     (plan) write the projection report (BENCH_plan.json in CI)
-  --plan FILE     (train, infer) execute a .plan schedule; forward outputs
-                  and the training trajectory stay bit-identical to the
-                  batch-only default, stale plans are rejected by layer name
-distributed data-parallel training (multi-process, one host):
-  --coordinator ADDR  bind here (e.g. 127.0.0.1:0), self-spawn the workers,
-                      and coordinate synchronous data-parallel SGD; the
-                      trajectory is bit-identical to single-process
-                      --reduction canonical:N --threads 1
-  --workers N         worker process count (power of two dividing batch)
-  --worker-connect ADDR  run as one worker of a coordinator at ADDR
-  --rank R            this worker's rank in 0..N (with --worker-connect)
-elastic recovery (coordinator; off by default — fail-stop):
-  --max-worker-restarts N  survive worker death: recompute the dead rank's
-                      shard locally (still bit-identical) and respawn it,
-                      at most N deaths per sliding window
-  --restart-window N  worker restart-budget window, milliseconds
-                      (default 30000)
-  --degraded-ok       on budget exhaustion keep training degraded (dead
-                      ranks recomputed locally) instead of aborting
-  --rejoin            (worker) resume this rank in a running session via
-                      the FRAME_REJOIN handshake (set by respawn)
-  --max-rejoins N     (worker) reconnect attempts after losing the
-                      coordinator link, exponential backoff (default 0)
-fault-tolerant training (activated by --snapshot-every or --resume):
-  --snapshot-every K  full checkpoint (params+solver+cursor) every K iters
-  --resume DIR        continue from the newest good checkpoint in DIR;
-                      --iters is the absolute target iteration
-  --snapshot-dir DIR  where checkpoints go (default: the resume dir,
-                      else 'checkpoints')
-  --keep N            checkpoints retained (default 3)
-  --keep-bytes N      also cap regular checkpoints to N total bytes,
-                      newest-first (0 = off; epoch checkpoints and the
-                      newest checkpoint are exempt)
-  --keep-epoch-every N  also retain every checkpoint whose iteration is a
-                      multiple of N, exempt from --keep pruning (0 = off)
-  --guard-factor X    divergence when loss > X * trailing mean; 0 disables
-                      the explosion test (default 4.0)
-  --guard-window N    trailing-window length (default 8)
-  --guard-lr-drop X   multiply LR by X on each rollback (default 0.5)
-  --max-rollbacks N   give up after N rollbacks (default 3)
-infer flags:
-  --replicas N      engine replicas, one worker thread each (default 1)
-  --requests N      total load-generated requests (default 1000)
-  --clients N       concurrent client threads (default 4)
-  --max-batch N     micro-batch capacity (default 16)
-  --max-delay-us N  batch assembly window (default 2000)
-  --queue-depth N   admission queue bound (default 64)
-  --deadline-us N   per-request deadline, 0 = none (default 0)
-  --max-restarts N  replica restarts allowed per window (default 5)
-  --restart-window N  restart-budget window, milliseconds (default 30000)
-  --csv FILE        write the serving report as CSV
-network serving (infer --listen / load):
-  --listen ADDR     serve the micro-batcher over TCP (e.g. 127.0.0.1:0);
-                    replaces the in-process load loop
-  --port-file FILE  write the bound address (for ephemeral-port scripts)
-  --serve-for-ms N  stop serving after N ms; 0 = until drained (default 0)
-  --rpc-handlers N  serve-pool sizing hint; with --rpc-max-conns 0 the
-                    connection cap is handlers + backlog (default 8)
-  --rpc-max-conns N max live connections; over-cap greeted HELLO_BUSY
-                    (default 0 = handlers + backlog)
-  --rpc-read-timeout-ms N   accepted for compatibility; the readiness
-                    loop needs no read poll
-  --rpc-write-timeout-ms N  per-connection write-stall budget (default 1000)
-  --connect ADDR    (load) server to target
-  --pipeline N      (load) requests each client keeps in flight (default 1)
-  --idle-conns N    (load) extra connections that handshake then sit idle
-                    for the whole run (default 0)
-  --fuzz N          (load) also throw N malformed connections at the server
-  --drain-server    (load) ask the server to drain and exit afterwards
-  --json FILE       (load) write the report as JSON (BENCH_rpc.json in CI)
-live stats scrape (stats):
-  --connect ADDR    (stats) process to scrape: a `cgdnn infer --listen`
-                    server (answered inline by the event loop) or a
-                    training coordinator (answered at the next step
-                    boundary); in-flight traffic is undisturbed
-  --watch SECS      (stats) re-scrape every SECS forever (default: once)
-  --csv | --json    (stats) exposition format (default: csv); includes
-                    histogram/summary p50/p90/p99 and, after a
-                    distributed run, per-rank r<N>.* rows
-observability (train and infer):
-  --profile         print the measured per-layer fwd/bwd table (paper
-                    Table-2 layout) and imbalance factors after training
-  --profile-csv FILE  also write the per-layer table as CSV
-  --trace FILE      record omprt/layer/checkpoint spans and write a Chrome
-                    trace_event JSON (load in chrome://tracing or Perfetto)
-  --trace-limit N   retain at most N events per thread (oldest dropped and
-                    counted in the trace's dropped_events record)
-  --trace-stream FILE  stream each span to FILE as it finishes instead of
-                    buffering (O(1) trace memory for arbitrarily long runs)
-  --metrics FILE    write the global metrics registry as CSV ('-' = stdout)
-  --metrics-every SECS  also rewrite --metrics FILE atomically every SECS
-                    during the run (serving loop, training step, and
-                    coordinator step all tick it), so a scraper can tail
-                    a long run without waiting for teardown
-simulate flags:
-  --cluster W1,W2,..  also project multi-node data-parallel scaling at the
-                    given worker counts (param-server vs reduction tree);
-                    --csv FILE writes the series";
-
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut switches: Vec<&str> = vec!["profile", "drain-server", "degraded-ok", "rejoin"];
-    if raw.first().is_some_and(|s| s == "stats") {
-        // `stats` reuses --csv/--json as value-less format selectors;
-        // everywhere else they are FILE-valued flags, so the switch set
-        // must be picked per subcommand before parsing.
-        switches.extend(["csv", "json"]);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(sub) = argv.first().cloned() else {
+        eprint!("{}", cli::help(""));
+        return ExitCode::FAILURE;
+    };
+    if argv.iter().any(|a| a == "--help") {
+        print!("{}", cli::help(&sub));
+        return ExitCode::SUCCESS;
     }
-    let args = match Args::parse_with_switches(raw.into_iter(), &switches) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let r = match args.positional.first().map(|s| s.as_str()) {
-        Some("summary") => cmd_summary(&args),
-        Some("train") => cmd_train(&args),
-        Some("infer") => cmd_infer(&args),
-        Some("load") => cmd_load(&args),
-        Some("stats") => cmd_stats(&args),
-        Some("simulate") => cmd_simulate(&args),
-        Some("plan") => cmd_plan(&args),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let r = Args::parse(&sub, argv.into_iter().skip(1)).and_then(|args| match sub.as_str() {
+        "summary" => cmd_summary(&args),
+        // The distributed roles: the coordinator owns the solver, a worker
+        // only its shard's compute.
+        "train" if args.has("worker-connect") => cmd_train_worker(&args),
+        "train" if args.has("coordinator") => cmd_train_coordinator(&args),
+        "train" => cmd_train(&args),
+        "infer" => cmd_infer(&args),
+        "load" => cmd_load(&args),
+        "stats" => cmd_stats(&args),
+        "simulate" => cmd_simulate(&args),
+        "plan" => cmd_plan(&args),
+        _ => unreachable!("Args::parse accepts only cli::SUBCOMMANDS"),
+    });
     match r {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

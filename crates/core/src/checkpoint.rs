@@ -53,8 +53,6 @@ pub const MANIFEST: &str = "MANIFEST";
 pub struct CheckpointDir {
     dir: PathBuf,
     keep: usize,
-    keep_bytes: u64,
-    keep_epoch_every: usize,
 }
 
 /// Result of a successful [`CheckpointDir::resume_latest`].
@@ -76,8 +74,6 @@ impl CheckpointDir {
         Self {
             dir: dir.into(),
             keep: 3,
-            keep_bytes: 0,
-            keep_epoch_every: 0,
         }
     }
 
@@ -85,43 +81,6 @@ impl CheckpointDir {
     pub fn with_keep(mut self, keep: usize) -> Self {
         self.keep = keep.max(1);
         self
-    }
-
-    /// Also bound retention by total size: regular (non-epoch) checkpoints
-    /// are kept newest-first only while their cumulative on-disk size stays
-    /// within `bytes` (`0`, the default, disables the bound). The newest
-    /// regular checkpoint is always retained even if it alone exceeds the
-    /// budget, and epoch checkpoints (see
-    /// [`CheckpointDir::with_keep_epoch_every`]) are exempt — durable
-    /// restore points are never sacrificed to a disk quota. Composes with
-    /// [`CheckpointDir::with_keep`]: whichever limit bites first wins.
-    pub fn with_keep_bytes(mut self, bytes: u64) -> Self {
-        self.keep_bytes = bytes;
-        self
-    }
-
-    /// Exempt "epoch" checkpoints — those whose iteration is a multiple of
-    /// `every` — from the [`CheckpointDir::with_keep`] pruning, so long
-    /// runs retain durable restore points beyond the rolling window
-    /// (`0`, the default, disables the exemption). The iteration-0 anchor
-    /// is a multiple of everything and is therefore also retained.
-    pub fn with_keep_epoch_every(mut self, every: usize) -> Self {
-        self.keep_epoch_every = every;
-        self
-    }
-
-    /// Iteration encoded in a `ckpt-NNNNNNNN.cgdn` file name.
-    fn name_iteration(name: &str) -> Option<u64> {
-        name.strip_prefix("ckpt-")?
-            .strip_suffix(".cgdn")?
-            .parse()
-            .ok()
-    }
-
-    fn is_epoch_name(&self, name: &str) -> bool {
-        self.keep_epoch_every > 0
-            && Self::name_iteration(name)
-                .is_some_and(|it| it.is_multiple_of(self.keep_epoch_every as u64))
     }
 
     /// The managed directory.
@@ -169,49 +128,14 @@ impl CheckpointDir {
                 }
             }
         }
-        // Prune: epoch-exempt names never count against `keep` or the byte
-        // budget; regular names keep only the newest `keep` and, when a
-        // byte budget is set, only while their cumulative size fits (the
-        // newest regular always survives). Order (newest first) is
-        // preserved in the manifest.
-        let mut kept: Vec<String> = Vec::new();
-        let mut dropped: Vec<String> = Vec::new();
-        let mut regular = 0usize;
-        let mut regular_bytes = 0u64;
-        for n in names {
-            if self.is_epoch_name(&n) {
-                kept.push(n);
-                continue;
-            }
-            let size = if self.keep_bytes > 0 {
-                fs::metadata(self.dir.join(&n))
-                    .map(|m| m.len())
-                    .unwrap_or(0)
-            } else {
-                0
-            };
-            let over_count = regular >= self.keep;
-            let over_bytes =
-                self.keep_bytes > 0 && regular > 0 && regular_bytes + size > self.keep_bytes;
-            if over_count || over_bytes {
-                dropped.push(n);
-            } else {
-                regular += 1;
-                regular_bytes += size;
-                kept.push(n);
-            }
-        }
-        let names = kept;
+        // Prune: the manifest keeps the newest `keep` (newest first).
+        names.truncate(self.keep);
         let manifest = names.join("\n") + "\n";
         net::write_atomic(&self.manifest_path(), manifest.as_bytes())?;
-        for d in dropped {
-            let _ = fs::remove_file(self.dir.join(d));
-        }
-        // Sweep orphans: `ckpt-*.cgdn` files the manifest does not list.
-        // A crash inside the commit window above leaves a durable file no
-        // manifest ever points to; pruning only manifest-listed names
-        // would let such files accumulate forever. The manifest is the
-        // sole source of truth, so anything off-manifest goes.
+        // Delete every `ckpt-*.cgdn` file the manifest does not list: the
+        // ones just pruned, and orphans — a crash inside the commit window
+        // above leaves a durable file no manifest ever points to. The
+        // manifest is the sole source of truth, so anything off it goes.
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             let fname = entry.file_name();
@@ -695,106 +619,6 @@ layer {
             outcome.skipped
         );
         let _ = fs::remove_dir_all(dir.path());
-    }
-
-    #[test]
-    fn epoch_checkpoints_survive_keep_pruning() {
-        let dir = CheckpointDir::new(tmp("epoch"))
-            .with_keep(2)
-            .with_keep_epoch_every(3);
-        let mut t = micro_trainer();
-        // Save at iterations 0..=7: epoch names are 0, 3, 6.
-        dir.save(&t).unwrap();
-        for _ in 0..7 {
-            t.train(1);
-            dir.save(&t).unwrap();
-        }
-        let names: Vec<String> = dir
-            .entries()
-            .unwrap()
-            .iter()
-            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-            .collect();
-        // Newest first: the two newest regular (7, 5) interleaved with all
-        // epoch checkpoints (6, 3, 0).
-        assert_eq!(
-            names,
-            vec![
-                "ckpt-00000007.cgdn",
-                "ckpt-00000006.cgdn",
-                "ckpt-00000005.cgdn",
-                "ckpt-00000003.cgdn",
-                "ckpt-00000000.cgdn",
-            ]
-        );
-        for e in dir.entries().unwrap() {
-            assert!(e.exists());
-        }
-        assert!(!dir.path().join("ckpt-00000004.cgdn").exists(), "pruned");
-        // Resume still picks the newest.
-        let mut fresh = micro_trainer();
-        assert_eq!(dir.resume_latest(&mut fresh).unwrap().iteration, 7);
-        let _ = fs::remove_dir_all(dir.path());
-    }
-
-    #[test]
-    fn keep_bytes_prunes_oldest_regulars_but_spares_epochs_and_newest() {
-        // Probe the size of a post-step checkpoint (iteration-0 ones are
-        // smaller: no solver history yet).
-        let probe_dir = CheckpointDir::new(tmp("bytes-probe"));
-        let mut probe = micro_trainer();
-        probe.train(1);
-        let ckpt_size = fs::metadata(probe_dir.save(&probe).unwrap()).unwrap().len();
-        let _ = fs::remove_dir_all(probe_dir.path());
-        let mut t = micro_trainer();
-
-        // Budget for two regular checkpoints; count limit is slack.
-        let dir = CheckpointDir::new(tmp("bytes"))
-            .with_keep(10)
-            .with_keep_bytes(2 * ckpt_size + ckpt_size / 2)
-            .with_keep_epoch_every(5);
-        // Saves at iterations 0 (epoch), 1..=6: epoch names are 0 and 5.
-        dir.save(&t).unwrap();
-        for _ in 0..6 {
-            t.train(1);
-            dir.save(&t).unwrap();
-        }
-        let names: Vec<String> = dir
-            .entries()
-            .unwrap()
-            .iter()
-            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-            .collect();
-        // Two newest regulars (6, 4) fit the budget; 3, 2, 1 are pruned in
-        // sweep (oldest-last) order; epochs 5 and 0 are exempt.
-        assert_eq!(
-            names,
-            vec![
-                "ckpt-00000006.cgdn",
-                "ckpt-00000005.cgdn",
-                "ckpt-00000004.cgdn",
-                "ckpt-00000000.cgdn",
-            ]
-        );
-        for e in dir.entries().unwrap() {
-            assert!(e.exists());
-        }
-        assert!(!dir.path().join("ckpt-00000003.cgdn").exists(), "pruned");
-
-        // A budget smaller than one checkpoint still keeps the newest.
-        let tiny = CheckpointDir::new(tmp("bytes-tiny"))
-            .with_keep(10)
-            .with_keep_bytes(1);
-        t.train(1);
-        tiny.save(&t).unwrap();
-        t.train(1);
-        tiny.save(&t).unwrap();
-        let entries = tiny.entries().unwrap();
-        assert_eq!(entries.len(), 1, "{entries:?}");
-        assert!(entries[0].exists());
-
-        let _ = fs::remove_dir_all(dir.path());
-        let _ = fs::remove_dir_all(tiny.path());
     }
 
     #[test]

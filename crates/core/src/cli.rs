@@ -1,80 +1,263 @@
-//! Argument parsing and data-source resolution for the `cgdnn` binary,
-//! factored out so it can be unit-tested.
+//! The `cgdnn` command line: one declarative flag table (`FLAGS`) that
+//! parses arguments, rejects flags a subcommand does not take, supplies
+//! defaults and renders `--help`; plus data-source resolution. Factored out
+//! of the binary so it can be unit-tested.
 
 use datasets::InMemoryDataset;
 use layers::data::BatchSource;
+use std::fmt::Write as _;
 use std::fs::File;
+use Kind::{Int, Real, Text};
 
-/// Parsed command line: `--flag value` pairs plus positional arguments.
+/// What a flag's value must parse as.
+enum Kind {
+    /// Takes no value; query it with [`Args::has`].
+    Switch,
+    /// A non-negative integer.
+    Int,
+    /// A real number.
+    Real,
+    /// Free text: a path, an address or a named choice.
+    Text,
+}
+
+/// One row of the flag table: the name without `--`, the value's kind, its
+/// placeholder in `--help` (empty for a switch), the value when the flag is
+/// absent (empty for none), the subcommands that take it, one help line.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    metavar: &'static str,
+    default: &'static str,
+    subs: &'static [&'static str],
+    help: &'static str,
+}
+
+impl Flag {
+    /// Whether `value` parses as this row's [`Kind`].
+    fn accepts(&self, value: &str) -> bool {
+        match self.kind {
+            Kind::Int => value.parse::<u64>().is_ok(),
+            Kind::Real => value.parse::<f64>().is_ok(),
+            Kind::Switch | Kind::Text => true,
+        }
+    }
+}
+
+#[rustfmt::skip]
+const fn flag(name: &'static str, kind: Kind, metavar: &'static str, default: &'static str, subs: &'static [&'static str], help: &'static str) -> Flag {
+    Flag { name, kind, metavar, default, subs, help }
+}
+
+const fn switch(name: &'static str, subs: &'static [&'static str], help: &'static str) -> Flag {
+    flag(name, Kind::Switch, "", "", subs, help)
+}
+
+/// Subcommands and the synopsis `--help` prints for each.
+#[rustfmt::skip]
+const SUBCOMMANDS: &[(&str, &str)] = &[
+    ("summary", "<spec> — layer table and memory report"),
+    ("train", "<spec> — coarse-grain training: in-process, checkpointed, or distributed"),
+    ("infer", "<spec> — serve parameters: an in-process load loop, or --listen over TCP"),
+    ("load", "closed-loop wire load against an `infer --listen` server"),
+    ("stats", "scrape the live metrics of a serving or coordinating process"),
+    ("simulate", "<spec> — project onto the paper's 16-core Xeon + K40"),
+    ("plan", "<spec> — search per-layer parallelism strategies, emit a .plan"),
+];
+
+/// Every flag `cgdnn` takes. A name may have several rows when subcommands
+/// read it differently (`stats --json` is a switch, `load --json FILE` a
+/// path); no two rows share a name and a subcommand.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("data", Text, "KIND", "synthetic-mnist", &["summary", "train", "infer", "load", "simulate", "plan"], "synthetic-mnist | synthetic-cifar | idx:<images>,<labels> | cifar-bin:<file>"),
+    flag("threads", Int, "N", "4", &["train", "infer"], "thread-team size"),
+    flag("threads", Int, "N", "", &["plan"], "team size to plan for (default: the model's cores)"),
+    flag("weights", Text, "FILE", "", &["train", "infer"], "initialize parameters from a snapshot"),
+    flag("plan", Text, "FILE", "", &["train", "infer"], "execute a .plan schedule; outputs and loss trajectory stay bit-identical to batch-only"),
+    flag("iters", Int, "N", "100", &["train"], "iterations (with --resume: the absolute target iteration)"),
+    flag("lr", Real, "X", "0.01", &["train"], "base learning rate"),
+    flag("solver", Text, "NAME", "sgd", &["train"], "sgd | nesterov | adagrad"),
+    flag("reduction", Text, "MODE", "ordered", &["train"], "ordered | canonical[:G] | unordered (canonical:G pins G groups)"),
+    flag("snapshot", Text, "FILE", "", &["train"], "write the parameters after training"),
+    flag("loss-log", Text, "FILE", "", &["train"], "write '<iter> <loss>' per step, f32-exact: bit-identical runs give byte-identical logs"),
+    flag("snapshot-every", Int, "K", "0", &["train"], "checkpoint params + solver + data cursor every K iterations (turns on rollback)"),
+    flag("resume", Text, "DIR", "", &["train"], "continue from the newest good checkpoint in DIR"),
+    flag("snapshot-dir", Text, "DIR", "", &["train"], "checkpoint directory (default: the --resume DIR, else 'checkpoints')"),
+    flag("keep", Int, "N", "3", &["train"], "checkpoints retained, newest first"),
+    flag("guard-factor", Real, "X", "4.0", &["train"], "roll back on a NaN/Inf loss or one above X x the trailing mean; 0 = no guard"),
+    flag("guard-window", Int, "N", "8", &["train"], "trailing-mean window of the guard"),
+    flag("guard-lr-drop", Real, "X", "0.5", &["train"], "multiply the learning rate by X on each rollback"),
+    flag("max-rollbacks", Int, "N", "3", &["train"], "give up after N rollbacks"),
+    flag("coordinator", Text, "ADDR", "", &["train"], "bind ADDR, spawn --workers processes and run data-parallel SGD, bit-identical to --reduction canonical:N --threads 1"),
+    flag("workers", Int, "N", "2", &["train"], "worker processes (a power of two dividing the batch)"),
+    flag("worker-connect", Text, "ADDR", "", &["train"], "run as one worker of the coordinator at ADDR"),
+    flag("rank", Int, "R", "0", &["train"], "this worker's rank (with --worker-connect)"),
+    switch("rejoin", &["train"], "worker: resume this rank in a running session (respawned workers get it)"),
+    flag("max-rejoins", Int, "N", "0", &["train"], "worker: reconnect attempts after losing the coordinator, with backoff"),
+    flag("max-worker-restarts", Int, "N", "0", &["train"], "coordinator: survive worker deaths (recompute the shard, respawn), N per --restart-window"),
+    switch("degraded-ok", &["train"], "coordinator: when the restart budget runs out, keep training with dead ranks recomputed locally"),
+    flag("restart-window", Int, "MS", "30000", &["train", "infer"], "window of the worker (train) or replica (infer) restart budget"),
+    flag("port-file", Text, "FILE", "", &["train", "infer"], "write the bound --coordinator / --listen address"),
+    flag("replicas", Int, "N", "1", &["infer"], "engine replicas, one worker thread each"),
+    flag("requests", Int, "N", "1000", &["infer", "load"], "requests to send"),
+    flag("clients", Int, "N", "4", &["infer", "load"], "concurrent clients"),
+    flag("deadline-us", Int, "US", "0", &["infer", "load"], "per-request deadline; 0 = none"),
+    flag("max-batch", Int, "N", "16", &["infer"], "micro-batch capacity"),
+    flag("max-delay-us", Int, "US", "2000", &["infer"], "batch assembly window"),
+    flag("queue-depth", Int, "N", "64", &["infer"], "admission queue bound"),
+    flag("max-restarts", Int, "N", "5", &["infer"], "replica restarts allowed per --restart-window"),
+    flag("listen", Text, "ADDR", "", &["infer"], "serve over TCP instead of running the in-process load loop"),
+    flag("serve-for-ms", Int, "MS", "0", &["infer"], "with --listen: drain after MS; 0 = when a client asks"),
+    flag("rpc-max-conns", Int, "N", "24", &["infer"], "with --listen: live connections; one more is greeted HELLO_BUSY"),
+    flag("csv", Text, "FILE", "", &["infer", "load"], "write the report as CSV"),
+    flag("connect", Text, "ADDR", "", &["load", "stats"], "server to load, or any serving / coordinating process to scrape"),
+    flag("pipeline", Int, "N", "1", &["load"], "requests each client keeps in flight"),
+    flag("idle-conns", Int, "N", "0", &["load"], "extra connections that handshake, then sit idle"),
+    flag("fuzz", Int, "N", "0", &["load"], "also send N malformed connections"),
+    switch("drain-server", &["load"], "ask the server to drain and exit afterwards"),
+    flag("json", Text, "FILE", "", &["load", "plan"], "write the report as JSON"),
+    switch("csv", &["stats"], "CSV exposition (the default)"),
+    switch("json", &["stats"], "JSON exposition"),
+    flag("watch", Real, "SECS", "0", &["stats"], "re-scrape every SECS forever; 0 = once"),
+    flag("cluster", Text, "W1,W2,..", "", &["simulate"], "also project multi-node data-parallel scaling at these worker counts"),
+    flag("model", Text, "MODEL", "xeon", &["plan"], "cost model: xeon (the paper's 16 cores) | scaled:SxC (S sockets x C cores)"),
+    flag("beam", Int, "B", "4", &["plan"], "beam width of the strategy search"),
+    flag("out", Text, "FILE", "", &["plan"], "write the executable .plan schedule"),
+    switch("profile", &["train"], "print the measured per-layer fwd/bwd table and imbalance factors"),
+    flag("profile-csv", Text, "FILE", "", &["train", "plan"], "train: also write the --profile table as CSV; plan: seed the cost model from one"),
+    flag("trace", Text, "FILE", "", &["train", "infer"], "record spans, write a Chrome trace_event JSON"),
+    flag("trace-stream", Text, "FILE", "", &["train", "infer"], "write each span to FILE as it finishes (constant memory; excludes --trace)"),
+    flag("trace-limit", Int, "N", "1048576", &["train", "infer"], "spans retained per thread; older ones are dropped and counted"),
+    flag("metrics", Text, "FILE", "", &["train", "infer", "plan"], "write the metrics registry as CSV at exit; '-' = stdout"),
+    flag("metrics-every", Real, "SECS", "", &["train", "infer"], "also rewrite --metrics FILE atomically every SECS during the run"),
+];
+
+/// The row for `--name` under `sub`, if `sub` takes the flag.
+fn row(name: &str, sub: &str) -> Option<&'static Flag> {
+    FLAGS
+        .iter()
+        .find(|f| f.name == name && f.subs.contains(&sub))
+}
+
+/// The `--help` text, rendered from `SUBCOMMANDS` and `FLAGS`: the
+/// rows `sub` takes, or — when `sub` names no subcommand — every row with
+/// the subcommands that take it.
+pub fn help(sub: &str) -> String {
+    let only = SUBCOMMANDS.iter().any(|(n, _)| *n == sub);
+    let mut out = String::from(
+        "usage: cgdnn <subcommand> [<spec.prototxt>] [--flag VALUE | --switch]...\n       \
+         cgdnn [<subcommand>] --help\n\nsubcommands:\n",
+    );
+    for (name, what) in SUBCOMMANDS.iter().filter(|(n, _)| !only || *n == sub) {
+        let _ = writeln!(out, "  {name:<9} {what}");
+    }
+    out.push_str("\nflags:\n");
+    for f in FLAGS.iter().filter(|f| !only || f.subs.contains(&sub)) {
+        let left = format!("--{} {}", f.name, f.metavar);
+        let _ = write!(out, "  {left:<25} {}", f.help);
+        if !f.default.is_empty() {
+            let _ = write!(out, " (default {})", f.default);
+        }
+        if !only {
+            let _ = write!(out, " [{}]", f.subs.join(" "));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// A parsed command line: the flags given, checked against `FLAGS`, and
+/// the positional arguments.
 pub struct Args {
-    flags: Vec<(String, String)>,
-    /// Positional arguments in order (subcommand, spec path, ...).
+    sub: &'static str,
+    given: Vec<(&'static str, String)>,
+    /// Positional arguments in order (the spec path, if any).
     pub positional: Vec<String>,
 }
 
 impl Args {
-    /// Parse raw arguments (without the program name).
+    /// Parse the arguments after subcommand `sub`.
     ///
     /// # Errors
-    /// Fails when a `--flag` has no following value.
-    pub fn parse(raw: impl Iterator<Item = String>) -> Result<Self, String> {
-        Self::parse_with_switches(raw, &[])
-    }
-
-    /// [`Args::parse`], treating each flag named in `switches` as a boolean
-    /// switch that takes no value (query it with [`Args::has`]).
-    ///
-    /// # Errors
-    /// Fails when a non-switch `--flag` has no following value.
-    pub fn parse_with_switches(
-        raw: impl Iterator<Item = String>,
-        switches: &[&str],
-    ) -> Result<Self, String> {
-        let mut flags = Vec::new();
-        let mut positional = Vec::new();
-        let mut it = raw.peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if switches.contains(&name) {
-                    flags.push((name.to_string(), String::new()));
-                    continue;
-                }
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(a);
-            }
-        }
-        Ok(Self { flags, positional })
-    }
-
-    /// Whether `--name` appeared at all (boolean switches).
-    pub fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    /// Last occurrence of `--name` wins.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags
+    /// An unknown subcommand; a flag `sub` has no row for; a missing value
+    /// or one that does not parse as the row's kind; `--metrics-every`
+    /// without a `--metrics FILE` to rewrite.
+    pub fn parse(sub: &str, argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let sub = SUBCOMMANDS
             .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+            .map(|(n, _)| *n)
+            .find(|n| *n == sub)
+            .ok_or_else(|| format!("unknown subcommand '{sub}' (see `cgdnn --help`)"))?;
+        let mut args = Self {
+            sub,
+            given: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut it = argv.into_iter();
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                args.positional.push(a);
+                continue;
+            };
+            let f = row(name, sub).ok_or_else(|| {
+                format!("unknown flag --{name} for `cgdnn {sub}` (see `cgdnn {sub} --help`)")
+            })?;
+            let value = match f.kind {
+                Kind::Switch => String::new(),
+                _ => it
+                    .next()
+                    .ok_or_else(|| format!("--{name} needs a value {}", f.metavar))?,
+            };
+            if !f.accepts(&value) {
+                return Err(format!(
+                    "invalid value '{value}' for --{name} {}",
+                    f.metavar
+                ));
+            }
+            args.given.push((f.name, value));
+        }
+        if args.has("metrics-every") && matches!(args.get("metrics"), None | Some("-")) {
+            return Err("--metrics-every rewrites --metrics FILE; give a file, not '-'".into());
+        }
+        Ok(args)
     }
 
-    /// Typed flag lookup with default.
+    /// Whether `--name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The last value given for `--name`, else its row's default (`None`
+    /// when the row has none).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        match self.given.iter().rev().find(|(n, _)| *n == name) {
+            Some((_, v)) => Some(v),
+            None => row(name, self.sub)
+                .map(|f| f.default)
+                .filter(|d| !d.is_empty()),
+        }
+    }
+
+    /// [`Args::get`], parsed as `T`.
     ///
     /// # Errors
     /// Fails when the value does not parse as `T`.
-    pub fn get_parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value '{v}' for --{name}")),
-        }
+    pub fn parse_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("invalid value '{v}' for --{name}"))
+        };
+        self.get(name).map(parse).transpose()
+    }
+
+    /// [`Args::parse_opt`] for a flag that has a default or must be given.
+    ///
+    /// # Errors
+    /// Fails when the value does not parse as `T`, or there is none.
+    pub fn get_parse<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        self.parse_opt(name)?
+            .ok_or_else(|| format!("missing --{name}"))
     }
 }
 
@@ -85,14 +268,12 @@ impl Args {
 /// # Errors
 /// Fails on unknown kinds, missing files, or malformed data files.
 pub fn make_source(kind: &str) -> Result<Box<dyn BatchSource<f32>>, String> {
+    let open = |path: &str| File::open(path).map_err(|e| format!("{path}: {e}"));
     if let Some(rest) = kind.strip_prefix("idx:") {
         let (imgs, lbls) = rest.split_once(',').ok_or("idx: needs <images>,<labels>")?;
         let (images, rows, cols) =
-            datasets::read_idx_images(File::open(imgs).map_err(|e| format!("{imgs}: {e}"))?)
-                .map_err(|e| e.to_string())?;
-        let labels =
-            datasets::read_idx_labels(File::open(lbls).map_err(|e| format!("{lbls}: {e}"))?)
-                .map_err(|e| e.to_string())?;
+            datasets::read_idx_images(open(imgs)?).map_err(|e| e.to_string())?;
+        let labels = datasets::read_idx_labels(open(lbls)?).map_err(|e| e.to_string())?;
         return Ok(Box::new(InMemoryDataset::new(
             images,
             labels,
@@ -100,9 +281,7 @@ pub fn make_source(kind: &str) -> Result<Box<dyn BatchSource<f32>>, String> {
         )));
     }
     if let Some(file) = kind.strip_prefix("cifar-bin:") {
-        let (images, labels) =
-            datasets::read_cifar_bin(File::open(file).map_err(|e| format!("{file}: {e}"))?)
-                .map_err(|e| e.to_string())?;
+        let (images, labels) = datasets::read_cifar_bin(open(file)?).map_err(|e| e.to_string())?;
         return Ok(Box::new(InMemoryDataset::new(
             images,
             labels,
@@ -120,51 +299,91 @@ pub fn make_source(kind: &str) -> Result<Box<dyn BatchSource<f32>>, String> {
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
-        s.split_whitespace().map(|x| x.to_string())
+    fn parse(sub: &str, line: &str) -> Result<Args, String> {
+        Args::parse(sub, line.split_whitespace().map(String::from))
     }
 
     #[test]
-    fn parses_flags_and_positionals() {
-        let a = Args::parse(argv("train spec.txt --threads 8 --iters 100")).unwrap();
-        assert_eq!(a.positional, vec!["train", "spec.txt"]);
+    fn parses_flags_positionals_and_table_defaults() {
+        let a = parse("train", "spec.txt --threads 8 --iters 100 --profile").unwrap();
+        assert_eq!(a.positional, vec!["spec.txt"]);
         assert_eq!(a.get("threads"), Some("8"));
-        assert_eq!(a.get_parse("iters", 0usize).unwrap(), 100);
-        assert_eq!(a.get_parse("lr", 0.5f64).unwrap(), 0.5);
+        assert_eq!(a.get_parse::<usize>("iters").unwrap(), 100);
+        assert!(a.has("profile") && !a.has("rejoin"));
+        // Absent flags take their row's default; rows without one are None.
+        assert_eq!(a.get_parse::<f64>("lr").unwrap(), 0.01);
+        assert_eq!(a.get("data"), Some("synthetic-mnist"));
+        assert_eq!(a.get("snapshot"), None);
+        assert!(a.get_parse::<String>("snapshot").is_err());
+        // A row is chosen per subcommand: plan's --threads has no default.
+        let p = parse("plan", "spec.txt").unwrap();
+        assert_eq!(p.parse_opt::<usize>("threads").unwrap(), None);
     }
 
     #[test]
     fn last_flag_occurrence_wins() {
-        let a = Args::parse(argv("x --threads 2 --threads 4")).unwrap();
+        let a = parse("train", "x --threads 2 --threads 4").unwrap();
         assert_eq!(a.get("threads"), Some("4"));
     }
 
     #[test]
-    fn missing_value_is_an_error() {
-        assert!(Args::parse(argv("train --threads")).is_err());
+    fn missing_and_mistyped_values_are_errors() {
+        assert!(parse("train", "spec --threads").is_err());
+        let e = parse("train", "spec --iters banana").err().unwrap();
+        assert!(e.contains("banana") && e.contains("--iters"), "{e}");
+        assert!(parse("train", "spec --lr fast").is_err());
     }
 
     #[test]
-    fn switches_take_no_value() {
-        let a = Args::parse_with_switches(
-            argv("train spec.txt --profile --threads 4 --trace out.json"),
-            &["profile"],
-        )
-        .unwrap();
-        assert!(a.has("profile"));
-        assert!(!a.has("quiet"));
-        assert_eq!(a.positional, vec!["train", "spec.txt"]);
-        assert_eq!(a.get("threads"), Some("4"));
-        assert_eq!(a.get("trace"), Some("out.json"));
-        // A trailing switch still parses.
-        let b = Args::parse_with_switches(argv("train --profile"), &["profile"]).unwrap();
-        assert!(b.has("profile"));
+    fn one_name_two_rows_switch_or_path_by_subcommand() {
+        let s = parse("stats", "--connect 127.0.0.1:1 --json").unwrap();
+        assert!(s.has("json"));
+        let l = parse("load", "--connect 127.0.0.1:1 --json r.json --csv r.csv").unwrap();
+        assert_eq!(l.get("json"), Some("r.json"));
+        assert_eq!(l.get("csv"), Some("r.csv"));
     }
 
     #[test]
-    fn bad_typed_value_is_an_error() {
-        let a = Args::parse(argv("x --iters banana")).unwrap();
-        assert!(a.get_parse("iters", 0usize).is_err());
+    fn flags_no_row_accepts_are_rejected_and_the_table_is_whole() {
+        let e = parse("train", "spec --iter 2").err().unwrap();
+        assert!(e.contains("--iter ") && e.contains("train"), "{e}");
+        assert!(parse("summary", "spec --bogus 1").is_err());
+        assert!(
+            parse("load", "--trace-limit 5").is_err(),
+            "load does not trace"
+        );
+        assert!(parse("bogus", "").is_err());
+        // --metrics-every needs a FILE to rewrite.
+        assert!(parse("train", "spec --metrics-every 1").is_err());
+        assert!(parse("train", "spec --metrics - --metrics-every 1").is_err());
+        assert!(parse("infer", "spec --metrics m.csv --metrics-every 1").is_ok());
+
+        let all = help("");
+        for f in FLAGS {
+            let left = format!("--{} {}", f.name, f.metavar);
+            assert!(
+                all.lines()
+                    .any(|l| l.contains(left.trim_end()) && l.contains(f.help)),
+                "--{} missing from --help",
+                f.name
+            );
+            if !f.default.is_empty() {
+                assert!(f.accepts(f.default), "--{} default", f.name);
+            }
+            for sub in f.subs {
+                assert!(
+                    SUBCOMMANDS.iter().any(|(n, _)| n == sub),
+                    "--{} {sub}",
+                    f.name
+                );
+                let rows = FLAGS
+                    .iter()
+                    .filter(|g| g.name == f.name && g.subs.contains(sub));
+                assert_eq!(rows.count(), 1, "--{} has two rows for {sub}", f.name);
+            }
+        }
+        let train = help("train");
+        assert!(train.contains("--iters N") && !train.contains("--listen ADDR"));
     }
 
     #[test]

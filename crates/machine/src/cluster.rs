@@ -118,22 +118,6 @@ pub fn format_cluster_table(model: &ClusterModel, worker_counts: &[usize]) -> St
     out
 }
 
-/// Plot-ready CSV of the same series:
-/// `workers,pserver_ms,pserver_x,tree_ms,tree_x`.
-pub fn cluster_csv(model: &ClusterModel, worker_counts: &[usize]) -> String {
-    let mut out = String::from("workers,pserver_ms,pserver_x,tree_ms,tree_x\n");
-    for &w in worker_counts {
-        out.push_str(&format!(
-            "{w},{:.4},{:.4},{:.4},{:.4}\n",
-            model.step_time(Aggregation::ParamServer, w) * 1e3,
-            model.speedup(Aggregation::ParamServer, w),
-            model.step_time(Aggregation::ReductionTree, w) * 1e3,
-            model.speedup(Aggregation::ReductionTree, w),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,18 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn table_and_csv_cover_every_worker_count() {
+    fn table_covers_every_worker_count() {
         let m = model();
         let counts = [1usize, 2, 4, 8];
         let table = format_cluster_table(&m, &counts);
         assert_eq!(table.lines().count(), 1 + counts.len());
         assert!(table.contains("pserver"));
-        let csv = cluster_csv(&m, &counts);
-        assert!(csv.starts_with("workers,pserver_ms,"));
-        let cols = csv.lines().next().unwrap().split(',').count();
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), cols, "row {line}");
-        }
-        assert!(csv.lines().any(|l| l.starts_with("8,")));
+        assert!(table.lines().any(|l| l.trim_start().starts_with("8 ")));
     }
 }

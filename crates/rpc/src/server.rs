@@ -69,23 +69,13 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the wire front-end.
 #[derive(Debug, Clone)]
 pub struct RpcConfig {
-    /// Serve-pool sizing hint: with `max_connections == 0` the live
-    /// connection cap defaults to `handlers + backlog`, preserving the
-    /// admission behavior of the old thread-per-connection pool.
-    pub handlers: usize,
-    /// See `handlers` — second term of the default connection cap.
-    pub backlog: usize,
-    /// Unused by the readiness loop (sockets are non-blocking; drain is
-    /// wakeup-driven). Retained so existing configurations keep
-    /// compiling and CLI flags keep parsing.
-    pub read_timeout: Duration,
     /// How long a connection's pending response bytes may sit unwritten
     /// while the peer refuses them; past this the connection is dropped.
     pub write_timeout: Duration,
     /// Per-frame payload cap; headers announcing more are decode errors.
     pub max_payload: u32,
     /// Max live connections; one more is greeted with
-    /// [`proto::HELLO_BUSY`] and closed. `0` = `handlers + backlog`.
+    /// [`proto::HELLO_BUSY`] and closed.
     pub max_connections: usize,
     /// Per-connection pending-write cap: past this the loop stops
     /// reading new requests from that connection until the peer drains
@@ -97,28 +87,14 @@ pub struct RpcConfig {
 }
 
 impl Default for RpcConfig {
-    /// Cap of 24 live connections (8 + 16); 1 s write stall budget.
+    /// Cap of 24 live connections; 1 s write stall budget.
     fn default() -> Self {
         Self {
-            handlers: 8,
-            backlog: 16,
-            read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(1),
             max_payload: proto::MAX_PAYLOAD,
-            max_connections: 0,
+            max_connections: 24,
             max_wbuf: 1 << 20,
             drain_grace: Duration::from_secs(5),
-        }
-    }
-}
-
-impl RpcConfig {
-    /// The effective live-connection cap.
-    fn conn_cap(&self) -> usize {
-        if self.max_connections > 0 {
-            self.max_connections
-        } else {
-            (self.handlers + self.backlog).max(1)
         }
     }
 }
@@ -265,7 +241,6 @@ impl RpcServer {
                 output_len as u32,
             ),
             sample_len,
-            cap: cfg.conn_cap(),
             cfg,
             draining: false,
             drain_deadline: None,
@@ -392,7 +367,6 @@ struct EventLoop {
     hello_ok: [u8; proto::SERVER_HELLO_LEN],
     hello_busy: [u8; proto::SERVER_HELLO_LEN],
     sample_len: usize,
-    cap: usize,
     cfg: RpcConfig,
     draining: bool,
     drain_deadline: Option<Instant>,
@@ -575,7 +549,7 @@ impl EventLoop {
                     self.metrics.connections.inc();
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    if self.conns.len() >= self.cap {
+                    if self.conns.len() >= self.cfg.max_connections {
                         // Over the cap: the hello carries the verdict, so
                         // the client backs off instead of discovering a
                         // dead connection one frame later. A fresh socket

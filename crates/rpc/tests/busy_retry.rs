@@ -1,5 +1,5 @@
 //! The load generator must *absorb* a transiently busy server: a
-//! `HELLO_BUSY` greeting (handler slots and accept queue full) is retried
+//! `HELLO_BUSY` greeting (connection cap reached) is retried
 //! with backoff instead of failing the run, and the retries are counted in
 //! the report.
 
@@ -35,8 +35,8 @@ layer {
 }
 "#;
 
-/// A serving stack squeezed to one handler over a one-deep accept queue,
-/// so two held connections saturate admission.
+/// A serving stack capped at two live connections, so two held
+/// connections saturate admission.
 fn start_tiny_stack() -> (Server<f32>, RpcServer, obs::Registry) {
     let spec = net::NetSpec::parse(TRAIN).unwrap();
     let factory = EngineFactory::<f32>::new(
@@ -52,9 +52,7 @@ fn start_tiny_stack() -> (Server<f32>, RpcServer, obs::Registry) {
     let server = Server::start(factory.build_n(1).unwrap(), BatchPolicy::default()).unwrap();
     let reg = obs::Registry::new();
     let cfg = RpcConfig {
-        handlers: 1,
-        backlog: 1,
-        read_timeout: Duration::from_millis(50),
+        max_connections: 2,
         ..RpcConfig::default()
     };
     let rpc = RpcServer::start(
@@ -69,7 +67,7 @@ fn start_tiny_stack() -> (Server<f32>, RpcServer, obs::Registry) {
 }
 
 /// Connect and read the server hello, holding the connection open —
-/// occupies a handler slot (first call) or the accept queue (second).
+/// occupies one of the two connection seats.
 fn occupy(addr: std::net::SocketAddr) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();

@@ -49,15 +49,11 @@ fn start_stack() -> (Server<f32>, RpcServer, obs::Registry) {
     .unwrap();
     let server = Server::start(factory.build_n(1).unwrap(), BatchPolicy::default()).unwrap();
     let reg = obs::Registry::new();
-    let cfg = RpcConfig {
-        read_timeout: Duration::from_millis(50),
-        ..RpcConfig::default()
-    };
     let rpc = RpcServer::start(
         "127.0.0.1:0",
         server.client(),
         server.output_len(),
-        cfg,
+        RpcConfig::default(),
         &reg,
     )
     .unwrap();

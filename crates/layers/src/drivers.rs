@@ -1,9 +1,12 @@
 //! Parallel drivers: the reusable renderings of Algorithms 4 and 5.
 //!
-//! * [`parallel_segments`] / [`parallel_segments_scratch`] — the coalesced,
-//!   statically-scheduled loop over disjoint output segments (Algorithm 4).
-//!   Forward passes and backward-data passes write disjoint segments, so no
-//!   synchronization is required.
+//! * [`parallel_rows`] / [`parallel_segments`] /
+//!   [`parallel_segments_scratch`] — the coalesced, statically-scheduled
+//!   loop over disjoint output segments (Algorithm 4), handed to the kernel
+//!   as the schedule's contiguous runs (one call per run: the inner
+//!   product's row-range GEMM) or one segment at a time. Forward passes and
+//!   backward-data passes write disjoint segments, so no synchronization is
+//!   required.
 //! * [`parallel_units`] / [`parallel_units_scratch`] — the generalized form:
 //!   each sample's segment is further split into `ways` disjoint sub-blocks
 //!   per the layer's [`LayerStrategy`](crate::strategy::LayerStrategy), so the coalesced loop runs over
@@ -28,12 +31,50 @@
 use crate::ctx::ExecCtx;
 use crate::workspace::ThreadScratch;
 use mmblas::Scalar;
-use omprt::schedule::{for_each_index, static_chunk};
+use omprt::schedule::{for_each_index, for_each_range, static_chunk};
 use omprt::sendptr::{DisjointSlices, SendPtr};
 use parking_lot::Mutex;
+use std::ops::Range;
 
-/// Coalesced parallel loop over `out.len() / seg_len` disjoint output
-/// segments. `f(i, segment)` is invoked exactly once per segment index.
+/// The coalesced, statically-scheduled loop of Algorithm 4 with the
+/// schedule's runs kept whole: `out` holds `out.len() / row_len` disjoint
+/// rows (one per coalesced iteration), and `f(rows, out_rows)` is invoked
+/// once per contiguous run of rows a thread receives ([`for_each_range`]),
+/// with `out_rows` the run's `rows.len() * row_len` elements of `out`. Under
+/// [`LayerStrategy::Replicate`](crate::strategy::LayerStrategy::Replicate)
+/// there is one inline call over all rows.
+///
+/// A kernel that is one call per run (the inner product's row-range GEMM)
+/// must write each row with values that do not depend on the run it arrives
+/// in — `mmblas::gemm` over a row range does.
+pub fn parallel_rows<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], row_len: usize, f: F)
+where
+    S: Scalar,
+    F: Fn(Range<usize>, &mut [S]) + Sync,
+{
+    if out.is_empty() {
+        return;
+    }
+    if ctx.strategy.is_replicate() {
+        let _span = obs::trace::span("replicate", "driver");
+        assert_eq!(out.len() % row_len, 0, "segments must divide evenly");
+        f(0..out.len() / row_len, out);
+        return;
+    }
+    let ds = DisjointSlices::new(out, row_len);
+    let n = ds.len();
+    ctx.team.parallel(|w| {
+        let _span = obs::trace::span("segments", "driver");
+        for_each_range(w, n, ctx.schedule, |rows| {
+            // SAFETY: `for_each_range` deals disjoint runs, one thread each.
+            let out_rows = unsafe { ds.segments_mut(rows.clone()) };
+            f(rows, out_rows);
+        });
+    });
+}
+
+/// [`parallel_rows`] one segment at a time: `f(i, segment)` is invoked
+/// exactly once per segment index, by the thread the schedule gives it.
 ///
 /// With a team of size 1 this degenerates to the sequential loop of
 /// Algorithm 2, in the same iteration order.
@@ -42,26 +83,10 @@ where
     S: Scalar,
     F: Fn(usize, &mut [S]) + Sync,
 {
-    if out.is_empty() {
-        return;
-    }
-    if ctx.strategy.is_replicate() {
-        let _span = obs::trace::span("replicate", "driver");
-        assert_eq!(out.len() % seg_len, 0, "segments must divide evenly");
-        for (i, seg) in out.chunks_exact_mut(seg_len).enumerate() {
+    parallel_rows(ctx, out, seg_len, |rows, segs| {
+        for (i, seg) in rows.zip(segs.chunks_exact_mut(seg_len)) {
             f(i, seg);
         }
-        return;
-    }
-    let ds = DisjointSlices::new(out, seg_len);
-    let n = ds.len();
-    ctx.team.parallel(|w| {
-        let _span = obs::trace::span("segments", "driver");
-        for_each_index(w, n, ctx.schedule, |i| {
-            // SAFETY: each index is executed exactly once across the team.
-            let seg = unsafe { ds.segment_mut(i) };
-            f(i, seg);
-        });
     });
 }
 
@@ -106,8 +131,9 @@ where
 ///
 /// The kernel must write sub-block `block` of sample `sample`'s output with
 /// values bit-identical to the corresponding region of the unsplit kernel —
-/// conv/IP achieve this by calling `mmblas::gemm`/`gemv` on the block's rows,
-/// whose per-element accumulation order does not depend on the row range.
+/// conv and IP achieve this by calling `mmblas::gemm` on the block's rows of
+/// the weight matrix, whose per-element accumulation order does not depend
+/// on the row or column range a call covers.
 ///
 /// # Panics
 /// Panics unless `split_ways` divides `seg_len`.
@@ -116,32 +142,18 @@ where
     S: Scalar,
     F: Fn(usize, usize, usize, &mut [S]) + Sync,
 {
-    if out.is_empty() {
-        return;
-    }
-    if ctx.strategy.is_replicate() {
-        let _span = obs::trace::span("replicate", "driver");
-        assert_eq!(out.len() % seg_len, 0, "segments must divide evenly");
-        for (i, seg) in out.chunks_exact_mut(seg_len).enumerate() {
-            f(i, 0, 1, seg);
-        }
-        return;
-    }
+    // Replicate does not split (`split_ways() == 1`), so it runs the samples.
     let ways = ctx.strategy.split_ways();
     assert_eq!(
         seg_len % ways,
         0,
         "parallel_units: split ways {ways} must divide segment length {seg_len}"
     );
-    let ds = DisjointSlices::new(out, seg_len / ways);
-    let n_units = ds.len();
-    ctx.team.parallel(|w| {
-        let _span = obs::trace::span("segments", "driver");
-        for_each_index(w, n_units, ctx.schedule, |u| {
-            // SAFETY: each unit index is executed exactly once across the team.
-            let seg = unsafe { ds.segment_mut(u) };
+    let unit_len = seg_len / ways;
+    parallel_rows(ctx, out, unit_len, |units, segs| {
+        for (u, seg) in units.zip(segs.chunks_exact_mut(unit_len)) {
             f(u / ways, u % ways, ways, seg);
-        });
+        }
     });
 }
 
@@ -502,6 +514,38 @@ mod tests {
         // groups: 1 degenerates to the flat fold.
         let ctx1 = ExecCtx::new(&team, &ws).with_reduction(ReductionMode::Canonical { groups: 1 });
         assert_eq!(parallel_map_ordered_sum(&ctx1, n, f), part(0..n));
+    }
+
+    #[test]
+    fn parallel_rows_calls_once_per_scheduled_run() {
+        use omprt::Schedule;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ws = Workspace::<f64>::empty();
+        for threads in [1, 3] {
+            let team = ThreadTeam::new(threads);
+            for (strategy, sched, want_calls) in [
+                (LayerStrategy::SampleSplit, Schedule::Static, threads),
+                (LayerStrategy::SampleSplit, Schedule::StaticChunk(2), 4),
+                (LayerStrategy::Replicate, Schedule::StaticChunk(2), 1),
+            ] {
+                let ctx = ExecCtx::new(&team, &ws)
+                    .with_strategy(strategy)
+                    .with_schedule(sched);
+                let calls = AtomicUsize::new(0);
+                let mut out = vec![-1.0f64; 7 * 3];
+                parallel_rows(&ctx, &mut out, 3, |rows, y| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!(y.len(), rows.len() * 3);
+                    for (r, row) in rows.zip(y.chunks_exact_mut(3)) {
+                        row.fill(r as f64);
+                    }
+                });
+                let want: Vec<f64> = (0..21).map(|i| (i / 3) as f64).collect();
+                let what = format!("{threads} threads, {strategy}, {sched:?}");
+                assert_eq!(out, want, "{what}");
+                assert_eq!(calls.into_inner(), want_calls, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Fully-connected layer — Caffe's `InnerProduct`.
 //!
-//! Forward: `y_s = W x_s + b` per sample (one GEMV per coalesced-loop
-//! iteration). Backward: `dW += dy_s ⊗ x_s` and `db += dy_s` through the
-//! privatized ordered reduction; `dx_s = W^T dy_s` through the disjoint
-//! segment loop.
+//! Forward: `Y = X W^T + b`, one row-range GEMM per contiguous run of
+//! samples the schedule deals a thread (Caffe's layer is one GEMM per
+//! batch; a run is the coarse-grain share of it). The GEMM's bits do not
+//! depend on the run, so neither team size nor schedule shows in `Y`; under
+//! `OutputSplit` each `(sample, block)` unit is a 1-row GEMM over the
+//! block's weight rows, the same bits again. Backward: `dW += dy_s ⊗ x_s`
+//! and `db += dy_s` through the privatized ordered reduction; `dx_s = W^T
+//! dy_s` through the disjoint segment loop — per sample, because a
+//! coarse-grain slot holds too few samples for a GEMM to beat them.
 
 use crate::ctx::ExecCtx;
-use crate::drivers::{backward_reduce, parallel_segments, parallel_units};
+use crate::drivers::{backward_reduce, parallel_rows, parallel_segments, parallel_units};
 use crate::fill::Filler;
 use crate::profile::{LayerProfile, PassProfile};
 use crate::strategy::{split_divisors, LayerStrategy};
 use crate::workspace::WorkspaceRequest;
 use crate::Layer;
 use blob::{Blob, Shape};
-use mmblas::{Pcg32, Scalar, Transpose};
+use mmblas::Transpose::{No, Yes};
+use mmblas::{Pcg32, Scalar};
 
 /// Configuration for [`InnerProductLayer`].
 #[derive(Debug, Clone)]
@@ -53,6 +59,31 @@ impl InnerProductConfig {
 /// the work profile: the matrix is streamed on the first touch and then
 /// largely served from the last-level cache.
 const WEIGHT_RESIDENCY: f64 = 0.1;
+
+/// `y = x W^T + bias` for `rows` samples: `x` is `rows x k`, `w` holds (at
+/// least) `m` weight rows of `k`, `y` is `rows x m`. The bias is copied into
+/// every row and the product added on top (`beta = 1`); without one `beta =
+/// 0` overwrites `y`.
+fn forward_rows<S: Scalar>(
+    rows: usize,
+    m: usize,
+    k: usize,
+    x: &[S],
+    w: &[S],
+    bias: Option<&[S]>,
+    y: &mut [S],
+) {
+    let beta = match bias {
+        Some(b) => {
+            for row in y.chunks_exact_mut(m) {
+                row.copy_from_slice(b);
+            }
+            S::ONE
+        }
+        None => S::ZERO,
+    };
+    mmblas::gemm(No, Yes, rows, m, k, S::ONE, x, k, w, k, beta, y, m);
+}
 
 /// Caffe `InnerProduct` layer.
 pub struct InnerProductLayer<S: Scalar = f32> {
@@ -136,27 +167,24 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
             None
         };
         let (m, k) = (self.cfg.num_output, self.k);
-        assert_eq!(
-            m % ctx.strategy.split_ways(),
-            0,
-            "{}: split must divide {m} outputs",
-            self.name
-        );
-        // Under OutputSplit, block `blk` computes output rows
-        // `[blk*mb, (blk+1)*mb)` via a GEMV over the corresponding weight
-        // rows. Each y[i] is an independent dot product, so any row blocking
-        // is bitwise equal to the full call.
-        parallel_units(ctx, top[0].data_mut(), m, |s, blk, nb, y| {
-            let mb = m / nb;
-            let xs = &x[s * k..(s + 1) * k];
-            let wb = &w[blk * mb * k..];
-            if let Some(b) = bias {
-                y.copy_from_slice(&b[blk * mb..(blk + 1) * mb]);
-                mmblas::gemv(Transpose::No, mb, k, S::ONE, wb, k, xs, S::ONE, y);
-            } else {
-                mmblas::gemv(Transpose::No, mb, k, S::ONE, wb, k, xs, S::ZERO, y);
-            }
-        });
+        let ways = ctx.strategy.split_ways();
+        assert_eq!(m % ways, 0, "{}: split must divide {m} outputs", self.name);
+        if ways == 1 {
+            parallel_rows(ctx, top[0].data_mut(), m, |rows, y| {
+                let xs = &x[rows.start * k..rows.end * k];
+                forward_rows(rows.len(), m, k, xs, w, bias, y);
+            });
+        } else {
+            // OutputSplit: block `blk` of sample `s` is columns
+            // `[blk*mb, (blk+1)*mb)` of that sample's row — a 1-row GEMM over
+            // the block's weight rows, bitwise those columns of the full call.
+            parallel_units(ctx, top[0].data_mut(), m, |s, blk, nb, y| {
+                let mb = m / nb;
+                let xs = &x[s * k..(s + 1) * k];
+                let bias = bias.map(|b| &b[blk * mb..(blk + 1) * mb]);
+                forward_rows(1, mb, k, xs, &w[blk * mb * k..], bias, y);
+            });
+        }
     }
 
     fn backward(&mut self, ctx: &ExecCtx<'_, S>, top: &[&Blob<S>], bottom: &mut [Blob<S>]) {
@@ -197,7 +225,7 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
             let w = self.params[0].data();
             parallel_segments(ctx, bottom[0].diff_mut(), k, |s, dx| {
                 let dy = &tdiff[s * m..(s + 1) * m];
-                mmblas::gemv(Transpose::Yes, m, k, S::ONE, w, k, dy, S::ZERO, dx);
+                mmblas::gemv(Yes, m, k, S::ONE, w, k, dy, S::ZERO, dx);
             });
         }
     }
@@ -382,6 +410,96 @@ mod tests {
                 );
             }
             assert_eq!(run(t, LayerStrategy::Replicate), reference);
+        }
+    }
+
+    /// `f32`, so a release run exercises the AVX2 kernel: under every team
+    /// size, schedule and strategy, with and without a bias, and at batch
+    /// sizes that are no multiple of the kernel's 6 x 16 tile, the forward
+    /// is bitwise one 1-row GEMM per sample — however the samples were
+    /// grouped into runs — and close to the triple-loop oracle.
+    #[test]
+    fn forward_is_bitwise_a_gemm_per_sample_under_every_schedule() {
+        use omprt::Schedule;
+        // Two `k` panels; four output blocks of 5.
+        const M: usize = 20;
+        const K: usize = 300;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for bias_term in [true, false] {
+            for batch in [7usize, 23, 37] {
+                let data: Vec<f32> = (0..batch * K).map(|i| (i as f32 * 0.37).sin()).collect();
+                let b: Blob<f32> = Blob::from_data([batch, K], data.clone());
+                let mut cfg = InnerProductConfig::new(M);
+                cfg.bias_term = bias_term;
+                cfg.bias_filler = Filler::Uniform { lo: -0.5, hi: 0.5 };
+                let mut l = InnerProductLayer::<f32>::new("ip", cfg);
+                let shapes = l.setup(&[&b]);
+                let w = l.params()[0].data().to_vec();
+                let bias = bias_term.then(|| l.params()[1].data().to_vec());
+
+                let (mut want, mut oracle) = (vec![0.0f32; batch * M], vec![0.0f32; batch * M]);
+                let beta = match &bias {
+                    Some(bias) => {
+                        for (y, o) in want.chunks_mut(M).zip(oracle.chunks_mut(M)) {
+                            y.copy_from_slice(bias);
+                            o.copy_from_slice(bias);
+                        }
+                        1.0
+                    }
+                    None => 0.0,
+                };
+                for (xs, y) in data.chunks(K).zip(want.chunks_mut(M)) {
+                    mmblas::gemm(No, Yes, 1, M, K, 1.0, xs, K, &w, K, beta, y, M);
+                }
+                mmblas::gemm_naive(
+                    No,
+                    Yes,
+                    batch,
+                    M,
+                    K,
+                    1.0,
+                    &data,
+                    K,
+                    &w,
+                    K,
+                    beta,
+                    &mut oracle,
+                    M,
+                );
+                for (g, o) in want.iter().zip(&oracle) {
+                    assert!((g - o).abs() <= 1e-5 * (1.0 + o.abs()), "{g} vs oracle {o}");
+                }
+
+                for threads in 1..=4 {
+                    let team = ThreadTeam::new(threads);
+                    let ws = Workspace::<f32>::new(threads, threads, l.workspace_request());
+                    for sched in [
+                        Schedule::Static,
+                        Schedule::StaticChunk(3),
+                        Schedule::Dynamic(2),
+                        Schedule::Guided,
+                    ] {
+                        for strategy in [
+                            LayerStrategy::SampleSplit,
+                            LayerStrategy::Replicate,
+                            LayerStrategy::OutputSplit { ways: 2 },
+                            LayerStrategy::OutputSplit { ways: 4 },
+                        ] {
+                            let ctx = ExecCtx::new(&team, &ws)
+                                .with_schedule(sched)
+                                .with_strategy(strategy);
+                            let mut tops = vec![Blob::new(shapes[0].clone())];
+                            l.forward(&ctx, &[&b], &mut tops);
+                            assert_eq!(
+                                bits(tops[0].data()),
+                                bits(&want),
+                                "bias {bias_term}, batch {batch}, {threads} threads, \
+                                 {sched:?}, {strategy}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

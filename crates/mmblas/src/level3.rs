@@ -26,7 +26,9 @@
 //! The microkernel exists twice: `tile_scalar`, portable Rust, and an
 //! AVX2/FMA twin for `f32` selected once per call by
 //! `is_x86_feature_detected!`. `f64`, and `f32` on hosts without AVX2+FMA,
-//! run the scalar twin.
+//! run the scalar twin — compiled a second time with the `fma` target
+//! feature where the CPU has it, so `mul_add` is an instruction, not a libm
+//! call.
 //!
 //! # Bit-identity
 //!
@@ -325,13 +327,46 @@ fn gemm_with<S: Scalar>(
     core(&problem, c);
 }
 
-/// The strided core with the portable microkernel: the scalar twin, and the
-/// whole kernel for `f64` and for hosts without AVX2+FMA.
+/// The strided core with the portable microkernel compiled for the baseline
+/// target: the scalar twin every other path is held to. On an x86_64
+/// baseline `mul_add` is a libm call here.
 pub(crate) fn gemm_portable<S: Scalar>(p: &Strided<'_, S>, c: &mut [S]) {
     gemm_loops(tile_scalar::<S>, p, c);
 }
 
-/// The strided core for `f32`: the single SIMD dispatch site.
+/// The strided core for `f64`, and for `f32` without AVX2: the portable
+/// microkernel, compiled with FMA where the CPU has it so that `mul_add` is
+/// one instruction — the same correctly rounded operation as the libm call,
+/// hence the scalar twin's bits.
+pub(crate) fn gemm_scalar<S: Scalar>(p: &Strided<'_, S>, c: &mut [S]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("fma") {
+        // SAFETY: `gemm_fma` requires the `fma` CPU feature, which was
+        // detected on the running CPU on the line above.
+        unsafe { gemm_fma(p, c) };
+        return;
+    }
+    gemm_portable(p, c);
+}
+
+/// [`gemm_portable`]'s loops compiled with the `fma` target feature.
+///
+/// # Safety
+/// The running CPU must support the `fma` feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn gemm_fma<S: Scalar>(p: &Strided<'_, S>, c: &mut [S]) {
+    // A closure, not the bare `tile_scalar`: the closure inherits this
+    // function's target features, so the microkernel inlined into it is
+    // compiled with FMA (a fn item would be called through a shim without).
+    gemm_loops(
+        |kb, a, a_off, a_cs, strip, acc| tile_scalar(kb, a, a_off, a_cs, strip, acc),
+        p,
+        c,
+    );
+}
+
+/// The strided core for `f32`: AVX2 where the CPU has it.
 pub(crate) fn gemm_f32(p: &Strided<'_, f32>, c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -340,7 +375,7 @@ pub(crate) fn gemm_f32(p: &Strided<'_, f32>, c: &mut [f32]) {
         unsafe { avx2::gemm_avx2(p, c) };
         return;
     }
-    gemm_portable(p, c);
+    gemm_scalar(p, c);
 }
 
 /// Loop nest shared by both twins.
@@ -618,6 +653,19 @@ mod tests {
         cases
     }
 
+    /// The inner-product forwards of both nets, `Y = X W^T + bias`, over a
+    /// run of 1, 7 and 16 samples: LeNet ip1 (500 x 800) and ip2 (10 x 500),
+    /// CIFAR ip1 (10 x 1024).
+    fn ip_cases() -> Vec<Case> {
+        let mut cases = Vec::new();
+        for (m, k) in [(500, 800), (10, 500), (10, 1024)] {
+            for rows in [1, 7, 16] {
+                cases.push(Case::new(No, Yes, rows, m, k, 1.0));
+            }
+        }
+        cases
+    }
+
     /// Sizes on and one either side of every blocking constant, for all four
     /// transpose pairs, with general `alpha`/`beta` and padded strides.
     fn edge_cases() -> Vec<Case> {
@@ -764,23 +812,33 @@ mod tests {
     }
 
     /// (a) + (b) on the nets' own shapes: `f32` kernel against the oracle to
-    /// a `k`-scaled tolerance, and against its scalar twin bit for bit.
+    /// a `k`-scaled tolerance, and against its scalar twin bit for bit; on
+    /// the inner-product shapes `f64` too, whose kernel is the twin compiled
+    /// with FMA.
     #[test]
-    fn conv_shapes_match_oracle_and_twin_bitwise() {
-        for case in conv_cases() {
-            let (a, b, c0) = operands::<f32>(&case);
-            let got = run(gemm::<f32>, &case, &a, &b, &c0);
-            let twin = run(gemm_twin::<f32>, &case, &a, &b, &c0);
-            let want = run(gemm_naive::<f32>, &case, &a, &b, &c0);
+    fn net_shapes_match_oracle_and_twin_bitwise() {
+        let ip = ip_cases();
+        for case in conv_cases().iter().chain(&ip) {
+            let (a, b, c0) = operands::<f32>(case);
+            let got = run(gemm::<f32>, case, &a, &b, &c0);
+            let twin = run(gemm_twin::<f32>, case, &a, &b, &c0);
+            let want = run(gemm_naive::<f32>, case, &a, &b, &c0);
             let what = format!("{case:?}");
             assert_bitwise(&got, &twin, &what);
             assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
         }
+        for case in &ip {
+            let (a, b, c0) = operands::<f64>(case);
+            let got = run(gemm::<f64>, case, &a, &b, &c0);
+            let twin = run(gemm_twin::<f64>, case, &a, &b, &c0);
+            assert_bitwise(&got, &twin, &format!("f64 {case:?}"));
+        }
     }
 
-    /// (b) + (d) + (e) at the tile and panel edges: SIMD against the twin
-    /// bitwise, `f32` and `f64` against the oracle, padding of a strided `C`
-    /// untouched (the oracle leaves it alone, and all of `C` is compared).
+    /// (b) + (d) + (e) at the tile and panel edges: `f32` SIMD and the
+    /// FMA-compiled `f64` kernel against the scalar twin bitwise, both
+    /// against the oracle, padding of a strided `C` untouched (the oracle
+    /// leaves it alone, and all of `C` is compared).
     #[test]
     fn edge_sizes_match_oracle_and_twin_bitwise() {
         for case in edge_cases() {
@@ -793,6 +851,7 @@ mod tests {
 
             let (a, b, c0) = operands::<f64>(&case);
             let got = run(gemm::<f64>, &case, &a, &b, &c0);
+            assert_bitwise(&got, &run(gemm_twin::<f64>, &case, &a, &b, &c0), &what);
             let want = run(gemm_naive::<f64>, &case, &a, &b, &c0);
             assert_close(&got, &want, 1, 1e-9, &what);
         }
@@ -844,6 +903,55 @@ mod tests {
                         &full[c_rows],
                         &format!("rows {row0}+{rows} of {case:?}"),
                     );
+                }
+            }
+        }
+    }
+
+    /// Every `(col0, cols)` range of `op(B) = B^T`'s columns — for `(No,
+    /// Yes)`, stored rows `col0..col0 + cols` of `B` — computed on its own
+    /// into `&mut c[col0..]` with the full `ldc`, is bit-equal to those
+    /// columns of the full call and leaves the others alone. An inner
+    /// product split over its outputs relies on it: the columns are the
+    /// output neurons, the stored rows of `B` their weights.
+    #[test]
+    fn every_column_range_is_bitwise_the_full_call() {
+        let mut cases = Vec::new();
+        for m in [1, 7, NR + 1] {
+            cases.push(Case::new(No, Yes, m, 2 * MR + 5, KC + 37, 0.0));
+            cases.push(Case::new(No, Yes, m, NR + 3, KC + 37, 1.0));
+        }
+        for case in cases {
+            let (a, b, c0) = operands::<f32>(&case);
+            let full = run(gemm::<f32>, &case, &a, &b, &c0);
+            let (lda, ldb, ldc) = case.lds();
+            for col0 in 0..case.n {
+                for cols in 1..=case.n - col0 {
+                    let mut got = c0.clone();
+                    gemm(
+                        case.ta,
+                        case.tb,
+                        case.m,
+                        cols,
+                        case.k,
+                        case.alpha as f32,
+                        &a,
+                        lda,
+                        &b[col0 * ldb..],
+                        ldb,
+                        case.beta as f32,
+                        &mut got[col0..],
+                        ldc,
+                    );
+                    let what = format!("columns {col0}+{cols} of {case:?}");
+                    let (inside, after) = (col0..col0 + cols, col0 + cols..);
+                    for (row, (want, before)) in
+                        got.chunks(ldc).zip(full.chunks(ldc).zip(c0.chunks(ldc)))
+                    {
+                        assert_bitwise(&row[inside.clone()], &want[inside.clone()], &what);
+                        assert_bitwise(&row[..col0], &before[..col0], &what);
+                        assert_bitwise(&row[after.clone()], &before[after.clone()], &what);
+                    }
                 }
             }
         }

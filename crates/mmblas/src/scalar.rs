@@ -60,8 +60,9 @@ pub trait Scalar:
     fn is_finite_s(self) -> bool;
 
     /// Hook for [`crate::gemm`]: the kernel for this element type. `f32`
-    /// dispatches to the AVX2/FMA microkernel where the CPU has it; every
-    /// implementation returns the bits of the portable one.
+    /// dispatches to the AVX2/FMA microkernel where the CPU has it, `f64` to
+    /// the portable one compiled with FMA; every implementation returns the
+    /// bits of the portable one.
     #[doc(hidden)]
     fn gemm_strided(problem: &crate::level3::Strided<'_, Self>, c: &mut [Self]);
 }
@@ -133,7 +134,7 @@ macro_rules! impl_scalar {
 }
 
 impl_scalar!(f32, crate::level3::gemm_f32);
-impl_scalar!(f64, crate::level3::gemm_portable::<f64>);
+impl_scalar!(f64, crate::level3::gemm_scalar::<f64>);
 
 #[cfg(test)]
 mod tests {

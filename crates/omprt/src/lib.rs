@@ -8,7 +8,9 @@
 //!
 //! * [`ThreadTeam`] — a persistent pool; [`ThreadTeam::parallel`] is
 //!   `#pragma omp parallel`.
-//! * [`Schedule`] + [`for_each_index`] — `#pragma omp for schedule(...)`.
+//! * [`Schedule`] + [`for_each_index`] — `#pragma omp for schedule(...)`;
+//!   [`for_each_range`] hands out the same iterations as the schedule's
+//!   contiguous chunks.
 //! * [`coalesce::Coalesce`] — the manual loop-coalescing transformation
 //!   (`civ -> (s, d1, d2, ...)` decode functions `f_s`, `f_1`, ...).
 //! * [`ordered::OrderedRegion`] — `#pragma omp for ordered` used to merge
@@ -45,7 +47,7 @@ pub mod sendptr;
 pub use coalesce::Coalesce;
 pub use metrics::ImbalanceReport;
 pub use ordered::OrderedRegion;
-pub use schedule::{for_each_index, static_chunk, Schedule};
+pub use schedule::{for_each_index, for_each_range, static_chunk, Schedule};
 pub use sendptr::SendPtr;
 
 use std::cell::UnsafeCell;

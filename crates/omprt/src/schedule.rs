@@ -108,62 +108,63 @@ pub fn static_chunked_count(tid: usize, nthreads: usize, n: usize, chunk: usize)
 }
 
 /// Execute `body(i)` for this thread's share of `0..n` under `sched`, with
-/// the implicit end-of-worksharing barrier (OpenMP default).
+/// the implicit end-of-worksharing barrier (OpenMP default): the indices of
+/// [`for_each_range`]'s runs, in order.
 ///
 /// Must be encountered by **all** threads of the team, like any OpenMP
 /// worksharing construct; otherwise the team deadlocks at the barrier.
 pub fn for_each_index(ctx: &WorkerCtx, n: usize, sched: Schedule, mut body: impl FnMut(usize)) {
-    run_nowait(ctx, n, sched, &mut body);
-    if ctx.num_threads > 1 {
-        ctx.barrier();
-    }
+    for_each_range(ctx, n, sched, |run| run.for_each(&mut body));
 }
 
-/// [`for_each_index`] without the trailing barrier — `nowait`. Only valid
-/// for the static schedules, which need no shared loop state.
+/// Execute `body(run)` for each contiguous, non-empty run of `0..n` this
+/// thread receives under `sched`, with the implicit end-of-worksharing
+/// barrier. The runs are the schedule's chunks: one per thread for
+/// [`Schedule::Static`], `chunk` long for [`Schedule::StaticChunk`] and
+/// [`Schedule::Dynamic`], shrinking for [`Schedule::Guided`] — the
+/// boundaries [`static_projection`] projects, up to a guided claim that
+/// races another. Runs never overlap, and together they cover `0..n` once.
 ///
-/// # Panics
-/// Panics for [`Schedule::Dynamic`]/[`Schedule::Guided`].
-pub fn for_each_index_nowait(
+/// A kernel that takes a run of iterations in one call (a row-range GEMM)
+/// thus sees each thread's share in as few calls as the schedule allows.
+/// Same team-wide encounter rule as [`for_each_index`].
+pub fn for_each_range(
     ctx: &WorkerCtx,
     n: usize,
     sched: Schedule,
-    mut body: impl FnMut(usize),
+    mut body: impl FnMut(Range<usize>),
 ) {
-    assert!(
-        matches!(sched, Schedule::Static | Schedule::StaticChunk(_)),
-        "nowait loops require a static schedule"
-    );
-    run_nowait(ctx, n, sched, &mut body);
-}
-
-fn run_nowait(ctx: &WorkerCtx, n: usize, sched: Schedule, body: &mut impl FnMut(usize)) {
     let (tid, nt) = (ctx.thread_id, ctx.num_threads);
     match sched {
         Schedule::Static => {
-            for i in static_chunk(tid, nt, n) {
-                body(i);
+            let run = static_chunk(tid, nt, n);
+            if !run.is_empty() {
+                body(run);
             }
         }
         Schedule::StaticChunk(chunk) => {
             let chunk = chunk.max(1);
             let mut start = tid * chunk;
             while start < n {
-                let end = (start + chunk).min(n);
-                for i in start..end {
-                    body(i);
-                }
+                body(start..(start + chunk).min(n));
                 start += nt * chunk;
             }
         }
         Schedule::Dynamic(chunk) => {
             let chunk = chunk.max(1);
-            dynamic_loop(ctx, n, move |_remaining| chunk, body);
+            dynamic_loop(ctx, n, move |_remaining| chunk, &mut body);
         }
         Schedule::Guided => {
-            let nt = nt.max(1);
-            dynamic_loop(ctx, n, move |remaining| (remaining / (2 * nt)).max(1), body);
+            dynamic_loop(
+                ctx,
+                n,
+                move |remaining| (remaining / (2 * nt)).max(1),
+                &mut body,
+            );
         }
+    }
+    if nt > 1 {
+        ctx.barrier();
     }
 }
 
@@ -173,11 +174,15 @@ fn dynamic_loop(
     ctx: &WorkerCtx,
     n: usize,
     chunk_of: impl Fn(usize) -> usize,
-    body: &mut impl FnMut(usize),
+    body: &mut impl FnMut(Range<usize>),
 ) {
     if ctx.num_threads == 1 {
-        for i in 0..n {
-            body(i);
+        // A team of one claims every chunk in turn: no counter to share.
+        let mut start = 0;
+        while start < n {
+            let end = (start + chunk_of(n - start).max(1)).min(n);
+            body(start..end);
+            start = end;
         }
         return;
     }
@@ -199,10 +204,7 @@ fn dynamic_loop(
         if start >= n {
             break;
         }
-        let end = (start + chunk).min(n);
-        for i in start..end {
-            body(i);
-        }
+        body(start..(start + chunk).min(n));
     }
 }
 
@@ -280,5 +282,67 @@ mod tests {
         assert_eq!(chunks[1], 5..8);
         let covered: usize = chunks.iter().map(|r| r.len()).sum();
         assert_eq!(covered, 20);
+    }
+
+    /// `for_each_range` hands each thread exactly the indices
+    /// `for_each_index` gives it, as non-empty runs on the schedule's chunk
+    /// boundaries, which together tile `0..n`.
+    #[test]
+    fn ranges_cover_exactly_the_indices_for_each_index_covers() {
+        use std::sync::Mutex;
+        for nt in [1usize, 2, 3, 4] {
+            let team = crate::ThreadTeam::new(nt);
+            for n in [0usize, 1, 5, 37, 100] {
+                for sched in [
+                    Schedule::Static,
+                    Schedule::StaticChunk(3),
+                    Schedule::Dynamic(2),
+                    Schedule::Guided,
+                ] {
+                    let what = format!("{sched:?}, {nt} threads, n = {n}");
+                    let runs = Mutex::new(vec![Vec::new(); nt]);
+                    let indices = Mutex::new(vec![Vec::new(); nt]);
+                    team.parallel(|w| {
+                        let tid = w.thread_id;
+                        for_each_range(w, n, sched, |r| runs.lock().unwrap()[tid].push(r));
+                        for_each_index(w, n, sched, |i| indices.lock().unwrap()[tid].push(i));
+                    });
+                    let runs = runs.into_inner().unwrap();
+                    let indices = indices.into_inner().unwrap();
+
+                    let mut tiles: Vec<Range<usize>> = runs.iter().flatten().cloned().collect();
+                    tiles.sort_by_key(|r| r.start);
+                    let mut next = 0;
+                    for r in &tiles {
+                        assert!(!r.is_empty() && r.start == next, "{what}: {tiles:?}");
+                        next = r.end;
+                    }
+                    assert_eq!(next, n, "{what}");
+
+                    let raced = nt > 1 && matches!(sched, Schedule::Dynamic(_) | Schedule::Guided);
+                    if raced {
+                        // Which thread claims a chunk races; the cover does not.
+                        let mut all: Vec<usize> = indices.into_iter().flatten().collect();
+                        all.sort_unstable();
+                        assert_eq!(all, (0..n).collect::<Vec<_>>(), "{what}");
+                    } else {
+                        for (t, (r, i)) in runs.iter().zip(&indices).enumerate() {
+                            let flat: Vec<usize> = r.iter().flat_map(Clone::clone).collect();
+                            assert_eq!(&flat, i, "{what}: thread {t}");
+                        }
+                    }
+                    // Chunk boundaries are the projection's, except where a
+                    // stale guided read races the claim counter.
+                    if !(raced && sched == Schedule::Guided) {
+                        let mut proj: Vec<Range<usize>> = static_projection(sched, nt, n)
+                            .into_iter()
+                            .flatten()
+                            .collect();
+                        proj.sort_by_key(|r| r.start);
+                        assert_eq!(tiles, proj, "{what}");
+                    }
+                }
+            }
+        }
     }
 }

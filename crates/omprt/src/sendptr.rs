@@ -138,9 +138,34 @@ impl<'a, T: Send> DisjointSlices<'a, T> {
     #[inline]
     #[allow(clippy::mut_from_ref)] // disjointness by index is the contract
     pub unsafe fn segment_mut(&self, i: usize) -> &mut [T] {
-        assert!(i < self.n_segs, "DisjointSlices: segment {i} out of range");
+        // SAFETY: the run `i..i + 1` is segment `i`, which the caller
+        // promises no other thread holds.
+        unsafe { self.segments_mut(i..i + 1) }
+    }
+
+    /// Mutable access to the run of segments `run`, as one contiguous slice
+    /// of `run.len() * segment_len()` elements.
+    ///
+    /// # Safety
+    /// No segment of `run` may be held mutably by another thread at the same
+    /// time. [`crate::schedule::for_each_range`] guarantees this for the runs
+    /// it deals: they never overlap, each goes to one thread, and the
+    /// trailing barrier ends every borrow before the loop returns.
+    ///
+    /// # Panics
+    /// Panics if `run` reaches past `len()` or is reversed.
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // disjointness of runs is the contract
+    pub unsafe fn segments_mut(&self, run: std::ops::Range<usize>) -> &mut [T] {
+        assert!(
+            run.start <= run.end && run.end <= self.n_segs,
+            "DisjointSlices: segments {run:?} out of range"
+        );
         // SAFETY: bounds checked above; disjointness per the method contract.
-        unsafe { self.ptr.slice_mut(i * self.seg_len, self.seg_len) }
+        unsafe {
+            self.ptr
+                .slice_mut(run.start * self.seg_len, run.len() * self.seg_len)
+        }
     }
 }
 
@@ -168,6 +193,35 @@ mod tests {
             });
         }
         assert_eq!(v, [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]);
+    }
+
+    #[test]
+    fn disjoint_runs_are_contiguous_segments() {
+        let mut v = vec![0u32; 12];
+        {
+            let ds = DisjointSlices::new(&mut v, 2);
+            std::thread::scope(|s| {
+                for (t, run) in [0..1, 1..4, 4..4, 4..6].into_iter().enumerate() {
+                    let ds = &ds;
+                    s.spawn(move || {
+                        // SAFETY: the four runs do not overlap.
+                        let rows = unsafe { ds.segments_mut(run.clone()) };
+                        assert_eq!(rows.len(), 2 * run.len());
+                        rows.fill(t as u32 + 1);
+                    });
+                }
+            });
+        }
+        assert_eq!(v, [1, 1, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn run_past_the_end_panics() {
+        let mut v = vec![0u32; 6];
+        let ds = DisjointSlices::new(&mut v, 3);
+        // SAFETY: the only borrow; the call panics before handing it out.
+        let _ = unsafe { ds.segments_mut(1..3) };
     }
 
     #[test]

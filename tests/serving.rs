@@ -297,6 +297,65 @@ fn active_batch_matches_solo_inference_on_lenet() {
     );
 }
 
+/// The served LeNet engine at the CLI's capacity of 16 answers a batch of
+/// every size `n`, row for row, with the bits `infer_one` gives each sample
+/// alone — on one thread and on two, where the static schedule cuts the
+/// inner products' run of `n` rows differently for every `n`. Biases are
+/// made non-zero so the rows the GEMM adds onto count too.
+#[test]
+fn every_lenet_batch_size_matches_infer_one_bitwise() {
+    const MAX_BATCH: usize = 16;
+    let source = SyntheticMnist::new(64, 11);
+    let samples: Vec<Vec<f32>> = (0..MAX_BATCH)
+        .map(|i| {
+            let mut s = vec![0.0f32; 28 * 28];
+            source.fill(i, &mut s);
+            s
+        })
+        .collect();
+    let engine = |n_threads: usize| {
+        serve::EngineFactory::<f32>::new(
+            &nets::lenet_spec(),
+            &Shape::from([1usize, 28, 28]),
+            &EngineConfig {
+                max_batch: MAX_BATCH,
+                n_threads,
+            },
+            None,
+        )
+        .unwrap()
+        .build()
+        .unwrap()
+    };
+    let mut params = engine(1).params();
+    for p in params.iter_mut().filter(|p| p.shape().dims().len() == 1) {
+        for (j, v) in p.data_mut().iter_mut().enumerate() {
+            *v = 0.1 * (j as f32 * 0.7).sin();
+        }
+    }
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut want = Vec::new();
+    for threads in [1usize, 2] {
+        let mut engine = engine(threads);
+        engine.adopt_params(&params).unwrap();
+        let alone: Vec<Vec<u32>> = samples
+            .iter()
+            .map(|s| bits(&engine.infer_one(s).unwrap()))
+            .collect();
+        if threads == 1 {
+            want = alone;
+        } else {
+            assert_eq!(alone, want, "infer_one differs between team sizes");
+        }
+        for n in 1..=MAX_BATCH {
+            let refs: Vec<&[f32]> = samples[..n].iter().map(|s| &s[..]).collect();
+            let got = engine.infer_batch(&refs).unwrap();
+            let rows: Vec<Vec<u32>> = got.chunks(got.len() / n).map(bits).collect();
+            assert_eq!(rows, want[..n], "{threads} threads, batch of {n}");
+        }
+    }
+}
+
 /// Work really shrinks, by count rather than by clock: after seating `n`
 /// of `capacity`, every layer of the deploy net reports `n / capacity` of
 /// its full coalesced iterations, no blob was reallocated, and seating the

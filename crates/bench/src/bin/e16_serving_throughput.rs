@@ -5,9 +5,9 @@
 //! *online* serving tier. A load generator drives single-sample LeNet
 //! requests through the `serve` stack while we sweep:
 //!
-//! 1. replica count (1, 2, 4 engines x 2 threads) at a fixed load;
-//! 2. the batch-assembly window (no batching vs 0.5 ms vs 2 ms);
-//! 3. an overload burst against a tiny admission queue, demonstrating
+//! 1. replica count (1, 2, 4 engines x 2 threads) at a fixed load, plus
+//!    the same 2 replicas with batching off (`max_batch` 1);
+//! 2. an overload burst against a tiny admission queue, demonstrating
 //!    bounded-memory backpressure (`Rejected`, not OOM).
 //!
 //! Output: throughput / latency series plus the full CSV serving report.
@@ -15,7 +15,6 @@
 use cgdnn_bench::banner;
 use serve::engine::build_replicas;
 use serve::{BatchPolicy, Engine, EngineConfig, EngineFactory, Server};
-use std::time::Duration;
 
 const SAMPLE: usize = 28 * 28;
 const REQUESTS: usize = 1000;
@@ -48,14 +47,7 @@ fn drive(server: &Server<f32>, requests: usize, clients: usize) -> (usize, usize
     (ok, requests - ok)
 }
 
-fn run_config(
-    label: &str,
-    snapshot: &[u8],
-    replicas: usize,
-    threads: usize,
-    max_batch: usize,
-    window: Duration,
-) {
+fn run_config(label: &str, snapshot: &[u8], replicas: usize, threads: usize, max_batch: usize) {
     let spec = cgdnn::nets::lenet_spec();
     let engines = build_replicas::<f32>(
         &spec,
@@ -68,14 +60,7 @@ fn run_config(
         Some(snapshot),
     )
     .expect("engines build");
-    let server = Server::start(
-        engines,
-        BatchPolicy {
-            max_delay: window,
-            queue_depth: 128,
-        },
-    )
-    .expect("server starts");
+    let server = Server::start(engines, BatchPolicy { queue_depth: 128 }).expect("server starts");
     let (ok, err) = drive(&server, REQUESTS, CLIENTS);
     let (pool_hits, pool_misses) = (server.pool().hits(), server.pool().misses());
     let r = server.shutdown();
@@ -164,16 +149,9 @@ fn overload_demo(snapshot: &[u8]) {
         Some(snapshot),
     )
     .expect("engine builds");
-    let server = Server::start(
-        engines,
-        BatchPolicy {
-            max_delay: Duration::from_millis(5),
-            // A 4-deep queue against an 8-client burst: admission control
-            // must shed load instead of growing the queue.
-            queue_depth: 4,
-        },
-    )
-    .expect("server starts");
+    // A 4-deep queue against a 16-client burst: admission control must
+    // shed load instead of growing the queue.
+    let server = Server::start(engines, BatchPolicy { queue_depth: 4 }).expect("server starts");
     let (ok, err) = drive(&server, 400, 16);
     let metrics = server.metrics();
     let r = server.shutdown();
@@ -203,7 +181,7 @@ fn main() {
     println!("replica weight sharing (Arc copy-on-write blobs):");
     weight_sharing_demo(&snapshot);
 
-    println!("\nreplica sweep (2 threads each, max_batch 16, 2 ms window):");
+    println!("\nreplica sweep (2 threads each, max_batch 16):");
     for replicas in [1, 2, 4] {
         run_config(
             &format!("{replicas} replica(s)"),
@@ -211,22 +189,9 @@ fn main() {
             replicas,
             2,
             16,
-            Duration::from_millis(2),
         );
     }
-
-    println!("\nbatching-window sweep (2 replicas x 2 threads):");
-    run_config(
-        "no batching (max_batch 1)",
-        &snapshot,
-        2,
-        2,
-        1,
-        Duration::ZERO,
-    );
-    for (label, us) in [("window 0.5 ms", 500u64), ("window 2 ms", 2000)] {
-        run_config(label, &snapshot, 2, 2, 16, Duration::from_micros(us));
-    }
+    run_config("2 replicas, max_batch 1", &snapshot, 2, 2, 1);
 
     println!("\noverload / backpressure:");
     overload_demo(&snapshot);

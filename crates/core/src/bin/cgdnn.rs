@@ -586,7 +586,6 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let requests: usize = args.get_parse("requests")?;
     let clients: usize = args.get_parse("clients")?;
     let max_batch: usize = args.get_parse("max-batch")?;
-    let max_delay_us: u64 = args.get_parse("max-delay-us")?;
     let queue_depth: usize = args.get_parse("queue-depth")?;
     let deadline_us: u64 = args.get_parse("deadline-us")?;
     let max_restarts: usize = args.get_parse("max-restarts")?;
@@ -616,7 +615,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     }
     println!(
         "serving '{}': {replicas} replica(s) x {threads} thread(s), max_batch {max_batch}, \
-         window {max_delay_us} us, queue depth {queue_depth}, {:.1} KiB shared weights, \
+         queue depth {queue_depth}, {:.1} KiB shared weights, \
          supervisor: {max_restarts} restarts / {restart_window_ms} ms",
         spec.name,
         factory.params_bytes() as f64 / 1024.0,
@@ -628,10 +627,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let server = serve::Server::start_supervised(
         factory,
         replicas,
-        serve::BatchPolicy {
-            max_delay: Duration::from_micros(max_delay_us),
-            queue_depth,
-        },
+        serve::BatchPolicy { queue_depth },
         serve::SupervisorPolicy {
             max_restarts,
             restart_window: Duration::from_millis(restart_window_ms),

@@ -104,7 +104,6 @@ const FLAGS: &[Flag] = &[
     flag("clients", Int, "N", "4", &["infer", "load"], "concurrent clients"),
     flag("deadline-us", Int, "US", "0", &["infer", "load"], "per-request deadline; 0 = none"),
     flag("max-batch", Int, "N", "16", &["infer"], "micro-batch capacity"),
-    flag("max-delay-us", Int, "US", "2000", &["infer"], "batch assembly window"),
     flag("queue-depth", Int, "N", "64", &["infer"], "admission queue bound"),
     flag("max-restarts", Int, "N", "5", &["infer"], "replica restarts allowed per --restart-window"),
     flag("listen", Text, "ADDR", "", &["infer"], "serve over TCP instead of running the in-process load loop"),

@@ -1,13 +1,27 @@
 //! The multiplexed protocol: pipelined requests on one connection,
 //! out-of-order response delivery matched by frame id, and the
 //! streaming request kind interleaved with unary frames.
+//!
+//! Every served batch passes the process-global `serve.worker` fault
+//! point, so each test that starts a stack holds [`fault_lock`]: one test
+//! arms a delay there and must be the one to take it.
 
+use net::faults::{arm, disarm_all, FaultMode};
 use rpc::client::Outcome;
 use rpc::{proto, RpcClient, RpcConfig, RpcServer};
 use serve::{BatchPolicy, EngineConfig, EngineFactory, Server};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+fn fault_lock() -> MutexGuard<'static, ()> {
+    let g = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    disarm_all();
+    g
+}
 
 const TRAIN: &str = r#"
 name: t
@@ -35,9 +49,8 @@ layer {
 }
 "#;
 
-/// One replica behind the wire front-end, with a configurable straggler
-/// window so tests can park a batch mid-assembly.
-fn start_stack(policy: BatchPolicy) -> (Server<f32>, RpcServer, obs::Registry) {
+/// `replicas` engines behind the wire front-end.
+fn start_stack(replicas: usize) -> (Server<f32>, RpcServer, obs::Registry) {
     let spec = net::NetSpec::parse(TRAIN).unwrap();
     let factory = EngineFactory::<f32>::new(
         &spec,
@@ -49,7 +62,7 @@ fn start_stack(policy: BatchPolicy) -> (Server<f32>, RpcServer, obs::Registry) {
         None,
     )
     .unwrap();
-    let server = Server::start(factory.build_n(1).unwrap(), policy).unwrap();
+    let server = Server::start(factory.build_n(replicas).unwrap(), BatchPolicy::default()).unwrap();
     let reg = obs::Registry::new();
     let rpc = RpcServer::start(
         "127.0.0.1:0",
@@ -63,17 +76,17 @@ fn start_stack(policy: BatchPolicy) -> (Server<f32>, RpcServer, obs::Registry) {
 }
 
 /// A slow request issued before a fast one: their responses cross on the
-/// wire, and the client matches them back by id. The slow request is a
-/// no-deadline sample that waits out the whole straggler window; the
-/// fast one carries a 1 µs budget, so the batcher sheds it with
-/// `TimedOut` at assembly — *before* the batch computes — making the
-/// crossing deterministic, not a scheduling accident.
+/// wire, and the client matches them back by id. Two replicas, and a
+/// one-shot `serve.worker` delay parks whichever runs the slow request's
+/// batch for 200 ms. The fast one carries a 1 µs budget, so it is shed
+/// with `TimedOut` at assembly — *before* any batch computes — whether it
+/// joins the slow request's batch or goes to the idle replica: the
+/// crossing is deterministic, not a scheduling accident.
 #[test]
 fn responses_cross_and_are_matched_by_id() {
-    let (server, rpc, _reg) = start_stack(BatchPolicy {
-        max_delay: Duration::from_millis(200),
-        queue_depth: 64,
-    });
+    let _g = fault_lock();
+    let (server, rpc, _reg) = start_stack(2);
+    arm("serve.worker", FaultMode::Delay(200), 0);
     let mut client = RpcClient::connect(rpc.local_addr()).unwrap();
     let sample = vec![0.25f32; 6];
 
@@ -169,7 +182,8 @@ fn silent_server_surfaces_as_a_typed_io_timeout() {
 /// the K stream responses are demuxed by index.
 #[test]
 fn stream_and_unary_interleave_bit_identically() {
-    let (server, rpc, _reg) = start_stack(BatchPolicy::default());
+    let _g = fault_lock();
+    let (server, rpc, _reg) = start_stack(1);
     let samples: Vec<Vec<f32>> = (0..5)
         .map(|i| (0..6).map(|j| (i * 6 + j) as f32 * 0.03).collect())
         .collect();
@@ -222,7 +236,8 @@ fn stream_and_unary_interleave_bit_identically() {
 /// size is refused with an error frame — and the connection survives it.
 #[test]
 fn malformed_stream_payload_is_refused_connection_lives() {
-    let (server, rpc, reg) = start_stack(BatchPolicy::default());
+    let _g = fault_lock();
+    let (server, rpc, reg) = start_stack(1);
     let mut s = TcpStream::connect(rpc.local_addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut hello = [0u8; proto::SERVER_HELLO_LEN];
@@ -264,7 +279,8 @@ fn malformed_stream_payload_is_refused_connection_lives() {
 /// samples never reaches the wire.
 #[test]
 fn client_refuses_ragged_stream_batches() {
-    let (server, rpc, _reg) = start_stack(BatchPolicy::default());
+    let _g = fault_lock();
+    let (server, rpc, _reg) = start_stack(1);
     let mut client = RpcClient::connect(rpc.local_addr()).unwrap();
     assert!(matches!(
         client.send_infer_stream(&[0.0f32; 7], 0),

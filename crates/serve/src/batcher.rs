@@ -2,11 +2,12 @@
 //! self-healing replica pool.
 //!
 //! Clients submit single samples; worker threads (one per engine replica)
-//! assemble them into micro-batches under a two-knob policy:
-//!
-//! - `max_batch` — never exceed the engine's batch capacity;
-//! - `max_delay` — after the first request of a batch arrives, wait at
-//!   most this long for stragglers before flushing a partial batch.
+//! assemble them into micro-batches without ever waiting on purpose: a
+//! worker takes the first request, tops it up with whatever is already
+//! queued (up to the engine's `max_batch`) and flushes. With one engine per
+//! worker, the engine's compute time is the assembly window — requests that
+//! arrive while a batch runs are the next batch — so a lone request is
+//! never held and a backlog still fills whole batches.
 //!
 //! Admission control is a bounded [`std::sync::mpsc::sync_channel`]: when
 //! `queue_depth` requests are already waiting, `try_send` fails and the
@@ -41,22 +42,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Micro-batch assembly policy.
+/// Admission policy.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
-    /// Straggler wait after the first request of a batch.
-    pub max_delay: Duration,
     /// Admission-queue capacity; one more request than this is `Rejected`.
     pub queue_depth: usize,
 }
 
 impl Default for BatchPolicy {
-    /// 2 ms assembly window over a 64-deep queue.
+    /// A 64-deep queue.
     fn default() -> Self {
-        Self {
-            max_delay: Duration::from_millis(2),
-            queue_depth: 64,
-        }
+        Self { queue_depth: 64 }
     }
 }
 
@@ -125,7 +121,6 @@ struct WorkerShared<S: Scalar + Send + 'static> {
     /// the count; no decision reads the gauge.
     alive: Arc<[AtomicBool]>,
     pool: BufferPool<S>,
-    policy: BatchPolicy,
 }
 
 impl<S: Scalar + Send + 'static> Clone for WorkerShared<S> {
@@ -136,7 +131,6 @@ impl<S: Scalar + Send + 'static> Clone for WorkerShared<S> {
             metrics: Arc::clone(&self.metrics),
             alive: Arc::clone(&self.alive),
             pool: self.pool.clone(),
-            policy: self.policy,
         }
     }
 }
@@ -235,7 +229,6 @@ impl<S: Scalar + Send + 'static> Server<S> {
             // Worst case every queued request plus a full in-flight batch
             // per replica holds a buffer at once.
             pool: BufferPool::new(policy.queue_depth + n_replicas * max_batch),
-            policy,
         };
         let mut workers = Vec::with_capacity(n_replicas);
         let mut spawn_err = None;
@@ -545,8 +538,27 @@ fn supervisor_loop<S: Scalar + Send + 'static>(
     }
 }
 
-/// One worker: pull a first request, assemble a batch within the policy
-/// window, drop expired requests, run the engine, demux the outputs into
+/// Top `first` up with the requests already waiting in `rx`, oldest first,
+/// until the batch holds `max_batch` — never blocking: a lone request
+/// flushes alone, a backlog fills the batch. Each request taken off the
+/// queue leaves the `queue_depth` gauge.
+fn fill_batch<S: Scalar>(
+    first: Request<S>,
+    rx: &Receiver<Request<S>>,
+    max_batch: usize,
+    queue_depth: &obs::Gauge,
+) -> Vec<Request<S>> {
+    let mut batch = vec![first];
+    while batch.len() < max_batch {
+        let Ok(r) = rx.try_recv() else { break };
+        queue_depth.add(-1.0);
+        batch.push(r);
+    }
+    batch
+}
+
+/// One worker: pull a first request, top it up with what is already
+/// queued, drop expired requests, run the engine, demux the outputs into
 /// pooled buffers.
 ///
 /// The engine run is wrapped in `catch_unwind`: a panicking replica
@@ -568,18 +580,25 @@ fn worker_loop<S: Scalar + Send + 'static>(
         stop,
         metrics,
         pool,
-        policy,
         ..
     } = &shared;
     let max_batch = engine.max_batch();
     loop {
-        // Phase 1: wait for the batch's first request. The receiver lock
-        // is held only while waiting, never during inference, so other
-        // replicas drain the queue while this one computes.
-        let first = {
+        // Phases 1 and 2: wait for the batch's first request, then top it
+        // up with what is already queued, under one hold of the receiver
+        // lock. The lock is held only while collecting, never during
+        // inference, so other replicas drain the queue while this one
+        // computes. Filling under the same hold means a worker holding
+        // unanswered requests never *waits* for the receiver: an idle
+        // sibling re-takes the lock nanoseconds after each IDLE_POLL
+        // release, a race a parked waiter can lose for seconds on end.
+        let batch = {
             let guard = rx.lock();
             match guard.recv_timeout(IDLE_POLL) {
-                Ok(r) => r,
+                Ok(first) => {
+                    metrics.queue_depth.add(-1.0);
+                    fill_batch(first, &guard, max_batch, &metrics.queue_depth)
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     if stop.load(Ordering::SeqCst) {
                         return;
@@ -589,34 +608,6 @@ fn worker_loop<S: Scalar + Send + 'static>(
                 Err(RecvTimeoutError::Disconnected) => return,
             }
         };
-        metrics.queue_depth.add(-1.0);
-        let mut batch = vec![first];
-        // Phase 2: straggler window — top up to max_batch or max_delay.
-        // From here on the worker holds unanswered requests, so it never
-        // *waits* for the receiver: a sibling sitting on it takes the next
-        // arrival itself (nothing to top up with), and an idle sibling
-        // re-takes the lock nanoseconds after each IDLE_POLL release, a
-        // race a parked waiter can lose for seconds on end.
-        let window_end = Instant::now() + policy.max_delay;
-        while batch.len() < max_batch {
-            let now = Instant::now();
-            if now >= window_end {
-                break;
-            }
-            let Some(guard) = rx.try_lock() else {
-                break;
-            };
-            let next = guard.recv_timeout(window_end - now);
-            drop(guard);
-            match next {
-                Ok(r) => {
-                    metrics.queue_depth.add(-1.0);
-                    batch.push(r);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
         // Phase 3: shed expired requests.
         let now = Instant::now();
         let (live, dead): (Vec<_>, Vec<_>) = batch
@@ -746,7 +737,6 @@ layer {
             metrics: Arc::new(ServingMetrics::new(n, 4)),
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
             pool: BufferPool::new(1),
-            policy: BatchPolicy::default(),
         }
     }
 
@@ -818,8 +808,9 @@ layer {
     /// for rounds on end (about one request in four took 20-260 ms on two
     /// replicas, the worst over a minute — the 5 s client read timeouts of
     /// `rpc_loopback`). One closed-loop client is the sharpest probe: the
-    /// second replica is idle the whole time. The bound is 2.5 straggler
-    /// windows per request; the stall averaged 8 of them.
+    /// second replica is idle the whole time. The bound is 5 ms per request
+    /// — a quarter of one idle poll, against a forward of this engine that
+    /// takes microseconds; the stall averaged 16 ms per request.
     #[test]
     fn idle_sibling_never_stalls_a_partial_batch() {
         const REQUESTS: u32 = 300;
@@ -834,6 +825,39 @@ layer {
             "{REQUESTS} sequential requests took {took:?}"
         );
         assert_eq!(server.shutdown().completed, u64::from(REQUESTS));
+    }
+
+    /// The fill rule, by counts: with `k` requests queued behind the first,
+    /// a batch takes `min(k + 1, max_batch)` of them without waiting, the
+    /// rest stay queued oldest first, and the `queue_depth` gauge ends at
+    /// what is left. `k = 0` is "a lone request is never held"; `k >= 15`
+    /// is "a backlog still fills the batch".
+    #[test]
+    fn fill_batch_takes_what_is_queued_up_to_max_batch() {
+        const MAX_BATCH: usize = 16;
+        let request = |id: usize| Request::<f32> {
+            input: vec![id as f32],
+            submitted: Instant::now(),
+            deadline: None,
+            reply: Responder::Callback(Box::new(|_| {})),
+        };
+        let ids = |rs: &[Request<f32>]| rs.iter().map(|r| r.input[0] as usize).collect::<Vec<_>>();
+        for k in [0usize, 1, 5, 15, 16, 40] {
+            let (tx, rx) = std::sync::mpsc::sync_channel(k + 1);
+            let depth = obs::Registry::new().gauge("serve.queue_depth");
+            for id in 0..=k {
+                depth.add(1.0);
+                tx.send(request(id)).unwrap();
+            }
+            let first = rx.recv().unwrap();
+            depth.add(-1.0);
+            let batch = fill_batch(first, &rx, MAX_BATCH, &depth);
+            let took = (k + 1).min(MAX_BATCH);
+            assert_eq!(ids(&batch), (0..took).collect::<Vec<_>>(), "k = {k}");
+            let left: Vec<_> = rx.try_iter().collect();
+            assert_eq!(ids(&left), (took..=k).collect::<Vec<_>>(), "k = {k}");
+            assert_eq!(depth.get(), left.len() as f64, "k = {k}");
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! The training side of this repo parallelizes *within* a batch (the
 //! paper's coarse-grain scheme); serving adds the missing outer loop: where
 //! do batches come from when clients submit one sample at a time? The
-//! answer is dynamic micro-batching — requests are collected from a bounded
-//! queue into batches under a `max_batch` / `max_delay` policy, run through
-//! a persistent [`Engine`], and demultiplexed back to their submitters.
+//! answer is dynamic micro-batching — a worker takes whatever requests are
+//! already waiting in a bounded queue, up to the engine's `max_batch`, runs
+//! them through a persistent [`Engine`], and demultiplexes the answers back
+//! to their submitters; requests that arrive during that run are the next
+//! batch.
 //!
 //! The pieces:
 //!

@@ -1,13 +1,56 @@
 //! End-to-end serving tests: the dynamic batcher must be semantically
 //! invisible (batched answers identical to one-at-a-time forwards) and
 //! overload must surface as explicit rejections, not unbounded queueing.
+//!
+//! The tests that need a backlog build it on purpose: a one-shot
+//! `serve.worker` delay parks the only replica with one batch in hand while
+//! the test queues the rest. The fault registry is process-global and every
+//! served batch passes that point, so every test here that starts a
+//! [`Server`] holds [`fault_lock`].
 
 mod common;
 
 use cgdnn::prelude::*;
 use common::{TinySource, TINY_SPEC};
+use net::faults::{arm, disarm_all, FaultMode};
 use serve::{BatchPolicy, Engine, EngineConfig, ServeError, Server};
+use std::sync::mpsc::Receiver;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+fn fault_lock() -> MutexGuard<'static, ()> {
+    let g = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    disarm_all();
+    g
+}
+
+/// How long a parked replica sleeps: far longer than queueing a few dozen
+/// requests takes, so they are all waiting when it wakes.
+const PARK: Duration = Duration::from_millis(300);
+
+/// Hand `server`'s only replica `sample` and park it for [`PARK`] once the
+/// sample's batch is assembled; returns the receiver of that sample's
+/// answer. When this returns the worker holds a batch of exactly that one
+/// request and takes nothing off the queue until the park ends.
+fn park_only_replica(server: &Server<f32>, sample: &[f32]) -> Receiver<Vec<f32>> {
+    arm("serve.worker", FaultMode::Delay(PARK.as_millis() as u64), 0);
+    let (tx, rx) = std::sync::mpsc::channel();
+    server
+        .client()
+        .submit_async(sample.to_vec(), None, move |r| {
+            let _ = tx.send(r.unwrap().to_vec());
+        })
+        .unwrap();
+    // The batch-size histogram is observed after assembly, just before the
+    // engine runs (and the delay fires): the queue is free to fill.
+    let metrics = server.metrics();
+    while metrics.batch_size.count() == 0 {
+        std::thread::yield_now();
+    }
+    rx
+}
 
 fn trained_snapshot() -> Vec<u8> {
     let spec = NetSpec::parse(TINY_SPEC).unwrap();
@@ -60,53 +103,48 @@ fn batched_serving_matches_one_at_a_time_forwards() {
     let mut solo = build_engines(1, &snap).remove(0);
     let expected: Vec<Vec<f32>> = samples.iter().map(|s| solo.infer_one(s).unwrap()).collect();
 
-    // Served: concurrent clients through the dynamic batcher over two
-    // replicas, so samples land in arbitrary batch compositions.
-    let server = Server::start(
-        build_engines(2, &snap),
-        BatchPolicy {
-            max_delay: Duration::from_millis(5),
-            queue_depth: 64,
-        },
-    )
-    .unwrap();
-    let handles: Vec<_> = samples
-        .iter()
-        .map(|s| {
-            let client = server.client();
-            let s = s.clone();
-            std::thread::spawn(move || client.infer(&s).unwrap().to_vec())
-        })
-        .collect();
-    let served: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    // Served: sample 0 parks the only replica, samples 1..24 queue behind
+    // it, so the worker wakes to a backlog and batches it by capacity.
+    let _g = fault_lock();
+    let server = Server::start(build_engines(1, &snap), BatchPolicy::default()).unwrap();
+    let parked = park_only_replica(&server, &samples[0]);
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (i, s) in samples.iter().enumerate().skip(1) {
+        let tx = tx.clone();
+        server
+            .client()
+            .submit_async(s.clone(), None, move |r| {
+                let _ = tx.send((i, r.unwrap().to_vec()));
+            })
+            .unwrap();
+    }
+    drop(tx);
+    let mut served = vec![parked.recv().unwrap()];
+    served.resize(24, Vec::new());
+    for (i, out) in rx {
+        served[i] = out;
+    }
     let report = server.shutdown();
 
     assert_eq!(report.completed, 24);
     for (i, (want, got)) in expected.iter().zip(&served).enumerate() {
         assert_eq!(want, got, "sample {i}: batched bits differ from solo run");
     }
-    // The batcher actually batched (not 24 singleton batches) — with 24
-    // concurrent clients and a 5 ms window this is deterministic enough.
-    assert!(
-        report.n_batches < 24,
-        "expected some coalescing, got {} batches",
-        report.n_batches
-    );
+    // The parked batch of one, then 23 queued requests in batches of the
+    // engine's capacity 8: 8 + 8 + 7.
+    assert_eq!(report.n_batches, 4, "batch sizes: {:?}", report.batch_hist);
+    assert_eq!(report.max_batch, 8);
 }
 
 #[test]
 fn overload_is_rejected_not_queued_unboundedly() {
     let snap = trained_snapshot();
-    let server = Server::start(
-        build_engines(1, &snap),
-        BatchPolicy {
-            max_delay: Duration::from_millis(1),
-            queue_depth: 2,
-        },
-    )
-    .unwrap();
+    let _g = fault_lock();
+    let server = Server::start(build_engines(1, &snap), BatchPolicy { queue_depth: 2 }).unwrap();
     let samples = request_samples(1);
-    // Burst far past the queue bound from many threads at once.
+    // With the only replica parked, burst far past the queue bound from
+    // many threads at once: exactly the queue's 2 seats are admitted.
+    let parked = park_only_replica(&server, &samples[0]);
     let handles: Vec<_> = (0..32)
         .map(|_| {
             let client = server.client();
@@ -115,6 +153,7 @@ fn overload_is_rejected_not_queued_unboundedly() {
         })
         .collect();
     let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    parked.recv().unwrap();
     let report = server.shutdown();
 
     let rejected = results
@@ -123,12 +162,13 @@ fn overload_is_rejected_not_queued_unboundedly() {
         .count() as u64;
     let ok = results.iter().filter(|r| r.is_ok()).count() as u64;
     assert_eq!(ok + rejected, 32, "only Ok or Rejected outcomes expected");
-    assert_eq!(report.completed, ok);
-    assert_eq!(report.rejected, rejected);
-    assert!(
-        rejected > 0,
-        "a 2-deep queue under a 32-request burst must shed load"
+    assert_eq!(
+        (ok, rejected),
+        (2, 30),
+        "a 2-deep queue in front of a parked replica admits 2 of 32"
     );
+    assert_eq!(report.completed, ok + 1);
+    assert_eq!(report.rejected, rejected);
     assert!(
         report.max_queue_depth <= 2 + 32,
         "queue depth bounded by capacity plus in-flight race slack"
@@ -138,14 +178,8 @@ fn overload_is_rejected_not_queued_unboundedly() {
 #[test]
 fn deadline_expiry_is_reported_per_request() {
     let snap = trained_snapshot();
-    let server = Server::start(
-        build_engines(1, &snap),
-        BatchPolicy {
-            max_delay: Duration::from_millis(1),
-            queue_depth: 16,
-        },
-    )
-    .unwrap();
+    let _g = fault_lock();
+    let server = Server::start(build_engines(1, &snap), BatchPolicy { queue_depth: 16 }).unwrap();
     let s = request_samples(1).remove(0);
     // Generous deadline completes; already-expired deadline times out.
     let ok = server.infer_with_deadline(&s, std::time::Instant::now() + Duration::from_secs(30));
@@ -165,6 +199,7 @@ fn deadline_expiry_is_reported_per_request() {
 fn two_servers_in_one_process_count_apart() {
     let snap = trained_snapshot();
     let s = request_samples(1).remove(0);
+    let _g = fault_lock();
     let a = Server::start(build_engines(1, &snap), BatchPolicy::default()).unwrap();
     let b = Server::start(build_engines(1, &snap), BatchPolicy::default()).unwrap();
     let reg = obs::Registry::new();

@@ -899,11 +899,11 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     print!("{}", plan::report_table(&result));
     let batch_imb = observe::analytic_imbalance(&profiles, threads);
     let plan_imb = observe::analytic_imbalance(
-        &plan::transform_profiles(&profiles, &result.strategies, &model, threads),
+        &plan::transform_profiles(&profiles, &result.strategies),
         threads,
     );
     println!(
-        "predicted imbalance factor: batch-only {:.4}, planned {:.4}",
+        "modeled imbalance factor: batch-only {:.4}, planned {:.4}",
         batch_imb.imbalance_factor, plan_imb.imbalance_factor
     );
 

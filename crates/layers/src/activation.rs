@@ -119,15 +119,6 @@ impl<A: Activation, S: Scalar> Layer<S> for ActivationLayer<A> {
             sequential: false,
         }
     }
-
-    fn strategy_space(&self) -> Vec<crate::strategy::LayerStrategy> {
-        // Elementwise work per segment is tiny: running without a parallel
-        // region at all can beat fork/join + barrier for small batches.
-        vec![
-            crate::strategy::LayerStrategy::SampleSplit,
-            crate::strategy::LayerStrategy::Replicate,
-        ]
-    }
 }
 
 #[cfg(test)]

@@ -332,7 +332,7 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
     }
 
     fn strategy_space(&self) -> Vec<LayerStrategy> {
-        let mut space = vec![LayerStrategy::SampleSplit, LayerStrategy::Replicate];
+        let mut space = vec![LayerStrategy::SampleSplit];
         space.extend(
             split_divisors(self.cfg.num_output)
                 .into_iter()
@@ -559,11 +559,6 @@ mod tests {
                 let got = run(t, LayerStrategy::ChannelSplit { ways });
                 assert_eq!(got, reference, "t={t} ways={ways}");
             }
-            assert_eq!(
-                run(t, LayerStrategy::Replicate),
-                reference,
-                "replicate t={t}"
-            );
         }
     }
 
@@ -575,7 +570,6 @@ mod tests {
         l.setup(&[&b]);
         let space = l.strategy_space();
         assert!(space.contains(&LayerStrategy::SampleSplit));
-        assert!(space.contains(&LayerStrategy::Replicate));
         assert!(space.contains(&LayerStrategy::ChannelSplit { ways: 4 }));
         assert!(!space.contains(&LayerStrategy::ChannelSplit { ways: 3 }));
         assert_eq!(l.split_extent(), 20);

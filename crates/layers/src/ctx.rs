@@ -138,10 +138,10 @@ mod tests {
             .with_reduction(ReductionMode::Unordered)
             .with_schedule(Schedule::Guided)
             .with_phase(Phase::Test)
-            .with_strategy(LayerStrategy::Replicate);
+            .with_strategy(LayerStrategy::ChannelSplit { ways: 2 });
         assert_eq!(ctx.reduction, ReductionMode::Unordered);
         assert_eq!(ctx.schedule, Schedule::Guided);
         assert_eq!(ctx.phase, Phase::Test);
-        assert_eq!(ctx.strategy, LayerStrategy::Replicate);
+        assert_eq!(ctx.strategy, LayerStrategy::ChannelSplit { ways: 2 });
     }
 }

@@ -1,29 +1,22 @@
 //! Parallel drivers: the reusable renderings of Algorithms 4 and 5.
 //!
-//! * [`parallel_rows`] / [`parallel_segments`] /
-//!   [`parallel_segments_scratch`] — the coalesced, statically-scheduled
-//!   loop over disjoint output segments (Algorithm 4), handed to the kernel
-//!   as the schedule's contiguous runs (one call per run: the inner
-//!   product's row-range GEMM) or one segment at a time. Forward passes and
-//!   backward-data passes write disjoint segments, so no synchronization is
-//!   required.
-//! * [`parallel_units`] / [`parallel_units_scratch`] — the generalized form:
-//!   each sample's segment is further split into `ways` disjoint sub-blocks
-//!   per the layer's [`LayerStrategy`](crate::strategy::LayerStrategy), so the coalesced loop runs over
-//!   `samples × ways` units. This is how a plan splits a within-sample
-//!   dimension (conv output channels, IP output neurons) when the batch
-//!   dimension is starved.
+//! * [`parallel_rows`] / [`parallel_segments`] — the coalesced,
+//!   statically-scheduled loop over disjoint output segments (Algorithm 4),
+//!   handed to the kernel as the schedule's contiguous runs (one call per
+//!   run: the inner product's row-range GEMM) or one segment at a time.
+//!   Forward passes and backward-data passes write disjoint segments, so no
+//!   synchronization is required.
+//! * [`parallel_units_scratch`] — the same loop with a per-thread scratch
+//!   buffer, where each sample's segment is further split into `ways`
+//!   disjoint sub-blocks per the layer's
+//!   [`LayerStrategy`](crate::strategy::LayerStrategy), so the coalesced loop
+//!   runs over `samples × ways` units. This is how a plan splits convolution
+//!   output channels when the batch dimension is starved.
 //! * [`backward_reduce`] — the privatize-then-ordered-merge pattern for
 //!   weight/bias gradients (Algorithm 5): each *slot* accumulates the
 //!   gradients of a contiguous chunk of samples; slots merge into the shared
 //!   parameter diff in slot order (ordered construct) or completion order
 //!   (unordered mode).
-//!
-//! Every driver honors [`LayerStrategy::Replicate`](crate::strategy::LayerStrategy::Replicate)
-//! by running the identical
-//! loop (and, for the reduction, the identical slot/merge math) inline on
-//! the calling thread with no parallel region — outputs are bitwise equal to
-//! the parallel path by construction.
 //!
 //! These drivers are what makes the parallelization *network-agnostic*: a
 //! new layer type only supplies the per-segment / per-sample kernel.
@@ -40,9 +33,7 @@ use std::ops::Range;
 /// schedule's runs kept whole: `out` holds `out.len() / row_len` disjoint
 /// rows (one per coalesced iteration), and `f(rows, out_rows)` is invoked
 /// once per contiguous run of rows a thread receives ([`for_each_range`]),
-/// with `out_rows` the run's `rows.len() * row_len` elements of `out`. Under
-/// [`LayerStrategy::Replicate`](crate::strategy::LayerStrategy::Replicate)
-/// there is one inline call over all rows.
+/// with `out_rows` the run's `rows.len() * row_len` elements of `out`.
 ///
 /// A kernel that is one call per run (the inner product's row-range GEMM)
 /// must write each row with values that do not depend on the run it arrives
@@ -53,12 +44,6 @@ where
     F: Fn(Range<usize>, &mut [S]) + Sync,
 {
     if out.is_empty() {
-        return;
-    }
-    if ctx.strategy.is_replicate() {
-        let _span = obs::trace::span("replicate", "driver");
-        assert_eq!(out.len() % row_len, 0, "segments must divide evenly");
-        f(0..out.len() / row_len, out);
         return;
     }
     let ds = DisjointSlices::new(out, row_len);
@@ -90,74 +75,22 @@ where
     });
 }
 
-/// [`parallel_segments`] plus a per-thread scratch buffer (the im2col
-/// column buffer for convolution kernels).
-pub fn parallel_segments_scratch<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], seg_len: usize, f: F)
-where
-    S: Scalar,
-    F: Fn(usize, &mut [S], &mut ThreadScratch<S>) + Sync,
-{
-    if out.is_empty() {
-        return;
-    }
-    if ctx.strategy.is_replicate() {
-        let _span = obs::trace::span("replicate", "driver");
-        assert_eq!(out.len() % seg_len, 0, "segments must divide evenly");
-        let mut scratch = ctx.workspace.thread_scratch(0);
-        for (i, seg) in out.chunks_exact_mut(seg_len).enumerate() {
-            f(i, seg, &mut scratch);
-        }
-        return;
-    }
-    let ds = DisjointSlices::new(out, seg_len);
-    let n = ds.len();
-    ctx.team.parallel(|w| {
-        let _span = obs::trace::span("segments", "driver");
-        let mut scratch = ctx.workspace.thread_scratch(w.thread_id);
-        for_each_index(w, n, ctx.schedule, |i| {
-            // SAFETY: each index is executed exactly once across the team.
-            let seg = unsafe { ds.segment_mut(i) };
-            f(i, seg, &mut scratch);
-        });
-    });
-}
-
-/// Generalized coalesced loop (Algorithm 4 over "hidden dimensions"): each
-/// of the `out.len() / seg_len` per-sample segments is further split into
+/// Generalized coalesced loop (Algorithm 4 over "hidden dimensions") with a
+/// per-thread scratch buffer (the im2col column buffer): each of the
+/// `out.len() / seg_len` per-sample segments is further split into
 /// `ctx.strategy.split_ways()` disjoint contiguous sub-blocks, and
-/// `f(sample, block, nblocks, sub_segment)` runs exactly once per
+/// `f(sample, block, nblocks, sub_segment, scratch)` runs exactly once per
 /// `(sample, block)` unit. Units are ordered sample-major, so with
-/// `nblocks == 1` this is exactly [`parallel_segments`].
+/// `nblocks == 1` this is [`parallel_segments`] plus the scratch buffer.
 ///
 /// The kernel must write sub-block `block` of sample `sample`'s output with
 /// values bit-identical to the corresponding region of the unsplit kernel —
-/// conv and IP achieve this by calling `mmblas::gemm` on the block's rows of
-/// the weight matrix, whose per-element accumulation order does not depend
-/// on the row or column range a call covers.
+/// conv achieves this by calling `mmblas::gemm` on the block's rows of the
+/// weight matrix, whose per-element accumulation order does not depend on
+/// the row range a call covers.
 ///
 /// # Panics
 /// Panics unless `split_ways` divides `seg_len`.
-pub fn parallel_units<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], seg_len: usize, f: F)
-where
-    S: Scalar,
-    F: Fn(usize, usize, usize, &mut [S]) + Sync,
-{
-    // Replicate does not split (`split_ways() == 1`), so it runs the samples.
-    let ways = ctx.strategy.split_ways();
-    assert_eq!(
-        seg_len % ways,
-        0,
-        "parallel_units: split ways {ways} must divide segment length {seg_len}"
-    );
-    let unit_len = seg_len / ways;
-    parallel_rows(ctx, out, unit_len, |units, segs| {
-        for (u, seg) in units.zip(segs.chunks_exact_mut(unit_len)) {
-            f(u / ways, u % ways, ways, seg);
-        }
-    });
-}
-
-/// [`parallel_units`] plus a per-thread scratch buffer.
 pub fn parallel_units_scratch<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], seg_len: usize, f: F)
 where
     S: Scalar,
@@ -166,20 +99,11 @@ where
     if out.is_empty() {
         return;
     }
-    if ctx.strategy.is_replicate() {
-        let _span = obs::trace::span("replicate", "driver");
-        assert_eq!(out.len() % seg_len, 0, "segments must divide evenly");
-        let mut scratch = ctx.workspace.thread_scratch(0);
-        for (i, seg) in out.chunks_exact_mut(seg_len).enumerate() {
-            f(i, 0, 1, seg, &mut scratch);
-        }
-        return;
-    }
     let ways = ctx.strategy.split_ways();
     assert_eq!(
         seg_len % ways,
         0,
-        "parallel_units: split ways {ways} must divide segment length {seg_len}"
+        "parallel_units_scratch: split ways {ways} must divide segment length {seg_len}"
     );
     let ds = DisjointSlices::new(out, seg_len / ways);
     let n_units = ds.len();
@@ -242,32 +166,6 @@ pub fn backward_reduce<S, F>(
         "backward_reduce: workspace grad_len {} < layer total {total}",
         ctx.workspace.request().grad_len
     );
-
-    if ctx.strategy.is_replicate() {
-        // Identical slot partition and merge order as the parallel path,
-        // executed inline: slot s accumulates its sample chunk, then slots
-        // merge in ascending slot order — bitwise equal by construction.
-        let _span = obs::trace::span("replicate", "driver");
-        let mut scratch = ctx.workspace.thread_scratch(0);
-        for slot in 0..nslots {
-            let mut sg = ctx.workspace.slot(slot);
-            sg.prepare(total);
-            let mut parts = sg.parts(param_lens);
-            for s in static_chunk(slot, nslots, n_samples) {
-                body(s, &mut parts, &mut scratch);
-            }
-        }
-        for slot in 0..nslots {
-            let sg = ctx.workspace.slot(slot);
-            let buf = sg.active(total);
-            let mut off = 0usize;
-            for (dst, &len) in shared_diffs.iter_mut().zip(param_lens) {
-                mmblas::axpy(S::ONE, &buf[off..off + len], dst);
-                off += len;
-            }
-        }
-        return;
-    }
 
     let shared: Vec<SendPtr<S>> = shared_diffs.iter_mut().map(|s| SendPtr::new(s)).collect();
     let merge_lock = Mutex::new(());
@@ -523,14 +421,9 @@ mod tests {
         let ws = Workspace::<f64>::empty();
         for threads in [1, 3] {
             let team = ThreadTeam::new(threads);
-            for (strategy, sched, want_calls) in [
-                (LayerStrategy::SampleSplit, Schedule::Static, threads),
-                (LayerStrategy::SampleSplit, Schedule::StaticChunk(2), 4),
-                (LayerStrategy::Replicate, Schedule::StaticChunk(2), 1),
-            ] {
-                let ctx = ExecCtx::new(&team, &ws)
-                    .with_strategy(strategy)
-                    .with_schedule(sched);
+            for (sched, want_calls) in [(Schedule::Static, threads), (Schedule::StaticChunk(2), 4)]
+            {
+                let ctx = ExecCtx::new(&team, &ws).with_schedule(sched);
                 let calls = AtomicUsize::new(0);
                 let mut out = vec![-1.0f64; 7 * 3];
                 parallel_rows(&ctx, &mut out, 3, |rows, y| {
@@ -541,23 +434,36 @@ mod tests {
                     }
                 });
                 let want: Vec<f64> = (0..21).map(|i| (i / 3) as f64).collect();
-                let what = format!("{threads} threads, {strategy}, {sched:?}");
+                let what = format!("{threads} threads, {sched:?}");
                 assert_eq!(out, want, "{what}");
                 assert_eq!(calls.into_inner(), want_calls, "{what}");
             }
         }
     }
 
+    /// A team of `threads` over a workspace whose scratch column is 2 long.
+    fn units_ws(threads: usize) -> Workspace<f64> {
+        Workspace::new(
+            threads,
+            threads,
+            WorkspaceRequest {
+                col_len: 2,
+                grad_len: 0,
+            },
+        )
+    }
+
     #[test]
-    fn parallel_units_splits_segments_sample_major() {
+    fn parallel_units_scratch_splits_segments_sample_major() {
         let team = ThreadTeam::new(3);
-        let ws = Workspace::<f64>::empty();
+        let ws = units_ws(3);
         let ctx = ExecCtx::new(&team, &ws).with_strategy(LayerStrategy::ChannelSplit { ways: 2 });
         let mut out = vec![0.0f64; 12];
         // 3 samples of segment length 4, split 2 ways into sub-blocks of 2.
-        parallel_units(&ctx, &mut out, 4, |s, b, nb, sub| {
+        parallel_units_scratch(&ctx, &mut out, 4, |s, b, nb, sub, scratch| {
             assert_eq!(nb, 2);
             assert_eq!(sub.len(), 2);
+            assert_eq!(scratch.col.len(), 2);
             for v in sub {
                 *v = (s * 10 + b) as f64;
             }
@@ -569,82 +475,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_units_degenerates_to_segments_for_sample_split() {
+    fn parallel_units_scratch_degenerates_to_segments_for_sample_split() {
         let team = ThreadTeam::new(2);
-        let ws = Workspace::<f64>::empty();
+        let ws = units_ws(2);
         let ctx = ExecCtx::new(&team, &ws);
         let mut out = vec![0.0f64; 8];
-        parallel_units(&ctx, &mut out, 4, |s, b, nb, sub| {
+        parallel_units_scratch(&ctx, &mut out, 4, |s, b, nb, sub, _| {
             assert_eq!((b, nb, sub.len()), (0, 1, 4));
             for v in sub {
                 *v = s as f64;
             }
         });
+        let mut segs = vec![0.0f64; 8];
+        parallel_segments(&ctx, &mut segs, 4, |s, seg| seg.fill(s as f64));
         assert_eq!(out, [0., 0., 0., 0., 1., 1., 1., 1.]);
+        assert_eq!(out, segs);
     }
 
     #[test]
     #[should_panic(expected = "must divide segment length")]
-    fn parallel_units_rejects_nondividing_ways() {
+    fn parallel_units_scratch_rejects_nondividing_ways() {
         let team = ThreadTeam::new(1);
-        let ws = Workspace::<f64>::empty();
+        let ws = units_ws(1);
         let ctx = ExecCtx::new(&team, &ws).with_strategy(LayerStrategy::ChannelSplit { ways: 3 });
         let mut out = vec![0.0f64; 8];
-        parallel_units(&ctx, &mut out, 4, |_, _, _, _| {});
-    }
-
-    #[test]
-    fn replicate_segments_bitwise_match_parallel() {
-        let team = ThreadTeam::new(4);
-        let ws = Workspace::<f64>::empty();
-        let f = |i: usize, seg: &mut [f64]| {
-            for (j, v) in seg.iter_mut().enumerate() {
-                *v = 1.0 / (i as f64 + j as f64 + 0.3);
-            }
-        };
-        let mut par = vec![0.0f64; 20];
-        parallel_segments(&ExecCtx::new(&team, &ws), &mut par, 5, f);
-        let mut rep = vec![0.0f64; 20];
-        parallel_segments(
-            &ExecCtx::new(&team, &ws).with_strategy(LayerStrategy::Replicate),
-            &mut rep,
-            5,
-            f,
-        );
-        assert_eq!(par, rep);
-    }
-
-    #[test]
-    fn replicate_reduce_bitwise_matches_parallel() {
-        // Same 4-thread team, same reduction mode: the Replicate path must
-        // reproduce the ordered-merge result exactly (same slot count, same
-        // sample chunks, same merge order).
-        let run = |strategy: LayerStrategy| -> Vec<f64> {
-            let team = ThreadTeam::new(4);
-            let ws = Workspace::new(
-                4,
-                4,
-                WorkspaceRequest {
-                    col_len: 1,
-                    grad_len: 3,
-                },
-            );
-            let ctx = ctx_with(&team, &ws, ReductionMode::Ordered).with_strategy(strategy);
-            let mut w = vec![0.0f64; 3];
-            {
-                let mut shared: Vec<&mut [f64]> = vec![&mut w];
-                backward_reduce(&ctx, 13, &[3], &mut shared, |s, parts, _| {
-                    for v in parts[0].iter_mut() {
-                        *v += 1.0 / (s as f64 + 0.9);
-                    }
-                });
-            }
-            w
-        };
-        assert_eq!(
-            run(LayerStrategy::SampleSplit),
-            run(LayerStrategy::Replicate)
-        );
+        parallel_units_scratch(&ctx, &mut out, 4, |_, _, _, _, _| {});
     }
 
     #[test]

@@ -3,18 +3,16 @@
 //! Forward: `Y = X W^T + b`, one row-range GEMM per contiguous run of
 //! samples the schedule deals a thread (Caffe's layer is one GEMM per
 //! batch; a run is the coarse-grain share of it). The GEMM's bits do not
-//! depend on the run, so neither team size nor schedule shows in `Y`; under
-//! `OutputSplit` each `(sample, block)` unit is a 1-row GEMM over the
-//! block's weight rows, the same bits again. Backward: `dW += dy_s ⊗ x_s`
+//! depend on the run, so neither team size nor schedule shows in `Y`.
+//! Backward: `dW += dy_s ⊗ x_s`
 //! and `db += dy_s` through the privatized ordered reduction; `dx_s = W^T
 //! dy_s` through the disjoint segment loop — per sample, because a
 //! coarse-grain slot holds too few samples for a GEMM to beat them.
 
 use crate::ctx::ExecCtx;
-use crate::drivers::{backward_reduce, parallel_rows, parallel_segments, parallel_units};
+use crate::drivers::{backward_reduce, parallel_rows, parallel_segments};
 use crate::fill::Filler;
 use crate::profile::{LayerProfile, PassProfile};
-use crate::strategy::{split_divisors, LayerStrategy};
 use crate::workspace::WorkspaceRequest;
 use crate::Layer;
 use blob::{Blob, Shape};
@@ -167,24 +165,10 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
             None
         };
         let (m, k) = (self.cfg.num_output, self.k);
-        let ways = ctx.strategy.split_ways();
-        assert_eq!(m % ways, 0, "{}: split must divide {m} outputs", self.name);
-        if ways == 1 {
-            parallel_rows(ctx, top[0].data_mut(), m, |rows, y| {
-                let xs = &x[rows.start * k..rows.end * k];
-                forward_rows(rows.len(), m, k, xs, w, bias, y);
-            });
-        } else {
-            // OutputSplit: block `blk` of sample `s` is columns
-            // `[blk*mb, (blk+1)*mb)` of that sample's row — a 1-row GEMM over
-            // the block's weight rows, bitwise those columns of the full call.
-            parallel_units(ctx, top[0].data_mut(), m, |s, blk, nb, y| {
-                let mb = m / nb;
-                let xs = &x[s * k..(s + 1) * k];
-                let bias = bias.map(|b| &b[blk * mb..(blk + 1) * mb]);
-                forward_rows(1, mb, k, xs, &w[blk * mb * k..], bias, y);
-            });
-        }
+        parallel_rows(ctx, top[0].data_mut(), m, |rows, y| {
+            let xs = &x[rows.start * k..rows.end * k];
+            forward_rows(rows.len(), m, k, xs, w, bias, y);
+        });
     }
 
     fn backward(&mut self, ctx: &ExecCtx<'_, S>, top: &[&Blob<S>], bottom: &mut [Blob<S>]) {
@@ -251,20 +235,6 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
             col_len: 0,
             grad_len: self.wlen() + self.blen(),
         }
-    }
-
-    fn strategy_space(&self) -> Vec<LayerStrategy> {
-        let mut space = vec![LayerStrategy::SampleSplit, LayerStrategy::Replicate];
-        space.extend(
-            split_divisors(self.cfg.num_output)
-                .into_iter()
-                .map(|ways| LayerStrategy::OutputSplit { ways }),
-        );
-        space
-    }
-
-    fn split_extent(&self) -> usize {
-        self.cfg.num_output
     }
 
     fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
@@ -386,42 +356,15 @@ mod tests {
         assert_eq!(o1[0].data(), o4[0].data());
     }
 
-    #[test]
-    fn output_split_forward_bitwise_matches_sample_split() {
-        let data: Vec<f64> = (0..5 * 9).map(|i| (i as f64 * 0.53).cos()).collect();
-        let run = |threads: usize, strategy: LayerStrategy| {
-            let mut l = make(8, Filler::Xavier);
-            let b: Blob<f64> = Blob::from_data([5usize, 9], data.clone());
-            let shapes = l.setup(&[&b]);
-            let team = ThreadTeam::new(threads);
-            let ws = ws_for(&l, threads);
-            let ctx = ExecCtx::new(&team, &ws).with_strategy(strategy);
-            let mut tops = vec![Blob::new(shapes[0].clone())];
-            l.forward(&ctx, &[&b], &mut tops);
-            tops[0].data().to_vec()
-        };
-        let reference = run(1, LayerStrategy::SampleSplit);
-        for t in [1, 3] {
-            for ways in [2, 4, 8] {
-                assert_eq!(
-                    run(t, LayerStrategy::OutputSplit { ways }),
-                    reference,
-                    "t={t} ways={ways}"
-                );
-            }
-            assert_eq!(run(t, LayerStrategy::Replicate), reference);
-        }
-    }
-
     /// `f32`, so a release run exercises the AVX2 kernel: under every team
-    /// size, schedule and strategy, with and without a bias, and at batch
-    /// sizes that are no multiple of the kernel's 6 x 16 tile, the forward
+    /// size and schedule, with and without a bias, and at batch sizes that
+    /// are no multiple of the kernel's 6 x 16 tile, the forward
     /// is bitwise one 1-row GEMM per sample — however the samples were
     /// grouped into runs — and close to the triple-loop oracle.
     #[test]
     fn forward_is_bitwise_a_gemm_per_sample_under_every_schedule() {
         use omprt::Schedule;
-        // Two `k` panels; four output blocks of 5.
+        // Two `k` panels.
         const M: usize = 20;
         const K: usize = 300;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -479,24 +422,14 @@ mod tests {
                         Schedule::Dynamic(2),
                         Schedule::Guided,
                     ] {
-                        for strategy in [
-                            LayerStrategy::SampleSplit,
-                            LayerStrategy::Replicate,
-                            LayerStrategy::OutputSplit { ways: 2 },
-                            LayerStrategy::OutputSplit { ways: 4 },
-                        ] {
-                            let ctx = ExecCtx::new(&team, &ws)
-                                .with_schedule(sched)
-                                .with_strategy(strategy);
-                            let mut tops = vec![Blob::new(shapes[0].clone())];
-                            l.forward(&ctx, &[&b], &mut tops);
-                            assert_eq!(
-                                bits(tops[0].data()),
-                                bits(&want),
-                                "bias {bias_term}, batch {batch}, {threads} threads, \
-                                 {sched:?}, {strategy}"
-                            );
-                        }
+                        let ctx = ExecCtx::new(&team, &ws).with_schedule(sched);
+                        let mut tops = vec![Blob::new(shapes[0].clone())];
+                        l.forward(&ctx, &[&b], &mut tops);
+                        assert_eq!(
+                            bits(tops[0].data()),
+                            bits(&want),
+                            "bias {bias_term}, batch {batch}, {threads} threads, {sched:?}"
+                        );
                     }
                 }
             }
@@ -504,13 +437,13 @@ mod tests {
     }
 
     #[test]
-    fn strategy_space_enumerates_output_divisors() {
+    fn strategy_space_is_the_sample_split() {
         let l = make(12, Filler::Xavier);
-        let space = l.strategy_space();
-        assert!(space.contains(&LayerStrategy::OutputSplit { ways: 6 }));
-        assert!(!space.contains(&LayerStrategy::OutputSplit { ways: 5 }));
-        assert!(!space.contains(&LayerStrategy::ChannelSplit { ways: 2 }));
-        assert_eq!(l.split_extent(), 12);
+        assert_eq!(
+            l.strategy_space(),
+            vec![crate::strategy::LayerStrategy::SampleSplit]
+        );
+        assert_eq!(l.split_extent(), 0);
     }
 
     #[test]

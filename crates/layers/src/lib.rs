@@ -143,17 +143,16 @@ pub trait Layer<S: Scalar = f32>: Send {
     fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile;
 
     /// Parallelization strategies this layer can execute. The default is the
-    /// paper's sample split only; layers that can split a within-sample
-    /// dimension (conv channels, IP outputs) or run profitably without a
-    /// parallel region (tiny elementwise layers) override this. The planner
-    /// searches exactly this space, so every strategy returned here must be
-    /// executable bit-identically to sample-split.
+    /// paper's sample split only; convolution overrides it to add its
+    /// output-channel splits. The planner searches exactly this space, so
+    /// every strategy returned here must be executable bit-identically to
+    /// sample-split.
     fn strategy_space(&self) -> Vec<LayerStrategy> {
         vec![LayerStrategy::SampleSplit]
     }
 
     /// Extent of the within-sample split dimension (output channels for
-    /// conv, output neurons for IP); 0 when the layer has no such dimension.
+    /// conv); 0 when the layer has no such dimension.
     /// Recorded in `.plan` files so stale plans are rejected when the net
     /// shape changed.
     fn split_extent(&self) -> usize {

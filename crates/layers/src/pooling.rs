@@ -332,15 +332,6 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
             sequential: false,
         }
     }
-
-    fn strategy_space(&self) -> Vec<crate::strategy::LayerStrategy> {
-        // The coalesced loop already runs over (sample, channel) pairs;
-        // Replicate is the only additional profitable point.
-        vec![
-            crate::strategy::LayerStrategy::SampleSplit,
-            crate::strategy::LayerStrategy::Replicate,
-        ]
-    }
 }
 
 #[cfg(test)]

@@ -4,22 +4,17 @@
 //! (PAPERS.md) show that is one point in a per-layer space. A
 //! [`LayerStrategy`] names which coalesced dimension a layer's drivers split:
 //!
-//! * [`SampleSplit`](LayerStrategy::SampleSplit) — today's behavior, one
+//! * [`SampleSplit`](LayerStrategy::SampleSplit) — the paper's scheme, one
 //!   coalesced iteration per sample.
 //! * [`ChannelSplit`](LayerStrategy::ChannelSplit) — forward output channels
 //!   are divided into `ways` contiguous blocks, so the coalesced loop runs
 //!   over `batch × ways` units; used by convolution layers whose batch
 //!   dimension is starved relative to the team.
-//! * [`OutputSplit`](LayerStrategy::OutputSplit) — the same split over the
-//!   output neurons of a fully-connected layer.
-//! * [`Replicate`](LayerStrategy::Replicate) — the layer runs sequentially
-//!   on the calling thread with no parallel region at all; wins for tiny
-//!   layers where fork/join and barrier costs dominate the work.
 //!
-//! Splits apply to the **forward** pass only; the backward pass always
-//! reduces at sample granularity, so executing any strategy is bit-identical
-//! to batch-only execution (see `drivers.rs` and DESIGN.md for the
-//! argument).
+//! The split applies to the **forward** pass only; the backward pass always
+//! reduces at sample granularity, so executing either strategy is
+//! bit-identical to batch-only execution (see `drivers.rs` and DESIGN.md for
+//! the argument).
 
 use std::fmt;
 use std::str::FromStr;
@@ -36,30 +31,16 @@ pub enum LayerStrategy {
         /// Number of contiguous channel blocks per sample.
         ways: usize,
     },
-    /// Forward output neurons split into `ways` contiguous blocks per
-    /// sample (`ways` must divide the layer's output extent).
-    OutputSplit {
-        /// Number of contiguous output blocks per sample.
-        ways: usize,
-    },
-    /// Run the layer sequentially on the calling thread (no parallel
-    /// region, no barrier).
-    Replicate,
 }
 
 impl LayerStrategy {
     /// Number of sub-units each sample's output segment is split into
-    /// (1 for strategies that do not split within a sample).
+    /// (1 for the sample split).
     pub fn split_ways(&self) -> usize {
         match *self {
-            LayerStrategy::ChannelSplit { ways } | LayerStrategy::OutputSplit { ways } => ways,
-            _ => 1,
+            LayerStrategy::SampleSplit => 1,
+            LayerStrategy::ChannelSplit { ways } => ways,
         }
-    }
-
-    /// `true` for [`LayerStrategy::Replicate`].
-    pub fn is_replicate(&self) -> bool {
-        matches!(self, LayerStrategy::Replicate)
     }
 
     /// `true` for the default sample-dimension split.
@@ -73,8 +54,6 @@ impl fmt::Display for LayerStrategy {
         match *self {
             LayerStrategy::SampleSplit => write!(f, "sample"),
             LayerStrategy::ChannelSplit { ways } => write!(f, "channel:{ways}"),
-            LayerStrategy::OutputSplit { ways } => write!(f, "output:{ways}"),
-            LayerStrategy::Replicate => write!(f, "replicate"),
         }
     }
 }
@@ -104,31 +83,24 @@ impl FromStr for LayerStrategy {
             token: s.to_string(),
             msg: msg.to_string(),
         };
-        match s {
-            "sample" => Ok(LayerStrategy::SampleSplit),
-            "replicate" => Ok(LayerStrategy::Replicate),
-            _ => {
-                let (kind, ways) = s
-                    .split_once(':')
-                    .ok_or_else(|| err("expected sample, replicate, channel:N or output:N"))?;
-                let ways: usize = ways
-                    .parse()
-                    .map_err(|_| err("split count is not a number"))?;
-                if ways < 2 {
-                    return Err(err("split count must be >= 2"));
-                }
-                match kind {
-                    "channel" => Ok(LayerStrategy::ChannelSplit { ways }),
-                    "output" => Ok(LayerStrategy::OutputSplit { ways }),
-                    _ => Err(err("unknown strategy kind")),
-                }
-            }
+        if s == "sample" {
+            return Ok(LayerStrategy::SampleSplit);
         }
+        let ways = s
+            .strip_prefix("channel:")
+            .ok_or_else(|| err("expected sample | channel:N"))?;
+        let ways: usize = ways
+            .parse()
+            .map_err(|_| err("split count is not a number"))?;
+        if ways < 2 {
+            return Err(err("split count must be >= 2"));
+        }
+        Ok(LayerStrategy::ChannelSplit { ways })
     }
 }
 
 /// Split candidates for a layer whose split dimension has `extent`
-/// channels/outputs: every divisor `d >= 2` of `extent`, capped at
+/// channels: every divisor `d >= 2` of `extent`, capped at
 /// [`MAX_SPLIT_WAYS`] so the search space stays small for wide layers.
 pub fn split_divisors(extent: usize) -> Vec<usize> {
     (2..=extent.min(MAX_SPLIT_WAYS))
@@ -148,8 +120,6 @@ mod tests {
         for s in [
             LayerStrategy::SampleSplit,
             LayerStrategy::ChannelSplit { ways: 4 },
-            LayerStrategy::OutputSplit { ways: 2 },
-            LayerStrategy::Replicate,
         ] {
             assert_eq!(s.to_string().parse::<LayerStrategy>().unwrap(), s);
         }
@@ -165,6 +135,8 @@ mod tests {
             "channel:x",
             "channel:1",
             "output:0",
+            "output:2",
+            "replicate",
         ] {
             let e = bad.parse::<LayerStrategy>().unwrap_err();
             assert_eq!(e.token, bad);
@@ -175,10 +147,9 @@ mod tests {
     #[test]
     fn ways_and_predicates() {
         assert_eq!(LayerStrategy::SampleSplit.split_ways(), 1);
-        assert_eq!(LayerStrategy::Replicate.split_ways(), 1);
         assert_eq!(LayerStrategy::ChannelSplit { ways: 5 }.split_ways(), 5);
-        assert!(LayerStrategy::Replicate.is_replicate());
         assert!(LayerStrategy::default().is_sample());
+        assert!(!LayerStrategy::ChannelSplit { ways: 2 }.is_sample());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! threads 128
 //! model cores=128
 //! layer conv1 Convolution 20 channel:5
-//! layer ip1 InnerProduct 500 output:4
+//! layer ip1 InnerProduct 0 sample
 //! crc 7c9a0b1d
 //! ```
 //!
@@ -18,7 +18,8 @@
 //! executing a wrong schedule. Layer lines record the layer's type and
 //! split extent at planning time; loading validates both against the live
 //! net and names the offending layer on mismatch — a stale plan can never
-//! panic the trainer.
+//! panic the trainer. A strategy token outside `sample | channel:N` is a
+//! [`PlanError::Parse`] naming its line.
 
 use layers::strategy::LayerStrategy;
 use mmblas::Scalar;
@@ -411,7 +412,7 @@ mod tests {
                     name: "relu1".into(),
                     layer_type: "ReLU".into(),
                     extent: 0,
-                    strategy: LayerStrategy::Replicate,
+                    strategy: LayerStrategy::SampleSplit,
                 },
                 PlanEntry {
                     name: "ip2".into(),
@@ -431,7 +432,7 @@ mod tests {
         assert!(text.contains("layer conv1 Convolution 20 channel:5\n"));
         let q = Plan::parse(&text).unwrap();
         assert_eq!(p, q);
-        assert_eq!(q.non_sample_layers(), 2);
+        assert_eq!(q.non_sample_layers(), 1);
     }
 
     #[test]

@@ -6,24 +6,26 @@
 //! (small batch, many cores) leaves most of the team idle. Following the
 //! "hidden dimensions" observation of Jia et al. (see `PAPERS.md`), layers
 //! also expose *within-sample* parallel dimensions — output channels for
-//! convolution, output neurons for inner product — that can be split
-//! without changing the math.
+//! convolution — that can be split without changing the math.
 //!
 //! This crate searches, per layer, over the strategies the layer can
-//! actually execute (`Layer::strategy_space`), prices each candidate with
-//! the [`machine`] execution-model simulator on rewritten work profiles
-//! ([`transform`]), and emits the winning schedule as a versioned,
-//! checksummed `.plan` text artifact ([`format`]) that `cgdnn train
-//! --plan` and `cgdnn infer --plan` load and execute.
+//! actually execute (`Layer::strategy_space`: `sample | channel:N`), prices
+//! each candidate with the [`machine`] execution-model simulator on
+//! rewritten work profiles ([`transform`]), and emits the winning schedule
+//! as a versioned, checksummed `.plan` text artifact ([`format`]) that
+//! `cgdnn train --plan` and `cgdnn infer --plan` load and execute.
 //!
 //! Execution semantics keep results bit-identical to the batch-only
 //! baseline: splits apply to the forward pass only (each unit computes a
 //! disjoint output block with the same flop order, see
-//! `mmblas::level3`), backward stays sample-split with the ordered
-//! gradient merge, and `Replicate` runs the layer inline with identical
-//! slot math. A plan therefore changes *where* work runs, never *what* is
-//! computed — and a stale plan is rejected with a typed error naming the
+//! `mmblas::level3`), and backward stays sample-split with the ordered
+//! gradient merge. A plan therefore changes *where* work runs, never *what*
+//! is computed — and a stale plan is rejected with a typed error naming the
 //! offending layer rather than executing wrong.
+//!
+//! The search's output is a *projection* of the cost model, not a
+//! prediction: its best projected gain (LeNet at 128 modeled threads,
+//! ≈ 0.7 %) is far below the model's own step-time error.
 
 pub mod format;
 pub mod search;
@@ -90,8 +92,6 @@ pub fn strategy_tag(s: LayerStrategy) -> String {
     match s {
         LayerStrategy::SampleSplit => "sample".into(),
         LayerStrategy::ChannelSplit { ways } => format!("channel{ways}"),
-        LayerStrategy::OutputSplit { ways } => format!("output{ways}"),
-        LayerStrategy::Replicate => "replicate".into(),
     }
 }
 
@@ -137,8 +137,6 @@ mod tests {
         for (s, tag) in [
             (LayerStrategy::SampleSplit, "sample"),
             (LayerStrategy::ChannelSplit { ways: 2 }, "channel2"),
-            (LayerStrategy::OutputSplit { ways: 8 }, "output8"),
-            (LayerStrategy::Replicate, "replicate"),
         ] {
             let t = strategy_tag(s);
             assert_eq!(t, tag);

@@ -66,7 +66,7 @@ pub fn project_secs(
     model: &CpuModel,
     threads: usize,
 ) -> f64 {
-    let tp = transform_profiles(profiles, strategies, model, threads);
+    let tp = transform_profiles(profiles, strategies);
     simulate_cpu(&tp, model, threads)
         .iter()
         .map(|t| t.total())
@@ -111,16 +111,8 @@ pub fn search(
     }
     let (strategies, planned_secs) = frontier.swap_remove(0);
 
-    let base_times = simulate_cpu(
-        &transform_profiles(profiles, &base, model, threads),
-        model,
-        threads,
-    );
-    let plan_times = simulate_cpu(
-        &transform_profiles(profiles, &strategies, model, threads),
-        model,
-        threads,
-    );
+    let base_times = simulate_cpu(profiles, model, threads);
+    let plan_times = simulate_cpu(&transform_profiles(profiles, &strategies), model, threads);
     let layers = base_times
         .iter()
         .zip(&plan_times)
@@ -224,7 +216,7 @@ mod tests {
     fn spaces_for(n: usize, splits: &[usize]) -> Vec<Vec<LayerStrategy>> {
         (0..n)
             .map(|i| {
-                let mut s = vec![LayerStrategy::SampleSplit, LayerStrategy::Replicate];
+                let mut s = vec![LayerStrategy::SampleSplit];
                 if splits.contains(&i) {
                     s.push(LayerStrategy::ChannelSplit { ways: 2 });
                     s.push(LayerStrategy::ChannelSplit { ways: 4 });

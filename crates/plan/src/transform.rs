@@ -6,79 +6,31 @@
 //! layer's [`LayerProfile`] into the equivalent batch-parallel shape:
 //!
 //! * `SampleSplit` — unchanged.
-//! * `ChannelSplit{w}` / `OutputSplit{w}` — the **forward** coalesced loop
-//!   gains `w`× the iterations at `1/w` the flops and output bytes per
-//!   iteration (each unit computes one block of output channels/neurons for
-//!   one sample). Input bytes per iteration stay whole: every unit re-reads
-//!   the full input of its sample — the replication cost that makes
-//!   over-splitting lose. The backward pass is untouched because execution
-//!   keeps backward sample-split (see `layers::drivers`).
-//! * `Replicate` — both passes collapse onto one thread: all parallel work
-//!   plus the pass's memory traffic (expressed in flop-equivalents at the
-//!   core's roofline) folds into `seq_flops`, the ordered reduction is
-//!   priced serially, and the profile is marked `sequential` so fork/join
-//!   and barrier overheads disappear. This only wins for layers too small
-//!   to amortize a parallel region.
+//! * `ChannelSplit{w}` — the **forward** coalesced loop gains `w`× the
+//!   iterations at `1/w` the flops and output bytes per iteration (each unit
+//!   computes one block of output channels for one sample). Input bytes per
+//!   iteration stay whole: every unit re-reads the full input of its sample
+//!   — the replication cost that makes over-splitting lose. The backward
+//!   pass is untouched because execution keeps backward sample-split (see
+//!   `layers::drivers`).
 
-use layers::profile::{LayerProfile, PassProfile};
+use layers::profile::LayerProfile;
 use layers::strategy::LayerStrategy;
-use machine::CpuModel;
 
-/// Rewrite one profile according to `strategy`, pricing against `model`
-/// with a team of `threads`.
-pub fn transform_profile(
-    p: &LayerProfile,
-    strategy: LayerStrategy,
-    model: &CpuModel,
-    threads: usize,
-) -> LayerProfile {
+/// Rewrite one profile according to `strategy`.
+pub fn transform_profile(p: &LayerProfile, strategy: LayerStrategy) -> LayerProfile {
     let mut q = p.clone();
-    match strategy {
-        LayerStrategy::SampleSplit => {}
-        LayerStrategy::ChannelSplit { ways } | LayerStrategy::OutputSplit { ways } => {
-            let w = ways.max(1);
-            q.forward.coalesced_iters *= w;
-            q.forward.flops_per_iter /= w as f64;
-            q.forward.bytes_out_per_iter /= w as f64;
-        }
-        LayerStrategy::Replicate => {
-            for pass in [&mut q.forward, &mut q.backward] {
-                *pass = sequentialize(pass, model, threads);
-            }
-            q.sequential = true;
-        }
-    }
+    let w = strategy.split_ways();
+    q.forward.coalesced_iters *= w;
+    q.forward.flops_per_iter /= w as f64;
+    q.forward.bytes_out_per_iter /= w as f64;
     q
-}
-
-/// Fold a pass's parallel work into its sequential section, in flops.
-fn sequentialize(pass: &PassProfile, model: &CpuModel, threads: usize) -> PassProfile {
-    let mem_as_flops = pass.total_bytes() / model.bw_per_core * model.flops_per_core;
-    // The privatized-gradient merge still happens, serially over the slots
-    // the team would have produced.
-    let merge_as_flops = if pass.reduction_elems > 0 && threads > 1 {
-        let merge_secs = threads as f64
-            * (pass.reduction_elems as f64 * 4.0 / model.reduction_bw + model.ordered_handoff);
-        merge_secs * model.flops_per_core
-    } else {
-        0.0
-    };
-    PassProfile {
-        coalesced_iters: 0,
-        flops_per_iter: 0.0,
-        bytes_in_per_iter: 0.0,
-        bytes_out_per_iter: 0.0,
-        seq_flops: pass.total_flops() + mem_as_flops + merge_as_flops,
-        reduction_elems: 0,
-    }
 }
 
 /// Rewrite every profile according to the per-layer `strategies`.
 pub fn transform_profiles(
     profiles: &[LayerProfile],
     strategies: &[LayerStrategy],
-    model: &CpuModel,
-    threads: usize,
 ) -> Vec<LayerProfile> {
     assert_eq!(
         profiles.len(),
@@ -88,13 +40,14 @@ pub fn transform_profiles(
     profiles
         .iter()
         .zip(strategies)
-        .map(|(p, &s)| transform_profile(p, s, model, threads))
+        .map(|(p, &s)| transform_profile(p, s))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use layers::profile::PassProfile;
 
     fn conv_like() -> LayerProfile {
         LayerProfile {
@@ -125,24 +78,14 @@ mod tests {
     #[test]
     fn sample_split_is_identity() {
         let p = conv_like();
-        let q = transform_profile(
-            &p,
-            LayerStrategy::SampleSplit,
-            &CpuModel::xeon_e5_2667v2(),
-            16,
-        );
+        let q = transform_profile(&p, LayerStrategy::SampleSplit);
         assert_eq!(p, q);
     }
 
     #[test]
     fn channel_split_preserves_flops_and_multiplies_iters() {
         let p = conv_like();
-        let q = transform_profile(
-            &p,
-            LayerStrategy::ChannelSplit { ways: 4 },
-            &CpuModel::xeon_e5_2667v2(),
-            16,
-        );
+        let q = transform_profile(&p, LayerStrategy::ChannelSplit { ways: 4 });
         assert_eq!(q.forward.coalesced_iters, 256);
         assert!((q.forward.parallel_flops() - p.forward.parallel_flops()).abs() < 1.0);
         // Input traffic replicates per unit; output does not.
@@ -153,17 +96,5 @@ mod tests {
         );
         // Backward execution stays sample-split, so its model is untouched.
         assert_eq!(q.backward, p.backward);
-    }
-
-    #[test]
-    fn replicate_collapses_to_sequential() {
-        let p = conv_like();
-        let model = CpuModel::xeon_e5_2667v2();
-        let q = transform_profile(&p, LayerStrategy::Replicate, &model, 16);
-        assert!(q.sequential);
-        assert_eq!(q.forward.coalesced_iters, 0);
-        assert_eq!(q.backward.reduction_elems, 0);
-        assert!(q.forward.seq_flops > p.forward.parallel_flops());
-        assert!(q.backward.seq_flops > p.backward.parallel_flops());
     }
 }

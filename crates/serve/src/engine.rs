@@ -463,12 +463,48 @@ layer {
     #[test]
     fn factory_plan_applies_leniently_and_keeps_bits() {
         use layers::strategy::LayerStrategy;
-        let spec = NetSpec::parse(TRAIN).unwrap();
+        // TRAIN with a convolution in front of the inner product, so the
+        // plan has a channel dimension to split.
+        const CONV: &str = r#"
+name: t
+layer {
+  name: d
+  type: Data
+  batch: 4
+  top: data
+  top: label
+}
+layer {
+  name: conv
+  type: Convolution
+  num_output: 4
+  kernel: 2
+  seed: 12
+  bottom: data
+  top: conv
+}
+layer {
+  name: ip
+  type: InnerProduct
+  num_output: 3
+  seed: 11
+  bottom: conv
+  top: ip
+}
+layer {
+  name: loss
+  type: SoftmaxWithLoss
+  bottom: ip
+  bottom: label
+  top: prob
+}
+"#;
+        let spec = NetSpec::parse(CONV).unwrap();
         let cfg = EngineConfig {
             max_batch: 4,
             n_threads: 2,
         };
-        let shape = Shape::from(vec![6usize]);
+        let shape = Shape::from(vec![1usize, 3, 3]);
         let mk_plan = |extent: usize| plan::Plan {
             net_name: "t".into(),
             threads: 8,
@@ -482,10 +518,10 @@ layer {
                     strategy: LayerStrategy::SampleSplit,
                 },
                 plan::PlanEntry {
-                    name: "ip".into(),
-                    layer_type: "InnerProduct".into(),
+                    name: "conv".into(),
+                    layer_type: "Convolution".into(),
                     extent,
-                    strategy: LayerStrategy::OutputSplit { ways: 3 },
+                    strategy: LayerStrategy::ChannelSplit { ways: 2 },
                 },
                 // The deploy transform rewrites this layer's type to
                 // Softmax in place: lenient apply must skip it, not call
@@ -501,8 +537,8 @@ layer {
         let plain = EngineFactory::<f32>::new(&spec, &shape, &cfg, None).unwrap();
         let planned = EngineFactory::<f32>::new(&spec, &shape, &cfg, None)
             .unwrap()
-            .with_plan(mk_plan(3));
-        let x = [0.4f32; 6];
+            .with_plan(mk_plan(4));
+        let x = [0.1f32, 0.4, -0.2, 0.7, 0.3, -0.5, 0.9, 0.0, 0.2];
         let want = plain.build().unwrap().infer_one(&x).unwrap();
         let got = planned.build().unwrap().infer_one(&x).unwrap();
         assert_eq!(got, want, "a plan must never change the served bits");
@@ -511,10 +547,10 @@ layer {
         // with an error naming the layer.
         let stale = EngineFactory::<f32>::new(&spec, &shape, &cfg, None)
             .unwrap()
-            .with_plan(mk_plan(5));
+            .with_plan(mk_plan(6));
         match stale.build() {
             Err(ServeError::Build(msg)) => {
-                assert!(msg.contains("ip") && msg.contains("stale"), "{msg}")
+                assert!(msg.contains("conv") && msg.contains("stale"), "{msg}")
             }
             Err(other) => panic!("want a Build error, got {other}"),
             Ok(_) => panic!("stale plan must fail the build"),

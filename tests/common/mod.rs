@@ -157,29 +157,15 @@ pub fn tiny_net_f64(seed: u64) -> Net<f64> {
     Net::from_spec(&spec, Some(Box::new(TinySource64 { n: 64, seed }))).expect("tiny net builds")
 }
 
-/// A deterministic mixed assignment: for every layer prefer a dimension
-/// split (channel/output) if its executable space has one, otherwise
-/// replicate odd-indexed layers, otherwise sample-split. This exercises
-/// every strategy kind the net supports in a single plan.
+/// A deterministic mixed assignment: the largest channel split on every
+/// layer whose executable space has one (the convolutions), sample split
+/// everywhere else.
 pub fn mixed_strategies(net: &Net<f32>) -> Vec<layers::LayerStrategy> {
-    use layers::LayerStrategy;
     net.layer_strategy_spaces()
         .iter()
-        .enumerate()
-        .map(|(i, space)| {
-            let split = space.iter().rev().find(|s| {
-                matches!(
-                    s,
-                    LayerStrategy::ChannelSplit { .. } | LayerStrategy::OutputSplit { .. }
-                )
-            });
-            if let Some(&s) = split {
-                s
-            } else if i % 2 == 1 && space.contains(&LayerStrategy::Replicate) {
-                LayerStrategy::Replicate
-            } else {
-                LayerStrategy::SampleSplit
-            }
+        .map(|space| {
+            let widest = space.iter().max_by_key(|s| s.split_ways());
+            *widest.expect("sample split is always in the space")
         })
         .collect()
 }

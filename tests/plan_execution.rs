@@ -104,6 +104,36 @@ fn corrupted_and_malformed_plans_fail_with_typed_errors() {
 }
 
 #[test]
+fn retired_strategy_tokens_are_parse_errors_naming_the_space() {
+    // Older builds also emitted `output:N` (inner product) and `replicate`.
+    // Such a line is rejected where it stands, before the checksum is read.
+    let net = tiny_net(5);
+    let text = plan::plan_for_net(&net, &mixed_strategies(&net), 8, "xeon").emit();
+    let ip1 = text
+        .lines()
+        .position(|l| l.starts_with("layer ip1 "))
+        .expect("the plan names ip1");
+    for retired in ["output:2", "replicate"] {
+        let old = text.replacen(
+            "layer ip1 InnerProduct 0 sample",
+            &format!("layer ip1 InnerProduct 0 {retired}"),
+            1,
+        );
+        assert_ne!(old, text, "the ip1 line must actually change");
+        match Plan::parse(&old) {
+            Err(PlanError::Parse { line, msg }) => {
+                assert_eq!(line, ip1 + 1, "{msg}");
+                assert!(
+                    msg.contains(retired) && msg.contains("sample | channel:N"),
+                    "{msg}"
+                );
+            }
+            other => panic!("{retired}: want a Parse error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn stale_plans_are_rejected_with_the_layer_named() {
     let net = tiny_net(5);
     let good = plan::plan_for_net(&net, &mixed_strategies(&net), 8, "xeon");

@@ -219,8 +219,8 @@ fn two_servers_in_one_process_count_apart() {
     assert_eq!(b.shutdown().completed, 5);
 }
 
-/// A plan exercising every strategy kind `train_net` supports: channel /
-/// output splits wherever a layer has one, replication elsewhere.
+/// A plan exercising every strategy kind `train_net` supports: the largest
+/// channel split on each convolution, sample split elsewhere.
 fn split_plan(train_net: &Net<f32>) -> cgdnn::plan::Plan {
     let strategies = common::mixed_strategies(train_net);
     let plan = cgdnn::plan::plan_for_net(train_net, &strategies, 2, "test");

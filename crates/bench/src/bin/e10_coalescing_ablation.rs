@@ -10,8 +10,7 @@
 use cgdnn_bench::{banner, cifar_net, mnist_net, PAPER_THREADS};
 use layers::profile::LayerProfile;
 use machine::{simulate_cpu, CpuModel};
-use omprt::metrics::analytic_distribution;
-use omprt::Schedule;
+use omprt::analytic_distribution;
 
 fn imbalance_table(name: &str, profiles: &[LayerProfile]) {
     println!("--- {name}: max/mean work imbalance under static scheduling ---");
@@ -32,12 +31,8 @@ fn imbalance_table(name: &str, profiles: &[LayerProfile]) {
         print!("{:<10}{:>6}", p.name, per_sample);
         for &t in &PAPER_THREADS[1..] {
             // Coalesced: iters light units; uncoalesced: batch heavy units.
-            let c = analytic_distribution(Schedule::Static, p.forward.coalesced_iters, t, 1)
-                .unwrap()
-                .imbalance_factor;
-            let u = analytic_distribution(Schedule::Static, p.batch, t, per_sample)
-                .unwrap()
-                .imbalance_factor;
+            let c = analytic_distribution(p.forward.coalesced_iters, t, 1).imbalance_factor;
+            let u = analytic_distribution(p.batch, t, per_sample).imbalance_factor;
             print!("{c:>6.2}/{u:<5.2}");
         }
         println!();

@@ -65,6 +65,6 @@ pub mod prelude {
     pub use datasets::{self, BatchSource, SyntheticCifar, SyntheticMnist};
     pub use layers::{ExecCtx, Layer, Phase, ReductionMode};
     pub use net::{Net, NetSpec, RunConfig};
-    pub use omprt::{Schedule, ThreadTeam};
+    pub use omprt::ThreadTeam;
     pub use solvers::{LrPolicy, Solver, SolverConfig, SolverType};
 }

@@ -7,12 +7,11 @@
 //! [`crate::CoarseGrainTrainer`] during a `--profile` run, and places a
 //! measured per-thread imbalance factor (derived from the `omprt` region
 //! spans in the trace buffers) next to the analytic
-//! [`omprt::metrics::ImbalanceReport`] computed from the same static
+//! [`omprt::ImbalanceReport`] computed from the same static
 //! schedule the runtime uses — a direct model-vs-reality comparison.
 
 use layers::profile::LayerProfile;
-use omprt::metrics::ImbalanceReport;
-use omprt::schedule::static_chunk;
+use omprt::{static_chunk, ImbalanceReport};
 use std::fmt::Write as _;
 
 /// Accumulated per-layer forward/backward wall-clock time over a number of

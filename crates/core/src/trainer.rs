@@ -89,12 +89,6 @@ impl<S: Scalar> CoarseGrainTrainer<S> {
         self
     }
 
-    /// Override the loop schedule (default: static, the paper's choice).
-    pub fn with_schedule(mut self, s: omprt::Schedule) -> Self {
-        self.run.schedule = s;
-        self
-    }
-
     /// Start accumulating a measured per-layer timing profile (see
     /// [`LayerTimeProfile`] and `cgdnn train --profile`). Idempotent.
     pub fn enable_profiling(&mut self) {
@@ -308,12 +302,10 @@ mod tests {
     fn builder_overrides() {
         let t = CoarseGrainTrainer::<f32>::lenet(Box::new(SyntheticMnist::new(64, 0)), 1)
             .unwrap()
-            .with_reduction(ReductionMode::Canonical { groups: 16 })
-            .with_schedule(omprt::Schedule::Guided);
+            .with_reduction(ReductionMode::Canonical { groups: 16 });
         assert_eq!(
             t.run_config().reduction,
             ReductionMode::Canonical { groups: 16 }
         );
-        assert_eq!(t.run_config().schedule, omprt::Schedule::Guided);
     }
 }

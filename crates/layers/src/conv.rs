@@ -226,7 +226,7 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
 
         let (bdata, bdiff) = bottom[0].data_diff_mut();
         let bdata: &[S] = bdata;
-        let bdiff_ds = omprt::sendptr::DisjointSlices::new(bdiff, in_len);
+        let bdiff_ds = omprt::DisjointSlices::new(bdiff, in_len);
 
         let param_lens: Vec<usize> = if self.cfg.bias_term {
             vec![wlen, blen]

@@ -1,9 +1,9 @@
-//! Execution context: thread team, schedule, reduction mode, phase.
+//! Execution context: thread team, reduction mode, phase.
 
 use crate::strategy::LayerStrategy;
 use crate::workspace::Workspace;
 use mmblas::Scalar;
-use omprt::{Schedule, ThreadTeam};
+use omprt::ThreadTeam;
 
 /// Training vs. inference phase (affects dropout and data augmentation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,14 +50,12 @@ impl ReductionMode {
     }
 }
 
-/// Everything a layer pass needs to execute: the parallel machine
-/// (team + schedule), the gradient-reduction policy, shared scratch space,
-/// and the phase/iteration for stateful layers.
+/// Everything a layer pass needs to execute: the thread team, the
+/// gradient-reduction policy, shared scratch space, and the phase/iteration
+/// for stateful layers.
 pub struct ExecCtx<'a, S: Scalar = f32> {
     /// The thread team (`#pragma omp parallel`); size 1 = sequential.
     pub team: &'a ThreadTeam,
-    /// Worksharing loop schedule (static, as in the paper, by default).
-    pub schedule: Schedule,
     /// Weight-gradient reduction policy.
     pub reduction: ReductionMode,
     /// Shared per-thread/per-slot scratch buffers.
@@ -72,12 +70,11 @@ pub struct ExecCtx<'a, S: Scalar = f32> {
 }
 
 impl<'a, S: Scalar> ExecCtx<'a, S> {
-    /// Context with the paper's defaults: static schedule, ordered
-    /// reduction, training phase.
+    /// Context with the paper's defaults: ordered reduction, training
+    /// phase.
     pub fn new(team: &'a ThreadTeam, workspace: &'a Workspace<S>) -> Self {
         Self {
             team,
-            schedule: Schedule::Static,
             reduction: ReductionMode::Ordered,
             workspace,
             phase: Phase::Train,
@@ -89,12 +86,6 @@ impl<'a, S: Scalar> ExecCtx<'a, S> {
     /// Builder-style: set the reduction mode.
     pub fn with_reduction(mut self, r: ReductionMode) -> Self {
         self.reduction = r;
-        self
-    }
-
-    /// Builder-style: set the schedule.
-    pub fn with_schedule(mut self, s: Schedule) -> Self {
-        self.schedule = s;
         self
     }
 
@@ -136,11 +127,9 @@ mod tests {
         let ws = Workspace::<f32>::empty();
         let ctx = ExecCtx::new(&team, &ws)
             .with_reduction(ReductionMode::Unordered)
-            .with_schedule(Schedule::Guided)
             .with_phase(Phase::Test)
             .with_strategy(LayerStrategy::ChannelSplit { ways: 2 });
         assert_eq!(ctx.reduction, ReductionMode::Unordered);
-        assert_eq!(ctx.schedule, Schedule::Guided);
         assert_eq!(ctx.phase, Phase::Test);
         assert_eq!(ctx.strategy, LayerStrategy::ChannelSplit { ways: 2 });
     }

@@ -2,8 +2,8 @@
 //!
 //! * [`parallel_rows`] / [`parallel_segments`] — the coalesced,
 //!   statically-scheduled loop over disjoint output segments (Algorithm 4),
-//!   handed to the kernel as the schedule's contiguous runs (one call per
-//!   run: the inner product's row-range GEMM) or one segment at a time.
+//!   handed to the kernel as each thread's one contiguous run (the inner
+//!   product's row-range GEMM) or one segment at a time.
 //!   Forward passes and backward-data passes write disjoint segments, so no
 //!   synchronization is required.
 //! * [`parallel_units_scratch`] — the same loop with a per-thread scratch
@@ -24,16 +24,16 @@
 use crate::ctx::ExecCtx;
 use crate::workspace::ThreadScratch;
 use mmblas::Scalar;
-use omprt::schedule::{for_each_index, for_each_range, static_chunk};
-use omprt::sendptr::{DisjointSlices, SendPtr};
+use omprt::{for_each_index, for_each_range, static_chunk, DisjointSlices, SendPtr};
 use parking_lot::Mutex;
 use std::ops::Range;
 
-/// The coalesced, statically-scheduled loop of Algorithm 4 with the
-/// schedule's runs kept whole: `out` holds `out.len() / row_len` disjoint
+/// The coalesced, statically-scheduled loop of Algorithm 4 with each
+/// thread's run kept whole: `out` holds `out.len() / row_len` disjoint
 /// rows (one per coalesced iteration), and `f(rows, out_rows)` is invoked
-/// once per contiguous run of rows a thread receives ([`for_each_range`]),
-/// with `out_rows` the run's `rows.len() * row_len` elements of `out`.
+/// once per thread with the contiguous run of rows it receives
+/// ([`for_each_range`]; not at all for an empty run), with `out_rows` the
+/// run's `rows.len() * row_len` elements of `out`.
 ///
 /// A kernel that is one call per run (the inner product's row-range GEMM)
 /// must write each row with values that do not depend on the run it arrives
@@ -50,7 +50,7 @@ where
     let n = ds.len();
     ctx.team.parallel(|w| {
         let _span = obs::trace::span("segments", "driver");
-        for_each_range(w, n, ctx.schedule, |rows| {
+        for_each_range(w, n, |rows| {
             // SAFETY: `for_each_range` deals disjoint runs, one thread each.
             let out_rows = unsafe { ds.segments_mut(rows.clone()) };
             f(rows, out_rows);
@@ -59,7 +59,7 @@ where
 }
 
 /// [`parallel_rows`] one segment at a time: `f(i, segment)` is invoked
-/// exactly once per segment index, by the thread the schedule gives it.
+/// exactly once per segment index, by the thread whose static chunk holds it.
 ///
 /// With a team of size 1 this degenerates to the sequential loop of
 /// Algorithm 2, in the same iteration order.
@@ -110,7 +110,7 @@ where
     ctx.team.parallel(|w| {
         let _span = obs::trace::span("segments", "driver");
         let mut scratch = ctx.workspace.thread_scratch(w.thread_id);
-        for_each_index(w, n_units, ctx.schedule, |u| {
+        for_each_index(w, n_units, |u| {
             // SAFETY: each unit index is executed exactly once across the team.
             let seg = unsafe { ds.segment_mut(u) };
             f(u / ways, u % ways, ways, seg, &mut scratch);
@@ -416,28 +416,24 @@ mod tests {
 
     #[test]
     fn parallel_rows_calls_once_per_scheduled_run() {
-        use omprt::Schedule;
         use std::sync::atomic::{AtomicUsize, Ordering};
         let ws = Workspace::<f64>::empty();
         for threads in [1, 3] {
             let team = ThreadTeam::new(threads);
-            for (sched, want_calls) in [(Schedule::Static, threads), (Schedule::StaticChunk(2), 4)]
-            {
-                let ctx = ExecCtx::new(&team, &ws).with_schedule(sched);
-                let calls = AtomicUsize::new(0);
-                let mut out = vec![-1.0f64; 7 * 3];
-                parallel_rows(&ctx, &mut out, 3, |rows, y| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    assert_eq!(y.len(), rows.len() * 3);
-                    for (r, row) in rows.zip(y.chunks_exact_mut(3)) {
-                        row.fill(r as f64);
-                    }
-                });
-                let want: Vec<f64> = (0..21).map(|i| (i / 3) as f64).collect();
-                let what = format!("{threads} threads, {sched:?}");
-                assert_eq!(out, want, "{what}");
-                assert_eq!(calls.into_inner(), want_calls, "{what}");
-            }
+            let ctx = ExecCtx::new(&team, &ws);
+            let calls = AtomicUsize::new(0);
+            let mut out = vec![-1.0f64; 7 * 3];
+            parallel_rows(&ctx, &mut out, 3, |rows, y| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(y.len(), rows.len() * 3);
+                for (r, row) in rows.zip(y.chunks_exact_mut(3)) {
+                    row.fill(r as f64);
+                }
+            });
+            let want: Vec<f64> = (0..21).map(|i| (i / 3) as f64).collect();
+            assert_eq!(out, want, "{threads} threads");
+            // One static run per thread.
+            assert_eq!(calls.into_inner(), threads, "{threads} threads");
         }
     }
 

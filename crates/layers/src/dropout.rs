@@ -1,8 +1,8 @@
 //! Dropout — Caffe's `Dropout` layer (inverted-dropout scaling).
 //!
 //! The mask for `(iteration, segment)` is generated from a counter-seeded
-//! PCG stream, so masks are identical for any thread count and any
-//! schedule — dropout does not break the convergence-invariance property.
+//! PCG stream, so masks are identical for any thread count — dropout does
+//! not break the convergence-invariance property.
 
 use crate::batch_cache::BatchCache;
 use crate::ctx::{ExecCtx, Phase};
@@ -69,7 +69,7 @@ impl<S: Scalar> Layer<S> for DropoutLayer<S> {
         let keep_scale = S::from_f64(1.0 / (1.0 - self.ratio));
         let ratio = self.ratio;
         let seed = self.seed ^ ctx.iteration.wrapping_mul(0x9e3779b97f4a7c15);
-        let mask_ds = omprt::sendptr::DisjointSlices::new(&mut self.mask, seg);
+        let mask_ds = omprt::DisjointSlices::new(&mut self.mask, seg);
         parallel_segments(ctx, top[0].data_mut(), seg, |i, out| {
             // SAFETY: each segment index runs exactly once.
             let m = unsafe { mask_ds.segment_mut(i) };

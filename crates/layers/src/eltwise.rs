@@ -8,7 +8,7 @@ use crate::profile::{LayerProfile, PassProfile};
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
-use omprt::sendptr::DisjointSlices;
+use omprt::DisjointSlices;
 
 /// Combination operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,9 +1,9 @@
 //! Fully-connected layer — Caffe's `InnerProduct`.
 //!
 //! Forward: `Y = X W^T + b`, one row-range GEMM per contiguous run of
-//! samples the schedule deals a thread (Caffe's layer is one GEMM per
-//! batch; a run is the coarse-grain share of it). The GEMM's bits do not
-//! depend on the run, so neither team size nor schedule shows in `Y`.
+//! samples the static schedule deals a thread (Caffe's layer is one GEMM
+//! per batch; a run is the coarse-grain share of it). The GEMM's bits do
+//! not depend on the run, so the team size does not show in `Y`.
 //! Backward: `dW += dy_s ⊗ x_s`
 //! and `db += dy_s` through the privatized ordered reduction; `dx_s = W^T
 //! dy_s` through the disjoint segment loop — per sample, because a
@@ -357,13 +357,12 @@ mod tests {
     }
 
     /// `f32`, so a release run exercises the AVX2 kernel: under every team
-    /// size and schedule, with and without a bias, and at batch sizes that
-    /// are no multiple of the kernel's 6 x 16 tile, the forward
-    /// is bitwise one 1-row GEMM per sample — however the samples were
-    /// grouped into runs — and close to the triple-loop oracle.
+    /// size, with and without a bias, and at batch sizes that are no
+    /// multiple of the kernel's 6 x 16 tile, the forward is bitwise one
+    /// 1-row GEMM per sample — however the samples were grouped into runs —
+    /// and close to the triple-loop oracle.
     #[test]
-    fn forward_is_bitwise_a_gemm_per_sample_under_every_schedule() {
-        use omprt::Schedule;
+    fn forward_is_bitwise_a_gemm_per_sample_at_every_team_size() {
         // Two `k` panels.
         const M: usize = 20;
         const K: usize = 300;
@@ -416,21 +415,14 @@ mod tests {
                 for threads in 1..=4 {
                     let team = ThreadTeam::new(threads);
                     let ws = Workspace::<f32>::new(threads, threads, l.workspace_request());
-                    for sched in [
-                        Schedule::Static,
-                        Schedule::StaticChunk(3),
-                        Schedule::Dynamic(2),
-                        Schedule::Guided,
-                    ] {
-                        let ctx = ExecCtx::new(&team, &ws).with_schedule(sched);
-                        let mut tops = vec![Blob::new(shapes[0].clone())];
-                        l.forward(&ctx, &[&b], &mut tops);
-                        assert_eq!(
-                            bits(tops[0].data()),
-                            bits(&want),
-                            "bias {bias_term}, batch {batch}, {threads} threads, {sched:?}"
-                        );
-                    }
+                    let ctx = ExecCtx::new(&team, &ws);
+                    let mut tops = vec![Blob::new(shapes[0].clone())];
+                    l.forward(&ctx, &[&b], &mut tops);
+                    assert_eq!(
+                        bits(tops[0].data()),
+                        bits(&want),
+                        "bias {bias_term}, batch {batch}, {threads} threads"
+                    );
                 }
             }
         }

@@ -3,8 +3,8 @@
 //!
 //! Every layer implements [`Layer`]: a `setup` shape-inference step, a
 //! `forward` and a `backward` pass. Both passes take an [`ExecCtx`]
-//! describing the thread team, the loop schedule, and the gradient
-//! [`ReductionMode`] — the Rust rendering of the paper's OpenMP
+//! describing the thread team and the gradient [`ReductionMode`] — the
+//! Rust rendering of the paper's OpenMP
 //! transformation (Algorithms 4–5):
 //!
 //! * forward/backward-data loops are coalesced over `(sample, segment…)`

@@ -94,7 +94,7 @@ impl<S: Scalar> Layer<S> for LrnLayer<S> {
         let a_over_n = S::from_f64(self.cfg.alpha / self.cfg.local_size as f64);
         let k = S::from_f64(self.cfg.k);
         let neg_beta = S::from_f64(-self.cfg.beta);
-        let scale_ds = omprt::sendptr::DisjointSlices::new(&mut self.scale, sample_len);
+        let scale_ds = omprt::DisjointSlices::new(&mut self.scale, sample_len);
         parallel_segments(ctx, top[0].data_mut(), sample_len, |s, out| {
             // SAFETY: each sample index runs exactly once.
             let sc = unsafe { scale_ds.segment_mut(s) };

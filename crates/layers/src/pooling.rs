@@ -14,7 +14,7 @@ use crate::profile::{LayerProfile, PassProfile};
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::{Scalar, TapSpan};
-use omprt::sendptr::DisjointSlices;
+use omprt::DisjointSlices;
 use std::hint::select_unpredictable;
 
 /// Pooling operator.

@@ -1,7 +1,7 @@
 //! Multicore NUMA CPU execution model.
 
 use layers::profile::{LayerProfile, PassProfile};
-use omprt::schedule::static_chunk;
+use omprt::static_chunk;
 
 /// How a layer pass distributes data across threads — the signature used by
 /// the inter-layer locality model (paper §4.3, "Locality between layers").

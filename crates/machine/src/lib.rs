@@ -10,7 +10,7 @@
 //! network shapes):
 //!
 //! * static-schedule work distribution — the same
-//!   [`omprt::schedule::static_chunk`] math the runtime executes, so
+//!   [`omprt::static_chunk`] math the runtime executes, so
 //!   simulated imbalance equals real imbalance;
 //! * a roofline per-iteration cost (compute vs. memory bound);
 //! * inter-layer data locality: a consumer pays a penalty on input bytes

@@ -56,15 +56,13 @@ use layers::strategy::LayerStrategy;
 use layers::workspace::{Workspace, WorkspaceRequest};
 use layers::Layer;
 use mmblas::Scalar;
-use omprt::{Schedule, ThreadTeam};
+use omprt::ThreadTeam;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Per-run execution configuration (schedule, reduction, phase).
+/// Per-run execution configuration (reduction, phase).
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
-    /// Worksharing schedule for the coalesced loops.
-    pub schedule: Schedule,
     /// Gradient reduction mode.
     pub reduction: ReductionMode,
     /// Train or test.
@@ -72,10 +70,9 @@ pub struct RunConfig {
 }
 
 impl Default for RunConfig {
-    /// The paper's configuration: static schedule, ordered reduction, train.
+    /// The paper's configuration: ordered reduction, train.
     fn default() -> Self {
         Self {
-            schedule: Schedule::Static,
             reduction: ReductionMode::Ordered,
             phase: Phase::Train,
         }
@@ -446,7 +443,6 @@ impl<S: Scalar> Net<S> {
             {
                 let ctx = ExecCtx {
                     team,
-                    schedule: cfg.schedule,
                     reduction: cfg.reduction,
                     workspace: &self.workspace,
                     phase: cfg.phase,
@@ -496,7 +492,6 @@ impl<S: Scalar> Net<S> {
             {
                 let ctx = ExecCtx {
                     team,
-                    schedule: cfg.schedule,
                     reduction: cfg.reduction,
                     workspace: &self.workspace,
                     phase: cfg.phase,

@@ -1,57 +1,57 @@
-//! `omprt` — a miniature OpenMP-style runtime.
+//! `omprt` — the OpenMP constructs of the paper's coarse-grain
+//! parallelization, and no others.
 //!
-//! The PPoPP'16 paper expresses its coarse-grain parallelization with OpenMP
-//! constructs: `#pragma omp parallel`, `#pragma omp for` with static
-//! scheduling over *coalesced* loops, data privatization, and an `ordered`
-//! loop for the gradient reduction (Algorithms 4-5). This crate implements
-//! those constructs so the Rust layer code can be a faithful transliteration:
+//! The PPoPP'16 paper runs each layer pass as `#pragma omp parallel` around
+//! a `#pragma omp for schedule(static)` over a *coalesced* loop, with
+//! privatized gradients merged by an `ordered` loop (Algorithms 4-5). This
+//! crate implements exactly those constructs so the Rust layer code can be a
+//! faithful transliteration:
 //!
 //! * [`ThreadTeam`] — a persistent pool; [`ThreadTeam::parallel`] is
-//!   `#pragma omp parallel`.
-//! * [`Schedule`] + [`for_each_index`] — `#pragma omp for schedule(...)`;
-//!   [`for_each_range`] hands out the same iterations as the schedule's
-//!   contiguous chunks.
-//! * [`coalesce::Coalesce`] — the manual loop-coalescing transformation
-//!   (`civ -> (s, d1, d2, ...)` decode functions `f_s`, `f_1`, ...).
-//! * [`ordered::OrderedRegion`] — `#pragma omp for ordered` used to merge
-//!   privatized gradients in thread order.
-//! * [`sendptr::SendPtr`] and the safe disjoint-chunk helpers — the data
-//!   privatization idioms.
+//!   `#pragma omp parallel`, and [`WorkerCtx::ordered`] /
+//!   [`WorkerCtx::barrier`] are the in-region constructs.
+//! * [`for_each_range`] / [`for_each_index`] — `#pragma omp for
+//!   schedule(static)`: one contiguous [`static_chunk`] per thread, then the
+//!   implicit barrier.
+//! * [`SendPtr`] and [`DisjointSlices`] — the data privatization idioms.
+//! * [`analytic_distribution`] — the static schedule's per-thread work, as
+//!   an [`ImbalanceReport`].
 //!
-//! The static-schedule chunk math is pure and public so the `machine`
-//! execution-model simulator distributes work exactly like the real runtime.
+//! The chunk math is pure and public so the `machine` execution-model
+//! simulator distributes work exactly like the real runtime.
 //!
 //! ```
-//! use omprt::{Schedule, ThreadTeam};
+//! use omprt::{for_each_index, ThreadTeam};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
+//! use std::sync::Mutex;
 //!
 //! let team = ThreadTeam::new(4);
 //! let hits = AtomicUsize::new(0);
-//! // #pragma omp parallel for schedule(static)
-//! team.parallel_for(100, Schedule::Static, |_ctx, _i| {
-//!     hits.fetch_add(1, Ordering::Relaxed);
+//! let order = Mutex::new(Vec::new());
+//! // #pragma omp parallel
+//! team.parallel(|ctx| {
+//!     // #pragma omp for schedule(static)
+//!     for_each_index(ctx, 100, |_i| {
+//!         hits.fetch_add(1, Ordering::Relaxed);
+//!     });
+//!     // #pragma omp ordered — thread 0, then 1, 2, 3.
+//!     ctx.ordered(|| order.lock().unwrap().push(ctx.thread_id));
 //! });
 //! assert_eq!(hits.load(Ordering::Relaxed), 100);
-//!
-//! // #pragma omp parallel for reduction(+) — deterministic merge order.
-//! let sum = team.parallel_reduce(10, Schedule::Static, 0usize, |i| i, |a, b| a + b);
-//! assert_eq!(sum, 45);
+//! assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3]);
 //! ```
 
-pub mod coalesce;
-pub mod metrics;
-pub mod ordered;
-pub mod schedule;
-pub mod sendptr;
+mod metrics;
+mod ordered;
+mod schedule;
+mod sendptr;
 
-pub use coalesce::Coalesce;
-pub use metrics::ImbalanceReport;
-pub use ordered::OrderedRegion;
-pub use schedule::{for_each_index, for_each_range, static_chunk, Schedule};
-pub use sendptr::SendPtr;
+pub use metrics::{analytic_distribution, ImbalanceReport};
+pub use schedule::{for_each_index, for_each_range, static_chunk};
+pub use sendptr::{DisjointSlices, SendPtr};
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
@@ -59,10 +59,13 @@ type Job = *const (dyn Fn(&WorkerCtx) + Sync);
 
 struct JobSlot(UnsafeCell<Option<Job>>);
 // SAFETY: the slot is only written by the master strictly before the start
-// barrier and read by workers strictly after it; the barriers provide the
-// happens-before edges and mutual exclusion. The stored pointer is only
-// dereferenced while the owning closure is pinned on the master's stack.
+// barrier or after the end barrier, and read by workers strictly between
+// the two; the barriers provide the happens-before edges and mutual
+// exclusion. The stored pointer is only dereferenced while the owning
+// closure is pinned on the master's stack.
 unsafe impl Sync for JobSlot {}
+// SAFETY: as for `Sync`: the slot moves between threads only inside the
+// `Arc<TeamShared>`, under the same barrier protocol.
 unsafe impl Send for JobSlot {}
 
 struct TeamShared {
@@ -72,13 +75,6 @@ struct TeamShared {
     user_barrier: Barrier,
     shutdown: AtomicBool,
     turn: ordered::Turn,
-    /// Shared claim counter for dynamic/guided worksharing loops.
-    loop_counter: AtomicUsize,
-    /// `#pragma omp critical` lock.
-    critical: parking_lot::Mutex<()>,
-    /// Claim flags for the `single` constructs of the current region,
-    /// indexed by encounter order.
-    singles: parking_lot::Mutex<Vec<bool>>,
 }
 
 impl TeamShared {
@@ -90,9 +86,6 @@ impl TeamShared {
             user_barrier: Barrier::new(size),
             shutdown: AtomicBool::new(false),
             turn: ordered::Turn::new(),
-            loop_counter: AtomicUsize::new(0),
-            critical: parking_lot::Mutex::new(()),
-            singles: parking_lot::Mutex::new(Vec::new()),
         }
     }
 }
@@ -106,17 +99,12 @@ pub struct WorkerCtx<'a> {
     /// Team size.
     pub num_threads: usize,
     shared: &'a TeamShared,
-    /// How many `single` constructs this thread has encountered in the
-    /// current region (identifies the construct instance).
-    singles_seen: std::cell::Cell<usize>,
 }
 
 impl WorkerCtx<'_> {
     /// `#pragma omp barrier` — all team threads must call it the same number
-    /// of times. No layer calls it by name; the worksharing constructs do:
-    /// the implicit barrier that ends [`for_each_index`] and
-    /// [`WorkerCtx::single`], and the two around the shared-counter reset
-    /// on entry to a dynamic or guided loop.
+    /// of times. No layer calls it by name; the worksharing loop does: the
+    /// implicit barrier that ends [`for_each_range`].
     pub fn barrier(&self) {
         let _span = obs::trace::span("barrier_wait", "omprt");
         self.shared.user_barrier.wait();
@@ -131,46 +119,6 @@ impl WorkerCtx<'_> {
         self.shared
             .turn
             .run_ordered(self.thread_id, self.num_threads, f)
-    }
-
-    /// `#pragma omp critical` — run `f` under the team-wide mutual
-    /// exclusion lock.
-    pub fn critical<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.shared.critical.lock();
-        f()
-    }
-
-    /// `#pragma omp single` — exactly one thread (the first to arrive at
-    /// this construct instance) runs `f`; every thread then waits at the
-    /// implicit barrier. Returns `Some(result)` on the executing thread,
-    /// `None` on the others.
-    ///
-    /// All team threads must encounter every `single` in the same order,
-    /// like any OpenMP worksharing construct.
-    pub fn single<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
-        let idx = self.singles_seen.get();
-        self.singles_seen.set(idx + 1);
-        let elected = {
-            let mut claimed = self.shared.singles.lock();
-            if claimed.len() <= idx {
-                claimed.resize(idx + 1, false);
-            }
-            if claimed[idx] {
-                false
-            } else {
-                claimed[idx] = true;
-                true
-            }
-        };
-        let r = if elected { Some(f()) } else { None };
-        if self.num_threads > 1 {
-            self.barrier();
-        }
-        r
-    }
-
-    pub(crate) fn loop_counter(&self) -> &AtomicUsize {
-        &self.shared.loop_counter
     }
 }
 
@@ -225,9 +173,11 @@ impl ThreadTeam {
 
     /// Run `f` on every team thread — `#pragma omp parallel`.
     ///
-    /// Blocks until all threads have finished the region. Panics in worker
-    /// threads abort the process (there is no cross-thread unwind recovery,
-    /// matching OpenMP semantics where such programs are undefined).
+    /// Blocks until all threads have finished the region. A panic on any
+    /// thread of a team larger than one aborts the process (there is no
+    /// cross-thread unwind recovery, matching OpenMP semantics where such
+    /// programs are undefined). A size-1 team runs `f` inline, so a panic
+    /// there unwinds to the caller as usual.
     pub fn parallel<F>(&self, f: F)
     where
         F: Fn(&WorkerCtx) + Sync,
@@ -240,93 +190,37 @@ impl ThreadTeam {
                 thread_id: 0,
                 num_threads: 1,
                 shared: &dummy,
-                singles_seen: std::cell::Cell::new(0),
             };
-            {
-                let _span = obs::trace::span("region", "omprt");
-                f(&ctx);
-            }
+            let _span = obs::trace::span("region", "omprt");
+            f(&ctx);
             return;
         };
 
         shared.turn.reset();
-        shared.singles.lock().clear();
         let job: &(dyn Fn(&WorkerCtx) + Sync) = &f;
-        // SAFETY (lifetime erasure): the job pointer is consumed by workers
-        // between the two barriers below; the master does not return from
-        // this function until every worker has passed the end barrier, so
-        // `f` outlives all uses.
+        // SAFETY: lifetime erasure. Workers dereference the job only
+        // between the start and end barriers below, and this function does
+        // not return before every worker has passed the end barrier — nor
+        // unwind: a panic in `f` aborts — so `f` outlives all uses.
         let erased: Job = unsafe { std::mem::transmute(job) };
+        // SAFETY: every worker is parked at the start barrier (the previous
+        // region's end barrier ordered its last read of the slot before this
+        // write), so nothing reads the slot concurrently.
         unsafe { *shared.job.0.get() = Some(erased) };
         shared.start.wait();
         let ctx = WorkerCtx {
             thread_id: 0,
             num_threads: self.size,
             shared,
-            singles_seen: std::cell::Cell::new(0),
         };
-        {
+        abort_on_unwind(|| {
             let _span = obs::trace::span("region", "omprt");
             f(&ctx);
-        }
+        });
         shared.end.wait();
+        // SAFETY: every worker has passed the end barrier, so none reads the
+        // slot again before the next region's start barrier.
         unsafe { *shared.job.0.get() = None };
-    }
-
-    /// Convenience: `#pragma omp parallel for schedule(sched)` over
-    /// `0..n_iters`, invoking `body(ctx, i)` for each index.
-    pub fn parallel_for<F>(&self, n_iters: usize, sched: Schedule, body: F)
-    where
-        F: Fn(&WorkerCtx, usize) + Sync,
-    {
-        self.parallel(|ctx| {
-            for_each_index(ctx, n_iters, sched, |i| body(ctx, i));
-        });
-    }
-
-    /// `#pragma omp parallel for reduction(...)`: map every index through
-    /// `map` and fold with `combine`, merging the per-thread partials in
-    /// thread-id order (deterministic for a fixed team size under the
-    /// static schedules).
-    pub fn parallel_reduce<V, M, C>(
-        &self,
-        n_iters: usize,
-        sched: Schedule,
-        identity: V,
-        map: M,
-        combine: C,
-    ) -> V
-    where
-        V: Send + Clone,
-        M: Fn(usize) -> V + Sync,
-        C: Fn(V, V) -> V + Sync,
-    {
-        let partials: Vec<parking_lot::Mutex<Option<V>>> = (0..self.size)
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        self.parallel(|ctx| {
-            // Threads that receive no iterations contribute no partial, so
-            // `identity` need not be a true neutral element.
-            let mut acc: Option<V> = None;
-            for_each_index(ctx, n_iters, sched, |i| {
-                let v = map(i);
-                acc = Some(match acc.take() {
-                    Some(a) => combine(a, v),
-                    None => v,
-                });
-            });
-            *partials[ctx.thread_id].lock() = acc;
-        });
-        let mut total: Option<V> = None;
-        for p in partials {
-            if let Some(v) = p.into_inner() {
-                total = Some(match total.take() {
-                    Some(a) => combine(a, v),
-                    None => v,
-                });
-            }
-        }
-        total.unwrap_or(identity)
     }
 }
 
@@ -348,21 +242,41 @@ fn worker_loop(tid: usize, size: usize, shared: &TeamShared) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // SAFETY: written by master before the start barrier; master blocks
-        // on the end barrier until we are done with it.
+        // SAFETY: written by the master before the start barrier; the
+        // master does not touch the slot again until we pass the end
+        // barrier.
         let job = unsafe { (*shared.job.0.get()).expect("omprt: start without job") };
         let ctx = WorkerCtx {
             thread_id: tid,
             num_threads: size,
             shared,
-            singles_seen: std::cell::Cell::new(0),
         };
-        {
+        abort_on_unwind(|| {
             let _span = obs::trace::span("region", "omprt");
+            // SAFETY: `job` points at the master's closure, which stays
+            // alive until every worker has passed the end barrier below
+            // (see `ThreadTeam::parallel`).
             unsafe { (*job)(&ctx) };
-        }
+        });
         shared.end.wait();
     }
+}
+
+/// Run a team thread's share of a region, aborting the process if it
+/// unwinds. An unwinding master would free the closure the workers are
+/// still running; an unwinding worker would leave the team waiting at the
+/// end barrier forever.
+fn abort_on_unwind(f: impl FnOnce()) {
+    struct Bomb;
+    impl Drop for Bomb {
+        fn drop(&mut self) {
+            eprintln!("omprt: panic inside a parallel region; aborting");
+            std::process::abort();
+        }
+    }
+    let bomb = Bomb;
+    f();
+    std::mem::forget(bomb);
 }
 
 #[cfg(test)]
@@ -381,6 +295,21 @@ mod tests {
             **cell.lock().unwrap() += 1;
         });
         assert_eq!(hits, 1);
+    }
+
+    #[test]
+    fn size_one_panic_unwinds_to_the_caller() {
+        let team = ThreadTeam::new(1);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            team.parallel(|_| panic!("inline"))
+        }));
+        assert!(r.is_err());
+        // The team is still usable afterwards.
+        let hits = AtomicUsize::new(0);
+        team.parallel(|_| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(hits.into_inner(), 1);
     }
 
     #[test]
@@ -425,29 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_every_index_once() {
-        let team = ThreadTeam::new(4);
-        let n = 1003;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        for sched in [
-            Schedule::Static,
-            Schedule::StaticChunk(7),
-            Schedule::Dynamic(5),
-            Schedule::Guided,
-        ] {
-            for h in &hits {
-                h.store(0, Ordering::Relaxed);
-            }
-            team.parallel_for(n, sched, |_, i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} under {sched:?}");
-            }
-        }
-    }
-
-    #[test]
     fn ordered_runs_in_thread_order() {
         let team = ThreadTeam::new(4);
         let order = std::sync::Mutex::new(Vec::new());
@@ -469,112 +375,5 @@ mod tests {
             });
             assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
         }
-    }
-
-    #[test]
-    fn critical_provides_mutual_exclusion() {
-        let team = ThreadTeam::new(4);
-        // A non-atomic counter: only safe because of critical.
-        let counter = std::sync::Mutex::new(0usize);
-        team.parallel(|ctx| {
-            for _ in 0..100 {
-                ctx.critical(|| {
-                    let mut c = counter.lock().unwrap();
-                    let v = *c;
-                    // Widen the race window.
-                    std::hint::black_box(v);
-                    *c = v + 1;
-                });
-            }
-        });
-        assert_eq!(*counter.lock().unwrap(), 400);
-    }
-
-    #[test]
-    fn single_runs_exactly_once_per_construct() {
-        let team = ThreadTeam::new(4);
-        let first = AtomicUsize::new(0);
-        let second = AtomicUsize::new(0);
-        let winners = AtomicUsize::new(0);
-        team.parallel(|ctx| {
-            if ctx
-                .single(|| first.fetch_add(1, Ordering::SeqCst))
-                .is_some()
-            {
-                winners.fetch_add(1, Ordering::SeqCst);
-            }
-            ctx.single(|| second.fetch_add(1, Ordering::SeqCst));
-        });
-        assert_eq!(first.load(Ordering::SeqCst), 1);
-        assert_eq!(second.load(Ordering::SeqCst), 1);
-        assert_eq!(winners.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn single_resets_between_regions() {
-        let team = ThreadTeam::new(2);
-        let hits = AtomicUsize::new(0);
-        for _ in 0..5 {
-            team.parallel(|ctx| {
-                ctx.single(|| hits.fetch_add(1, Ordering::SeqCst));
-            });
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn single_on_team_of_one() {
-        let team = ThreadTeam::new(1);
-        team.parallel(|ctx| {
-            assert_eq!(ctx.single(|| 7), Some(7));
-        });
-    }
-
-    #[test]
-    fn parallel_reduce_sums_correctly_under_every_schedule() {
-        let team = ThreadTeam::new(3);
-        let want: u64 = (0..1000u64).map(|i| i * i).sum();
-        for sched in [
-            Schedule::Static,
-            Schedule::StaticChunk(13),
-            Schedule::Dynamic(7),
-            Schedule::Guided,
-        ] {
-            let got =
-                team.parallel_reduce(1000, sched, 0u64, |i| (i as u64) * (i as u64), |a, b| a + b);
-            assert_eq!(got, want, "{sched:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_reduce_is_deterministic_for_fixed_team() {
-        let team = ThreadTeam::new(4);
-        // Float summation: thread-ordered merge must reproduce bit-for-bit.
-        let run = || {
-            team.parallel_reduce(
-                4096,
-                Schedule::Static,
-                0.0f64,
-                |i| 1.0 / (1.0 + i as f64),
-                |a, b| a + b,
-            )
-        };
-        assert_eq!(run().to_bits(), run().to_bits());
-    }
-
-    #[test]
-    fn parallel_reduce_empty_range_is_identity() {
-        let team = ThreadTeam::new(2);
-        let got = team.parallel_reduce(0, Schedule::Static, 42i32, |_| 1, |a, b| a + b);
-        assert_eq!(got, 42);
-    }
-
-    #[test]
-    fn parallel_reduce_identity_not_overcounted() {
-        // Even a non-neutral "identity" must not leak into non-empty
-        // reductions (idle threads contribute nothing).
-        let team = ThreadTeam::new(4);
-        let got = team.parallel_reduce(2, Schedule::Static, 100i32, |i| i as i32, |a, b| a + b);
-        assert_eq!(got, 1);
     }
 }

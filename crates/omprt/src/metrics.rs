@@ -1,12 +1,12 @@
-//! Work-distribution introspection: per-thread iteration counts and
-//! imbalance metrics for a worksharing loop.
+//! Work-distribution introspection: per-thread work and the imbalance of a
+//! worksharing loop.
 //!
 //! The paper identifies *work unbalance* as a limiting factor of the
 //! coarse-grain parallelization (§4.3) and motivates loop coalescing with
-//! it. These helpers quantify that imbalance both analytically (static
-//! schedules) and empirically (recorded runs).
+//! it. [`analytic_distribution`] quantifies it for the static schedule;
+//! callers build an [`ImbalanceReport`] from measured per-thread time too.
 
-use crate::schedule::{static_chunk, static_chunked_count, Schedule};
+use crate::schedule::static_chunk;
 
 /// Imbalance summary for one work distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,41 +42,18 @@ impl ImbalanceReport {
     }
 }
 
-/// Analytic per-thread work (in `units_per_iter` units) for the static
-/// schedules; `None` for dynamic/guided, whose distribution is runtime
-/// dependent.
+/// Per-thread work (in `units_per_iter` units) of a loop of `n_iters`
+/// iterations on `nthreads` threads under the static schedule.
 pub fn analytic_distribution(
-    sched: Schedule,
     n_iters: usize,
     nthreads: usize,
     units_per_iter: usize,
-) -> Option<ImbalanceReport> {
-    let counts: Vec<usize> = match sched {
-        Schedule::Static => (0..nthreads)
+) -> ImbalanceReport {
+    ImbalanceReport::from_counts(
+        (0..nthreads)
             .map(|t| static_chunk(t, nthreads, n_iters).len() * units_per_iter)
             .collect(),
-        Schedule::StaticChunk(c) => (0..nthreads)
-            .map(|t| static_chunked_count(t, nthreads, n_iters, c) * units_per_iter)
-            .collect(),
-        Schedule::Dynamic(_) | Schedule::Guided => return None,
-    };
-    Some(ImbalanceReport::from_counts(counts))
-}
-
-/// Empirically measure the per-thread iteration counts of a worksharing
-/// loop by running it on a real team — works for every schedule, including
-/// the runtime-dependent dynamic/guided ones.
-pub fn measure_distribution(
-    team: &crate::ThreadTeam,
-    n_iters: usize,
-    sched: Schedule,
-) -> ImbalanceReport {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let counts: Vec<AtomicUsize> = (0..team.size()).map(|_| AtomicUsize::new(0)).collect();
-    team.parallel_for(n_iters, sched, |ctx, _i| {
-        counts[ctx.thread_id].fetch_add(1, Ordering::Relaxed);
-    });
-    ImbalanceReport::from_counts(counts.iter().map(|c| c.load(Ordering::Relaxed)).collect())
+    )
 }
 
 #[cfg(test)]
@@ -84,27 +61,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn measured_static_matches_analytic() {
-        let team = crate::ThreadTeam::new(4);
-        for n in [0usize, 7, 64, 101] {
-            let measured = measure_distribution(&team, n, Schedule::Static);
-            let analytic = analytic_distribution(Schedule::Static, n, 4, 1).unwrap();
-            assert_eq!(measured.per_thread, analytic.per_thread, "n={n}");
-        }
-    }
-
-    #[test]
-    fn measured_dynamic_covers_all_iterations() {
-        let team = crate::ThreadTeam::new(3);
-        for sched in [Schedule::Dynamic(5), Schedule::Guided] {
-            let r = measure_distribution(&team, 200, sched);
-            assert_eq!(r.per_thread.iter().sum::<usize>(), 200, "{sched:?}");
-        }
-    }
-
-    #[test]
     fn balanced_loop_has_factor_one() {
-        let r = analytic_distribution(Schedule::Static, 64, 8, 1).unwrap();
+        let r = analytic_distribution(64, 8, 1);
         assert_eq!(r.max, 8);
         assert_eq!(r.min, 8);
         assert!((r.imbalance_factor - 1.0).abs() < 1e-12);
@@ -113,19 +71,13 @@ mod tests {
     #[test]
     fn uncoalesced_batch_loop_is_unbalanced_on_12_threads() {
         // The paper's motivating case: 64 heavy iterations on 12 threads.
-        let r = analytic_distribution(Schedule::Static, 64, 12, 1000).unwrap();
+        let r = analytic_distribution(64, 12, 1000);
         assert_eq!(r.max, 6000);
         assert_eq!(r.min, 5000);
         assert!(r.imbalance_factor > 1.1);
         // Coalescing the same work into 64_000 light iterations fixes it.
-        let c = analytic_distribution(Schedule::Static, 64_000, 12, 1).unwrap();
+        let c = analytic_distribution(64_000, 12, 1);
         assert!(c.imbalance_factor < 1.001);
-    }
-
-    #[test]
-    fn dynamic_has_no_analytic_distribution() {
-        assert!(analytic_distribution(Schedule::Dynamic(4), 10, 2, 1).is_none());
-        assert!(analytic_distribution(Schedule::Guided, 10, 2, 1).is_none());
     }
 
     #[test]

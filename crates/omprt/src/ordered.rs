@@ -51,84 +51,9 @@ impl Turn {
     }
 }
 
-/// A standalone ordered region usable outside a [`crate::ThreadTeam`] —
-/// e.g. from rayon tasks — keyed by an explicit sequence index.
-///
-/// `run(idx, f)` blocks until all indices `< idx` have completed, runs `f`,
-/// then releases index `idx`. Indices must form a permutation of
-/// `0..rounds`.
-pub struct OrderedRegion {
-    next: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl OrderedRegion {
-    /// New region whose first admitted index is 0.
-    pub fn new() -> Self {
-        Self {
-            next: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Execute `f` when it is `idx`'s turn.
-    pub fn run<R>(&self, idx: usize, f: impl FnOnce() -> R) -> R {
-        let mut n = self.next.lock();
-        while *n != idx {
-            self.cv.wait(&mut n);
-        }
-        drop(n);
-        let r = f();
-        let mut n = self.next.lock();
-        *n += 1;
-        self.cv.notify_all();
-        r
-    }
-
-    /// Reset so the region can be reused from index 0.
-    pub fn reset(&self) {
-        *self.next.lock() = 0;
-    }
-}
-
-impl Default for OrderedRegion {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    #[test]
-    fn ordered_region_serializes_by_index() {
-        let region = OrderedRegion::new();
-        let log = StdMutex::new(Vec::new());
-        std::thread::scope(|s| {
-            // Deliberately start in reverse order.
-            for idx in (0..4).rev() {
-                let region = &region;
-                let log = &log;
-                s.spawn(move || {
-                    region.run(idx, || log.lock().unwrap().push(idx));
-                });
-            }
-        });
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn ordered_region_reset() {
-        let region = OrderedRegion::new();
-        region.run(0, || ());
-        region.run(1, || ());
-        region.reset();
-        let mut ran = false;
-        region.run(0, || ran = true);
-        assert!(ran);
-    }
 
     #[test]
     fn turn_single_thread_is_passthrough() {

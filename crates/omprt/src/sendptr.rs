@@ -6,9 +6,9 @@
 //!
 //! * [`SendPtr`] — a `Send + Sync` raw pointer wrapper for the idiomatic
 //!   HPC pattern, with safety localized to the layer kernels;
-//! * [`DisjointSlices`] — a checked wrapper that hands out non-overlapping
-//!   `&mut [T]` segments of a slice by segment index, panicking on overlap
-//!   misuse in debug builds via an occupancy check.
+//! * [`DisjointSlices`] — a bounds-checked wrapper that hands out
+//!   `&mut [T]` segments (or runs of segments) of a slice by index; that no
+//!   two threads hold the same segment at once is the caller's promise.
 
 use std::marker::PhantomData;
 
@@ -33,6 +33,8 @@ impl<T> Copy for SendPtr<T> {}
 
 // SAFETY: see the type-level contract; disjointness is the caller's promise.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: every dereference is an `unsafe` call whose caller
+// promises the element ranges threads touch are disjoint.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -44,15 +46,6 @@ impl<T> SendPtr<T> {
         }
     }
 
-    /// Raw pointer to element `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds of the original slice.
-    #[inline]
-    pub unsafe fn add(self, i: usize) -> *mut T {
-        unsafe { self.ptr.add(i) }
-    }
-
     /// Mutable subslice `[start, start + len)`.
     ///
     /// # Safety
@@ -60,16 +53,8 @@ impl<T> SendPtr<T> {
     /// live reference.
     #[inline]
     pub unsafe fn slice_mut<'a>(self, start: usize, len: usize) -> &'a mut [T] {
+        // SAFETY: in bounds and unaliased per the method contract.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
-
-    /// Shared subslice `[start, start + len)`.
-    ///
-    /// # Safety
-    /// The range must be in bounds and not concurrently written.
-    #[inline]
-    pub unsafe fn slice<'a>(self, start: usize, len: usize) -> &'a [T] {
-        unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
     }
 }
 
@@ -121,11 +106,6 @@ impl<'a, T: Send> DisjointSlices<'a, T> {
         self.n_segs == 0
     }
 
-    /// Segment length in elements.
-    pub fn segment_len(&self) -> usize {
-        self.seg_len
-    }
-
     /// Mutable access to segment `i`.
     ///
     /// # Safety
@@ -148,9 +128,9 @@ impl<'a, T: Send> DisjointSlices<'a, T> {
     ///
     /// # Safety
     /// No segment of `run` may be held mutably by another thread at the same
-    /// time. [`crate::schedule::for_each_range`] guarantees this for the runs
-    /// it deals: they never overlap, each goes to one thread, and the
-    /// trailing barrier ends every borrow before the loop returns.
+    /// time. [`crate::for_each_range`] guarantees this for the runs it deals:
+    /// they never overlap, each goes to one thread, and the trailing barrier
+    /// ends every borrow before the loop returns.
     ///
     /// # Panics
     /// Panics if `run` reaches past `len()` or is reversed.
@@ -179,11 +159,12 @@ mod tests {
         {
             let ds = DisjointSlices::new(&mut v, 3);
             assert_eq!(ds.len(), 4);
-            assert_eq!(ds.segment_len(), 3);
+            assert!(!ds.is_empty());
             std::thread::scope(|s| {
                 for i in 0..4 {
                     let ds = &ds;
                     s.spawn(move || {
+                        // SAFETY: each thread takes a different segment.
                         let seg = unsafe { ds.segment_mut(i) };
                         for x in seg {
                             *x = i as u32 + 1;
@@ -236,9 +217,8 @@ mod tests {
     fn out_of_range_segment_panics() {
         let mut v = vec![0u32; 6];
         let ds = DisjointSlices::new(&mut v, 3);
-        unsafe {
-            let _ = ds.segment_mut(2);
-        }
+        // SAFETY: the only borrow; the call panics before handing it out.
+        let _ = unsafe { ds.segment_mut(2) };
     }
 
     #[test]
@@ -248,8 +228,10 @@ mod tests {
         std::thread::scope(|s| {
             for t in 0..4 {
                 s.spawn(move || {
-                    for i in (t..100).step_by(4) {
-                        unsafe { p.add(i).write(i) };
+                    // SAFETY: thread `t` alone holds elements 25t..25t + 25.
+                    let mine = unsafe { p.slice_mut(25 * t, 25) };
+                    for (j, x) in mine.iter_mut().enumerate() {
+                        *x = 25 * t + j;
                     }
                 });
             }

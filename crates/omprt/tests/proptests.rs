@@ -1,140 +1,39 @@
-//! Property-based tests for the mini-OpenMP runtime: every schedule must
-//! execute every index exactly once for arbitrary loop sizes and team
-//! sizes, coalescing must be a bijection, and the static chunk math must
-//! partition exactly.
+//! Property-based tests for the mini-OpenMP runtime: the static chunk math
+//! partitions exactly, the worksharing loop on a real team hands every
+//! thread exactly that chunk (the claim the `machine` simulator relies on),
+//! and the ordered construct runs in thread order.
 
-use omprt::coalesce::Coalesce;
-use omprt::schedule::{static_assignment, static_chunked_count, static_projection, Schedule};
-use omprt::ThreadTeam;
+use omprt::{for_each_range, static_chunk, ThreadTeam};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn static_assignment_partitions(n in 0usize..500, t in 1usize..17) {
-        let ranges = static_assignment(t, n);
-        prop_assert_eq!(ranges.len(), t);
-        let total: usize = ranges.iter().map(|r| r.len()).sum();
-        prop_assert_eq!(total, n);
+    fn static_chunks_partition(n in 0usize..500, t in 1usize..17) {
         let mut next = 0usize;
-        for r in &ranges {
+        for tid in 0..t {
+            let r = static_chunk(tid, t, n);
             prop_assert_eq!(r.start, next);
             next = r.end;
         }
         prop_assert_eq!(next, n);
         // Balance within one iteration.
-        let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+        let lens: Vec<usize> = (0..t).map(|tid| static_chunk(tid, t, n).len()).collect();
         prop_assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
     }
 
     #[test]
-    fn static_chunked_counts_partition(n in 0usize..300, t in 1usize..9, c in 1usize..20) {
-        let total: usize = (0..t).map(|tid| static_chunked_count(tid, t, n, c)).sum();
-        prop_assert_eq!(total, n);
-    }
-
-    #[test]
-    fn coalesce_round_trip(dims in proptest::collection::vec(1usize..6, 1..5)) {
-        let co = Coalesce::new(&dims);
-        for civ in 0..co.total() {
-            let idx = co.decode(civ);
-            prop_assert_eq!(idx.len(), dims.len());
-            for (i, d) in idx.iter().zip(&dims) {
-                prop_assert!(i < d);
-            }
-            prop_assert_eq!(co.encode(&idx), civ);
-        }
-    }
-
-    #[test]
-    fn coalesce_decode_is_lexicographic(dims in proptest::collection::vec(1usize..5, 2..4)) {
-        let co = Coalesce::new(&dims);
-        let mut prev: Option<Vec<usize>> = None;
-        for civ in 0..co.total() {
-            let idx = co.decode(civ);
-            if let Some(p) = prev {
-                prop_assert!(p < idx, "decode not lexicographically increasing");
-            }
-            prev = Some(idx);
-        }
-    }
-
-    #[test]
-    fn every_projection_partitions_exactly(n in 0usize..300,
-                                           threads in 1usize..17,
-                                           chunk in 1usize..20) {
-        for sched in [
-            Schedule::Static,
-            Schedule::StaticChunk(chunk),
-            Schedule::Dynamic(chunk),
-            Schedule::Guided,
-        ] {
-            let proj = static_projection(sched, threads, n);
-            prop_assert_eq!(proj.len(), threads, "one slot per thread under {:?}", sched);
-            // Every index in 0..n appears in exactly one range of exactly
-            // one thread: the per-thread ranges are an exact partition.
-            let mut hits = vec![0usize; n];
-            for ranges in &proj {
-                for r in ranges {
-                    prop_assert!(!r.is_empty(), "empty range emitted under {:?}", sched);
-                    prop_assert!(r.end <= n, "range {:?} overruns n={} under {:?}", r, n, sched);
-                    for i in r.clone() {
-                        hits[i] += 1;
-                    }
-                }
-            }
-            for (i, h) in hits.iter().enumerate() {
-                prop_assert_eq!(*h, 1, "index {} covered {} times under {:?}", i, h, sched);
-            }
-        }
-    }
-
-    #[test]
-    fn projection_matches_static_runtime_assignment(n in 0usize..300,
-                                                    threads in 1usize..17,
-                                                    chunk in 1usize..20) {
-        // For the static schedules the projection is not merely a model —
-        // it must equal the runtime's per-thread assignment exactly.
-        let proj = static_projection(Schedule::Static, threads, n);
-        for (t, ranges) in proj.iter().enumerate() {
-            let want = static_assignment(threads, n)[t].clone();
-            if want.is_empty() {
-                prop_assert!(ranges.is_empty());
-            } else {
-                prop_assert_eq!(ranges.as_slice(), &[want]);
-            }
-        }
-        let proj = static_projection(Schedule::StaticChunk(chunk), threads, n);
-        for (t, ranges) in proj.iter().enumerate() {
-            let got: usize = ranges.iter().map(|r| r.len()).sum();
-            prop_assert_eq!(got, static_chunked_count(t, threads, n, chunk));
-            // run_nowait strides thread t through starts t*c, (t+nt)*c, ...
-            for (j, r) in ranges.iter().enumerate() {
-                prop_assert_eq!(r.start, (t + j * threads) * chunk);
-            }
-        }
-    }
-
-    #[test]
-    fn every_schedule_covers_every_index(n in 0usize..200,
-                                         threads in 1usize..5,
-                                         which in 0usize..4,
-                                         chunk in 1usize..8) {
-        let sched = match which {
-            0 => Schedule::Static,
-            1 => Schedule::StaticChunk(chunk),
-            2 => Schedule::Dynamic(chunk),
-            _ => Schedule::Guided,
-        };
+    fn runtime_deals_each_thread_its_static_chunk(n in 0usize..500, threads in 1usize..9) {
         let team = ThreadTeam::new(threads);
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        team.parallel_for(n, sched, |_, i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        let runs = std::sync::Mutex::new(vec![Vec::new(); threads]);
+        team.parallel(|ctx| {
+            for_each_range(ctx, n, |r| runs.lock().unwrap()[ctx.thread_id].push(r));
         });
-        for (i, h) in hits.iter().enumerate() {
-            prop_assert_eq!(h.load(Ordering::Relaxed), 1, "index {} under {:?}", i, sched);
+        for (t, got) in runs.into_inner().unwrap().into_iter().enumerate() {
+            let want = static_chunk(t, threads, n);
+            let want = if want.is_empty() { vec![] } else { vec![want] };
+            prop_assert_eq!(got, want, "thread {} of {}, n = {}", t, threads, n);
         }
     }
 

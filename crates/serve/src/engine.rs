@@ -23,7 +23,7 @@ use blob::{Blob, Shape};
 use layers::ctx::{Phase, ReductionMode};
 use mmblas::Scalar;
 use net::{Net, NetSpec, RunConfig};
-use omprt::{Schedule, ThreadTeam};
+use omprt::ThreadTeam;
 use std::io::Read;
 
 /// Construction-time engine parameters.
@@ -87,7 +87,6 @@ impl<S: Scalar> Engine<S> {
 
         let team = ThreadTeam::new(cfg.n_threads.max(1));
         let run = RunConfig {
-            schedule: Schedule::Static,
             // Canonical groups make the (forward-only) pass bit-identical
             // across team sizes, matching the training replicas.
             reduction: ReductionMode::Canonical { groups: 16 },

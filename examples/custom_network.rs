@@ -3,7 +3,7 @@
 //! 1. A brand-new layer type (`Swish`, which postdates the paper) defined in
 //!    ~15 lines outside the framework. Because the coarse-grain drivers are
 //!    generic over the per-segment kernel, the new layer gets batch-level
-//!    parallelism, every schedule and the determinism guarantees for free —
+//!    parallelism and the determinism guarantees for free —
 //!    no "GPU port" or parallel-specific code, which is the paper's core
 //!    argument.
 //! 2. A novel network topology (a sigmoid/tanh/dropout MLP that exists in

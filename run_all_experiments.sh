@@ -18,7 +18,6 @@ BINS=(
   e8_convergence_invariance
   e9_reduction_ablation
   e10_coalescing_ablation
-  e11_scheduling_ablation
   e12_model_ablation
   e13_fine_grain_cpu
   e14_batch_sweep

@@ -6,12 +6,11 @@ mod common;
 use cgdnn::prelude::*;
 use common::{tiny_net, TinySource};
 
-fn train_losses(threads: usize, mode: ReductionMode, schedule: Schedule, iters: usize) -> Vec<f32> {
+fn train_losses(threads: usize, mode: ReductionMode, iters: usize) -> Vec<f32> {
     let mut net = tiny_net(5);
     let team = ThreadTeam::new(threads);
     let run = RunConfig {
         reduction: mode,
-        schedule,
         ..RunConfig::default()
     };
     let mut solver: Solver<f32> = Solver::new(SolverConfig::lenet());
@@ -20,46 +19,18 @@ fn train_losses(threads: usize, mode: ReductionMode, schedule: Schedule, iters: 
 
 #[test]
 fn canonical_reduction_is_bitwise_invariant_across_threads() {
-    let base = train_losses(
-        1,
-        ReductionMode::Canonical { groups: 16 },
-        Schedule::Static,
-        3,
-    );
+    let base = train_losses(1, ReductionMode::Canonical { groups: 16 }, 3);
     for t in [2, 3, 4, 6] {
-        let l = train_losses(
-            t,
-            ReductionMode::Canonical { groups: 16 },
-            Schedule::Static,
-            3,
-        );
+        let l = train_losses(t, ReductionMode::Canonical { groups: 16 }, 3);
         assert_eq!(base, l, "thread count {t} changed the loss trajectory");
-    }
-}
-
-#[test]
-fn canonical_reduction_is_bitwise_invariant_across_schedules() {
-    let base = train_losses(
-        3,
-        ReductionMode::Canonical { groups: 16 },
-        Schedule::Static,
-        2,
-    );
-    for sched in [
-        Schedule::StaticChunk(3),
-        Schedule::Dynamic(2),
-        Schedule::Guided,
-    ] {
-        let l = train_losses(3, ReductionMode::Canonical { groups: 16 }, sched, 2);
-        assert_eq!(base, l, "schedule {sched:?} changed the loss trajectory");
     }
 }
 
 #[test]
 fn ordered_reduction_is_deterministic_per_thread_count() {
     for t in [1, 2, 4] {
-        let a = train_losses(t, ReductionMode::Ordered, Schedule::Static, 3);
-        let b = train_losses(t, ReductionMode::Ordered, Schedule::Static, 3);
+        let a = train_losses(t, ReductionMode::Ordered, 3);
+        let b = train_losses(t, ReductionMode::Ordered, 3);
         assert_eq!(a, b, "repeat run differed at {t} threads");
     }
 }
@@ -69,13 +40,8 @@ fn ordered_one_thread_equals_canonical_any_thread() {
     // The 1-thread Ordered run is the sequential reference; Canonical must
     // reproduce it bitwise (slot chunks of Canonical(G) at T=1 are merged in
     // the identical order).
-    let seq = train_losses(1, ReductionMode::Ordered, Schedule::Static, 3);
-    let can1 = train_losses(
-        1,
-        ReductionMode::Canonical { groups: 16 },
-        Schedule::Static,
-        3,
-    );
+    let seq = train_losses(1, ReductionMode::Ordered, 3);
+    let can1 = train_losses(1, ReductionMode::Canonical { groups: 16 }, 3);
     // Both accumulate sample-chunk gradients in the same global order only
     // when the chunking matches; with 16 groups vs 1 group the FP grouping
     // differs, so allow tolerance here — the *invariance across T* above is
@@ -87,7 +53,7 @@ fn ordered_one_thread_equals_canonical_any_thread() {
 
 #[test]
 fn unordered_reduction_still_converges() {
-    let l = train_losses(4, ReductionMode::Unordered, Schedule::Static, 6);
+    let l = train_losses(4, ReductionMode::Unordered, 6);
     assert!(l.iter().all(|v| v.is_finite()));
     assert!(
         l.last().unwrap() < &l[0],

@@ -3,14 +3,17 @@
 //! The paper's whole evaluation (§5, Tables 2–4) is *measured* per-layer
 //! timing under the coarse-grain OpenMP scheme; this crate is what lets the
 //! reproduction measure itself instead of relying solely on the `machine`
-//! analytic simulator. Three pieces, shared by training and serving:
+//! analytic simulator. Two pieces, shared by training and serving:
 //!
 //! * [`registry`] — a lock-cheap metrics [`Registry`] of named counters,
 //!   gauges, and fixed-bucket histograms. Handles are `Arc`-backed; every
 //!   update is a handful of atomic operations (no locks, no allocation).
-//!   One process-wide instance lives behind [`registry::global`]; the
-//!   trainer, the checkpoint writer, and the serving tier all publish into
-//!   it, and [`Registry::csv`] exposes everything in the same
+//!   [`Histogram`] is the one distribution metric: storage is fixed at
+//!   registration, count, sum and extrema are exact, quantiles interpolate
+//!   inside a bucket, and its snapshot delta subtracts, so per-rank folds
+//!   add up. One process-wide instance lives behind [`registry::global`];
+//!   the trainer, the checkpoint writer, and the serving tier all publish
+//!   into it, and [`Registry::csv`] exposes everything in the same
 //!   `metric,value` form factor as `machine::csv`.
 //! * [`trace`] — span-based tracing. Instrumented sites (omprt parallel
 //!   regions, barrier waits, ordered-section waits, per-layer fwd/bwd
@@ -20,10 +23,6 @@
 //!   global flag: when disabled every site is a single relaxed atomic load
 //!   and an untaken branch — no allocation, no lock, no clock read — so the
 //!   training hot path and its convergence guarantees are untouched.
-//! * [`reservoir`] — deterministic fixed-capacity reservoir sampling
-//!   ([`Reservoir`]) so long-running metric streams (serving latencies,
-//!   queue waits) stay bounded while keeping counts, sums, and extrema
-//!   exact.
 //!
 //! ```
 //! use obs::registry::Registry;
@@ -46,11 +45,9 @@
 
 pub mod json;
 pub mod registry;
-pub mod reservoir;
 pub mod trace;
 
-pub use registry::{Counter, Gauge, Histogram, MetricValue, Registry, Snapshot, Summary};
-pub use reservoir::Reservoir;
+pub use registry::{Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
 pub use trace::{Event, Span};
 
 use std::time::{SystemTime, UNIX_EPOCH};

@@ -8,7 +8,6 @@
 //! (bucket bounds never grow), so a metric's memory footprint is bounded
 //! regardless of how many samples it absorbs.
 
-use crate::reservoir::{nearest_rank, Reservoir};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -20,8 +19,22 @@ use wire::{Put, Reader};
 /// 100 s (plus the implicit +Inf bucket).
 pub const DURATION_BOUNDS_SECS: [f64; 9] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0];
 
-/// Retained samples per [`Summary`] reservoir.
-pub const SUMMARY_CAP: usize = 1024;
+/// Histogram bounds for latencies in microseconds: ten per decade from 1 µs
+/// to 10 s, so no bucket's upper edge exceeds its lower edge by more than
+/// 28 %, and a quantile interpolated inside one is that close to exact. The
+/// serving tier's latency and queue wait and the load generator's round
+/// trips all use them, so their percentiles come from one estimator.
+#[rustfmt::skip]
+pub const LATENCY_BOUNDS_US: [f64; 71] = [
+    1.0, 1.25, 1.6, 2.0, 2.5, 3.15, 4.0, 5.0, 6.3, 8.0,
+    1e1, 1.25e1, 1.6e1, 2e1, 2.5e1, 3.15e1, 4e1, 5e1, 6.3e1, 8e1,
+    1e2, 1.25e2, 1.6e2, 2e2, 2.5e2, 3.15e2, 4e2, 5e2, 6.3e2, 8e2,
+    1e3, 1.25e3, 1.6e3, 2e3, 2.5e3, 3.15e3, 4e3, 5e3, 6.3e3, 8e3,
+    1e4, 1.25e4, 1.6e4, 2e4, 2.5e4, 3.15e4, 4e4, 5e4, 6.3e4, 8e4,
+    1e5, 1.25e5, 1.6e5, 2e5, 2.5e5, 3.15e5, 4e5, 5e5, 6.3e5, 8e5,
+    1e6, 1.25e6, 1.6e6, 2e6, 2.5e6, 3.15e6, 4e6, 5e6, 6.3e6, 8e6,
+    1e7,
+];
 
 /// A monotonically increasing `u64` counter.
 #[derive(Clone, Default)]
@@ -134,10 +147,12 @@ impl Histogram {
         }))
     }
 
-    /// Record one sample. Lock-free; storage never grows.
+    /// Record one sample. Lock-free; storage never grows. A NaN (a
+    /// poisoned clock delta) lands in the +Inf bucket, so it can only move
+    /// the top quantiles, and never panics a reader.
     pub fn observe(&self, v: f64) {
         let c = &self.0;
-        let i = c.bounds.partition_point(|b| v > *b);
+        let i = c.bounds.partition_point(|b| v > *b || v.is_nan());
         c.buckets[i].fetch_add(1, Ordering::Relaxed);
         c.count.fetch_add(1, Ordering::Relaxed);
         atomic_f64_update(&c.sum_bits, |s| s + v);
@@ -303,75 +318,11 @@ fn quantile_from_parts(
                 max
             };
             let frac = (rank - prev as f64) / n as f64;
-            return (lo + (hi - lo) * frac).clamp(min, max);
+            // Not `clamp`: it panics when NaN-only samples leave min > max.
+            return (lo + (hi - lo) * frac).max(min).min(max);
         }
     }
     max
-}
-
-/// A sampling-reservoir metric: exact count/sum/min/max plus an unbiased
-/// sample of observed values for nearest-rank quantiles. Unlike
-/// [`Histogram`], no bucket bounds need choosing up front — at the cost of
-/// a mutex on the observe path (uncontended in practice: one lock per
-/// sample, no allocation after the reservoir fills).
-#[derive(Clone)]
-pub struct Summary(Arc<Mutex<Reservoir>>);
-
-impl Summary {
-    fn new(seed: u64) -> Self {
-        Summary(Arc::new(Mutex::new(Reservoir::new(SUMMARY_CAP, seed))))
-    }
-
-    /// Record one sample.
-    pub fn observe(&self, v: f64) {
-        self.0.lock().record(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.0.lock().count()
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.0.lock().sum()
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.0.lock().mean()
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        self.0.lock().min()
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.0.lock().max()
-    }
-
-    /// Nearest-rank `q`-quantile over the retained sample (0 when empty).
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.0.lock().quantile(q)
-    }
-
-    /// Run `f` under the reservoir lock (snapshot/merge plumbing).
-    fn with<R>(&self, f: impl FnOnce(&mut Reservoir) -> R) -> R {
-        f(&mut self.0.lock())
-    }
-}
-
-/// Stable 64-bit FNV-1a over a metric name — seeds a [`Summary`]'s
-/// reservoir so sampling decisions are reproducible run to run.
-fn name_seed(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in name.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[derive(Clone)]
@@ -379,7 +330,6 @@ enum Metric {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
-    Summary(Summary),
 }
 
 impl Metric {
@@ -388,14 +338,13 @@ impl Metric {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
-            Metric::Summary(_) => "summary",
         }
     }
 }
 
 /// A named collection of metrics. Cheap to update (see module docs),
-/// exported as text or `metric,value` CSV. Cloning is cheap and yields a
-/// handle on the *same* collection.
+/// exported as a [`Snapshot`]. Cloning is cheap and yields a handle on the
+/// *same* collection.
 #[derive(Clone, Default)]
 pub struct Registry {
     metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
@@ -444,20 +393,6 @@ impl Registry {
         }
     }
 
-    /// Get or register the summary `name` — a seeded sampling reservoir
-    /// ([`SUMMARY_CAP`] retained samples) whose RNG stream is derived from
-    /// the name, so sampling is reproducible across runs and processes.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn summary(&self, name: &str) -> Summary {
-        let seed = name_seed(name);
-        match self.get_or_insert(name, || Metric::Summary(Summary::new(seed))) {
-            Metric::Summary(s) => s,
-            other => panic!("metric '{name}' is a {}, not a summary", other.kind()),
-        }
-    }
-
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let mut m = self.metrics.lock();
         m.entry(name.to_string()).or_insert_with(make).clone()
@@ -474,59 +409,12 @@ impl Registry {
         self.metrics.lock().extend(theirs);
     }
 
-    /// Registered metric names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.metrics.lock().keys().cloned().collect()
-    }
-
     /// `metric,value` CSV of every metric, sorted by name — the same form
     /// factor as `machine::csv`. Histograms expand to
     /// `_count`/`_sum`/`_mean`/`_min`/`_max` rows, interpolated
-    /// `_p50`/`_p90`/`_p99` rows, and cumulative `_le_<bound>` bucket rows;
-    /// summaries to the same aggregate and quantile rows (nearest-rank over
-    /// the reservoir, no bucket rows).
+    /// `_p50`/`_p90`/`_p99` rows, and cumulative `_le_<bound>` bucket rows.
     pub fn csv(&self) -> String {
         self.snapshot().csv()
-    }
-
-    /// Human-readable one-line-per-metric rendering.
-    pub fn text(&self) -> String {
-        let mut out = String::new();
-        for (name, metric) in self.metrics.lock().iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "counter    {name} = {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "gauge      {name} = {:.6}", g.get());
-                }
-                Metric::Histogram(h) => {
-                    let _ = writeln!(
-                        out,
-                        "histogram  {name}: count {} mean {:.3e} min {:.3e} max {:.3e} p50 {:.3e} p99 {:.3e}",
-                        h.count(),
-                        h.mean(),
-                        h.min(),
-                        h.max(),
-                        h.quantile(0.5),
-                        h.quantile(0.99),
-                    );
-                }
-                Metric::Summary(s) => {
-                    let _ = writeln!(
-                        out,
-                        "summary    {name}: count {} mean {:.3e} min {:.3e} max {:.3e} p50 {:.3e} p99 {:.3e}",
-                        s.count(),
-                        s.mean(),
-                        s.min(),
-                        s.max(),
-                        s.quantile(0.5),
-                        s.quantile(0.99),
-                    );
-                }
-            }
-        }
-        out
     }
 
     /// A point-in-time copy of every metric's value — the unit of transfer
@@ -545,13 +433,6 @@ impl Registry {
                     min: h.raw_min(),
                     max: h.raw_max(),
                 },
-                Metric::Summary(s) => s.with(|r| MetricValue::Summary {
-                    samples: r.samples().to_vec(),
-                    count: r.count(),
-                    sum: r.sum(),
-                    min: r.raw_min(),
-                    max: r.raw_max(),
-                }),
             };
             metrics.insert(name.clone(), v);
         }
@@ -560,9 +441,9 @@ impl Registry {
 
     /// Fold a (possibly remote) snapshot into this registry, prefixing
     /// every metric name with `prefix` (pass `""` for none). Counters and
-    /// histogram buckets *add*, gauges overwrite, summaries merge via
-    /// [`Reservoir::merge_parts`] — so folding a [`Snapshot::delta`] on top
-    /// of an earlier fold accumulates correctly. Returns an error (instead
+    /// histogram buckets *add*, gauges overwrite — so folding a
+    /// [`Snapshot::delta`] on top of an earlier fold accumulates exactly to
+    /// the fold of the full snapshot. Returns an error (instead
     /// of panicking, since snapshots arrive off the wire) when a name is
     /// already registered under a different kind or with different
     /// histogram bounds.
@@ -599,25 +480,15 @@ impl Registry {
                     h.merge_parts(buckets, *count, *sum, *min, *max)
                         .map_err(|e| format!("metric '{full}': {e}"))?;
                 }
-                MetricValue::Summary {
-                    samples,
-                    count,
-                    sum,
-                    min,
-                    max,
-                } => {
-                    self.summary(&full)
-                        .with(|r| r.merge_parts(samples, *count, *sum, *min, *max));
-                }
             }
         }
         Ok(())
     }
 }
 
-/// One metric's value inside a [`Snapshot`]. Histogram and summary extrema
-/// are the *raw* values (+Inf min / -Inf max when empty) so merges fold
-/// exactly without empty-side special cases.
+/// One metric's value inside a [`Snapshot`]. Histogram extrema are the
+/// *raw* values (+Inf min / -Inf max when empty) so merges fold exactly
+/// without empty-side special cases.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// Monotonic count.
@@ -634,14 +505,6 @@ pub enum MetricValue {
         min: f64,
         max: f64,
     },
-    /// Sampling reservoir: the retained sample set plus exact aggregates.
-    Summary {
-        samples: Vec<f64>,
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    },
 }
 
 impl MetricValue {
@@ -650,7 +513,6 @@ impl MetricValue {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",
             MetricValue::Histogram { .. } => "histogram",
-            MetricValue::Summary { .. } => "summary",
         }
     }
 }
@@ -665,19 +527,10 @@ pub struct Snapshot {
     metrics: BTreeMap<String, MetricValue>,
 }
 
-/// Wire tags for [`MetricValue`] variants.
+/// Wire tags for [`MetricValue`] variants. Any other tag is a decode error.
 const TAG_COUNTER: u8 = 0;
 const TAG_GAUGE: u8 = 1;
 const TAG_HISTOGRAM: u8 = 2;
-const TAG_SUMMARY: u8 = 3;
-
-/// The `count | sum | min | max` tail histograms and summaries share.
-fn put_aggregates(out: &mut Vec<u8>, count: u64, sum: f64, min: f64, max: f64) {
-    out.put_u64(count);
-    out.put_f64(sum);
-    out.put_f64(min);
-    out.put_f64(max);
-}
 
 impl Snapshot {
     /// Number of metrics captured.
@@ -709,9 +562,7 @@ impl Snapshot {
     /// registry): counters and histogram buckets/count/sum subtract
     /// (saturating, so a restarted metric degrades to its full value
     /// rather than wrapping); gauges and extrema carry the current value
-    /// (they are not accumulative); summaries carry the full current
-    /// reservoir (the retained sample is not subtractable). Metrics absent
-    /// from `base` ship whole.
+    /// (they are not accumulative). Metrics absent from `base` ship whole.
     pub fn delta(&self, base: &Snapshot) -> Snapshot {
         let mut metrics = BTreeMap::new();
         for (name, cur) in &self.metrics {
@@ -784,19 +635,10 @@ impl Snapshot {
                     for b in buckets {
                         out.put_u64(*b);
                     }
-                    put_aggregates(&mut out, *count, *sum, *min, *max);
-                }
-                MetricValue::Summary {
-                    samples,
-                    count,
-                    sum,
-                    min,
-                    max,
-                } => {
-                    out.put_u8(TAG_SUMMARY);
-                    out.put_u32(samples.len() as u32);
-                    wire::put_f64s(&mut out, samples.iter().copied());
-                    put_aggregates(&mut out, *count, *sum, *min, *max);
+                    out.put_u64(*count);
+                    out.put_f64(*sum);
+                    out.put_f64(*min);
+                    out.put_f64(*max);
                 }
             }
         }
@@ -823,16 +665,6 @@ impl Snapshot {
                     MetricValue::Histogram {
                         bounds: r.f64s(n_bounds)?.collect(),
                         buckets: r.u64s(n_bounds + 1)?.collect(),
-                        count: r.u64()?,
-                        sum: r.f64()?,
-                        min: r.f64()?,
-                        max: r.f64()?,
-                    }
-                }
-                TAG_SUMMARY => {
-                    let n_samples = r.u32()? as usize;
-                    MetricValue::Summary {
-                        samples: r.f64s(n_samples)?.collect(),
                         count: r.u64()?,
                         sum: r.f64()?,
                         min: r.f64()?,
@@ -895,38 +727,16 @@ impl Snapshot {
                         }
                     }
                 }
-                MetricValue::Summary {
-                    samples,
-                    count,
-                    sum,
-                    min,
-                    max,
-                } => {
-                    let shown_min = if *count == 0 { 0.0 } else { *min };
-                    let shown_max = if *count == 0 { 0.0 } else { *max };
-                    let _ = writeln!(out, "{name}_count,{count}");
-                    let _ = writeln!(out, "{name}_sum,{sum:.6}");
-                    let mean = if *count == 0 {
-                        0.0
-                    } else {
-                        sum / *count as f64
-                    };
-                    let _ = writeln!(out, "{name}_mean,{mean:.6}");
-                    let _ = writeln!(out, "{name}_min,{shown_min:.6}");
-                    let _ = writeln!(out, "{name}_max,{shown_max:.6}");
-                    for (q, tag) in [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")] {
-                        let _ = writeln!(out, "{name}_{tag},{:.6}", nearest_rank(samples, q));
-                    }
-                }
             }
         }
         out
     }
 
     /// One flat JSON object, `name → value`. Counters are integers, gauges
-    /// numbers, histograms and summaries nested objects with
+    /// numbers, histograms nested objects with
     /// `count/sum/mean/min/max/p50/p90/p99`. Always strict JSON: non-finite
-    /// values render as 0 (only possible for empty metrics' extrema).
+    /// values (an empty histogram's extrema, a NaN sample's sum) render
+    /// as 0.
     pub fn json(&self) -> String {
         fn num(v: f64) -> String {
             if v.is_finite() {
@@ -934,22 +744,6 @@ impl Snapshot {
             } else {
                 "0".to_string()
             }
-        }
-        fn dist(out: &mut String, count: u64, sum: f64, min: f64, max: f64, quantiles: [f64; 3]) {
-            let mean = if count == 0 { 0.0 } else { sum / count as f64 };
-            let shown_min = if count == 0 { 0.0 } else { min };
-            let shown_max = if count == 0 { 0.0 } else { max };
-            let _ = write!(
-                out,
-                "{{\"count\":{count},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                num(sum),
-                num(mean),
-                num(shown_min),
-                num(shown_max),
-                num(quantiles[0]),
-                num(quantiles[1]),
-                num(quantiles[2]),
-            );
         }
         let mut out = String::from("{");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
@@ -974,19 +768,21 @@ impl Snapshot {
                     min,
                     max,
                 } => {
-                    let qs = [0.5, 0.9, 0.99]
-                        .map(|q| quantile_from_parts(bounds, buckets, *count, *min, *max, q));
-                    dist(&mut out, *count, *sum, *min, *max, qs);
-                }
-                MetricValue::Summary {
-                    samples,
-                    count,
-                    sum,
-                    min,
-                    max,
-                } => {
-                    let qs = [0.5, 0.9, 0.99].map(|q| nearest_rank(samples, q));
-                    dist(&mut out, *count, *sum, *min, *max, qs);
+                    let [p50, p90, p99] = [0.5, 0.9, 0.99]
+                        .map(|q| num(quantile_from_parts(bounds, buckets, *count, *min, *max, q)));
+                    let (mean, shown_min, shown_max) = if *count == 0 {
+                        (0.0, 0.0, 0.0)
+                    } else {
+                        (sum / *count as f64, *min, *max)
+                    };
+                    let _ = write!(
+                        out,
+                        "{{\"count\":{count},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99}}}",
+                        num(*sum),
+                        num(mean),
+                        num(shown_min),
+                        num(shown_max),
+                    );
                 }
             }
         }
@@ -1018,7 +814,9 @@ mod tests {
         let g = reg.gauge("a.gauge");
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
-        assert_eq!(reg.names(), vec!["a.count".to_string(), "a.gauge".into()]);
+        let snap = reg.snapshot();
+        let names: Vec<&str> = snap.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a.count", "a.gauge"]);
     }
 
     #[test]
@@ -1074,7 +872,7 @@ mod tests {
         reg.counter("z.last").inc();
         reg.gauge("a.first").set(1.0);
         reg.histogram("m.mid", &[0.1, 1.0]).observe(0.05);
-        reg.summary("q.summ").observe(2.0);
+        reg.histogram("q.lat", &LATENCY_BOUNDS_US).observe(2.0);
         let csv = reg.csv();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("metric,value"));
@@ -1087,20 +885,19 @@ mod tests {
         // their metric).
         let a = csv.find("a.first,").unwrap();
         let m = csv.find("m.mid_count,").unwrap();
-        let q = csv.find("q.summ_count,").unwrap();
+        let q = csv.find("q.lat_count,").unwrap();
         let z = csv.find("z.last,").unwrap();
         assert!(a < m && m < q && q < z, "metrics ordered by name");
         assert!(csv.contains("m.mid_count,1\n"));
         assert!(csv.contains("m.mid_p50,"));
         assert!(csv.contains("m.mid_le_inf,1\n"));
-        assert!(csv.contains("q.summ_p99,2.000000\n"));
+        assert!(csv.contains("q.lat_p99,2.000000\n"));
         assert!(csv.contains("z.last,1\n"));
-        assert!(reg.text().contains("counter    z.last = 1"));
 
         // Same content registered in the opposite order exports the same
         // bytes, and repeated exports are identical.
         let reg2 = Registry::new();
-        reg2.summary("q.summ").observe(2.0);
+        reg2.histogram("q.lat", &LATENCY_BOUNDS_US).observe(2.0);
         reg2.histogram("m.mid", &[0.1, 1.0]).observe(0.05);
         reg2.gauge("a.first").set(1.0);
         reg2.counter("z.last").inc();
@@ -1127,23 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_metric_round_trips() {
-        let reg = Registry::new();
-        let s = reg.summary("rtt");
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.observe(v);
-        }
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.sum(), 10.0);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-        assert_eq!(s.quantile(0.5), 2.0);
-        // Second lookup returns the same underlying reservoir.
-        assert_eq!(reg.summary("rtt").count(), 4);
-        assert!(reg.text().contains("summary    rtt: count 4"));
-    }
-
-    #[test]
     fn snapshot_round_trips_through_bytes() {
         let reg = Registry::new();
         reg.counter("c").add(7);
@@ -1151,7 +931,6 @@ mod tests {
         let h = reg.histogram("h", &[1.0, 10.0]);
         h.observe(0.5);
         h.observe(5.0);
-        reg.summary("s").observe(3.25);
         reg.histogram("empty", &[1.0]); // ±Inf extrema must survive the wire
         let snap = reg.snapshot();
         let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
@@ -1221,7 +1000,6 @@ mod tests {
         remote.counter("train.iterations").add(5);
         remote.gauge("train.loss").set(0.25);
         remote.histogram("step", &[1.0]).observe(0.5);
-        remote.summary("rtt").observe(2.0);
         let snap = remote.snapshot();
 
         let coord = Registry::new();
@@ -1232,9 +1010,7 @@ mod tests {
         let h = coord.histogram("r1.step", &[1.0]);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 1.0);
-        let s = coord.summary("r1.rtt");
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.min(), 2.0);
+        assert_eq!(h.min(), 0.5);
         assert!(coord.csv().contains("r1.train.iterations,10\n"));
     }
 
@@ -1259,7 +1035,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("rpc.frames_total").add(12);
         reg.histogram("lat", &[1.0, 10.0]).observe(2.0);
-        reg.summary("rtt").observe(7.0);
+        reg.histogram("rtt", &LATENCY_BOUNDS_US).observe(7.0);
         let json = reg.snapshot().json();
         let v = crate::json::parse(&json).expect("snapshot json parses");
         assert_eq!(
@@ -1271,6 +1047,30 @@ mod tests {
         assert!(lat.get("p50").is_some() && lat.get("p99").is_some());
         let rtt = v.get("rtt").expect("rtt object");
         assert_eq!(rtt.get("p90").and_then(|n| n.as_f64()), Some(7.0));
+    }
+
+    #[test]
+    fn nan_samples_neither_panic_nor_break_strict_json() {
+        // A NaN (a poisoned clock delta) sorts into the +Inf bucket: it
+        // cannot leak into the lower quantiles, and a NaN-only histogram,
+        // whose extrema stay at their empty identities, must still render.
+        let reg = Registry::new();
+        let mixed = reg.histogram("mixed", &[1.0, 10.0]);
+        for v in [3.0, f64::NAN, 1.0, 2.0] {
+            mixed.observe(v);
+        }
+        assert_eq!(mixed.cumulative_buckets()[0], (1.0, 1));
+        assert_eq!(mixed.quantile(0.5), 2.0);
+        assert!(mixed.quantile(0.99) <= mixed.max());
+        let only = reg.histogram("only_nan", &LATENCY_BOUNDS_US);
+        only.observe(f64::NAN);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            only.quantile(q);
+        }
+        let snap = reg.snapshot();
+        assert!(snap.csv().contains("only_nan_count,1\n"));
+        let json = crate::json::parse(&snap.json()).expect("strict JSON");
+        assert!(json.get("only_nan").and_then(|h| h.get("p99")).is_some());
     }
 
     #[test]

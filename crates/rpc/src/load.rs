@@ -15,10 +15,10 @@
 //! per client, and the total count lands in the report's `busy_retries`
 //! column — so a briefly-saturated server degrades the numbers instead of
 //! killing the run. Per-request round-trip times are merged at the end
-//! into an [`obs::Histogram`] over 1-2-5 µs decades and the report's
-//! percentiles come from [`obs::Histogram::quantile`] — the same
-//! interpolated estimator the live `cgdnn stats` snapshot uses, so BENCH
-//! artifacts and on-demand scrapes derive percentiles one way.
+//! into an [`obs::Histogram`] over [`obs::registry::LATENCY_BOUNDS_US`] and
+//! the report's percentiles come from [`obs::Histogram::quantile`] — the
+//! same estimator over the same bounds as the server's `serve.latency_us`,
+//! so the load generator and the server derive percentiles one way.
 //!
 //! [`fuzz`] is deliberate vandalism: seeded-random byte prefixes thrown at
 //! the socket — half of them from byte zero (bad magic), half after a
@@ -59,14 +59,6 @@ pub struct LoadConfig {
     pub idle_conns: usize,
 }
 
-/// Round-trip histogram bounds: 1-2-5 decades from 1 µs to 10 s. Wide
-/// enough that loopback runs land mid-range and a pathological stall
-/// still falls inside the last finite bucket instead of the +Inf tail.
-pub const RTT_BOUNDS_US: [f64; 22] = [
-    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5,
-    5e5, 1e6, 2e6, 5e6, 1e7,
-];
-
 impl Default for LoadConfig {
     /// 4 clients, 1000 requests, no deadline, 10 s socket timeout, up to
     /// 6 busy retries from a 20 ms base.
@@ -101,8 +93,8 @@ pub struct LoadReport {
     pub busy_retries: u64,
     /// Wall time of the whole run.
     pub wall: Duration,
-    /// Median round-trip, µs (completed requests only; interpolated from
-    /// the [`RTT_BOUNDS_US`] histogram via [`obs::Histogram::quantile`]).
+    /// Median round-trip, µs (completed requests only; interpolated over
+    /// [`obs::registry::LATENCY_BOUNDS_US`] by [`obs::Histogram::quantile`]).
     pub p50_us: f64,
     /// 95th-percentile round-trip, µs (same estimator).
     pub p95_us: f64,
@@ -313,7 +305,7 @@ pub fn run(
                 // scrape of a live server would. Mean and max stay exact — the
                 // histogram tracks raw sum/count/extrema alongside the buckets.
     let reg = obs::Registry::new();
-    let hist = reg.histogram("load.rtt_us", &RTT_BOUNDS_US);
+    let hist = reg.histogram("load.rtt_us", &obs::registry::LATENCY_BOUNDS_US);
     for &rtt in &rtts_us {
         hist.observe(rtt);
     }

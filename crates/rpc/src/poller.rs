@@ -90,6 +90,10 @@ impl PollSet {
                 .min(i32::MAX as u128) as i32,
         };
         loop {
+            // SAFETY: `PollFd` is `#[repr(C)]` with `struct pollfd`'s layout,
+            // and the pointer and length come from one live `Vec` that this
+            // `&mut self` borrow keeps unaliased for the call; poll(2) writes
+            // only the `revents` of those `len` entries.
             let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as _, ms) };
             if n >= 0 {
                 return Ok(n as usize);

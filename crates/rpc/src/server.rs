@@ -146,10 +146,6 @@ pub struct RpcMetrics {
     pub conns_closing: obs::Gauge,
     /// Stall-watchdog kills: writers stuck past `write_timeout`.
     pub stalled_conns_reaped: obs::Counter,
-    /// Decode-to-response service time in µs, reservoir-sampled so a
-    /// stats scrape carries true quantiles (p50/p90/p99), not just the
-    /// `frame_seconds` bucket shape.
-    pub frame_service_us: obs::Summary,
 }
 
 impl RpcMetrics {
@@ -181,7 +177,6 @@ impl RpcMetrics {
             conns_open: reg.gauge("rpc.conns_open"),
             conns_closing: reg.gauge("rpc.conns_closing"),
             stalled_conns_reaped: reg.counter("rpc.stalled_conns_reaped"),
-            frame_service_us: reg.summary("rpc.frame_service_us"),
         })
     }
 }
@@ -515,11 +510,9 @@ impl EventLoop {
             self.metrics.frames_out.inc();
             self.metrics.frames_total.inc();
             self.metrics.bytes_out.add(comp.frame.len() as u64);
-            let service = comp.t0.elapsed();
-            self.metrics.frame_seconds.observe(service.as_secs_f64());
             self.metrics
-                .frame_service_us
-                .observe(service.as_secs_f64() * 1e6);
+                .frame_seconds
+                .observe(comp.t0.elapsed().as_secs_f64());
             c.queue(&comp.frame);
             if comp.close_after && c.state != ConnState::Closing {
                 c.state = ConnState::Closing;

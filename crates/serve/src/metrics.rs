@@ -9,18 +9,19 @@
 //! copy. [`ServingReport`] is a read of the handles at one moment.
 //!
 //! Storage is bounded no matter how long the server runs: latency and
-//! queue-wait streams are [`obs::Summary`]s ([`obs::registry::SUMMARY_CAP`]
-//! retained samples; counts, sums and extrema stay exact, percentiles become
-//! reservoir estimates once the cap is passed), and batch sizes land in a
-//! histogram with one bucket per size up to the engines' `max_batch`.
+//! queue wait land in histograms over [`LATENCY_BOUNDS_US`] (counts, sums
+//! and extrema stay exact, percentiles interpolate inside one bucket), and
+//! batch sizes in a histogram with one bucket per size up to the engines'
+//! `max_batch`.
 
-use obs::{Counter, Gauge, Histogram, Registry, Summary};
+use obs::registry::LATENCY_BOUNDS_US;
+use obs::{Counter, Gauge, Histogram, Registry};
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The `serve.*` handles of one [`crate::Server`]; every update is a few
-/// atomics (the two summaries take an uncontended lock per sample).
+/// atomics.
 pub struct ServingMetrics {
     /// Requests answered successfully.
     pub completed: Counter,
@@ -43,9 +44,9 @@ pub struct ServingMetrics {
     /// First enqueue → last completion, seconds.
     pub wall_secs: Gauge,
     /// Submit → reply, microseconds.
-    pub latency_us: Summary,
+    pub latency_us: Histogram,
     /// Submit → batch assembly, microseconds.
-    pub queue_wait_us: Summary,
+    pub queue_wait_us: Histogram,
     /// Executed micro-batch sizes, one bucket per size.
     pub batch_size: Histogram,
     registry: Registry,
@@ -72,8 +73,8 @@ impl ServingMetrics {
             max_queue_depth: reg.gauge("serve.max_queue_depth"),
             healthy_replicas,
             wall_secs: reg.gauge("serve.wall_secs"),
-            latency_us: reg.summary("serve.latency_us"),
-            queue_wait_us: reg.summary("serve.queue_wait_us"),
+            latency_us: reg.histogram("serve.latency_us", &LATENCY_BOUNDS_US),
+            queue_wait_us: reg.histogram("serve.queue_wait_us", &LATENCY_BOUNDS_US),
             batch_size: reg.histogram("serve.batch_size", &sizes),
             registry: reg,
             first_enqueue: OnceLock::new(),
@@ -102,10 +103,8 @@ impl ServingMetrics {
 
     /// Read the handles into a report.
     ///
-    /// Counts, means and maxima are exact; the percentiles are computed
-    /// over the summaries' retained samples, so they are exact until
-    /// [`obs::registry::SUMMARY_CAP`] samples have been recorded and an
-    /// unbiased estimate after that.
+    /// Counts, means and maxima are exact; the percentiles are
+    /// [`Histogram::quantile`] estimates (see [`ServingReport::p50_us`]).
     pub fn report(&self) -> ServingReport {
         let mut below = 0;
         let batch_hist = self
@@ -162,11 +161,14 @@ pub struct ServingReport {
     pub rejected: u64,
     /// Requests whose deadline expired before execution.
     pub timed_out: u64,
-    /// Median end-to-end latency, microseconds.
+    /// Median end-to-end latency, microseconds: [`Histogram::quantile`]
+    /// over [`LATENCY_BOUNDS_US`], i.e. linear interpolation inside the
+    /// bucket holding the rank, clamped to the exact min and max — off the
+    /// exact nearest-rank value by at most that bucket's width.
     pub p50_us: f64,
-    /// 95th-percentile latency, microseconds.
+    /// 95th-percentile latency, microseconds (same estimator).
     pub p95_us: f64,
-    /// 99th-percentile latency, microseconds.
+    /// 99th-percentile latency, microseconds (same estimator).
     pub p99_us: f64,
     /// Mean latency, microseconds.
     pub mean_latency_us: f64,
@@ -260,7 +262,8 @@ mod tests {
         assert_eq!(r.batch_hist, vec![(2, 1)]);
         assert_eq!(r.mean_queue_wait_us, 20.0);
         assert_eq!(r.p50_us, 100.0);
-        assert_eq!(r.p99_us, 300.0);
+        assert!((250.0..=300.0).contains(&r.p99_us), "p99 {}", r.p99_us);
+        assert_eq!(r.max_latency_us, 300.0);
         assert_eq!(r.wall_secs, 300e-6);
     }
 
@@ -281,8 +284,8 @@ mod tests {
         let snap = m.registry().snapshot();
         for name in ["serve.latency_us", "serve.queue_wait_us"] {
             match snap.get(name) {
-                Some(obs::MetricValue::Summary { samples, .. }) => {
-                    assert_eq!(samples.len(), obs::registry::SUMMARY_CAP, "{name}")
+                Some(obs::MetricValue::Histogram { buckets, .. }) => {
+                    assert_eq!(buckets.len(), LATENCY_BOUNDS_US.len() + 1, "{name}")
                 }
                 other => panic!("{name}: {other:?}"),
             }
@@ -294,9 +297,37 @@ mod tests {
         assert_eq!(r.n_batches, n / 4);
         assert!(r.batch_hist.len() <= 8, "one bucket per distinct size");
         assert_eq!(r.batch_hist.iter().map(|&(_, c)| c).sum::<u64>(), n / 4);
-        // Percentiles are estimates past the cap, but over a uniform
-        // 0..1000 stream they must land in the right neighbourhood.
+        // Percentiles are bucket-interpolated, but over a uniform 0..1000
+        // stream they must land in the right neighbourhood.
         assert!((r.p50_us - 500.0).abs() < 50.0, "p50 {}", r.p50_us);
         assert!((r.p99_us - 990.0).abs() < 15.0, "p99 {}", r.p99_us);
+    }
+
+    #[test]
+    fn percentiles_fall_in_the_bucket_of_the_exact_value() {
+        // 10 000 seeded log-uniform latencies over 10 µs..100 ms: each
+        // reported percentile lies in the LATENCY_BOUNDS_US bucket that
+        // holds the exact nearest-rank value of the sorted stream.
+        let m = ServingMetrics::new(1, 1);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut stream: Vec<f64> = (0..10_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                10.0 * 1e4f64.powf(u)
+            })
+            .collect();
+        for &v in &stream {
+            m.latency_us.observe(v);
+        }
+        stream.sort_by(f64::total_cmp);
+        let bucket = |v: f64| LATENCY_BOUNDS_US.partition_point(|b| v > *b);
+        let r = m.report();
+        for (q, got) in [(0.50, r.p50_us), (0.95, r.p95_us), (0.99, r.p99_us)] {
+            let exact = stream[(q * stream.len() as f64).ceil() as usize - 1];
+            assert_eq!(bucket(got), bucket(exact), "p{q}: {got} vs exact {exact}");
+        }
     }
 }

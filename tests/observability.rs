@@ -205,9 +205,10 @@ fn distributed_observability_is_invisible_and_aggregates_per_rank() {
     // bound is relative: at most one copy per rank of each plain name.
     let events = obs::trace::take_events();
     dist_obs_run(4, false);
-    let names = obs::registry::global().names();
+    let snap = obs::registry::global().snapshot();
     let ranked = |n: &str| n.starts_with("r0.") || n.starts_with("r1.");
-    let (folded, plain): (Vec<&String>, Vec<&String>) = names.iter().partition(|n| ranked(n));
+    let (folded, plain): (Vec<&str>, Vec<&str>) =
+        snap.iter().map(|(n, _)| n).partition(|n| ranked(n));
     assert!(
         folded.iter().all(|n| !ranked(&n[3..])),
         "a rank prefix was nested: {folded:?}"

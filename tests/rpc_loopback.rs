@@ -219,7 +219,7 @@ fn live_stats_scrape_is_invisible_to_inflight_requests() {
             let snap = rpc::fetch_stats(addr, Duration::from_secs(10)).unwrap();
             assert!(counter(&snap, "serve.completed") > 0);
             match snap.get("serve.queue_wait_us") {
-                Some(obs::MetricValue::Summary { count, .. }) => assert!(*count > 0),
+                Some(obs::MetricValue::Histogram { count, .. }) => assert!(*count > 0),
                 other => panic!("serve.queue_wait_us missing or mistyped: {other:?}"),
             }
             match snap.get("serve.batch_size") {

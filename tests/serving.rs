@@ -214,7 +214,8 @@ fn two_servers_in_one_process_count_apart() {
     assert_eq!(a.metrics().report().completed, 3);
     assert_eq!(b.metrics().report().completed, 5);
     assert_eq!(reg.counter("serve.completed").get(), 3);
-    assert_eq!(reg.summary("serve.queue_wait_us").count(), 3);
+    let wait = reg.histogram("serve.queue_wait_us", &obs::registry::LATENCY_BOUNDS_US);
+    assert_eq!(wait.count(), 3);
     assert_eq!(a.shutdown().completed, 3);
     assert_eq!(b.shutdown().completed, 5);
 }

@@ -177,7 +177,14 @@ fn average_pooling() {
 
 #[test]
 fn lrn_scale() {
-    check(LrnLayer::new("norm", LrnConfig::cifar()), &[&[4, 3, 3]]);
+    // β = 0.75 takes the square-root power, any other β the general one.
+    for beta in [0.75, 0.6] {
+        let cfg = LrnConfig {
+            beta,
+            ..LrnConfig::cifar()
+        };
+        check(LrnLayer::new("norm", cfg), &[&[4, 3, 3]]);
+    }
 }
 
 #[test]

@@ -50,6 +50,35 @@ fn window_params(ls: &LayerSpec) -> Result<(usize, usize, usize), SpecError> {
     Ok((kernel, pad, stride))
 }
 
+/// An `LRN` block's parameters, held to what the layer needs: an odd window
+/// (centred on its channel, so never empty) and `k + alpha/n * sum x^2 > 0`
+/// for every input, since `s^-beta` of a zero or negative scale is inf or
+/// NaN.
+fn lrn_config(ls: &LayerSpec) -> Result<LrnConfig, SpecError> {
+    let cfg = LrnConfig {
+        local_size: ls.get_usize_or("local_size", 5)?,
+        alpha: ls.get_f64_or("alpha", 1e-4)?,
+        beta: ls.get_f64_or("beta", 0.75)?,
+        k: ls.get_f64_or("k", 1.0)?,
+    };
+    let reject = |what: &str| Err(SpecError::new(format!("layer '{}': {what}", ls.name)));
+    if cfg.local_size.is_multiple_of(2) {
+        return reject(&format!("local_size {} must be odd", cfg.local_size));
+    }
+    for (key, v) in [("alpha", cfg.alpha), ("beta", cfg.beta), ("k", cfg.k)] {
+        if !v.is_finite() {
+            return reject(&format!("{key} {v} must be finite"));
+        }
+    }
+    if cfg.alpha < 0.0 {
+        return reject(&format!("alpha {} must not be negative", cfg.alpha));
+    }
+    if cfg.k <= 0.0 {
+        return reject(&format!("k {} must be positive", cfg.k));
+    }
+    Ok(cfg)
+}
+
 /// Construct a layer object from its spec block.
 ///
 /// `data_source` is consumed by the first `Data` layer. `after_data` tells
@@ -124,15 +153,7 @@ pub fn build_layer<S: Scalar>(
         "TanH" => Box::new(TanhLayer::new(name)),
         "Softmax" => Box::new(SoftmaxLayer::new(name)),
         "Flatten" => Box::new(FlattenLayer::new(name)),
-        "LRN" => {
-            let cfg = LrnConfig {
-                local_size: ls.get_usize_or("local_size", 5)?,
-                alpha: ls.get_f64_or("alpha", 1e-4)?,
-                beta: ls.get_f64_or("beta", 0.75)?,
-                k: ls.get_f64_or("k", 1.0)?,
-            };
-            Box::new(LrnLayer::new(name, cfg))
-        }
+        "LRN" => Box::new(LrnLayer::new(name, lrn_config(ls)?)),
         "Dropout" => {
             let ratio = ls.get_f64_or("dropout_ratio", 0.5)?;
             let seed = ls.get_usize_or("seed", 0x0d0d)? as u64;
@@ -276,6 +297,38 @@ mod tests {
         }
         // The largest legal padding still builds.
         let ls = spec_of("layer {\n name: p\n type: Pooling\n kernel: 3\n pad: 2\n}");
+        let mut none: Option<Box<dyn BatchSource<f32>>> = None;
+        assert!(build_layer::<f32>(&ls, &mut none, false).is_ok());
+    }
+
+    #[test]
+    fn degenerate_lrn_specs_are_spec_errors() {
+        // From a spec file an even or zero window used to reach the assert
+        // in `LrnLayer::new`, and the others a scale whose power is inf or
+        // NaN.
+        let cases = [
+            ("local_size: 4", "local_size 4 must be odd"),
+            ("local_size: 0", "local_size 0 must be odd"),
+            ("alpha: nan", "alpha NaN must be finite"),
+            ("beta: inf", "beta inf must be finite"),
+            ("k: -inf", "k -inf must be finite"),
+            ("alpha: -0.001", "alpha -0.001 must not be negative"),
+            ("k: 0", "k 0 must be positive"),
+            ("k: -1", "k -1 must be positive"),
+        ];
+        for (params, want) in cases {
+            let ls = spec_of(&format!("layer {{\n name: edge\n type: LRN\n {params}\n}}"));
+            let mut none: Option<Box<dyn BatchSource<f32>>> = None;
+            let e = build_layer::<f32>(&ls, &mut none, false)
+                .err()
+                .unwrap_or_else(|| panic!("LRN with {params} must not build"));
+            assert_eq!(e.to_string(), format!("layer 'edge': {want}"));
+        }
+        // The boundaries themselves still build: a one-channel window, no
+        // scaling, and any finite exponent.
+        let ls = spec_of(
+            "layer {\n name: n\n type: LRN\n local_size: 1\n alpha: 0\n beta: -2\n k: 0.5\n}",
+        );
         let mut none: Option<Box<dyn BatchSource<f32>>> = None;
         assert!(build_layer::<f32>(&ls, &mut none, false).is_ok());
     }

@@ -219,32 +219,12 @@ fn parse_reduction(s: &str) -> Result<ReductionMode, String> {
     })
 }
 
-/// Load the `--plan FILE` schedule, if any, and publish it.
-fn load_plan(args: &Args) -> Result<Option<plan::Plan>, String> {
-    let Some(path) = args.get("plan") else {
-        return Ok(None);
-    };
-    let p = plan::Plan::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    publish_plan_metrics(&p);
-    println!(
-        "plan {path}: {} layer(s), {} non-sample-split",
-        p.entries.len(),
-        p.non_sample_layers()
-    );
-    Ok(Some(p))
-}
-
 fn cmd_train(args: &Args) -> Result<(), String> {
     let mut net = load_net(args)?;
     if let Some(w) = args.get("weights") {
         let file = std::fs::File::open(w).map_err(|e| format!("{w}: {e}"))?;
         net::load_params(&mut net, file).map_err(|e| e.to_string())?;
         println!("initialized from {w}");
-    }
-    // A plan only changes where forward work runs, never what is computed,
-    // so the trajectory below is bit-identical with or without it.
-    if let Some(p) = load_plan(args)? {
-        plan::apply_to_net(&p, &mut net).map_err(|e| format!("--plan: {e}"))?;
     }
     let threads: usize = args.get_parse("threads")?;
     let iters: usize = args.get_parse("iters")?;
@@ -598,7 +578,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     // One factory: the snapshot is decoded exactly once, every replica
     // shares that decoded copy, and the supervisor rebuilds dead replicas
     // from it without touching the filesystem again.
-    let mut factory = serve::EngineFactory::<f32>::new(
+    let factory = serve::EngineFactory::<f32>::new(
         &spec,
         &sample_shape,
         &serve::EngineConfig {
@@ -608,11 +588,6 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         weights.as_deref(),
     )
     .map_err(|e| e.to_string())?;
-    // Serving executes the plan leniently: entries for training-only
-    // layers (data, loss) are skipped; stale entries fail replica builds.
-    if let Some(p) = load_plan(args)? {
-        factory = factory.with_plan(p);
-    }
     println!(
         "serving '{}': {replicas} replica(s) x {threads} thread(s), max_batch {max_batch}, \
          queue depth {queue_depth}, {:.1} KiB shared weights, \
@@ -802,159 +777,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     }
     println!("  plain-GPU : {:>6.2}x", sim.gpu_plain_speedup());
     println!("  cuDNN-GPU : {:>6.2}x", sim.gpu_cudnn_speedup());
-
-    // `--cluster 1,2,4,8`: project the dist subsystem's synchronous
-    // data-parallel step onto a multi-node cluster under the two
-    // FireCaffe aggregation schemes.
-    if let Some(list) = args.get("cluster") {
-        let counts = list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .map_err(|_| format!("bad worker count '{s}' in --cluster"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
-        let model = machine::ClusterModel::from_sim(&sim, net.num_params());
-        println!(
-            "\nmulti-node data-parallel projection ({:.2} MB gradients over 10 GbE, \
-             {:.1} ms single-node step):",
-            model.param_bytes / 1e6,
-            model.step_compute_s * 1e3
-        );
-        print!(
-            "{}",
-            machine::cluster::format_cluster_table(&model, &counts)
-        );
-    }
     Ok(())
-}
-
-/// Publish a loaded plan into the global metrics registry: the schedule
-/// summary plus one `plan.strategy.<layer>.<tag>` gauge per layer, so a
-/// `--metrics` dump or a live `cgdnn stats` scrape shows which strategy
-/// every layer is executing.
-fn publish_plan_metrics(p: &plan::Plan) {
-    let reg = obs::registry::global();
-    reg.gauge("plan.layers").set(p.entries.len() as f64);
-    reg.gauge("plan.non_sample_layers")
-        .set(p.non_sample_layers() as f64);
-    reg.gauge("plan.threads").set(p.threads as f64);
-    for e in &p.entries {
-        let tag = plan::strategy_tag(e.strategy);
-        reg.gauge(&format!("plan.strategy.{}.{tag}", e.name))
-            .set(1.0);
-    }
-}
-
-/// `--model` flag to cost model: `xeon` (the paper's 16-core E5-2667v2,
-/// default) or `scaled:SxC` (S sockets of C cores with the same per-core
-/// constants — the batch-starved regime planning exists for).
-fn parse_model(s: &str) -> Result<machine::CpuModel, String> {
-    if s == "xeon" {
-        return Ok(machine::CpuModel::xeon_e5_2667v2());
-    }
-    let count = |n: &str| n.parse::<usize>().ok().filter(|&n| n > 0);
-    let (sockets, cores) = s
-        .strip_prefix("scaled:")
-        .and_then(|sc| sc.split_once('x'))
-        .and_then(|(sk, c)| Some((count(sk)?, count(c)?)))
-        .ok_or_else(|| format!("bad --model '{s}': want xeon or scaled:SxC, S and C >= 1"))?;
-    Ok(machine::CpuModel::scaled_node(sockets, cores))
-}
-
-/// `cgdnn plan` — search per-layer parallelism strategies for a spec on a
-/// modeled machine and emit an executable `.plan` schedule.
-fn cmd_plan(args: &Args) -> Result<(), String> {
-    let net = load_net(args)?;
-    let model_desc = args.get("model").unwrap_or_default();
-    let model = parse_model(model_desc)?;
-    let threads: usize = args.parse_opt("threads")?.unwrap_or(model.cores);
-    let beam: usize = args.get_parse("beam")?;
-    if threads == 0 || beam == 0 {
-        return Err("--threads and --beam must be >= 1".into());
-    }
-
-    let mut profiles = net.profiles();
-    // Measured seeding: rescale the analytic profiles so their relative
-    // per-layer costs match a real `train --profile-csv` measurement.
-    if let Some(path) = args.get("profile-csv") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let (calibrated, matched) = plan::calibrate_with_csv(&profiles, &text, &model);
-        if matched == 0 {
-            return Err(format!(
-                "{path}: no layer names match the spec — stale profile?"
-            ));
-        }
-        println!("profiles calibrated from {path} ({matched} layer(s) matched)");
-        profiles = calibrated;
-    }
-
-    let spaces = net.layer_strategy_spaces();
-    let result = plan::search(&profiles, &spaces, &model, threads, beam);
-    println!(
-        "searched {} layer(s) for {threads} thread(s) on model {model_desc} (beam {beam}):",
-        spaces.len()
-    );
-    print!("{}", plan::report_table(&result));
-    let batch_imb = observe::analytic_imbalance(&profiles, threads);
-    let plan_imb = observe::analytic_imbalance(
-        &plan::transform_profiles(&profiles, &result.strategies),
-        threads,
-    );
-    println!(
-        "modeled imbalance factor: batch-only {:.4}, planned {:.4}",
-        batch_imb.imbalance_factor, plan_imb.imbalance_factor
-    );
-
-    let reg = obs::registry::global();
-    reg.gauge("plan.batch_only_step_us")
-        .set(result.batch_only_secs * 1e6);
-    reg.gauge("plan.projected_step_us")
-        .set(result.planned_secs * 1e6);
-    let emitted = plan::plan_for_net(&net, &result.strategies, threads, model_desc);
-    publish_plan_metrics(&emitted);
-
-    if let Some(path) = args.get("out") {
-        emitted
-            .save(Path::new(path))
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("plan written to {path}");
-    }
-    write_flag(args, "json", "json report", || {
-        let layers: Vec<String> = result
-            .layers
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"name\":\"{}\",\"type\":\"{}\",\"strategy\":\"{}\",\
-                     \"batch_only_us\":{:.3},\"planned_us\":{:.3}}}",
-                    l.name,
-                    l.layer_type,
-                    l.strategy,
-                    l.batch_only_secs * 1e6,
-                    l.planned_secs * 1e6
-                )
-            })
-            .collect();
-        Ok(format!(
-            "{{\"net\":\"{}\",\"threads\":{threads},\"model\":\"{model_desc}\",\"beam\":{beam},\
-             \"batch_only_step_us\":{:.3},\"projected_step_us\":{:.3},\
-             \"projected_speedup\":{:.4},\"non_sample_layers\":{},\
-             \"imbalance_batch_only\":{:.4},\"imbalance_planned\":{:.4},\
-             \"layers\":[{}]}}\n",
-            net.name(),
-            result.batch_only_secs * 1e6,
-            result.planned_secs * 1e6,
-            result.projected_speedup(),
-            result.non_sample_layers(),
-            batch_imb.imbalance_factor,
-            plan_imb.imbalance_factor,
-            layers.join(",")
-        )
-        .into_bytes())
-    })?;
-    write_observability(args, None)
 }
 
 fn main() -> ExitCode {
@@ -978,7 +801,6 @@ fn main() -> ExitCode {
         "load" => cmd_load(&args),
         "stats" => cmd_stats(&args),
         "simulate" => cmd_simulate(&args),
-        "plan" => cmd_plan(&args),
         _ => unreachable!("Args::parse accepts only cli::SUBCOMMANDS"),
     });
     match r {

@@ -62,7 +62,6 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
     ("load", "closed-loop wire load against an `infer --listen` server"),
     ("stats", "scrape the live metrics of a serving or coordinating process"),
     ("simulate", "<spec> — project onto the paper's 16-core Xeon + K40"),
-    ("plan", "<spec> — search per-layer parallelism strategies, emit a .plan"),
 ];
 
 /// Every flag `cgdnn` takes. A name may have several rows when subcommands
@@ -70,11 +69,9 @@ const SUBCOMMANDS: &[(&str, &str)] = &[
 /// path); no two rows share a name and a subcommand.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    flag("data", Text, "KIND", "synthetic-mnist", &["summary", "train", "infer", "load", "simulate", "plan"], "synthetic-mnist | synthetic-cifar | idx:<images>,<labels> | cifar-bin:<file>"),
+    flag("data", Text, "KIND", "synthetic-mnist", &["summary", "train", "infer", "load", "simulate"], "synthetic-mnist | synthetic-cifar | idx:<images>,<labels> | cifar-bin:<file>"),
     flag("threads", Int, "N", "4", &["train", "infer"], "thread-team size"),
-    flag("threads", Int, "N", "", &["plan"], "team size to plan for (default: the model's cores)"),
     flag("weights", Text, "FILE", "", &["train", "infer"], "initialize parameters from a snapshot"),
-    flag("plan", Text, "FILE", "", &["train", "infer"], "execute a .plan schedule; outputs and loss trajectory stay bit-identical to batch-only"),
     flag("iters", Int, "N", "100", &["train"], "iterations (with --resume: the absolute target iteration)"),
     flag("lr", Real, "X", "0.01", &["train"], "base learning rate"),
     flag("solver", Text, "NAME", "sgd", &["train"], "sgd | nesterov | adagrad"),
@@ -115,20 +112,16 @@ const FLAGS: &[Flag] = &[
     flag("idle-conns", Int, "N", "0", &["load"], "extra connections that handshake, then sit idle"),
     flag("fuzz", Int, "N", "0", &["load"], "also send N malformed connections"),
     switch("drain-server", &["load"], "ask the server to drain and exit afterwards"),
-    flag("json", Text, "FILE", "", &["load", "plan"], "write the report as JSON"),
+    flag("json", Text, "FILE", "", &["load"], "write the report as JSON"),
     switch("csv", &["stats"], "CSV exposition (the default)"),
     switch("json", &["stats"], "JSON exposition"),
     flag("watch", Real, "SECS", "0", &["stats"], "re-scrape every SECS forever; 0 = once"),
-    flag("cluster", Text, "W1,W2,..", "", &["simulate"], "also project multi-node data-parallel scaling at these worker counts"),
-    flag("model", Text, "MODEL", "xeon", &["plan"], "cost model: xeon (the paper's 16 cores) | scaled:SxC (S sockets x C cores)"),
-    flag("beam", Int, "B", "4", &["plan"], "beam width of the strategy search"),
-    flag("out", Text, "FILE", "", &["plan"], "write the executable .plan schedule"),
     switch("profile", &["train"], "print the measured per-layer fwd/bwd table and imbalance factors"),
-    flag("profile-csv", Text, "FILE", "", &["train", "plan"], "train: also write the --profile table as CSV; plan: seed the cost model from one"),
+    flag("profile-csv", Text, "FILE", "", &["train"], "also write the --profile table as CSV"),
     flag("trace", Text, "FILE", "", &["train", "infer"], "record spans, write a Chrome trace_event JSON"),
     flag("trace-stream", Text, "FILE", "", &["train", "infer"], "write each span to FILE as it finishes (constant memory; excludes --trace)"),
     flag("trace-limit", Int, "N", "1048576", &["train", "infer"], "spans retained per thread; older ones are dropped and counted"),
-    flag("metrics", Text, "FILE", "", &["train", "infer", "plan"], "write the metrics registry as CSV at exit; '-' = stdout"),
+    flag("metrics", Text, "FILE", "", &["train", "infer"], "write the metrics registry as CSV at exit; '-' = stdout"),
     flag("metrics-every", Real, "SECS", "", &["train", "infer"], "also rewrite --metrics FILE atomically every SECS during the run"),
 ];
 
@@ -314,9 +307,10 @@ mod tests {
         assert_eq!(a.get("data"), Some("synthetic-mnist"));
         assert_eq!(a.get("snapshot"), None);
         assert!(a.get_parse::<String>("snapshot").is_err());
-        // A row is chosen per subcommand: plan's --threads has no default.
-        let p = parse("plan", "spec.txt").unwrap();
-        assert_eq!(p.parse_opt::<usize>("threads").unwrap(), None);
+        // A row is chosen per subcommand: stats' --json is a switch, load's
+        // takes a FILE.
+        assert!(parse("stats", "--json").unwrap().has("json"));
+        assert!(parse("load", "--json").is_err());
     }
 
     #[test]
@@ -352,6 +346,11 @@ mod tests {
             "load does not trace"
         );
         assert!(parse("bogus", "").is_err());
+        // The per-layer planner and the cluster projection are gone.
+        assert!(parse("plan", "spec").is_err());
+        assert!(parse("train", "spec --plan f").is_err());
+        assert!(parse("infer", "spec --plan f").is_err());
+        assert!(parse("simulate", "spec --cluster 2").is_err());
         // --metrics-every needs a FILE to rewrite.
         assert!(parse("train", "spec --metrics-every 1").is_err());
         assert!(parse("train", "spec --metrics - --metrics-every 1").is_err());

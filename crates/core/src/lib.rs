@@ -53,7 +53,6 @@ pub use mmblas;
 pub use net;
 pub use obs;
 pub use omprt;
-pub use plan;
 pub use solvers;
 
 /// Convenient glob import: the types most programs need.

@@ -19,7 +19,6 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 pub struct LayerTimeProfile {
     names: Vec<String>,
-    strategies: Vec<String>,
     fwd_secs: Vec<f64>,
     bwd_secs: Vec<f64>,
     iterations: u64,
@@ -31,21 +30,10 @@ impl LayerTimeProfile {
         let n = names.len();
         Self {
             names,
-            strategies: vec!["sample".to_string(); n],
             fwd_secs: vec![0.0; n],
             bwd_secs: vec![0.0; n],
             iterations: 0,
         }
-    }
-
-    /// Record each layer's active parallelization strategy (display form,
-    /// e.g. `sample` or `channel:2`) for the table and CSV strategy column.
-    ///
-    /// # Panics
-    /// Panics if the slice length disagrees with the layer count.
-    pub fn set_strategies(&mut self, strategies: Vec<String>) {
-        assert_eq!(strategies.len(), self.names.len(), "one strategy per layer");
-        self.strategies = strategies;
     }
 
     /// Fold in one iteration's per-layer times (from
@@ -105,17 +93,10 @@ impl LayerTimeProfile {
             "measured per-layer time over {} iteration(s) (mean ms/iter)",
             self.iterations
         );
-        let strat_w = self
-            .strategies
-            .iter()
-            .map(|s| s.len())
-            .max()
-            .unwrap_or(8)
-            .max(8);
         let _ = writeln!(
             out,
-            "{:name_w$}  {:>10}  {:>10}  {:>10}  {:>7}  {:strat_w$}",
-            "layer", "fwd ms", "bwd ms", "total ms", "% total", "strategy"
+            "{:name_w$}  {:>10}  {:>10}  {:>10}  {:>7}",
+            "layer", "fwd ms", "bwd ms", "total ms", "% total"
         );
         let mut fwd_ms_sum = 0.0;
         let mut bwd_ms_sum = 0.0;
@@ -125,13 +106,12 @@ impl LayerTimeProfile {
             bwd_ms_sum += b;
             let _ = writeln!(
                 out,
-                "{:name_w$}  {:>10.3}  {:>10.3}  {:>10.3}  {:>7.2}  {:strat_w$}",
+                "{:name_w$}  {:>10.3}  {:>10.3}  {:>10.3}  {:>7.2}",
                 self.names[i],
                 f,
                 b,
                 f + b,
-                pct,
-                self.strategies[i]
+                pct
             );
         }
         let _ = writeln!(
@@ -147,18 +127,12 @@ impl LayerTimeProfile {
     }
 
     /// The same data as [`LayerTimeProfile::table`] in CSV:
-    /// `layer,fwd_ms,bwd_ms,total_ms,pct_total,strategy`.
+    /// `layer,fwd_ms,bwd_ms,total_ms,pct_total`.
     pub fn csv(&self) -> String {
-        let mut out = String::from("layer,fwd_ms,bwd_ms,total_ms,pct_total,strategy\n");
+        let mut out = String::from("layer,fwd_ms,bwd_ms,total_ms,pct_total\n");
         for i in 0..self.names.len() {
             let (f, b, pct) = self.row(i);
-            let _ = writeln!(
-                out,
-                "{},{f:.6},{b:.6},{:.6},{pct:.3},{}",
-                self.names[i],
-                f + b,
-                self.strategies[i]
-            );
+            let _ = writeln!(out, "{},{f:.6},{b:.6},{:.6},{pct:.3}", self.names[i], f + b);
         }
         out
     }
@@ -261,29 +235,9 @@ mod tests {
         assert!(table.contains("8.000"), "{table}");
         assert!(table.contains("75.00"), "{table}");
         let csv = p.csv();
-        assert!(csv.starts_with("layer,fwd_ms,bwd_ms,total_ms,pct_total,strategy\n"));
-        assert!(csv.contains("conv1,4.000000,8.000000,12.000000,75.000,sample"));
+        assert!(csv.starts_with("layer,fwd_ms,bwd_ms,total_ms,pct_total\n"));
+        assert!(csv.contains("conv1,4.000000,8.000000,12.000000,75.000\n"));
         assert_eq!(csv.lines().count(), 4);
-    }
-
-    #[test]
-    fn strategy_column_reflects_active_plan() {
-        let mut p = profile_with(&["conv1", "ip1"]);
-        p.set_strategies(vec!["channel:2".into(), "sample".into()]);
-        p.accumulate(&[0.001, 0.001], &[0.002, 0.002]);
-        let table = p.table();
-        assert!(table.contains("strategy"), "{table}");
-        assert!(table.contains("channel:2"), "{table}");
-        let csv = p.csv();
-        assert!(csv.contains("conv1,") && csv.lines().nth(1).unwrap().ends_with(",channel:2"));
-        assert!(csv.lines().nth(2).unwrap().ends_with(",sample"));
-    }
-
-    #[test]
-    #[should_panic(expected = "one strategy per layer")]
-    fn set_strategies_checks_length() {
-        let mut p = profile_with(&["a", "b"]);
-        p.set_strategies(vec!["sample".into()]);
     }
 
     #[test]

@@ -99,17 +99,7 @@ impl<S: Scalar> CoarseGrainTrainer<S> {
                 .into_iter()
                 .map(str::to_string)
                 .collect();
-            let mut profile = LayerTimeProfile::new(names);
-            // The strategy column reflects the plan active at enable time —
-            // apply any --plan before enabling profiling.
-            profile.set_strategies(
-                self.net
-                    .layer_strategies()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-            );
-            self.profiler = Some(profile);
+            self.profiler = Some(LayerTimeProfile::new(names));
         }
     }
 

@@ -7,10 +7,9 @@
 //! privatized ordered reduction.
 
 use crate::ctx::ExecCtx;
-use crate::drivers::{backward_reduce, parallel_units_scratch};
+use crate::drivers::{backward_reduce, parallel_segments_scratch};
 use crate::fill::Filler;
 use crate::profile::{LayerProfile, PassProfile};
-use crate::strategy::{split_divisors, LayerStrategy};
 use crate::workspace::WorkspaceRequest;
 use crate::Layer;
 use blob::{Blob, Shape};
@@ -174,31 +173,17 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
         let (m, cr, cc) = (self.cfg.num_output, g.col_rows(), g.col_cols());
         let in_len = g.image_len();
         let out_seg = m * cc;
-        assert_eq!(
-            m % ctx.strategy.split_ways(),
-            0,
-            "{}: split must divide {m} output channels",
-            self.name
-        );
-        // Under ChannelSplit the per-sample segment is divided into `nb`
-        // contiguous channel blocks; block `blk` computes output rows
-        // `[blk*mb, (blk+1)*mb)` of the same per-sample GEMM — a plain
-        // `gemm` on those rows of `w`, which is bit-identical to the same
-        // rows of the unsplit call (`mmblas::level3`). The im2col lowering is
-        // recomputed per unit — the replication cost the planner's oracle
-        // charges for finer splits.
-        parallel_units_scratch(ctx, top[0].data_mut(), out_seg, |s, blk, nb, y, scratch| {
-            let mb = m / nb;
+        parallel_segments_scratch(ctx, top[0].data_mut(), out_seg, |s, y, scratch| {
             let col = &mut scratch.col[..cr * cc];
             mmblas::im2col(&g, &x[s * in_len..(s + 1) * in_len], col);
             mmblas::gemm(
                 Transpose::No,
                 Transpose::No,
-                mb,
+                m,
                 cc,
                 cr,
                 S::ONE,
-                &w[blk * mb * cr..],
+                w,
                 cr,
                 col,
                 cc,
@@ -207,7 +192,7 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
                 cc,
             );
             if let Some(b) = bias {
-                for (o, &bo) in b[blk * mb..(blk + 1) * mb].iter().enumerate() {
+                for (o, &bo) in b.iter().enumerate() {
                     for v in &mut y[o * cc..(o + 1) * cc] {
                         *v += bo;
                     }
@@ -329,20 +314,6 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
             col_len: 2 * g.col_rows() * g.col_cols(),
             grad_len: self.wlen() + self.blen(),
         }
-    }
-
-    fn strategy_space(&self) -> Vec<LayerStrategy> {
-        let mut space = vec![LayerStrategy::SampleSplit];
-        space.extend(
-            split_divisors(self.cfg.num_output)
-                .into_iter()
-                .map(|ways| LayerStrategy::ChannelSplit { ways }),
-        );
-        space
-    }
-
-    fn split_extent(&self) -> usize {
-        self.cfg.num_output
     }
 
     fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
@@ -528,51 +499,6 @@ mod tests {
             let got = l.params()[1].diff()[o];
             assert!((want - got).abs() < 1e-9, "db[{o}]");
         }
-    }
-
-    #[test]
-    fn channel_split_forward_bitwise_matches_sample_split() {
-        // conv2-like shape: k = cr = 2*3*3 is modest here, but the split
-        // must be bitwise regardless; num_output 6 splits 2, 3 and 6 ways.
-        let mk = || {
-            let mut cfg = ConvConfig::new(6, 3, 1, 1);
-            cfg.seed = 13;
-            ConvolutionLayer::<f64>::new("c", cfg)
-        };
-        let data: Vec<f64> = (0..3 * 2 * 6 * 6)
-            .map(|i| ((i % 29) as f64) * 0.07 - 1.0)
-            .collect();
-        let run = |threads: usize, strategy: LayerStrategy| {
-            let mut l = mk();
-            let bottom: Blob<f64> = Blob::from_data([3usize, 2, 6, 6], data.clone());
-            let shapes = l.setup(&[&bottom]);
-            let team = ThreadTeam::new(threads);
-            let ws = ws_for(&l, threads, threads);
-            let ctx = ExecCtx::new(&team, &ws).with_strategy(strategy);
-            let mut tops = vec![Blob::new(shapes[0].clone())];
-            l.forward(&ctx, &[&bottom], &mut tops);
-            tops[0].data().to_vec()
-        };
-        let reference = run(1, LayerStrategy::SampleSplit);
-        for t in [1, 2, 4] {
-            for ways in [2, 3, 6] {
-                let got = run(t, LayerStrategy::ChannelSplit { ways });
-                assert_eq!(got, reference, "t={t} ways={ways}");
-            }
-        }
-    }
-
-    #[test]
-    fn strategy_space_enumerates_channel_divisors() {
-        let mut l: ConvolutionLayer<f64> =
-            ConvolutionLayer::new("conv1", ConvConfig::new(20, 5, 0, 1));
-        let b: Blob<f64> = Blob::new([4usize, 1, 28, 28]);
-        l.setup(&[&b]);
-        let space = l.strategy_space();
-        assert!(space.contains(&LayerStrategy::SampleSplit));
-        assert!(space.contains(&LayerStrategy::ChannelSplit { ways: 4 }));
-        assert!(!space.contains(&LayerStrategy::ChannelSplit { ways: 3 }));
-        assert_eq!(l.split_extent(), 20);
     }
 
     #[test]

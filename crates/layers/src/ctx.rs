@@ -1,6 +1,5 @@
 //! Execution context: thread team, reduction mode, phase.
 
-use crate::strategy::LayerStrategy;
 use crate::workspace::Workspace;
 use mmblas::Scalar;
 use omprt::ThreadTeam;
@@ -64,9 +63,6 @@ pub struct ExecCtx<'a, S: Scalar = f32> {
     pub phase: Phase,
     /// Global iteration counter (seeds dropout masks deterministically).
     pub iteration: u64,
-    /// How this layer's coalesced loop is split (from the active plan;
-    /// sample-split when no plan is loaded).
-    pub strategy: LayerStrategy,
 }
 
 impl<'a, S: Scalar> ExecCtx<'a, S> {
@@ -79,7 +75,6 @@ impl<'a, S: Scalar> ExecCtx<'a, S> {
             workspace,
             phase: Phase::Train,
             iteration: 0,
-            strategy: LayerStrategy::SampleSplit,
         }
     }
 
@@ -92,12 +87,6 @@ impl<'a, S: Scalar> ExecCtx<'a, S> {
     /// Builder-style: set the phase.
     pub fn with_phase(mut self, p: Phase) -> Self {
         self.phase = p;
-        self
-    }
-
-    /// Builder-style: set the layer's parallelization strategy.
-    pub fn with_strategy(mut self, s: LayerStrategy) -> Self {
-        self.strategy = s;
         self
     }
 }
@@ -127,10 +116,8 @@ mod tests {
         let ws = Workspace::<f32>::empty();
         let ctx = ExecCtx::new(&team, &ws)
             .with_reduction(ReductionMode::Unordered)
-            .with_phase(Phase::Test)
-            .with_strategy(LayerStrategy::ChannelSplit { ways: 2 });
+            .with_phase(Phase::Test);
         assert_eq!(ctx.reduction, ReductionMode::Unordered);
         assert_eq!(ctx.phase, Phase::Test);
-        assert_eq!(ctx.strategy, LayerStrategy::ChannelSplit { ways: 2 });
     }
 }

@@ -1,17 +1,13 @@
 //! Parallel drivers: the reusable renderings of Algorithms 4 and 5.
 //!
-//! * [`parallel_rows`] / [`parallel_segments`] — the coalesced,
-//!   statically-scheduled loop over disjoint output segments (Algorithm 4),
-//!   handed to the kernel as each thread's one contiguous run (the inner
-//!   product's row-range GEMM) or one segment at a time.
+//! * [`parallel_rows`] / [`parallel_segments`] /
+//!   [`parallel_segments_scratch`] — the coalesced, statically-scheduled
+//!   loop over disjoint output segments (Algorithm 4), handed to the kernel
+//!   as each thread's one contiguous run (the inner product's row-range GEMM)
+//!   or one segment at a time, optionally with the thread's scratch buffer
+//!   (convolution's im2col column).
 //!   Forward passes and backward-data passes write disjoint segments, so no
 //!   synchronization is required.
-//! * [`parallel_units_scratch`] — the same loop with a per-thread scratch
-//!   buffer, where each sample's segment is further split into `ways`
-//!   disjoint sub-blocks per the layer's
-//!   [`LayerStrategy`](crate::strategy::LayerStrategy), so the coalesced loop
-//!   runs over `samples × ways` units. This is how a plan splits convolution
-//!   output channels when the batch dimension is starved.
 //! * [`backward_reduce`] — the privatize-then-ordered-merge pattern for
 //!   weight/bias gradients (Algorithm 5): each *slot* accumulates the
 //!   gradients of a contiguous chunk of samples; slots merge into the shared
@@ -24,9 +20,33 @@
 use crate::ctx::ExecCtx;
 use crate::workspace::ThreadScratch;
 use mmblas::Scalar;
-use omprt::{for_each_index, for_each_range, static_chunk, DisjointSlices, SendPtr};
+use omprt::{for_each_range, static_chunk, DisjointSlices, SendPtr};
 use parking_lot::Mutex;
 use std::ops::Range;
+
+/// The one loop shape under every segment driver: `out` holds
+/// `out.len() / row_len` disjoint rows, and `f(thread_id, rows, out_rows)`
+/// runs once per thread with the contiguous run of rows its static chunk
+/// holds ([`for_each_range`]; not at all for an empty run).
+fn for_each_run<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], row_len: usize, f: F)
+where
+    S: Scalar,
+    F: Fn(usize, Range<usize>, &mut [S]) + Sync,
+{
+    if out.is_empty() {
+        return;
+    }
+    let ds = DisjointSlices::new(out, row_len);
+    let n = ds.len();
+    ctx.team.parallel(|w| {
+        let _span = obs::trace::span("segments", "driver");
+        for_each_range(w, n, |rows| {
+            // SAFETY: `for_each_range` deals disjoint runs, one thread each.
+            let out_rows = unsafe { ds.segments_mut(rows.clone()) };
+            f(w.thread_id, rows, out_rows);
+        });
+    });
+}
 
 /// The coalesced, statically-scheduled loop of Algorithm 4 with each
 /// thread's run kept whole: `out` holds `out.len() / row_len` disjoint
@@ -43,19 +63,7 @@ where
     S: Scalar,
     F: Fn(Range<usize>, &mut [S]) + Sync,
 {
-    if out.is_empty() {
-        return;
-    }
-    let ds = DisjointSlices::new(out, row_len);
-    let n = ds.len();
-    ctx.team.parallel(|w| {
-        let _span = obs::trace::span("segments", "driver");
-        for_each_range(w, n, |rows| {
-            // SAFETY: `for_each_range` deals disjoint runs, one thread each.
-            let out_rows = unsafe { ds.segments_mut(rows.clone()) };
-            f(rows, out_rows);
-        });
-    });
+    for_each_run(ctx, out, row_len, |_, rows, out_rows| f(rows, out_rows));
 }
 
 /// [`parallel_rows`] one segment at a time: `f(i, segment)` is invoked
@@ -75,46 +83,18 @@ where
     });
 }
 
-/// Generalized coalesced loop (Algorithm 4 over "hidden dimensions") with a
-/// per-thread scratch buffer (the im2col column buffer): each of the
-/// `out.len() / seg_len` per-sample segments is further split into
-/// `ctx.strategy.split_ways()` disjoint contiguous sub-blocks, and
-/// `f(sample, block, nblocks, sub_segment, scratch)` runs exactly once per
-/// `(sample, block)` unit. Units are ordered sample-major, so with
-/// `nblocks == 1` this is [`parallel_segments`] plus the scratch buffer.
-///
-/// The kernel must write sub-block `block` of sample `sample`'s output with
-/// values bit-identical to the corresponding region of the unsplit kernel —
-/// conv achieves this by calling `mmblas::gemm` on the block's rows of the
-/// weight matrix, whose per-element accumulation order does not depend on
-/// the row range a call covers.
-///
-/// # Panics
-/// Panics unless `split_ways` divides `seg_len`.
-pub fn parallel_units_scratch<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], seg_len: usize, f: F)
+/// [`parallel_segments`] plus the thread's scratch buffer (the im2col
+/// column buffer of convolution): `f(i, segment, scratch)`.
+pub fn parallel_segments_scratch<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], seg_len: usize, f: F)
 where
     S: Scalar,
-    F: Fn(usize, usize, usize, &mut [S], &mut ThreadScratch<S>) + Sync,
+    F: Fn(usize, &mut [S], &mut ThreadScratch<S>) + Sync,
 {
-    if out.is_empty() {
-        return;
-    }
-    let ways = ctx.strategy.split_ways();
-    assert_eq!(
-        seg_len % ways,
-        0,
-        "parallel_units_scratch: split ways {ways} must divide segment length {seg_len}"
-    );
-    let ds = DisjointSlices::new(out, seg_len / ways);
-    let n_units = ds.len();
-    ctx.team.parallel(|w| {
-        let _span = obs::trace::span("segments", "driver");
-        let mut scratch = ctx.workspace.thread_scratch(w.thread_id);
-        for_each_index(w, n_units, |u| {
-            // SAFETY: each unit index is executed exactly once across the team.
-            let seg = unsafe { ds.segment_mut(u) };
-            f(u / ways, u % ways, ways, seg, &mut scratch);
-        });
+    for_each_run(ctx, out, seg_len, |tid, rows, segs| {
+        let mut scratch = ctx.workspace.thread_scratch(tid);
+        for (i, seg) in rows.zip(segs.chunks_exact_mut(seg_len)) {
+            f(i, seg, &mut scratch);
+        }
     });
 }
 
@@ -255,7 +235,6 @@ where
 mod tests {
     use super::*;
     use crate::ctx::ReductionMode;
-    use crate::strategy::LayerStrategy;
     use crate::workspace::{Workspace, WorkspaceRequest};
     use omprt::ThreadTeam;
 
@@ -437,65 +416,28 @@ mod tests {
         }
     }
 
-    /// A team of `threads` over a workspace whose scratch column is 2 long.
-    fn units_ws(threads: usize) -> Workspace<f64> {
-        Workspace::new(
+    #[test]
+    fn parallel_segments_scratch_lends_each_thread_its_scratch() {
+        let threads = 3;
+        let team = ThreadTeam::new(threads);
+        let ws = Workspace::new(
             threads,
             threads,
             WorkspaceRequest {
                 col_len: 2,
                 grad_len: 0,
             },
-        )
-    }
-
-    #[test]
-    fn parallel_units_scratch_splits_segments_sample_major() {
-        let team = ThreadTeam::new(3);
-        let ws = units_ws(3);
-        let ctx = ExecCtx::new(&team, &ws).with_strategy(LayerStrategy::ChannelSplit { ways: 2 });
-        let mut out = vec![0.0f64; 12];
-        // 3 samples of segment length 4, split 2 ways into sub-blocks of 2.
-        parallel_units_scratch(&ctx, &mut out, 4, |s, b, nb, sub, scratch| {
-            assert_eq!(nb, 2);
-            assert_eq!(sub.len(), 2);
-            assert_eq!(scratch.col.len(), 2);
-            for v in sub {
-                *v = (s * 10 + b) as f64;
-            }
-        });
-        assert_eq!(
-            out,
-            [0., 0., 1., 1., 10., 10., 11., 11., 20., 20., 21., 21.]
         );
-    }
-
-    #[test]
-    fn parallel_units_scratch_degenerates_to_segments_for_sample_split() {
-        let team = ThreadTeam::new(2);
-        let ws = units_ws(2);
         let ctx = ExecCtx::new(&team, &ws);
-        let mut out = vec![0.0f64; 8];
-        parallel_units_scratch(&ctx, &mut out, 4, |s, b, nb, sub, _| {
-            assert_eq!((b, nb, sub.len()), (0, 1, 4));
-            for v in sub {
-                *v = s as f64;
-            }
+        let mut out = vec![0.0f64; 12];
+        parallel_segments_scratch(&ctx, &mut out, 4, |s, seg, scratch| {
+            assert_eq!(scratch.col.len(), 2);
+            seg.fill(s as f64);
         });
-        let mut segs = vec![0.0f64; 8];
+        let mut segs = vec![0.0f64; 12];
         parallel_segments(&ctx, &mut segs, 4, |s, seg| seg.fill(s as f64));
-        assert_eq!(out, [0., 0., 0., 0., 1., 1., 1., 1.]);
+        assert_eq!(out, [0., 0., 0., 0., 1., 1., 1., 1., 2., 2., 2., 2.]);
         assert_eq!(out, segs);
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide segment length")]
-    fn parallel_units_scratch_rejects_nondividing_ways() {
-        let team = ThreadTeam::new(1);
-        let ws = units_ws(1);
-        let ctx = ExecCtx::new(&team, &ws).with_strategy(LayerStrategy::ChannelSplit { ways: 3 });
-        let mut out = vec![0.0f64; 8];
-        parallel_units_scratch(&ctx, &mut out, 4, |_, _, _, _, _| {});
     }
 
     #[test]

@@ -429,16 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_space_is_the_sample_split() {
-        let l = make(12, Filler::Xavier);
-        assert_eq!(
-            l.strategy_space(),
-            vec![crate::strategy::LayerStrategy::SampleSplit]
-        );
-        assert_eq!(l.split_extent(), 0);
-    }
-
-    #[test]
     fn propagate_down_false_skips_bottom_diff() {
         let mut l = make(2, Filler::Constant(1.0));
         l.set_propagate_down(false);

@@ -41,7 +41,6 @@ pub mod sigmoid;
 pub mod softmax;
 pub mod softmax_loss;
 pub mod split;
-pub mod strategy;
 pub mod tanh_layer;
 pub mod workspace;
 
@@ -65,7 +64,6 @@ pub use sigmoid::SigmoidLayer;
 pub use softmax::SoftmaxLayer;
 pub use softmax_loss::SoftmaxLossLayer;
 pub use split::SplitLayer;
-pub use strategy::{split_divisors, LayerStrategy, ParseStrategyError};
 pub use tanh_layer::TanhLayer;
 pub use workspace::{Workspace, WorkspaceRequest};
 
@@ -141,23 +139,6 @@ pub trait Layer<S: Scalar = f32>: Send {
     /// Analytic work profile of one forward+backward pass over a batch —
     /// consumed by the `machine` execution-model simulator.
     fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile;
-
-    /// Parallelization strategies this layer can execute. The default is the
-    /// paper's sample split only; convolution overrides it to add its
-    /// output-channel splits. The planner searches exactly this space, so
-    /// every strategy returned here must be executable bit-identically to
-    /// sample-split.
-    fn strategy_space(&self) -> Vec<LayerStrategy> {
-        vec![LayerStrategy::SampleSplit]
-    }
-
-    /// Extent of the within-sample split dimension (output channels for
-    /// conv); 0 when the layer has no such dimension.
-    /// Recorded in `.plan` files so stale plans are rejected when the net
-    /// shape changed.
-    fn split_extent(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +172,5 @@ mod trait_tests {
         assert_eq!(d.data_cursor(), None);
         d.set_data_cursor(7); // no-op by default
         assert_eq!(d.data_cursor(), None);
-        assert_eq!(d.strategy_space(), vec![LayerStrategy::SampleSplit]);
-        assert_eq!(d.split_extent(), 0);
     }
 }

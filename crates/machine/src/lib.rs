@@ -26,13 +26,11 @@
 //! Calibration constants live in [`CpuModel::xeon_e5_2667v2`] and
 //! [`GpuModel`]; they are machine-wide, not per-figure.
 
-pub mod cluster;
 pub mod cpu;
 pub mod csv;
 pub mod gpu;
 pub mod report;
 
-pub use cluster::{Aggregation, ClusterModel};
 pub use cpu::{simulate_cpu, simulate_cpu_fine_grain, CpuModel, DistKind, LayerTimes};
 pub use gpu::{simulate_gpu, GpuImpl, GpuModel};
 pub use report::{overall_speedup, per_layer_speedups, total_time, NetworkSim};

@@ -52,7 +52,6 @@ use blob::Blob;
 use layers::ctx::{ExecCtx, Phase, ReductionMode};
 use layers::data::BatchSource;
 use layers::profile::LayerProfile;
-use layers::strategy::LayerStrategy;
 use layers::workspace::{Workspace, WorkspaceRequest};
 use layers::Layer;
 use mmblas::Scalar;
@@ -95,9 +94,6 @@ pub struct Net<S: Scalar = f32> {
     fwd_secs: Vec<f64>,
     bwd_secs: Vec<f64>,
     iteration: u64,
-    /// Per-layer parallelization strategy (from the active plan; all
-    /// sample-split when no plan is loaded).
-    strategies: Vec<LayerStrategy>,
     /// Externally-fed input blobs (ids into `blobs`), in declaration order.
     inputs: Vec<usize>,
     /// Leading dimension the input blobs were built with: the ceiling of
@@ -143,7 +139,6 @@ impl<S: Scalar> Net<S> {
             fwd_secs: Vec::new(),
             bwd_secs: Vec::new(),
             iteration: 0,
-            strategies: Vec::new(),
             inputs: Vec::new(),
             batch_capacity: 0,
         };
@@ -237,7 +232,6 @@ impl<S: Scalar> Net<S> {
         let n = net.layers.len();
         net.fwd_secs = vec![0.0; n];
         net.bwd_secs = vec![0.0; n];
-        net.strategies = vec![LayerStrategy::SampleSplit; n];
         Ok(net)
     }
 
@@ -259,53 +253,6 @@ impl<S: Scalar> Net<S> {
     /// Layer type strings in execution order.
     pub fn layer_types(&self) -> Vec<&str> {
         self.layers.iter().map(|l| l.layer_type()).collect()
-    }
-
-    /// Active per-layer parallelization strategies, in execution order.
-    pub fn layer_strategies(&self) -> &[LayerStrategy] {
-        &self.strategies
-    }
-
-    /// Each layer's executable strategy space, in execution order.
-    pub fn layer_strategy_spaces(&self) -> Vec<Vec<LayerStrategy>> {
-        self.layers.iter().map(|l| l.strategy_space()).collect()
-    }
-
-    /// Each layer's within-sample split extent (0 = not splittable), in
-    /// execution order — recorded in `.plan` files for staleness checks.
-    pub fn split_extents(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.split_extent()).collect()
-    }
-
-    /// Set the parallelization strategy of the named layer.
-    ///
-    /// # Errors
-    /// Fails when the layer does not exist or the strategy is outside the
-    /// layer's [`Layer::strategy_space`].
-    pub fn set_layer_strategy(
-        &mut self,
-        layer: &str,
-        strategy: LayerStrategy,
-    ) -> Result<(), SpecError> {
-        let i = self
-            .layers
-            .iter()
-            .position(|l| l.name() == layer)
-            .ok_or_else(|| {
-                SpecError::new(format!("set_layer_strategy: unknown layer '{layer}'"))
-            })?;
-        if !self.layers[i].strategy_space().contains(&strategy) {
-            return Err(SpecError::new(format!(
-                "set_layer_strategy: layer '{layer}' cannot execute strategy '{strategy}'"
-            )));
-        }
-        self.strategies[i] = strategy;
-        Ok(())
-    }
-
-    /// Reset every layer to the default sample split.
-    pub fn clear_strategies(&mut self) {
-        self.strategies.fill(LayerStrategy::SampleSplit);
     }
 
     /// Immutable access to a named blob.
@@ -447,7 +394,6 @@ impl<S: Scalar> Net<S> {
                     workspace: &self.workspace,
                     phase: cfg.phase,
                     iteration: self.iteration,
-                    strategy: self.strategies[i],
                 };
                 let bottoms: Vec<&Blob<S>> =
                     self.bottoms[i].iter().map(|&b| &self.blobs[b]).collect();
@@ -496,7 +442,6 @@ impl<S: Scalar> Net<S> {
                     workspace: &self.workspace,
                     phase: cfg.phase,
                     iteration: self.iteration,
-                    strategy: self.strategies[i],
                 };
                 let tops: Vec<&Blob<S>> = self.tops[i].iter().map(|&b| &self.blobs[b]).collect();
                 self.layers[i].backward(&ctx, &tops, &mut bots);

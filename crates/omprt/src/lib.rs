@@ -10,9 +10,8 @@
 //! * [`ThreadTeam`] — a persistent pool; [`ThreadTeam::parallel`] is
 //!   `#pragma omp parallel`, and [`WorkerCtx::ordered`] /
 //!   [`WorkerCtx::barrier`] are the in-region constructs.
-//! * [`for_each_range`] / [`for_each_index`] — `#pragma omp for
-//!   schedule(static)`: one contiguous [`static_chunk`] per thread, then the
-//!   implicit barrier.
+//! * [`for_each_range`] — `#pragma omp for schedule(static)`: one
+//!   contiguous [`static_chunk`] per thread, then the implicit barrier.
 //! * [`SendPtr`] and [`DisjointSlices`] — the data privatization idioms.
 //! * [`analytic_distribution`] — the static schedule's per-thread work, as
 //!   an [`ImbalanceReport`].
@@ -21,7 +20,7 @@
 //! simulator distributes work exactly like the real runtime.
 //!
 //! ```
-//! use omprt::{for_each_index, ThreadTeam};
+//! use omprt::{for_each_range, ThreadTeam};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Mutex;
 //!
@@ -31,8 +30,8 @@
 //! // #pragma omp parallel
 //! team.parallel(|ctx| {
 //!     // #pragma omp for schedule(static)
-//!     for_each_index(ctx, 100, |_i| {
-//!         hits.fetch_add(1, Ordering::Relaxed);
+//!     for_each_range(ctx, 100, |run| {
+//!         hits.fetch_add(run.len(), Ordering::Relaxed);
 //!     });
 //!     // #pragma omp ordered — thread 0, then 1, 2, 3.
 //!     ctx.ordered(|| order.lock().unwrap().push(ctx.thread_id));
@@ -47,7 +46,7 @@ mod schedule;
 mod sendptr;
 
 pub use metrics::{analytic_distribution, ImbalanceReport};
-pub use schedule::{for_each_index, for_each_range, static_chunk};
+pub use schedule::{for_each_range, static_chunk};
 pub use sendptr::{DisjointSlices, SendPtr};
 
 use std::cell::UnsafeCell;

@@ -21,24 +21,17 @@ pub fn static_chunk(tid: usize, nthreads: usize, n: usize) -> Range<usize> {
     start..start + len
 }
 
-/// Execute `body(i)` for each index of this thread's [`static_chunk`] of
-/// `0..n`, in order, then wait at the implicit end-of-worksharing barrier
-/// (OpenMP default).
+/// Execute `body(run)` once with this thread's [`static_chunk`] of `0..n`
+/// (not at all if the chunk is empty), then wait at the implicit
+/// end-of-worksharing barrier (OpenMP default). The team's runs never
+/// overlap, and together they cover `0..n` once.
+///
+/// A kernel that takes a run of iterations in one call (a row-range GEMM)
+/// thus sees each thread's share in one call; a per-iteration kernel walks
+/// the run in order.
 ///
 /// Must be encountered by **all** threads of the team, like any OpenMP
 /// worksharing construct; otherwise the team deadlocks at the barrier.
-pub fn for_each_index(ctx: &WorkerCtx, n: usize, body: impl FnMut(usize)) {
-    for_each_range(ctx, n, |run| run.for_each(body));
-}
-
-/// Execute `body(run)` once with this thread's [`static_chunk`] of `0..n`
-/// (not at all if the chunk is empty), then wait at the implicit
-/// end-of-worksharing barrier. The team's runs never overlap, and together
-/// they cover `0..n` once.
-///
-/// A kernel that takes a run of iterations in one call (a row-range GEMM)
-/// thus sees each thread's share in one call. Same team-wide encounter rule
-/// as [`for_each_index`].
 pub fn for_each_range(ctx: &WorkerCtx, n: usize, body: impl FnOnce(Range<usize>)) {
     let run = static_chunk(ctx.thread_id, ctx.num_threads, n);
     if !run.is_empty() {
@@ -83,27 +76,26 @@ mod tests {
         assert_eq!(lens.iter().filter(|&&l| l == 5).count(), 8);
     }
 
-    /// `for_each_index` visits, in order, exactly the indices of the one run
-    /// `for_each_range` hands the same thread.
+    /// Each thread gets at most one run, its own static chunk.
     #[test]
-    fn indices_are_the_run_in_order() {
+    fn each_thread_runs_its_static_chunk_once() {
         use std::sync::Mutex;
         for nt in [1usize, 2, 3, 4] {
             let team = crate::ThreadTeam::new(nt);
             for n in [0usize, 1, 5, 37, 100] {
                 let runs = Mutex::new(vec![Vec::new(); nt]);
-                let indices = Mutex::new(vec![Vec::new(); nt]);
                 team.parallel(|w| {
                     let tid = w.thread_id;
                     for_each_range(w, n, |r| runs.lock().unwrap()[tid].push(r));
-                    for_each_index(w, n, |i| indices.lock().unwrap()[tid].push(i));
                 });
-                let runs = runs.into_inner().unwrap();
-                let indices = indices.into_inner().unwrap();
-                for (t, (r, i)) in runs.iter().zip(&indices).enumerate() {
-                    let flat: Vec<usize> = r.iter().flat_map(Clone::clone).collect();
-                    assert_eq!(&flat, i, "{nt} threads, n = {n}: thread {t}");
-                    assert!(r.len() <= 1, "{nt} threads, n = {n}: {r:?}");
+                for (t, r) in runs.into_inner().unwrap().iter().enumerate() {
+                    let chunk = static_chunk(t, nt, n);
+                    let want = if chunk.is_empty() {
+                        vec![]
+                    } else {
+                        vec![chunk]
+                    };
+                    assert_eq!(r, &want, "{nt} threads, n = {n}: thread {t}");
                 }
             }
         }

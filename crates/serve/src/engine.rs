@@ -237,7 +237,6 @@ pub struct EngineFactory<S: Scalar = f32> {
     sample_shape: Shape,
     cfg: EngineConfig,
     params: Vec<Blob<S>>,
-    plan: Option<plan::Plan>,
 }
 
 impl<S: Scalar> EngineFactory<S> {
@@ -269,18 +268,7 @@ impl<S: Scalar> EngineFactory<S> {
             sample_shape: sample_shape.clone(),
             cfg: *cfg,
             params: template.params(),
-            plan: None,
         })
-    }
-
-    /// Execute a parallelism plan in every engine this factory builds.
-    /// Applied leniently: entries naming layers the deploy transform
-    /// dropped (data, loss) are skipped, but a stale entry — wrong layer
-    /// type or extent, or an inexecutable strategy — fails the next
-    /// [`EngineFactory::build`] with a typed error naming the layer.
-    pub fn with_plan(mut self, plan: plan::Plan) -> Self {
-        self.plan = Some(plan);
-        self
     }
 
     /// Build one engine whose parameters are shared with every other
@@ -288,10 +276,6 @@ impl<S: Scalar> EngineFactory<S> {
     pub fn build(&self) -> Result<Engine<S>, ServeError> {
         let mut e = Engine::build(&self.train_spec, &self.sample_shape, &self.cfg)?;
         e.adopt_params(&self.params)?;
-        if let Some(p) = &self.plan {
-            plan::apply_to_net_lenient(p, &mut e.net)
-                .map_err(|err| ServeError::Build(err.to_string()))?;
-        }
         Ok(e)
     }
 
@@ -456,103 +440,6 @@ layer {
         match r {
             Err(e) => assert!(matches!(e, ServeError::Build(_)), "got: {e}"),
             Ok(_) => panic!("malformed deploy spec must not build"),
-        }
-    }
-
-    #[test]
-    fn factory_plan_applies_leniently_and_keeps_bits() {
-        use layers::strategy::LayerStrategy;
-        // TRAIN with a convolution in front of the inner product, so the
-        // plan has a channel dimension to split.
-        const CONV: &str = r#"
-name: t
-layer {
-  name: d
-  type: Data
-  batch: 4
-  top: data
-  top: label
-}
-layer {
-  name: conv
-  type: Convolution
-  num_output: 4
-  kernel: 2
-  seed: 12
-  bottom: data
-  top: conv
-}
-layer {
-  name: ip
-  type: InnerProduct
-  num_output: 3
-  seed: 11
-  bottom: conv
-  top: ip
-}
-layer {
-  name: loss
-  type: SoftmaxWithLoss
-  bottom: ip
-  bottom: label
-  top: prob
-}
-"#;
-        let spec = NetSpec::parse(CONV).unwrap();
-        let cfg = EngineConfig {
-            max_batch: 4,
-            n_threads: 2,
-        };
-        let shape = Shape::from(vec![1usize, 3, 3]);
-        let mk_plan = |extent: usize| plan::Plan {
-            net_name: "t".into(),
-            threads: 8,
-            model: "test".into(),
-            entries: vec![
-                // Names a training-only layer: lenient apply skips it.
-                plan::PlanEntry {
-                    name: "d".into(),
-                    layer_type: "Data".into(),
-                    extent: 0,
-                    strategy: LayerStrategy::SampleSplit,
-                },
-                plan::PlanEntry {
-                    name: "conv".into(),
-                    layer_type: "Convolution".into(),
-                    extent,
-                    strategy: LayerStrategy::ChannelSplit { ways: 2 },
-                },
-                // The deploy transform rewrites this layer's type to
-                // Softmax in place: lenient apply must skip it, not call
-                // the plan stale.
-                plan::PlanEntry {
-                    name: "loss".into(),
-                    layer_type: "SoftmaxWithLoss".into(),
-                    extent: 0,
-                    strategy: LayerStrategy::SampleSplit,
-                },
-            ],
-        };
-        let plain = EngineFactory::<f32>::new(&spec, &shape, &cfg, None).unwrap();
-        let planned = EngineFactory::<f32>::new(&spec, &shape, &cfg, None)
-            .unwrap()
-            .with_plan(mk_plan(4));
-        let x = [0.1f32, 0.4, -0.2, 0.7, 0.3, -0.5, 0.9, 0.0, 0.2];
-        let want = plain.build().unwrap().infer_one(&x).unwrap();
-        let got = planned.build().unwrap().infer_one(&x).unwrap();
-        assert_eq!(got, want, "a plan must never change the served bits");
-
-        // A stale plan (extent changed since planning) fails the build
-        // with an error naming the layer.
-        let stale = EngineFactory::<f32>::new(&spec, &shape, &cfg, None)
-            .unwrap()
-            .with_plan(mk_plan(6));
-        match stale.build() {
-            Err(ServeError::Build(msg)) => {
-                assert!(msg.contains("conv") && msg.contains("stale"), "{msg}")
-            }
-            Err(other) => panic!("want a Build error, got {other}"),
-            Ok(_) => panic!("stale plan must fail the build"),
         }
     }
 

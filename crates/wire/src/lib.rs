@@ -9,7 +9,7 @@
 //! size anything by it ([`Reader::f32s`] and friends hand back an iterator
 //! over already-bounded bytes), so a lying length costs an [`Error`], not
 //! memory. [`Put`] is the matching writer; [`crc32`] is the checksum the
-//! snapshot trailer, the frame header and `.plan` files share.
+//! snapshot trailer and the frame header share.
 //!
 //! Callers map [`Error`] into their own error type; for the file formats
 //! that is `io::ErrorKind::InvalidData` via the `From` impl here.

@@ -156,16 +156,3 @@ pub fn tiny_net_f64(seed: u64) -> Net<f64> {
     let spec = NetSpec::parse(TINY_SPEC).expect("tiny spec parses");
     Net::from_spec(&spec, Some(Box::new(TinySource64 { n: 64, seed }))).expect("tiny net builds")
 }
-
-/// A deterministic mixed assignment: the largest channel split on every
-/// layer whose executable space has one (the convolutions), sample split
-/// everywhere else.
-pub fn mixed_strategies(net: &Net<f32>) -> Vec<layers::LayerStrategy> {
-    net.layer_strategy_spaces()
-        .iter()
-        .map(|space| {
-            let widest = space.iter().max_by_key(|s| s.split_ways());
-            *widest.expect("sample split is always in the space")
-        })
-        .collect()
-}

@@ -326,9 +326,7 @@ fn profile_table_uses_the_papers_layout() {
     t.train(2);
     let profile = t.profile().unwrap();
     let table = profile.table();
-    for col in [
-        "layer", "fwd ms", "bwd ms", "total ms", "% total", "strategy",
-    ] {
+    for col in ["layer", "fwd ms", "bwd ms", "total ms", "% total"] {
         assert!(
             table.contains(col),
             "table missing column '{col}':\n{table}"
@@ -338,7 +336,7 @@ fn profile_table_uses_the_papers_layout() {
         assert!(table.contains(layer), "table missing layer '{layer}'");
     }
     let csv = profile.csv();
-    assert!(csv.starts_with("layer,fwd_ms,bwd_ms,total_ms,pct_total,strategy\n"));
+    assert!(csv.starts_with("layer,fwd_ms,bwd_ms,total_ms,pct_total\n"));
     assert_eq!(csv.lines().count(), t.net().layer_names().len() + 1);
 }
 

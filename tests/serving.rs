@@ -220,26 +220,13 @@ fn two_servers_in_one_process_count_apart() {
     assert_eq!(b.shutdown().completed, 5);
 }
 
-/// A plan exercising every strategy kind `train_net` supports: the largest
-/// channel split on each convolution, sample split elsewhere.
-fn split_plan(train_net: &Net<f32>) -> cgdnn::plan::Plan {
-    let strategies = common::mixed_strategies(train_net);
-    let plan = cgdnn::plan::plan_for_net(train_net, &strategies, 2, "test");
-    assert!(
-        plan.non_sample_layers() > 0,
-        "plan must actually split layers"
-    );
-    plan
-}
-
 /// The active-batch contract, for one net: an engine of capacity
 /// `max_batch` answers a batch of any `n` with exactly the rows a
-/// capacity-1 engine gives each sample alone — for every team size, with
-/// and without a dimension-splitting plan — and a large → small → large
-/// sequence of batches shows no row of an earlier batch.
+/// capacity-1 engine gives each sample alone — for every team size — and a
+/// large → small → large sequence of batches shows no row of an earlier
+/// batch.
 fn assert_active_batch_matches_solo(
     spec: &NetSpec,
-    train_net: &Net<f32>,
     sample_shape: &Shape,
     samples: &[Vec<f32>],
     max_batch: usize,
@@ -263,42 +250,36 @@ fn assert_active_batch_matches_solo(
     let out_len = expected[0].len();
 
     for threads in [1usize, 2] {
-        for planned in [false, true] {
-            let what = format!("threads {threads}, plan {planned}");
-            let mut f = factory(max_batch, threads);
-            if planned {
-                f = f.with_plan(split_plan(train_net));
+        let what = format!("threads {threads}");
+        let mut engine = factory(max_batch, threads).build().unwrap();
+        let mut check = |range: std::ops::Range<usize>| {
+            let refs: Vec<&[f32]> = samples[range.clone()].iter().map(|s| &s[..]).collect();
+            let got = engine.infer_batch(&refs).unwrap();
+            assert_eq!(got.len(), range.len() * out_len, "{what}: {range:?}");
+            for (row, want) in got.chunks(out_len).zip(&expected[range.clone()]) {
+                assert_eq!(row, &want[..], "{what}: batch {range:?} row differs");
             }
-            let mut engine = f.build().unwrap();
-            let mut check = |range: std::ops::Range<usize>| {
-                let refs: Vec<&[f32]> = samples[range.clone()].iter().map(|s| &s[..]).collect();
-                let got = engine.infer_batch(&refs).unwrap();
-                assert_eq!(got.len(), range.len() * out_len, "{what}: {range:?}");
-                for (row, want) in got.chunks(out_len).zip(&expected[range.clone()]) {
-                    assert_eq!(row, &want[..], "{what}: batch {range:?} row differs");
-                }
-            };
-            // Every n, each at a different offset into the sample pool so
-            // row i never holds the sample it held one call earlier.
-            for n in 1..=max_batch {
-                check(n..2 * n);
-            }
-            // Large, small, large: the single row overwrites row 0 only,
-            // and the regrown batch brings its own rows 1.. back.
-            check(0..max_batch);
-            check(max_batch..max_batch + 1);
-            check(max_batch - 1..2 * max_batch - 1);
-
-            assert!(matches!(
-                engine.infer_batch(&[]),
-                Err(ServeError::BadInput(_))
-            ));
-            let too_many: Vec<&[f32]> = samples[..=max_batch].iter().map(|s| &s[..]).collect();
-            assert!(matches!(
-                engine.infer_batch(&too_many),
-                Err(ServeError::BadInput(_))
-            ));
+        };
+        // Every n, each at a different offset into the sample pool so
+        // row i never holds the sample it held one call earlier.
+        for n in 1..=max_batch {
+            check(n..2 * n);
         }
+        // Large, small, large: the single row overwrites row 0 only,
+        // and the regrown batch brings its own rows 1.. back.
+        check(0..max_batch);
+        check(max_batch..max_batch + 1);
+        check(max_batch - 1..2 * max_batch - 1);
+
+        assert!(matches!(
+            engine.infer_batch(&[]),
+            Err(ServeError::BadInput(_))
+        ));
+        let too_many: Vec<&[f32]> = samples[..=max_batch].iter().map(|s| &s[..]).collect();
+        assert!(matches!(
+            engine.infer_batch(&too_many),
+            Err(ServeError::BadInput(_))
+        ));
     }
 }
 
@@ -307,7 +288,6 @@ fn active_batch_matches_solo_inference_on_tiny() {
     let spec = NetSpec::parse(TINY_SPEC).unwrap();
     assert_active_batch_matches_solo(
         &spec,
-        &common::tiny_net(5),
         &Shape::from([1usize, 12, 12]),
         &request_samples(16),
         8,
@@ -326,7 +306,6 @@ fn active_batch_matches_solo_inference_on_lenet() {
         .collect();
     assert_active_batch_matches_solo(
         &nets::lenet_spec(),
-        &nets::lenet(Box::new(source)).unwrap(),
         &Shape::from([1usize, 28, 28]),
         &samples,
         4,

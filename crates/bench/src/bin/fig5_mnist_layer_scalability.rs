@@ -3,8 +3,10 @@
 //!
 //! Paper observations reproduced: the u-shape (centre layers — relu, ip2,
 //! loss — do not scale); ip1 and pool2 saturate around 4.6-5.9x at 8
-//! threads; conv1/pool1/conv2 scale well, with conv1 lagging conv2 because
-//! its producer (the data layer) runs sequentially.
+//! threads; conv1/pool1/conv2 scale well, with conv1 lagging conv2. The
+//! paper blames that gap on Caffe's one-thread data layer; here the data
+//! layer fills its batch on the team, so conv1's input is thread-local and
+//! it lags only because it does fewer flops per byte moved than conv2.
 
 use cgdnn_bench::{banner, compare, mnist_net, simulate, PAPER_THREADS};
 use machine::report::per_layer_speedups;

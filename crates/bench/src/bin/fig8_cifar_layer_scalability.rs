@@ -1,9 +1,11 @@
 //! **Figure 8** — CIFAR-10: per-layer scalability at 2-16 threads.
 //!
-//! Paper anchors reproduced in shape: conv1 ~5.9x @8T, limited past 8 by
-//! the sequential data layer + NUMA; pool1/relu1 scale further (paper 11x /
-//! 13x @16T); norm1 changes the data-thread distribution, which caps conv2;
-//! the centre layers (pool3, ip1, loss) form the u-shape floor.
+//! Paper anchors reproduced in shape: conv1 ~5.9x @8T, which the paper
+//! limits past 8 by Caffe's one-thread data layer + NUMA (here the data
+//! layer fills on the team, so conv1 keeps scaling to ~11x @16T against the
+//! paper's ~9x); pool1/relu1 scale further (paper 11x / 13x @16T); norm1
+//! changes the data-thread distribution, which caps conv2; the centre
+//! layers (pool3, ip1, loss) form the u-shape floor.
 
 use cgdnn_bench::{banner, cifar_net, compare, simulate, PAPER_THREADS};
 use machine::report::per_layer_speedups;

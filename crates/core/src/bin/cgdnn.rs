@@ -160,8 +160,8 @@ fn load_spec(args: &Args) -> Result<(NetSpec, Box<dyn BatchSource<f32>>), String
     Ok((spec, make_source(args.get("data").unwrap_or_default())?))
 }
 
-/// The first `n` samples of `source` (cycling), materialized: a
-/// `BatchSource` is `Send` but not `Sync`, so load clients get copies.
+/// The first `n` samples of `source` (cycling), materialized for the load
+/// clients.
 fn samples(source: &dyn BatchSource<f32>, n: usize) -> Vec<Vec<f32>> {
     let len = source.sample_shape().count();
     (0..n)

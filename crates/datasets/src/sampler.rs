@@ -50,7 +50,7 @@ impl<S: Scalar> BatchSource<S> for ShuffledSource<S> {
 /// A contiguous sub-range view of a source — the building block of
 /// train/test splits.
 pub struct SliceSource<S: Scalar> {
-    inner: std::sync::Arc<dyn BatchSource<S> + Sync>,
+    inner: std::sync::Arc<dyn BatchSource<S>>,
     start: usize,
     len: usize,
 }
@@ -60,7 +60,7 @@ impl<S: Scalar> SliceSource<S> {
     ///
     /// # Panics
     /// Panics if the range exceeds the source or `len == 0`.
-    pub fn new(inner: std::sync::Arc<dyn BatchSource<S> + Sync>, start: usize, len: usize) -> Self {
+    pub fn new(inner: std::sync::Arc<dyn BatchSource<S>>, start: usize, len: usize) -> Self {
         assert!(len > 0, "SliceSource: empty slice");
         assert!(
             start + len <= inner.num_samples(),
@@ -164,7 +164,7 @@ impl<S: Scalar> BatchSource<S> for ShardedSource<S> {
 /// # Panics
 /// Panics unless `0 < train_fraction < 1` produces two non-empty halves.
 pub fn train_test_split<S: Scalar>(
-    source: std::sync::Arc<dyn BatchSource<S> + Sync>,
+    source: std::sync::Arc<dyn BatchSource<S>>,
     train_fraction: f64,
 ) -> (SliceSource<S>, SliceSource<S>) {
     let n = source.num_samples();
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn split_partitions_the_stream() {
-        let base: Arc<dyn BatchSource<f32> + Sync> = Arc::new(SyntheticMnist::new(50, 1));
+        let base: Arc<dyn BatchSource<f32>> = Arc::new(SyntheticMnist::new(50, 1));
         let (train, test) = train_test_split(base.clone(), 0.8);
         assert_eq!(BatchSource::<f32>::num_samples(&train), 40);
         assert_eq!(BatchSource::<f32>::num_samples(&test), 10);
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty side")]
     fn degenerate_split_panics() {
-        let base: Arc<dyn BatchSource<f32> + Sync> = Arc::new(SyntheticMnist::new(3, 1));
+        let base: Arc<dyn BatchSource<f32>> = Arc::new(SyntheticMnist::new(3, 1));
         let _ = train_test_split(base, 0.01);
     }
 

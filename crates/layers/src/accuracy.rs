@@ -86,7 +86,6 @@ impl<S: Scalar> Layer<S> for AccuracyLayer<S> {
             backward: PassProfile::empty(),
             batch: b.num(),
             out_bytes_per_sample: elem,
-            sequential: false,
         }
     }
 }

@@ -116,7 +116,6 @@ impl<A: Activation, S: Scalar> Layer<S> for ActivationLayer<A> {
             },
             batch: b.num(),
             out_bytes_per_sample: b.sample_len() as f64 * elem,
-            sequential: false,
         }
     }
 }

@@ -105,7 +105,6 @@ impl<S: Scalar> Layer<S> for ConcatLayer<S> {
             backward: pass,
             batch: bottom[0].num(),
             out_bytes_per_sample: len * elem,
-            sequential: false,
         }
     }
 }

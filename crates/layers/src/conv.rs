@@ -354,7 +354,6 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: m * cc * elem,
-            sequential: false,
         }
     }
 }

@@ -1,18 +1,27 @@
 //! Data layer: feeds batches of samples and labels into the network.
 //!
-//! Caffe data layers execute **sequentially** — the paper identifies this as
-//! a locality problem for the first convolution layer (one thread touches
-//! the whole batch, then the parallel `conv1` redistributes it). We preserve
-//! that behaviour: `forward` copies the batch on the calling thread.
+//! Caffe's data layer fills the batch on one thread, and the paper (§4.3)
+//! blames it for the first convolution's lost locality: one thread writes
+//! every sample, then the parallel `conv1` reads most of them from another
+//! core. Here `forward` fills the batch under the same static worksharing
+//! loop as every other layer ([`parallel_rows`]), so thread `t` writes
+//! exactly the samples of `static_chunk(t, T, batch)` — the ones `conv1`
+//! hands it next. A sample is a pure function of its index
+//! `(cursor + i) % n`, so the batch is the same bits at every team size.
 
 use crate::ctx::ExecCtx;
+use crate::drivers::parallel_rows;
 use crate::profile::{LayerProfile, PassProfile};
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
+use omprt::DisjointSlices;
 
 /// Source of individual training samples, implemented by the dataset crate.
-pub trait BatchSource<S: Scalar>: Send {
+///
+/// `Sync` because the whole team fills one batch: each thread calls
+/// [`BatchSource::fill`] for the samples of its own run.
+pub trait BatchSource<S: Scalar>: Send + Sync {
     /// Total samples available (the layer wraps around).
     fn num_samples(&self) -> usize;
     /// Shape of a single sample, e.g. `(1, 28, 28)`.
@@ -79,23 +88,26 @@ impl<S: Scalar> Layer<S> for DataLayer<S> {
         vec![Shape::from(dims), Shape::from(vec![self.batch])]
     }
 
-    fn forward(&mut self, _ctx: &ExecCtx<'_, S>, _bottom: &[&Blob<S>], top: &mut [Blob<S>]) {
-        // Deliberately sequential (see module docs).
+    fn forward(&mut self, ctx: &ExecCtx<'_, S>, _bottom: &[&Blob<S>], top: &mut [Blob<S>]) {
         let _span = obs::trace::span("data_load", "data");
-        let n = self.source.num_samples();
+        let (source, cursor) = (&*self.source, self.cursor);
+        let n = source.num_samples();
         let (data_blob, label_blob) = {
             let (a, b) = top.split_at_mut(1);
             (&mut a[0], &mut b[0])
         };
         let sample_len = data_blob.sample_len();
-        let data = data_blob.data_mut();
-        let labels = label_blob.data_mut();
-        for i in 0..self.batch {
-            let idx = (self.cursor + i) % n;
-            let out = &mut data[i * sample_len..(i + 1) * sample_len];
-            labels[i] = self.source.fill(idx, out);
-        }
-        self.cursor = (self.cursor + self.batch) % n;
+        let labels = DisjointSlices::new(label_blob.data_mut(), 1);
+        parallel_rows(ctx, data_blob.data_mut(), sample_len, |rows, samples| {
+            // SAFETY: `parallel_rows` deals each run of samples to one
+            // thread once, so no other thread holds these labels.
+            let run_labels = unsafe { labels.segments_mut(rows.clone()) };
+            let outs = samples.chunks_exact_mut(sample_len).zip(run_labels);
+            for (i, (out, label)) in rows.zip(outs) {
+                *label = source.fill((cursor + i) % n, out);
+            }
+        });
+        self.cursor = (cursor + self.batch) % n;
     }
 
     fn backward(&mut self, _ctx: &ExecCtx<'_, S>, _top: &[&Blob<S>], _bottom: &mut [Blob<S>]) {
@@ -117,18 +129,14 @@ impl<S: Scalar> Layer<S> for DataLayer<S> {
             name: self.name.clone(),
             layer_type: "Data".to_string(),
             forward: PassProfile {
-                coalesced_iters: 0,
-                flops_per_iter: 0.0,
-                bytes_in_per_iter: 0.0,
-                bytes_out_per_iter: 0.0,
-                // Sequential batch copy: ~1 op per element.
-                seq_flops: (self.batch * sample) as f64,
-                reduction_elems: 0,
+                // One fill per sample, ~1 op per element.
+                coalesced_iters: self.batch,
+                flops_per_iter: sample as f64,
+                ..PassProfile::empty()
             },
             backward: PassProfile::empty(),
             batch: self.batch,
             out_bytes_per_sample: sample as f64 * elem,
-            sequential: true,
         }
     }
 }
@@ -137,7 +145,8 @@ impl<S: Scalar> Layer<S> for DataLayer<S> {
 pub(crate) mod tests {
     use super::*;
     use crate::workspace::Workspace;
-    use omprt::ThreadTeam;
+    use omprt::{static_chunk, ThreadTeam};
+    use std::sync::{Arc, Mutex};
 
     /// Source where sample i is `[i, i, ...]` with label `i % 10`.
     pub(crate) struct RampSource {
@@ -186,6 +195,119 @@ pub(crate) mod tests {
         l.set_data_cursor(4);
         l.forward(&ctx, &[], &mut tops);
         assert_eq!(tops[1].data(), &[4.0, 0.0, 1.0]);
+    }
+
+    /// Sample `i` is `[i + 0.25, i + 0.5, …]` with label `i % 10`; each fill
+    /// notes which team member ran it (`omprt` names worker `t`
+    /// `omprt-worker-t`; the caller is member 0).
+    struct RecordingSource {
+        n: usize,
+        filled_by: Arc<Mutex<Vec<Option<usize>>>>,
+    }
+
+    impl RecordingSource {
+        fn new(n: usize) -> Self {
+            Self {
+                n,
+                filled_by: Arc::new(Mutex::new(vec![None; n])),
+            }
+        }
+    }
+
+    impl BatchSource<f32> for RecordingSource {
+        fn num_samples(&self) -> usize {
+            self.n
+        }
+        fn sample_shape(&self) -> Shape {
+            Shape::from([3usize])
+        }
+        fn fill(&self, index: usize, out: &mut [f32]) -> f32 {
+            let member = std::thread::current()
+                .name()
+                .and_then(|n| n.strip_prefix("omprt-worker-"))
+                .map_or(0, |t| t.parse().unwrap());
+            self.filled_by.lock().unwrap()[index] = Some(member);
+            for (j, v) in out.iter_mut().enumerate() {
+                *v = index as f32 + 0.25 * (j + 1) as f32;
+            }
+            (index % 10) as f32
+        }
+    }
+
+    /// Three batches from `start` on a team of `threads`: the data and
+    /// label bits of each, and the cursor after each.
+    fn batches(n: usize, batch: usize, threads: usize, start: usize) -> Vec<(Vec<u32>, usize)> {
+        let mut l = DataLayer::new("data", Box::new(RecordingSource::new(n)), batch);
+        let shapes = l.setup(&[]);
+        let team = ThreadTeam::new(threads);
+        let ws = Workspace::<f32>::empty();
+        let ctx = ExecCtx::new(&team, &ws);
+        let mut tops = vec![Blob::new(shapes[0].clone()), Blob::new(shapes[1].clone())];
+        l.set_data_cursor(start);
+        (0..3)
+            .map(|_| {
+                l.forward(&ctx, &[], &mut tops);
+                let bits = tops[0].data().iter().chain(tops[1].data());
+                (bits.map(|v| v.to_bits()).collect(), l.cursor())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn team_fill_is_the_one_thread_fill_bit_for_bit() {
+        // Both shapes straddle the epoch wrap within three batches.
+        for (n, batch) in [(5, 3), (7, 4)] {
+            for start in [0, n - 1] {
+                let want = batches(n, batch, 1, start);
+                for threads in [2, 3, 4] {
+                    assert_eq!(
+                        batches(n, batch, threads, start),
+                        want,
+                        "n {n}, batch {batch}, {threads} threads, cursor {start}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_sample_is_filled_by_its_static_chunk_owner() {
+        let (n, batch, start) = (7, 4, 5);
+        for threads in [1, 2, 3, 4] {
+            let src = RecordingSource::new(n);
+            let filled_by = Arc::clone(&src.filled_by);
+            let mut l = DataLayer::new("data", Box::new(src), batch);
+            let shapes = l.setup(&[]);
+            let team = ThreadTeam::new(threads);
+            let ws = Workspace::<f32>::empty();
+            let ctx = ExecCtx::new(&team, &ws);
+            let mut tops = vec![Blob::new(shapes[0].clone()), Blob::new(shapes[1].clone())];
+            l.set_data_cursor(start);
+            l.forward(&ctx, &[], &mut tops);
+            let filled_by = filled_by.lock().unwrap();
+            for i in 0..batch {
+                let owner = (0..threads).find(|&t| static_chunk(t, threads, batch).contains(&i));
+                assert_eq!(
+                    filled_by[(start + i) % n],
+                    owner,
+                    "{threads} threads, sample {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn profile_is_one_coalesced_pass_over_the_batch() {
+        let src = RampSource {
+            n: 5,
+            shape: Shape::from([2usize, 3]),
+        };
+        let l = DataLayer::new("data", Box::new(src), 4);
+        let p = l.profile(&[]);
+        assert_eq!(p.forward.coalesced_iters, 4);
+        assert_eq!(p.forward.flops_per_iter, 6.0);
+        assert_eq!(p.forward.seq_flops, 0.0);
+        assert_eq!(p.backward, PassProfile::empty());
     }
 
     #[test]

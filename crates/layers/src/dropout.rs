@@ -121,7 +121,6 @@ impl<S: Scalar> Layer<S> for DropoutLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: b.sample_len() as f64 * elem,
-            sequential: false,
         }
     }
 }

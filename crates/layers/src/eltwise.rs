@@ -219,7 +219,6 @@ impl<S: Scalar> Layer<S> for EltwiseLayer<S> {
             backward: pass,
             batch: b.num(),
             out_bytes_per_sample: b.sample_len() as f64 * elem,
-            sequential: false,
         }
     }
 }

@@ -116,7 +116,6 @@ impl<S: Scalar> Layer<S> for EuclideanLossLayer<S> {
             },
             batch: bottom[0].num(),
             out_bytes_per_sample: elem,
-            sequential: false,
         }
     }
 }

@@ -78,7 +78,6 @@ impl<S: Scalar> Layer<S> for FlattenLayer<S> {
             backward: copy,
             batch: b.num(),
             out_bytes_per_sample: len * elem,
-            sequential: false,
         }
     }
 }

@@ -271,7 +271,6 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: m * elem,
-            sequential: false,
         }
     }
 }

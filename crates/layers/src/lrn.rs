@@ -261,7 +261,6 @@ impl<S: Scalar> Layer<S> for LrnLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: sample * elem,
-            sequential: false,
         }
     }
 }

@@ -329,7 +329,6 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: self.channels as f64 * out_seg * elem,
-            sequential: false,
         }
     }
 }

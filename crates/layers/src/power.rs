@@ -117,7 +117,6 @@ impl<S: Scalar> Layer<S> for PowerLayer<S> {
             backward: pass,
             batch: bottom[0].num(),
             out_bytes_per_sample: bottom[0].sample_len() as f64 * elem,
-            sequential: false,
         }
     }
 }

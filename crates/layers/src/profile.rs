@@ -19,7 +19,7 @@ pub struct PassProfile {
     /// Bytes written per loop iteration (output blob traffic).
     pub bytes_out_per_iter: f64,
     /// Work executed sequentially regardless of the team size, in flops
-    /// (e.g. the data layer's batch copy, a loss layer's final sum).
+    /// (e.g. a loss layer's final sum).
     pub seq_flops: f64,
     /// Elements of privatized gradient merged per slot in the ordered
     /// reduction (0 for layers with no parameters).
@@ -72,8 +72,6 @@ pub struct LayerProfile {
     /// Per-sample output footprint in bytes: the working set handed to the
     /// next layer, used for inter-layer locality tracking.
     pub out_bytes_per_sample: f64,
-    /// `true` if this pass runs sequentially on one thread (data layers).
-    pub sequential: bool,
 }
 
 impl LayerProfile {
@@ -86,7 +84,6 @@ impl LayerProfile {
             backward: PassProfile::empty(),
             batch: 0,
             out_bytes_per_sample: 0.0,
-            sequential: false,
         }
     }
 }

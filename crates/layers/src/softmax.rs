@@ -113,7 +113,6 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: c * elem,
-            sequential: false,
         }
     }
 }

@@ -139,7 +139,6 @@ impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: elem,
-            sequential: false,
         }
     }
 }

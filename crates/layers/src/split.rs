@@ -99,7 +99,6 @@ impl<S: Scalar> Layer<S> for SplitLayer<S> {
             },
             batch: b.num(),
             out_bytes_per_sample: len * k * elem,
-            sequential: false,
         }
     }
 }

@@ -7,11 +7,8 @@ use omprt::static_chunk;
 /// the inter-layer locality model (paper §4.3, "Locality between layers").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistKind {
-    /// Executes on one thread (Caffe data layers): every consumer thread
-    /// except one reads remotely-produced data.
-    Sequential,
-    /// Contiguous sample-major static chunks (conv, pool, ip, relu, loss):
-    /// consecutive layers of this kind keep data thread-local.
+    /// Contiguous sample-major static chunks (data, conv, pool, ip, relu,
+    /// loss): consecutive layers of this kind keep data thread-local.
     Contiguous,
     /// Changes the data-thread association (the paper observes this for the
     /// LRN/norm layers): half the consumer's input is cold on average.
@@ -20,9 +17,7 @@ pub enum DistKind {
 
 /// Classify a layer's distribution signature.
 pub fn dist_kind(profile: &LayerProfile) -> DistKind {
-    if profile.sequential {
-        DistKind::Sequential
-    } else if profile.layer_type == "LRN" {
+    if profile.layer_type == "LRN" {
         DistKind::Strided
     } else {
         DistKind::Contiguous
@@ -116,7 +111,6 @@ impl LayerTimes {
 fn worse(a: DistKind, b: DistKind) -> DistKind {
     use DistKind::*;
     match (a, b) {
-        (Sequential, _) | (_, Sequential) => Sequential,
         (Strided, _) | (_, Strided) => Strided,
         _ => Contiguous,
     }
@@ -128,14 +122,7 @@ fn miss_fraction(producer: Option<DistKind>, consumer: DistKind, threads: usize)
         return 0.0;
     }
     let Some(p) = producer else { return 0.0 };
-    if consumer == DistKind::Sequential {
-        // A sequential consumer reads everything on one thread; (T-1)/T of
-        // it was produced elsewhere, but a sequential pass is modelled as
-        // single-thread work anyway, so charge the same fraction.
-        return 1.0 - 1.0 / threads as f64;
-    }
     match (p, consumer) {
-        (DistKind::Sequential, _) => 1.0 - 1.0 / threads as f64,
         (DistKind::Strided, DistKind::Strided) => 0.0,
         (DistKind::Strided, _) | (_, DistKind::Strided) => 0.5,
         (DistKind::Contiguous, _) => 0.0,
@@ -162,17 +149,16 @@ fn bw_per_thread(model: &CpuModel, threads: usize) -> f64 {
 fn pass_time(
     model: &CpuModel,
     pass: &PassProfile,
-    sequential: bool,
     producer: Option<DistKind>,
     consumer: DistKind,
     threads: usize,
 ) -> f64 {
     let mut t = 0.0;
-    // Sequential section (data-layer copy, loss final sum).
+    // Sequential section (loss final sum).
     if pass.seq_flops > 0.0 {
         t += pass.seq_flops / model.flops_per_core;
     }
-    if pass.coalesced_iters == 0 || sequential {
+    if pass.coalesced_iters == 0 {
         return t;
     }
     let threads = threads.max(1);
@@ -248,15 +234,8 @@ pub fn simulate_cpu(
             LayerTimes {
                 name: p.name.clone(),
                 layer_type: p.layer_type.clone(),
-                fwd: pass_time(model, &p.forward, p.sequential, prev, kinds[i], threads),
-                bwd: pass_time(
-                    model,
-                    &p.backward,
-                    p.sequential,
-                    bwd_producer,
-                    kinds[i],
-                    threads,
-                ),
+                fwd: pass_time(model, &p.forward, prev, kinds[i], threads),
+                bwd: pass_time(model, &p.backward, bwd_producer, kinds[i], threads),
             }
         })
         .collect()
@@ -283,12 +262,12 @@ pub fn simulate_cpu_fine_grain(
     threads: usize,
 ) -> Vec<LayerTimes> {
     let threads = threads.max(1);
-    let pass = |p: &PassProfile, sequential: bool| -> f64 {
+    let pass = |p: &PassProfile| -> f64 {
         let mut t = 0.0;
         if p.seq_flops > 0.0 {
             t += p.seq_flops / model.flops_per_core;
         }
-        if p.coalesced_iters == 0 || sequential {
+        if p.coalesced_iters == 0 {
             return t;
         }
         // Usable parallelism inside one call is capped by its work.
@@ -315,8 +294,8 @@ pub fn simulate_cpu_fine_grain(
         .map(|p| LayerTimes {
             name: p.name.clone(),
             layer_type: p.layer_type.clone(),
-            fwd: pass(&p.forward, p.sequential),
-            bwd: pass(&p.backward, p.sequential),
+            fwd: pass(&p.forward),
+            bwd: pass(&p.backward),
         })
         .collect()
 }
@@ -333,14 +312,13 @@ mod tests {
         flops: f64,
         bytes: f64,
         red: usize,
-        seq: bool,
     ) -> LayerProfile {
         let pass = PassProfile {
             coalesced_iters: iters,
             flops_per_iter: flops,
             bytes_in_per_iter: bytes,
             bytes_out_per_iter: bytes,
-            seq_flops: if seq { 1e6 } else { 0.0 },
+            seq_flops: 0.0,
             reduction_elems: red,
         };
         LayerProfile {
@@ -350,7 +328,6 @@ mod tests {
             backward: pass,
             batch: 64,
             out_bytes_per_sample: bytes,
-            sequential: seq,
         }
     }
 
@@ -367,8 +344,8 @@ mod tests {
     #[test]
     fn big_compute_layer_scales_well() {
         // Conv-like: heavy flops per iteration, 64 iterations.
-        let big = profile("conv", "Convolution", 64, 2.3e7, 1.8e6, 0, false);
-        let pre = profile("x", "Pooling", 64 * 20, 1e4, 6e3, 0, false);
+        let big = profile("conv", "Convolution", 64, 2.3e7, 1.8e6, 0);
+        let pre = profile("x", "Pooling", 64 * 20, 1e4, 6e3, 0);
         let s8 = speedup_of(&big, std::slice::from_ref(&pre), 8);
         let s16 = speedup_of(&big, &[pre], 16);
         assert!(s8 > 5.0, "8-thread speedup {s8}");
@@ -379,44 +356,18 @@ mod tests {
     #[test]
     fn tiny_layer_hits_granularity_wall() {
         // Loss-like: 64 iterations of almost no work.
-        let tiny = profile("loss", "SoftmaxWithLoss", 64, 150.0, 80.0, 0, false);
-        let pre = profile("x", "InnerProduct", 64, 1e4, 4e3, 0, false);
+        let tiny = profile("loss", "SoftmaxWithLoss", 64, 150.0, 80.0, 0);
+        let pre = profile("x", "InnerProduct", 64, 1e4, 4e3, 0);
         let s16 = speedup_of(&tiny, &[pre], 16);
         assert!(s16 < 2.0, "tiny layer should not scale, got {s16}");
     }
 
     #[test]
-    fn sequential_layer_time_is_thread_invariant() {
-        let data = profile("data", "Data", 0, 0.0, 0.0, 0, true);
-        let model = CpuModel::xeon_e5_2667v2();
-        let t1 = simulate_cpu(std::slice::from_ref(&data), &model, 1);
-        let t16 = simulate_cpu(&[data], &model, 16);
-        assert!((t1[0].fwd - t16[0].fwd).abs() < 1e-12);
-        assert!(t1[0].fwd > 0.0);
-    }
-
-    #[test]
-    fn sequential_producer_penalizes_consumer() {
-        // conv after data vs conv after conv (the paper's conv1-vs-conv2
-        // observation: ~10% difference).
-        let model = CpuModel::xeon_e5_2667v2();
-        let data = profile("data", "Data", 0, 0.0, 0.0, 0, true);
-        let conv = profile("conv", "Convolution", 64, 1e7, 2e6, 500, false);
-        let after_data = simulate_cpu(&[data, conv.clone()], &model, 16)[1].fwd;
-        let pool = profile("p", "Pooling", 1280, 1e4, 5e4, 0, false);
-        let after_pool = simulate_cpu(&[pool, conv], &model, 16)[1].fwd;
-        assert!(
-            after_data > after_pool * 1.02,
-            "sequential producer must cost extra: {after_data} vs {after_pool}"
-        );
-    }
-
-    #[test]
     fn lrn_changes_distribution_and_slows_successor() {
         let model = CpuModel::xeon_e5_2667v2();
-        let conv = profile("conv", "Convolution", 100, 1e7, 2e6, 800, false);
-        let lrn = profile("norm", "LRN", 100, 1e5, 2e5, 0, false);
-        let pool = profile("pool", "Pooling", 3200, 1e4, 2e4, 0, false);
+        let conv = profile("conv", "Convolution", 100, 1e7, 2e6, 800);
+        let lrn = profile("norm", "LRN", 100, 1e5, 2e5, 0);
+        let pool = profile("pool", "Pooling", 3200, 1e4, 2e4, 0);
         let after_lrn = simulate_cpu(&[lrn, conv.clone()], &model, 16)[1].fwd;
         let after_pool = simulate_cpu(&[pool, conv], &model, 16)[1].fwd;
         assert!(after_lrn > after_pool, "{after_lrn} vs {after_pool}");
@@ -426,7 +377,7 @@ mod tests {
     fn reduction_cost_grows_with_threads() {
         let model = CpuModel::xeon_e5_2667v2();
         // Pure-reduction pass: no parallel loop work difference matters.
-        let p = profile("ip", "InnerProduct", 64, 1e5, 1e4, 400_000, false);
+        let p = profile("ip", "InnerProduct", 64, 1e5, 1e4, 400_000);
         let t2 = simulate_cpu(std::slice::from_ref(&p), &model, 2)[0].bwd;
         let t16 = simulate_cpu(&[p], &model, 16)[0].bwd;
         // At 16 threads the serialized merge of 16 slots dominates.
@@ -442,8 +393,8 @@ mod tests {
         // A memory-bound layer with a strided producer: crossing the socket
         // boundary multiplies the miss penalty.
         let model = CpuModel::xeon_e5_2667v2();
-        let lrn = profile("norm", "LRN", 100, 1e5, 2e5, 0, false);
-        let conv = profile("conv", "Convolution", 100, 1e5, 4e6, 0, false);
+        let lrn = profile("norm", "LRN", 100, 1e5, 2e5, 0);
+        let conv = profile("conv", "Convolution", 100, 1e5, 4e6, 0);
         let t8 = simulate_cpu(&[lrn.clone(), conv.clone()], &model, 8)[1].fwd;
         let t12 = simulate_cpu(&[lrn, conv], &model, 12)[1].fwd;
         // More threads, but per-iteration input cost rises enough that the
@@ -457,7 +408,7 @@ mod tests {
         // With one thread both schemes reduce to the same sequential cost,
         // modulo the coarse path's reduction/locality terms (zero at T=1).
         let model = CpuModel::xeon_e5_2667v2();
-        let p = profile("conv", "Convolution", 64, 1e7, 2e6, 0, false);
+        let p = profile("conv", "Convolution", 64, 1e7, 2e6, 0);
         let coarse = simulate_cpu(std::slice::from_ref(&p), &model, 1)[0].fwd;
         let fine = simulate_cpu_fine_grain(&[p], &model, 1)[0].fwd;
         assert!((coarse - fine).abs() / coarse < 1e-9, "{coarse} vs {fine}");
@@ -467,7 +418,7 @@ mod tests {
     fn fine_grain_collapses_on_small_calls() {
         // Pooling-like: tiny per-call work -> fine-grain can't split it.
         let model = CpuModel::xeon_e5_2667v2();
-        let p = profile("pool", "Pooling", 3200, 1e3, 1.3e3, 0, false);
+        let p = profile("pool", "Pooling", 3200, 1e3, 1.3e3, 0);
         let serial = simulate_cpu_fine_grain(std::slice::from_ref(&p), &model, 1)[0].fwd;
         let fine16 = simulate_cpu_fine_grain(std::slice::from_ref(&p), &model, 16)[0].fwd;
         assert!(
@@ -483,7 +434,7 @@ mod tests {
     #[test]
     fn fine_grain_scales_big_calls() {
         let model = CpuModel::xeon_e5_2667v2();
-        let p = profile("conv", "Convolution", 64, 2.3e7, 1.8e6, 0, false);
+        let p = profile("conv", "Convolution", 64, 2.3e7, 1.8e6, 0);
         let serial = simulate_cpu_fine_grain(std::slice::from_ref(&p), &model, 1)[0].fwd;
         let fine16 = simulate_cpu_fine_grain(&[p], &model, 16)[0].fwd;
         assert!(serial / fine16 > 6.0, "{:.2}x", serial / fine16);

@@ -108,7 +108,6 @@ mod tests {
             backward: PassProfile::empty(),
             batch: 10,
             out_bytes_per_sample: 100.0,
-            sequential: false,
         };
         NetworkSim::run(
             &[p],

@@ -122,17 +122,16 @@ fn pass_time(model: &GpuModel, pass: &PassProfile, eff: (f64, f64)) -> f64 {
 
 /// Simulate every layer of a network on the GPU.
 ///
-/// Data layers still execute on the host exactly as in the CPU model
-/// (Caffe's data layers are host-side), so their time is the sequential
-/// copy cost.
+/// Data layers execute on the host (Caffe's data layers are host-side), so
+/// their time is the batch fill on one core.
 pub fn simulate_gpu(profiles: &[LayerProfile], model: &GpuModel, imp: GpuImpl) -> Vec<LayerTimes> {
     profiles
         .iter()
         .map(|p| {
-            if p.sequential {
-                // Host-side sequential section (same as CPU model's
-                // single-thread cost at 6 Gflop/s-equivalent).
-                let host = p.forward.seq_flops / 6.0e9;
+            if p.layer_type == "Data" {
+                // Host-side fill at the CPU model's 6 Gflop/s-equivalent
+                // single-core rate.
+                let host = p.forward.total_flops() / 6.0e9;
                 return LayerTimes {
                     name: p.name.clone(),
                     layer_type: p.layer_type.clone(),
@@ -179,7 +178,6 @@ mod tests {
             backward: pass,
             batch: 64,
             out_bytes_per_sample: bytes,
-            sequential: false,
         }
     }
 
@@ -216,9 +214,7 @@ mod tests {
     #[test]
     fn data_layer_runs_on_host() {
         let m = GpuModel::k40();
-        let mut data = prof("Data", 0, 0.0, 0.0);
-        data.sequential = true;
-        data.forward.seq_flops = 6.0e6;
+        let data = prof("Data", 64, 93_750.0, 0.0);
         let t = simulate_gpu(&[data], &m, GpuImpl::Cudnn).remove(0);
         assert!((t.fwd - 1e-3).abs() < 1e-9);
         assert_eq!(t.bwd, 0.0);

@@ -14,7 +14,7 @@
 //!   simulated imbalance equals real imbalance;
 //! * a roofline per-iteration cost (compute vs. memory bound);
 //! * inter-layer data locality: a consumer pays a penalty on input bytes
-//!   whose producer distributed them differently (sequential data layers,
+//!   whose producer distributed them differently (the
 //!   distribution-changing LRN layers);
 //! * NUMA: crossing the 8-core socket boundary raises the penalty;
 //! * fork/join + worksharing-barrier overheads (the granularity wall that

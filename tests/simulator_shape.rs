@@ -89,8 +89,12 @@ fn fig5_ip1_and_pool2_saturate_around_8_threads() {
     }
 }
 
+/// The data layer fills on the team like every layer, so conv1's input is
+/// thread-local; conv1 still lags because it does ≈ 3.5 flops per byte
+/// moved against conv2's ≈ 11, and bandwidth per thread falls with the
+/// thread count.
 #[test]
-fn fig5_conv1_lags_conv2_because_of_the_sequential_data_layer() {
+fn fig5_conv1_lags_conv2_because_it_moves_more_bytes_per_flop() {
     let sim = mnist_sim();
     let sp16 = per_layer_speedups(sim.serial(), sim.cpu_at(16).unwrap());
     assert!(fwd(&sp16, "conv1") < fwd(&sp16, "conv2"));
@@ -129,6 +133,24 @@ fn fig6_gpu_per_layer_orderings() {
     assert!(fwd(&cudnn, "conv1") > 5.0 * fwd(&plain, "conv1"));
     // ...but drops pooling (paper: pool2 62x -> 27x).
     assert!(fwd(&cudnn, "pool2") < fwd(&plain, "pool2"));
+}
+
+/// The GPU model keeps the data layer on the host at one core's rate, so
+/// no GPU column of Figs 6/9 moves with the CPU data layer's schedule. The
+/// pinned bits are `batch × sample / 6e9` seconds (LeNet 64 × 784, CIFAR
+/// 100 × 3 072), as the model charged when the CPU fill was one thread.
+#[test]
+fn fig6_fig9_gpu_data_rows_stay_host_side() {
+    for (sim, bits) in [
+        (mnist_sim(), 0x3ee1_89ac_27a7_a5b8_u64),
+        (cifar_sim(), 0x3f0a_d7f2_9abc_af48),
+    ] {
+        for data in [&sim.gpu_plain[0], &sim.gpu_cudnn[0]] {
+            assert_eq!(data.layer_type, "Data");
+            assert_eq!(data.fwd.to_bits(), bits, "{}: {:e} s", data.name, data.fwd);
+            assert_eq!(data.bwd, 0.0);
+        }
+    }
 }
 
 // ---------------- Figure 7 ----------------

@@ -195,7 +195,6 @@ impl Session<'_> {
                     // Crash-injection window: the gradient is computed but
                     // not yet sent — the coordinator is left waiting at
                     // the barrier, the worst place to lose a worker.
-                    net::faults::hit("dist.worker.step")?;
                     net::faults::hit(&rank_fault)?;
                     if self.fail_after == Some(self.steps) {
                         self.fail_after = None;

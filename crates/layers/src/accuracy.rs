@@ -85,7 +85,6 @@ impl<S: Scalar> Layer<S> for AccuracyLayer<S> {
             },
             backward: PassProfile::empty(),
             batch: b.num(),
-            out_bytes_per_sample: elem,
         }
     }
 }

@@ -115,7 +115,6 @@ impl<A: Activation, S: Scalar> Layer<S> for ActivationLayer<A> {
                 reduction_elems: 0,
             },
             batch: b.num(),
-            out_bytes_per_sample: b.sample_len() as f64 * elem,
         }
     }
 }

@@ -104,7 +104,6 @@ impl<S: Scalar> Layer<S> for ConcatLayer<S> {
             forward: pass,
             backward: pass,
             batch: bottom[0].num(),
-            out_bytes_per_sample: len * elem,
         }
     }
 }

@@ -353,7 +353,6 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
                 reduction_elems: self.wlen() + self.blen(),
             },
             batch: b.num(),
-            out_bytes_per_sample: m * cc * elem,
         }
     }
 }

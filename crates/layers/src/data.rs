@@ -124,7 +124,6 @@ impl<S: Scalar> Layer<S> for DataLayer<S> {
 
     fn profile(&self, _bottom: &[&Blob<S>]) -> LayerProfile {
         let sample = self.source.sample_shape().count();
-        let elem = std::mem::size_of::<S>() as f64;
         LayerProfile {
             name: self.name.clone(),
             layer_type: "Data".to_string(),
@@ -136,7 +135,6 @@ impl<S: Scalar> Layer<S> for DataLayer<S> {
             },
             backward: PassProfile::empty(),
             batch: self.batch,
-            out_bytes_per_sample: sample as f64 * elem,
         }
     }
 }

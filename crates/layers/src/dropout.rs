@@ -120,7 +120,6 @@ impl<S: Scalar> Layer<S> for DropoutLayer<S> {
                 reduction_elems: 0,
             },
             batch: b.num(),
-            out_bytes_per_sample: b.sample_len() as f64 * elem,
         }
     }
 }

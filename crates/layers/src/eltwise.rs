@@ -218,7 +218,6 @@ impl<S: Scalar> Layer<S> for EltwiseLayer<S> {
             forward: pass,
             backward: pass,
             batch: b.num(),
-            out_bytes_per_sample: b.sample_len() as f64 * elem,
         }
     }
 }

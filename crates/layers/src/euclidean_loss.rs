@@ -115,7 +115,6 @@ impl<S: Scalar> Layer<S> for EuclideanLossLayer<S> {
                 reduction_elems: 0,
             },
             batch: bottom[0].num(),
-            out_bytes_per_sample: elem,
         }
     }
 }

@@ -77,7 +77,6 @@ impl<S: Scalar> Layer<S> for FlattenLayer<S> {
             forward: copy,
             backward: copy,
             batch: b.num(),
-            out_bytes_per_sample: len * elem,
         }
     }
 }

@@ -270,7 +270,6 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
                 reduction_elems: self.wlen() + self.blen(),
             },
             batch: b.num(),
-            out_bytes_per_sample: m * elem,
         }
     }
 }

@@ -260,7 +260,6 @@ impl<S: Scalar> Layer<S> for LrnLayer<S> {
                 reduction_elems: 0,
             },
             batch: b.num(),
-            out_bytes_per_sample: sample * elem,
         }
     }
 }

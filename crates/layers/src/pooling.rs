@@ -328,7 +328,6 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
                 reduction_elems: 0,
             },
             batch: b.num(),
-            out_bytes_per_sample: self.channels as f64 * out_seg * elem,
         }
     }
 }

@@ -116,7 +116,6 @@ impl<S: Scalar> Layer<S> for PowerLayer<S> {
             forward: pass,
             backward: pass,
             batch: bottom[0].num(),
-            out_bytes_per_sample: bottom[0].sample_len() as f64 * elem,
         }
     }
 }

@@ -55,8 +55,8 @@ impl PassProfile {
     }
 }
 
-/// Forward + backward work model of a layer, plus identification and the
-/// data-distribution signature used by the locality model.
+/// Forward + backward work model of a layer, plus identification (the
+/// locality model reads its distribution signature off `layer_type`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     /// Layer instance name (e.g. `"conv1"`).
@@ -69,9 +69,6 @@ pub struct LayerProfile {
     pub backward: PassProfile,
     /// Number of samples in the batch (the outermost coalesced dimension).
     pub batch: usize,
-    /// Per-sample output footprint in bytes: the working set handed to the
-    /// next layer, used for inter-layer locality tracking.
-    pub out_bytes_per_sample: f64,
 }
 
 impl LayerProfile {
@@ -83,7 +80,6 @@ impl LayerProfile {
             forward: PassProfile::empty(),
             backward: PassProfile::empty(),
             batch: 0,
-            out_bytes_per_sample: 0.0,
         }
     }
 }

@@ -112,7 +112,6 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
                 reduction_elems: 0,
             },
             batch: b.num(),
-            out_bytes_per_sample: c * elem,
         }
     }
 }

@@ -138,7 +138,6 @@ impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
                 reduction_elems: 0,
             },
             batch: b.num(),
-            out_bytes_per_sample: elem,
         }
     }
 }

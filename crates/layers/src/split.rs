@@ -98,7 +98,6 @@ impl<S: Scalar> Layer<S> for SplitLayer<S> {
                 reduction_elems: 0,
             },
             batch: b.num(),
-            out_bytes_per_sample: len * k * elem,
         }
     }
 }

@@ -56,18 +56,6 @@ pub struct CpuModel {
 }
 
 impl CpuModel {
-    /// A hypothetical larger node: the paper's per-core/per-socket constants
-    /// scaled to `sockets` sockets of `cores_per_socket` cores (and, unlike
-    /// the paper's testbed, with NUMA-aware first-touch assumed fixed by
-    /// parallel initialization). Used by the scaling-projection experiment
-    /// (E15) that the paper's conclusion speculates about.
-    pub fn scaled_node(sockets: usize, cores_per_socket: usize) -> Self {
-        let mut m = Self::xeon_e5_2667v2();
-        m.cores = sockets * cores_per_socket;
-        m.cores_per_socket = cores_per_socket;
-        m
-    }
-
     /// The paper's machine: 16-core Xeon E5-2667v2 @ 3.3 GHz, 2 sockets.
     pub fn xeon_e5_2667v2() -> Self {
         Self {
@@ -241,65 +229,6 @@ pub fn simulate_cpu(
         .collect()
 }
 
-/// Minimum useful flops per fine-grain task: below this, splitting a BLAS
-/// call across threads costs more than it saves.
-const FINE_GRAIN_TASK_FLOPS: f64 = 2.0e5;
-
-/// Per-BLAS-call fork/join cost of the fine-grain scheme (seconds): every
-/// coalesced iteration becomes its own parallel region.
-const FINE_GRAIN_CALL_SYNC: f64 = 3.0e-6;
-
-/// Simulate the *fine-grain* (BLAS-level, §3.1.1) CPU parallelization: the
-/// outer `(sample, segment…)` loop stays sequential and each per-segment
-/// BLAS call is split across the team.
-///
-/// This is the paper's contrast case: fine-grain parallelism needs large
-/// per-call work to amortize its per-call synchronization, so it collapses
-/// in the deep, small layers where the coarse-grain loop is still coarse.
-pub fn simulate_cpu_fine_grain(
-    profiles: &[LayerProfile],
-    model: &CpuModel,
-    threads: usize,
-) -> Vec<LayerTimes> {
-    let threads = threads.max(1);
-    let pass = |p: &PassProfile| -> f64 {
-        let mut t = 0.0;
-        if p.seq_flops > 0.0 {
-            t += p.seq_flops / model.flops_per_core;
-        }
-        if p.coalesced_iters == 0 {
-            return t;
-        }
-        // Usable parallelism inside one call is capped by its work.
-        let max_par = (p.flops_per_iter / FINE_GRAIN_TASK_FLOPS).max(1.0);
-        let eff_threads = (threads as f64).min(max_par);
-        // Only the threads actually splitting this call contend for DRAM.
-        let bw = bw_per_thread(model, eff_threads.ceil() as usize);
-        let comp = p.flops_per_iter / model.flops_per_core / eff_threads;
-        let mem = (p.bytes_in_per_iter + p.bytes_out_per_iter) / bw / eff_threads;
-        // A call too small to split runs sequentially — no region opened,
-        // no sync paid (an ideal fine-grain runtime).
-        let sync = if threads > 1 && eff_threads > 1.0 {
-            FINE_GRAIN_CALL_SYNC
-        } else {
-            0.0
-        };
-        t += p.coalesced_iters as f64 * (comp + mem + sync);
-        // Weight gradients need no privatization here (the outer loop is
-        // sequential), matching why Caffe's batched-GEMM layers skip it.
-        t
-    };
-    profiles
-        .iter()
-        .map(|p| LayerTimes {
-            name: p.name.clone(),
-            layer_type: p.layer_type.clone(),
-            fwd: pass(&p.forward),
-            bwd: pass(&p.backward),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,7 +256,6 @@ mod tests {
             forward: pass,
             backward: pass,
             batch: 64,
-            out_bytes_per_sample: bytes,
         }
     }
 
@@ -401,43 +329,6 @@ mod tests {
         // speedup from 8 -> 12 threads is clearly sublinear.
         let ratio = t8 / t12;
         assert!(ratio < 1.5, "8->12 thread gain should be weak, got {ratio}");
-    }
-
-    #[test]
-    fn fine_grain_matches_coarse_serially() {
-        // With one thread both schemes reduce to the same sequential cost,
-        // modulo the coarse path's reduction/locality terms (zero at T=1).
-        let model = CpuModel::xeon_e5_2667v2();
-        let p = profile("conv", "Convolution", 64, 1e7, 2e6, 0);
-        let coarse = simulate_cpu(std::slice::from_ref(&p), &model, 1)[0].fwd;
-        let fine = simulate_cpu_fine_grain(&[p], &model, 1)[0].fwd;
-        assert!((coarse - fine).abs() / coarse < 1e-9, "{coarse} vs {fine}");
-    }
-
-    #[test]
-    fn fine_grain_collapses_on_small_calls() {
-        // Pooling-like: tiny per-call work -> fine-grain can't split it.
-        let model = CpuModel::xeon_e5_2667v2();
-        let p = profile("pool", "Pooling", 3200, 1e3, 1.3e3, 0);
-        let serial = simulate_cpu_fine_grain(std::slice::from_ref(&p), &model, 1)[0].fwd;
-        let fine16 = simulate_cpu_fine_grain(std::slice::from_ref(&p), &model, 16)[0].fwd;
-        assert!(
-            serial / fine16 < 1.5,
-            "fine-grain should not scale tiny calls: {:.2}x",
-            serial / fine16
-        );
-        // ...while coarse-grain still does.
-        let coarse16 = simulate_cpu(&[p], &model, 16)[0].fwd;
-        assert!(serial / coarse16 > 3.0);
-    }
-
-    #[test]
-    fn fine_grain_scales_big_calls() {
-        let model = CpuModel::xeon_e5_2667v2();
-        let p = profile("conv", "Convolution", 64, 2.3e7, 1.8e6, 0);
-        let serial = simulate_cpu_fine_grain(std::slice::from_ref(&p), &model, 1)[0].fwd;
-        let fine16 = simulate_cpu_fine_grain(&[p], &model, 16)[0].fwd;
-        assert!(serial / fine16 > 6.0, "{:.2}x", serial / fine16);
     }
 
     #[test]

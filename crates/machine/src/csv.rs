@@ -107,7 +107,6 @@ mod tests {
             },
             backward: PassProfile::empty(),
             batch: 10,
-            out_bytes_per_sample: 100.0,
         };
         NetworkSim::run(
             &[p],

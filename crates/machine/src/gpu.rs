@@ -177,7 +177,6 @@ mod tests {
             forward: pass,
             backward: pass,
             batch: 64,
-            out_bytes_per_sample: bytes,
         }
     }
 

@@ -190,7 +190,6 @@ mod tests {
             },
             backward: PassProfile::empty(),
             batch: 10,
-            out_bytes_per_sample: 100.0,
         };
         let sim = NetworkSim::paper_machine(&[p]);
         assert_eq!(sim.thread_counts, vec![1, 2, 4, 8, 12, 16]);

@@ -32,8 +32,8 @@
 //! checkpoint rename and the manifest update), `train.poison` (flips a
 //! weight to NaN before a training step — simulates memory corruption),
 //! `serve.worker` (inside a serve replica, mid-batch),
-//! `dist.worker.step` / `dist.worker.step.r{rank}` (worker gradient
-//! computed but not yet sent), `dist.frame.send` / `dist.frame.recv`
+//! `dist.worker.step.r{rank}` (worker `rank`'s gradient computed but not
+//! yet sent), `dist.frame.send` / `dist.frame.recv`
 //! (the distributed frame write/read paths; both accept `delay`, `error`
 //! and `kill`, and `dist.frame.send` / `dist.frame.recv` also accept
 //! `corrupt` — bytes are flipped after CRC stamping / before CRC

@@ -1,17 +1,7 @@
 //! Parameter snapshots and the v2 checkpoint container — the Caffe
 //! `snapshot` / `--weights` feature, hardened for crash-safe training.
 //!
-//! Two on-disk versions share the `CGDN` magic:
-//!
-//! **v1** (legacy, still readable):
-//!
-//! ```text
-//! magic "CGDN" | version u32 = 1 | n_blobs u32
-//! per blob: ndim u32 | dims u32 x ndim | values f64 x count
-//! ```
-//!
-//! **v2** (written by [`save_params`] and everything else since): a
-//! section container with an integrity trailer,
+//! The file is a `CGDN` v2 section container with an integrity trailer:
 //!
 //! ```text
 //! magic "CGDN" | version u32 = 2 | n_sections u32
@@ -19,10 +9,16 @@
 //! crc32 u32   (IEEE, over every preceding byte)
 //! ```
 //!
-//! Known section tags: [`SEC_PARAMS`] holds the v1 blob payload (everything
-//! after the v1 header); higher layers add their own tags (solver state,
-//! iteration counter, sampler cursor — see `cgdnn::checkpoint`). Unknown
-//! tags are ignored on load, so the format is forward-extensible. The CRC
+//! Known section tags: [`SEC_PARAMS`] holds the blobs,
+//!
+//! ```text
+//! n_blobs u32 | per blob: ndim u32 | dims u32 x ndim | values f64 x count
+//! ```
+//!
+//! and higher layers add their own tags (solver state, iteration counter,
+//! sampler cursor — see `cgdnn::checkpoint`). Any other version — the
+//! pre-container v1 layout included — is refused. Unknown tags are
+//! ignored on load, so the format is forward-extensible. The CRC
 //! trailer means truncation, bit flips, and torn writes all surface as a
 //! clean [`std::io::ErrorKind::InvalidData`] instead of garbage weights.
 //!
@@ -40,8 +36,7 @@ use std::path::Path;
 use wire::{Put, Reader};
 
 const MAGIC: &[u8; 4] = b"CGDN";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
 
 /// Section tag of the learnable-parameter payload.
 pub const SEC_PARAMS: [u8; 4] = *b"PRMS";
@@ -51,7 +46,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// Serialize the learnable parameters of `net` as a [`SEC_PARAMS`] payload
-/// (no header, no trailer — the raw v1 body).
+/// (no header, no trailer).
 pub fn params_to_bytes<S: Scalar>(net: &Net<S>) -> Vec<u8> {
     let params = net.learnable_params();
     let mut w = Vec::new();
@@ -70,8 +65,8 @@ pub fn params_to_bytes<S: Scalar>(net: &Net<S>) -> Vec<u8> {
 /// Restore parameters from a [`SEC_PARAMS`] payload into an
 /// identically-shaped network. Shapes are validated blob by blob, before
 /// anything is sized by what the file announces. Bytes past the promised
-/// blob count are ignored (v1 tolerated trailing garbage; in v2 the section
-/// length and CRC already bound the payload).
+/// blob count are ignored: the section length and the container's CRC
+/// already bound the payload.
 pub fn params_from_bytes<S: Scalar>(net: &mut Net<S>, bytes: &[u8]) -> io::Result<()> {
     let mut r = Reader::new(bytes);
     let n = r.u32()? as usize;
@@ -111,7 +106,7 @@ pub fn params_from_bytes<S: Scalar>(net: &mut Net<S>, bytes: &[u8]) -> io::Resul
 pub fn save_sections(sections: &[([u8; 4], &[u8])], mut w: impl Write) -> io::Result<()> {
     let mut buf = Vec::new();
     buf.put(MAGIC);
-    buf.put_u32(VERSION_V2);
+    buf.put_u32(VERSION);
     buf.put_u32(sections.len() as u32);
     for (tag, payload) in sections {
         buf.put(tag);
@@ -125,9 +120,9 @@ pub fn save_sections(sections: &[([u8; 4], &[u8])], mut w: impl Write) -> io::Re
 
 /// Read a `CGDN` container into `(tag, payload)` pairs.
 ///
-/// v2 files are CRC-validated end to end; any corruption, truncation, or
-/// trailing garbage is an [`io::ErrorKind::InvalidData`] error. v1 files
-/// come back as a single [`SEC_PARAMS`] section (no CRC existed in v1).
+/// The file is CRC-validated end to end; any corruption, truncation,
+/// trailing garbage or other version is an [`io::ErrorKind::InvalidData`]
+/// error.
 pub fn read_sections(mut r: impl Read) -> io::Result<Vec<([u8; 4], Vec<u8>)>> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
@@ -141,38 +136,36 @@ fn parse_sections(buf: &[u8]) -> io::Result<Vec<([u8; 4], &[u8])>> {
     if head.array::<4>()? != *MAGIC {
         return Err(bad("snapshot: bad magic"));
     }
-    match head.u32()? {
-        VERSION_V1 => Ok(vec![(SEC_PARAMS, head.rest())]),
-        VERSION_V2 => {
-            let body_len = head
-                .remaining()
-                .checked_sub(4)
-                .ok_or_else(|| bad("snapshot: truncated before the crc trailer"))?;
-            let mut body = Reader::new(head.bytes(body_len)?);
-            let stored = head.u32()?;
-            let computed = wire::crc32(&buf[..buf.len() - 4]);
-            if stored != computed {
-                return Err(bad(format!(
-                    "snapshot: crc mismatch (stored {stored:08x}, computed {computed:08x}) — \
-                     file is corrupt or truncated"
-                )));
-            }
-            let n = body.u32()?;
-            let mut sections = Vec::new();
-            for _ in 0..n {
-                let tag = body.array::<4>()?;
-                let len = usize::try_from(body.u64()?).unwrap_or(usize::MAX);
-                sections.push((tag, body.bytes(len)?));
-            }
-            body.finish()?;
-            Ok(sections)
-        }
-        v => Err(bad(format!("snapshot: unsupported version {v}"))),
+    let version = head.u32()?;
+    if version != VERSION {
+        return Err(bad(format!("snapshot: unsupported version {version}")));
     }
+    let body_len = head
+        .remaining()
+        .checked_sub(4)
+        .ok_or_else(|| bad("snapshot: truncated before the crc trailer"))?;
+    let mut body = Reader::new(head.bytes(body_len)?);
+    let stored = head.u32()?;
+    let computed = wire::crc32(&buf[..buf.len() - 4]);
+    if stored != computed {
+        return Err(bad(format!(
+            "snapshot: crc mismatch (stored {stored:08x}, computed {computed:08x}) — \
+             file is corrupt or truncated"
+        )));
+    }
+    let n = body.u32()?;
+    let mut sections = Vec::new();
+    for _ in 0..n {
+        let tag = body.array::<4>()?;
+        let len = usize::try_from(body.u64()?).unwrap_or(usize::MAX);
+        sections.push((tag, body.bytes(len)?));
+    }
+    body.finish()?;
+    Ok(sections)
 }
 
 /// Serialize every learnable parameter blob of `net` (in layer order) as a
-/// v2 params-only snapshot.
+/// params-only snapshot.
 pub fn save_params<S: Scalar>(net: &Net<S>, w: impl Write) -> io::Result<()> {
     let _span = obs::trace::span("snapshot_save", "ckpt");
     let t0 = std::time::Instant::now();
@@ -185,18 +178,8 @@ pub fn save_params<S: Scalar>(net: &Net<S>, w: impl Write) -> io::Result<()> {
     r
 }
 
-/// Legacy v1 writer, kept so the v1→v2 compatibility path stays testable
-/// (and so old tooling can still be fed if ever needed).
-pub fn save_params_v1<S: Scalar>(net: &Net<S>, mut w: impl Write) -> io::Result<()> {
-    let mut buf = Vec::new();
-    buf.put(MAGIC);
-    buf.put_u32(VERSION_V1);
-    buf.put(&params_to_bytes(net));
-    w.write_all(&buf)
-}
-
-/// Restore parameters saved by [`save_params`] (v2) or [`save_params_v1`]
-/// into an identically-shaped network. Shapes are validated blob by blob.
+/// Restore parameters saved by [`save_params`] into an identically-shaped
+/// network. Shapes are validated blob by blob.
 pub fn load_params<S: Scalar>(net: &mut Net<S>, mut r: impl Read) -> io::Result<()> {
     let _span = obs::trace::span("snapshot_load", "ckpt");
     let t0 = std::time::Instant::now();
@@ -326,18 +309,14 @@ layer {
     }
 
     #[test]
-    fn v1_files_still_load() {
-        let src = make();
-        let mut buf = Vec::new();
-        save_params_v1(&src, &mut buf).unwrap();
-        let mut dst = make();
-        for p in dst.learnable_params_mut() {
-            mmblas::set(9.0f32, p.data_mut());
-        }
-        load_params(&mut dst, buf.as_slice()).unwrap();
-        for (a, b) in src.learnable_params().iter().zip(dst.learnable_params()) {
-            assert_eq!(a.data(), b.data());
-        }
+    fn v1_files_are_an_unsupported_version() {
+        // The pre-container layout: header, then the bare PRMS payload.
+        let mut buf = MAGIC.to_vec();
+        buf.put_u32(1);
+        buf.put(&params_to_bytes(&make()));
+        let e = load_params(&mut make(), buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        assert!(e.to_string().contains("unsupported version 1"), "{e}");
     }
 
     #[test]
@@ -367,22 +346,26 @@ layer {
     }
 
     #[test]
-    fn v1_file_announcing_u32_max_dims_is_invalid_data_not_an_allocation() {
-        // magic | version 1 | 2 blobs | ndim u32::MAX, then nothing. No CRC
-        // guards a v1 file, so this reaches `params_from_bytes` — which used
-        // to size a Vec by that ndim (32 GiB) before reading one dim.
-        let mut buf = b"CGDN".to_vec();
-        buf.put_u32(1);
-        buf.put_u32(2);
-        buf.put_u32(u32::MAX);
-        let e = load_params(&mut make(), buf.as_slice()).unwrap_err();
+    fn params_announcing_u32_max_dims_are_invalid_data_not_an_allocation() {
+        // A CRC-valid container whose PRMS payload says 2 blobs, ndim
+        // u32::MAX, then nothing: `params_from_bytes` used to size a Vec by
+        // that ndim (32 GiB) before reading one dim.
+        let load = |payload: &[u8]| {
+            let mut buf = Vec::new();
+            save_sections(&[(SEC_PARAMS, payload)], &mut buf).unwrap();
+            load_params(&mut make(), buf.as_slice()).unwrap_err()
+        };
+        let mut payload = Vec::new();
+        payload.put_u32(2);
+        payload.put_u32(u32::MAX);
+        let e = load(&payload);
         assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
         // Right ndim, but the values are not there.
-        let mut buf = b"CGDN".to_vec();
-        for v in [1, 2, 2, 3, 2] {
-            buf.put_u32(v);
+        let mut payload = Vec::new();
+        for v in [2, 2, 3, 2] {
+            payload.put_u32(v);
         }
-        let e = load_params(&mut make(), buf.as_slice()).unwrap_err();
+        let e = load(&payload);
         assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
     }
 

@@ -2,13 +2,12 @@
 //!
 //! The CGRP protocol matches responses to requests by frame `id`, and
 //! the event-driven server answers in micro-batch completion order —
-//! not send order. The client therefore keeps a table of outstanding
-//! ids: [`RpcClient::send_infer`] / [`RpcClient::send_infer_stream`]
-//! put requests on the wire without waiting, and
-//! [`RpcClient::recv_completion`] blocks for the next response from
-//! *any* of them. The classic closed-loop calls ([`RpcClient::infer`])
-//! are a send immediately followed by a wait for that id, stashing any
-//! other completions that arrive first.
+//! not send order. The client therefore keeps the set of outstanding
+//! ids: [`RpcClient::send_infer`] puts requests on the wire without
+//! waiting, and [`RpcClient::recv_completion`] blocks for the next
+//! response from *any* of them. The classic closed-loop calls
+//! ([`RpcClient::infer`]) are a send immediately followed by a wait for
+//! that id, stashing any other completions that arrive first.
 //!
 //! A response whose `id` matches nothing outstanding still poisons the
 //! stream ([`RpcError::Protocol`]) — with the bookkeeping in place that
@@ -16,7 +15,7 @@
 
 use crate::proto::{self, DecodeError, Frame, FrameError};
 use crate::RpcError;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -39,8 +38,6 @@ pub enum Outcome {
 pub struct Completion {
     /// The request id this answers.
     pub id: u64,
-    /// Sample index for streaming requests; 0 for unary.
-    pub index: u32,
     pub outcome: Outcome,
 }
 
@@ -51,8 +48,8 @@ pub struct RpcClient {
     output_len: usize,
     next_id: u64,
     buf: Vec<u8>,
-    /// id → responses still owed (1 for unary, K for a stream frame).
-    outstanding: HashMap<u64, usize>,
+    /// Ids whose response is still owed.
+    outstanding: HashSet<u64>,
     /// Completions read off the wire while waiting for a specific id.
     ready: VecDeque<Completion>,
 }
@@ -112,7 +109,7 @@ impl RpcClient {
             output_len: h.output_len as usize,
             next_id: 1,
             buf: Vec::new(),
-            outstanding: HashMap::new(),
+            outstanding: HashSet::new(),
             ready: VecDeque::new(),
         })
     }
@@ -129,7 +126,7 @@ impl RpcClient {
 
     /// Responses the server still owes this connection.
     pub fn in_flight(&self) -> usize {
-        self.outstanding.values().sum::<usize>() + self.ready.len()
+        self.outstanding.len() + self.ready.len()
     }
 
     /// Put one sample on the wire without waiting; returns the request
@@ -144,51 +141,19 @@ impl RpcClient {
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.send(proto::REQ_INFER, id, budget_us, sample)?;
-        self.outstanding.insert(id, 1);
-        Ok(id)
-    }
-
-    /// Put K samples on the wire as one [`proto::REQ_INFER_STREAM`]
-    /// frame; the server owes K responses sharing the returned id, each
-    /// carrying its sample index in [`Completion::index`]. Returns
-    /// `(id, K)`.
-    pub fn send_infer_stream(
-        &mut self,
-        flat: &[f32],
-        budget_us: u32,
-    ) -> Result<(u64, usize), RpcError> {
-        if flat.is_empty() || !flat.len().is_multiple_of(self.sample_len) {
-            return Err(RpcError::ShapeMismatch {
-                got: flat.len(),
-                want: self.sample_len,
-            });
-        }
-        let bytes = std::mem::size_of_val(flat);
-        if bytes > proto::MAX_PAYLOAD as usize {
-            return Err(RpcError::Protocol(format!(
-                "stream payload of {bytes} bytes exceeds the {} cap",
-                proto::MAX_PAYLOAD
-            )));
-        }
-        let k = flat.len() / self.sample_len;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.send(proto::REQ_INFER_STREAM, id, budget_us, flat)?;
-        self.outstanding.insert(id, k);
-        Ok((id, k))
-    }
-
-    /// Put one request frame of `vals` on the wire: header and payload
-    /// assembled in the reused buffer, one write.
-    fn send(&mut self, kind: u8, id: u64, budget_us: u32, vals: &[f32]) -> Result<(), RpcError> {
-        let payload_len = std::mem::size_of_val(vals) as u32;
+        // Header and payload assembled in the reused buffer, one write.
+        let payload_len = std::mem::size_of_val(sample) as u32;
         self.buf.clear();
-        self.buf
-            .extend_from_slice(&proto::encode_header(kind, id, budget_us, payload_len));
-        proto::write_f32s(&mut self.buf, vals);
+        self.buf.extend_from_slice(&proto::encode_header(
+            proto::REQ_INFER,
+            id,
+            budget_us,
+            payload_len,
+        ));
+        proto::write_f32s(&mut self.buf, sample);
         self.stream.write_all(&self.buf)?;
-        Ok(())
+        self.outstanding.insert(id);
+        Ok(id)
     }
 
     /// Block for the next completion from any outstanding request —
@@ -216,24 +181,6 @@ impl RpcClient {
     ) -> Result<Vec<f32>, RpcError> {
         let id = self.send_infer(sample, budget_us.max(1))?;
         into_result(self.wait_for(id)?)
-    }
-
-    /// Submit K samples as one frame and block for all K outputs, in
-    /// sample order. Any per-sample failure fails the call.
-    pub fn infer_stream(&mut self, flat: &[f32]) -> Result<Vec<Vec<f32>>, RpcError> {
-        let (id, k) = self.send_infer_stream(flat, 0)?;
-        let mut out: Vec<Option<Vec<f32>>> = vec![None; k];
-        for _ in 0..k {
-            let c = self.wait_for(id)?;
-            let idx = c.index as usize;
-            if idx >= k || out[idx].is_some() {
-                return Err(RpcError::Protocol(format!(
-                    "stream response index {idx} out of range or duplicated"
-                )));
-            }
-            out[idx] = Some(into_result(c)?);
-        }
-        Ok(out.into_iter().map(|o| o.expect("all k filled")).collect())
     }
 
     /// Ask the server to drain and shut down; returns once acknowledged.
@@ -289,17 +236,13 @@ impl RpcClient {
         let Frame {
             kind,
             id: rid,
-            aux,
             payload,
+            ..
         } = f;
-        let Some(left) = self.outstanding.get_mut(&rid) else {
+        if !self.outstanding.remove(&rid) {
             return Err(RpcError::Protocol(format!(
                 "response carries id {rid}, which has no outstanding request"
             )));
-        };
-        *left -= 1;
-        if *left == 0 {
-            self.outstanding.remove(&rid);
         }
         let outcome = match kind {
             proto::RESP_PROBS => {
@@ -318,11 +261,7 @@ impl RpcClient {
             proto::RESP_ERROR => Outcome::Error(String::from_utf8_lossy(&payload).into_owned()),
             k => return Err(RpcError::Protocol(format!("unknown response kind {k}"))),
         };
-        Ok(Completion {
-            id: rid,
-            index: aux,
-            outcome,
-        })
+        Ok(Completion { id: rid, outcome })
     }
 }
 

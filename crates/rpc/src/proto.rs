@@ -23,10 +23,9 @@
 //! ```
 //!
 //! `aux` carries the request's deadline budget in microseconds (0 = no
-//! deadline). In responses `aux` is the sample index for
-//! [`REQ_INFER_STREAM`] answers and 0 otherwise. `crc` is IEEE CRC-32
-//! (the snapshot format's [`wire::crc32`]) over the first 20 header
-//! bytes, so a corrupted or misaligned header is detected before
+//! deadline); in responses it is 0. `crc` is IEEE CRC-32 (the snapshot
+//! format's [`wire::crc32`]) over the first 20 header bytes, so a
+//! corrupted or misaligned header is detected before
 //! `payload_len` is trusted. Request payloads are `f32` little-endian
 //! samples; [`RESP_PROBS`] payloads are `f32` outputs; [`RESP_ERROR`]
 //! payloads are UTF-8 diagnostics.
@@ -38,15 +37,11 @@
 //!   one connection (monotonically increasing is the easy way);
 //! - the server echoes the request's `id` on every response frame, and
 //!   may deliver responses in **any order** — completion order is the
-//!   micro-batcher's business, not the socket's;
-//! - a [`REQ_INFER_STREAM`] request with K samples produces exactly K
-//!   responses, all carrying the request's `id`, distinguished by the
-//!   sample index in `aux`; they interleave freely with responses to
-//!   other ids.
+//!   micro-batcher's business, not the socket's.
 //!
 //! The only ordering guarantee is per-request: each request gets its
-//! response(s) exactly once. Clients that need FIFO behavior simply keep
-//! one request in flight.
+//! response exactly once. Clients that need FIFO behavior simply keep one
+//! request in flight.
 //!
 //! **Blocking I/O** — [`read_frame`] / [`write_frame`] are the one blocking
 //! frame path (the client, `fetch_stats` and every `dist` socket; the
@@ -87,12 +82,6 @@ pub const REQ_INFER: u8 = 1;
 /// Request frame: ask the server to drain and shut down. Acknowledged with
 /// [`RESP_SHUTDOWN`].
 pub const REQ_DRAIN: u8 = 2;
-/// Request frame: K `f32` samples back to back in one payload
-/// (`payload_len = K * sample_len * 4`, K ≥ 1). Answered by exactly K
-/// responses sharing this frame's `id`, each response's `aux` holding
-/// the zero-based sample index. `aux` on the request is the per-sample
-/// deadline budget in microseconds, as for [`REQ_INFER`].
-pub const REQ_INFER_STREAM: u8 = 3;
 
 /// Response frame: softmax outputs (`f32` payload).
 pub const RESP_PROBS: u8 = 1;
@@ -307,8 +296,7 @@ pub struct FrameHeader {
     pub kind: u8,
     /// Request id; echoed verbatim in the response.
     pub id: u64,
-    /// Requests: deadline budget in µs (0 = none). Responses: the
-    /// sample index for [`REQ_INFER_STREAM`] answers, 0 otherwise.
+    /// Requests: deadline budget in µs (0 = none). Responses: 0.
     pub aux: u32,
     /// Payload bytes following this header.
     pub payload_len: u32,

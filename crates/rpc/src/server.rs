@@ -26,11 +26,9 @@
 //! Because responses are queued as their micro-batches complete, a
 //! connection may have many requests in flight and receive the answers
 //! **out of order** — the CGRP frame `id` (echoed on every response) is
-//! the correlation key, and [`proto::REQ_INFER_STREAM`] lets one frame
-//! carry K samples answered by K id-sharing responses (`aux` = sample
-//! index). Back-pressure is per-connection: a peer that stops reading
-//! grows its write buffer to `max_wbuf`, at which point the loop stops
-//! *reading* from it (no new requests), and a write stalled past
+//! the correlation key. Back-pressure is per-connection: a peer that stops
+//! reading grows its write buffer to `max_wbuf`, at which point the loop
+//! stops *reading* from it (no new requests), and a write stalled past
 //! `write_timeout` drops the connection.
 //!
 //! **Admission** is a live-connection cap decided before the hello goes
@@ -829,23 +827,7 @@ impl EventLoop {
             }
             proto::REQ_INFER => {
                 let sample = proto::read_f32s(payload).expect("length checked above");
-                self.submit_sample(id, header.id, 0, sample, header.aux);
-            }
-            proto::REQ_INFER_STREAM
-                if payload.is_empty() || !payload.len().is_multiple_of(sample_bytes) =>
-            {
-                m.decode_errors.inc();
-                let msg = format!(
-                    "stream payload is {} bytes, need a positive multiple of {sample_bytes}",
-                    payload.len()
-                );
-                self.queue_response(id, proto::RESP_ERROR, header.id, 0, msg.as_bytes());
-            }
-            proto::REQ_INFER_STREAM => {
-                let flat = proto::read_f32s(payload).expect("length checked above");
-                for (k, sample) in flat.chunks_exact(self.sample_len).enumerate() {
-                    self.submit_sample(id, header.id, k as u32, sample.to_vec(), header.aux);
-                }
+                self.submit_sample(id, header.id, sample, header.aux);
             }
             k => {
                 m.decode_errors.inc();
@@ -859,7 +841,7 @@ impl EventLoop {
     /// run on a serve worker — encodes the response frame, queues it,
     /// and wakes the loop. Synchronous verdicts (queue full, serve tier
     /// closed) are answered in place.
-    fn submit_sample(&mut self, id: u64, frame_id: u64, index: u32, sample: Vec<f32>, budget: u32) {
+    fn submit_sample(&mut self, id: u64, frame_id: u64, sample: Vec<f32>, budget: u32) {
         let deadline = (budget > 0).then(|| Instant::now() + Duration::from_micros(budget.into()));
         let t0 = Instant::now();
         let comps = Arc::clone(&self.completions);
@@ -871,28 +853,21 @@ impl EventLoop {
                     let mut p = Vec::new();
                     proto::write_f32s(&mut p, &out);
                     metrics.completed.inc();
-                    (encode_frame(proto::RESP_PROBS, frame_id, index, &p), false)
+                    (encode_frame(proto::RESP_PROBS, frame_id, 0, &p), false)
                 }
                 Err(serve::ServeError::Rejected) => {
                     metrics.rejected.inc();
-                    (
-                        encode_frame(proto::RESP_REJECTED, frame_id, index, &[]),
-                        false,
-                    )
+                    (encode_frame(proto::RESP_REJECTED, frame_id, 0, &[]), false)
                 }
                 Err(serve::ServeError::TimedOut) => {
                     metrics.timed_out.inc();
-                    (
-                        encode_frame(proto::RESP_TIMED_OUT, frame_id, index, &[]),
-                        false,
-                    )
+                    (encode_frame(proto::RESP_TIMED_OUT, frame_id, 0, &[]), false)
                 }
-                Err(serve::ServeError::Closed) => (
-                    encode_frame(proto::RESP_SHUTDOWN, frame_id, index, &[]),
-                    true,
-                ),
+                Err(serve::ServeError::Closed) => {
+                    (encode_frame(proto::RESP_SHUTDOWN, frame_id, 0, &[]), true)
+                }
                 Err(e) => (
-                    encode_frame(proto::RESP_ERROR, frame_id, index, e.to_string().as_bytes()),
+                    encode_frame(proto::RESP_ERROR, frame_id, 0, e.to_string().as_bytes()),
                     false,
                 ),
             };
@@ -914,26 +889,20 @@ impl EventLoop {
             }
             Err(serve::ServeError::Rejected) => {
                 self.metrics.rejected.inc();
-                self.queue_response(id, proto::RESP_REJECTED, frame_id, index, &[]);
+                self.queue_response(id, proto::RESP_REJECTED, frame_id, 0, &[]);
                 self.metrics
                     .frame_seconds
                     .observe(t0.elapsed().as_secs_f64());
             }
             Err(serve::ServeError::Closed) => {
-                self.queue_response(id, proto::RESP_SHUTDOWN, frame_id, index, &[]);
+                self.queue_response(id, proto::RESP_SHUTDOWN, frame_id, 0, &[]);
                 if let Some(c) = self.conns.get_mut(&id) {
                     c.state = ConnState::Closing;
                 }
             }
             Err(e) => {
                 // BadInput is pre-checked; anything else is surfaced.
-                self.queue_response(
-                    id,
-                    proto::RESP_ERROR,
-                    frame_id,
-                    index,
-                    e.to_string().as_bytes(),
-                );
+                self.queue_response(id, proto::RESP_ERROR, frame_id, 0, e.to_string().as_bytes());
             }
         }
     }

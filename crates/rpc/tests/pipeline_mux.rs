@@ -1,6 +1,5 @@
-//! The multiplexed protocol: pipelined requests on one connection,
-//! out-of-order response delivery matched by frame id, and the
-//! streaming request kind interleaved with unary frames.
+//! The multiplexed protocol: pipelined requests on one connection and
+//! out-of-order response delivery matched by frame id.
 //!
 //! Every served batch passes the process-global `serve.worker` fault
 //! point, so each test that starts a stack holds [`fault_lock`]: one test
@@ -177,11 +176,11 @@ fn silent_server_surfaces_as_a_typed_io_timeout() {
     script.join().unwrap();
 }
 
-/// A stream frame and unary frames interleaved on one connection: every
-/// sample's wire output is bit-identical to the in-process answer, and
-/// the K stream responses are demuxed by index.
+/// Five unary frames in flight together on one connection: every
+/// sample's wire output is bit-identical to the in-process answer, matched
+/// back by id whatever order the responses arrive in.
 #[test]
-fn stream_and_unary_interleave_bit_identically() {
+fn pipelined_unary_requests_are_bit_identical() {
     let _g = fault_lock();
     let (server, rpc, _reg) = start_stack(1);
     let samples: Vec<Vec<f32>> = (0..5)
@@ -193,13 +192,10 @@ fn stream_and_unary_interleave_bit_identically() {
         .collect();
 
     let mut client = RpcClient::connect(rpc.local_addr()).unwrap();
-    // One frame carrying samples 0..3, then two unary frames, all in
-    // flight together before any response is read.
-    let flat: Vec<f32> = samples[..3].concat();
-    let (sid, k) = client.send_infer_stream(&flat, 0).unwrap();
-    assert_eq!(k, 3);
-    let u3 = client.send_infer(&samples[3], 0).unwrap();
-    let u4 = client.send_infer(&samples[4], 0).unwrap();
+    let ids: Vec<u64> = samples
+        .iter()
+        .map(|s| client.send_infer(s, 0).unwrap())
+        .collect();
     assert_eq!(client.in_flight(), 5);
 
     let mut got: Vec<Option<Vec<f32>>> = vec![None; 5];
@@ -208,34 +204,27 @@ fn stream_and_unary_interleave_bit_identically() {
         let Outcome::Probs(p) = c.outcome else {
             panic!("unexpected outcome for id {}", c.id);
         };
-        let slot = if c.id == sid {
-            c.index as usize
-        } else if c.id == u3 {
-            3
-        } else if c.id == u4 {
-            4
-        } else {
-            panic!("unknown id {}", c.id);
-        };
+        let slot = ids
+            .iter()
+            .position(|&id| id == c.id)
+            .unwrap_or_else(|| panic!("unknown id {}", c.id));
         assert!(got[slot].is_none(), "duplicate answer for slot {slot}");
         got[slot] = Some(p);
     }
+    assert_eq!(client.in_flight(), 0);
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
         assert_eq!(g.as_deref(), Some(e.as_slice()), "sample {i} differs");
     }
-
-    // The convenience wrapper orders by index on its own.
-    let ordered = client.infer_stream(&flat).unwrap();
-    assert_eq!(ordered, expected[..3].to_vec());
 
     rpc.shutdown();
     server.shutdown();
 }
 
-/// A stream frame whose payload is not a positive multiple of the sample
-/// size is refused with an error frame — and the connection survives it.
+/// Kind 3 once carried K samples in one frame; no client sent it, and it
+/// is now an unknown request kind like any other: refused with an error
+/// frame and a `rpc.decode_errors` bump — and the connection survives it.
 #[test]
-fn malformed_stream_payload_is_refused_connection_lives() {
+fn retired_stream_kind_is_refused_connection_lives() {
     let _g = fault_lock();
     let (server, rpc, reg) = start_stack(1);
     let mut s = TcpStream::connect(rpc.local_addr()).unwrap();
@@ -244,11 +233,12 @@ fn malformed_stream_payload_is_refused_connection_lives() {
     s.read_exact(&mut hello).unwrap();
     s.write_all(&proto::encode_client_hello()).unwrap();
 
-    // 10 bytes: not a multiple of the 24-byte f32 sample.
-    let junk = [0u8; 10];
-    let head = proto::encode_header(proto::REQ_INFER_STREAM, 9, 0, junk.len() as u32);
+    // Two well-formed samples, as the retired kind framed them.
+    let mut p = Vec::new();
+    proto::write_f32s(&mut p, &[0.1f32; 12]);
+    let head = proto::encode_header(3, 9, 0, p.len() as u32);
     s.write_all(&head).unwrap();
-    s.write_all(&junk).unwrap();
+    s.write_all(&p).unwrap();
     let mut rhead = [0u8; proto::FRAME_HEADER_LEN];
     s.read_exact(&mut rhead).unwrap();
     let rh = proto::decode_header(&rhead).unwrap();
@@ -256,7 +246,7 @@ fn malformed_stream_payload_is_refused_connection_lives() {
     assert_eq!(rh.id, 9);
     let mut msg = vec![0u8; rh.payload_len as usize];
     s.read_exact(&mut msg).unwrap();
-    assert!(String::from_utf8_lossy(&msg).contains("multiple"));
+    assert_eq!(String::from_utf8_lossy(&msg), "unknown request kind 3");
     assert_eq!(reg.counter("rpc.decode_errors").get(), 1);
 
     // Same connection, now a well-formed unary request: still served.
@@ -275,21 +265,22 @@ fn malformed_stream_payload_is_refused_connection_lives() {
     server.shutdown();
 }
 
-/// Client-side validation: a stream batch that doesn't divide into
-/// samples never reaches the wire.
+/// Client-side validation: a sample that does not match the handshake's
+/// shape never reaches the wire.
 #[test]
-fn client_refuses_ragged_stream_batches() {
+fn client_refuses_a_misshapen_sample() {
     let _g = fault_lock();
     let (server, rpc, _reg) = start_stack(1);
     let mut client = RpcClient::connect(rpc.local_addr()).unwrap();
     assert!(matches!(
-        client.send_infer_stream(&[0.0f32; 7], 0),
-        Err(rpc::RpcError::ShapeMismatch { .. })
+        client.send_infer(&[0.0f32; 7], 0),
+        Err(rpc::RpcError::ShapeMismatch { got: 7, want: 6 })
     ));
     assert!(matches!(
-        client.send_infer_stream(&[], 0),
-        Err(rpc::RpcError::ShapeMismatch { .. })
+        client.send_infer(&[], 0),
+        Err(rpc::RpcError::ShapeMismatch { got: 0, want: 6 })
     ));
+    assert_eq!(client.in_flight(), 0);
     rpc.shutdown();
     server.shutdown();
 }

@@ -4,7 +4,8 @@
 //! Caffe's three solvers from the paper's §2.1 are implemented with Caffe's
 //! exact update rules: [`SolverType::Sgd`] (momentum SGD),
 //! [`SolverType::Nesterov`], and [`SolverType::AdaGrad`], together with the
-//! `fixed` / `step` / `inv` learning-rate policies.
+//! two learning-rate policies the paper's solvers use: LeNet's `inv` and
+//! CIFAR-10's `fixed`.
 //!
 //! The solver itself is deliberately *sequential* — only the layer passes
 //! are parallel. This is what makes the scheme convergence-invariant: no
@@ -21,9 +22,7 @@ use net::{Net, RunConfig};
 use omprt::ThreadTeam;
 use wire::{Put, Reader};
 
-/// Which update rule to apply. The paper's §2.1 lists SGD, AdaGrad and
-/// Nesterov; RMSProp and AdaDelta are the two further solvers Caffe grew
-/// soon after (extensions here).
+/// Which update rule to apply: the three solvers of the paper's §2.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverType {
     /// Momentum SGD: `V = m*V + lr*g; W -= V`.
@@ -32,12 +31,6 @@ pub enum SolverType {
     Nesterov,
     /// AdaGrad: `H += g^2; W -= lr * g / (sqrt(H) + eps)`.
     AdaGrad,
-    /// RMSProp: `H = d*H + (1-d)*g^2; W -= lr * g / (sqrt(H) + eps)`,
-    /// with decay `d` taken from `momentum` (Caffe's `rms_decay`).
-    RmsProp,
-    /// AdaDelta: accumulators of squared gradients and squared updates,
-    /// decay from `momentum`; `lr` acts as a final scale (Caffe-style).
-    AdaDelta,
 }
 
 /// Solver hyper-parameters (a Caffe solver prototxt equivalent).
@@ -55,9 +48,6 @@ pub struct SolverConfig {
     pub lr_policy: LrPolicy,
     /// AdaGrad denominator epsilon.
     pub eps: f64,
-    /// Scale all gradients down when their global L2 norm exceeds this
-    /// (Caffe's `clip_gradients`); `None` disables clipping.
-    pub clip_gradients: Option<f64>,
 }
 
 impl SolverConfig {
@@ -74,7 +64,6 @@ impl SolverConfig {
                 power: 0.75,
             },
             eps: 1e-8,
-            clip_gradients: None,
         }
     }
 
@@ -88,7 +77,6 @@ impl SolverConfig {
             weight_decay: 4e-3,
             lr_policy: LrPolicy::Fixed,
             eps: 1e-8,
-            clip_gradients: None,
         }
     }
 }
@@ -180,14 +168,12 @@ impl<S: Scalar> Solver<S> {
     }
 
     fn ensure_history(&mut self, params: &[&mut Blob<S>]) {
-        // AdaDelta keeps two accumulators per element (handled in the update
-        // loop), so accept either length here.
         if self.history.len() == params.len()
             && self
                 .history
                 .iter()
                 .zip(params)
-                .all(|(h, p)| h.len() == p.count() || h.len() == 2 * p.count())
+                .all(|(h, p)| h.len() == p.count())
         {
             return;
         }
@@ -203,42 +189,22 @@ impl<S: Scalar> Solver<S> {
 
     /// Apply the configured update rule to every parameter, consuming the
     /// accumulated diffs. `lr_mults` scales the learning rate per parameter
-    /// (Caffe's `lr_mult`); gradient clipping (if configured) is applied
-    /// over the global L2 norm first. [`Solver::update`] calls this.
+    /// (Caffe's `lr_mult`). [`Solver::update`] calls this.
     ///
     /// # Panics
     /// Panics if `lr_mults.len() != params.len()`.
     pub fn apply_update_with_mults(
         &mut self,
-        mut params: Vec<&mut Blob<S>>,
+        params: Vec<&mut Blob<S>>,
         lr: f64,
         lr_mults: &[f64],
     ) {
         assert_eq!(params.len(), lr_mults.len(), "one lr_mult per parameter");
         self.ensure_history(&params);
-        // Global-norm gradient clipping (Caffe's clip_gradients).
-        if let Some(clip) = self.cfg.clip_gradients {
-            let sumsq: f64 = params
-                .iter()
-                .map(|p| {
-                    p.diff()
-                        .iter()
-                        .map(|g| g.to_f64() * g.to_f64())
-                        .sum::<f64>()
-                })
-                .sum();
-            let norm = sumsq.sqrt();
-            if norm > clip {
-                let scale = S::from_f64(clip / norm);
-                for p in params.iter_mut() {
-                    mmblas::scal(scale, p.diff_mut());
-                }
-            }
-        }
         let momentum = S::from_f64(self.cfg.momentum);
         let decay = S::from_f64(self.cfg.weight_decay);
         let eps = S::from_f64(self.cfg.eps);
-        for ((p, h), &mult) in params.iter_mut().zip(&mut self.history).zip(lr_mults) {
+        for ((p, h), &mult) in params.into_iter().zip(&mut self.history).zip(lr_mults) {
             let lr = S::from_f64(lr * mult);
             let (data, diff) = p.data_diff_mut();
             match self.cfg.solver_type {
@@ -264,29 +230,6 @@ impl<S: Scalar> Solver<S> {
                         data[i] -= lr * g / (h[i].sqrt() + eps);
                     }
                 }
-                SolverType::RmsProp => {
-                    let d = momentum;
-                    for i in 0..data.len() {
-                        let g = diff[i] + decay * data[i];
-                        h[i] = d * h[i] + (S::ONE - d) * g * g;
-                        data[i] -= lr * g / (h[i].sqrt() + eps);
-                    }
-                }
-                SolverType::AdaDelta => {
-                    // History stores both accumulators interleaved:
-                    // even = E[g^2], odd = E[dx^2].
-                    if h.len() != 2 * data.len() {
-                        *h = vec![S::ZERO; 2 * data.len()];
-                    }
-                    let d = momentum;
-                    for i in 0..data.len() {
-                        let g = diff[i] + decay * data[i];
-                        h[2 * i] = d * h[2 * i] + (S::ONE - d) * g * g;
-                        let dx = -((h[2 * i + 1] + eps).sqrt() / (h[2 * i] + eps).sqrt()) * g;
-                        h[2 * i + 1] = d * h[2 * i + 1] + (S::ONE - d) * dx * dx;
-                        data[i] += lr * dx;
-                    }
-                }
             }
         }
     }
@@ -300,7 +243,7 @@ impl<S: Scalar> Solver<S> {
     ///
     /// Format (`CGSS` v2, little-endian): `magic | version u32 | iter u64
     /// | lr_scale f64 | n_buffers u32 | per buffer: len u32, values f64 x
-    /// len`. v1 files (no `lr_scale` field) still load.
+    /// len`.
     pub fn save_state(&self, mut w: impl std::io::Write) -> std::io::Result<()> {
         let mut buf = Vec::new();
         buf.put(b"CGSS");
@@ -315,10 +258,10 @@ impl<S: Scalar> Solver<S> {
         w.write_all(&buf)
     }
 
-    /// Restore state saved by [`Solver::save_state`] (v1 or v2). Nothing
-    /// is sized by a count from the file before the bytes behind it are
-    /// known to be there, and `self` is untouched unless the whole state
-    /// parsed.
+    /// Restore state saved by [`Solver::save_state`]. Nothing is sized by
+    /// a count from the file before the bytes behind it are known to be
+    /// there, bytes past the last buffer are an error, and `self` is
+    /// untouched unless the whole state parsed.
     pub fn load_state(&mut self, mut r: impl std::io::Read) -> std::io::Result<()> {
         use std::io::{Error, ErrorKind};
         let bad = |m: &str| Error::new(ErrorKind::InvalidData, format!("solverstate: {m}"));
@@ -329,24 +272,20 @@ impl<S: Scalar> Solver<S> {
             return Err(bad("bad magic"));
         }
         let version = r.u32()?;
-        if version != 1 && version != 2 {
+        if version != 2 {
             return Err(bad(&format!("unsupported version {version}")));
         }
         let iter = r.u64()?;
-        let lr_scale = if version >= 2 {
-            let s = r.f64()?;
-            if !s.is_finite() || s <= 0.0 {
-                return Err(bad(&format!("non-positive lr_scale {s}")));
-            }
-            s
-        } else {
-            1.0
-        };
+        let lr_scale = r.f64()?;
+        if !lr_scale.is_finite() || lr_scale <= 0.0 {
+            return Err(bad(&format!("non-positive lr_scale {lr_scale}")));
+        }
         let mut history = Vec::new();
         for _ in 0..r.u32()? {
             let len = r.u32()? as usize;
             history.push(r.f64s(len)?.map(S::from_f64).collect());
         }
+        r.finish()?;
         self.iter = iter;
         self.lr_scale = lr_scale;
         self.history = history;
@@ -416,7 +355,6 @@ mod tests {
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
             eps: 1e-8,
-            clip_gradients: None,
         }
     }
 
@@ -501,7 +439,6 @@ mod extra_tests {
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
             eps: 1e-8,
-            clip_gradients: None,
         };
         let mut s: Solver<f32> = Solver::new(cfg);
         let mut w = param(&[1.0], &[1.0]);
@@ -509,43 +446,6 @@ mod extra_tests {
         s.apply_update_with_mults(vec![&mut w, &mut b], 0.1, &[1.0, 2.0]);
         assert!((w.data()[0] - 0.9).abs() < 1e-6);
         assert!((b.data()[0] - 0.8).abs() < 1e-6, "bias uses 2x lr");
-    }
-
-    #[test]
-    fn gradient_clipping_rescales_global_norm() {
-        let cfg = SolverConfig {
-            solver_type: SolverType::Sgd,
-            base_lr: 1.0,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            lr_policy: LrPolicy::Fixed,
-            eps: 1e-8,
-            clip_gradients: Some(1.0),
-        };
-        let mut s: Solver<f32> = Solver::new(cfg);
-        // ||g|| = 5 across two blobs (3-4-0 triangle) -> scaled to 1.
-        let mut a = param(&[0.0], &[3.0]);
-        let mut b = param(&[0.0, 0.0], &[4.0, 0.0]);
-        s.apply_update(vec![&mut a, &mut b], 1.0);
-        assert!((a.data()[0] + 0.6).abs() < 1e-6, "{}", a.data()[0]);
-        assert!((b.data()[0] + 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clipping_is_noop_below_threshold() {
-        let cfg = SolverConfig {
-            clip_gradients: Some(100.0),
-            momentum: 0.0,
-            weight_decay: 0.0,
-            base_lr: 1.0,
-            lr_policy: LrPolicy::Fixed,
-            eps: 1e-8,
-            solver_type: SolverType::Sgd,
-        };
-        let mut s: Solver<f32> = Solver::new(cfg);
-        let mut a = param(&[0.0], &[3.0]);
-        s.apply_update(vec![&mut a], 1.0);
-        assert!((a.data()[0] + 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -558,98 +458,67 @@ mod extra_tests {
 }
 
 #[cfg(test)]
-mod extended_solver_tests {
+mod state_tests {
     use super::*;
 
-    fn cfg(t: SolverType, momentum: f64) -> SolverConfig {
-        SolverConfig {
-            solver_type: t,
+    fn sgd() -> Solver<f32> {
+        Solver::new(SolverConfig {
+            solver_type: SolverType::Sgd,
             base_lr: 0.1,
-            momentum,
+            momentum: 0.9,
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
             eps: 1e-8,
-            clip_gradients: None,
-        }
-    }
-
-    #[test]
-    fn rmsprop_first_step_matches_formula() {
-        let mut s: Solver<f64> = Solver::new(cfg(SolverType::RmsProp, 0.9));
-        let mut p = Blob::from_data([1usize], vec![1.0]);
-        p.diff_mut()[0] = 2.0;
-        s.apply_update(vec![&mut p], 0.1);
-        // H = 0.1*4 = 0.4; step = 0.1*2/sqrt(0.4)
-        let want = 1.0 - 0.1 * 2.0 / (0.4f64.sqrt() + 1e-8);
-        assert!((p.data()[0] - want).abs() < 1e-12, "{}", p.data()[0]);
-    }
-
-    #[test]
-    fn rmsprop_history_decays_unlike_adagrad() {
-        // After many identical gradients, AdaGrad's step shrinks toward 0
-        // while RMSProp's stabilizes.
-        let run = |t: SolverType| -> f64 {
-            let mut s: Solver<f64> = Solver::new(cfg(t, 0.9));
-            let mut p = Blob::from_data([1usize], vec![100.0]);
-            let mut last_step = 0.0;
-            for _ in 0..200 {
-                let before = p.data()[0];
-                p.diff_mut()[0] = 1.0;
-                s.apply_update(vec![&mut p], 0.1);
-                last_step = (before - p.data()[0]).abs();
-            }
-            last_step
-        };
-        let rms = run(SolverType::RmsProp);
-        let ada = run(SolverType::AdaGrad);
-        assert!(rms > 5.0 * ada, "rms {rms} vs adagrad {ada}");
-    }
-
-    #[test]
-    fn adadelta_converges_on_quadratic() {
-        // Minimize f(w) = w^2 with gradient 2w.
-        // AdaDelta self-tunes its step from tiny initial values, so give it
-        // room: 20k scalar steps is still instantaneous.
-        let mut s: Solver<f64> = Solver::new(cfg(SolverType::AdaDelta, 0.95));
-        let mut p = Blob::from_data([1usize], vec![5.0]);
-        for _ in 0..20_000 {
-            let g = 2.0 * p.data()[0];
-            p.diff_mut()[0] = g;
-            s.apply_update(vec![&mut p], 1.0);
-        }
-        assert!(p.data()[0].abs() < 1.0, "w = {}", p.data()[0]);
+        })
     }
 
     #[test]
     fn lr_scale_round_trips_and_scales_lr() {
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Sgd, 0.9));
+        let mut s = sgd();
         assert_eq!(s.lr_at(0), 0.1);
         s.scale_lr(0.5);
         s.scale_lr(0.5);
         assert!((s.lr_at(0) - 0.025).abs() < 1e-15);
         let mut buf = Vec::new();
         s.save_state(&mut buf).unwrap();
-        let mut r: Solver<f32> = Solver::new(cfg(SolverType::Sgd, 0.9));
+        let mut r = sgd();
         r.load_state(buf.as_slice()).unwrap();
         assert_eq!(r.lr_scale(), 0.25);
     }
 
     #[test]
-    fn v1_solver_state_still_loads() {
-        // Hand-build a v1 state: iter 7, one 2-value history buffer.
+    fn v1_solver_state_is_an_unsupported_version() {
+        // The v1 layout: no lr_scale field. Iter 7, one 2-value buffer.
+        let mut buf = b"CGSS".to_vec();
+        buf.put_u32(1);
+        buf.put_u64(7);
+        buf.put_u32(1);
+        buf.put_u32(2);
+        wire::put_f64s(&mut buf, [0.5, 0.25].into_iter());
+        let mut s = sgd();
+        let e = s.load_state(buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        assert!(e.to_string().contains("unsupported version 1"), "{e}");
+        assert_eq!(s.iteration(), 0);
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_last_buffer_are_invalid_data() {
+        let mut s = sgd();
+        let mut p = Blob::from_data([2usize], vec![1.0f32, 2.0]);
+        p.diff_mut().copy_from_slice(&[0.5, 0.25]);
+        s.apply_update(vec![&mut p], 0.1);
         let mut buf = Vec::new();
-        buf.extend_from_slice(b"CGSS");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&7u64.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        buf.extend_from_slice(&0.5f64.to_le_bytes());
-        buf.extend_from_slice(&0.25f64.to_le_bytes());
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Sgd, 0.9));
-        s.load_state(buf.as_slice()).unwrap();
-        assert_eq!(s.iteration(), 7);
-        assert_eq!(s.lr_scale(), 1.0);
-        assert_eq!(s.history, vec![vec![0.5, 0.25]]);
+        s.save_state(&mut buf).unwrap();
+        sgd().load_state(buf.as_slice()).unwrap();
+        buf.push(0);
+        let mut r = sgd();
+        let e = r.load_state(buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        assert!(
+            r.history.is_empty(),
+            "a refused state leaves the solver as it was"
+        );
     }
 
     #[test]
@@ -662,7 +531,7 @@ mod extended_solver_tests {
         buf.put_f64(1.0);
         assert_eq!(buf.len(), 24);
         buf.put_u32(u32::MAX);
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Sgd, 0.9));
+        let mut s = sgd();
         let e = s.load_state(buf.as_slice()).unwrap_err();
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
         // One buffer announcing u32::MAX values (34 GB of f64).
@@ -678,25 +547,11 @@ mod extended_solver_tests {
 
     #[test]
     fn corrupt_lr_scale_is_rejected() {
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Sgd, 0.9));
+        let mut s = sgd();
         let mut buf = Vec::new();
         s.save_state(&mut buf).unwrap();
         // lr_scale sits after magic(4) + version(4) + iter(8).
         buf[16..24].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(s.load_state(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn adadelta_history_holds_two_accumulators() {
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::AdaDelta, 0.9));
-        let mut p = Blob::from_data([3usize], vec![1.0; 3]);
-        p.diff_mut().copy_from_slice(&[1.0; 3]);
-        s.apply_update(vec![&mut p], 1.0);
-        assert_eq!(s.history[0].len(), 6);
-        // A second step must not re-zero the accumulators.
-        p.diff_mut().copy_from_slice(&[1.0; 3]);
-        s.apply_update(vec![&mut p], 1.0);
-        assert_eq!(s.history[0].len(), 6);
-        assert!(s.history[0][0] > 0.0);
     }
 }

@@ -1,28 +1,17 @@
-//! Learning-rate schedules — Caffe's `lr_policy` values.
+//! Learning-rate schedules — the two Caffe `lr_policy` values the paper's
+//! solvers use.
 
 /// Learning-rate policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrPolicy {
-    /// Constant `base_lr`.
+    /// Constant `base_lr` — CIFAR-10's schedule.
     Fixed,
-    /// `base_lr * gamma^(iter / stepsize)` (integer division).
-    Step {
-        /// Decay factor per step.
-        gamma: f64,
-        /// Iterations per step.
-        stepsize: u64,
-    },
     /// `base_lr * (1 + gamma * iter)^(-power)` — LeNet's schedule.
     Inv {
         /// Growth rate inside the base.
         gamma: f64,
         /// Decay exponent.
         power: f64,
-    },
-    /// `base_lr * gamma^iter`.
-    Exp {
-        /// Per-iteration decay factor.
-        gamma: f64,
     },
 }
 
@@ -31,11 +20,7 @@ impl LrPolicy {
     pub fn lr(&self, base_lr: f64, iter: u64) -> f64 {
         match *self {
             LrPolicy::Fixed => base_lr,
-            LrPolicy::Step { gamma, stepsize } => {
-                base_lr * gamma.powi((iter / stepsize.max(1)) as i32)
-            }
             LrPolicy::Inv { gamma, power } => base_lr * (1.0 + gamma * iter as f64).powf(-power),
-            LrPolicy::Exp { gamma } => base_lr * gamma.powi(iter as i32),
         }
     }
 }
@@ -51,18 +36,6 @@ mod tests {
     }
 
     #[test]
-    fn step_decays_in_plateaus() {
-        let p = LrPolicy::Step {
-            gamma: 0.1,
-            stepsize: 100,
-        };
-        assert_eq!(p.lr(1.0, 0), 1.0);
-        assert_eq!(p.lr(1.0, 99), 1.0);
-        assert!((p.lr(1.0, 100) - 0.1).abs() < 1e-12);
-        assert!((p.lr(1.0, 250) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
     fn inv_matches_lenet_formula() {
         let p = LrPolicy::Inv {
             gamma: 1e-4,
@@ -73,21 +46,5 @@ mod tests {
         assert!((p.lr(0.01, 500) - want).abs() < 1e-15);
         // Monotone decreasing.
         assert!(p.lr(0.01, 1000) < p.lr(0.01, 500));
-    }
-
-    #[test]
-    fn exp_decays_geometrically() {
-        let p = LrPolicy::Exp { gamma: 0.5 };
-        assert_eq!(p.lr(1.0, 3), 0.125);
-    }
-
-    #[test]
-    fn step_zero_stepsize_is_clamped() {
-        let p = LrPolicy::Step {
-            gamma: 0.5,
-            stepsize: 0,
-        };
-        // Clamped to 1: gamma^iter.
-        assert_eq!(p.lr(1.0, 2), 0.25);
     }
 }

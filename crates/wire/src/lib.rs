@@ -111,13 +111,6 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Every byte not yet read (formats whose last field runs to the end).
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
     /// The next `N` bytes as an array (magics, tags).
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], Error> {
         Ok(self.bytes(N)?.try_into().expect("bytes(N) is N long"))

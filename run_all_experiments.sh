@@ -19,9 +19,7 @@ BINS=(
   e9_reduction_ablation
   e10_coalescing_ablation
   e12_model_ablation
-  e13_fine_grain_cpu
   e14_batch_sweep
-  e15_scaling_projection
   e16_serving_throughput
   calibrate
 )

@@ -249,25 +249,3 @@ fn serial_simulation_matches_serial_definition() {
     let sim = mnist_sim();
     assert!((sim.cpu_speedup(1).unwrap() - 1.0).abs() < 1e-12);
 }
-
-// ---------------- E13: coarse vs fine-grain CPU ----------------
-
-#[test]
-fn e13_coarse_grain_beats_fine_grain_on_mnist() {
-    use machine::{simulate_cpu, simulate_cpu_fine_grain, CpuModel};
-    let net = cgdnn::nets::lenet::<f32>(Box::new(SyntheticMnist::new(256, 1))).unwrap();
-    let profiles = net.profiles();
-    let model = CpuModel::xeon_e5_2667v2();
-    let serial = total_time(&simulate_cpu(&profiles, &model, 1));
-    let coarse16 = serial / total_time(&simulate_cpu(&profiles, &model, 16));
-    let fine16 = serial / total_time(&simulate_cpu_fine_grain(&profiles, &model, 16));
-    assert!(
-        coarse16 > fine16,
-        "batch-level ({coarse16:.2}x) must beat BLAS-level ({fine16:.2}x) on MNIST"
-    );
-    // Fine-grain's small-call layers must be its weak spot.
-    let serial_l = simulate_cpu(&profiles, &model, 1);
-    let fine_l = simulate_cpu_fine_grain(&profiles, &model, 16);
-    let pool2_fine = serial_l[4].fwd / fine_l[4].fwd;
-    assert!(pool2_fine < 2.0, "pool2 under fine-grain: {pool2_fine:.2}x");
-}

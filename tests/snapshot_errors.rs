@@ -1,8 +1,8 @@
 //! Snapshot error paths at the integration level: the serving tier trusts
 //! `load_params` to reject malformed files loudly, so every corruption
-//! class gets a test — truncation, bad magic, wrong version, CRC damage —
-//! plus the `f32`/`f64` round-trips (values travel as `f64`, so no
-//! precision is lost) and v1 backward compatibility.
+//! class gets a test — truncation, bad magic, wrong version (the retired v1
+//! layout included), CRC damage, trailing bytes — plus the `f32`/`f64`
+//! round-trips (values travel as `f64`, so no precision is lost).
 
 mod common;
 
@@ -16,10 +16,12 @@ fn snapshot_bytes() -> Vec<u8> {
     buf
 }
 
+/// The pre-container v1 layout: magic, version 1, then the bare
+/// parameter payload with no CRC.
 fn v1_snapshot_bytes() -> Vec<u8> {
-    let net = tiny_net(13);
-    let mut buf = Vec::new();
-    net::snapshot::save_params_v1(&net, &mut buf).unwrap();
+    let mut buf = b"CGDN".to_vec();
+    buf.extend_from_slice(&1u32.to_le_bytes());
+    buf.extend_from_slice(&net::snapshot::params_to_bytes(&tiny_net(13)));
     buf
 }
 
@@ -52,13 +54,22 @@ fn f64_round_trip_is_bit_exact() {
 }
 
 #[test]
-fn v1_snapshot_still_loads() {
-    let src = tiny_net(13);
-    let buf = v1_snapshot_bytes();
-    let mut dst = tiny_net(99);
-    net::load_params(&mut dst, buf.as_slice()).unwrap();
-    for (a, b) in src.learnable_params().iter().zip(dst.learnable_params()) {
-        assert_eq!(a.data(), b.data(), "v1 files must keep loading bit-exact");
+fn v1_snapshot_is_rejected() {
+    let mut net = tiny_net(99);
+    let before: Vec<Vec<f32>> = net
+        .learnable_params()
+        .iter()
+        .map(|p| p.data().to_vec())
+        .collect();
+    let e = net::load_params(&mut net, v1_snapshot_bytes().as_slice()).unwrap_err();
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+    assert!(e.to_string().contains("unsupported version 1"), "got: {e}");
+    for (p, b) in net.learnable_params().iter().zip(&before) {
+        assert_eq!(
+            p.data(),
+            b.as_slice(),
+            "a refused file leaves the weights alone"
+        );
     }
 }
 
@@ -109,20 +120,18 @@ fn mid_file_corruption_fails_the_crc() {
 }
 
 #[test]
-fn trailing_garbage_v1_tolerated_v2_rejected() {
-    // v1 had no trailer: the reader consumes exactly what the header
-    // promises, so a concatenated file still loads.
-    let mut v1 = v1_snapshot_bytes();
-    v1.extend_from_slice(&[0xAB; 16]);
+fn trailing_garbage_is_rejected() {
+    // The file is CRC-framed: anything after the trailer is corruption.
     let mut net = tiny_net(13);
-    net::load_params(&mut net, v1.as_slice()).unwrap();
-    // v2 is CRC-framed: anything after the trailer is corruption.
-    let mut v2 = snapshot_bytes();
-    v2.extend_from_slice(&[0xAB; 16]);
-    assert!(net::load_params(&mut net, v2.as_slice()).is_err());
-    // And a lying v1 blob count fails too.
-    let mut lying = v1_snapshot_bytes();
-    lying[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let mut buf = snapshot_bytes();
+    buf.extend_from_slice(&[0xAB; 16]);
+    let e = net::load_params(&mut net, buf.as_slice()).unwrap_err();
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+    // And a lying blob count fails too, even under a valid CRC.
+    let mut params = net::snapshot::params_to_bytes(&net);
+    params[0..4].copy_from_slice(&1u32.to_le_bytes());
+    let mut lying = Vec::new();
+    net::snapshot::save_sections(&[(net::snapshot::SEC_PARAMS, &params)], &mut lying).unwrap();
     assert!(net::load_params(&mut net, lying.as_slice()).is_err());
 }
 
@@ -141,8 +150,11 @@ fn serving_engine_propagates_snapshot_errors() {
     .unwrap();
     let e = engine.load_weights(&b"XXXX"[..]).unwrap_err();
     assert!(matches!(e, serve::ServeError::Weights(_)));
-    // A valid v2 snapshot for the same architecture loads fine, and so
-    // does a v1 one.
+    // So is the retired v1 layout; a valid snapshot for the same
+    // architecture loads fine.
+    let e = engine
+        .load_weights(v1_snapshot_bytes().as_slice())
+        .unwrap_err();
+    assert!(matches!(e, serve::ServeError::Weights(_)));
     engine.load_weights(snapshot_bytes().as_slice()).unwrap();
-    engine.load_weights(v1_snapshot_bytes().as_slice()).unwrap();
 }

@@ -46,7 +46,6 @@ fn all_three_solvers_reduce_loss() {
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
             eps: 1e-8,
-            clip_gradients: None,
         };
         let mut solver: Solver<f32> = Solver::new(cfg);
         let losses = solver.train(&mut net, &team, &run, 25);

@@ -89,18 +89,6 @@ pub fn snapshot_v2_f64() -> Vec<u8> {
     out
 }
 
-pub fn snapshot_v1_f32() -> Vec<u8> {
-    let mut out = Vec::new();
-    net::snapshot::save_params_v1(&micro_net::<f32>(f32_value), &mut out).unwrap();
-    out
-}
-
-pub fn snapshot_v1_f64() -> Vec<u8> {
-    let mut out = Vec::new();
-    net::snapshot::save_params_v1(&micro_net::<f64>(f64_value), &mut out).unwrap();
-    out
-}
-
 pub fn solver_config() -> SolverConfig {
     SolverConfig {
         solver_type: SolverType::Sgd,
@@ -109,7 +97,6 @@ pub fn solver_config() -> SolverConfig {
         weight_decay: 0.0,
         lr_policy: LrPolicy::Fixed,
         eps: 1e-8,
-        clip_gradients: None,
     }
 }
 
@@ -217,8 +204,12 @@ pub fn client_hello() -> Vec<u8> {
     proto::encode_client_hello().to_vec()
 }
 
+/// The header codec does not interpret `kind`; the recorded header carries
+/// kind 3, which no request uses any more.
+pub const FRAME_HEADER_KIND: u8 = 3;
+
 pub fn frame_header() -> Vec<u8> {
-    proto::encode_header(proto::REQ_INFER_STREAM, 0xDEAD_BEEF_0BAD_F00D, 1500, 3136).to_vec()
+    proto::encode_header(FRAME_HEADER_KIND, 0xDEAD_BEEF_0BAD_F00D, 1500, 3136).to_vec()
 }
 
 /// `MAX_CHUNK_F32S + 3` values: one full chunk and a 12-byte tail.
@@ -269,8 +260,6 @@ pub fn all() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("SNAPSHOT_V2_F32", snapshot_v2_f32()),
         ("SNAPSHOT_V2_F64", snapshot_v2_f64()),
-        ("SNAPSHOT_V1_F32", snapshot_v1_f32()),
-        ("SNAPSHOT_V1_F64", snapshot_v1_f64()),
         ("SOLVER_STATE_V2", solver_state_v2()),
         ("CHECKPOINT", checkpoint()),
         ("OBS_SNAPSHOT", obs_snapshot()),

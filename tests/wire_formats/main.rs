@@ -3,7 +3,9 @@
 //!
 //! **Golden bytes** (`golden.rs`) were recorded by running `fixtures.rs` at
 //! the last commit whose encoders were hand-rolled; today's encoders must
-//! emit exactly those bytes and today's decoders must read them back.
+//! emit exactly those bytes and today's decoders must read them back. The
+//! two v1 layouts (snapshot and solver state) are no longer written or
+//! read: their recorded bytes pin that they are refused by name.
 //!
 //! **Mutation** — one table of every decoder over a socket or a file. For
 //! each: every truncation prefix, every single-byte flip, and every length
@@ -24,11 +26,9 @@ use std::io::Cursor;
 
 #[test]
 fn encoders_emit_the_recorded_bytes() {
-    let recorded: [(&str, &[u8]); 14] = [
+    let recorded: [(&str, &[u8]); 12] = [
         ("SNAPSHOT_V2_F32", &golden::SNAPSHOT_V2_F32),
         ("SNAPSHOT_V2_F64", &golden::SNAPSHOT_V2_F64),
-        ("SNAPSHOT_V1_F32", &golden::SNAPSHOT_V1_F32),
-        ("SNAPSHOT_V1_F64", &golden::SNAPSHOT_V1_F64),
         ("SOLVER_STATE_V2", &golden::SOLVER_STATE_V2),
         ("CHECKPOINT", &golden::CHECKPOINT),
         ("OBS_SNAPSHOT", &golden::OBS_SNAPSHOT),
@@ -88,20 +88,35 @@ fn assert_params<S: Scalar>(net: &Net<S>, value: impl Fn(usize) -> f64) {
 
 #[test]
 fn recorded_snapshots_load_bit_for_bit() {
-    for bytes in [&golden::SNAPSHOT_V2_F32[..], &golden::SNAPSHOT_V1_F32] {
-        let mut net = fixtures::micro_net::<f32>(|_| 9.0);
-        net::load_params(&mut net, bytes).unwrap();
-        assert_params(&net, fixtures::f32_value);
-    }
-    for bytes in [&golden::SNAPSHOT_V2_F64[..], &golden::SNAPSHOT_V1_F64] {
-        let mut net = fixtures::micro_net::<f64>(|_| 9.0);
-        net::load_params(&mut net, bytes).unwrap();
-        assert_params(&net, fixtures::f64_value);
-    }
+    let mut net = fixtures::micro_net::<f32>(|_| 9.0);
+    net::load_params(&mut net, &golden::SNAPSHOT_V2_F32[..]).unwrap();
+    assert_params(&net, fixtures::f32_value);
+    let mut net = fixtures::micro_net::<f64>(|_| 9.0);
+    net::load_params(&mut net, &golden::SNAPSHOT_V2_F64[..]).unwrap();
+    assert_params(&net, fixtures::f64_value);
+}
+
+/// `InvalidData` whose message names version 1.
+fn assert_unsupported_v1(e: std::io::Error) {
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+    assert!(e.to_string().contains("unsupported version 1"), "{e}");
 }
 
 #[test]
-fn recorded_solver_states_load_v1_and_v2() {
+fn recorded_v1_snapshots_are_refused_by_version() {
+    let mut net = fixtures::micro_net::<f32>(|_| 9.0);
+    assert_unsupported_v1(net::load_params(&mut net, &golden::SNAPSHOT_V1_F32[..]).unwrap_err());
+    let mut net = fixtures::micro_net::<f64>(|_| 9.0);
+    assert_unsupported_v1(net::load_params(&mut net, &golden::SNAPSHOT_V1_F64[..]).unwrap_err());
+    assert_unsupported_v1(
+        blank_trainer()
+            .resume_from_bytes(&golden::SNAPSHOT_V1_F32)
+            .unwrap_err(),
+    );
+}
+
+#[test]
+fn recorded_solver_state_loads() {
     let mut s = fixtures::solver();
     s.scale_lr(8.0);
     s.load_state(&golden::SOLVER_STATE_V2[..]).unwrap();
@@ -110,14 +125,9 @@ fn recorded_solver_states_load_v1_and_v2() {
     s.save_state(&mut again).unwrap();
     assert_eq!(again, golden::SOLVER_STATE_V2);
 
-    // v1 has no lr_scale field: it loads as 1.0 and re-saves as v2.
-    s.load_state(&golden::SOLVER_STATE_V1[..]).unwrap();
-    assert_eq!((s.iteration(), s.lr_scale()), (3, 1.0));
-    let mut as_v2 = golden::SOLVER_STATE_V2;
-    as_v2[16..24].copy_from_slice(&1.0f64.to_le_bytes());
-    again.clear();
-    s.save_state(&mut again).unwrap();
-    assert_eq!(again, as_v2);
+    // v1 had no lr_scale field; it is refused, and the solver is untouched.
+    assert_unsupported_v1(s.load_state(&golden::SOLVER_STATE_V1[..]).unwrap_err());
+    assert_eq!((s.iteration(), s.lr_scale()), (3, 0.5));
 }
 
 fn blank_trainer() -> CoarseGrainTrainer<f32> {
@@ -161,7 +171,7 @@ fn recorded_payloads_decode_to_their_values() {
     assert_eq!(
         proto::decode_header(&golden::FRAME_HEADER).unwrap(),
         proto::FrameHeader {
-            kind: proto::REQ_INFER_STREAM,
+            kind: fixtures::FRAME_HEADER_KIND,
             id: 0xDEAD_BEEF_0BAD_F00D,
             aux: 1500,
             payload_len: 3136
@@ -242,7 +252,7 @@ fn small_run(kind: u8, id: u64) -> Vec<u8> {
 
 fn cases() -> Vec<Case> {
     // CGDN v2: n_sections u32 at 8, then per section tag[4] | len u64.
-    // PRMS payload (and the v1 body at 8): n_blobs, ndim, dims…
+    // PRMS payload: n_blobs, ndim, dims…
     let prms = |at: usize| vec![(at, 4), (at + 4, 4), (at + 8, 4), (at + 12, 4)];
     let mut snapshot_v2 = vec![(8, 4), (16, 8)];
     snapshot_v2.extend(prms(24));
@@ -265,32 +275,11 @@ fn cases() -> Vec<Case> {
             restamp: restamp_trailer,
         },
         Case {
-            name: "snapshot v1",
-            bytes: golden::SNAPSHOT_V1_F32.to_vec(),
-            decode: |b| {
-                e(net::load_params(
-                    &mut fixtures::micro_net::<f32>(|_| 0.0),
-                    b,
-                ))
-            },
-            checksummed: false,
-            lengths: prms(8),
-            restamp: no_checksum,
-        },
-        Case {
             name: "solver state v2",
             bytes: golden::SOLVER_STATE_V2.to_vec(),
             decode: |b| e(fixtures::solver().load_state(b)),
             checksummed: false,
             lengths: vec![(24, 4), (28, 4), (80, 4)],
-            restamp: no_checksum,
-        },
-        Case {
-            name: "solver state v1",
-            bytes: golden::SOLVER_STATE_V1.to_vec(),
-            decode: |b| e(fixtures::solver().load_state(b)),
-            checksummed: false,
-            lengths: vec![(16, 4), (20, 4), (72, 4)],
             restamp: no_checksum,
         },
         Case {

@@ -358,7 +358,9 @@ mod tests {
     /// size, with and without a bias, and at batch sizes that are no
     /// multiple of the kernel's 6 x 16 tile, the forward is bitwise one
     /// 1-row GEMM per sample — however the samples were grouped into runs —
-    /// and close to the triple-loop oracle.
+    /// and close to the triple-loop oracle. Batches of 1–5 run the kernel's
+    /// few-row (narrow) path whole on one thread and as 1–2-row runs on
+    /// four; the larger ones its tiles.
     #[test]
     fn forward_is_bitwise_a_gemm_per_sample_at_every_team_size() {
         // Two `k` panels.
@@ -366,7 +368,7 @@ mod tests {
         const K: usize = 300;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for bias_term in [true, false] {
-            for batch in [7usize, 23, 37] {
+            for batch in [1usize, 2, 3, 4, 5, 7, 23, 37] {
                 let data: Vec<f32> = (0..batch * K).map(|i| (i as f32 * 0.37).sin()).collect();
                 let b: Blob<f32> = Blob::from_data([batch, K], data.clone());
                 let mut cfg = InnerProductConfig::new(M);

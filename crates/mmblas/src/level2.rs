@@ -15,7 +15,9 @@ use crate::{Scalar, Transpose};
 ///
 /// `a` is an `m x n` row-major matrix with leading dimension `lda >= n`.
 /// With `trans == Transpose::No`, `x` has length `n` and `y` length `m`;
-/// transposed, the roles swap.
+/// transposed, the roles swap. `beta == 0` overwrites `y` without reading
+/// it (the BLAS convention, as in [`crate::gemm`]), so garbage or NaN left
+/// in `y` does not reach the result.
 ///
 /// # Panics
 /// Panics if slice lengths are inconsistent with `m`, `n`, `lda`.
@@ -49,8 +51,12 @@ pub fn gemv<S: Scalar>(
         Transpose::No => {
             for i in 0..m {
                 let row = &a[i * lda..i * lda + n];
-                let acc = crate::level1::dot(row, x);
-                y[i] = alpha * acc + beta * y[i];
+                let acc = alpha * crate::level1::dot(row, x);
+                y[i] = if beta == S::ZERO {
+                    acc
+                } else {
+                    acc + beta * y[i]
+                };
             }
         }
         Transpose::Yes => {
@@ -128,6 +134,19 @@ mod tests {
         let mut y = [10.0f32, 20.0, 30.0];
         gemv(Transpose::No, 3, 2, 1.0, &a, 2, &x, 0.0, &mut y);
         assert_eq!(y, [-1.0, -1.0, -1.0]);
+    }
+
+    /// `beta == 0` overwrites `y` unread in both orientations: a NaN left
+    /// there does not survive.
+    #[test]
+    fn gemv_beta_zero_overwrites_nan() {
+        let (a, ones) = ([1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0f32; 3]); // A: 3 x 2
+        let mut y = [f32::NAN; 3];
+        gemv(Transpose::No, 3, 2, 1.0, &a, 2, &ones[..2], 0.0, &mut y);
+        assert_eq!(y, [3.0, 7.0, 11.0]);
+        let mut y = [f32::NAN; 2];
+        gemv(Transpose::Yes, 3, 2, 1.0, &a, 2, &ones, 0.0, &mut y);
+        assert_eq!(y, [9.0, 12.0]);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! There is one GEMM, [`gemm`]: a register-tiled 6x16 microkernel over
 //! packed strips, written with AVX2/FMA intrinsics for `f32` (selected at run
 //! time) beside a scalar twin that performs the same fused operations in the
-//! same order. Its results are therefore bit-identical with or without SIMD
+//! same order; the AVX2 side also has a narrow path for products with at
+//! most 8 lane columns (a few-row inner product), which keeps that order.
+//! Its results are therefore bit-identical with or without SIMD
 //! and for any row range of a product — the property the coarse-grain
 //! drivers' bit-identity guarantees rest on ([`level3`] has the argument).
 //! [`gemm_naive`] is the triple-loop oracle the tests compare against.

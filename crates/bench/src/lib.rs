@@ -29,15 +29,6 @@ pub fn simulate(net: &Net<f32>) -> (Vec<LayerProfile>, NetworkSim) {
     (profiles, sim)
 }
 
-/// Print a `(label, value)` series as an aligned two-column block.
-pub fn print_series(title: &str, rows: &[(String, f64)], unit: &str) {
-    println!("{title}");
-    for (label, v) in rows {
-        println!("  {label:<18} {v:>10.2} {unit}");
-    }
-    println!();
-}
-
 /// Print a paper-vs-ours comparison row.
 pub fn compare(label: &str, paper: f64, ours: f64) {
     let ratio = if paper > 0.0 { ours / paper } else { f64::NAN };

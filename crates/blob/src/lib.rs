@@ -160,21 +160,6 @@ impl<S: Scalar> Blob<S> {
         ((n * self.channels() + c) * self.height() + h) * self.width() + w
     }
 
-    /// Reshape in place. The element count must be preserved (use
-    /// [`Blob::resize`] to change it).
-    ///
-    /// # Panics
-    /// Panics if the new shape has a different element count.
-    pub fn reshape(&mut self, shape: impl Into<Shape>) {
-        let shape = shape.into();
-        assert_eq!(
-            shape.count(),
-            self.count(),
-            "Blob::reshape must preserve count; use resize"
-        );
-        self.shape = shape;
-    }
-
     /// Resize to a new shape (Caffe's `Reshape`). A shape that fits the
     /// current [`Blob::capacity`] only changes the logical shape: no
     /// allocation, no zero-fill, and the elements that stay in range keep
@@ -262,24 +247,6 @@ impl<S: Scalar> Blob<S> {
         &self.data()[n * len..(n + 1) * len]
     }
 
-    /// Mutable data slice of sample `n`.
-    pub fn sample_data_mut(&mut self, n: usize) -> &mut [S] {
-        let len = self.sample_len();
-        &mut self.data_mut()[n * len..(n + 1) * len]
-    }
-
-    /// Diff slice of sample `n`.
-    pub fn sample_diff(&self, n: usize) -> &[S] {
-        let len = self.sample_len();
-        &self.diff()[n * len..(n + 1) * len]
-    }
-
-    /// Mutable diff slice of sample `n`.
-    pub fn sample_diff_mut(&mut self, n: usize) -> &mut [S] {
-        let len = self.sample_len();
-        &mut self.diff_mut()[n * len..(n + 1) * len]
-    }
-
     /// Elements per `(sample, channel)` segment — the blob "segment" of the
     /// paper's Figures 1-2 (`H * W` for 4-D blobs).
     pub fn segment_len(&self) -> usize {
@@ -298,42 +265,10 @@ impl<S: Scalar> Blob<S> {
         &self.data()[start..start + len]
     }
 
-    /// Diff slice of segment `(n, c)`.
-    pub fn segment_diff(&self, n: usize, c: usize) -> &[S] {
-        let len = self.segment_len();
-        let start = self.offset(n, c, 0, 0);
-        &self.diff()[start..start + len]
-    }
-
-    /// Zero the data buffer.
-    pub fn zero_data(&mut self) {
-        mmblas::zero(self.data_mut());
-    }
-
     /// Zero the diff buffer — `caffe_zero` on the privatized gradients
     /// (Algorithm 5, line 5).
     pub fn zero_diff(&mut self) {
         mmblas::zero(self.diff_mut());
-    }
-
-    /// Scale the data buffer by `alpha`.
-    pub fn scale_data(&mut self, alpha: S) {
-        mmblas::scal(alpha, self.data_mut());
-    }
-
-    /// Scale the diff buffer by `alpha`.
-    pub fn scale_diff(&mut self, alpha: S) {
-        mmblas::scal(alpha, self.diff_mut());
-    }
-
-    /// L1 norm of the data buffer.
-    pub fn asum_data(&self) -> S {
-        mmblas::asum(self.data())
-    }
-
-    /// L1 norm of the diff buffer.
-    pub fn asum_diff(&self) -> S {
-        mmblas::asum(self.diff())
     }
 
     /// Caffe's `Blob::Update`: `data -= diff` (the diff already holds the
@@ -355,18 +290,6 @@ impl<S: Scalar> Blob<S> {
     pub fn accumulate_diff_from(&mut self, other: &Blob<S>) {
         assert_eq!(self.count(), other.count(), "accumulate_diff_from: count");
         mmblas::axpy(S::ONE, other.diff(), self.diff_mut());
-    }
-
-    /// Copy data (and optionally diff) from another blob of identical count.
-    ///
-    /// # Panics
-    /// Panics if counts differ.
-    pub fn copy_from(&mut self, other: &Blob<S>, copy_diff: bool) {
-        assert_eq!(self.count(), other.count(), "copy_from: count");
-        self.data_mut().copy_from_slice(other.data());
-        if copy_diff {
-            self.diff_mut().copy_from_slice(other.diff());
-        }
     }
 
     /// Heap footprint in bytes (both buffers, at their allocated
@@ -430,21 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let mut b: Blob<f32> = Blob::from_data([2usize, 3], vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        b.reshape([3usize, 2]);
-        assert_eq!(b.data()[5], 5.0);
-        assert_eq!(b.num(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "must preserve count")]
-    fn reshape_count_mismatch_panics() {
-        let mut b: Blob<f32> = Blob::new([2usize, 3]);
-        b.reshape([7usize]);
-    }
-
-    #[test]
     fn resize_reallocates() {
         let mut b: Blob<f32> = Blob::from_data([2usize], vec![1.0, 2.0]);
         b.resize([4usize]);
@@ -461,10 +369,9 @@ mod tests {
         assert_eq!((b.num(), b.count(), b.capacity()), (1, 2, 8));
         assert_eq!(b.data(), &[0.0, 1.0], "only the live prefix is visible");
         assert_eq!(b.diff().len(), 2);
-        assert_eq!(b.asum_data(), 1.0, "reductions see the live elements only");
         assert_eq!(b.bytes(), 2 * 8 * 4, "the heap footprint is the capacity");
         // Whole-buffer writes stop at the logical end ...
-        b.zero_data();
+        b.data_mut().fill(0.0);
         b.resize([4usize, 2]);
         // ... so growing back exposes the old rows, not zeros, in place.
         assert_eq!(b.data(), &[0.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
@@ -533,7 +440,7 @@ mod tests {
         assert_eq!(b.data(), &[0.75, 0.75]);
         assert_eq!(a.data(), &[1.0, 1.0]);
         let mut d = a.clone();
-        d.zero_data();
+        d.data_mut().fill(0.0);
         assert_eq!(a.data(), &[1.0, 1.0]);
         assert_eq!(d.data(), &[0.0, 0.0]);
     }
@@ -548,13 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_zero() {
+    fn zero_diff_clears_the_gradient() {
         let mut b: Blob<f64> = Blob::from_data([2usize], vec![2.0, 4.0]);
-        b.scale_data(0.5);
-        assert_eq!(b.data(), &[1.0, 2.0]);
         b.diff_mut().copy_from_slice(&[1.0, 1.0]);
-        assert_eq!(b.asum_diff(), 2.0);
         b.zero_diff();
-        assert_eq!(b.asum_diff(), 0.0);
+        assert_eq!(b.diff(), &[0.0, 0.0]);
+        assert_eq!(b.data(), &[2.0, 4.0]);
     }
 }

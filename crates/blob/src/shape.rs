@@ -50,12 +50,6 @@ impl Shape {
         }
         self.0[from..to].iter().product()
     }
-
-    /// Product of extents from axis `from` to the end — Caffe's
-    /// `count(start_axis)`.
-    pub fn count_from(&self, from: usize) -> usize {
-        self.count_range(from, self.ndim())
-    }
 }
 
 impl From<Vec<usize>> for Shape {
@@ -98,7 +92,6 @@ mod tests {
         let s = Shape::from([2usize, 3, 4]);
         assert_eq!(s.count(), 24);
         assert_eq!(s.count_range(1, 3), 12);
-        assert_eq!(s.count_from(1), 12);
         assert_eq!(s.count_range(2, 2), 1);
         assert_eq!(s.count_range(5, 9), 1);
     }

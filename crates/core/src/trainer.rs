@@ -142,9 +142,8 @@ impl<S: Scalar> CoarseGrainTrainer<S> {
         loss
     }
 
-    /// Evaluate over `batches` test batches:
-    /// `(mean loss, mean accuracy if the net has an accuracy blob)`.
-    pub fn evaluate(&mut self, batches: usize) -> (S, Option<S>) {
+    /// Evaluate over `batches` test batches: the mean test-phase loss.
+    pub fn evaluate(&mut self, batches: usize) -> S {
         solvers::evaluate(&mut self.net, &self.team, &self.run, batches)
     }
 

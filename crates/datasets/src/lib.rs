@@ -13,8 +13,7 @@
 //! * [`idx`] / [`cifar_bin`] — readers for the real MNIST IDX and CIFAR-10
 //!   binary formats, so the same experiments run on the genuine data when
 //!   the files are present.
-//! * [`InMemoryDataset`] — a [`BatchSource`] over decoded samples with
-//!   scaling / mean-subtraction transforms.
+//! * [`InMemoryDataset`] — a [`BatchSource`] over decoded samples.
 
 pub mod cifar_bin;
 pub mod idx;

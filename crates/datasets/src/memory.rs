@@ -1,5 +1,4 @@
-//! In-memory [`BatchSource`] over decoded samples, with the simple
-//! transforms Caffe's data layers apply (scale, mean subtraction).
+//! In-memory [`BatchSource`] over decoded samples.
 
 use blob::Shape;
 use layers::data::BatchSource;
@@ -11,8 +10,6 @@ pub struct InMemoryDataset {
     images: Vec<Vec<f32>>,
     labels: Vec<u8>,
     shape: Shape,
-    scale: f32,
-    mean: f32,
 }
 
 impl InMemoryDataset {
@@ -40,22 +37,7 @@ impl InMemoryDataset {
             images,
             labels,
             shape,
-            scale: 1.0,
-            mean: 0.0,
         }
-    }
-
-    /// Multiply every pixel by `scale` when serving (Caffe `scale:`).
-    pub fn with_scale(mut self, scale: f32) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Subtract `mean` from every pixel (applied before scaling), the
-    /// simple scalar form of Caffe's mean file.
-    pub fn with_mean(mut self, mean: f32) -> Self {
-        self.mean = mean;
-        self
     }
 }
 
@@ -71,7 +53,7 @@ impl<S: Scalar> BatchSource<S> for InMemoryDataset {
     fn fill(&self, index: usize, out: &mut [S]) -> S {
         let img = &self.images[index];
         for (o, &p) in out.iter_mut().zip(img) {
-            *o = S::from_f64(((p - self.mean) * self.scale) as f64);
+            *o = S::from_f64(p as f64);
         }
         S::from_usize(self.labels[index] as usize)
     }
@@ -82,21 +64,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serves_transformed_samples() {
+    fn serves_samples_and_labels() {
         let ds = InMemoryDataset::new(
             vec![vec![0.5, 1.0], vec![0.0, 0.25]],
             vec![3, 7],
             [1usize, 1, 2],
-        )
-        .with_mean(0.25)
-        .with_scale(2.0);
+        );
         let mut out = [0.0f32; 2];
         let l0 = BatchSource::<f32>::fill(&ds, 0, &mut out);
         assert_eq!(l0, 3.0);
-        assert_eq!(out, [0.5, 1.5]);
+        assert_eq!(out, [0.5, 1.0]);
         let l1 = BatchSource::<f32>::fill(&ds, 1, &mut out);
         assert_eq!(l1, 7.0);
-        assert_eq!(out, [-0.5, 0.0]);
+        assert_eq!(out, [0.0, 0.25]);
     }
 
     #[test]

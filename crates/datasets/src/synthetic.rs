@@ -48,23 +48,15 @@ const DIGIT_FONT: [[u8; 7]; 10] = [
 pub struct SyntheticMnist {
     n: usize,
     seed: u64,
-    noise: f64,
 }
 
-impl SyntheticMnist {
-    /// `n` samples from `seed`, with default noise (std 0.08).
-    pub fn new(n: usize, seed: u64) -> Self {
-        Self {
-            n,
-            seed,
-            noise: 0.08,
-        }
-    }
+/// Standard deviation of [`SyntheticMnist`]'s additive Gaussian noise.
+const MNIST_NOISE: f64 = 0.08;
 
-    /// Override the additive Gaussian noise level.
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
+impl SyntheticMnist {
+    /// `n` samples from `seed`.
+    pub fn new(n: usize, seed: u64) -> Self {
+        Self { n, seed }
     }
 
     /// The label of sample `index` (same value `fill` returns).
@@ -92,11 +84,7 @@ impl<S: Scalar> BatchSource<S> for SyntheticMnist {
         let oy = 2 + rng.uniform_u32(5) as usize; // 2..6
         let glyph = &DIGIT_FONT[label];
         for v in out.iter_mut() {
-            *v = if self.noise > 0.0 {
-                S::from_f64((rng.normal() * self.noise).clamp(-0.3, 0.3).max(0.0))
-            } else {
-                S::ZERO
-            };
+            *v = S::from_f64((rng.normal() * MNIST_NOISE).clamp(-0.3, 0.3).max(0.0));
         }
         for (r, bits) in glyph.iter().enumerate() {
             for c in 0..5 {
@@ -126,23 +114,15 @@ impl<S: Scalar> BatchSource<S> for SyntheticMnist {
 pub struct SyntheticCifar {
     n: usize,
     seed: u64,
-    noise: f64,
 }
 
-impl SyntheticCifar {
-    /// `n` samples from `seed`, with default noise (std 0.1).
-    pub fn new(n: usize, seed: u64) -> Self {
-        Self {
-            n,
-            seed,
-            noise: 0.1,
-        }
-    }
+/// Standard deviation of [`SyntheticCifar`]'s additive Gaussian noise.
+const CIFAR_NOISE: f64 = 0.1;
 
-    /// Override the additive Gaussian noise level.
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
+impl SyntheticCifar {
+    /// `n` samples from `seed`.
+    pub fn new(n: usize, seed: u64) -> Self {
+        Self { n, seed }
     }
 
     /// The label of sample `index`.
@@ -180,7 +160,7 @@ impl<S: Scalar> BatchSource<S> for SyntheticCifar {
             for x in 0..32usize {
                 let t = ((x as f64 * ca + y as f64 * sa) * freq + phase).sin() * 0.25;
                 for ch in 0..3usize {
-                    let noise = rng.normal() * self.noise;
+                    let noise = rng.normal() * CIFAR_NOISE;
                     let v = (base[ch] + t + noise).clamp(0.0, 1.0);
                     out[ch * 32 * 32 + y * 32 + x] = S::from_f64(v);
                 }
@@ -253,7 +233,7 @@ mod tests {
 
     #[test]
     fn cifar_classes_have_distinct_mean_colors() {
-        let d = SyntheticCifar::new(200, 9).with_noise(0.0);
+        let d = SyntheticCifar::new(200, 9);
         let mut buf = vec![0.0f64; 3 * 32 * 32];
         let mut means = vec![];
         for target in 0..4usize {

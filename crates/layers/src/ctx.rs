@@ -83,12 +83,6 @@ impl<'a, S: Scalar> ExecCtx<'a, S> {
         self.reduction = r;
         self
     }
-
-    /// Builder-style: set the phase.
-    pub fn with_phase(mut self, p: Phase) -> Self {
-        self.phase = p;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -114,10 +108,8 @@ mod tests {
     fn ctx_builders() {
         let team = ThreadTeam::new(1);
         let ws = Workspace::<f32>::empty();
-        let ctx = ExecCtx::new(&team, &ws)
-            .with_reduction(ReductionMode::Unordered)
-            .with_phase(Phase::Test);
+        let ctx = ExecCtx::new(&team, &ws).with_reduction(ReductionMode::Unordered);
         assert_eq!(ctx.reduction, ReductionMode::Unordered);
-        assert_eq!(ctx.phase, Phase::Test);
+        assert_eq!(ctx.phase, Phase::Train);
     }
 }

@@ -55,11 +55,6 @@ impl<S: Scalar> DataLayer<S> {
         }
     }
 
-    /// Reset the epoch cursor to the first sample.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
-
     /// Current cursor position (index of the next sample to serve).
     pub fn cursor(&self) -> usize {
         self.cursor
@@ -185,7 +180,7 @@ pub(crate) mod tests {
         l.forward(&ctx, &[], &mut tops);
         // Wraps: samples 3, 4, 0.
         assert_eq!(tops[1].data(), &[3.0, 4.0, 0.0]);
-        l.rewind();
+        l.set_data_cursor(0);
         l.forward(&ctx, &[], &mut tops);
         assert_eq!(tops[1].data(), &[0.0, 1.0, 2.0]);
         // Cursor save/restore resumes mid-epoch exactly.

@@ -136,7 +136,8 @@ mod tests {
         let shapes = l.setup(&[&b]);
         let team = ThreadTeam::new(threads);
         let ws = Workspace::<f32>::empty();
-        let mut ctx = ExecCtx::new(&team, &ws).with_phase(phase);
+        let mut ctx = ExecCtx::new(&team, &ws);
+        ctx.phase = phase;
         ctx.iteration = iteration;
         let mut tops = vec![Blob::new(shapes[0].clone())];
         l.forward(&ctx, &[&b], &mut tops);

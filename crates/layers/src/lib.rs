@@ -18,52 +18,40 @@
 //! sequentially — there is no separate "serial implementation", which is
 //! what makes the convergence-invariance comparisons meaningful.
 
-pub mod accuracy;
 pub mod activation;
 mod batch_cache;
-pub mod concat;
 pub mod conv;
 pub mod ctx;
 pub mod data;
 pub mod drivers;
 pub mod dropout;
-pub mod eltwise;
-pub mod euclidean_loss;
 pub mod fill;
 pub mod flatten;
 pub mod inner_product;
 pub mod lrn;
 pub mod pooling;
-pub mod power;
 pub mod profile;
 pub mod relu;
 pub mod sigmoid;
 pub mod softmax;
 pub mod softmax_loss;
-pub mod split;
 pub mod tanh_layer;
 pub mod workspace;
 
-pub use accuracy::AccuracyLayer;
-pub use concat::ConcatLayer;
 pub use conv::ConvolutionLayer;
 pub use ctx::{ExecCtx, Phase, ReductionMode};
 pub use data::DataLayer;
 pub use dropout::DropoutLayer;
-pub use eltwise::{EltwiseLayer, EltwiseOp};
-pub use euclidean_loss::EuclideanLossLayer;
 pub use fill::Filler;
 pub use flatten::FlattenLayer;
 pub use inner_product::InnerProductLayer;
 pub use lrn::LrnLayer;
 pub use pooling::{PoolMethod, PoolingLayer};
-pub use power::{AbsValLayer, PowerLayer};
 pub use profile::{LayerProfile, PassProfile};
 pub use relu::ReluLayer;
 pub use sigmoid::SigmoidLayer;
 pub use softmax::SoftmaxLayer;
 pub use softmax_loss::SoftmaxLossLayer;
-pub use split::SplitLayer;
 pub use tanh_layer::TanhLayer;
 pub use workspace::{Workspace, WorkspaceRequest};
 

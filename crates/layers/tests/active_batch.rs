@@ -11,8 +11,8 @@ use layers::inner_product::InnerProductConfig;
 use layers::lrn::LrnConfig;
 use layers::pooling::PoolConfig;
 use layers::{
-    ConcatLayer, ConvolutionLayer, DropoutLayer, EltwiseLayer, EltwiseOp, ExecCtx, FlattenLayer,
-    InnerProductLayer, Layer, LrnLayer, PoolingLayer, SoftmaxLayer, SoftmaxLossLayer, Workspace,
+    ConvolutionLayer, DropoutLayer, ExecCtx, FlattenLayer, InnerProductLayer, Layer, LrnLayer,
+    PoolingLayer, SoftmaxLayer, SoftmaxLossLayer, Workspace,
 };
 use omprt::ThreadTeam;
 
@@ -198,21 +198,8 @@ fn flatten() {
 }
 
 #[test]
-fn concat() {
-    check(ConcatLayer::new("cat"), &[&[1, 2, 2], &[3, 2, 2]]);
-}
-
-#[test]
 fn dropout_mask() {
     check(DropoutLayer::new("drop", 0.5, 99), &[&[2, 3, 3]]);
-}
-
-#[test]
-fn eltwise_argmax() {
-    check(
-        EltwiseLayer::new("max", EltwiseOp::Max, Vec::new()),
-        &[&[2, 2, 2], &[2, 2, 2]],
-    );
 }
 
 /// The loss layer's top is a batch-wide scalar (and its bottom diff is

@@ -100,7 +100,7 @@ fn efficiency(layer_type: &str, imp: GpuImpl, backward: bool, per_kernel_flops: 
                 (0.008, 0.30)
             }
         }
-        // Softmax / loss / accuracy: tiny kernels, launch-bound.
+        // Softmax / loss and the rest: tiny kernels, launch-bound.
         _ => (0.01, 0.20),
     }
 }

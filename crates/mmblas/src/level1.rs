@@ -19,17 +19,6 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     }
 }
 
-/// `y = alpha * x + beta * y` (extended BLAS `axpby`).
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-pub fn axpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi + beta * *yi;
-    }
-}
-
 /// `x *= alpha` (BLAS `scal`).
 pub fn scal<S: Scalar>(alpha: S, x: &mut [S]) {
     for xi in x.iter_mut() {
@@ -74,29 +63,6 @@ pub fn dot_seq<S: Scalar>(x: &[S], y: &[S]) -> S {
     acc
 }
 
-/// Sum of absolute values (BLAS `asum`).
-pub fn asum<S: Scalar>(x: &[S]) -> S {
-    let mut acc = S::ZERO;
-    for &xi in x {
-        acc += xi.abs();
-    }
-    acc
-}
-
-/// Euclidean norm (BLAS `nrm2`).
-pub fn nrm2<S: Scalar>(x: &[S]) -> S {
-    dot(x, x).sqrt()
-}
-
-/// `y = x` (BLAS `copy`).
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-pub fn copy<S: Scalar>(x: &[S], y: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "copy: length mismatch");
-    y.copy_from_slice(x);
-}
-
 /// Fill `x` with `v` (`caffe_set`).
 pub fn set<S: Scalar>(v: S, x: &mut [S]) {
     for xi in x.iter_mut() {
@@ -108,53 +74,6 @@ pub fn set<S: Scalar>(v: S, x: &mut [S]) {
 /// Algorithm 5 line 5.
 pub fn zero<S: Scalar>(x: &mut [S]) {
     set(S::ZERO, x);
-}
-
-/// Elementwise `z = x * y` (Hadamard product, `caffe_mul`).
-///
-/// # Panics
-/// Panics on any length mismatch.
-pub fn mul<S: Scalar>(x: &[S], y: &[S], z: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "mul: length mismatch");
-    assert_eq!(x.len(), z.len(), "mul: output length mismatch");
-    for ((zi, &xi), &yi) in z.iter_mut().zip(x).zip(y) {
-        *zi = xi * yi;
-    }
-}
-
-/// Elementwise `z = x + y` (`caffe_add`).
-pub fn add<S: Scalar>(x: &[S], y: &[S], z: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "add: length mismatch");
-    assert_eq!(x.len(), z.len(), "add: output length mismatch");
-    for ((zi, &xi), &yi) in z.iter_mut().zip(x).zip(y) {
-        *zi = xi + yi;
-    }
-}
-
-/// Elementwise `z = x - y` (`caffe_sub`).
-pub fn sub<S: Scalar>(x: &[S], y: &[S], z: &mut [S]) {
-    assert_eq!(x.len(), y.len(), "sub: length mismatch");
-    assert_eq!(x.len(), z.len(), "sub: output length mismatch");
-    for ((zi, &xi), &yi) in z.iter_mut().zip(x).zip(y) {
-        *zi = xi - yi;
-    }
-}
-
-/// Index of the maximum element; ties resolve to the lowest index.
-///
-/// Returns `None` for an empty slice. Used by accuracy layers (argmax over
-/// class scores).
-pub fn iamax<S: Scalar>(x: &[S]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0usize;
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v > x[best] {
-            best = i;
-        }
-    }
-    Some(best)
 }
 
 #[cfg(test)]
@@ -175,14 +94,6 @@ mod tests {
         let mut y = [1.0f32, 2.0, 3.0];
         axpy(0.0, &x, &mut y);
         assert_eq!(y, [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn axpby_basic() {
-        let x = [1.0f64, 2.0];
-        let mut y = [3.0f64, 4.0];
-        axpby(2.0, &x, 0.5, &mut y);
-        assert_eq!(y, [3.5, 6.0]);
     }
 
     #[test]
@@ -209,33 +120,6 @@ mod tests {
     fn dot_empty() {
         let e: [f32; 0] = [];
         assert_eq!(dot(&e, &e), 0.0);
-    }
-
-    #[test]
-    fn asum_nrm2() {
-        let x = [3.0f32, -4.0];
-        assert_eq!(asum(&x), 7.0);
-        assert_eq!(nrm2(&x), 5.0);
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let x = [1.0f32, 2.0];
-        let y = [3.0f32, 5.0];
-        let mut z = [0.0f32; 2];
-        mul(&x, &y, &mut z);
-        assert_eq!(z, [3.0, 10.0]);
-        add(&x, &y, &mut z);
-        assert_eq!(z, [4.0, 7.0]);
-        sub(&x, &y, &mut z);
-        assert_eq!(z, [-2.0, -3.0]);
-    }
-
-    #[test]
-    fn iamax_ties_and_empty() {
-        assert_eq!(iamax::<f32>(&[]), None);
-        assert_eq!(iamax(&[1.0f32, 3.0, 3.0, 2.0]), Some(1));
-        assert_eq!(iamax(&[-5.0f32, -1.0, -3.0]), Some(1));
     }
 
     #[test]

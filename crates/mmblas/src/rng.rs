@@ -42,12 +42,6 @@ impl Pcg32 {
         xorshifted.rotate_right(rot)
     }
 
-    /// Next 64 uniformly random bits.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        ((self.next_u32() as u64) << 32) | self.next_u32() as u64
-    }
-
     /// Uniform in `[0, 1)` with 32-bit resolution.
     #[inline]
     pub fn uniform_f64(&mut self) -> f64 {

@@ -7,8 +7,8 @@ use layers::inner_product::{InnerProductConfig, InnerProductLayer};
 use layers::lrn::{LrnConfig, LrnLayer};
 use layers::pooling::{PoolConfig, PoolMethod, PoolingLayer};
 use layers::{
-    AccuracyLayer, DataLayer, DropoutLayer, Filler, FlattenLayer, Layer, ReluLayer, SigmoidLayer,
-    SoftmaxLayer, SoftmaxLossLayer, TanhLayer,
+    DataLayer, DropoutLayer, Filler, FlattenLayer, Layer, ReluLayer, SigmoidLayer, SoftmaxLayer,
+    SoftmaxLossLayer, TanhLayer,
 };
 use mmblas::Scalar;
 
@@ -160,44 +160,6 @@ pub fn build_layer<S: Scalar>(
             Box::new(DropoutLayer::new(name, ratio, seed))
         }
         "SoftmaxWithLoss" => Box::new(SoftmaxLossLayer::new(name)),
-        "EuclideanLoss" => Box::new(layers::EuclideanLossLayer::new(name)),
-        "Accuracy" => Box::new(AccuracyLayer::new(name)),
-        "Concat" => Box::new(layers::ConcatLayer::new(name)),
-        "Split" => {
-            let n = ls.get_usize_or("tops", ls.tops.len().max(1))?;
-            Box::new(layers::SplitLayer::new(name, n))
-        }
-        "Eltwise" => {
-            let op = match ls.get("operation") {
-                Some("SUM") | None => layers::EltwiseOp::Sum,
-                Some("PROD") => layers::EltwiseOp::Prod,
-                Some("MAX") => layers::EltwiseOp::Max,
-                Some(other) => {
-                    return Err(SpecError::new(format!(
-                        "layer '{name}': unknown eltwise operation '{other}'"
-                    )))
-                }
-            };
-            let coeffs: Vec<S> = match ls.get("coeffs") {
-                None => Vec::new(),
-                Some(list) => list
-                    .split(',')
-                    .map(|v| {
-                        v.trim().parse::<f64>().map(S::from_f64).map_err(|_| {
-                            SpecError::new(format!("layer '{name}': bad coefficient '{v}'"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-            Box::new(layers::EltwiseLayer::new(name, op, coeffs))
-        }
-        "Power" => Box::new(layers::PowerLayer::new(
-            name,
-            ls.get_f64_or("power", 1.0)?,
-            ls.get_f64_or("scale", 1.0)?,
-            ls.get_f64_or("shift", 0.0)?,
-        )),
-        "AbsVal" => Box::new(layers::AbsValLayer::new(name)),
         other => {
             return Err(SpecError::new(format!(
                 "layer '{name}': unknown layer type '{other}'"
@@ -216,21 +178,62 @@ mod tests {
         NetSpec::parse(body).unwrap().layers[0].clone()
     }
 
+    struct Zeros;
+    impl BatchSource<f32> for Zeros {
+        fn num_samples(&self) -> usize {
+            2
+        }
+        fn sample_shape(&self) -> blob::Shape {
+            blob::Shape::from([4usize])
+        }
+        fn fill(&self, _i: usize, _out: &mut [f32]) -> f32 {
+            0.0
+        }
+    }
+
+    /// The two paper nets' types, the deploy transform's `Softmax`, and the
+    /// four the custom-network example adds.
+    const TYPES: [(&str, &str); 12] = [
+        ("Data", "batch: 2"),
+        ("Convolution", "num_output: 2\n kernel: 1"),
+        ("Pooling", "kernel: 2"),
+        ("InnerProduct", "num_output: 2"),
+        ("ReLU", ""),
+        ("LRN", ""),
+        ("SoftmaxWithLoss", ""),
+        ("Softmax", ""),
+        ("Flatten", ""),
+        ("Sigmoid", ""),
+        ("TanH", ""),
+        ("Dropout", ""),
+    ];
+
     #[test]
-    fn builds_every_parameterless_type() {
+    fn builds_exactly_the_twelve_types() {
+        for (ty, params) in TYPES {
+            let ls = spec_of(&format!("layer {{\n name: x\n type: {ty}\n {params}\n}}"));
+            let mut source: Option<Box<dyn BatchSource<f32>>> = Some(Box::new(Zeros));
+            let l = build_layer::<f32>(&ls, &mut source, false).unwrap();
+            assert_eq!(l.layer_type(), ty);
+        }
         for ty in [
-            "ReLU",
-            "Sigmoid",
-            "TanH",
-            "Softmax",
-            "Flatten",
-            "SoftmaxWithLoss",
+            "Concat",
+            "Eltwise",
+            "Power",
+            "AbsVal",
+            "EuclideanLoss",
+            "Split",
             "Accuracy",
         ] {
             let ls = spec_of(&format!("layer {{\n name: x\n type: {ty}\n}}"));
-            let mut none: Option<Box<dyn BatchSource<f32>>> = None;
-            let l = build_layer::<f32>(&ls, &mut none, false).unwrap();
-            assert_eq!(l.layer_type(), ty);
+            let mut source: Option<Box<dyn BatchSource<f32>>> = Some(Box::new(Zeros));
+            let e = build_layer::<f32>(&ls, &mut source, false)
+                .err()
+                .unwrap_or_else(|| panic!("{ty} must not build"));
+            assert_eq!(
+                e.to_string(),
+                format!("layer 'x': unknown layer type '{ty}'")
+            );
         }
     }
 

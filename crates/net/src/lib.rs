@@ -8,9 +8,10 @@
 //! Per-layer wall-clock times are recorded for the per-layer breakdown
 //! experiments (Figures 4 and 7).
 //!
-//! Fan-out: each blob may have at most one gradient-producing consumer;
-//! declare an explicit `Split` layer for branching topologies (exactly what
-//! Caffe auto-inserts) — its backward pass sums the branch gradients.
+//! Fan-out: a blob a layer computes feeds exactly one layer, since
+//! `backward` overwrites each bottom's diff; `from_spec` rejects a second
+//! consumer with a [`SpecError`]. Data and input blobs carry no gradient
+//! and may feed any number of layers.
 //!
 //! ```
 //! use net::{Net, NetSpec};
@@ -176,6 +177,10 @@ impl<S: Scalar> Net<S> {
             }
         }
 
+        // The layer each computed blob feeds. Backward *writes* a bottom's
+        // diff, so a second consumer would overwrite the first one's
+        // gradient; data and input blobs carry none and may fan out.
+        let mut consumer: HashMap<usize, &str> = HashMap::new();
         for ls in &spec.layers {
             // Resolve bottoms.
             let mut bottom_ids = Vec::with_capacity(ls.bottoms.len());
@@ -183,6 +188,15 @@ impl<S: Scalar> Net<S> {
                 let id = *net.blob_index.get(b).ok_or_else(|| {
                     SpecError::new(format!("layer '{}': unknown bottom blob '{b}'", ls.name))
                 })?;
+                if !data_tops.contains(b) {
+                    if let Some(first) = consumer.insert(id, &ls.name) {
+                        return Err(SpecError::new(format!(
+                            "layer '{}': blob '{b}' already feeds layer '{first}'; \
+                             only data and input blobs may feed more than one layer",
+                            ls.name
+                        )));
+                    }
+                }
                 bottom_ids.push(id);
             }
             // Build the layer object. A learnable layer sitting directly on
@@ -248,11 +262,6 @@ impl<S: Scalar> Net<S> {
     /// Layer instance names in execution order.
     pub fn layer_names(&self) -> Vec<&str> {
         self.layers.iter().map(|l| l.name()).collect()
-    }
-
-    /// Layer type strings in execution order.
-    pub fn layer_types(&self) -> Vec<&str> {
-        self.layers.iter().map(|l| l.layer_type()).collect()
     }
 
     /// Immutable access to a named blob.
@@ -597,5 +606,74 @@ impl<S: Scalar> Net<S> {
 
     pub(crate) fn workspace_ref(&self) -> &Workspace<S> {
         &self.workspace
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Ones;
+    impl BatchSource<f32> for Ones {
+        fn num_samples(&self) -> usize {
+            4
+        }
+        fn sample_shape(&self) -> blob::Shape {
+            blob::Shape::from([3usize])
+        }
+        fn fill(&self, _i: usize, out: &mut [f32]) -> f32 {
+            mmblas::set(1.0, out);
+            0.0
+        }
+    }
+
+    const DATA: &str = "layer {\n name: d\n type: Data\n batch: 2\n top: data\n top: label\n}\n";
+
+    fn build(body: &str) -> Result<Net<f32>, SpecError> {
+        let spec = NetSpec::parse(&format!("{DATA}{body}")).unwrap();
+        Net::from_spec(&spec, Some(Box::new(Ones)))
+    }
+
+    #[test]
+    fn computed_blob_fanout_is_a_spec_error() {
+        // Both ReLU and Sigmoid would write ip's diff in backward; the later
+        // write (ReLU's, backward runs in reverse) would replace Sigmoid's.
+        let e = build(
+            "layer {\n name: ip\n type: InnerProduct\n num_output: 2\n bottom: data\n top: ip\n}\n\
+             layer {\n name: sig\n type: Sigmoid\n bottom: ip\n top: sig\n}\n\
+             layer {\n name: relu\n type: ReLU\n bottom: ip\n top: relu\n}",
+        )
+        .err()
+        .expect("fan-out of a computed blob must not build");
+        assert_eq!(
+            e.to_string(),
+            "layer 'relu': blob 'ip' already feeds layer 'sig'; \
+             only data and input blobs may feed more than one layer"
+        );
+        // One layer naming the same computed blob twice is a fan-out too.
+        assert!(build(
+            "layer {\n name: flat\n type: Flatten\n bottom: data\n top: flat\n}\n\
+             layer {\n name: loss\n type: SoftmaxWithLoss\n bottom: flat\n bottom: flat\n top: loss\n}",
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn data_and_input_blobs_may_fan_out() {
+        let net = build(
+            "layer {\n name: a\n type: InnerProduct\n num_output: 2\n bottom: data\n top: a\n}\n\
+             layer {\n name: b\n type: InnerProduct\n num_output: 2\n bottom: data\n top: b\n}\n\
+             layer {\n name: la\n type: SoftmaxWithLoss\n bottom: a\n bottom: label\n top: la\n}\n\
+             layer {\n name: lb\n type: SoftmaxWithLoss\n bottom: b\n bottom: label\n top: lb\n}",
+        )
+        .unwrap();
+        assert_eq!(net.num_layers(), 5);
+        let spec = NetSpec::parse(
+            "layer {\n name: a\n type: ReLU\n bottom: x\n top: a\n}\n\
+             layer {\n name: b\n type: Sigmoid\n bottom: x\n top: b\n}",
+        )
+        .unwrap();
+        let inputs = [("x".to_string(), blob::Shape::from([2usize, 3]))];
+        assert!(Net::<f32>::from_spec_with_inputs(&spec, None, &inputs).is_ok());
     }
 }

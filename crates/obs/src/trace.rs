@@ -210,11 +210,6 @@ pub fn stream_open(path: &std::path::Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Whether a streaming sink is currently consuming events.
-pub fn stream_active() -> bool {
-    stream().lock().is_some()
-}
-
 /// Terminate the streamed array: append the `dropped_events` counter
 /// record carrying `dropped` (write failures during streaming are counted
 /// there too), close the array, and flush. Returns how many events were
@@ -298,21 +293,6 @@ pub fn span(name: &'static str, cat: &'static str) -> Option<Span> {
     }
     Some(Span {
         name: Cow::Borrowed(name),
-        cat,
-        start: Instant::now(),
-    })
-}
-
-/// [`span`] with an owned (formatted) name. Callers must gate on
-/// [`enabled`] *before* building the `String` to keep the disabled path
-/// allocation-free.
-#[inline]
-pub fn span_owned(name: String, cat: &'static str) -> Option<Span> {
-    if !enabled() {
-        return None;
-    }
-    Some(Span {
-        name: Cow::Owned(name),
         cat,
         start: Instant::now(),
     })
@@ -592,7 +572,6 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("obs-trace-stream-{}.json", std::process::id()));
         stream_open(&path).unwrap();
-        assert!(stream_active());
         // A second open must refuse rather than clobber the live stream.
         assert!(stream_open(&path).is_err());
         for i in 0..5 {
@@ -606,7 +585,6 @@ mod tests {
         let streamed = stream_close(2).unwrap();
         set_enabled(false);
         assert_eq!(streamed, 5);
-        assert!(!stream_active());
         assert!(stream_close(0).is_err(), "double close must error");
         // Streamed events never reach the ring buffers.
         assert!(take_events().is_empty());

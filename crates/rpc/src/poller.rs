@@ -42,7 +42,7 @@ extern "C" {
 ///
 /// Usage per loop turn: `clear()`, `push()` every fd of interest
 /// (remembering the returned slot), `wait()`, then query
-/// `readable(slot)` / `writable(slot)`.
+/// `readable(slot)`.
 pub struct PollSet {
     fds: Vec<PollFd>,
 }
@@ -109,11 +109,6 @@ impl PollSet {
     /// attempt the read to observe EOF or the error)?
     pub fn readable(&self, slot: usize) -> bool {
         self.fds[slot].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
-    }
-
-    /// Did `slot` become writable (or errored — the write will surface it)?
-    pub fn writable(&self, slot: usize) -> bool {
-        self.fds[slot].revents & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0
     }
 }
 

@@ -7,15 +7,13 @@
 //!   *input* blob, its remaining tops (the label) become *aux* blobs that
 //!   no deploy layer may consume;
 //! - `SoftmaxWithLoss` becomes a plain `Softmax` over its first bottom,
-//!   keeping the same top name;
-//! - layers that exist only to consume labels (`Accuracy`,
-//!   `EuclideanLoss`) are dropped.
+//!   keeping the same top name.
 //!
-//! None of these carry learnable parameters, so the deploy net has exactly
+//! Neither carries learnable parameters, so the deploy net has exactly
 //! the training net's parameter list and `CGDN` snapshots load unchanged.
 
 use crate::ServeError;
-use net::{LayerSpec, NetSpec};
+use net::NetSpec;
 
 /// A deploy-transformed spec plus the names the engine needs to wire I/O.
 #[derive(Debug, Clone)]
@@ -24,10 +22,6 @@ pub struct DeploySpec {
     pub spec: NetSpec,
     /// Name of the input blob (the `Data` layer's first top).
     pub input: String,
-}
-
-fn is_dropped_type(t: &str) -> bool {
-    matches!(t, "Accuracy" | "EuclideanLoss")
 }
 
 /// Rewrite a training spec into its forward-only deploy twin.
@@ -56,7 +50,7 @@ pub fn deploy_spec(train: &NetSpec) -> Result<DeploySpec, ServeError> {
 
     let mut layers = Vec::with_capacity(train.layers.len());
     for l in &train.layers {
-        if l.layer_type == "Data" || is_dropped_type(&l.layer_type) {
+        if l.layer_type == "Data" {
             continue;
         }
         let mut out = l.clone();
@@ -88,12 +82,6 @@ pub fn deploy_spec(train: &NetSpec) -> Result<DeploySpec, ServeError> {
     })
 }
 
-/// True if the layer survives the deploy transform unchanged — exposed for
-/// spec-audit tooling.
-pub fn survives_deploy(l: &LayerSpec) -> bool {
-    l.layer_type != "Data" && l.layer_type != "SoftmaxWithLoss" && !is_dropped_type(&l.layer_type)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,13 +108,6 @@ layer {
   bottom: ip
   bottom: label
   top: prob
-}
-layer {
-  name: acc
-  type: Accuracy
-  bottom: ip
-  bottom: label
-  top: acc
 }
 "#;
 

@@ -204,16 +204,6 @@ impl<S: Scalar> Engine<S> {
         self.output_len
     }
 
-    /// Name of the externally-fed input blob.
-    pub fn input_name(&self) -> &str {
-        &self.input_name
-    }
-
-    /// Name of the demuxed output blob.
-    pub fn output_name(&self) -> &str {
-        &self.output_name
-    }
-
     /// Thread-team size.
     pub fn team_size(&self) -> usize {
         self.team.size()
@@ -358,7 +348,6 @@ layer {
     #[test]
     fn infer_batch_returns_per_sample_softmax() {
         let mut e = engine(4, 2);
-        assert_eq!(e.output_name(), "prob");
         assert_eq!(e.output_len(), 3);
         let a = [0.3f32; 6];
         let b = [1.5f32; 6];
@@ -402,9 +391,9 @@ layer {
 
     #[test]
     fn malformed_spec_is_a_build_error_not_a_panic() {
-        // The Power layer consumes the Accuracy layer's top; Accuracy is
-        // dropped by the deploy transform, so the surviving layer has a
-        // dangling bottom — Engine::build must surface ServeError::Build.
+        // The ReLU reads a blob no layer produces, which the deploy
+        // transform passes through untouched — Engine::build must surface
+        // ServeError::Build.
         const BAD: &str = r#"
 name: bad
 layer {
@@ -415,16 +404,16 @@ layer {
   top: label
 }
 layer {
-  name: acc
-  type: Accuracy
+  name: ip
+  type: InnerProduct
+  num_output: 3
   bottom: data
-  bottom: label
-  top: acc
+  top: ip
 }
 layer {
-  name: pow
-  type: Power
-  bottom: acc
+  name: relu
+  type: ReLU
+  bottom: missing
   top: out
 }
 "#;
@@ -438,7 +427,10 @@ layer {
             },
         );
         match r {
-            Err(e) => assert!(matches!(e, ServeError::Build(_)), "got: {e}"),
+            Err(e) => assert!(
+                matches!(&e, ServeError::Build(m) if m.contains("unknown bottom blob 'missing'")),
+                "got: {e}"
+            ),
             Ok(_) => panic!("malformed deploy spec must not build"),
         }
     }

@@ -14,9 +14,9 @@
 //!
 //! - [`deploy::deploy_spec`] — rewrites a training prototxt into its
 //!   forward-only twin (Caffe's deploy-net transform): the `Data` layer
-//!   becomes an input blob, `SoftmaxWithLoss` becomes `Softmax`, and
-//!   label-consuming layers (`Accuracy`, losses) are dropped. Learnable
-//!   parameters are untouched, so training snapshots load unchanged.
+//!   becomes an input blob and `SoftmaxWithLoss` becomes `Softmax` over
+//!   its scores. Learnable parameters are untouched, so training snapshots
+//!   load unchanged.
 //! - [`Engine`] — a deploy net + persistent [`omprt::ThreadTeam`] with a
 //!   pre-sized workspace; [`Engine::infer_batch`] seats the samples it was
 //!   sent as the net's active batch (`max_batch` is only the capacity), so

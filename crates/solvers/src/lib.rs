@@ -311,30 +311,22 @@ pub fn gradient<S: Scalar>(
 }
 
 /// Evaluate a network: run `batches` forward passes in test phase and
-/// return `(mean loss, mean accuracy)` — accuracy is read from the blob
-/// named `accuracy` if the net has one, otherwise `None`.
+/// return the mean loss. The last batch's blobs stay readable on the net.
 pub fn evaluate<S: Scalar>(
     net: &mut Net<S>,
     team: &ThreadTeam,
     run: &RunConfig,
     batches: usize,
-) -> (S, Option<S>) {
+) -> S {
     let test_run = RunConfig {
         phase: layers::Phase::Test,
         ..*run
     };
     let mut loss = S::ZERO;
-    let mut acc = S::ZERO;
-    let mut has_acc = false;
     for _ in 0..batches.max(1) {
         loss += net.forward(team, &test_run);
-        if let Some(b) = net.blob("accuracy") {
-            acc += b.data()[0];
-            has_acc = true;
-        }
     }
-    let denom = S::from_usize(batches.max(1));
-    (loss / denom, if has_acc { Some(acc / denom) } else { None })
+    loss / S::from_usize(batches.max(1))
 }
 
 #[cfg(test)]

@@ -156,3 +156,23 @@ pub fn tiny_net_f64(seed: u64) -> Net<f64> {
     let spec = NetSpec::parse(TINY_SPEC).expect("tiny spec parses");
     Net::from_spec(&spec, Some(Box::new(TinySource64 { n: 64, seed }))).expect("tiny net builds")
 }
+
+/// Argmax hits over the net's current batch: how many samples' highest
+/// entry in blob `scores` is their `label`, out of how many samples.
+pub fn argmax_hits(net: &Net<f32>, scores: &str) -> (usize, usize) {
+    let scores = net.blob(scores).expect("score blob");
+    let labels = net.blob("label").expect("label blob");
+    let hits = (0..scores.num())
+        .filter(|&s| {
+            let pred = scores
+                .sample_data(s)
+                .iter()
+                .enumerate()
+                .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
+                .unwrap()
+                .0;
+            pred == labels.data()[s] as usize
+        })
+        .count();
+    (hits, scores.num())
+}

@@ -1,12 +1,13 @@
-//! Evaluation-path tests: nets with an `Accuracy` layer, train/test phase
-//! switching, and real learned accuracy on the synthetic MNIST classes.
+//! Evaluation-path tests: the test-phase loss of `solvers::evaluate`,
+//! argmax accuracy over the score and label blobs it leaves on the net, and
+//! real learned accuracy on the synthetic MNIST classes.
 
 mod common;
 
 use cgdnn::prelude::*;
-use common::TinySource;
+use common::{argmax_hits, TinySource};
 
-/// Tiny MLP with both a loss and an accuracy head (via Split).
+/// Tiny MLP: class scores in `ip2`, labels in the data layer's `label`.
 const EVAL_SPEC: &str = r#"
 name: eval_net
 layer {
@@ -15,13 +16,6 @@ layer {
   batch: 16
   top: data
   top: label
-}
-layer {
-  name: lsplit
-  type: Split
-  bottom: label
-  top: label_a
-  top: label_b
 }
 layer {
   name: ip1
@@ -46,25 +40,11 @@ layer {
   seed: 62
 }
 layer {
-  name: ssplit
-  type: Split
-  bottom: ip2
-  top: scores_a
-  top: scores_b
-}
-layer {
   name: loss
   type: SoftmaxWithLoss
-  bottom: scores_a
-  bottom: label_a
+  bottom: ip2
+  bottom: label
   top: loss
-}
-layer {
-  name: accuracy
-  type: Accuracy
-  bottom: scores_b
-  bottom: label_b
-  top: accuracy
 }
 "#;
 
@@ -73,15 +53,35 @@ fn eval_net(seed: u64) -> Net<f32> {
     Net::from_spec(&spec, Some(Box::new(TinySource { n: 128, seed }))).unwrap()
 }
 
+/// Argmax accuracy over `batches` fresh test-phase batches.
+fn accuracy(net: &mut Net<f32>, team: &ThreadTeam, batches: usize) -> f64 {
+    let (mut hits, mut total) = (0, 0);
+    for _ in 0..batches {
+        solvers::evaluate(net, team, &RunConfig::default(), 1);
+        let (h, t) = argmax_hits(net, "ip2");
+        hits += h;
+        total += t;
+    }
+    hits as f64 / total as f64
+}
+
 #[test]
 fn evaluate_reports_loss_and_accuracy() {
     let mut net = eval_net(4);
     let team = ThreadTeam::new(2);
-    let run = RunConfig::default();
-    let (loss, acc) = solvers::evaluate(&mut net, &team, &run, 2);
+    let loss = solvers::evaluate(&mut net, &team, &RunConfig::default(), 2);
     assert!(loss.is_finite() && loss > 0.0);
-    let acc = acc.expect("net has an accuracy blob");
-    assert!((0.0..=1.0).contains(&acc));
+    // The mean of two test-phase forwards over the same batches.
+    let mut twin = eval_net(4);
+    let test = RunConfig {
+        phase: Phase::Test,
+        ..RunConfig::default()
+    };
+    let (l0, l1) = (twin.forward(&team, &test), twin.forward(&team, &test));
+    assert_eq!(loss, (l0 + l1) / 2.0);
+    let (hits, total) = argmax_hits(&net, "ip2");
+    assert_eq!(total, 16);
+    assert!(hits <= total);
 }
 
 #[test]
@@ -90,14 +90,13 @@ fn accuracy_improves_with_training() {
     let mut net = eval_net(7);
     let team = ThreadTeam::new(2);
     let run = RunConfig::default();
-    let (_, acc_before) = solvers::evaluate(&mut net, &team, &run, 4);
+    let b = accuracy(&mut net, &team, 4);
     let mut solver: Solver<f32> = Solver::new(SolverConfig {
         base_lr: 0.1,
         ..SolverConfig::lenet()
     });
     solver.train(&mut net, &team, &run, 60);
-    let (_, acc_after) = solvers::evaluate(&mut net, &team, &run, 4);
-    let (b, a) = (acc_before.unwrap(), acc_after.unwrap());
+    let a = accuracy(&mut net, &team, 4);
     assert!(
         a > b + 0.2,
         "accuracy should improve substantially: {b:.2} -> {a:.2}"
@@ -117,35 +116,23 @@ fn lenet_learns_synthetic_mnist_to_high_accuracy() {
     let mut trainer =
         CoarseGrainTrainer::<f32>::lenet(Box::new(SyntheticMnist::new(2048, 5)), 2).unwrap();
     trainer.train(40);
-    // Count argmax hits over a few fresh batches.
-    let mut correct = 0usize;
-    let mut total = 0usize;
+    let (mut correct, mut total) = (0, 0);
     for _ in 0..3 {
         trainer.evaluate(1);
-        let net = trainer.net();
-        let scores = net.blob("ip2").unwrap();
-        let labels = net.blob("label").unwrap();
-        for s in 0..scores.num() {
-            let row = scores.sample_data(s);
-            let pred = row
-                .iter()
-                .enumerate()
-                .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
-                .unwrap()
-                .0;
-            correct += usize::from(pred == labels.data()[s] as usize);
-            total += 1;
-        }
+        let (h, t) = argmax_hits(trainer.net(), "ip2");
+        correct += h;
+        total += t;
     }
     let acc = correct as f64 / total as f64;
     assert!(acc > 0.6, "LeNet reached only {acc:.2} accuracy");
 }
 
 #[test]
-fn loss_and_accuracy_blobs_have_scalar_shape() {
+fn loss_is_scalar_and_scores_align_with_labels() {
     let mut net = eval_net(1);
     let team = ThreadTeam::new(1);
     net.forward(&team, &RunConfig::default());
     assert_eq!(net.blob("loss").unwrap().count(), 1);
-    assert_eq!(net.blob("accuracy").unwrap().count(), 1);
+    assert_eq!(net.blob("ip2").unwrap().shape().dims(), &[16, 10]);
+    assert_eq!(net.blob("label").unwrap().shape().dims(), &[16]);
 }

@@ -1,15 +1,16 @@
-//! Integration test for the extension layers (Concat, Split, Eltwise,
-//! Power, AbsVal, EuclideanLoss): a branching network built from a spec —
-//! a topology neither paper network has — must train, stay deterministic
-//! across thread counts, and pass a finite-difference check end to end.
+//! Integration test for the layer types neither paper network uses
+//! (Flatten, Sigmoid, TanH) and for data fan-out: a branching network built
+//! from a spec — a topology neither paper network has — must train, stay
+//! deterministic across thread counts, and pass a finite-difference check
+//! end to end.
 
 mod common;
 
 use cgdnn::prelude::*;
 use common::TinySource;
 
-/// data -> split -> two parallel branches (ip+sigmoid / ip+abs) ->
-/// eltwise-SUM -> concat with a powered copy -> ip -> loss.
+/// data and label feed two heads: flatten -> ip+sigmoid -> ip+tanh -> ip ->
+/// loss, and ip -> loss. Only data blobs fan out; the net sums both losses.
 const BRANCHY: &str = r#"
 name: branchy
 layer {
@@ -26,17 +27,9 @@ layer {
   top: flat
 }
 layer {
-  name: split
-  type: Split
-  bottom: flat
-  top: s0
-  top: s1
-  top: s2
-}
-layer {
   name: fc_a
   type: InnerProduct
-  bottom: s0
+  bottom: flat
   top: fc_a
   num_output: 16
   seed: 41
@@ -50,53 +43,21 @@ layer {
 layer {
   name: fc_b
   type: InnerProduct
-  bottom: s1
+  bottom: act_a
   top: fc_b
   num_output: 16
   seed: 42
 }
 layer {
   name: act_b
-  type: AbsVal
+  type: TanH
   bottom: fc_b
   top: act_b
 }
 layer {
-  name: mix
-  type: Eltwise
-  operation: SUM
-  coeffs: 0.7, 0.3
-  bottom: act_a
-  bottom: act_b
-  top: mix
-}
-layer {
-  name: sq
-  type: Power
-  power: 2
-  scale: 0.1
-  bottom: s2
-  top: sq
-}
-layer {
-  name: fc_sq
-  type: InnerProduct
-  bottom: sq
-  top: fc_sq
-  num_output: 16
-  seed: 43
-}
-layer {
-  name: cat
-  type: Concat
-  bottom: mix
-  bottom: fc_sq
-  top: cat
-}
-layer {
   name: fc_out
   type: InnerProduct
-  bottom: cat
+  bottom: act_b
   top: fc_out
   num_output: 10
   seed: 44
@@ -108,6 +69,21 @@ layer {
   bottom: label
   top: loss
 }
+layer {
+  name: fc_c
+  type: InnerProduct
+  bottom: data
+  top: fc_c
+  num_output: 10
+  seed: 43
+}
+layer {
+  name: loss_c
+  type: SoftmaxWithLoss
+  bottom: fc_c
+  bottom: label
+  top: loss_c
+}
 "#;
 
 fn branchy_net(seed: u64) -> Net<f32> {
@@ -118,14 +94,16 @@ fn branchy_net(seed: u64) -> Net<f32> {
 #[test]
 fn branchy_network_builds_with_expected_shapes() {
     let net = branchy_net(1);
-    assert_eq!(net.num_layers(), 13);
-    assert_eq!(net.blob("s0").unwrap().shape().dims(), &[6, 144]);
-    assert_eq!(net.blob("mix").unwrap().shape().dims(), &[6, 16]);
-    assert_eq!(net.blob("cat").unwrap().shape().dims(), &[6, 32, 1, 1]);
+    assert_eq!(net.num_layers(), 10);
+    assert_eq!(net.blob("flat").unwrap().shape().dims(), &[6, 144]);
+    assert_eq!(net.blob("act_a").unwrap().shape().dims(), &[6, 16]);
+    assert_eq!(net.blob("act_b").unwrap().shape().dims(), &[6, 16]);
+    assert_eq!(net.blob("fc_out").unwrap().shape().dims(), &[6, 10]);
+    assert_eq!(net.blob("fc_c").unwrap().shape().dims(), &[6, 10]);
     let summary = net.summary();
-    assert!(summary.contains("Eltwise"));
-    assert!(summary.contains("Concat"));
-    assert!(summary.contains("total: 13 layers"));
+    assert!(summary.contains("Sigmoid"));
+    assert!(summary.contains("TanH"));
+    assert!(summary.contains("total: 10 layers"));
     assert!(net.num_params() > 0);
 }
 
@@ -156,7 +134,8 @@ fn branchy_network_trains_and_is_thread_invariant() {
 
 #[test]
 fn branchy_gradient_check_spot() {
-    // End-to-end finite differences through split/eltwise/concat/power.
+    // End-to-end finite differences through flatten/sigmoid/tanh and
+    // both heads.
     let analytic = {
         let mut net = branchy_net(9);
         let team = ThreadTeam::new(2);

@@ -33,40 +33,26 @@ fn write_flag(
     Ok(())
 }
 
-/// Start span collection for `--trace FILE` (buffered) or `--trace-stream
-/// FILE` (each span written as it finishes); stale buffered events are
-/// dropped so the output covers only this run. `--trace-limit N` bounds the
-/// events a thread retains: beyond it the oldest are overwritten and
-/// counted in the trace's `dropped_events`.
-fn start_tracing(args: &Args) -> Result<(), String> {
-    obs::trace::set_event_limit(args.get_parse("trace-limit")?);
-    if args.has("trace") && args.has("trace-stream") {
-        return Err("--trace and --trace-stream are mutually exclusive".into());
-    }
+/// Start span collection for `--trace FILE`; stale buffered events are
+/// dropped so the output covers only this run. Each thread retains at most
+/// `obs::trace::MAX_EVENTS_PER_THREAD` events: beyond it the oldest are
+/// overwritten and counted in the trace's `dropped_events`.
+fn start_tracing(args: &Args) {
     let _ = obs::trace::take_events();
-    if let Some(path) = args.get("trace-stream") {
-        obs::trace::stream_open(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    }
-    obs::trace::set_enabled(args.has("trace") || args.has("trace-stream"));
-    Ok(())
+    obs::trace::set_enabled(args.has("trace"));
 }
 
-/// Stop tracing and collect a `--trace` run's events (`None` otherwise:
-/// streamed runs buffer nothing).
+/// Stop tracing and collect a `--trace` run's events (`None` otherwise).
 fn finish_tracing(args: &Args) -> Option<Vec<obs::Event>> {
     obs::trace::set_enabled(false);
     args.has("trace").then(obs::trace::take_events)
 }
 
-/// Close a `--trace-stream`, write the `--trace` events, and dump the
-/// global metrics registry to `--metrics FILE` (`-` for stdout).
+/// Write the `--trace` events and dump the global metrics registry to
+/// `--metrics FILE` (`-` for stdout).
 fn write_observability(args: &Args, events: Option<&[obs::Event]>) -> Result<(), String> {
-    let dropped = obs::trace::dropped_events();
-    if let Some(path) = args.get("trace-stream") {
-        let n = obs::trace::stream_close(dropped).map_err(|e| format!("{path}: {e}"))?;
-        println!("trace streamed to {path} ({n} events, {dropped} write failures dropped)");
-    }
     if let (Some(path), Some(events)) = (args.get("trace"), events) {
+        let dropped = obs::trace::dropped_events();
         let mut buf = Vec::new();
         obs::trace::write_chrome_trace_with_dropped(&mut buf, events, dropped)
             .map_err(|e| format!("trace encode: {e}"))?;
@@ -238,7 +224,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     if args.has("profile") {
         trainer.enable_profiling();
     }
-    start_tracing(args)?;
+    start_tracing(args);
     let mut progress = Progress::new(args, iters)?;
 
     let snapshot_every: usize = args.get_parse("snapshot-every")?;
@@ -248,8 +234,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         // `--iters` is the absolute target, so a resumed run finishes the
         // remaining work instead of training N more.
         let dir_path = args.get("snapshot-dir").or(resume).unwrap_or("checkpoints");
-        let keep: usize = args.get_parse("keep")?;
-        let dir = CheckpointDir::new(dir_path).with_keep(keep);
+        let dir = CheckpointDir::new(dir_path);
         if resume.is_some() {
             let outcome = dir.resume_latest(&mut trainer).map_err(|e| e.to_string())?;
             for (p, why) in &outcome.skipped {
@@ -270,17 +255,15 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         let guard_factor: f64 = args.get_parse("guard-factor")?;
         let guard = if guard_factor > 0.0 {
             Some(GuardConfig {
-                window: args.get_parse("guard-window")?,
                 factor: guard_factor,
-                lr_drop: args.get_parse("guard-lr-drop")?,
-                max_rollbacks: args.get_parse("max-rollbacks")?,
+                ..GuardConfig::default()
             })
         } else {
             None
         };
         println!(
             "training iterations {}..{iters} {run}, checkpoints in {dir_path} \
-             (every {snapshot_every}, keep {keep})",
+             (every {snapshot_every})",
             done + 1
         );
         let report = train_with_checkpoints(
@@ -460,7 +443,7 @@ fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
         "coordinator on {addr}: {workers} worker(s) x local batch {}, {iters} iterations {run}",
         effective_batch / workers
     );
-    start_tracing(args)?;
+    start_tracing(args);
 
     let mut hooks = CliHooks {
         exe: std::env::current_exe().map_err(|e| e.to_string())?,
@@ -560,7 +543,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     let (spec, source) = load_spec(args)?;
     let sample_shape = source.sample_shape();
 
-    start_tracing(args)?;
+    start_tracing(args);
     let threads: usize = args.get_parse("threads")?;
     let replicas: usize = args.get_parse("replicas")?;
     let requests: usize = args.get_parse("requests")?;
@@ -647,7 +630,6 @@ fn finish_serving(args: &Args, server: serve::Server<f32>) -> Result<(), String>
 fn run_rpc_server(args: &Args, server: serve::Server<f32>, listen: &str) -> Result<(), String> {
     let cfg = rpc::RpcConfig {
         max_connections: args.get_parse("rpc-max-conns")?,
-        ..rpc::RpcConfig::default()
     };
     let serve_for = Duration::from_millis(args.get_parse("serve-for-ms")?);
     let rpc_server = rpc::RpcServer::start(

@@ -214,24 +214,23 @@ pub struct GuardConfig {
     /// mean of exactly 0 makes any positive loss trigger — intended, as
     /// that only happens from a fully converged state.
     pub factor: f64,
-    /// Multiply the solver's LR scale by this on every rollback.
-    pub lr_drop: f64,
-    /// Give up (error out) after this many rollbacks in one run.
-    pub max_rollbacks: usize,
 }
 
 impl Default for GuardConfig {
-    /// 8-iteration window, 4× explosion factor, halve the LR per rollback,
-    /// at most 3 rollbacks.
+    /// 8-iteration window, 4× explosion factor.
     fn default() -> Self {
         Self {
             window: 8,
             factor: 4.0,
-            lr_drop: 0.5,
-            max_rollbacks: 3,
         }
     }
 }
+
+/// Every rollback multiplies the solver's LR scale by this.
+const ROLLBACK_LR_DROP: f64 = 0.5;
+
+/// A run gives up (errors out) after this many rollbacks.
+const MAX_ROLLBACKS: usize = 3;
 
 /// Detects NaN/Inf losses and loss explosions over a trailing window.
 #[derive(Debug)]
@@ -434,15 +433,14 @@ pub fn train_with_checkpoints<S: Scalar>(
                 )));
             };
             rollbacks += 1;
-            if rollbacks > g.cfg.max_rollbacks {
+            if rollbacks > MAX_ROLLBACKS {
                 return Err(io::Error::other(format!(
-                    "divergence persists after {} rollbacks (iteration {it_after}, loss \
-                     {loss64}) — giving up",
-                    g.cfg.max_rollbacks
+                    "divergence persists after {MAX_ROLLBACKS} rollbacks (iteration \
+                     {it_after}, loss {loss64}) — giving up"
                 )));
             }
             let outcome = dir.resume_latest(trainer)?;
-            trainer.solver_mut().scale_lr(g.cfg.lr_drop);
+            trainer.solver_mut().scale_lr(ROLLBACK_LR_DROP);
             losses.truncate(outcome.iteration.saturating_sub(start_iter) as usize);
             g.reset();
             record(
@@ -547,7 +545,6 @@ layer {
         let mut g = DivergenceGuard::new(GuardConfig {
             window: 3,
             factor: 2.0,
-            ..GuardConfig::default()
         });
         assert!(g.observe(f64::NAN));
         assert!(g.observe(f64::INFINITY));
@@ -566,7 +563,6 @@ layer {
         let mut g = DivergenceGuard::new(GuardConfig {
             window: 0,
             factor: 1.0,
-            ..GuardConfig::default()
         });
         assert!(!g.observe(1.0));
         assert!(!g.observe(1e30));

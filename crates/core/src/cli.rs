@@ -81,11 +81,7 @@ const FLAGS: &[Flag] = &[
     flag("snapshot-every", Int, "K", "0", &["train"], "checkpoint params + solver + data cursor every K iterations (turns on rollback)"),
     flag("resume", Text, "DIR", "", &["train"], "continue from the newest good checkpoint in DIR"),
     flag("snapshot-dir", Text, "DIR", "", &["train"], "checkpoint directory (default: the --resume DIR, else 'checkpoints')"),
-    flag("keep", Int, "N", "3", &["train"], "checkpoints retained, newest first"),
     flag("guard-factor", Real, "X", "4.0", &["train"], "roll back on a NaN/Inf loss or one above X x the trailing mean; 0 = no guard"),
-    flag("guard-window", Int, "N", "8", &["train"], "trailing-mean window of the guard"),
-    flag("guard-lr-drop", Real, "X", "0.5", &["train"], "multiply the learning rate by X on each rollback"),
-    flag("max-rollbacks", Int, "N", "3", &["train"], "give up after N rollbacks"),
     flag("coordinator", Text, "ADDR", "", &["train"], "bind ADDR, spawn --workers processes and run data-parallel SGD, bit-identical to --reduction canonical:N --threads 1"),
     flag("workers", Int, "N", "2", &["train"], "worker processes (a power of two dividing the batch)"),
     flag("worker-connect", Text, "ADDR", "", &["train"], "run as one worker of the coordinator at ADDR"),
@@ -119,8 +115,6 @@ const FLAGS: &[Flag] = &[
     switch("profile", &["train"], "print the measured per-layer fwd/bwd table and imbalance factors"),
     flag("profile-csv", Text, "FILE", "", &["train"], "also write the --profile table as CSV"),
     flag("trace", Text, "FILE", "", &["train", "infer"], "record spans, write a Chrome trace_event JSON"),
-    flag("trace-stream", Text, "FILE", "", &["train", "infer"], "write each span to FILE as it finishes (constant memory; excludes --trace)"),
-    flag("trace-limit", Int, "N", "1048576", &["train", "infer"], "spans retained per thread; older ones are dropped and counted"),
     flag("metrics", Text, "FILE", "", &["train", "infer"], "write the metrics registry as CSV at exit; '-' = stdout"),
     flag("metrics-every", Real, "SECS", "", &["train", "infer"], "also rewrite --metrics FILE atomically every SECS during the run"),
 ];
@@ -342,7 +336,7 @@ mod tests {
         assert!(e.contains("--iter ") && e.contains("train"), "{e}");
         assert!(parse("summary", "spec --bogus 1").is_err());
         assert!(
-            parse("load", "--trace-limit 5").is_err(),
+            parse("load", "--trace t.json").is_err(),
             "load does not trace"
         );
         assert!(parse("bogus", "").is_err());
@@ -382,6 +376,47 @@ mod tests {
         }
         let train = help("train");
         assert!(train.contains("--iters N") && !train.contains("--listen ADDR"));
+    }
+
+    #[test]
+    fn retired_flags_are_unknown_and_trace_alone_enables_tracing() {
+        // Values that are constants at their use are not flags.
+        #[rustfmt::skip]
+        let retired = [
+            ("train", "--trace-stream t.json"),
+            ("infer", "--trace-stream t.json"),
+            ("train", "--trace-limit 5"),
+            ("infer", "--trace-limit 5"),
+            ("train", "--keep 2"),
+            ("train", "--guard-window 4"),
+            ("train", "--guard-lr-drop 0.25"),
+            ("train", "--max-rollbacks 1"),
+        ];
+        for (sub, line) in retired {
+            let flag = line.split_whitespace().next().unwrap();
+            let e = parse(sub, &format!("spec {line}")).err().unwrap();
+            assert_eq!(
+                e,
+                format!("unknown flag {flag} for `cgdnn {sub}` (see `cgdnn {sub} --help`)")
+            );
+        }
+        // One trace sink: `--trace FILE` alone turns span collection on.
+        for sub in ["train", "infer"] {
+            let a = parse(sub, "spec --trace t.json").unwrap();
+            assert!(a.has("trace"), "{sub}");
+            assert_eq!(a.get("trace"), Some("t.json"), "{sub}");
+        }
+    }
+
+    #[test]
+    fn readme_help_block_is_the_rendered_table() {
+        let readme = include_str!("../../../README.md");
+        let start = readme
+            .find("```text\nusage: cgdnn ")
+            .expect("README has a `cgdnn --help` block")
+            + "```text\n".len();
+        let len = readme[start..].find("```").expect("the block is closed");
+        assert_eq!(readme[start..start + len], help(""));
     }
 
     #[test]

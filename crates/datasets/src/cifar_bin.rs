@@ -22,7 +22,7 @@ impl fmt::Display for CifarError {
 impl std::error::Error for CifarError {}
 
 /// Read a CIFAR-10 binary batch: returns `(images, labels)` with pixels
-/// scaled to `[0, 1]`.
+/// divided by 255, so 0..=255 maps onto `[0, 1]`.
 pub fn read_cifar_bin(mut r: impl Read) -> Result<(Vec<Vec<f32>>, Vec<u8>), CifarError> {
     let mut images = Vec::new();
     let mut labels = Vec::new();

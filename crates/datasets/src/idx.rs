@@ -44,7 +44,8 @@ fn read_header(r: &mut impl Read, expect_ndim: u8) -> Result<Vec<usize>, IdxErro
 }
 
 /// Read an IDX3 image file: returns `(images, rows, cols)` with pixels
-/// scaled to `[0, 1]` (Caffe's `scale: 0.00390625`).
+/// divided by 255, so 0..=255 maps onto `[0, 1]` (not Caffe's
+/// `scale: 0.00390625`, which is 1/256).
 pub fn read_idx_images(mut r: impl Read) -> Result<(Vec<Vec<f32>>, usize, usize), IdxError> {
     let dims = read_header(&mut r, 3)?;
     let (n, rows, cols) = (dims[0], dims[1], dims[2]);

@@ -35,9 +35,6 @@ pub struct WorkerConfig {
     pub rank: usize,
     /// Per-read/-write socket timeout.
     pub io_timeout: Duration,
-    /// Total budget for the initial connect (the coordinator may still be
-    /// binding when a self-spawned worker starts).
-    pub connect_timeout: Duration,
     /// Open with the `FRAME_REJOIN` handshake instead of `FRAME_JOIN` —
     /// set for a respawned worker resuming its rank in a running session.
     pub rejoin: bool,
@@ -58,7 +55,6 @@ impl WorkerConfig {
             addr: addr.into(),
             rank,
             io_timeout: Duration::from_secs(30),
-            connect_timeout: Duration::from_secs(10),
             rejoin: false,
             max_rejoins: 0,
             fail_after_steps: None,
@@ -75,8 +71,12 @@ pub struct WorkerReport {
     pub rejoins: u32,
 }
 
+/// Total budget for the initial connect (the coordinator may still be
+/// binding when a self-spawned worker starts).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
 fn connect(cfg: &WorkerConfig) -> Result<TcpStream, DistError> {
-    let deadline = Instant::now() + cfg.connect_timeout;
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     loop {
         match TcpStream::connect(&cfg.addr) {
             Ok(s) => return Ok(s),

@@ -18,11 +18,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Default cap on buffered events per thread; at the cap each thread's
-/// buffer becomes a ring that overwrites its OLDEST event (counted in
-/// [`dropped_events`]), so a forgotten flush cannot eat unbounded memory
-/// and the trace keeps the most recent window — the part that explains a
-/// crash. Tune per run with [`set_event_limit`] (`--trace-limit`).
+/// Cap on buffered events per thread (only the ring's own test lowers
+/// it); at the cap each thread's buffer becomes a ring that overwrites its
+/// OLDEST event (counted in [`dropped_events`]), so a forgotten flush
+/// cannot eat unbounded memory and the trace keeps the most recent window
+/// — the part that explains a crash.
 pub const MAX_EVENTS_PER_THREAD: usize = 1 << 20;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -45,16 +45,8 @@ pub fn pid() -> u64 {
     PID.load(Ordering::Relaxed)
 }
 
-/// Bound retained trace events per thread to `n` (clamped to ≥ 1). Beyond
-/// the bound the oldest events are overwritten and counted in
-/// [`dropped_events`]. Takes effect for subsequently recorded events;
-/// already-buffered ones are kept.
-pub fn set_event_limit(n: usize) {
-    EVENT_LIMIT.store(n.max(1), Ordering::Relaxed);
-}
-
 /// Current per-thread retained-event bound.
-pub fn event_limit() -> usize {
+fn event_limit() -> usize {
     EVENT_LIMIT.load(Ordering::Relaxed)
 }
 
@@ -96,7 +88,7 @@ pub fn enabled() -> bool {
 }
 
 /// Number of (oldest-first) events overwritten because a thread buffer hit
-/// its [`event_limit`].
+/// its limit ([`MAX_EVENTS_PER_THREAD`]).
 pub fn dropped_events() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
@@ -174,74 +166,6 @@ thread_local! {
     };
 }
 
-/// An open streaming sink: events bypass the in-memory ring buffers and go
-/// straight to disk as they finish.
-struct Stream {
-    w: io::BufWriter<std::fs::File>,
-    events: u64,
-}
-
-fn stream() -> &'static Mutex<Option<Stream>> {
-    static STREAM: OnceLock<Mutex<Option<Stream>>> = OnceLock::new();
-    STREAM.get_or_init(|| Mutex::new(None))
-}
-
-/// Start streaming finished spans to `path` as they are recorded
-/// (`--trace-stream`). The file is a Chrome `trace_event` array kept
-/// append-valid: each record carries a trailing comma and [`stream_close`]
-/// terminates the array with the `dropped_events` counter record, so the
-/// flush cost is paid per event instead of in one end-of-run buffer —
-/// and an arbitrarily long run needs O(1) trace memory.
-///
-/// While a stream is open, events are NOT buffered in the per-thread
-/// rings; [`take_events`] returns only events recorded outside the
-/// stream's lifetime. Callers still toggle [`set_enabled`] separately.
-pub fn stream_open(path: &std::path::Path) -> io::Result<()> {
-    let mut guard = stream().lock();
-    if guard.is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::AlreadyExists,
-            "a trace stream is already open",
-        ));
-    }
-    let mut w = io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(w, "[")?;
-    *guard = Some(Stream { w, events: 0 });
-    Ok(())
-}
-
-/// Terminate the streamed array: append the `dropped_events` counter
-/// record carrying `dropped` (write failures during streaming are counted
-/// there too), close the array, and flush. Returns how many events were
-/// streamed. Errors if no stream is open.
-pub fn stream_close(dropped: u64) -> io::Result<u64> {
-    let mut guard = stream().lock();
-    let mut st = guard
-        .take()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "no trace stream is open"))?;
-    write_dropped_record(&mut st.w, dropped)?;
-    writeln!(st.w, "]")?;
-    st.w.flush()?;
-    Ok(st.events)
-}
-
-/// Hand `ev` to the stream if one is open. Returns `true` when the event
-/// was consumed (a failed disk write still consumes it — the casualty is
-/// counted in [`dropped_events`] so the closing counter record reports it).
-fn stream_write(ev: &Event) -> bool {
-    let mut guard = stream().lock();
-    let Some(st) = guard.as_mut() else {
-        return false;
-    };
-    match write_event_records(&mut st.w, std::slice::from_ref(ev), true) {
-        Ok(()) => st.events += 1,
-        Err(_) => {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    true
-}
-
 fn push(name: Cow<'static, str>, cat: &'static str, ts_us: f64, dur_us: f64) {
     LOCAL.with(|buf| {
         let ev = Event {
@@ -252,9 +176,6 @@ fn push(name: Cow<'static, str>, cat: &'static str, ts_us: f64, dur_us: f64) {
             tid: buf.tid,
             pid: pid(),
         };
-        if stream_write(&ev) {
-            return;
-        }
         buf.events.lock().push(ev);
     });
 }
@@ -427,7 +348,7 @@ pub fn write_chrome_trace_with_dropped(
 }
 
 /// The `dropped_events` counter ("C") record, comma-free — always the last
-/// record in an array, whether buffered or streamed.
+/// record in the array.
 fn write_dropped_record(w: &mut impl Write, dropped: u64) -> io::Result<()> {
     writeln!(
         w,
@@ -439,6 +360,12 @@ fn write_dropped_record(w: &mut impl Write, dropped: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bound retained events per thread to `n`: beyond it the oldest are
+    /// overwritten and counted in [`dropped_events`].
+    fn set_event_limit(n: usize) {
+        EVENT_LIMIT.store(n, Ordering::Relaxed);
+    }
 
     // Trace state is process-global; keep the tests that toggle it serial.
     fn serial() -> parking_lot::MutexGuard<'static, ()> {
@@ -562,55 +489,6 @@ mod tests {
             "ring should retain the newest events"
         );
         assert_eq!(dropped_events() - before, 6);
-    }
-
-    #[test]
-    fn stream_writes_valid_trace_and_bypasses_buffers() {
-        let _g = serial();
-        set_enabled(true);
-        let _ = take_events();
-        let path =
-            std::env::temp_dir().join(format!("obs-trace-stream-{}.json", std::process::id()));
-        stream_open(&path).unwrap();
-        // A second open must refuse rather than clobber the live stream.
-        assert!(stream_open(&path).is_err());
-        for i in 0..5 {
-            record_owned(
-                format!("streamed{i}"),
-                "dist",
-                Instant::now(),
-                std::time::Duration::from_micros(3),
-            );
-        }
-        let streamed = stream_close(2).unwrap();
-        set_enabled(false);
-        assert_eq!(streamed, 5);
-        assert!(stream_close(0).is_err(), "double close must error");
-        // Streamed events never reach the ring buffers.
-        assert!(take_events().is_empty());
-
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let summary = crate::json::validate_chrome_trace(&text).unwrap();
-        assert_eq!(summary.events, 6); // five spans plus the counter record
-        assert!(summary.names.contains("streamed0"));
-        assert!(summary.cats.contains("dist"));
-        assert_eq!(summary.dropped, Some(2));
-    }
-
-    #[test]
-    fn stream_with_zero_events_is_still_well_formed() {
-        let _g = serial();
-        set_enabled(false);
-        let path =
-            std::env::temp_dir().join(format!("obs-trace-empty-{}.json", std::process::id()));
-        stream_open(&path).unwrap();
-        assert_eq!(stream_close(0).unwrap(), 0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let summary = crate::json::validate_chrome_trace(&text).unwrap();
-        assert_eq!(summary.events, 1); // just the counter record
-        assert_eq!(summary.dropped, Some(0));
     }
 
     #[test]

@@ -43,14 +43,9 @@ pub struct LoadConfig {
     pub requests: usize,
     /// Per-request deadline budget in µs; 0 = none.
     pub deadline_us: u32,
-    /// Socket I/O timeout per connection.
-    pub io_timeout: Duration,
     /// Connect attempts retried per client when the server greets with
     /// `HELLO_BUSY` (handler slots full). 0 = fail fast, the old behaviour.
     pub busy_retries: u32,
-    /// Base backoff before the first busy retry; doubles per attempt
-    /// (capped at 2 s) with deterministic equal-jitter.
-    pub busy_backoff: Duration,
     /// Requests each client keeps in flight (window size); 1 = the
     /// classic closed loop.
     pub pipeline: usize,
@@ -60,16 +55,13 @@ pub struct LoadConfig {
 }
 
 impl Default for LoadConfig {
-    /// 4 clients, 1000 requests, no deadline, 10 s socket timeout, up to
-    /// 6 busy retries from a 20 ms base.
+    /// 4 clients, 1000 requests, no deadline, up to 6 busy retries.
     fn default() -> Self {
         Self {
             clients: 4,
             requests: 1000,
             deadline_us: 0,
-            io_timeout: Duration::from_secs(10),
             busy_retries: 6,
-            busy_backoff: Duration::from_millis(20),
             pipeline: 1,
             idle_conns: 0,
         }
@@ -336,6 +328,13 @@ fn busy_backoff_delay(base: Duration, attempt: u32, seed: &mut u64) -> Duration 
     half + Duration::from_nanos(jitter_ns)
 }
 
+/// Socket I/O timeout on every load connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Backoff before the first busy retry; doubles per attempt (capped at
+/// 2 s) with deterministic equal-jitter.
+const BUSY_BACKOFF: Duration = Duration::from_millis(20);
+
 /// Connect, absorbing up to `cfg.busy_retries` `HELLO_BUSY` refusals with
 /// [`busy_backoff_delay`]; every other error (and a still-busy server
 /// after the last retry) propagates unchanged.
@@ -348,11 +347,11 @@ fn connect_busy_retry(
     let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ client_idx.wrapping_mul(0xA24B_AED4_963E_E407) | 1;
     let mut attempt = 0u32;
     loop {
-        match RpcClient::connect_with(addr, cfg.io_timeout) {
+        match RpcClient::connect_with(addr, IO_TIMEOUT) {
             Err(RpcError::Busy) if attempt < cfg.busy_retries => {
                 attempt += 1;
                 *retries += 1;
-                std::thread::sleep(busy_backoff_delay(cfg.busy_backoff, attempt, &mut seed));
+                std::thread::sleep(busy_backoff_delay(BUSY_BACKOFF, attempt, &mut seed));
             }
             other => return other,
         }

@@ -27,9 +27,9 @@
 //! connection may have many requests in flight and receive the answers
 //! **out of order** — the CGRP frame `id` (echoed on every response) is
 //! the correlation key. Back-pressure is per-connection: a peer that stops
-//! reading grows its write buffer to `max_wbuf`, at which point the loop
+//! reading grows its write buffer to `MAX_WBUF`, at which point the loop
 //! stops *reading* from it (no new requests), and a write stalled past
-//! `write_timeout` drops the connection.
+//! `WRITE_TIMEOUT` drops the connection.
 //!
 //! **Admission** is a live-connection cap decided before the hello goes
 //! out: over the cap means [`proto::HELLO_BUSY`] and close (the
@@ -41,7 +41,7 @@
 //! by the owner) is wakeup-driven: the stop flag plus a wake reach the
 //! loop immediately, which closes the listener, answers what is in
 //! flight, writes [`proto::RESP_SHUTDOWN`] on every connection, flushes,
-//! and exits — bounded by `drain_grace` so a stalled peer cannot wedge
+//! and exits — bounded by `DRAIN_GRACE` so a stalled peer cannot wedge
 //! it. A client blocked in `read` sees a shutdown frame or a clean FIN.
 //!
 //! Decode errors never panic and never take down the server: a bad
@@ -67,35 +67,32 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the wire front-end.
 #[derive(Debug, Clone)]
 pub struct RpcConfig {
-    /// How long a connection's pending response bytes may sit unwritten
-    /// while the peer refuses them; past this the connection is dropped.
-    pub write_timeout: Duration,
-    /// Per-frame payload cap; headers announcing more are decode errors.
-    pub max_payload: u32,
     /// Max live connections; one more is greeted with
     /// [`proto::HELLO_BUSY`] and closed.
     pub max_connections: usize,
-    /// Per-connection pending-write cap: past this the loop stops
-    /// reading new requests from that connection until the peer drains
-    /// its responses (flow control, not an error).
-    pub max_wbuf: usize,
-    /// Hard bound on the drain flush: connections still holding
-    /// unflushed bytes this long after shutdown began are cut off.
-    pub drain_grace: Duration,
 }
 
 impl Default for RpcConfig {
-    /// Cap of 24 live connections; 1 s write stall budget.
+    /// Cap of 24 live connections.
     fn default() -> Self {
         Self {
-            write_timeout: Duration::from_secs(1),
-            max_payload: proto::MAX_PAYLOAD,
             max_connections: 24,
-            max_wbuf: 1 << 20,
-            drain_grace: Duration::from_secs(5),
         }
     }
 }
+
+/// How long a connection's pending response bytes may sit unwritten while
+/// the peer refuses them; past this the connection is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Per-connection pending-write cap: past this the loop stops reading new
+/// requests from that connection until the peer drains its responses (flow
+/// control, not an error).
+const MAX_WBUF: usize = 1 << 20;
+
+/// Hard bound on the drain flush: connections still holding unflushed
+/// bytes this long after shutdown began are cut off.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Cached `rpc.*` registry handles; every update is a few atomics.
 pub struct RpcMetrics {
@@ -142,7 +139,7 @@ pub struct RpcMetrics {
     pub conns_open: obs::Gauge,
     /// Connections flushing before teardown (gauge `rpc.conns_closing`).
     pub conns_closing: obs::Gauge,
-    /// Stall-watchdog kills: writers stuck past `write_timeout`.
+    /// Stall-watchdog kills: writers stuck past `WRITE_TIMEOUT`.
     pub stalled_conns_reaped: obs::Counter,
 }
 
@@ -271,7 +268,7 @@ impl RpcServer {
 
     /// Graceful drain: stop accepting, answer in-flight frames, send
     /// [`proto::RESP_SHUTDOWN`] on every live connection, flush, close,
-    /// and join the loop. Bounded by `drain_grace` plus the in-flight
+    /// and join the loop. Bounded by `DRAIN_GRACE` plus the in-flight
     /// work — a stalled peer cannot wedge it.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -441,7 +438,7 @@ impl EventLoop {
             let want_read = !self.draining
                 && !c.got_eof
                 && c.state != ConnState::Closing
-                && c.pending_write() < self.cfg.max_wbuf;
+                && c.pending_write() < MAX_WBUF;
             let want_write = c.pending_write() > 0;
             let slot = if want_read || want_write {
                 Some(self.poll.push(c.stream.as_raw_fd(), want_read, want_write))
@@ -467,7 +464,7 @@ impl EventLoop {
         }
         for c in self.conns.values() {
             if let Some(since) = c.stalled_since {
-                let at = since + self.cfg.write_timeout;
+                let at = since + WRITE_TIMEOUT;
                 deadline = Some(deadline.map_or(at, |d| d.min(at)));
             }
         }
@@ -478,7 +475,7 @@ impl EventLoop {
     /// connection with no responses outstanding.
     fn begin_drain(&mut self) {
         self.draining = true;
-        self.drain_deadline = Some(Instant::now() + self.cfg.drain_grace);
+        self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
         self.listener = None;
         let m = Arc::clone(&self.metrics);
         for c in self.conns.values_mut() {
@@ -635,7 +632,7 @@ impl EventLoop {
                 dead.push((id, false));
             } else if c
                 .stalled_since
-                .is_some_and(|s| now.duration_since(s) >= self.cfg.write_timeout)
+                .is_some_and(|s| now.duration_since(s) >= WRITE_TIMEOUT)
             {
                 dead.push((id, true));
             }
@@ -643,7 +640,7 @@ impl EventLoop {
         for (id, timed_out) in dead {
             if timed_out {
                 // Stall watchdog: the peer refused our bytes for the whole
-                // write_timeout budget.
+                // WRITE_TIMEOUT budget.
                 self.metrics.io_errors.inc();
                 self.metrics.stalled_conns_reaped.inc();
             }
@@ -700,7 +697,7 @@ impl EventLoop {
     fn parse_ready(&mut self, id: u64) -> bool {
         loop {
             let c = self.conns.get_mut(&id).expect("caller holds a live id");
-            if c.state == ConnState::Closing || c.pending_write() >= self.cfg.max_wbuf {
+            if c.state == ConnState::Closing || c.pending_write() >= MAX_WBUF {
                 // Flow control: stop decoding while the peer isn't
                 // draining responses; unread requests stay in rbuf.
                 break;
@@ -736,11 +733,11 @@ impl EventLoop {
                             break;
                         }
                     };
-                    if header.payload_len > self.cfg.max_payload {
+                    if header.payload_len > proto::MAX_PAYLOAD {
                         // Reject before buffering a byte of it.
                         let e = DecodeError::Oversize {
                             len: header.payload_len,
-                            max: self.cfg.max_payload,
+                            max: proto::MAX_PAYLOAD,
                         };
                         self.fatal_frame_error(id, header.id, &e.to_string());
                         break;
@@ -910,7 +907,6 @@ impl EventLoop {
     /// Push pending bytes at the socket. Returns `false` on a fatal
     /// write error.
     fn conn_flush(&mut self, id: u64) -> bool {
-        let cfg_write_timeout = self.cfg.write_timeout;
         let c = self.conns.get_mut(&id).expect("caller holds a live id");
         while c.wstart < c.wbuf.len() {
             match c.stream.write(&c.wbuf[c.wstart..]) {
@@ -924,7 +920,7 @@ impl EventLoop {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     let since = *c.stalled_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= cfg_write_timeout {
+                    if since.elapsed() >= WRITE_TIMEOUT {
                         self.metrics.io_errors.inc();
                         return false;
                     }

@@ -51,10 +51,7 @@ fn start_tiny_stack() -> (Server<f32>, RpcServer, obs::Registry) {
     .unwrap();
     let server = Server::start(factory.build_n(1).unwrap(), BatchPolicy::default()).unwrap();
     let reg = obs::Registry::new();
-    let cfg = RpcConfig {
-        max_connections: 2,
-        ..RpcConfig::default()
-    };
+    let cfg = RpcConfig { max_connections: 2 };
     let rpc = RpcServer::start(
         "127.0.0.1:0",
         server.client(),

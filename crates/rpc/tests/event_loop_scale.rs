@@ -115,7 +115,6 @@ fn a_thousand_idle_connections_cost_no_threads() {
     let _serial = serial();
     let (server, rpc, _reg) = start_stack(RpcConfig {
         max_connections: 1200,
-        ..RpcConfig::default()
     });
     let baseline = settled_thread_count();
     assert!(baseline >= 2, "event loop and a batch worker are running");

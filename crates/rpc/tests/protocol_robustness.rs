@@ -144,18 +144,31 @@ fn bad_version_is_rejected_with_explanation() {
 #[test]
 fn oversized_length_prefix_is_refused_without_allocation_or_panic() {
     let (server, rpc, reg) = start_stack();
-    let mut s = raw_conn(rpc.local_addr());
-    s.write_all(&proto::encode_client_hello()).unwrap();
-    // A valid-CRC header announcing a 4 GiB payload: the server must
-    // refuse on the announced length alone, before reading or allocating.
-    let head = proto::encode_header(proto::REQ_INFER, 7, 0, u32::MAX);
-    s.write_all(&head).unwrap();
-    let (kind, id, payload) = read_frame(&mut s);
-    assert_eq!(kind, proto::RESP_ERROR);
-    assert_eq!(id, 7);
-    let msg = String::from_utf8_lossy(&payload).into_owned();
-    assert!(msg.contains("exceeds"), "unexpected message: {msg}");
-    assert!(reg.counter("rpc.decode_errors").get() >= 1);
+    // Valid-CRC headers announcing one byte over the cap and 4 GiB: the
+    // server must refuse on the announced length alone, before reading or
+    // allocating — at the cap `proto::read_frame` enforces.
+    for len in [proto::MAX_PAYLOAD + 1, u32::MAX] {
+        let head = proto::encode_header(proto::REQ_INFER, 7, 0, len);
+        let blocking = proto::read_frame(&mut &head[..]).err().unwrap();
+        assert!(
+            matches!(
+                blocking,
+                proto::FrameError::Decode(proto::DecodeError::Oversize { len: l, max })
+                    if l == len && max == proto::MAX_PAYLOAD
+            ),
+            "{len}: {blocking:?}"
+        );
+
+        let mut s = raw_conn(rpc.local_addr());
+        s.write_all(&proto::encode_client_hello()).unwrap();
+        s.write_all(&head).unwrap();
+        let (kind, id, payload) = read_frame(&mut s);
+        assert_eq!(kind, proto::RESP_ERROR, "{len}");
+        assert_eq!(id, 7);
+        let msg = String::from_utf8_lossy(&payload).into_owned();
+        assert!(msg.contains("exceeds"), "{len}: unexpected message: {msg}");
+    }
+    assert!(reg.counter("rpc.decode_errors").get() >= 2);
     assert_eq!(reg.counter("rpc.handler_panics").get(), 0);
     rpc.shutdown();
     server.shutdown();

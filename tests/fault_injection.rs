@@ -118,7 +118,6 @@ fn divergence_guard_rolls_back_poisoned_run_to_completion() {
     let guard_cfg = GuardConfig {
         window: 2,
         factor: 4.0,
-        ..GuardConfig::default()
     };
     let report = train_with_checkpoints(&mut t, 8, &dir, 2, Some(guard_cfg), |_, _| {}).unwrap();
     assert_eq!(report.rollbacks, 1);

@@ -282,16 +282,6 @@ impl<S: Scalar> Blob<S> {
         }
     }
 
-    /// Accumulate another blob's diff into this blob's diff
-    /// (`diff += other.diff`) — the merge step of the ordered reduction.
-    ///
-    /// # Panics
-    /// Panics if counts differ.
-    pub fn accumulate_diff_from(&mut self, other: &Blob<S>) {
-        assert_eq!(self.count(), other.count(), "accumulate_diff_from: count");
-        mmblas::axpy(S::ONE, other.diff(), self.diff_mut());
-    }
-
     /// Heap footprint in bytes (both buffers, at their allocated
     /// capacity) — used by the memory-overhead experiment (paper §3.2.1).
     pub fn bytes(&self) -> usize {
@@ -340,16 +330,6 @@ mod tests {
         b.diff_mut().copy_from_slice(&[0.5, 0.5, 0.5]);
         b.update();
         assert_eq!(b.data(), &[0.5, 1.5, 2.5]);
-    }
-
-    #[test]
-    fn accumulate_diff() {
-        let mut a: Blob<f32> = Blob::new([2usize]);
-        let mut b: Blob<f32> = Blob::new([2usize]);
-        a.diff_mut().copy_from_slice(&[1.0, 2.0]);
-        b.diff_mut().copy_from_slice(&[10.0, 20.0]);
-        a.accumulate_diff_from(&b);
-        assert_eq!(a.diff(), &[11.0, 22.0]);
     }
 
     #[test]

@@ -82,18 +82,4 @@ proptest! {
             prop_assert!((a - orig).abs() < 1e-12);
         }
     }
-
-    #[test]
-    fn accumulate_diff_is_addition(pairs in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 1..20)) {
-        let (xs, ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-        let n = xs.len();
-        let mut a: Blob<f64> = Blob::new([n]);
-        let mut b: Blob<f64> = Blob::new([n]);
-        a.diff_mut().copy_from_slice(&xs);
-        b.diff_mut().copy_from_slice(&ys);
-        a.accumulate_diff_from(&b);
-        for ((got, x), y) in a.diff().iter().zip(&xs).zip(&ys) {
-            prop_assert!((got - (x + y)).abs() < 1e-12);
-        }
-    }
 }

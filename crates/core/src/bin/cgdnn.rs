@@ -195,7 +195,6 @@ fn parse_reduction(s: &str) -> Result<ReductionMode, String> {
     Ok(match (s, groups) {
         ("ordered", _) => ReductionMode::Ordered,
         ("canonical", _) => ReductionMode::Canonical { groups: 16 },
-        ("unordered", _) => ReductionMode::Unordered,
         (_, Some(Ok(groups))) if groups > 0 => ReductionMode::Canonical { groups },
         _ => {
             return Err(format!(
@@ -790,6 +789,31 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reduction_parses_two_modes_and_refuses_the_rest() {
+        assert_eq!(parse_reduction("ordered"), Ok(ReductionMode::Ordered));
+        assert_eq!(
+            parse_reduction("canonical"),
+            Ok(ReductionMode::Canonical { groups: 16 })
+        );
+        assert_eq!(
+            parse_reduction("canonical:3"),
+            Ok(ReductionMode::Canonical { groups: 3 })
+        );
+        for bad in ["unordered", "canonical:0", "canonical:x", ""] {
+            let err = parse_reduction(bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown reduction '{bad}'")),
+                "{err}"
+            );
         }
     }
 }

@@ -75,7 +75,7 @@ const FLAGS: &[Flag] = &[
     flag("iters", Int, "N", "100", &["train"], "iterations (with --resume: the absolute target iteration)"),
     flag("lr", Real, "X", "0.01", &["train"], "base learning rate"),
     flag("solver", Text, "NAME", "sgd", &["train"], "sgd | nesterov | adagrad"),
-    flag("reduction", Text, "MODE", "ordered", &["train"], "ordered | canonical[:G] | unordered (canonical:G pins G groups)"),
+    flag("reduction", Text, "MODE", "ordered", &["train"], "ordered | canonical[:G] (canonical:G pins G groups)"),
     flag("snapshot", Text, "FILE", "", &["train"], "write the parameters after training"),
     flag("loss-log", Text, "FILE", "", &["train"], "write '<iter> <loss>' per step, f32-exact: bit-identical runs give byte-identical logs"),
     flag("snapshot-every", Int, "K", "0", &["train"], "checkpoint params + solver + data cursor every K iterations (turns on rollback)"),

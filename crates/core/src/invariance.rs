@@ -4,8 +4,8 @@
 //! parameter, so the loss trajectory matches the sequential run — and that
 //! the `ordered` gradient reduction is what keeps the update value
 //! reproducible. Under our `ReductionMode::Canonical` mode the
-//! guarantee is strict: the loss sequence is **bitwise identical** for any
-//! team size up to the group count.
+//! guarantee is strict: the loss sequence and the trained parameters are
+//! **bitwise identical** for any team size up to the group count.
 
 use layers::data::BatchSource;
 use layers::ReductionMode;
@@ -21,21 +21,25 @@ pub struct InvarianceReport<S> {
     pub reference: Vec<S>,
     /// Thread counts checked against the reference.
     pub thread_counts: Vec<usize>,
-    /// Max absolute loss deviation per thread count (0.0 = bitwise equal).
+    /// Max absolute loss deviation per thread count (0.0 = equal losses).
     pub max_deviation: Vec<f64>,
+    /// Per thread count: did the final parameters equal the reference's
+    /// bit for bit?
+    pub params_equal: Vec<bool>,
 }
 
 impl<S> InvarianceReport<S> {
     /// `true` if every checked thread count reproduced the reference loss
-    /// sequence bitwise.
+    /// sequence and its final parameters bitwise.
     pub fn bitwise_invariant(&self) -> bool {
-        self.max_deviation.iter().all(|&d| d == 0.0)
+        self.max_deviation.iter().all(|&d| d == 0.0) && self.params_equal.iter().all(|&p| p)
     }
 }
 
 /// Train the network described by `spec` for `iters` iterations once per
 /// thread count (rebuilding it identically each time, thanks to the
-/// deterministic fillers and data sources) and compare loss trajectories.
+/// deterministic fillers and data sources) and compare loss trajectories
+/// and final parameters with the 1-thread run's.
 ///
 /// `make_source` must hand back an identical data source each call.
 pub fn check_loss_invariance<S: Scalar>(
@@ -46,7 +50,7 @@ pub fn check_loss_invariance<S: Scalar>(
     thread_counts: &[usize],
     iters: usize,
 ) -> InvarianceReport<S> {
-    let mut run_with = |threads: usize| -> Vec<S> {
+    let mut run_with = |threads: usize| -> (Vec<S>, Vec<u64>) {
         let mut net: Net<S> = Net::from_spec(spec, Some(make_source())).expect("spec must build");
         let team = ThreadTeam::new(threads);
         let run = RunConfig {
@@ -54,24 +58,33 @@ pub fn check_loss_invariance<S: Scalar>(
             ..RunConfig::default()
         };
         let mut solver: Solver<S> = Solver::new(solver_cfg.clone());
-        solver.train(&mut net, &team, &run, iters)
+        let losses = solver.train(&mut net, &team, &run, iters);
+        let params = net
+            .learnable_params()
+            .iter()
+            .flat_map(|b| b.data().iter().map(|v| v.to_f64().to_bits()))
+            .collect();
+        (losses, params)
     };
 
-    let reference = run_with(1);
+    let (reference, ref_params) = run_with(1);
     let mut max_deviation = Vec::with_capacity(thread_counts.len());
+    let mut params_equal = Vec::with_capacity(thread_counts.len());
     for &t in thread_counts {
-        let trial = run_with(t);
+        let (trial, params) = run_with(t);
         let dev = reference
             .iter()
             .zip(&trial)
             .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
             .fold(0.0f64, f64::max);
         max_deviation.push(dev);
+        params_equal.push(params == ref_params);
     }
     InvarianceReport {
         reference,
         thread_counts: thread_counts.to_vec(),
         max_deviation,
+        params_equal,
     }
 }
 
@@ -122,5 +135,9 @@ mod tests {
             2,
         );
         assert!(report.max_deviation[0] < 1e-4, "{:?}", report.max_deviation);
+        // Four slots group the gradient sums differently from one: the
+        // parameters differ in their low bits, and the report says so.
+        assert_eq!(report.params_equal, [false]);
+        assert!(!report.bitwise_invariant());
     }
 }

@@ -15,8 +15,8 @@
 //!   implementation (see `examples/custom_network.rs`).
 //! * **convergence-invariant** — no training parameter depends on the
 //!   thread count; [`invariance::check_loss_invariance`] verifies the loss
-//!   trajectory is *bitwise identical* across team sizes under
-//!   `ReductionMode::Canonical`.
+//!   trajectory and the trained parameters are *bitwise identical* across
+//!   team sizes under `ReductionMode::Canonical`.
 //!
 //! ```
 //! use cgdnn::prelude::*;

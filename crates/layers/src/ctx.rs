@@ -13,39 +13,34 @@ pub enum Phase {
     Test,
 }
 
-/// Strategy for merging privatized weight-gradient buffers (paper §3.2.1).
+/// How many privatized weight-gradient buffers ("slots") a backward pass
+/// folds (paper §3.2.1). Slot `g` accumulates the `g`-th contiguous
+/// [`omprt::static_chunk`] of the batch; the slots then add into the shared
+/// diff in slot order, and the loss sums by the same chunks, so the result
+/// depends on the slot count and on nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReductionMode {
-    /// The paper's choice: one privatized buffer per thread, merged with an
-    /// `ordered` construct in thread-id order. Deterministic for a fixed
-    /// thread count; the 1-thread run defines the sequential reference.
+    /// The paper's choice: one slot per thread, so the grouping follows the
+    /// team size. The 1-thread run defines the sequential reference, and
+    /// `T` threads equal 1 thread under `Canonical { groups: T }`.
     Ordered,
-    /// Our extension: accumulation into a *fixed* number of canonical groups
-    /// (independent of the thread count), merged in group order. Bitwise
-    /// identical results for **any** team size `<=` the group count.
+    /// Our extension: a *fixed* number of slots, independent of the team
+    /// size. Bitwise identical results for **any** team size `<=` the group
+    /// count.
     Canonical {
         /// Number of accumulation groups (must be >= the largest team size
         /// used; 16 matches the paper's machine).
         groups: usize,
     },
-    /// Merge privatized buffers in completion order under a lock — the
-    /// fastest option, but nondeterministic (the paper notes developers
-    /// avoid it during tuning/debugging).
-    Unordered,
 }
 
 impl ReductionMode {
     /// Number of privatized accumulation slots for a team of `nthreads`.
     pub fn slots(&self, nthreads: usize) -> usize {
         match self {
-            ReductionMode::Ordered | ReductionMode::Unordered => nthreads,
+            ReductionMode::Ordered => nthreads,
             ReductionMode::Canonical { groups } => (*groups).max(nthreads),
         }
-    }
-
-    /// `true` if the merge must use the ordered construct.
-    pub fn is_ordered(&self) -> bool {
-        !matches!(self, ReductionMode::Unordered)
     }
 }
 
@@ -66,7 +61,7 @@ pub struct ExecCtx<'a, S: Scalar = f32> {
 }
 
 impl<'a, S: Scalar> ExecCtx<'a, S> {
-    /// Context with the paper's defaults: ordered reduction, training
+    /// Context with the paper's defaults: one slot per thread, training
     /// phase.
     pub fn new(team: &'a ThreadTeam, workspace: &'a Workspace<S>) -> Self {
         Self {
@@ -92,24 +87,17 @@ mod tests {
     #[test]
     fn slot_counts() {
         assert_eq!(ReductionMode::Ordered.slots(4), 4);
-        assert_eq!(ReductionMode::Unordered.slots(7), 7);
         assert_eq!(ReductionMode::Canonical { groups: 16 }.slots(4), 16);
         assert_eq!(ReductionMode::Canonical { groups: 8 }.slots(12), 12);
-    }
-
-    #[test]
-    fn ordered_flags() {
-        assert!(ReductionMode::Ordered.is_ordered());
-        assert!(ReductionMode::Canonical { groups: 16 }.is_ordered());
-        assert!(!ReductionMode::Unordered.is_ordered());
     }
 
     #[test]
     fn ctx_builders() {
         let team = ThreadTeam::new(1);
         let ws = Workspace::<f32>::empty();
-        let ctx = ExecCtx::new(&team, &ws).with_reduction(ReductionMode::Unordered);
-        assert_eq!(ctx.reduction, ReductionMode::Unordered);
+        let mode = ReductionMode::Canonical { groups: 2 };
+        let ctx = ExecCtx::new(&team, &ws).with_reduction(mode);
+        assert_eq!(ctx.reduction, mode);
         assert_eq!(ctx.phase, Phase::Train);
     }
 }

@@ -8,11 +8,11 @@
 //!   (convolution's im2col column).
 //!   Forward passes and backward-data passes write disjoint segments, so no
 //!   synchronization is required.
-//! * [`backward_reduce`] — the privatize-then-ordered-merge pattern for
-//!   weight/bias gradients (Algorithm 5): each *slot* accumulates the
-//!   gradients of a contiguous chunk of samples; slots merge into the shared
-//!   parameter diff in slot order (ordered construct) or completion order
-//!   (unordered mode).
+//! * [`backward_reduce`] — the privatize-then-merge pattern for weight/bias
+//!   gradients (Algorithm 5): each *slot* accumulates the gradients of a
+//!   contiguous chunk of samples; past one barrier the team folds the slots
+//!   into the shared parameter diff in slot order, each thread over its own
+//!   static chunk of the gradient elements.
 //!
 //! These drivers are what makes the parallelization *network-agnostic*: a
 //! new layer type only supplies the per-segment / per-sample kernel.
@@ -21,7 +21,6 @@ use crate::ctx::ExecCtx;
 use crate::workspace::ThreadScratch;
 use mmblas::Scalar;
 use omprt::{for_each_range, static_chunk, DisjointSlices, SendPtr};
-use parking_lot::Mutex;
 use std::ops::Range;
 
 /// The one loop shape under every segment driver: `out` holds
@@ -109,9 +108,12 @@ where
 ///    coincide in [`crate::ReductionMode::Ordered`] mode);
 /// 2. zeroes each slot's privatized buffer (Algorithm 5 line 5);
 /// 3. runs the per-sample bodies in parallel;
-/// 4. merges every slot into `shared_diffs` — in slot order under the
-///    ordered construct, or in completion order under a lock for
-///    [`crate::ReductionMode::Unordered`].
+/// 4. waits at one barrier, then folds: each thread takes a static chunk of
+///    the layer's gradient elements and adds every slot into it, slot 0
+///    first. Each element of `shared_diffs` thus gets `+= slot[g]` for
+///    `g` ascending — the additions, in the order, of Algorithm 5's
+///    `ordered` merge — so the bits depend on the slot count alone, not on
+///    which thread folds which element, and no thread waits for a turn.
 ///
 /// # Panics
 /// Panics if the workspace has too few slots or too little gradient space,
@@ -148,15 +150,12 @@ pub fn backward_reduce<S, F>(
     );
 
     let shared: Vec<SendPtr<S>> = shared_diffs.iter_mut().map(|s| SendPtr::new(s)).collect();
-    let merge_lock = Mutex::new(());
-    let ordered = ctx.reduction.is_ordered();
 
     ctx.team.parallel(|w| {
-        let my_slots = static_chunk(w.thread_id, w.num_threads, nslots);
         {
             let _span = obs::trace::span("grad_accum", "driver");
             let mut scratch = ctx.workspace.thread_scratch(w.thread_id);
-            for slot in my_slots.clone() {
+            for slot in static_chunk(w.thread_id, w.num_threads, nslots) {
                 let mut sg = ctx.workspace.slot(slot);
                 sg.prepare(total);
                 let mut parts = sg.parts(param_lens);
@@ -165,29 +164,26 @@ pub fn backward_reduce<S, F>(
                 }
             }
         }
-        // Merge this thread's slots (in increasing slot order) into the
-        // shared diffs. Slot chunks are contiguous per thread, so merging by
-        // thread order merges by slot order overall.
-        let do_merge = || {
-            for slot in my_slots.clone() {
-                let sg = ctx.workspace.slot(slot);
-                let buf = sg.active(total);
-                let mut off = 0usize;
-                for (j, &len) in param_lens.iter().enumerate() {
-                    // SAFETY: exclusive access: all merges are serialized by
-                    // the ordered construct or by `merge_lock`.
-                    let dst = unsafe { shared[j].slice_mut(0, len) };
-                    mmblas::axpy(S::ONE, &buf[off..off + len], dst);
-                    off += len;
+        w.barrier();
+        let _span = obs::trace::span("grad_merge", "driver");
+        let mine = static_chunk(w.thread_id, w.num_threads, total);
+        if mine.is_empty() {
+            return;
+        }
+        let slots: Vec<_> = (0..nslots).map(|g| ctx.workspace.slot_read(g)).collect();
+        let mut off = 0usize;
+        for (j, &len) in param_lens.iter().enumerate() {
+            let (lo, hi) = (mine.start.max(off), mine.end.min(off + len));
+            if lo < hi {
+                // SAFETY: the parameters tile `0..total` in `param_lens`
+                // order and `static_chunk` deals each element of it to one
+                // thread, so no two threads write the same element.
+                let dst = unsafe { shared[j].slice_mut(lo - off, hi - lo) };
+                for sg in &slots {
+                    mmblas::axpy(S::ONE, &sg.active(total)[lo..hi], dst);
                 }
             }
-        };
-        let _span = obs::trace::span("grad_merge", "driver");
-        if ordered {
-            w.ordered(do_merge);
-        } else {
-            let _g = merge_lock.lock();
-            do_merge();
+            off += len;
         }
     });
 }
@@ -195,13 +191,13 @@ pub fn backward_reduce<S, F>(
 /// Parallel per-sample evaluation followed by a *sequential, in-order* sum
 /// — used by loss layers so the reported scalar is deterministic.
 ///
-/// Under [`crate::ReductionMode::Canonical`] the sum uses the same grouping
-/// as the gradient reduction: per-sample values are first summed within each
-/// canonical slot chunk ([`static_chunk`]), then the group partial sums are
-/// folded in group order. This makes the reported scalar decomposable across
-/// group boundaries — a distributed run whose workers each own whole groups
-/// can reproduce it bitwise from per-worker partial sums. Ordered/Unordered
-/// modes keep the flat sequential fold.
+/// The sum uses the gradient reduction's grouping: per-sample values are
+/// first summed within each of the `reduction.slots(team_size)` slot chunks
+/// ([`static_chunk`]), then the group partial sums are folded in group
+/// order. The scalar thus depends on the slot count only, as the gradient
+/// does, and decomposes across group boundaries — a distributed run whose
+/// workers each own whole groups reproduces it bitwise from per-worker
+/// partial sums. One group is the flat sequential fold.
 ///
 /// Returns `sum_i f(i)`.
 pub fn parallel_map_ordered_sum<S, F>(ctx: &ExecCtx<'_, S>, n: usize, f: F) -> S
@@ -211,22 +207,14 @@ where
 {
     let mut vals = vec![S::ZERO; n];
     parallel_segments(ctx, &mut vals, 1, |i, out| out[0] = f(i));
-    if let crate::ctx::ReductionMode::Canonical { groups } = ctx.reduction {
-        if groups > 1 {
-            let mut acc = S::ZERO;
-            for g in 0..groups {
-                let mut part = S::ZERO;
-                for i in static_chunk(g, groups, n) {
-                    part += vals[i];
-                }
-                acc += part;
-            }
-            return acc;
-        }
-    }
+    let groups = ctx.reduction.slots(ctx.team.size());
     let mut acc = S::ZERO;
-    for v in vals {
-        acc += v;
+    for g in 0..groups {
+        let mut part = S::ZERO;
+        for i in static_chunk(g, groups, n) {
+            part += vals[i];
+        }
+        acc += part;
     }
     acc
 }
@@ -313,7 +301,6 @@ mod tests {
         for mode in [
             ReductionMode::Ordered,
             ReductionMode::Canonical { groups: 16 },
-            ReductionMode::Unordered,
         ] {
             for t in [1, 2, 4] {
                 let (w, b) = run_reduce(t, mode, n);
@@ -324,6 +311,95 @@ mod tests {
                     assert!((v - 2.0 * expect).abs() < 1e-9);
                 }
             }
+        }
+    }
+
+    /// Sample `s`'s contribution to gradient element `e`: a mix of
+    /// magnitudes 1e-5..1e7 and both signs, so a changed addition order
+    /// shows in the bits, plus a few NaN and more -0.0 entries.
+    fn contribution(s: usize, e: usize) -> f32 {
+        if (s * 7 + e * 3).is_multiple_of(41) {
+            return f32::NAN;
+        }
+        match (s * 7 + e * 3) % 13 {
+            1 | 2 => -0.0,
+            k => {
+                let sign = if (s + e).is_multiple_of(2) { 1.0 } else { -1.0 };
+                sign * 10f32.powi(k as i32 - 5) * (1.0 + (s * 31 + e * 17) as f32 / 97.0)
+            }
+        }
+    }
+
+    #[test]
+    fn fold_is_bitwise_a_sequential_slot_order_axpy_loop() {
+        // (threads, mode, param_lens, samples): a parameter boundary inside
+        // thread 0's element chunk (0..5 of [3, 6]); fewer elements than
+        // threads (3 at 4, so thread 3 folds nothing); odd totals;
+        // Canonical{16} at 3 threads; more threads than canonical groups.
+        let cases: [(usize, ReductionMode, &[usize], usize); 6] = [
+            (2, ReductionMode::Ordered, &[3, 6], 9),
+            (4, ReductionMode::Ordered, &[1, 2], 7),
+            (3, ReductionMode::Canonical { groups: 16 }, &[7, 2, 4], 37),
+            (5, ReductionMode::Canonical { groups: 2 }, &[11, 1], 23),
+            (1, ReductionMode::Ordered, &[5, 3], 4),
+            (2, ReductionMode::Ordered, &[4, 3], 0),
+        ];
+        for (threads, mode, lens, n) in cases {
+            let total: usize = lens.iter().sum();
+            let nslots = mode.slots(threads);
+            // Shared diffs start non-zero, with a -0.0 that a +0.0 slot
+            // entry must turn into +0.0.
+            let init: Vec<f32> = (0..total)
+                .map(|e| if e % 4 == 1 { -0.0 } else { e as f32 * 0.25 })
+                .collect();
+
+            // Reference: each slot accumulated on its own, then `axpy`ed
+            // into the shared diff in ascending slot order.
+            let mut want = init.clone();
+            for g in 0..nslots {
+                let mut slot = vec![0.0f32; total];
+                for s in static_chunk(g, nslots, n) {
+                    for (e, v) in slot.iter_mut().enumerate() {
+                        *v += contribution(s, e);
+                    }
+                }
+                mmblas::axpy(1.0, &slot, &mut want);
+            }
+
+            let team = ThreadTeam::new(threads);
+            let ws = Workspace::<f32>::new(
+                threads,
+                nslots,
+                WorkspaceRequest {
+                    col_len: 0,
+                    grad_len: total,
+                },
+            );
+            let ctx = ExecCtx::new(&team, &ws).with_reduction(mode);
+            let mut got = init.clone();
+            let mut rest: &mut [f32] = &mut got;
+            let mut shared: Vec<&mut [f32]> = Vec::new();
+            for &l in lens {
+                let (head, tail) = rest.split_at_mut(l);
+                shared.push(head);
+                rest = tail;
+            }
+            backward_reduce(&ctx, n, lens, &mut shared, |s, parts, _| {
+                let mut e = 0;
+                for part in parts.iter_mut() {
+                    for v in part.iter_mut() {
+                        *v += contribution(s, e);
+                        e += 1;
+                    }
+                }
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{threads} threads, {mode:?}, lens {lens:?}, {n} samples"
+            );
+            assert!(got.iter().any(|x| x.is_nan()) || n == 0);
         }
     }
 
@@ -354,16 +430,25 @@ mod tests {
     }
 
     #[test]
-    fn ordered_sum_matches_sequential() {
-        let team = ThreadTeam::new(4);
-        let ws = Workspace::<f64>::empty();
-        let ctx = ExecCtx::new(&team, &ws);
-        let got = parallel_map_ordered_sum(&ctx, 100, |i| (i as f64) * 0.1);
+    fn ordered_sum_groups_by_thread() {
+        let f = |i: usize| (i as f64) * 0.1;
+        let sum = |threads: usize, mode: ReductionMode| {
+            let team = ThreadTeam::new(threads);
+            let ws = Workspace::<f64>::empty();
+            let ctx = ExecCtx::new(&team, &ws).with_reduction(mode);
+            parallel_map_ordered_sum(&ctx, 100, f)
+        };
+        // One thread, one group: the flat sequential fold.
         let mut want = 0.0;
         for i in 0..100 {
-            want += (i as f64) * 0.1;
+            want += f(i);
         }
-        assert_eq!(got, want);
+        assert_eq!(sum(1, ReductionMode::Ordered), want);
+        // T threads sum as T pinned groups on one thread.
+        for t in [2, 3, 4] {
+            let pinned = sum(1, ReductionMode::Canonical { groups: t });
+            assert_eq!(sum(t, ReductionMode::Ordered).to_bits(), pinned.to_bits());
+        }
     }
 
     #[test]
@@ -371,12 +456,9 @@ mod tests {
         // With Canonical{groups: 2} the sum must equal
         // (chunk-0 sequential sum) + (chunk-1 sequential sum) exactly —
         // the decomposition a 2-worker distributed run relies on.
-        let team = ThreadTeam::new(3);
         let ws = Workspace::<f64>::empty();
-        let ctx = ExecCtx::new(&team, &ws).with_reduction(ReductionMode::Canonical { groups: 2 });
         let f = |i: usize| 1.0 / (i as f64 + 0.7);
         let n = 25;
-        let got = parallel_map_ordered_sum(&ctx, n, f);
         let part = |r: std::ops::Range<usize>| {
             let mut acc = 0.0;
             for i in r {
@@ -384,12 +466,17 @@ mod tests {
             }
             acc
         };
-        assert_eq!(
-            got,
-            part(static_chunk(0, 2, n)) + part(static_chunk(1, 2, n))
-        );
-        // groups: 1 degenerates to the flat fold.
-        let ctx1 = ExecCtx::new(&team, &ws).with_reduction(ReductionMode::Canonical { groups: 1 });
+        for threads in [1, 2] {
+            let team = ThreadTeam::new(threads);
+            let ctx = ctx_with(&team, &ws, ReductionMode::Canonical { groups: 2 });
+            assert_eq!(
+                parallel_map_ordered_sum(&ctx, n, f),
+                part(static_chunk(0, 2, n)) + part(static_chunk(1, 2, n))
+            );
+        }
+        // groups: 1 on one thread degenerates to the flat fold.
+        let team = ThreadTeam::new(1);
+        let ctx1 = ctx_with(&team, &ws, ReductionMode::Canonical { groups: 1 });
         assert_eq!(parallel_map_ordered_sum(&ctx1, n, f), part(0..n));
     }
 

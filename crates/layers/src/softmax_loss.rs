@@ -146,9 +146,21 @@ impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
 mod tests {
     use super::*;
     use crate::workspace::Workspace;
+    use crate::ReductionMode;
     use omprt::ThreadTeam;
 
     fn run(
+        threads: usize,
+        scores: Vec<f64>,
+        labels: Vec<f64>,
+        n: usize,
+        c: usize,
+    ) -> (f64, Vec<f64>) {
+        run_under(ReductionMode::Ordered, threads, scores, labels, n, c)
+    }
+
+    fn run_under(
+        mode: ReductionMode,
         threads: usize,
         scores: Vec<f64>,
         labels: Vec<f64>,
@@ -161,7 +173,7 @@ mod tests {
         let shapes = l.setup(&[&b0, &b1]);
         let team = ThreadTeam::new(threads);
         let ws = Workspace::<f64>::empty();
-        let ctx = ExecCtx::new(&team, &ws);
+        let ctx = ExecCtx::new(&team, &ws).with_reduction(mode);
         let mut tops = vec![Blob::new(shapes[0].clone())];
         l.forward(&ctx, &[&b0, &b1], &mut tops);
         let loss = tops[0].data()[0];
@@ -221,11 +233,18 @@ mod tests {
             .map(|i| ((i * 31 % 23) as f64) * 0.17 - 2.0)
             .collect();
         let labels: Vec<f64> = (0..n).map(|i| (i % c) as f64).collect();
-        let (l1, d1) = run(1, scores.clone(), labels.clone(), n, c);
+        let canonical = ReductionMode::Canonical { groups: 16 };
+        let (l1, d1) = run_under(canonical, 1, scores.clone(), labels.clone(), n, c);
         for t in [2, 4, 5] {
-            let (lt, dt) = run(t, scores.clone(), labels.clone(), n, c);
+            let (lt, dt) = run_under(canonical, t, scores.clone(), labels.clone(), n, c);
             assert_eq!(l1, lt, "loss differs at t={t}");
             assert_eq!(d1, dt, "diff differs at t={t}");
+            // One slot per thread sums the loss as t pinned groups do.
+            let pinned = ReductionMode::Canonical { groups: t };
+            let (lp, _) = run_under(pinned, 1, scores.clone(), labels.clone(), n, c);
+            let (lo, d_o) = run(t, scores.clone(), labels.clone(), n, c);
+            assert_eq!(lo.to_bits(), lp.to_bits(), "Ordered at t={t}");
+            assert_eq!(d1, d_o, "Ordered diff at t={t}");
         }
     }
 

@@ -10,6 +10,7 @@
 
 use mmblas::Scalar;
 use parking_lot::{Mutex, MutexGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Scratch-space requirements a layer reports after `setup`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,18 +74,20 @@ impl<S: Scalar> SlotGrad<S> {
         out
     }
 
-    /// The first `len` elements, immutably (for the merge step).
+    /// The first `len` elements, immutably (for the fold).
     pub fn active(&self, len: usize) -> &[S] {
         &self.buf[..len]
     }
 }
 
-/// The shared workspace: `n_threads` column buffers plus `n_slots`
-/// privatized gradient buffers, each behind an uncontended mutex (every
-/// thread only ever locks its own entries).
+/// The shared workspace: `n_threads` column buffers, each behind an
+/// uncontended mutex (every thread only ever locks its own), plus `n_slots`
+/// privatized gradient buffers behind read-write locks: a slot is written
+/// by the one thread that accumulates it, then read by every thread of the
+/// fold at once.
 pub struct Workspace<S: Scalar> {
     threads: Vec<Mutex<ThreadScratch<S>>>,
-    slots: Vec<Mutex<SlotGrad<S>>>,
+    slots: Vec<RwLock<SlotGrad<S>>>,
     request: WorkspaceRequest,
 }
 
@@ -101,7 +104,7 @@ impl<S: Scalar> Workspace<S> {
             .collect();
         let slots = (0..n_slots)
             .map(|_| {
-                Mutex::new(SlotGrad {
+                RwLock::new(SlotGrad {
                     buf: vec![S::ZERO; request.grad_len],
                 })
             })
@@ -141,12 +144,26 @@ impl<S: Scalar> Workspace<S> {
         self.threads[tid].lock()
     }
 
-    /// Lock gradient slot `slot`.
+    /// Lock gradient slot `slot` for writing. A lock a panic poisoned is
+    /// taken anyway: the next pass re-zeroes the slot before it reads it.
     ///
     /// # Panics
     /// Panics if `slot >= n_slots()`.
-    pub fn slot(&self, slot: usize) -> MutexGuard<'_, SlotGrad<S>> {
-        self.slots[slot].lock()
+    pub fn slot(&self, slot: usize) -> RwLockWriteGuard<'_, SlotGrad<S>> {
+        self.slots[slot]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lock gradient slot `slot` for reading; any number of threads may
+    /// hold it at once.
+    ///
+    /// # Panics
+    /// Panics if `slot >= n_slots()`.
+    pub fn slot_read(&self, slot: usize) -> RwLockReadGuard<'_, SlotGrad<S>> {
+        self.slots[slot]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Extra memory (bytes) this workspace adds over a sequential run,

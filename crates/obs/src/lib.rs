@@ -16,13 +16,13 @@
 //!   into it, and [`Registry::csv`] exposes everything in the same
 //!   `metric,value` form factor as `machine::csv`.
 //! * [`trace`] — span-based tracing. Instrumented sites (omprt parallel
-//!   regions, barrier waits, ordered-section waits, per-layer fwd/bwd
-//!   passes, checkpoint I/O) record [`trace::Event`]s into thread-local
-//!   buffers, flushed on demand to a Chrome `trace_event` JSON file that
-//!   loads in `chrome://tracing` or Perfetto. Collection is gated by one
-//!   global flag: when disabled every site is a single relaxed atomic load
-//!   and an untaken branch — no allocation, no lock, no clock read — so the
-//!   training hot path and its convergence guarantees are untouched.
+//!   regions, barrier waits, per-layer fwd/bwd passes, checkpoint I/O)
+//!   record [`trace::Event`]s into thread-local buffers, flushed on demand
+//!   to a Chrome `trace_event` JSON file that loads in `chrome://tracing`
+//!   or Perfetto. Collection is gated by one global flag: when disabled
+//!   every site is a single relaxed atomic load and an untaken branch — no
+//!   allocation, no lock, no clock read — so the training hot path and its
+//!   convergence guarantees are untouched.
 //!
 //! ```
 //! use obs::registry::Registry;

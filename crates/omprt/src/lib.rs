@@ -2,14 +2,16 @@
 //! parallelization, and no others.
 //!
 //! The PPoPP'16 paper runs each layer pass as `#pragma omp parallel` around
-//! a `#pragma omp for schedule(static)` over a *coalesced* loop, with
-//! privatized gradients merged by an `ordered` loop (Algorithms 4-5). This
-//! crate implements exactly those constructs so the Rust layer code can be a
-//! faithful transliteration:
+//! a `#pragma omp for schedule(static)` over a *coalesced* loop (Algorithm
+//! 4). Its Algorithm 5 merges privatized gradients under `ordered`; here the
+//! merge is a barrier plus a second static loop over the gradient elements
+//! (`layers::drivers::backward_reduce`), which keeps every element's
+//! additions and their order, so no thread waits for a turn. This crate
+//! implements exactly the constructs those loops use:
 //!
 //! * [`ThreadTeam`] — a persistent pool; [`ThreadTeam::parallel`] is
-//!   `#pragma omp parallel`, and [`WorkerCtx::ordered`] /
-//!   [`WorkerCtx::barrier`] are the in-region constructs.
+//!   `#pragma omp parallel`, and [`WorkerCtx::barrier`] is the in-region
+//!   construct.
 //! * [`for_each_range`] — `#pragma omp for schedule(static)`: one
 //!   contiguous [`static_chunk`] per thread, then the implicit barrier.
 //! * [`SendPtr`] and [`DisjointSlices`] — the data privatization idioms.
@@ -22,26 +24,25 @@
 //! ```
 //! use omprt::{for_each_range, ThreadTeam};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
-//! use std::sync::Mutex;
 //!
 //! let team = ThreadTeam::new(4);
 //! let hits = AtomicUsize::new(0);
-//! let order = Mutex::new(Vec::new());
+//! let saw_all = AtomicUsize::new(0);
 //! // #pragma omp parallel
 //! team.parallel(|ctx| {
 //!     // #pragma omp for schedule(static)
 //!     for_each_range(ctx, 100, |run| {
 //!         hits.fetch_add(run.len(), Ordering::Relaxed);
 //!     });
-//!     // #pragma omp ordered — thread 0, then 1, 2, 3.
-//!     ctx.ordered(|| order.lock().unwrap().push(ctx.thread_id));
+//!     // Past the loop's implicit barrier every thread sees every hit.
+//!     if hits.load(Ordering::Relaxed) == 100 {
+//!         saw_all.fetch_add(1, Ordering::Relaxed);
+//!     }
 //! });
-//! assert_eq!(hits.load(Ordering::Relaxed), 100);
-//! assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3]);
+//! assert_eq!(saw_all.into_inner(), 4);
 //! ```
 
 mod metrics;
-mod ordered;
 mod schedule;
 mod sendptr;
 
@@ -73,7 +74,6 @@ struct TeamShared {
     end: Barrier,
     user_barrier: Barrier,
     shutdown: AtomicBool,
-    turn: ordered::Turn,
 }
 
 impl TeamShared {
@@ -84,7 +84,6 @@ impl TeamShared {
             end: Barrier::new(size),
             user_barrier: Barrier::new(size),
             shutdown: AtomicBool::new(false),
-            turn: ordered::Turn::new(),
         }
     }
 }
@@ -102,22 +101,15 @@ pub struct WorkerCtx<'a> {
 
 impl WorkerCtx<'_> {
     /// `#pragma omp barrier` — all team threads must call it the same number
-    /// of times. No layer calls it by name; the worksharing loop does: the
-    /// implicit barrier that ends [`for_each_range`].
+    /// of times. Its callers are the implicit barrier that ends
+    /// [`for_each_range`] and the one between the gradient accumulation and
+    /// the fold of `layers::drivers::backward_reduce`. A no-op on a team of
+    /// one.
     pub fn barrier(&self) {
-        let _span = obs::trace::span("barrier_wait", "omprt");
-        self.shared.user_barrier.wait();
-    }
-
-    /// Execute `f` in thread-id order (`#pragma omp ordered` over a loop of
-    /// one iteration per thread, as in Algorithm 5 lines 22-24).
-    ///
-    /// Every team thread must call this the same number of times per region;
-    /// each "round" runs threads 0, 1, ..., n-1 in order.
-    pub fn ordered<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.shared
-            .turn
-            .run_ordered(self.thread_id, self.num_threads, f)
+        if self.num_threads > 1 {
+            let _span = obs::trace::span("barrier_wait", "omprt");
+            self.shared.user_barrier.wait();
+        }
     }
 }
 
@@ -182,8 +174,8 @@ impl ThreadTeam {
         F: Fn(&WorkerCtx) + Sync,
     {
         let Some(shared) = &self.shared else {
-            // Size-1 team: run inline. A dummy shared block is still needed
-            // for ordered/barrier calls, so build a cheap one.
+            // Size-1 team: run inline. `WorkerCtx` still borrows a shared
+            // block, so build a cheap one; its barrier is never waited on.
             let dummy = TeamShared::new(1);
             let ctx = WorkerCtx {
                 thread_id: 0,
@@ -195,7 +187,6 @@ impl ThreadTeam {
             return;
         };
 
-        shared.turn.reset();
         let job: &(dyn Fn(&WorkerCtx) + Sync) = &f;
         // SAFETY: lifetime erasure. Workers dereference the job only
         // between the start and end barriers below, and this function does
@@ -350,29 +341,5 @@ mod tests {
             }
         });
         assert_eq!(ok.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn ordered_runs_in_thread_order() {
-        let team = ThreadTeam::new(4);
-        let order = std::sync::Mutex::new(Vec::new());
-        team.parallel(|ctx| {
-            ctx.ordered(|| {
-                order.lock().unwrap().push(ctx.thread_id);
-            });
-        });
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn ordered_is_reusable_across_regions() {
-        let team = ThreadTeam::new(3);
-        for _ in 0..10 {
-            let order = std::sync::Mutex::new(Vec::new());
-            team.parallel(|ctx| {
-                ctx.ordered(|| order.lock().unwrap().push(ctx.thread_id));
-            });
-            assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
-        }
     }
 }

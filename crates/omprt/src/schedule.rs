@@ -37,9 +37,7 @@ pub fn for_each_range(ctx: &WorkerCtx, n: usize, body: impl FnOnce(Range<usize>)
     if !run.is_empty() {
         body(run);
     }
-    if ctx.num_threads > 1 {
-        ctx.barrier();
-    }
+    ctx.barrier();
 }
 
 #[cfg(test)]

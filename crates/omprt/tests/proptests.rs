@@ -1,7 +1,6 @@
 //! Property-based tests for the mini-OpenMP runtime: the static chunk math
 //! partitions exactly, the worksharing loop on a real team hands every
-//! thread exactly that chunk (the claim the `machine` simulator relies on),
-//! and the ordered construct runs in thread order.
+//! thread exactly that chunk (the claim the `machine` simulator relies on).
 
 use omprt::{for_each_range, static_chunk, ThreadTeam};
 use proptest::prelude::*;
@@ -34,22 +33,6 @@ proptest! {
             let want = static_chunk(t, threads, n);
             let want = if want.is_empty() { vec![] } else { vec![want] };
             prop_assert_eq!(got, want, "thread {} of {}, n = {}", t, threads, n);
-        }
-    }
-
-    #[test]
-    fn ordered_construct_always_runs_in_thread_order(threads in 1usize..6, rounds in 1usize..4) {
-        let team = ThreadTeam::new(threads);
-        let log = std::sync::Mutex::new(Vec::new());
-        team.parallel(|ctx| {
-            for _ in 0..rounds {
-                ctx.ordered(|| log.lock().unwrap().push(ctx.thread_id));
-            }
-        });
-        let log = log.into_inner().unwrap();
-        prop_assert_eq!(log.len(), threads * rounds);
-        for (i, &tid) in log.iter().enumerate() {
-            prop_assert_eq!(tid, i % threads);
         }
     }
 }

@@ -20,7 +20,7 @@
 use crate::deploy::deploy_spec;
 use crate::ServeError;
 use blob::{Blob, Shape};
-use layers::ctx::{Phase, ReductionMode};
+use layers::ctx::Phase;
 use mmblas::Scalar;
 use net::{Net, NetSpec, RunConfig};
 use omprt::ThreadTeam;
@@ -87,10 +87,8 @@ impl<S: Scalar> Engine<S> {
 
         let team = ThreadTeam::new(cfg.n_threads.max(1));
         let run = RunConfig {
-            // Canonical groups make the (forward-only) pass bit-identical
-            // across team sizes, matching the training replicas.
-            reduction: ReductionMode::Canonical { groups: 16 },
             phase: Phase::Test,
+            ..RunConfig::default()
         };
         // Size the workspace now, not on the first request.
         net.ensure_workspace(team.size(), run.reduction);

@@ -6,7 +6,8 @@ mod common;
 use cgdnn::prelude::*;
 use common::{tiny_net, TinySource};
 
-fn train_losses(threads: usize, mode: ReductionMode, iters: usize) -> Vec<f32> {
+/// Loss bits and final parameter bits of a `threads`-thread run.
+fn train_bits(threads: usize, mode: ReductionMode, iters: usize) -> (Vec<u32>, Vec<u32>) {
     let mut net = tiny_net(5);
     let team = ThreadTeam::new(threads);
     let run = RunConfig {
@@ -14,7 +15,18 @@ fn train_losses(threads: usize, mode: ReductionMode, iters: usize) -> Vec<f32> {
         ..RunConfig::default()
     };
     let mut solver: Solver<f32> = Solver::new(SolverConfig::lenet());
-    solver.train(&mut net, &team, &run, iters)
+    let losses = solver.train(&mut net, &team, &run, iters);
+    let params = net
+        .learnable_params()
+        .iter()
+        .flat_map(|b| b.data().iter().map(|v| v.to_bits()))
+        .collect();
+    (losses.iter().map(|l| l.to_bits()).collect(), params)
+}
+
+fn train_losses(threads: usize, mode: ReductionMode, iters: usize) -> Vec<f32> {
+    let (losses, _) = train_bits(threads, mode, iters);
+    losses.into_iter().map(f32::from_bits).collect()
 }
 
 #[test]
@@ -36,29 +48,31 @@ fn ordered_reduction_is_deterministic_per_thread_count() {
 }
 
 #[test]
-fn ordered_one_thread_equals_canonical_any_thread() {
-    // The 1-thread Ordered run is the sequential reference; Canonical must
-    // reproduce it bitwise (slot chunks of Canonical(G) at T=1 are merged in
-    // the identical order).
-    let seq = train_losses(1, ReductionMode::Ordered, 3);
-    let can1 = train_losses(1, ReductionMode::Canonical { groups: 16 }, 3);
-    // Both accumulate sample-chunk gradients in the same global order only
-    // when the chunking matches; with 16 groups vs 1 group the FP grouping
-    // differs, so allow tolerance here — the *invariance across T* above is
-    // the strict guarantee.
-    for (a, b) in seq.iter().zip(&can1) {
-        assert!((a - b).abs() < 1e-4, "sequential {a} vs canonical {b}");
+fn ordered_at_t_threads_equals_canonical_t_at_one_thread() {
+    // One slot per thread: T threads fold the gradient and sum the loss in
+    // T contiguous sample groups, as one thread does with T pinned groups,
+    // so losses and parameters match bit for bit.
+    for t in [2, 3, 4] {
+        let ordered = train_bits(t, ReductionMode::Ordered, 3);
+        let pinned = train_bits(1, ReductionMode::Canonical { groups: t }, 3);
+        assert_eq!(ordered.0, pinned.0, "losses at {t} threads");
+        assert_eq!(ordered.1, pinned.1, "parameters at {t} threads");
     }
-}
-
-#[test]
-fn unordered_reduction_still_converges() {
-    let l = train_losses(4, ReductionMode::Unordered, 6);
-    assert!(l.iter().all(|v| v.is_finite()));
-    assert!(
-        l.last().unwrap() < &l[0],
-        "unordered training should still reduce loss: {l:?}"
-    );
+    // A different group count moves only low bits: every grouping stays
+    // within float tolerance of the 1-thread sequential run.
+    let seq = train_losses(1, ReductionMode::Ordered, 3);
+    for (threads, mode) in [
+        (4, ReductionMode::Ordered),
+        (1, ReductionMode::Canonical { groups: 16 }),
+    ] {
+        let l = train_losses(threads, mode, 3);
+        for (a, b) in seq.iter().zip(&l) {
+            assert!(
+                (a - b).abs() < 1e-4,
+                "sequential {a} vs {mode:?} at {threads}: {b}"
+            );
+        }
+    }
 }
 
 #[test]

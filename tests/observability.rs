@@ -237,12 +237,12 @@ fn distributed_observability_is_invisible_and_aggregates_per_rank() {
 }
 
 #[test]
-fn trace_covers_every_layer_pass_and_ordered_sections() {
+fn trace_covers_every_layer_pass_and_merge_waits() {
     let _g = obs_lock();
     obs::trace::set_enabled(true);
     let _ = obs::trace::take_events();
-    // Two threads so the ordered gradient merge actually queues (at one
-    // thread `run_ordered` never waits), default Ordered reduction.
+    // Two threads, so the gradient fold waits at its barrier (a team of one
+    // never does), default Ordered reduction.
     let mut t = CoarseGrainTrainer::new(tiny_net(7), SolverConfig::lenet(), 2);
     t.train(2);
     let layer_names: Vec<String> = t
@@ -268,9 +268,10 @@ fn trace_covers_every_layer_pass_and_ordered_sections() {
         }
     }
     assert!(names.contains("region"), "no omprt region spans");
+    assert!(names.contains("grad_merge"), "no gradient fold spans");
     assert!(
-        names.contains("ordered_wait"),
-        "no ordered-section wait spans at 2 threads"
+        names.contains("barrier_wait"),
+        "no barrier wait spans at 2 threads"
     );
     assert!(
         names.contains("solver_update"),

@@ -8,7 +8,7 @@
 
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
@@ -91,14 +91,11 @@ impl<A: Activation, S: Scalar> Layer<S> for ActivationLayer<A> {
         });
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let seg = self.seg_len as f64;
         let elem = std::mem::size_of::<S>() as f64;
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: A::TYPE.to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.n_segs,
                 flops_per_iter: seg * A::FWD_FLOPS_PER_ELEM,
                 bytes_in_per_iter: seg * elem,
@@ -106,7 +103,7 @@ impl<A: Activation, S: Scalar> Layer<S> for ActivationLayer<A> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.n_segs,
                 flops_per_iter: seg * A::BWD_FLOPS_PER_ELEM,
                 bytes_in_per_iter: 3.0 * seg * elem,
@@ -114,8 +111,7 @@ impl<A: Activation, S: Scalar> Layer<S> for ActivationLayer<A> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 

@@ -8,12 +8,11 @@
 
 use crate::ctx::ExecCtx;
 use crate::drivers::{backward_reduce, parallel_segments_scratch};
-use crate::fill::Filler;
-use crate::profile::{LayerProfile, PassProfile};
-use crate::workspace::WorkspaceRequest;
+use crate::fill::{weight_and_bias, Filler};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
-use mmblas::{Conv2dGeometry, Pcg32, Scalar, Transpose};
+use mmblas::{Conv2dGeometry, Scalar, Transpose};
 
 /// Configuration for [`ConvolutionLayer`].
 #[derive(Debug, Clone)]
@@ -26,34 +25,22 @@ pub struct ConvConfig {
     pub pad: usize,
     /// Stride.
     pub stride: usize,
-    /// Whether a bias per output channel is learned.
-    pub bias_term: bool,
     /// Weight initialization.
     pub weight_filler: Filler,
-    /// Bias initialization.
-    pub bias_filler: Filler,
     /// Filler RNG seed.
     pub seed: u64,
-    /// Learning-rate multiplier for the weights (Caffe `lr_mult`).
-    pub weight_lr_mult: f64,
-    /// Learning-rate multiplier for the bias (Caffe uses 2.0).
-    pub bias_lr_mult: f64,
 }
 
 impl ConvConfig {
-    /// Defaults matching the paper's networks: xavier weights, zero bias.
+    /// Defaults matching the paper's networks: xavier weights.
     pub fn new(num_output: usize, kernel: usize, pad: usize, stride: usize) -> Self {
         Self {
             num_output,
             kernel,
             pad,
             stride,
-            bias_term: true,
             weight_filler: Filler::Xavier,
-            bias_filler: Filler::Constant(0.0),
             seed: 0xc0_4f + num_output as u64,
-            weight_lr_mult: 1.0,
-            bias_lr_mult: 2.0,
         }
     }
 }
@@ -64,7 +51,8 @@ pub struct ConvolutionLayer<S: Scalar = f32> {
     cfg: ConvConfig,
     geom: Option<Conv2dGeometry>,
     batch: usize,
-    /// `params[0]` = weights `(out_c, in_c, k, k)`, `params[1]` = bias.
+    /// `params[0]` = weights `(out_c, in_c, k, k)`, `params[1]` = bias
+    /// `(out_c)`.
     params: Vec<Blob<S>>,
     propagate_down: bool,
 }
@@ -93,19 +81,6 @@ impl<S: Scalar> ConvolutionLayer<S> {
         self.geom
             .as_ref()
             .expect("ConvolutionLayer: setup not called")
-    }
-
-    fn wlen(&self) -> usize {
-        let g = self.geometry();
-        self.cfg.num_output * g.col_rows()
-    }
-
-    fn blen(&self) -> usize {
-        if self.cfg.bias_term {
-            self.cfg.num_output
-        } else {
-            0
-        }
     }
 }
 
@@ -138,20 +113,16 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
             self.params.is_empty() || self.geom.map(|g| g.col_rows()) != Some(geom.col_rows());
         self.geom = Some(geom);
         if refill {
-            let mut rng = Pcg32::seeded(self.cfg.seed);
-            let mut w: Blob<S> = Blob::new([
-                self.cfg.num_output,
-                geom.channels,
-                geom.kernel_h,
-                geom.kernel_w,
-            ]);
-            self.cfg.weight_filler.fill(&mut w, &mut rng);
-            self.params = vec![w];
-            if self.cfg.bias_term {
-                let mut bias: Blob<S> = Blob::new([self.cfg.num_output]);
-                self.cfg.bias_filler.fill(&mut bias, &mut rng);
-                self.params.push(bias);
-            }
+            self.params = weight_and_bias(
+                &[
+                    self.cfg.num_output,
+                    geom.channels,
+                    geom.kernel_h,
+                    geom.kernel_w,
+                ],
+                self.cfg.weight_filler,
+                self.cfg.seed,
+            );
         }
         vec![Shape::from(vec![
             self.batch,
@@ -164,12 +135,7 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
     fn forward(&mut self, ctx: &ExecCtx<'_, S>, bottom: &[&Blob<S>], top: &mut [Blob<S>]) {
         let g = *self.geometry();
         let x = bottom[0].data();
-        let w = self.params[0].data();
-        let bias = if self.cfg.bias_term {
-            Some(self.params[1].data())
-        } else {
-            None
-        };
+        let (w, bias) = (self.params[0].data(), self.params[1].data());
         let (m, cr, cc) = (self.cfg.num_output, g.col_rows(), g.col_cols());
         let in_len = g.image_len();
         let out_seg = m * cc;
@@ -191,11 +157,9 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
                 y,
                 cc,
             );
-            if let Some(b) = bias {
-                for (o, &bo) in b.iter().enumerate() {
-                    for v in &mut y[o * cc..(o + 1) * cc] {
-                        *v += bo;
-                    }
+            for (o, &bo) in bias.iter().enumerate() {
+                for v in &mut y[o * cc..(o + 1) * cc] {
+                    *v += bo;
                 }
             }
         });
@@ -206,89 +170,72 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
         let (m, cr, cc) = (self.cfg.num_output, g.col_rows(), g.col_cols());
         let in_len = g.image_len();
         let tdiff = top[0].diff();
-        let (wlen, blen) = (self.wlen(), self.blen());
         let propagate = self.propagate_down;
 
         let (bdata, bdiff) = bottom[0].data_diff_mut();
         let bdata: &[S] = bdata;
         let bdiff_ds = omprt::DisjointSlices::new(bdiff, in_len);
 
-        let param_lens: Vec<usize> = if self.cfg.bias_term {
-            vec![wlen, blen]
-        } else {
-            vec![wlen]
-        };
         // Split the weight blob so its data is readable (for dx) while its
         // diff is being accumulated.
-        let (wp, rest) = self.params.split_at_mut(1);
+        let (wp, bp) = self.params.split_at_mut(1);
         let (wdata, wdiff) = wp[0].data_diff_mut();
         let wslice: &[S] = wdata;
-        let mut shared: Vec<&mut [S]> = vec![wdiff];
-        if let Some(bp) = rest.first_mut() {
-            shared.push(bp.diff_mut());
-        }
+        let mut shared: Vec<&mut [S]> = vec![wdiff, bp[0].diff_mut()];
 
-        backward_reduce(
-            ctx,
-            self.batch,
-            &param_lens,
-            &mut shared,
-            |s, parts, scratch| {
-                let dy = &tdiff[s * m * cc..(s + 1) * m * cc];
-                let (col, col_diff) = scratch.col.split_at_mut(cr * cc);
-                let col = &mut col[..cr * cc];
-                // Recompute the lowering of sample s (as Caffe does).
-                mmblas::im2col(&g, &bdata[s * in_len..(s + 1) * in_len], col);
-                // dW += dy (m x cc) * col^T (cc x cr).
+        backward_reduce(ctx, self.batch, &mut shared, |s, parts, scratch| {
+            let dy = &tdiff[s * m * cc..(s + 1) * m * cc];
+            let (col, col_diff) = scratch.col.split_at_mut(cr * cc);
+            let col = &mut col[..cr * cc];
+            // Recompute the lowering of sample s (as Caffe does).
+            mmblas::im2col(&g, &bdata[s * in_len..(s + 1) * in_len], col);
+            // dW += dy (m x cc) * col^T (cc x cr).
+            mmblas::gemm(
+                Transpose::No,
+                Transpose::Yes,
+                m,
+                cr,
+                cc,
+                S::ONE,
+                dy,
+                cc,
+                col,
+                cc,
+                S::ONE,
+                parts[0],
+                cr,
+            );
+            // db += row sums of dy.
+            for (o, dbo) in parts[1].iter_mut().enumerate() {
+                let mut acc = S::ZERO;
+                for &v in &dy[o * cc..(o + 1) * cc] {
+                    acc += v;
+                }
+                *dbo += acc;
+            }
+            // dx_s = col2im(W^T dy) — disjoint per sample.
+            if propagate {
+                let cd = &mut col_diff[..cr * cc];
                 mmblas::gemm(
-                    Transpose::No,
                     Transpose::Yes,
-                    m,
+                    Transpose::No,
                     cr,
                     cc,
+                    m,
                     S::ONE,
+                    wslice,
+                    cr,
                     dy,
                     cc,
-                    col,
+                    S::ZERO,
+                    cd,
                     cc,
-                    S::ONE,
-                    parts[0],
-                    cr,
                 );
-                // db += row sums of dy.
-                if parts.len() > 1 {
-                    for (o, dbo) in parts[1].iter_mut().enumerate() {
-                        let mut acc = S::ZERO;
-                        for &v in &dy[o * cc..(o + 1) * cc] {
-                            acc += v;
-                        }
-                        *dbo += acc;
-                    }
-                }
-                // dx_s = col2im(W^T dy) — disjoint per sample.
-                if propagate {
-                    let cd = &mut col_diff[..cr * cc];
-                    mmblas::gemm(
-                        Transpose::Yes,
-                        Transpose::No,
-                        cr,
-                        cc,
-                        m,
-                        S::ONE,
-                        wslice,
-                        cr,
-                        dy,
-                        cc,
-                        S::ZERO,
-                        cd,
-                        cc,
-                    );
-                    // SAFETY: sample s is processed exactly once.
-                    let dst = unsafe { bdiff_ds.segment_mut(s) };
-                    mmblas::col2im(&g, cd, dst);
-                }
-            },
-        );
+                // SAFETY: sample s is processed exactly once.
+                let dst = unsafe { bdiff_ds.segment_mut(s) };
+                mmblas::col2im(&g, cd, dst);
+            }
+        });
     }
 
     fn params(&self) -> &[Blob<S>] {
@@ -299,25 +246,13 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
         &mut self.params
     }
 
-    fn param_lr_mults(&self) -> Vec<f64> {
-        if self.cfg.bias_term {
-            vec![self.cfg.weight_lr_mult, self.cfg.bias_lr_mult]
-        } else {
-            vec![self.cfg.weight_lr_mult]
-        }
-    }
-
-    fn workspace_request(&self) -> WorkspaceRequest {
+    fn col_len(&self) -> usize {
+        // Two panels: the lowered input and the lowered diff.
         let g = self.geometry();
-        WorkspaceRequest {
-            // Two panels: the lowered input and the lowered diff.
-            col_len: 2 * g.col_rows() * g.col_cols(),
-            grad_len: self.wlen() + self.blen(),
-        }
+        2 * g.col_rows() * g.col_cols()
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let g = self.geometry();
         let elem = std::mem::size_of::<S>() as f64;
         let (m, cr, cc) = (
@@ -326,10 +261,8 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
             g.col_cols() as f64,
         );
         let im2col_bytes = (g.image_len() as f64 + cr * cc) * elem;
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "Convolution".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.batch,
                 flops_per_iter: 2.0 * m * cr * cc + m * cc,
                 // The filter bank stays cache-resident across samples; the
@@ -339,7 +272,7 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.batch,
                 // im2col recompute + dW gemm + db + dx gemm + col2im.
                 flops_per_iter: if self.propagate_down {
@@ -350,25 +283,26 @@ impl<S: Scalar> Layer<S> for ConvolutionLayer<S> {
                 bytes_in_per_iter: im2col_bytes + 2.0 * m * cc * elem,
                 bytes_out_per_iter: (cr * cc + g.image_len() as f64) * elem,
                 seq_flops: 0.0,
-                reduction_elems: self.wlen() + self.blen(),
+                reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::Workspace;
+    use crate::workspace::{Workspace, WorkspaceRequest};
     use omprt::ThreadTeam;
 
     fn ws_for(l: &ConvolutionLayer<f64>, t: usize, slots: usize) -> Workspace<f64> {
-        Workspace::new(
-            t,
-            slots,
-            <ConvolutionLayer<f64> as Layer<f64>>::workspace_request(l),
-        )
+        Workspace::new(t, slots, WorkspaceRequest::of(l))
+    }
+
+    /// Overwrite the weights and the bias with constants.
+    fn set_params(l: &mut ConvolutionLayer<f64>, w: f64, b: f64) {
+        l.params_mut()[0].data_mut().fill(w);
+        l.params_mut()[1].data_mut().fill(b);
     }
 
     #[test]
@@ -385,12 +319,10 @@ mod tests {
     #[test]
     fn forward_known_values_identity_like() {
         // 1x1 kernel with weight 2.0 and bias 1.0 doubles-plus-one the input.
-        let mut cfg = ConvConfig::new(1, 1, 0, 1);
-        cfg.weight_filler = Filler::Constant(2.0);
-        cfg.bias_filler = Filler::Constant(1.0);
-        let mut l: ConvolutionLayer<f64> = ConvolutionLayer::new("c", cfg);
+        let mut l: ConvolutionLayer<f64> = ConvolutionLayer::new("c", ConvConfig::new(1, 1, 0, 1));
         let b: Blob<f64> = Blob::from_data([1usize, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let shapes = l.setup(&[&b]);
+        set_params(&mut l, 2.0, 1.0);
         let ws = ws_for(&l, 1, 1);
         let team = ThreadTeam::new(1);
         let ctx = ExecCtx::new(&team, &ws);
@@ -401,10 +333,8 @@ mod tests {
 
     #[test]
     fn forward_sum_kernel() {
-        // 2x2 all-ones kernel computes window sums.
-        let mut cfg = ConvConfig::new(1, 2, 0, 1);
-        cfg.weight_filler = Filler::Constant(1.0);
-        let mut l: ConvolutionLayer<f64> = ConvolutionLayer::new("c", cfg);
+        // 2x2 all-ones kernel computes window sums, plus the bias.
+        let mut l: ConvolutionLayer<f64> = ConvolutionLayer::new("c", ConvConfig::new(1, 2, 0, 1));
         #[rustfmt::skip]
         let b: Blob<f64> = Blob::from_data([1usize, 1, 3, 3], vec![
             1.0, 2.0, 3.0,
@@ -412,12 +342,13 @@ mod tests {
             7.0, 8.0, 9.0,
         ]);
         let shapes = l.setup(&[&b]);
+        set_params(&mut l, 1.0, 0.5);
         let ws = ws_for(&l, 1, 1);
         let team = ThreadTeam::new(1);
         let ctx = ExecCtx::new(&team, &ws);
         let mut tops = vec![Blob::new(shapes[0].clone())];
         l.forward(&ctx, &[&b], &mut tops);
-        assert_eq!(tops[0].data(), &[12.0, 16.0, 24.0, 28.0]);
+        assert_eq!(tops[0].data(), &[12.5, 16.5, 24.5, 28.5]);
     }
 
     /// Numerical gradient check: perturb each weight and input, compare the

@@ -11,7 +11,7 @@
 
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_rows;
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
@@ -117,20 +117,17 @@ impl<S: Scalar> Layer<S> for DataLayer<S> {
         self.cursor = cursor % self.source.num_samples();
     }
 
-    fn profile(&self, _bottom: &[&Blob<S>]) -> LayerProfile {
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let sample = self.source.sample_shape().count();
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "Data".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 // One fill per sample, ~1 op per element.
                 coalesced_iters: self.batch,
                 flops_per_iter: sample as f64,
                 ..PassProfile::empty()
             },
-            backward: PassProfile::empty(),
-            batch: self.batch,
-        }
+            PassProfile::empty(),
+        )
     }
 }
 
@@ -296,11 +293,11 @@ pub(crate) mod tests {
             shape: Shape::from([2usize, 3]),
         };
         let l = DataLayer::new("data", Box::new(src), 4);
-        let p = l.profile(&[]);
-        assert_eq!(p.forward.coalesced_iters, 4);
-        assert_eq!(p.forward.flops_per_iter, 6.0);
-        assert_eq!(p.forward.seq_flops, 0.0);
-        assert_eq!(p.backward, PassProfile::empty());
+        let (fwd, bwd) = l.profile();
+        assert_eq!(fwd.coalesced_iters, 4);
+        assert_eq!(fwd.flops_per_iter, 6.0);
+        assert_eq!(fwd.seq_flops, 0.0);
+        assert_eq!(bwd, PassProfile::empty());
     }
 
     #[test]

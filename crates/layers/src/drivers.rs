@@ -101,7 +101,7 @@ where
 ///
 /// `body(sample, slot_grads, scratch)` computes sample `sample`'s
 /// contribution, accumulating (`+=`) into `slot_grads` (one `&mut [S]` per
-/// parameter, in `param_lens` order). The driver:
+/// parameter, as long as and in the order of `shared_diffs`). The driver:
 ///
 /// 1. partitions samples into `reduction.slots(team_size)` contiguous
 ///    chunks (static-schedule math, so thread chunks and slot chunks
@@ -116,26 +116,17 @@ where
 ///    which thread folds which element, and no thread waits for a turn.
 ///
 /// # Panics
-/// Panics if the workspace has too few slots or too little gradient space,
-/// or if `shared_diffs` lengths disagree with `param_lens`.
+/// Panics if the workspace has too few slots or too little gradient space.
 pub fn backward_reduce<S, F>(
     ctx: &ExecCtx<'_, S>,
     n_samples: usize,
-    param_lens: &[usize],
     shared_diffs: &mut [&mut [S]],
     body: F,
 ) where
     S: Scalar,
     F: Fn(usize, &mut [&mut [S]], &mut ThreadScratch<S>) + Sync,
 {
-    assert_eq!(
-        shared_diffs.len(),
-        param_lens.len(),
-        "backward_reduce: one shared diff per parameter"
-    );
-    for (d, &l) in shared_diffs.iter().zip(param_lens) {
-        assert_eq!(d.len(), l, "backward_reduce: shared diff length");
-    }
+    let param_lens: Vec<usize> = shared_diffs.iter().map(|d| d.len()).collect();
     let total: usize = param_lens.iter().sum();
     let nslots = ctx.reduction.slots(ctx.team.size());
     assert!(
@@ -158,7 +149,7 @@ pub fn backward_reduce<S, F>(
             for slot in static_chunk(w.thread_id, w.num_threads, nslots) {
                 let mut sg = ctx.workspace.slot(slot);
                 sg.prepare(total);
-                let mut parts = sg.parts(param_lens);
+                let mut parts = sg.parts(&param_lens);
                 for s in static_chunk(slot, nslots, n_samples) {
                     body(s, &mut parts, &mut scratch);
                 }
@@ -275,21 +266,15 @@ mod tests {
         let mut b = vec![0.0f64; 2];
         {
             let mut shared: Vec<&mut [f64]> = vec![&mut w, &mut b];
-            backward_reduce(
-                &ctx,
-                n_samples,
-                &[3, 2],
-                &mut shared,
-                |s, parts, scratch| {
-                    assert_eq!(scratch.col.len(), 4);
-                    for v in parts[0].iter_mut() {
-                        *v += (s + 1) as f64;
-                    }
-                    for v in parts[1].iter_mut() {
-                        *v += 2.0 * (s + 1) as f64;
-                    }
-                },
-            );
+            backward_reduce(&ctx, n_samples, &mut shared, |s, parts, scratch| {
+                assert_eq!(scratch.col.len(), 4);
+                for v in parts[0].iter_mut() {
+                    *v += (s + 1) as f64;
+                }
+                for v in parts[1].iter_mut() {
+                    *v += 2.0 * (s + 1) as f64;
+                }
+            });
         }
         (w, b)
     }
@@ -384,7 +369,7 @@ mod tests {
                 shared.push(head);
                 rest = tail;
             }
-            backward_reduce(&ctx, n, lens, &mut shared, |s, parts, _| {
+            backward_reduce(&ctx, n, &mut shared, |s, parts, _| {
                 let mut e = 0;
                 for part in parts.iter_mut() {
                     for v in part.iter_mut() {
@@ -542,6 +527,6 @@ mod tests {
         let ctx = ExecCtx::new(&team, &ws);
         let mut w = vec![0.0f64; 3];
         let mut shared: Vec<&mut [f64]> = vec![&mut w];
-        backward_reduce(&ctx, 1, &[3], &mut shared, |_, _, _| {});
+        backward_reduce(&ctx, 1, &mut shared, |_, _, _| {});
     }
 }

@@ -7,7 +7,7 @@
 use crate::batch_cache::BatchCache;
 use crate::ctx::{ExecCtx, Phase};
 use crate::drivers::parallel_segments;
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::{Pcg32, Scalar};
@@ -96,14 +96,11 @@ impl<S: Scalar> Layer<S> for DropoutLayer<S> {
         });
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let elem = std::mem::size_of::<S>() as f64;
         let seg = self.seg_len as f64;
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "Dropout".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.n_segs,
                 flops_per_iter: seg * 4.0,
                 bytes_in_per_iter: seg * elem,
@@ -111,7 +108,7 @@ impl<S: Scalar> Layer<S> for DropoutLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.n_segs,
                 flops_per_iter: seg,
                 bytes_in_per_iter: 2.0 * seg * elem,
@@ -119,8 +116,7 @@ impl<S: Scalar> Layer<S> for DropoutLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 

@@ -1,20 +1,16 @@
-//! Parameter fillers — Caffe's `weight_filler` / `bias_filler`.
+//! A learnable layer's parameters: a weight filled as Caffe's
+//! `weight_filler` says, and a zero bias.
 
 use blob::Blob;
 use mmblas::{Pcg32, Scalar};
 
+/// Caffe's learning-rate multipliers (`lr_mult`) of [`weight_and_bias`]'s
+/// two blobs: 1 for the weight, 2 for the bias.
+pub const LR_MULTS: [f64; 2] = [1.0, 2.0];
+
 /// Weight-initialization policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Filler {
-    /// Every element set to the given value.
-    Constant(f64),
-    /// Uniform in `[lo, hi)`.
-    Uniform {
-        /// Lower bound (inclusive).
-        lo: f64,
-        /// Upper bound (exclusive).
-        hi: f64,
-    },
     /// Zero-mean Gaussian with the given standard deviation.
     Gaussian {
         /// Standard deviation.
@@ -34,15 +30,6 @@ impl Filler {
             1
         };
         match *self {
-            Filler::Constant(v) => {
-                mmblas::set(S::from_f64(v), blob.data_mut());
-            }
-            Filler::Uniform { lo, hi } => {
-                assert!(lo <= hi, "Filler::Uniform: lo > hi");
-                for x in blob.data_mut() {
-                    *x = S::from_f64(rng.uniform_range(lo, hi));
-                }
-            }
             Filler::Gaussian { std } => {
                 for x in blob.data_mut() {
                     *x = S::from_f64(rng.normal() * std);
@@ -58,26 +45,18 @@ impl Filler {
     }
 }
 
+/// The parameters of a convolution or inner product: a weight of shape
+/// `dims` filled by `filler` from `seed`, then a zero bias of one element
+/// per output (`dims[0]`), in that order — the order of [`LR_MULTS`].
+pub fn weight_and_bias<S: Scalar>(dims: &[usize], filler: Filler, seed: u64) -> Vec<Blob<S>> {
+    let mut w = Blob::new(dims);
+    filler.fill(&mut w, &mut Pcg32::seeded(seed));
+    vec![w, Blob::new([dims[0]])]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_fill() {
-        let mut b: Blob<f32> = Blob::new([3usize]);
-        Filler::Constant(0.5).fill(&mut b, &mut Pcg32::seeded(0));
-        assert_eq!(b.data(), &[0.5; 3]);
-    }
-
-    #[test]
-    fn uniform_respects_bounds_and_is_deterministic() {
-        let mut a: Blob<f64> = Blob::new([1000usize]);
-        let mut b: Blob<f64> = Blob::new([1000usize]);
-        Filler::Uniform { lo: -2.0, hi: 3.0 }.fill(&mut a, &mut Pcg32::seeded(9));
-        Filler::Uniform { lo: -2.0, hi: 3.0 }.fill(&mut b, &mut Pcg32::seeded(9));
-        assert_eq!(a.data(), b.data());
-        assert!(a.data().iter().all(|&v| (-2.0..3.0).contains(&v)));
-    }
 
     #[test]
     fn xavier_scale_tracks_fan_in() {
@@ -103,5 +82,17 @@ mod tests {
             / b.count() as f64;
         assert!(mean.abs() < 0.01);
         assert!((var.sqrt() - 0.1).abs() < 0.01);
+    }
+
+    #[test]
+    fn weight_and_bias_is_a_seeded_weight_and_a_zero_bias() {
+        let p: Vec<Blob<f32>> = weight_and_bias(&[3, 2, 2, 2], Filler::Xavier, 5);
+        assert_eq!(p.len(), LR_MULTS.len());
+        assert_eq!(p[0].shape().dims(), &[3, 2, 2, 2]);
+        let mut w: Blob<f32> = Blob::new([3usize, 2, 2, 2]);
+        Filler::Xavier.fill(&mut w, &mut Pcg32::seeded(5));
+        assert_eq!(p[0].data(), w.data());
+        assert_eq!(p[1].shape().dims(), &[3]);
+        assert_eq!(p[1].data(), &[0.0; 3]);
     }
 }

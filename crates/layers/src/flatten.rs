@@ -2,7 +2,7 @@
 
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
@@ -59,8 +59,7 @@ impl<S: Scalar> Layer<S> for FlattenLayer<S> {
         });
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let elem = std::mem::size_of::<S>() as f64;
         let len = self.sample_len as f64;
         let copy = PassProfile {
@@ -71,13 +70,7 @@ impl<S: Scalar> Layer<S> for FlattenLayer<S> {
             seq_flops: 0.0,
             reduction_elems: 0,
         };
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "Flatten".to_string(),
-            forward: copy,
-            backward: copy,
-            batch: b.num(),
-        }
+        (copy, copy)
     }
 }
 

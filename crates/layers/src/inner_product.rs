@@ -11,44 +11,31 @@
 
 use crate::ctx::ExecCtx;
 use crate::drivers::{backward_reduce, parallel_rows, parallel_segments};
-use crate::fill::Filler;
-use crate::profile::{LayerProfile, PassProfile};
-use crate::workspace::WorkspaceRequest;
+use crate::fill::{weight_and_bias, Filler};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
+use mmblas::Scalar;
 use mmblas::Transpose::{No, Yes};
-use mmblas::{Pcg32, Scalar};
 
 /// Configuration for [`InnerProductLayer`].
 #[derive(Debug, Clone)]
 pub struct InnerProductConfig {
     /// Number of output neurons (`num_output` in Caffe).
     pub num_output: usize,
-    /// Whether a bias vector is learned.
-    pub bias_term: bool,
     /// Weight initialization.
     pub weight_filler: Filler,
-    /// Bias initialization.
-    pub bias_filler: Filler,
-    /// RNG seed for the fillers (deterministic initialization).
+    /// RNG seed for the filler (deterministic initialization).
     pub seed: u64,
-    /// Learning-rate multiplier for the weights (Caffe `lr_mult`).
-    pub weight_lr_mult: f64,
-    /// Learning-rate multiplier for the bias (Caffe uses 2.0).
-    pub bias_lr_mult: f64,
 }
 
 impl InnerProductConfig {
-    /// LeNet-style defaults: xavier weights, zero bias.
+    /// LeNet-style defaults: xavier weights.
     pub fn new(num_output: usize) -> Self {
         Self {
             num_output,
-            bias_term: true,
             weight_filler: Filler::Xavier,
-            bias_filler: Filler::Constant(0.0),
             seed: 0x1b00 + num_output as u64,
-            weight_lr_mult: 1.0,
-            bias_lr_mult: 2.0,
         }
     }
 }
@@ -60,27 +47,20 @@ const WEIGHT_RESIDENCY: f64 = 0.1;
 
 /// `y = x W^T + bias` for `rows` samples: `x` is `rows x k`, `w` holds (at
 /// least) `m` weight rows of `k`, `y` is `rows x m`. The bias is copied into
-/// every row and the product added on top (`beta = 1`); without one `beta =
-/// 0` overwrites `y`.
+/// every row and the product added on top (`beta = 1`).
 fn forward_rows<S: Scalar>(
     rows: usize,
     m: usize,
     k: usize,
     x: &[S],
     w: &[S],
-    bias: Option<&[S]>,
+    bias: &[S],
     y: &mut [S],
 ) {
-    let beta = match bias {
-        Some(b) => {
-            for row in y.chunks_exact_mut(m) {
-                row.copy_from_slice(b);
-            }
-            S::ONE
-        }
-        None => S::ZERO,
-    };
-    mmblas::gemm(No, Yes, rows, m, k, S::ONE, x, k, w, k, beta, y, m);
+    for row in y.chunks_exact_mut(m) {
+        row.copy_from_slice(bias);
+    }
+    mmblas::gemm(No, Yes, rows, m, k, S::ONE, x, k, w, k, S::ONE, y, m);
 }
 
 /// Caffe `InnerProduct` layer.
@@ -90,7 +70,8 @@ pub struct InnerProductLayer<S: Scalar = f32> {
     /// Fan-in: elements per input sample.
     k: usize,
     batch: usize,
-    /// `params[0]` = weights `(num_output, k)`, `params[1]` = bias.
+    /// `params[0]` = weights `(num_output, k)`, `params[1]` = bias
+    /// `(num_output)`.
     params: Vec<Blob<S>>,
     propagate_down: bool,
 }
@@ -112,18 +93,6 @@ impl<S: Scalar> InnerProductLayer<S> {
     pub fn set_propagate_down(&mut self, flag: bool) {
         self.propagate_down = flag;
     }
-
-    fn wlen(&self) -> usize {
-        self.cfg.num_output * self.k
-    }
-
-    fn blen(&self) -> usize {
-        if self.cfg.bias_term {
-            self.cfg.num_output
-        } else {
-            0
-        }
-    }
 }
 
 impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
@@ -143,27 +112,18 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
         assert!(k > 0, "InnerProduct: empty input sample");
         if self.params.is_empty() || self.k != k {
             self.k = k;
-            let mut rng = Pcg32::seeded(self.cfg.seed);
-            let mut w: Blob<S> = Blob::new([self.cfg.num_output, k]);
-            self.cfg.weight_filler.fill(&mut w, &mut rng);
-            self.params = vec![w];
-            if self.cfg.bias_term {
-                let mut bias: Blob<S> = Blob::new([self.cfg.num_output]);
-                self.cfg.bias_filler.fill(&mut bias, &mut rng);
-                self.params.push(bias);
-            }
+            self.params = weight_and_bias(
+                &[self.cfg.num_output, k],
+                self.cfg.weight_filler,
+                self.cfg.seed,
+            );
         }
         vec![Shape::from(vec![self.batch, self.cfg.num_output])]
     }
 
     fn forward(&mut self, ctx: &ExecCtx<'_, S>, bottom: &[&Blob<S>], top: &mut [Blob<S>]) {
         let x = bottom[0].data();
-        let w = self.params[0].data();
-        let bias = if self.cfg.bias_term {
-            Some(self.params[1].data())
-        } else {
-            None
-        };
+        let (w, bias) = (self.params[0].data(), self.params[1].data());
         let (m, k) = (self.cfg.num_output, self.k);
         parallel_rows(ctx, top[0].data_mut(), m, |rows, y| {
             let xs = &x[rows.start * k..rows.end * k];
@@ -175,33 +135,17 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
         let (m, k) = (self.cfg.num_output, self.k);
         let batch = self.batch;
         let tdiff = top[0].diff();
-        let (wlen, blen) = (self.wlen(), self.blen());
 
         // Parameter gradients via the privatized reduction (Algorithm 5).
         {
             let bdata = bottom[0].data();
-            let param_lens: Vec<usize> = if self.cfg.bias_term {
-                vec![wlen, blen]
-            } else {
-                vec![wlen]
-            };
-            let mut iter = self.params.iter_mut();
-            let mut shared: Vec<&mut [S]> =
-                std::iter::from_fn(|| iter.next().map(|p| p.diff_mut())).collect();
-            backward_reduce(
-                ctx,
-                batch,
-                &param_lens,
-                &mut shared,
-                |s, parts, _scratch| {
-                    let dy = &tdiff[s * m..(s + 1) * m];
-                    let xs = &bdata[s * k..(s + 1) * k];
-                    mmblas::ger(m, k, S::ONE, dy, xs, parts[0], k);
-                    if parts.len() > 1 {
-                        mmblas::axpy(S::ONE, dy, parts[1]);
-                    }
-                },
-            );
+            let mut shared: Vec<&mut [S]> = self.params.iter_mut().map(|p| p.diff_mut()).collect();
+            backward_reduce(ctx, batch, &mut shared, |s, parts, _scratch| {
+                let dy = &tdiff[s * m..(s + 1) * m];
+                let xs = &bdata[s * k..(s + 1) * k];
+                mmblas::ger(m, k, S::ONE, dy, xs, parts[0], k);
+                mmblas::axpy(S::ONE, dy, parts[1]);
+            });
         }
 
         // Bottom diff: dx_s = W^T dy_s — disjoint per-sample segments.
@@ -222,29 +166,11 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
         &mut self.params
     }
 
-    fn param_lr_mults(&self) -> Vec<f64> {
-        if self.cfg.bias_term {
-            vec![self.cfg.weight_lr_mult, self.cfg.bias_lr_mult]
-        } else {
-            vec![self.cfg.weight_lr_mult]
-        }
-    }
-
-    fn workspace_request(&self) -> WorkspaceRequest {
-        WorkspaceRequest {
-            col_len: 0,
-            grad_len: self.wlen() + self.blen(),
-        }
-    }
-
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let elem = std::mem::size_of::<S>() as f64;
         let (m, k) = (self.cfg.num_output as f64, self.k as f64);
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "InnerProduct".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.batch,
                 flops_per_iter: 2.0 * m * k + m,
                 // The weight matrix is re-read per sample but stays mostly
@@ -254,7 +180,7 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.batch,
                 // dW (2mk) + db (m) + dx (2mk when propagated).
                 flops_per_iter: if self.propagate_down {
@@ -267,64 +193,64 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
                 // again mostly cache-resident.
                 bytes_out_per_iter: (WEIGHT_RESIDENCY * m * k + k) * elem,
                 seq_flops: 0.0,
-                reduction_elems: self.wlen() + self.blen(),
+                reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::Workspace;
+    use crate::workspace::{Workspace, WorkspaceRequest};
     use omprt::ThreadTeam;
 
-    fn make(n_out: usize, filler: Filler) -> InnerProductLayer<f64> {
+    fn make(n_out: usize) -> InnerProductLayer<f64> {
         let mut cfg = InnerProductConfig::new(n_out);
-        cfg.weight_filler = filler;
         cfg.seed = 42;
         InnerProductLayer::new("ip", cfg)
     }
 
+    /// Overwrite the weights and the bias (after `setup`).
+    fn set_params(l: &mut InnerProductLayer<f64>, w: &[f64], b: &[f64]) {
+        l.params_mut()[0].data_mut().copy_from_slice(w);
+        l.params_mut()[1].data_mut().copy_from_slice(b);
+    }
+
     fn ws_for(layer: &InnerProductLayer<f64>, t: usize) -> Workspace<f64> {
-        Workspace::new(
-            t,
-            t,
-            <InnerProductLayer<f64> as Layer<f64>>::workspace_request(layer),
-        )
+        Workspace::new(t, t, WorkspaceRequest::of(layer))
     }
 
     #[test]
-    fn forward_identity_weights() {
-        let mut l = make(2, Filler::Constant(1.0));
+    fn forward_ones_weights_plus_bias() {
+        let mut l = make(2);
         let b: Blob<f64> = Blob::from_data([2usize, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let shapes = l.setup(&[&b]);
         assert_eq!(shapes[0].dims(), &[2, 2]);
+        set_params(&mut l, &[1.0; 4], &[0.5, -1.0]);
         let ws = ws_for(&l, 1);
         let team = ThreadTeam::new(1);
         let ctx = ExecCtx::new(&team, &ws);
         let mut tops = vec![Blob::new(shapes[0].clone())];
         l.forward(&ctx, &[&b], &mut tops);
-        // All-ones weights: each output = sum of inputs = [3, 3, 7, 7].
-        assert_eq!(tops[0].data(), &[3.0, 3.0, 7.0, 7.0]);
+        // All-ones weights: each output = sum of inputs + bias.
+        assert_eq!(tops[0].data(), &[3.5, 2.0, 7.5, 6.0]);
     }
 
     #[test]
     fn backward_gradients_match_manual() {
-        // 1 sample, x = [1, 2], W = [[1, 0], [0, 1]], dy = [5, 7].
-        let mut l = make(2, Filler::Constant(0.0));
+        // 1 sample, x = [1, 2], W = [[1, 0], [0, 1]], b = [0.25, -0.5],
+        // dy = [5, 7].
+        let mut l = make(2);
         let b: Blob<f64> = Blob::from_data([1usize, 2], vec![1.0, 2.0]);
         let shapes = l.setup(&[&b]);
-        l.params_mut()[0]
-            .data_mut()
-            .copy_from_slice(&[1.0, 0.0, 0.0, 1.0]);
+        set_params(&mut l, &[1.0, 0.0, 0.0, 1.0], &[0.25, -0.5]);
         let ws = ws_for(&l, 1);
         let team = ThreadTeam::new(1);
         let ctx = ExecCtx::new(&team, &ws);
         let mut tops = vec![Blob::new(shapes[0].clone())];
         l.forward(&ctx, &[&b], &mut tops);
-        assert_eq!(tops[0].data(), &[1.0, 2.0]);
+        assert_eq!(tops[0].data(), &[1.25, 1.5]);
         tops[0].diff_mut().copy_from_slice(&[5.0, 7.0]);
         let trefs: Vec<&Blob<f64>> = tops.iter().collect();
         let mut bots = vec![b];
@@ -337,8 +263,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_forward() {
-        let mut l1 = make(8, Filler::Xavier);
-        let mut l4 = make(8, Filler::Xavier);
+        let mut l1 = make(8);
+        let mut l4 = make(8);
         let data: Vec<f64> = (0..6 * 10).map(|i| (i as f64 * 0.37).sin()).collect();
         let b: Blob<f64> = Blob::from_data([6usize, 10], data);
         let s1 = l1.setup(&[&b]);
@@ -355,85 +281,75 @@ mod tests {
     }
 
     /// `f32`, so a release run exercises the AVX2 kernel: under every team
-    /// size, with and without a bias, and at batch sizes that are no
-    /// multiple of the kernel's 6 x 16 tile, the forward is bitwise one
-    /// 1-row GEMM per sample — however the samples were grouped into runs —
-    /// and close to the triple-loop oracle. Batches of 1–5 run the kernel's
-    /// few-row (narrow) path whole on one thread and as 1–2-row runs on
-    /// four; the larger ones its tiles.
+    /// size, with a non-zero bias, and at batch sizes that are no multiple
+    /// of the kernel's 6 x 16 tile, the forward is bitwise one 1-row GEMM
+    /// per sample — however the samples were grouped into runs — and close
+    /// to the triple-loop oracle. Batches of 1–5 run the kernel's few-row
+    /// (narrow) path whole on one thread and as 1–2-row runs on four; the
+    /// larger ones its tiles.
     #[test]
     fn forward_is_bitwise_a_gemm_per_sample_at_every_team_size() {
         // Two `k` panels.
         const M: usize = 20;
         const K: usize = 300;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for bias_term in [true, false] {
-            for batch in [1usize, 2, 3, 4, 5, 7, 23, 37] {
-                let data: Vec<f32> = (0..batch * K).map(|i| (i as f32 * 0.37).sin()).collect();
-                let b: Blob<f32> = Blob::from_data([batch, K], data.clone());
-                let mut cfg = InnerProductConfig::new(M);
-                cfg.bias_term = bias_term;
-                cfg.bias_filler = Filler::Uniform { lo: -0.5, hi: 0.5 };
-                let mut l = InnerProductLayer::<f32>::new("ip", cfg);
-                let shapes = l.setup(&[&b]);
-                let w = l.params()[0].data().to_vec();
-                let bias = bias_term.then(|| l.params()[1].data().to_vec());
+        for batch in [1usize, 2, 3, 4, 5, 7, 23, 37] {
+            let data: Vec<f32> = (0..batch * K).map(|i| (i as f32 * 0.37).sin()).collect();
+            let b: Blob<f32> = Blob::from_data([batch, K], data.clone());
+            let mut l = InnerProductLayer::<f32>::new("ip", InnerProductConfig::new(M));
+            let shapes = l.setup(&[&b]);
+            for (i, v) in l.params_mut()[1].data_mut().iter_mut().enumerate() {
+                *v = (i as f32 * 0.7).sin() * 0.5;
+            }
+            let w = l.params()[0].data().to_vec();
+            let bias = l.params()[1].data().to_vec();
 
-                let (mut want, mut oracle) = (vec![0.0f32; batch * M], vec![0.0f32; batch * M]);
-                let beta = match &bias {
-                    Some(bias) => {
-                        for (y, o) in want.chunks_mut(M).zip(oracle.chunks_mut(M)) {
-                            y.copy_from_slice(bias);
-                            o.copy_from_slice(bias);
-                        }
-                        1.0
-                    }
-                    None => 0.0,
-                };
-                for (xs, y) in data.chunks(K).zip(want.chunks_mut(M)) {
-                    mmblas::gemm(No, Yes, 1, M, K, 1.0, xs, K, &w, K, beta, y, M);
-                }
-                mmblas::gemm_naive(
-                    No,
-                    Yes,
-                    batch,
-                    M,
-                    K,
-                    1.0,
-                    &data,
-                    K,
-                    &w,
-                    K,
-                    beta,
-                    &mut oracle,
-                    M,
+            let mut want = bias.repeat(batch);
+            let mut oracle = want.clone();
+            for (xs, y) in data.chunks(K).zip(want.chunks_mut(M)) {
+                mmblas::gemm(No, Yes, 1, M, K, 1.0, xs, K, &w, K, 1.0, y, M);
+            }
+            mmblas::gemm_naive(
+                No,
+                Yes,
+                batch,
+                M,
+                K,
+                1.0,
+                &data,
+                K,
+                &w,
+                K,
+                1.0,
+                &mut oracle,
+                M,
+            );
+            for (g, o) in want.iter().zip(&oracle) {
+                assert!((g - o).abs() <= 1e-5 * (1.0 + o.abs()), "{g} vs oracle {o}");
+            }
+
+            for threads in 1..=4 {
+                let team = ThreadTeam::new(threads);
+                let ws = Workspace::<f32>::new(threads, threads, WorkspaceRequest::of(&l));
+                let ctx = ExecCtx::new(&team, &ws);
+                let mut tops = vec![Blob::new(shapes[0].clone())];
+                l.forward(&ctx, &[&b], &mut tops);
+                assert_eq!(
+                    bits(tops[0].data()),
+                    bits(&want),
+                    "batch {batch}, {threads} threads"
                 );
-                for (g, o) in want.iter().zip(&oracle) {
-                    assert!((g - o).abs() <= 1e-5 * (1.0 + o.abs()), "{g} vs oracle {o}");
-                }
-
-                for threads in 1..=4 {
-                    let team = ThreadTeam::new(threads);
-                    let ws = Workspace::<f32>::new(threads, threads, l.workspace_request());
-                    let ctx = ExecCtx::new(&team, &ws);
-                    let mut tops = vec![Blob::new(shapes[0].clone())];
-                    l.forward(&ctx, &[&b], &mut tops);
-                    assert_eq!(
-                        bits(tops[0].data()),
-                        bits(&want),
-                        "bias {bias_term}, batch {batch}, {threads} threads"
-                    );
-                }
             }
         }
     }
 
     #[test]
     fn propagate_down_false_skips_bottom_diff() {
-        let mut l = make(2, Filler::Constant(1.0));
+        let mut l = make(2);
         l.set_propagate_down(false);
         let b: Blob<f64> = Blob::from_data([1usize, 2], vec![1.0, 1.0]);
         let shapes = l.setup(&[&b]);
+        set_params(&mut l, &[1.0; 4], &[0.5, 0.5]);
         let ws = ws_for(&l, 1);
         let team = ThreadTeam::new(1);
         let ctx = ExecCtx::new(&team, &ws);

@@ -86,7 +86,10 @@ pub trait Layer<S: Scalar = f32>: Send {
     /// zero them once per iteration; the reduction drivers do this.
     fn backward(&mut self, ctx: &ExecCtx<'_, S>, top: &[&Blob<S>], bottom: &mut [Blob<S>]);
 
-    /// Learnable parameter blobs (weights, bias). Empty for most layers.
+    /// Learnable parameter blobs: empty, or [`fill::weight_and_bias`]'s
+    /// weight and bias, whose learning-rate multipliers are
+    /// [`fill::LR_MULTS`]. The net derives the privatized gradient's length
+    /// from their sizes.
     fn params(&self) -> &[Blob<S>] {
         &[]
     }
@@ -94,12 +97,6 @@ pub trait Layer<S: Scalar = f32>: Send {
     /// Mutable access to the parameter blobs.
     fn params_mut(&mut self) -> &mut [Blob<S>] {
         &mut []
-    }
-
-    /// Per-parameter learning-rate multipliers (Caffe's `lr_mult`), aligned
-    /// with [`Layer::params`]. Defaults to 1.0 everywhere.
-    fn param_lr_mults(&self) -> Vec<f64> {
-        vec![1.0; self.params().len()]
     }
 
     /// `true` for layers whose top\[0\] holds a scalar loss to be minimized.
@@ -118,15 +115,16 @@ pub trait Layer<S: Scalar = f32>: Send {
     /// Default: no-op for layers without one.
     fn set_data_cursor(&mut self, _cursor: usize) {}
 
-    /// Scratch-space requirements (per-thread column buffer, privatized
-    /// gradient size), used by the network to size the shared [`Workspace`].
-    fn workspace_request(&self) -> WorkspaceRequest {
-        WorkspaceRequest::default()
+    /// Elements of per-thread column buffer (im2col lowering) a pass needs;
+    /// [`WorkspaceRequest::of`] adds the privatized gradient.
+    fn col_len(&self) -> usize {
+        0
     }
 
-    /// Analytic work profile of one forward+backward pass over a batch —
-    /// consumed by the `machine` execution-model simulator.
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile;
+    /// Analytic work profiles of one forward and one backward pass over
+    /// the batch, for the `machine` execution-model simulator. The net
+    /// completes them into a [`LayerProfile`].
+    fn profile(&self) -> (PassProfile, PassProfile);
 }
 
 #[cfg(test)]
@@ -148,15 +146,16 @@ mod trait_tests {
             }
             fn forward(&mut self, _: &ExecCtx<'_, f32>, _: &[&Blob<f32>], _: &mut [Blob<f32>]) {}
             fn backward(&mut self, _: &ExecCtx<'_, f32>, _: &[&Blob<f32>], _: &mut [Blob<f32>]) {}
-            fn profile(&self, _: &[&Blob<f32>]) -> LayerProfile {
-                LayerProfile::trivial("d", "Dummy")
+            fn profile(&self) -> (PassProfile, PassProfile) {
+                (PassProfile::empty(), PassProfile::empty())
             }
         }
         let mut d = Dummy;
         assert!(d.params().is_empty());
         assert!(d.params_mut().is_empty());
         assert!(!d.is_loss());
-        assert_eq!(d.workspace_request(), WorkspaceRequest::default());
+        assert_eq!(d.col_len(), 0);
+        assert_eq!(WorkspaceRequest::of(&d), WorkspaceRequest::default());
         assert_eq!(d.data_cursor(), None);
         d.set_data_cursor(7); // no-op by default
         assert_eq!(d.data_cursor(), None);

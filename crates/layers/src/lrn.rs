@@ -28,7 +28,7 @@
 use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
@@ -234,15 +234,12 @@ impl<S: Scalar> Layer<S> for LrnLayer<S> {
         }
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let elem = std::mem::size_of::<S>() as f64;
         let sample = (self.channels * self.spatial) as f64;
         let win = self.cfg.local_size as f64;
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "LRN".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.batch,
                 // Window sum + powf (~20 flops) per element.
                 flops_per_iter: sample * (2.0 * win + 22.0),
@@ -251,7 +248,7 @@ impl<S: Scalar> Layer<S> for LrnLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.batch,
                 flops_per_iter: sample * (3.0 * win + 25.0),
                 bytes_in_per_iter: 4.0 * sample * elem,
@@ -259,8 +256,7 @@ impl<S: Scalar> Layer<S> for LrnLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 

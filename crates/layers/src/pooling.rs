@@ -10,7 +10,7 @@
 use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::{Scalar, TapSpan};
@@ -300,16 +300,13 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         });
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let elem = std::mem::size_of::<S>() as f64;
         let out_seg = (self.out_h * self.out_w) as f64;
         let in_seg = (self.in_h * self.in_w) as f64;
         let window = (self.cfg.kernel * self.cfg.kernel) as f64;
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "Pooling".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.batch * self.channels,
                 // Per tap: a load, a compare and two selects (MAX), or a
                 // load and an add in a short window loop (AVE): ~4 ops.
@@ -319,7 +316,7 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.batch * self.channels,
                 flops_per_iter: (in_seg + out_seg * window) * 3.0,
                 bytes_in_per_iter: out_seg * elem,
@@ -327,8 +324,7 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 

@@ -22,7 +22,8 @@ pub struct PassProfile {
     /// (e.g. a loss layer's final sum).
     pub seq_flops: f64,
     /// Elements of privatized gradient merged per slot in the ordered
-    /// reduction (0 for layers with no parameters).
+    /// reduction: the layer's parameter count on a backward pass, which
+    /// `Net::profiles` fills in; 0 otherwise.
     pub reduction_elems: usize,
 }
 
@@ -56,7 +57,9 @@ impl PassProfile {
 }
 
 /// Forward + backward work model of a layer, plus identification (the
-/// locality model reads its distribution signature off `layer_type`).
+/// locality model reads its distribution signature off `layer_type`). A
+/// layer states its two passes (`Layer::profile`); `Net::profiles` adds the
+/// rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
     /// Layer instance name (e.g. `"conv1"`).

@@ -2,7 +2,7 @@
 
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
@@ -88,14 +88,11 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
         });
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let elem = std::mem::size_of::<S>() as f64;
         let c = self.classes as f64;
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "Softmax".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.batch,
                 flops_per_iter: c * 12.0,
                 bytes_in_per_iter: c * elem,
@@ -103,7 +100,7 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.batch,
                 flops_per_iter: c * 4.0,
                 bytes_in_per_iter: 2.0 * c * elem,
@@ -111,8 +108,7 @@ impl<S: Scalar> Layer<S> for SoftmaxLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 

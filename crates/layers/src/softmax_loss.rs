@@ -11,7 +11,7 @@
 use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::{parallel_map_ordered_sum, parallel_segments};
-use crate::profile::{LayerProfile, PassProfile};
+use crate::profile::PassProfile;
 use crate::softmax::softmax_vec;
 use crate::Layer;
 use blob::{Blob, Shape};
@@ -113,14 +113,11 @@ impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
         });
     }
 
-    fn profile(&self, bottom: &[&Blob<S>]) -> LayerProfile {
-        let b = bottom[0];
+    fn profile(&self) -> (PassProfile, PassProfile) {
         let elem = std::mem::size_of::<S>() as f64;
         let c = self.classes as f64;
-        LayerProfile {
-            name: self.name.clone(),
-            layer_type: "SoftmaxWithLoss".to_string(),
-            forward: PassProfile {
+        (
+            PassProfile {
                 coalesced_iters: self.batch,
                 flops_per_iter: c * 12.0 + 25.0,
                 bytes_in_per_iter: c * elem,
@@ -129,7 +126,7 @@ impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
                 seq_flops: self.batch as f64,
                 reduction_elems: 0,
             },
-            backward: PassProfile {
+            PassProfile {
                 coalesced_iters: self.batch,
                 flops_per_iter: c * 2.0,
                 bytes_in_per_iter: c * elem,
@@ -137,8 +134,7 @@ impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
                 seq_flops: 0.0,
                 reduction_elems: 0,
             },
-            batch: b.num(),
-        }
+        )
     }
 }
 

@@ -8,11 +8,12 @@
 //! networks), about 5% of the sequential footprint. [`Workspace::bytes`]
 //! reports the exact figure for experiment E7.
 
+use crate::Layer;
 use mmblas::Scalar;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Scratch-space requirements a layer reports after `setup`.
+/// Scratch-space requirements of a layer after `setup`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkspaceRequest {
     /// Elements of per-thread column buffer (im2col lowering).
@@ -22,6 +23,15 @@ pub struct WorkspaceRequest {
 }
 
 impl WorkspaceRequest {
+    /// What `layer` needs: its [`Layer::col_len`], and a privatized
+    /// gradient as long as its parameters.
+    pub fn of<S: Scalar, L: Layer<S> + ?Sized>(layer: &L) -> Self {
+        Self {
+            col_len: layer.col_len(),
+            grad_len: layer.params().iter().map(|p| p.count()).sum(),
+        }
+    }
+
     /// Pointwise maximum of two requests.
     pub fn max(self, other: Self) -> Self {
         Self {

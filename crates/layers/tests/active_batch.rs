@@ -12,7 +12,7 @@ use layers::lrn::LrnConfig;
 use layers::pooling::PoolConfig;
 use layers::{
     ConvolutionLayer, DropoutLayer, ExecCtx, FlattenLayer, InnerProductLayer, Layer, LrnLayer,
-    PoolingLayer, SoftmaxLayer, SoftmaxLossLayer, Workspace,
+    PoolingLayer, SoftmaxLayer, SoftmaxLossLayer, Workspace, WorkspaceRequest,
 };
 use omprt::ThreadTeam;
 
@@ -60,7 +60,7 @@ impl<L: Layer<f64>> Harness<L> {
             .collect();
         let refs: Vec<&Blob<f64>> = bottoms.iter().collect();
         let tops = layer.setup(&refs).into_iter().map(Blob::new).collect();
-        let ws = Workspace::new(THREADS, THREADS, layer.workspace_request());
+        let ws = Workspace::new(THREADS, THREADS, WorkspaceRequest::of(&layer));
         Self {
             layer,
             bottoms,
@@ -124,14 +124,13 @@ fn check<L: Layer<f64>>(layer: L, sample_shapes: &[&[usize]]) {
     for v in full.tops.iter().chain(&full.bottom_diffs) {
         assert!(v.iter().all(|x| !x.is_nan()), "full pass wrote every row");
     }
+    let full_iters = h.layer.profile().0.coalesced_iters;
     for n in (1..FULL).rev() {
         let part = h.run(n);
         assert_prefix("top", n, &part.tops, &full.tops);
         assert_prefix("bottom diff", n, &part.bottom_diffs, &full.bottom_diffs);
-        let profile = h
-            .layer
-            .profile(&h.bottoms.iter().collect::<Vec<&Blob<f64>>>());
-        assert_eq!(profile.batch, n);
+        let iters = h.layer.profile().0.coalesced_iters;
+        assert_eq!(iters * FULL, full_iters * n, "batch {n}: profiled loop");
     }
     let again = h.run(FULL);
     assert_prefix("regrown top", FULL, &again.tops, &full.tops);

@@ -6,7 +6,7 @@ use blob::Blob;
 use layers::conv::{ConvConfig, ConvolutionLayer};
 use layers::pooling::{PoolConfig, PoolMethod, PoolingLayer};
 use layers::softmax::softmax_vec;
-use layers::{ExecCtx, Filler, Layer, ReductionMode, ReluLayer, Workspace};
+use layers::{ExecCtx, Filler, Layer, ReductionMode, ReluLayer, Workspace, WorkspaceRequest};
 use omprt::ThreadTeam;
 use proptest::prelude::*;
 
@@ -21,7 +21,7 @@ fn run_layer<L: Layer<f64>>(
     let shapes = l.setup(&[&bottom]);
     let team = ThreadTeam::new(threads);
     let mode = ReductionMode::Canonical { groups: 16 };
-    let ws = Workspace::new(threads, mode.slots(threads), l.workspace_request());
+    let ws = Workspace::new(threads, mode.slots(threads), WorkspaceRequest::of(&l));
     let ctx = ExecCtx::new(&team, &ws).with_reduction(mode);
     let mut tops = vec![Blob::new(shapes[0].clone())];
     l.forward(&ctx, &[&bottom], &mut tops);
@@ -135,7 +135,7 @@ proptest! {
         let bottom: Blob<f64> = Blob::from_data(shape, data);
         let shapes = l.setup(&[&bottom]);
         let team = ThreadTeam::new(1);
-        let ws = Workspace::new(1, 1, <ConvolutionLayer<f64> as Layer<f64>>::workspace_request(&l));
+        let ws = Workspace::new(1, 1, WorkspaceRequest::of(&l));
         let ctx = ExecCtx::new(&team, &ws);
         let mut tops = vec![Blob::<f64>::new(shapes[0].clone())];
         l.forward(&ctx, &[&bottom], &mut tops);

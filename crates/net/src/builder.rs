@@ -11,21 +11,59 @@ use layers::{
     SoftmaxLossLayer, TanhLayer,
 };
 use mmblas::Scalar;
+use std::cell::RefCell;
 
-fn parse_filler(ls: &LayerSpec, which: &str, default: Filler) -> Result<Filler, SpecError> {
-    match ls.get(which) {
-        None => Ok(default),
-        Some("xavier") => Ok(Filler::Xavier),
-        Some("constant") => Ok(Filler::Constant(
-            ls.get_f64_or(&format!("{which}_value"), 0.0)?,
-        )),
+/// A layer block's keys as the builder reads them. Each key asked for is
+/// marked, and [`Keys::finish`] refuses a block that sets any other: a key
+/// no reader asks for would otherwise be dropped without a word.
+struct Keys<'a> {
+    ls: &'a LayerSpec,
+    asked: RefCell<Vec<&'static str>>,
+}
+
+impl<'a> Keys<'a> {
+    fn ask(&self, key: &'static str) -> &'a LayerSpec {
+        self.asked.borrow_mut().push(key);
+        self.ls
+    }
+
+    fn get(&self, key: &'static str) -> Option<&'a str> {
+        self.ask(key).get(key)
+    }
+
+    fn usize(&self, key: &'static str) -> Result<usize, SpecError> {
+        self.ask(key).get_usize(key)
+    }
+
+    fn usize_or(&self, key: &'static str, default: usize) -> Result<usize, SpecError> {
+        self.ask(key).get_usize_or(key, default)
+    }
+
+    fn f64_or(&self, key: &'static str, default: f64) -> Result<f64, SpecError> {
+        self.ask(key).get_f64_or(key, default)
+    }
+
+    fn reject<T>(&self, what: &str) -> Result<T, SpecError> {
+        Err(SpecError::new(format!("layer '{}': {what}", self.ls.name)))
+    }
+
+    /// Refuse the first key of the block that nothing asked for.
+    fn finish(&self) -> Result<(), SpecError> {
+        let asked = self.asked.borrow();
+        match self.ls.params.keys().find(|k| !asked.contains(&k.as_str())) {
+            Some(key) => self.reject(&format!("unused key '{key}'")),
+            None => Ok(()),
+        }
+    }
+}
+
+fn parse_filler(keys: &Keys) -> Result<Filler, SpecError> {
+    match keys.get("weight_filler") {
+        None | Some("xavier") => Ok(Filler::Xavier),
         Some("gaussian") => Ok(Filler::Gaussian {
-            std: ls.get_f64_or(&format!("{which}_std"), 0.01)?,
+            std: keys.f64_or("weight_filler_std", 0.01)?,
         }),
-        Some(other) => Err(SpecError::new(format!(
-            "layer '{}': unknown filler '{other}'",
-            ls.name
-        ))),
+        Some(other) => keys.reject(&format!("unknown filler '{other}'")),
     }
 }
 
@@ -33,19 +71,18 @@ fn parse_filler(ls: &LayerSpec, which: &str, default: Filler) -> Result<Filler, 
 /// Caffe's `CHECK_GT(kernel, 0)`, `CHECK_GT(stride, 0)` and
 /// `CHECK_LT(pad, kernel)`: past this point the layers divide by the stride
 /// and take every window to cover at least one pixel.
-fn window_params(ls: &LayerSpec) -> Result<(usize, usize, usize), SpecError> {
-    let kernel = ls.get_usize("kernel")?;
-    let pad = ls.get_usize_or("pad", 0)?;
-    let stride = ls.get_usize_or("stride", 1)?;
-    let reject = |what: &str| Err(SpecError::new(format!("layer '{}': {what}", ls.name)));
+fn window_params(keys: &Keys) -> Result<(usize, usize, usize), SpecError> {
+    let kernel = keys.usize("kernel")?;
+    let pad = keys.usize_or("pad", 0)?;
+    let stride = keys.usize_or("stride", 1)?;
     if kernel == 0 {
-        return reject("kernel must be at least 1");
+        return keys.reject("kernel must be at least 1");
     }
     if stride == 0 {
-        return reject("stride must be at least 1");
+        return keys.reject("stride must be at least 1");
     }
     if pad >= kernel {
-        return reject(&format!("pad {pad} must be smaller than kernel {kernel}"));
+        return keys.reject(&format!("pad {pad} must be smaller than kernel {kernel}"));
     }
     Ok((kernel, pad, stride))
 }
@@ -54,27 +91,26 @@ fn window_params(ls: &LayerSpec) -> Result<(usize, usize, usize), SpecError> {
 /// (centred on its channel, so never empty) and `k + alpha/n * sum x^2 > 0`
 /// for every input, since `s^-beta` of a zero or negative scale is inf or
 /// NaN.
-fn lrn_config(ls: &LayerSpec) -> Result<LrnConfig, SpecError> {
+fn lrn_config(keys: &Keys) -> Result<LrnConfig, SpecError> {
     let cfg = LrnConfig {
-        local_size: ls.get_usize_or("local_size", 5)?,
-        alpha: ls.get_f64_or("alpha", 1e-4)?,
-        beta: ls.get_f64_or("beta", 0.75)?,
-        k: ls.get_f64_or("k", 1.0)?,
+        local_size: keys.usize_or("local_size", 5)?,
+        alpha: keys.f64_or("alpha", 1e-4)?,
+        beta: keys.f64_or("beta", 0.75)?,
+        k: keys.f64_or("k", 1.0)?,
     };
-    let reject = |what: &str| Err(SpecError::new(format!("layer '{}': {what}", ls.name)));
     if cfg.local_size.is_multiple_of(2) {
-        return reject(&format!("local_size {} must be odd", cfg.local_size));
+        return keys.reject(&format!("local_size {} must be odd", cfg.local_size));
     }
     for (key, v) in [("alpha", cfg.alpha), ("beta", cfg.beta), ("k", cfg.k)] {
         if !v.is_finite() {
-            return reject(&format!("{key} {v} must be finite"));
+            return keys.reject(&format!("{key} {v} must be finite"));
         }
     }
     if cfg.alpha < 0.0 {
-        return reject(&format!("alpha {} must not be negative", cfg.alpha));
+        return keys.reject(&format!("alpha {} must not be negative", cfg.alpha));
     }
     if cfg.k <= 0.0 {
-        return reject(&format!("k {} must be positive", cfg.k));
+        return keys.reject(&format!("k {} must be positive", cfg.k));
     }
     Ok(cfg)
 }
@@ -83,13 +119,18 @@ fn lrn_config(ls: &LayerSpec) -> Result<LrnConfig, SpecError> {
 ///
 /// `data_source` is consumed by the first `Data` layer. `after_data` tells
 /// learnable layers to skip their bottom-diff computation (Caffe's
-/// `propagate_down = false` for layers sitting directly on data).
+/// `propagate_down = false` for layers sitting directly on data). A key the
+/// layer type does not read is an error.
 pub fn build_layer<S: Scalar>(
     ls: &LayerSpec,
     data_source: &mut Option<Box<dyn BatchSource<S>>>,
     after_data: bool,
 ) -> Result<Box<dyn Layer<S>>, SpecError> {
     let name = ls.name.clone();
+    let keys = Keys {
+        ls,
+        asked: RefCell::default(),
+    };
     let layer: Box<dyn Layer<S>> = match ls.layer_type.as_str() {
         "Data" => {
             let source = data_source.take().ok_or_else(|| {
@@ -98,18 +139,15 @@ pub fn build_layer<S: Scalar>(
                      (or a second Data layer appeared)"
                 ))
             })?;
-            let batch = ls.get_usize("batch")?;
+            let batch = keys.usize("batch")?;
             Box::new(DataLayer::new(name, source, batch))
         }
         "Convolution" => {
-            let num_output = ls.get_usize("num_output")?;
-            let (kernel, pad, stride) = window_params(ls)?;
+            let num_output = keys.usize("num_output")?;
+            let (kernel, pad, stride) = window_params(&keys)?;
             let mut cfg = ConvConfig::new(num_output, kernel, pad, stride);
-            cfg.weight_filler = parse_filler(ls, "weight_filler", Filler::Xavier)?;
-            cfg.bias_filler = parse_filler(ls, "bias_filler", Filler::Constant(0.0))?;
-            cfg.seed = ls.get_usize_or("seed", cfg.seed as usize)? as u64;
-            cfg.weight_lr_mult = ls.get_f64_or("w_lr_mult", cfg.weight_lr_mult)?;
-            cfg.bias_lr_mult = ls.get_f64_or("b_lr_mult", cfg.bias_lr_mult)?;
+            cfg.weight_filler = parse_filler(&keys)?;
+            cfg.seed = keys.usize_or("seed", cfg.seed as usize)? as u64;
             let mut l = ConvolutionLayer::new(name, cfg);
             if after_data {
                 l.set_propagate_down(false);
@@ -117,16 +155,12 @@ pub fn build_layer<S: Scalar>(
             Box::new(l)
         }
         "Pooling" => {
-            let method = match ls.get("method") {
+            let method = match keys.get("method") {
                 Some("MAX") | None => PoolMethod::Max,
                 Some("AVE") => PoolMethod::Ave,
-                Some(other) => {
-                    return Err(SpecError::new(format!(
-                        "layer '{name}': unknown pooling method '{other}'"
-                    )))
-                }
+                Some(other) => return keys.reject(&format!("unknown pooling method '{other}'")),
             };
-            let (kernel, pad, stride) = window_params(ls)?;
+            let (kernel, pad, stride) = window_params(&keys)?;
             let cfg = PoolConfig {
                 method,
                 kernel,
@@ -136,12 +170,9 @@ pub fn build_layer<S: Scalar>(
             Box::new(PoolingLayer::new(name, cfg))
         }
         "InnerProduct" => {
-            let mut cfg = InnerProductConfig::new(ls.get_usize("num_output")?);
-            cfg.weight_filler = parse_filler(ls, "weight_filler", Filler::Xavier)?;
-            cfg.bias_filler = parse_filler(ls, "bias_filler", Filler::Constant(0.0))?;
-            cfg.seed = ls.get_usize_or("seed", cfg.seed as usize)? as u64;
-            cfg.weight_lr_mult = ls.get_f64_or("w_lr_mult", cfg.weight_lr_mult)?;
-            cfg.bias_lr_mult = ls.get_f64_or("b_lr_mult", cfg.bias_lr_mult)?;
+            let mut cfg = InnerProductConfig::new(keys.usize("num_output")?);
+            cfg.weight_filler = parse_filler(&keys)?;
+            cfg.seed = keys.usize_or("seed", cfg.seed as usize)? as u64;
             let mut l = InnerProductLayer::new(name, cfg);
             if after_data {
                 l.set_propagate_down(false);
@@ -153,19 +184,16 @@ pub fn build_layer<S: Scalar>(
         "TanH" => Box::new(TanhLayer::new(name)),
         "Softmax" => Box::new(SoftmaxLayer::new(name)),
         "Flatten" => Box::new(FlattenLayer::new(name)),
-        "LRN" => Box::new(LrnLayer::new(name, lrn_config(ls)?)),
+        "LRN" => Box::new(LrnLayer::new(name, lrn_config(&keys)?)),
         "Dropout" => {
-            let ratio = ls.get_f64_or("dropout_ratio", 0.5)?;
-            let seed = ls.get_usize_or("seed", 0x0d0d)? as u64;
+            let ratio = keys.f64_or("dropout_ratio", 0.5)?;
+            let seed = keys.usize_or("seed", 0x0d0d)? as u64;
             Box::new(DropoutLayer::new(name, ratio, seed))
         }
         "SoftmaxWithLoss" => Box::new(SoftmaxLossLayer::new(name)),
-        other => {
-            return Err(SpecError::new(format!(
-                "layer '{name}': unknown layer type '{other}'"
-            )))
-        }
+        other => return keys.reject(&format!("unknown layer type '{other}'")),
     };
+    keys.finish()?;
     Ok(layer)
 }
 
@@ -349,5 +377,95 @@ mod tests {
              weight_filler: fancy\n}",
         );
         assert!(build_layer::<f32>(&bad, &mut none, false).is_err());
+    }
+
+    /// The error a Convolution and an InnerProduct block with `line` added
+    /// give, which must be the same.
+    fn learnable_error(line: &str) -> String {
+        let mut errors = ["Convolution\n kernel: 1", "InnerProduct"].map(|ty| {
+            let ls = spec_of(&format!(
+                "layer {{\n name: p\n type: {ty}\n num_output: 2\n {line}\n}}"
+            ));
+            let mut none: Option<Box<dyn BatchSource<f32>>> = None;
+            build_layer::<f32>(&ls, &mut none, false)
+                .err()
+                .unwrap_or_else(|| panic!("{ty} with '{line}' must not build"))
+                .to_string()
+        });
+        assert_eq!(errors[0], errors[1]);
+        std::mem::take(&mut errors[0])
+    }
+
+    // Every learnable layer learns a seeded weight at lr 1 and a zero bias
+    // at lr 2; a spec that asks otherwise is refused, not trained on the
+    // defaults.
+
+    #[test]
+    fn weight_lr_mult_is_refused() {
+        assert_eq!(
+            learnable_error("w_lr_mult: 0.5"),
+            "layer 'p': unused key 'w_lr_mult'"
+        );
+    }
+
+    #[test]
+    fn bias_lr_mult_is_refused() {
+        assert_eq!(
+            learnable_error("b_lr_mult: 1"),
+            "layer 'p': unused key 'b_lr_mult'"
+        );
+    }
+
+    #[test]
+    fn bias_filler_is_refused() {
+        assert_eq!(
+            learnable_error("bias_filler: constant"),
+            "layer 'p': unused key 'bias_filler'"
+        );
+    }
+
+    #[test]
+    fn bias_filler_value_is_refused() {
+        assert_eq!(
+            learnable_error("bias_filler_value: 0.1"),
+            "layer 'p': unused key 'bias_filler_value'"
+        );
+    }
+
+    #[test]
+    fn bias_filler_std_is_refused() {
+        assert_eq!(
+            learnable_error("bias_filler_std: 0.1"),
+            "layer 'p': unused key 'bias_filler_std'"
+        );
+    }
+
+    #[test]
+    fn constant_weight_filler_is_refused() {
+        assert_eq!(
+            learnable_error("weight_filler: constant"),
+            "layer 'p': unknown filler 'constant'"
+        );
+    }
+
+    #[test]
+    fn a_key_the_type_does_not_read_is_refused() {
+        // Another type's key, and a filler's width under xavier.
+        let cases = [
+            ("type: ReLU\n kernel: 3", "unused key 'kernel'"),
+            ("type: Data\n batch: 2\n seed: 4", "unused key 'seed'"),
+            (
+                "type: InnerProduct\n num_output: 2\n weight_filler_std: 0.1",
+                "unused key 'weight_filler_std'",
+            ),
+        ];
+        for (body, want) in cases {
+            let ls = spec_of(&format!("layer {{\n name: x\n {body}\n}}"));
+            let mut source: Option<Box<dyn BatchSource<f32>>> = Some(Box::new(Zeros));
+            let e = build_layer::<f32>(&ls, &mut source, false)
+                .err()
+                .unwrap_or_else(|| panic!("'{body}' must not build"));
+            assert_eq!(e.to_string(), format!("layer 'x': {want}"));
+        }
     }
 }

@@ -52,6 +52,7 @@ pub use spec::{LayerSpec, NetSpec, SpecError};
 use blob::Blob;
 use layers::ctx::{ExecCtx, Phase, ReductionMode};
 use layers::data::BatchSource;
+use layers::fill::LR_MULTS;
 use layers::profile::LayerProfile;
 use layers::workspace::{Workspace, WorkspaceRequest};
 use layers::Layer;
@@ -238,7 +239,7 @@ impl<S: Scalar> Net<S> {
             if ls.layer_type == "Data" {
                 data_tops.extend(ls.tops.iter().cloned());
             }
-            net.max_request = net.max_request.max(layer.workspace_request());
+            net.max_request = net.max_request.max(WorkspaceRequest::of(layer.as_ref()));
             net.layers.push(layer);
             net.bottoms.push(bottom_ids);
             net.tops.push(top_ids);
@@ -528,11 +529,13 @@ impl<S: Scalar> Net<S> {
     }
 
     /// Per-parameter learning-rate multipliers, aligned with
-    /// [`Net::learnable_params`] (Caffe's `lr_mult`).
+    /// [`Net::learnable_params`]: Caffe's `lr_mult` of each learnable
+    /// layer's weight and bias, [`LR_MULTS`].
     pub fn param_lr_mults(&self) -> Vec<f64> {
         self.layers
             .iter()
-            .flat_map(|l| l.param_lr_mults())
+            .flat_map(|l| &LR_MULTS[..l.params().len()])
+            .copied()
             .collect()
     }
 
@@ -546,13 +549,24 @@ impl<S: Scalar> Net<S> {
         &self.bwd_secs
     }
 
-    /// Analytic work profiles of every layer (for the machine simulator).
+    /// Analytic work profiles of every layer (for the machine simulator):
+    /// the layer's two passes, with the backward's reduction as long as
+    /// the layer's parameters, and the batch its first bottom (a data
+    /// layer's first top) holds.
     pub fn profiles(&self) -> Vec<LayerProfile> {
         (0..self.layers.len())
             .map(|i| {
-                let bottoms: Vec<&Blob<S>> =
-                    self.bottoms[i].iter().map(|&b| &self.blobs[b]).collect();
-                self.layers[i].profile(&bottoms)
+                let layer = &self.layers[i];
+                let (forward, mut backward) = layer.profile();
+                backward.reduction_elems = WorkspaceRequest::of(layer.as_ref()).grad_len;
+                let first = self.bottoms[i].first().or(self.tops[i].first());
+                LayerProfile {
+                    name: layer.name().to_string(),
+                    layer_type: layer.layer_type().to_string(),
+                    forward,
+                    backward,
+                    batch: first.map_or(0, |&b| self.blobs[b].num()),
+                }
             })
             .collect()
     }

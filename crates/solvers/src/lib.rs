@@ -46,8 +46,6 @@ pub struct SolverConfig {
     pub weight_decay: f64,
     /// Learning-rate schedule.
     pub lr_policy: LrPolicy,
-    /// AdaGrad denominator epsilon.
-    pub eps: f64,
 }
 
 impl SolverConfig {
@@ -63,7 +61,6 @@ impl SolverConfig {
                 gamma: 1e-4,
                 power: 0.75,
             },
-            eps: 1e-8,
         }
     }
 
@@ -76,7 +73,6 @@ impl SolverConfig {
             momentum: 0.9,
             weight_decay: 4e-3,
             lr_policy: LrPolicy::Fixed,
-            eps: 1e-8,
         }
     }
 }
@@ -203,7 +199,9 @@ impl<S: Scalar> Solver<S> {
         self.ensure_history(&params);
         let momentum = S::from_f64(self.cfg.momentum);
         let decay = S::from_f64(self.cfg.weight_decay);
-        let eps = S::from_f64(self.cfg.eps);
+        // AdaGrad's denominator epsilon (Caffe's `delta` default).
+        const ADAGRAD_EPS: f64 = 1e-8;
+        let eps = S::from_f64(ADAGRAD_EPS);
         for ((p, h), &mult) in params.into_iter().zip(&mut self.history).zip(lr_mults) {
             let lr = S::from_f64(lr * mult);
             let (data, diff) = p.data_diff_mut();
@@ -346,7 +344,6 @@ mod tests {
             momentum: 0.9,
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
-            eps: 1e-8,
         }
     }
 
@@ -430,7 +427,6 @@ mod extra_tests {
             momentum: 0.0,
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
-            eps: 1e-8,
         };
         let mut s: Solver<f32> = Solver::new(cfg);
         let mut w = param(&[1.0], &[1.0]);
@@ -460,7 +456,6 @@ mod state_tests {
             momentum: 0.9,
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
-            eps: 1e-8,
         })
     }
 

@@ -45,7 +45,6 @@ fn all_three_solvers_reduce_loss() {
             momentum: 0.9,
             weight_decay: 0.0,
             lr_policy: LrPolicy::Fixed,
-            eps: 1e-8,
         };
         let mut solver: Solver<f32> = Solver::new(cfg);
         let losses = solver.train(&mut net, &team, &run, 25);
@@ -82,6 +81,43 @@ fn cifar_full_size_one_iteration_runs() {
     let loss = trainer.step();
     assert!(loss.is_finite());
     assert!(loss > 1.0 && loss < 4.0, "initial loss ~ln(10): {loss}");
+}
+
+/// Every convolution and inner product of the paper's nets learns a weight
+/// at Caffe's `lr_mult` 1 and a bias at 2, and every bias starts at zero.
+#[test]
+fn paper_nets_learn_a_weight_at_lr_1_and_a_zero_bias_at_lr_2() {
+    let nets = [
+        nets::lenet::<f32>(Box::new(SyntheticMnist::new(8, 1))).unwrap(),
+        nets::cifar10_full::<f32>(Box::new(SyntheticCifar::new(8, 1))).unwrap(),
+    ];
+    for net in nets {
+        let learnable = net
+            .profiles()
+            .iter()
+            .filter(|p| matches!(p.layer_type.as_str(), "Convolution" | "InnerProduct"))
+            .count();
+        assert_eq!(learnable, 4, "{}", net.name());
+        assert_eq!(
+            net.param_lr_mults(),
+            [1.0, 2.0].repeat(learnable),
+            "{}",
+            net.name()
+        );
+        let params = net.learnable_params();
+        for (i, pair) in params.chunks(2).enumerate() {
+            assert!(
+                pair[0].data().iter().any(|&w| w != 0.0),
+                "{} weight {i}",
+                net.name()
+            );
+            assert!(
+                pair[1].data().iter().all(|&b| b == 0.0),
+                "{} bias {i}",
+                net.name()
+            );
+        }
+    }
 }
 
 #[test]

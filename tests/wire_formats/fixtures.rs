@@ -96,7 +96,6 @@ pub fn solver_config() -> SolverConfig {
         momentum: 0.5,
         weight_decay: 0.0,
         lr_policy: LrPolicy::Fixed,
-        eps: 1e-8,
     }
 }
 

@@ -172,21 +172,6 @@ fn cmd_summary(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `--lr` and `--solver` over the LeNet solver defaults.
-fn solver_config(args: &Args) -> Result<SolverConfig, String> {
-    let solver_type = match args.get("solver").unwrap_or_default() {
-        "sgd" => SolverType::Sgd,
-        "nesterov" => SolverType::Nesterov,
-        "adagrad" => SolverType::AdaGrad,
-        other => return Err(format!("unknown solver '{other}'")),
-    };
-    Ok(SolverConfig {
-        base_lr: args.get_parse("lr")?,
-        solver_type,
-        ..SolverConfig::lenet()
-    })
-}
-
 /// `--reduction` flag to reduction mode; `canonical:G` pins the canonical
 /// group count (the knob that makes a single process reproduce a G-worker
 /// distributed run bit-for-bit — see DESIGN.md).
@@ -213,11 +198,11 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     }
     let threads: usize = args.get_parse("threads")?;
     let iters: usize = args.get_parse("iters")?;
-    let cfg = solver_config(args)?;
+    let cfg = SolverConfig::lenet();
     let reduction = parse_reduction(args.get("reduction").unwrap_or_default())?;
     let run = format!(
-        "on {threads} threads ({:?}, lr {}, {reduction:?})",
-        cfg.solver_type, cfg.base_lr
+        "on {threads} threads (momentum SGD, lr {}, {reduction:?})",
+        cfg.base_lr
     );
     let mut trainer = CoarseGrainTrainer::new(net, cfg, threads).with_reduction(reduction);
     if args.has("profile") {
@@ -251,29 +236,16 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             println!("nothing to train: already at iteration {done} (target {iters})");
             return Ok(());
         }
-        let guard_factor: f64 = args.get_parse("guard-factor")?;
-        let guard = if guard_factor > 0.0 {
-            Some(GuardConfig {
-                factor: guard_factor,
-                ..GuardConfig::default()
-            })
-        } else {
-            None
-        };
         println!(
             "training iterations {}..{iters} {run}, checkpoints in {dir_path} \
              (every {snapshot_every})",
             done + 1
         );
-        let report = train_with_checkpoints(
-            &mut trainer,
-            remaining,
-            &dir,
-            snapshot_every,
-            guard,
-            |it, l| progress.step(it, l),
-        )
-        .map_err(|e| e.to_string())?;
+        let report =
+            train_with_checkpoints(&mut trainer, remaining, &dir, snapshot_every, |it, l| {
+                progress.step(it, l)
+            })
+            .map_err(|e| e.to_string())?;
         if report.rollbacks > 0 {
             println!(
                 "{} divergence rollback(s); see {dir_path}/training.log",
@@ -421,8 +393,8 @@ fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
 
     let workers: usize = args.get_parse("workers")?;
     let iters: usize = args.get_parse("iters")?;
-    let cfg = solver_config(args)?;
-    let run = format!("({:?}, lr {})", cfg.solver_type, cfg.base_lr);
+    let cfg = SolverConfig::lenet();
+    let run = format!("(momentum SGD, lr {})", cfg.base_lr);
     let mut solver = Solver::<f32>::new(cfg);
     let dist_cfg = dist::DistConfig {
         world: workers,
@@ -730,20 +702,13 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     if args.has("csv") && args.has("json") {
         return Err("--csv and --json are mutually exclusive".into());
     }
-    let watch_secs: f64 = args.get_parse("watch")?;
-    loop {
-        let snap = rpc::fetch_stats(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
-        if args.has("json") {
-            println!("{}", snap.json());
-        } else {
-            print!("{}", snap.csv());
-        }
-        if watch_secs <= 0.0 {
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_secs_f64(watch_secs));
-        println!();
+    let snap = rpc::fetch_stats(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
+    if args.has("json") {
+        println!("{}", snap.json());
+    } else {
+        print!("{}", snap.csv());
     }
+    Ok(())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {

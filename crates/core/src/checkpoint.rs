@@ -25,10 +25,10 @@
 //! used — the "last-good fallback".
 //!
 //! [`train_with_checkpoints`] drives training with periodic checkpoints
-//! plus an optional [`DivergenceGuard`]: NaN/Inf losses, or a loss
-//! exploding past `factor ×` its trailing-window mean, trigger a rollback
-//! to the last good checkpoint with an LR drop, recorded in the training
-//! log instead of silently emitting garbage.
+//! under an always-on divergence guard: NaN/Inf losses, or a loss
+//! exploding past [`GUARD_FACTOR`]`×` its trailing-window mean, trigger a
+//! rollback to the last good checkpoint with an LR drop, recorded in the
+//! training log instead of silently emitting garbage.
 
 use crate::trainer::CoarseGrainTrainer;
 use mmblas::Scalar;
@@ -204,27 +204,14 @@ impl CheckpointDir {
     }
 }
 
-/// Divergence-guard policy.
-#[derive(Clone, Copy, Debug)]
-pub struct GuardConfig {
-    /// Trailing-window length for the explosion test; `0` disables it
-    /// (NaN/Inf detection stays on).
-    pub window: usize,
-    /// Trigger when `|loss| > factor × |trailing mean|`. Note a window
-    /// mean of exactly 0 makes any positive loss trigger — intended, as
-    /// that only happens from a fully converged state.
-    pub factor: f64,
-}
+/// The divergence guard's trailing window: the explosion test starts once
+/// this many healthy losses are in it.
+pub const GUARD_WINDOW: usize = 8;
 
-impl Default for GuardConfig {
-    /// 8-iteration window, 4× explosion factor.
-    fn default() -> Self {
-        Self {
-            window: 8,
-            factor: 4.0,
-        }
-    }
-}
+/// The guard trips when `|loss| > GUARD_FACTOR × |trailing mean|`. A window
+/// mean of exactly 0 makes any positive loss trip it — intended, as that
+/// only happens from a fully converged state.
+pub const GUARD_FACTOR: f64 = 4.0;
 
 /// Every rollback multiplies the solver's LR scale by this.
 const ROLLBACK_LR_DROP: f64 = 0.5;
@@ -233,45 +220,38 @@ const ROLLBACK_LR_DROP: f64 = 0.5;
 const MAX_ROLLBACKS: usize = 3;
 
 /// Detects NaN/Inf losses and loss explosions over a trailing window.
-#[derive(Debug)]
-pub struct DivergenceGuard {
-    cfg: GuardConfig,
+struct DivergenceGuard {
     recent: VecDeque<f64>,
 }
 
 impl DivergenceGuard {
     /// New guard with an empty window.
-    pub fn new(cfg: GuardConfig) -> Self {
+    fn new() -> Self {
         Self {
-            cfg,
-            recent: VecDeque::with_capacity(cfg.window),
+            recent: VecDeque::with_capacity(GUARD_WINDOW),
         }
     }
 
     /// Feed one loss; `true` means the run has diverged. Divergent losses
     /// are not admitted into the window, so the trailing mean stays a
     /// "last known healthy" reference.
-    pub fn observe(&mut self, loss: f64) -> bool {
+    fn observe(&mut self, loss: f64) -> bool {
         if !loss.is_finite() {
             return true;
         }
-        if self.cfg.window > 0 && self.recent.len() == self.cfg.window {
-            let mean = self.recent.iter().sum::<f64>() / self.recent.len() as f64;
-            if loss.abs() > self.cfg.factor * mean.abs() {
+        if self.recent.len() == GUARD_WINDOW {
+            let mean = self.recent.iter().sum::<f64>() / GUARD_WINDOW as f64;
+            if loss.abs() > GUARD_FACTOR * mean.abs() {
                 return true;
             }
+            self.recent.pop_front();
         }
-        if self.cfg.window > 0 {
-            if self.recent.len() == self.cfg.window {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(loss);
-        }
+        self.recent.push_back(loss);
         false
     }
 
     /// Clear the window (after a rollback — history no longer applies).
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.recent.clear();
     }
 }
@@ -351,8 +331,8 @@ pub struct FtReport<S: Scalar> {
 }
 
 /// Train `n` more iterations with crash-safe checkpoints every `every`
-/// iterations (`0` = only the anchor and final checkpoints) and optional
-/// divergence rollback. `progress` is called after every step with
+/// iterations (`0` = only the anchor and final checkpoints) and divergence
+/// rollback. `progress` is called after every step with
 /// `(iteration, loss)`.
 ///
 /// An anchor checkpoint is written before the first step and a final one
@@ -360,21 +340,19 @@ pub struct FtReport<S: Scalar> {
 /// with at most `every` iterations of lost work.
 ///
 /// # Errors
-/// I/O failures while checkpointing, an exhausted rollback budget, or a
-/// non-finite loss with no guard configured.
+/// I/O failures while checkpointing, or an exhausted rollback budget.
 pub fn train_with_checkpoints<S: Scalar>(
     trainer: &mut CoarseGrainTrainer<S>,
     n: usize,
     dir: &CheckpointDir,
     every: usize,
-    guard_cfg: Option<GuardConfig>,
     mut progress: impl FnMut(u64, f64),
 ) -> io::Result<FtReport<S>> {
     let start_iter = trainer.solver().iteration();
     let target = start_iter + n as u64;
     let mut losses: Vec<S> = Vec::with_capacity(n);
     let mut events: Vec<TrainEvent> = Vec::new();
-    let mut guard = guard_cfg.map(DivergenceGuard::new);
+    let mut guard = DivergenceGuard::new();
     let mut rollbacks = 0usize;
     // Log lines carry a `ts=<unix_secs>.<millis> iter=<n>` prefix (see
     // `obs::logstamp` and DESIGN.md) so post-mortems can correlate them
@@ -404,7 +382,13 @@ pub fn train_with_checkpoints<S: Scalar>(
             }
         }
         let it_before = trainer.solver().iteration();
-        let loss = trainer.step();
+        let mut loss = trainer.step();
+        // Injection point: a NaN loss. The softmax loss clamps `ln(0)`, so
+        // no net here yields one; this is how the guard's finiteness test
+        // is reached end to end.
+        if net::faults::hit("train.nan_loss").is_err() {
+            loss = S::from_f64(f64::NAN);
+        }
         let it_after = trainer.solver().iteration();
         let loss64 = loss.to_f64();
         // After a fallback to a checkpoint older than our start, replayed
@@ -414,11 +398,7 @@ pub fn train_with_checkpoints<S: Scalar>(
         }
         progress(it_after, loss64);
 
-        let diverged = match guard.as_mut() {
-            Some(g) => g.observe(loss64),
-            None => !loss64.is_finite(),
-        };
-        if diverged {
+        if guard.observe(loss64) {
             record(
                 &mut events,
                 TrainEvent::Divergence {
@@ -426,12 +406,6 @@ pub fn train_with_checkpoints<S: Scalar>(
                     loss: loss64,
                 },
             );
-            let Some(g) = guard.as_mut() else {
-                return Err(io::Error::other(format!(
-                    "diverged at iteration {it_after} (loss {loss64}) with no divergence \
-                     guard configured"
-                )));
-            };
             rollbacks += 1;
             if rollbacks > MAX_ROLLBACKS {
                 return Err(io::Error::other(format!(
@@ -442,7 +416,7 @@ pub fn train_with_checkpoints<S: Scalar>(
             let outcome = dir.resume_latest(trainer)?;
             trainer.solver_mut().scale_lr(ROLLBACK_LR_DROP);
             losses.truncate(outcome.iteration.saturating_sub(start_iter) as usize);
-            g.reset();
+            guard.reset();
             record(
                 &mut events,
                 TrainEvent::Rollback {
@@ -542,31 +516,44 @@ layer {
 
     #[test]
     fn guard_detects_nan_inf_and_explosion() {
-        let mut g = DivergenceGuard::new(GuardConfig {
-            window: 3,
-            factor: 2.0,
-        });
+        let mut g = DivergenceGuard::new();
         assert!(g.observe(f64::NAN));
         assert!(g.observe(f64::INFINITY));
-        // Window not yet full: no explosion test.
-        assert!(!g.observe(1.0));
-        assert!(!g.observe(1.0));
-        assert!(!g.observe(100.0)); // third sample fills the window
-        assert!(g.observe(100.0), "100 > 2 x mean(34)");
-        assert!(!g.observe(1.0), "divergent sample was not admitted");
+        // Until the window is full only finiteness is tested.
+        assert!(!g.observe(1e30));
+        g.reset();
+        for _ in 0..GUARD_WINDOW {
+            assert!(!g.observe(1.0));
+        }
+        let explosion = GUARD_FACTOR + 0.5;
+        assert!(
+            g.observe(explosion),
+            "{explosion} > {GUARD_FACTOR} x mean(1)"
+        );
+        assert!(g.observe(explosion), "divergent sample was not admitted");
+        assert!(
+            !g.observe(GUARD_FACTOR),
+            "equal to the bound is not above it"
+        );
         g.reset();
         assert!(!g.observe(50.0), "fresh window after reset");
     }
 
     #[test]
-    fn guard_window_zero_only_checks_finiteness() {
-        let mut g = DivergenceGuard::new(GuardConfig {
-            window: 0,
-            factor: 1.0,
-        });
-        assert!(!g.observe(1.0));
-        assert!(!g.observe(1e30));
-        assert!(g.observe(f64::NAN));
+    fn guard_window_trails_the_last_healthy_losses() {
+        let mut g = DivergenceGuard::new();
+        for _ in 0..GUARD_WINDOW {
+            assert!(!g.observe(1.0));
+        }
+        // Each 3 is under 4 x the mean; together they push every 1 out.
+        for _ in 0..GUARD_WINDOW {
+            assert!(!g.observe(3.0));
+        }
+        let loss = 3.0 * GUARD_FACTOR - 1.0;
+        assert!(
+            !g.observe(loss),
+            "{loss} is within {GUARD_FACTOR} x mean(3)"
+        );
     }
 
     #[test]
@@ -653,9 +640,7 @@ layer {
     fn train_with_checkpoints_writes_anchor_and_final() {
         let dir = CheckpointDir::new(tmp("anchor"));
         let mut t = micro_trainer();
-        let report =
-            train_with_checkpoints(&mut t, 4, &dir, 2, Some(GuardConfig::default()), |_, _| {})
-                .unwrap();
+        let report = train_with_checkpoints(&mut t, 4, &dir, 2, |_, _| {}).unwrap();
         assert_eq!(report.losses.len(), 4);
         assert_eq!(report.rollbacks, 0);
         // Anchor (0), periodic (2), final (4).

@@ -57,7 +57,7 @@ const fn switch(name: &'static str, subs: &'static [&'static str], help: &'stati
 #[rustfmt::skip]
 const SUBCOMMANDS: &[(&str, &str)] = &[
     ("summary", "<spec> — layer table and memory report"),
-    ("train", "<spec> — coarse-grain training: in-process, checkpointed, or distributed"),
+    ("train", "<spec> — coarse-grain training: in-process, checkpointed, or distributed; every spec, CIFAR too, at LeNet's solver (momentum SGD, lr 0.01, inv)"),
     ("infer", "<spec> — serve parameters: an in-process load loop, or --listen over TCP"),
     ("load", "closed-loop wire load against an `infer --listen` server"),
     ("stats", "scrape the live metrics of a serving or coordinating process"),
@@ -73,15 +73,12 @@ const FLAGS: &[Flag] = &[
     flag("threads", Int, "N", "4", &["train", "infer"], "thread-team size"),
     flag("weights", Text, "FILE", "", &["train", "infer"], "initialize parameters from a snapshot"),
     flag("iters", Int, "N", "100", &["train"], "iterations (with --resume: the absolute target iteration)"),
-    flag("lr", Real, "X", "0.01", &["train"], "base learning rate"),
-    flag("solver", Text, "NAME", "sgd", &["train"], "sgd | nesterov | adagrad"),
     flag("reduction", Text, "MODE", "ordered", &["train"], "ordered | canonical[:G] (canonical:G pins G groups)"),
     flag("snapshot", Text, "FILE", "", &["train"], "write the parameters after training"),
     flag("loss-log", Text, "FILE", "", &["train"], "write '<iter> <loss>' per step, f32-exact: bit-identical runs give byte-identical logs"),
     flag("snapshot-every", Int, "K", "0", &["train"], "checkpoint params + solver + data cursor every K iterations (turns on rollback)"),
     flag("resume", Text, "DIR", "", &["train"], "continue from the newest good checkpoint in DIR"),
     flag("snapshot-dir", Text, "DIR", "", &["train"], "checkpoint directory (default: the --resume DIR, else 'checkpoints')"),
-    flag("guard-factor", Real, "X", "4.0", &["train"], "roll back on a NaN/Inf loss or one above X x the trailing mean; 0 = no guard"),
     flag("coordinator", Text, "ADDR", "", &["train"], "bind ADDR, spawn --workers processes and run data-parallel SGD, bit-identical to --reduction canonical:N --threads 1"),
     flag("workers", Int, "N", "2", &["train"], "worker processes (a power of two dividing the batch)"),
     flag("worker-connect", Text, "ADDR", "", &["train"], "run as one worker of the coordinator at ADDR"),
@@ -111,7 +108,6 @@ const FLAGS: &[Flag] = &[
     flag("json", Text, "FILE", "", &["load"], "write the report as JSON"),
     switch("csv", &["stats"], "CSV exposition (the default)"),
     switch("json", &["stats"], "JSON exposition"),
-    flag("watch", Real, "SECS", "0", &["stats"], "re-scrape every SECS forever; 0 = once"),
     switch("profile", &["train"], "print the measured per-layer fwd/bwd table and imbalance factors"),
     flag("profile-csv", Text, "FILE", "", &["train"], "also write the --profile table as CSV"),
     flag("trace", Text, "FILE", "", &["train", "infer"], "record spans, write a Chrome trace_event JSON"),
@@ -297,7 +293,7 @@ mod tests {
         assert_eq!(a.get_parse::<usize>("iters").unwrap(), 100);
         assert!(a.has("profile") && !a.has("rejoin"));
         // Absent flags take their row's default; rows without one are None.
-        assert_eq!(a.get_parse::<f64>("lr").unwrap(), 0.01);
+        assert_eq!(a.get_parse::<usize>("workers").unwrap(), 2);
         assert_eq!(a.get("data"), Some("synthetic-mnist"));
         assert_eq!(a.get("snapshot"), None);
         assert!(a.get_parse::<String>("snapshot").is_err());
@@ -318,7 +314,10 @@ mod tests {
         assert!(parse("train", "spec --threads").is_err());
         let e = parse("train", "spec --iters banana").err().unwrap();
         assert!(e.contains("banana") && e.contains("--iters"), "{e}");
-        assert!(parse("train", "spec --lr fast").is_err());
+        let e = parse("train", "spec --metrics m.csv --metrics-every fast")
+            .err()
+            .unwrap();
+        assert!(e.contains("fast") && e.contains("--metrics-every"), "{e}");
     }
 
     #[test]
@@ -391,6 +390,10 @@ mod tests {
             ("train", "--guard-window 4"),
             ("train", "--guard-lr-drop 0.25"),
             ("train", "--max-rollbacks 1"),
+            ("train", "--solver sgd"),
+            ("train", "--lr 0.1"),
+            ("train", "--guard-factor 0"),
+            ("stats", "--watch 1"),
         ];
         for (sub, line) in retired {
             let flag = line.split_whitespace().next().unwrap();

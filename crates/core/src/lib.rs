@@ -35,10 +35,7 @@ pub mod nets;
 pub mod observe;
 pub mod trainer;
 
-pub use checkpoint::{
-    train_with_checkpoints, CheckpointDir, DivergenceGuard, FtReport, GuardConfig, ResumeOutcome,
-    TrainEvent,
-};
+pub use checkpoint::{train_with_checkpoints, CheckpointDir, FtReport, ResumeOutcome, TrainEvent};
 pub use invariance::check_loss_invariance;
 pub use observe::LayerTimeProfile;
 pub use trainer::CoarseGrainTrainer;
@@ -57,7 +54,7 @@ pub use solvers;
 
 /// Convenient glob import: the types most programs need.
 pub mod prelude {
-    pub use crate::checkpoint::{train_with_checkpoints, CheckpointDir, GuardConfig, TrainEvent};
+    pub use crate::checkpoint::{train_with_checkpoints, CheckpointDir, TrainEvent};
     pub use crate::nets;
     pub use crate::trainer::CoarseGrainTrainer;
     pub use blob::{Blob, Shape};
@@ -65,5 +62,5 @@ pub mod prelude {
     pub use layers::{ExecCtx, Layer, Phase, ReductionMode};
     pub use net::{Net, NetSpec, RunConfig};
     pub use omprt::ThreadTeam;
-    pub use solvers::{LrPolicy, Solver, SolverConfig, SolverType};
+    pub use solvers::{LrPolicy, Solver, SolverConfig};
 }

@@ -1,11 +1,9 @@
 //! `solvers` — training algorithms driving the DNN training loop
 //! (Algorithm 1 of the paper).
 //!
-//! Caffe's three solvers from the paper's §2.1 are implemented with Caffe's
-//! exact update rules: [`SolverType::Sgd`] (momentum SGD),
-//! [`SolverType::Nesterov`], and [`SolverType::AdaGrad`], together with the
-//! two learning-rate policies the paper's solvers use: LeNet's `inv` and
-//! CIFAR-10's `fixed`.
+//! The update is Caffe's momentum SGD, the rule both of the paper's nets
+//! train with, under the two learning-rate policies the paper's solvers
+//! use: LeNet's `inv` and CIFAR-10's `fixed`.
 //!
 //! The solver itself is deliberately *sequential* — only the layer passes
 //! are parallel. This is what makes the scheme convergence-invariant: no
@@ -22,25 +20,12 @@ use net::{Net, RunConfig};
 use omprt::ThreadTeam;
 use wire::{Put, Reader};
 
-/// Which update rule to apply: the three solvers of the paper's §2.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverType {
-    /// Momentum SGD: `V = m*V + lr*g; W -= V`.
-    Sgd,
-    /// Nesterov accelerated gradient (Caffe's formulation).
-    Nesterov,
-    /// AdaGrad: `H += g^2; W -= lr * g / (sqrt(H) + eps)`.
-    AdaGrad,
-}
-
 /// Solver hyper-parameters (a Caffe solver prototxt equivalent).
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Update rule.
-    pub solver_type: SolverType,
     /// Base learning rate.
     pub base_lr: f64,
-    /// Momentum (ignored by AdaGrad).
+    /// Momentum.
     pub momentum: f64,
     /// L2 weight decay added to every gradient.
     pub weight_decay: f64,
@@ -53,7 +38,6 @@ impl SolverConfig {
     /// weight decay 5e-4, `inv` policy (gamma 1e-4, power 0.75).
     pub fn lenet() -> Self {
         Self {
-            solver_type: SolverType::Sgd,
             base_lr: 0.01,
             momentum: 0.9,
             weight_decay: 5e-4,
@@ -68,7 +52,6 @@ impl SolverConfig {
     /// weight decay 4e-3, fixed policy.
     pub fn cifar() -> Self {
         Self {
-            solver_type: SolverType::Sgd,
             base_lr: 0.001,
             momentum: 0.9,
             weight_decay: 4e-3,
@@ -80,7 +63,7 @@ impl SolverConfig {
 /// A solver instance: hyper-parameters plus per-parameter history state.
 pub struct Solver<S: Scalar = f32> {
     cfg: SolverConfig,
-    /// Momentum / accumulated-square history, one buffer per parameter.
+    /// Momentum history, one buffer per parameter.
     history: Vec<Vec<S>>,
     iter: u64,
     /// Multiplier applied on top of the LR policy — 1.0 normally; the
@@ -102,11 +85,6 @@ impl<S: Scalar> Solver<S> {
     /// Current iteration count.
     pub fn iteration(&self) -> u64 {
         self.iter
-    }
-
-    /// The configured hyper-parameters.
-    pub fn config(&self) -> &SolverConfig {
-        &self.cfg
     }
 
     /// Current learning-rate scale (1.0 unless dropped by a rollback).
@@ -147,7 +125,7 @@ impl<S: Scalar> Solver<S> {
         let mults = net.param_lr_mults();
         {
             let _span = obs::trace::span("solver_update", "solver");
-            self.apply_update_with_mults(net.learnable_params_mut(), lr, &mults);
+            self.apply_update(net.learnable_params_mut(), lr, &mults);
         }
         self.advance_iteration();
     }
@@ -176,58 +154,25 @@ impl<S: Scalar> Solver<S> {
         self.history = params.iter().map(|p| vec![S::ZERO; p.count()]).collect();
     }
 
-    /// Apply the configured update rule with a unit learning-rate
-    /// multiplier for every parameter.
-    pub fn apply_update(&mut self, params: Vec<&mut Blob<S>>, lr: f64) {
-        let mults = vec![1.0; params.len()];
-        self.apply_update_with_mults(params, lr, &mults);
-    }
-
-    /// Apply the configured update rule to every parameter, consuming the
-    /// accumulated diffs. `lr_mults` scales the learning rate per parameter
-    /// (Caffe's `lr_mult`). [`Solver::update`] calls this.
+    /// Apply momentum SGD — `V = m*V + lr*(g + decay*W); W -= V` — to
+    /// every parameter, consuming the accumulated diffs. `lr_mults` scales
+    /// the learning rate per parameter (Caffe's `lr_mult`).
+    /// [`Solver::update`] calls this.
     ///
     /// # Panics
     /// Panics if `lr_mults.len() != params.len()`.
-    pub fn apply_update_with_mults(
-        &mut self,
-        params: Vec<&mut Blob<S>>,
-        lr: f64,
-        lr_mults: &[f64],
-    ) {
+    pub fn apply_update(&mut self, params: Vec<&mut Blob<S>>, lr: f64, lr_mults: &[f64]) {
         assert_eq!(params.len(), lr_mults.len(), "one lr_mult per parameter");
         self.ensure_history(&params);
         let momentum = S::from_f64(self.cfg.momentum);
         let decay = S::from_f64(self.cfg.weight_decay);
-        // AdaGrad's denominator epsilon (Caffe's `delta` default).
-        const ADAGRAD_EPS: f64 = 1e-8;
-        let eps = S::from_f64(ADAGRAD_EPS);
         for ((p, h), &mult) in params.into_iter().zip(&mut self.history).zip(lr_mults) {
             let lr = S::from_f64(lr * mult);
             let (data, diff) = p.data_diff_mut();
-            match self.cfg.solver_type {
-                SolverType::Sgd => {
-                    for i in 0..data.len() {
-                        let g = diff[i] + decay * data[i];
-                        h[i] = momentum * h[i] + lr * g;
-                        data[i] -= h[i];
-                    }
-                }
-                SolverType::Nesterov => {
-                    for i in 0..data.len() {
-                        let g = diff[i] + decay * data[i];
-                        let v_old = h[i];
-                        h[i] = momentum * h[i] + lr * g;
-                        data[i] -= (S::ONE + momentum) * h[i] - momentum * v_old;
-                    }
-                }
-                SolverType::AdaGrad => {
-                    for i in 0..data.len() {
-                        let g = diff[i] + decay * data[i];
-                        h[i] += g * g;
-                        data[i] -= lr * g / (h[i].sqrt() + eps);
-                    }
-                }
+            for i in 0..data.len() {
+                let g = diff[i] + decay * data[i];
+                h[i] = momentum * h[i] + lr * g;
+                data[i] -= h[i];
             }
         }
     }
@@ -331,15 +276,14 @@ pub fn evaluate<S: Scalar>(
 mod tests {
     use super::*;
 
-    fn one_param(v: f32, g: f32) -> Blob<f32> {
-        let mut b = Blob::from_data([1usize], vec![v]);
-        b.diff_mut()[0] = g;
+    fn param(vals: &[f32], grads: &[f32]) -> Blob<f32> {
+        let mut b = Blob::from_data([vals.len()], vals.to_vec());
+        b.diff_mut().copy_from_slice(grads);
         b
     }
 
-    fn cfg(t: SolverType) -> SolverConfig {
+    fn cfg() -> SolverConfig {
         SolverConfig {
-            solver_type: t,
             base_lr: 0.1,
             momentum: 0.9,
             weight_decay: 0.0,
@@ -349,89 +293,50 @@ mod tests {
 
     #[test]
     fn sgd_momentum_accumulates() {
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Sgd));
-        let mut p = one_param(1.0, 1.0);
-        s.apply_update(vec![&mut p], 0.1);
+        let mut s: Solver<f32> = Solver::new(cfg());
+        let mut p = param(&[1.0], &[1.0]);
+        s.apply_update(vec![&mut p], 0.1, &[1.0]);
         // V = 0.1, W = 0.9
         assert!((p.data()[0] - 0.9).abs() < 1e-6);
         p.diff_mut()[0] = 1.0;
-        s.apply_update(vec![&mut p], 0.1);
+        s.apply_update(vec![&mut p], 0.1, &[1.0]);
         // V = 0.9*0.1 + 0.1 = 0.19, W = 0.71
         assert!((p.data()[0] - 0.71).abs() < 1e-6);
     }
 
     #[test]
-    fn nesterov_first_step() {
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Nesterov));
-        let mut p = one_param(1.0, 1.0);
-        s.apply_update(vec![&mut p], 0.1);
-        // V = 0.1; W -= 1.9*0.1 - 0.9*0 = 0.19
-        assert!((p.data()[0] - 0.81).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adagrad_normalizes_by_history() {
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::AdaGrad));
-        let mut p = one_param(1.0, 2.0);
-        s.apply_update(vec![&mut p], 0.1);
-        // H = 4; step = 0.1 * 2/2 = 0.1
-        assert!((p.data()[0] - 0.9).abs() < 1e-5);
-        p.diff_mut()[0] = 2.0;
-        s.apply_update(vec![&mut p], 0.1);
-        // H = 8; step = 0.1 * 2/sqrt(8)
-        let want = 0.9 - 0.1 * 2.0 / 8.0f32.sqrt();
-        assert!((p.data()[0] - want).abs() < 1e-5);
-    }
-
-    #[test]
     fn weight_decay_pulls_toward_zero() {
-        let mut c = cfg(SolverType::Sgd);
+        let mut c = cfg();
         c.momentum = 0.0;
         c.weight_decay = 0.5;
         let mut s: Solver<f32> = Solver::new(c);
-        let mut p = one_param(2.0, 0.0);
-        s.apply_update(vec![&mut p], 0.1);
+        let mut p = param(&[2.0], &[0.0]);
+        s.apply_update(vec![&mut p], 0.1, &[1.0]);
         // g = 0 + 0.5*2 = 1; W = 2 - 0.1 = 1.9
         assert!((p.data()[0] - 1.9).abs() < 1e-6);
     }
 
     #[test]
     fn history_resizes_with_params() {
-        let mut s: Solver<f32> = Solver::new(cfg(SolverType::Sgd));
-        let mut p1 = one_param(1.0, 1.0);
-        s.apply_update(vec![&mut p1], 0.1);
-        let mut p1 = one_param(1.0, 1.0);
-        let mut p2: Blob<f32> = Blob::from_data([3usize], vec![1.0; 3]);
-        p2.diff_mut().copy_from_slice(&[1.0; 3]);
-        s.apply_update(vec![&mut p1, &mut p2], 0.1);
+        let mut s: Solver<f32> = Solver::new(cfg());
+        let mut p1 = param(&[1.0], &[1.0]);
+        s.apply_update(vec![&mut p1], 0.1, &[1.0]);
+        let mut p1 = param(&[1.0], &[1.0]);
+        let mut p2 = param(&[1.0; 3], &[1.0; 3]);
+        s.apply_update(vec![&mut p1, &mut p2], 0.1, &[1.0, 1.0]);
         assert_eq!(s.history.len(), 2);
         assert_eq!(s.history[1].len(), 3);
-    }
-}
-
-#[cfg(test)]
-mod extra_tests {
-    use super::*;
-
-    fn param(vals: &[f32], grads: &[f32]) -> Blob<f32> {
-        let mut b = Blob::from_data([vals.len()], vals.to_vec());
-        b.diff_mut().copy_from_slice(grads);
-        b
     }
 
     #[test]
     fn lr_mults_scale_per_parameter() {
-        let cfg = SolverConfig {
-            solver_type: SolverType::Sgd,
-            base_lr: 0.1,
+        let mut s: Solver<f32> = Solver::new(SolverConfig {
             momentum: 0.0,
-            weight_decay: 0.0,
-            lr_policy: LrPolicy::Fixed,
-        };
-        let mut s: Solver<f32> = Solver::new(cfg);
+            ..cfg()
+        });
         let mut w = param(&[1.0], &[1.0]);
         let mut b = param(&[1.0], &[1.0]);
-        s.apply_update_with_mults(vec![&mut w, &mut b], 0.1, &[1.0, 2.0]);
+        s.apply_update(vec![&mut w, &mut b], 0.1, &[1.0, 2.0]);
         assert!((w.data()[0] - 0.9).abs() < 1e-6);
         assert!((b.data()[0] - 0.8).abs() < 1e-6, "bias uses 2x lr");
     }
@@ -441,7 +346,7 @@ mod extra_tests {
     fn mismatched_mults_panic() {
         let mut s: Solver<f32> = Solver::new(SolverConfig::lenet());
         let mut a = param(&[0.0], &[1.0]);
-        s.apply_update_with_mults(vec![&mut a], 0.1, &[1.0, 1.0]);
+        s.apply_update(vec![&mut a], 0.1, &[1.0, 1.0]);
     }
 }
 
@@ -451,7 +356,6 @@ mod state_tests {
 
     fn sgd() -> Solver<f32> {
         Solver::new(SolverConfig {
-            solver_type: SolverType::Sgd,
             base_lr: 0.1,
             momentum: 0.9,
             weight_decay: 0.0,
@@ -494,7 +398,7 @@ mod state_tests {
         let mut s = sgd();
         let mut p = Blob::from_data([2usize], vec![1.0f32, 2.0]);
         p.diff_mut().copy_from_slice(&[0.5, 0.25]);
-        s.apply_update(vec![&mut p], 0.1);
+        s.apply_update(vec![&mut p], 0.1, &[1.0]);
         let mut buf = Vec::new();
         s.save_state(&mut buf).unwrap();
         sgd().load_state(buf.as_slice()).unwrap();

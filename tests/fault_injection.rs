@@ -11,7 +11,7 @@
 
 mod common;
 
-use cgdnn::checkpoint::{train_with_checkpoints, CheckpointDir, GuardConfig, TrainEvent};
+use cgdnn::checkpoint::{train_with_checkpoints, CheckpointDir, TrainEvent, GUARD_WINDOW};
 use cgdnn::prelude::*;
 use common::tiny_net;
 use net::faults::{arm, disarm_all, FaultMode};
@@ -109,25 +109,24 @@ fn divergence_guard_rolls_back_poisoned_run_to_completion() {
     let _g = guard();
     let dir = CheckpointDir::new(tmp("poison"));
     let mut t = trainer();
-    // Corrupt a weight to NaN right before the third step. The softmax
-    // loss clamps the resulting NaN probabilities (Caffe's ln(0) guard),
-    // so the symptom is a huge finite loss — the explosion test's job.
-    // With checkpoints every 2 iterations the guard must roll back to 2,
-    // drop the LR, and still finish all 8 iterations.
-    arm("train.poison", FaultMode::Error, 2);
-    let guard_cfg = GuardConfig {
-        window: 2,
-        factor: 4.0,
-    };
-    let report = train_with_checkpoints(&mut t, 8, &dir, 2, Some(guard_cfg), |_, _| {}).unwrap();
+    // Corrupt a weight to NaN right after the guard's window has filled.
+    // The softmax loss clamps the resulting NaN probabilities (Caffe's
+    // ln(0) guard), so the symptom is a huge finite loss — the explosion
+    // test's job. With checkpoints every 4 iterations the guard must roll
+    // back to the window's last step, drop the LR, and still finish all
+    // the iterations.
+    let window = GUARD_WINDOW as u64;
+    arm("train.poison", FaultMode::Error, GUARD_WINDOW as u32);
+    let n = GUARD_WINDOW + 4;
+    let report = train_with_checkpoints(&mut t, n, &dir, 4, |_, _| {}).unwrap();
     assert_eq!(report.rollbacks, 1);
-    assert_eq!(report.losses.len(), 8, "realized trajectory is complete");
+    assert_eq!(report.losses.len(), n, "realized trajectory is complete");
     assert!(
         report.losses.iter().all(|l| l.is_finite() && *l < 20.0),
         "the poisoned iteration was replaced by its replay: {:?}",
         report.losses
     );
-    assert_eq!(t.solver().iteration(), 8);
+    assert_eq!(t.solver().iteration(), n as u64);
     assert!(
         t.solver().lr_scale() < 1.0,
         "rollback must have dropped the LR"
@@ -136,13 +135,14 @@ fn divergence_guard_rolls_back_poisoned_run_to_completion() {
     let mut saw_rollback = false;
     for e in &report.events {
         match e {
-            TrainEvent::Divergence { loss, .. } => {
+            TrainEvent::Divergence { iteration, loss } => {
                 saw_divergence = true;
+                assert_eq!(*iteration, window + 1);
                 assert!(*loss > 20.0, "poisoned loss was huge: {loss}");
             }
             TrainEvent::Rollback { to_iteration, .. } => {
                 saw_rollback = true;
-                assert_eq!(*to_iteration, 2);
+                assert_eq!(*to_iteration, window);
             }
             TrainEvent::Checkpoint { .. } => {}
         }
@@ -150,6 +150,41 @@ fn divergence_guard_rolls_back_poisoned_run_to_completion() {
     assert!(saw_divergence && saw_rollback);
     let log = std::fs::read_to_string(dir.path().join("training.log")).unwrap();
     assert!(log.contains("divergence:") && log.contains("rollback:"));
+    let _ = std::fs::remove_dir_all(dir.path());
+}
+
+#[test]
+fn nan_loss_rolls_back_instead_of_erroring() {
+    let _g = guard();
+    let dir = CheckpointDir::new(tmp("nan-loss"));
+    let mut t = trainer();
+    // The third step's loss reads NaN, before the window has filled: the
+    // guard's finiteness test alone must roll the run back to iteration 2.
+    arm("train.nan_loss", FaultMode::Error, 2);
+    let report = train_with_checkpoints(&mut t, 4, &dir, 2, |_, _| {}).unwrap();
+    assert_eq!(report.rollbacks, 1);
+    assert_eq!(report.losses.len(), 4);
+    assert!(
+        report.losses.iter().all(|l| l.is_finite()),
+        "{:?}",
+        report.losses
+    );
+    let diverged: Vec<_> = report
+        .events
+        .iter()
+        .filter(|e| !matches!(e, TrainEvent::Checkpoint { .. }))
+        .collect();
+    assert!(
+        matches!(
+            diverged[..],
+            [
+                TrainEvent::Divergence { iteration: 3, loss },
+                TrainEvent::Rollback { from_iteration: 3, to_iteration: 2, lr_scale },
+            ] if loss.is_nan() && *lr_scale == 0.5
+        ),
+        "{diverged:?}"
+    );
+    assert_eq!(t.solver().iteration(), 4);
     let _ = std::fs::remove_dir_all(dir.path());
 }
 

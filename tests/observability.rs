@@ -360,7 +360,7 @@ fn training_log_lines_are_timestamped() {
     let _ = std::fs::remove_dir_all(&dir_path);
     let dir = CheckpointDir::new(&dir_path).with_keep(2);
     let mut t = CoarseGrainTrainer::new(tiny_net(13), SolverConfig::lenet(), 1);
-    train_with_checkpoints(&mut t, 4, &dir, 2, None, |_, _| {}).unwrap();
+    train_with_checkpoints(&mut t, 4, &dir, 2, |_, _| {}).unwrap();
     let log = std::fs::read_to_string(dir_path.join("training.log")).unwrap();
     assert!(!log.trim().is_empty(), "no training.log lines");
     for line in log.lines() {

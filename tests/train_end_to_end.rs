@@ -30,32 +30,6 @@ fn tiny_convnet_learns_the_synthetic_classes() {
 }
 
 #[test]
-fn all_three_solvers_reduce_loss() {
-    for solver_type in [SolverType::Sgd, SolverType::Nesterov, SolverType::AdaGrad] {
-        let mut net = tiny_net(3);
-        let team = ThreadTeam::new(2);
-        let run = RunConfig::default();
-        let cfg = SolverConfig {
-            solver_type,
-            base_lr: if solver_type == SolverType::AdaGrad {
-                0.05
-            } else {
-                0.02
-            },
-            momentum: 0.9,
-            weight_decay: 0.0,
-            lr_policy: LrPolicy::Fixed,
-        };
-        let mut solver: Solver<f32> = Solver::new(cfg);
-        let losses = solver.train(&mut net, &team, &run, 25);
-        assert!(
-            losses.last().unwrap() < &losses[0],
-            "{solver_type:?} failed to learn: {losses:?}"
-        );
-    }
-}
-
-#[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "full-size LeNet iteration; run with --release"

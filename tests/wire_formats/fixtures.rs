@@ -91,7 +91,6 @@ pub fn snapshot_v2_f64() -> Vec<u8> {
 
 pub fn solver_config() -> SolverConfig {
     SolverConfig {
-        solver_type: SolverType::Sgd,
         base_lr: 0.5,
         momentum: 0.5,
         weight_decay: 0.0,
@@ -111,7 +110,7 @@ pub fn solver() -> Solver<f32> {
     for (i, g) in b.diff_mut().iter_mut().enumerate() {
         *g = -0.5 * (i as f32 + 1.0);
     }
-    s.apply_update(vec![&mut w, &mut b], 0.5);
+    s.apply_update(vec![&mut w, &mut b], 0.5, &[1.0, 1.0]);
     for _ in 0..3 {
         s.advance_iteration();
     }

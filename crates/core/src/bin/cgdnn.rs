@@ -560,7 +560,6 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         serve::SupervisorPolicy {
             max_restarts,
             restart_window: Duration::from_millis(restart_window_ms),
-            ..serve::SupervisorPolicy::default()
         },
     )
     .map_err(|e| e.to_string())?;

@@ -382,13 +382,7 @@ pub fn train_with_checkpoints<S: Scalar>(
             }
         }
         let it_before = trainer.solver().iteration();
-        let mut loss = trainer.step();
-        // Injection point: a NaN loss. The softmax loss clamps `ln(0)`, so
-        // no net here yields one; this is how the guard's finiteness test
-        // is reached end to end.
-        if net::faults::hit("train.nan_loss").is_err() {
-            loss = S::from_f64(f64::NAN);
-        }
+        let loss = trainer.step();
         let it_after = trainer.solver().iteration();
         let loss64 = loss.to_f64();
         // After a fallback to a checkpoint older than our start, replayed

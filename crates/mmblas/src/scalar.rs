@@ -50,10 +50,9 @@ pub trait Scalar:
     fn powf(self, p: Self) -> Self;
     /// Hyperbolic tangent.
     fn tanh(self) -> Self;
-    /// Elementwise max.
+    /// Caffe's `std::max(self, other)`: `other` if `self < other`, else
+    /// `self` — so a NaN `self` comes back, and a NaN `other` does not.
     fn max_s(self, other: Self) -> Self;
-    /// Elementwise min.
-    fn min_s(self, other: Self) -> Self;
     /// Fused multiply-add where the platform provides it.
     fn mul_add_s(self, a: Self, b: Self) -> Self;
     /// `true` if the value is finite (not NaN/inf).
@@ -111,11 +110,11 @@ macro_rules! impl_scalar {
             }
             #[inline]
             fn max_s(self, other: Self) -> Self {
-                <$t>::max(self, other)
-            }
-            #[inline]
-            fn min_s(self, other: Self) -> Self {
-                <$t>::min(self, other)
+                if self < other {
+                    other
+                } else {
+                    self
+                }
             }
             #[inline]
             fn mul_add_s(self, a: Self, b: Self) -> Self {
@@ -158,7 +157,10 @@ mod tests {
         assert_eq!(4.0f64.sqrt(), 2.0);
         assert!((1.0f32.exp() - std::f32::consts::E).abs() < 1e-6);
         assert_eq!(2.0f32.max_s(5.0), 5.0);
-        assert_eq!(2.0f32.min_s(5.0), 2.0);
+        assert_eq!(5.0f64.max_s(2.0), 5.0);
+        assert!(f32::NAN.max_s(0.0).is_nan());
+        assert_eq!(0.0f32.max_s(f32::NAN), 0.0);
+        assert!((-0.0f32).max_s(0.0).is_sign_negative());
         assert!(1.0f32.is_finite_s());
         assert!(!(f32::NAN).is_finite_s());
     }

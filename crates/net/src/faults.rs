@@ -31,7 +31,6 @@
 //! rename — simulates a torn write), `checkpoint.commit` (between the
 //! checkpoint rename and the manifest update), `train.poison` (flips a
 //! weight to NaN before a training step — simulates memory corruption),
-//! `train.nan_loss` (a checkpointed step's loss reads NaN),
 //! `serve.worker` (inside a serve replica, mid-batch),
 //! `dist.worker.step.r{rank}` (worker `rank`'s gradient computed but not
 //! yet sent), `dist.frame.send` / `dist.frame.recv`

@@ -16,10 +16,12 @@
 //! drops expired ones with [`ServeError::TimedOut`] instead of wasting a
 //! batch slot on an answer nobody is waiting for.
 //!
-//! Replies travel in pooled [`OutputBuf`]s: the worker demuxes the
-//! engine's flat output slice into buffers checked out of a shared
-//! [`BufferPool`], and each buffer returns to the pool when the caller
-//! drops it — the steady-state reply path performs no allocation.
+//! Every request carries one completion callback. The worker copies the
+//! request's row out of the engine's flat output into an owned `Vec` and
+//! calls the callback with it (or with the request's error). The blocking
+//! [`Client::infer`] is that same callback sending on a one-slot channel
+//! it waits on; a request dropped unanswered drops the sender, which the
+//! waiter reads as [`ServeError::Closed`].
 //!
 //! A server started with [`Server::start_supervised`] also runs a
 //! supervisor thread: it scans the replicas' liveness flags, rebuilds
@@ -32,7 +34,6 @@
 
 use crate::engine::{Engine, EngineFactory};
 use crate::metrics::{micros, ServingMetrics, ServingReport};
-use crate::pool::{BufferPool, OutputBuf};
 use crate::ServeError;
 use mmblas::Scalar;
 use parking_lot::Mutex;
@@ -65,49 +66,32 @@ pub struct SupervisorPolicy {
     pub max_restarts: usize,
     /// Width of the sliding restart-budget window.
     pub restart_window: Duration,
-    /// How often the supervisor scans for dead replicas.
-    pub poll: Duration,
 }
 
 impl Default for SupervisorPolicy {
-    /// 5 restarts per 30 s window, scanned every 20 ms.
+    /// 5 restarts per 30 s window.
     fn default() -> Self {
         Self {
             max_restarts: 5,
             restart_window: Duration::from_secs(30),
-            poll: Duration::from_millis(20),
         }
     }
 }
 
-/// How a finished request reaches its submitter: blocking callers wait on
-/// a rendezvous channel; event-driven callers (the `rpc` readiness loop)
-/// hand over a completion callback that the worker invokes in place of a
-/// channel send — no thread parks waiting for the answer.
-enum Responder<S: Scalar> {
-    Channel(SyncSender<Result<OutputBuf<S>, ServeError>>),
-    Callback(Box<dyn FnOnce(Result<OutputBuf<S>, ServeError>) + Send>),
-}
+/// How often the supervisor scans for dead replicas.
+const SUPERVISOR_POLL: Duration = Duration::from_millis(20);
 
-impl<S: Scalar> Responder<S> {
-    /// Deliver the outcome. A hung-up channel receiver is the caller's
-    /// business (it already gave up); callbacks always run.
-    fn respond(self, result: Result<OutputBuf<S>, ServeError>) {
-        match self {
-            Responder::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            Responder::Callback(cb) => cb(result),
-        }
-    }
-}
+/// How a finished request reaches its submitter: called once, on the
+/// worker thread that finishes the request, with its output row or its
+/// error.
+type Reply<S> = Box<dyn FnOnce(Result<Vec<S>, ServeError>) + Send>;
 
 /// One in-flight request: the sample, its timing, and the reply path.
 struct Request<S: Scalar> {
     input: Vec<S>,
     submitted: Instant,
     deadline: Option<Instant>,
-    reply: Responder<S>,
+    reply: Reply<S>,
 }
 
 /// Everything a worker thread needs besides its own engine; cloned once
@@ -120,7 +104,6 @@ struct WorkerShared<S: Scalar + Send + 'static> {
     /// and [`Client`]'s admission check. `serve.healthy_replicas` shows
     /// the count; no decision reads the gauge.
     alive: Arc<[AtomicBool]>,
-    pool: BufferPool<S>,
 }
 
 impl<S: Scalar + Send + 'static> Clone for WorkerShared<S> {
@@ -130,7 +113,6 @@ impl<S: Scalar + Send + 'static> Clone for WorkerShared<S> {
             stop: Arc::clone(&self.stop),
             metrics: Arc::clone(&self.metrics),
             alive: Arc::clone(&self.alive),
-            pool: self.pool.clone(),
         }
     }
 }
@@ -171,7 +153,6 @@ pub struct Server<S: Scalar + Send + 'static = f32> {
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     supervisor: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    pool: BufferPool<S>,
     output_len: usize,
 }
 
@@ -224,11 +205,12 @@ impl<S: Scalar + Send + 'static> Server<S> {
         let shared = WorkerShared {
             rx: Arc::new(Mutex::new(rx)),
             stop: Arc::new(AtomicBool::new(false)),
-            metrics: Arc::new(ServingMetrics::new(n_replicas, max_batch)),
+            metrics: Arc::new(ServingMetrics::new(
+                n_replicas,
+                max_batch,
+                policy.queue_depth,
+            )),
             alive: (0..n_replicas).map(|_| AtomicBool::new(true)).collect(),
-            // Worst case every queued request plus a full in-flight batch
-            // per replica holds a buffer at once.
-            pool: BufferPool::new(policy.queue_depth + n_replicas * max_batch),
         };
         let mut workers = Vec::with_capacity(n_replicas);
         let mut spawn_err = None;
@@ -276,7 +258,6 @@ impl<S: Scalar + Send + 'static> Server<S> {
             workers,
             supervisor,
             stop: shared.stop,
-            pool: shared.pool,
             output_len,
         })
     }
@@ -328,7 +309,7 @@ impl<S: Scalar + Send + 'static> Server<S> {
     }
 
     /// Submit one sample and block for its output. See [`Client::infer`].
-    pub fn infer(&self, input: &[S]) -> Result<OutputBuf<S>, ServeError> {
+    pub fn infer(&self, input: &[S]) -> Result<Vec<S>, ServeError> {
         self.client.infer(input)
     }
 
@@ -337,7 +318,7 @@ impl<S: Scalar + Send + 'static> Server<S> {
         &self,
         input: &[S],
         deadline: Instant,
-    ) -> Result<OutputBuf<S>, ServeError> {
+    ) -> Result<Vec<S>, ServeError> {
         self.client.infer_with_deadline(input, deadline)
     }
 
@@ -346,12 +327,6 @@ impl<S: Scalar + Send + 'static> Server<S> {
     /// [`obs::Registry::adopt`] of [`ServingMetrics::registry`]).
     pub fn metrics(&self) -> Arc<ServingMetrics> {
         Arc::clone(&self.client.metrics)
-    }
-
-    /// The reply-buffer pool (hit/miss counters show whether the reply
-    /// path has stopped allocating).
-    pub fn pool(&self) -> &BufferPool<S> {
-        &self.pool
     }
 
     /// Drain in-flight requests, stop the workers, and return the final
@@ -399,10 +374,8 @@ impl<S: Scalar + Send + 'static> Client<S> {
     }
 
     /// Submit one sample and block until its output arrives (or the
-    /// request is rejected / the server closes). The returned
-    /// [`OutputBuf`] derefs to the output values and recycles its storage
-    /// when dropped.
-    pub fn infer(&self, input: &[S]) -> Result<OutputBuf<S>, ServeError> {
+    /// request is rejected / the server closes).
+    pub fn infer(&self, input: &[S]) -> Result<Vec<S>, ServeError> {
         self.submit(input, None)
     }
 
@@ -412,7 +385,7 @@ impl<S: Scalar + Send + 'static> Client<S> {
         &self,
         input: &[S],
         deadline: Instant,
-    ) -> Result<OutputBuf<S>, ServeError> {
+    ) -> Result<Vec<S>, ServeError> {
         self.submit(input, Some(deadline))
     }
 
@@ -431,14 +404,24 @@ impl<S: Scalar + Send + 'static> Client<S> {
         &self,
         input: Vec<S>,
         deadline: Option<Instant>,
-        callback: impl FnOnce(Result<OutputBuf<S>, ServeError>) + Send + 'static,
+        callback: impl FnOnce(Result<Vec<S>, ServeError>) + Send + 'static,
     ) -> Result<(), ServeError> {
-        self.enqueue(input, deadline, Responder::Callback(Box::new(callback)))
+        self.enqueue(input, deadline, Box::new(callback))
     }
 
-    fn submit(&self, input: &[S], deadline: Option<Instant>) -> Result<OutputBuf<S>, ServeError> {
+    /// [`Client::submit_async`] with a callback that sends on a one-slot
+    /// channel (so the worker never waits), then wait for it. A request
+    /// dropped unanswered drops the sender: that reads as `Closed`.
+    fn submit(&self, input: &[S], deadline: Option<Instant>) -> Result<Vec<S>, ServeError> {
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        self.enqueue(input.to_vec(), deadline, Responder::Channel(reply_tx))?;
+        self.enqueue(
+            input.to_vec(),
+            deadline,
+            Box::new(move |r| {
+                // A hung-up receiver already gave up on the answer.
+                let _ = reply_tx.send(r);
+            }),
+        )?;
         reply_rx.recv().unwrap_or(Err(ServeError::Closed))
     }
 
@@ -446,7 +429,7 @@ impl<S: Scalar + Send + 'static> Client<S> {
         &self,
         input: Vec<S>,
         deadline: Option<Instant>,
-        reply: Responder<S>,
+        reply: Reply<S>,
     ) -> Result<(), ServeError> {
         if input.len() != self.sample_len {
             return Err(ServeError::BadInput(format!(
@@ -462,17 +445,21 @@ impl<S: Scalar + Send + 'static> Client<S> {
             // fast failure into an unbounded stall.)
             return Err(ServeError::Closed);
         }
+        let submitted = Instant::now();
         let req = Request {
             input,
-            submitted: Instant::now(),
+            submitted,
             deadline,
             reply,
         };
-        // Count before sending so a worker's dequeue can never observe the
-        // depth below zero; undo on the failure paths.
-        self.metrics.on_enqueue(req.submitted);
+        // Count before sending so a worker's dequeue can never take the
+        // gauge below zero; undo on the failure paths.
+        let depth = self.metrics.queue_depth.add(1.0);
         match self.tx.try_send(req) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.metrics.on_admitted(submitted, depth);
+                Ok(())
+            }
             Err(TrySendError::Full(_)) => {
                 self.metrics.queue_depth.add(-1.0);
                 self.metrics.rejected.inc();
@@ -502,7 +489,7 @@ fn supervisor_loop<S: Scalar + Send + 'static>(
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        std::thread::sleep(sup.poll);
+        std::thread::sleep(SUPERVISOR_POLL);
         for i in 0..shared.alive.len() {
             if shared.alive[i].load(Ordering::SeqCst) {
                 continue;
@@ -558,8 +545,8 @@ fn fill_batch<S: Scalar>(
 }
 
 /// One worker: pull a first request, top it up with what is already
-/// queued, drop expired requests, run the engine, demux the outputs into
-/// pooled buffers.
+/// queued, drop expired requests, run the engine, copy each output row
+/// into its request's reply.
 ///
 /// The engine run is wrapped in `catch_unwind`: a panicking replica
 /// answers its in-flight batch with [`ServeError::Replica`] and retires —
@@ -576,11 +563,7 @@ fn worker_loop<S: Scalar + Send + 'static>(
     // the stop flag; bounds shutdown latency while clients still exist.
     const IDLE_POLL: Duration = Duration::from_millis(20);
     let WorkerShared {
-        rx,
-        stop,
-        metrics,
-        pool,
-        ..
+        rx, stop, metrics, ..
     } = &shared;
     let max_batch = engine.max_batch();
     loop {
@@ -615,14 +598,14 @@ fn worker_loop<S: Scalar + Send + 'static>(
             .partition(|r| r.deadline.is_none_or(|d| d > now));
         for r in dead {
             metrics.timed_out.inc();
-            r.reply.respond(Err(ServeError::TimedOut));
+            (r.reply)(Err(ServeError::TimedOut));
         }
         if live.is_empty() {
             continue;
         }
         // Phase 4: run and demux. `live` stays outside the unwind boundary
-        // so a panicking engine cannot drop the reply channels — every
-        // in-flight request gets an explicit error instead of a hangup.
+        // so a panicking engine cannot drop the replies — every in-flight
+        // request gets an explicit error instead of a hangup.
         metrics.batch_size.observe(live.len() as f64);
         for r in &live {
             metrics.queue_wait_us.observe(micros(r.submitted, now));
@@ -630,30 +613,24 @@ fn worker_loop<S: Scalar + Send + 'static>(
         let inputs: Vec<&[S]> = live.iter().map(|r| r.input.as_slice()).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             net::faults::hit("serve.worker").map_err(|e| ServeError::Replica(e.to_string()))?;
-            // Slice straight out of the engine's output blob into pooled
-            // reply buffers: no per-request allocation once the pool is
-            // warm. The demux stays inside the unwind boundary because the
-            // flat slice borrows the engine.
+            // The demux stays inside the unwind boundary because the flat
+            // slice borrows the engine.
             let flat = engine.infer_batch(&inputs)?;
             let out_len = flat.len() / inputs.len();
-            Ok::<_, ServeError>(
-                flat.chunks(out_len)
-                    .map(|chunk| pool.checkout_from(chunk))
-                    .collect::<Vec<_>>(),
-            )
+            Ok::<_, ServeError>(flat.chunks(out_len).map(<[S]>::to_vec).collect::<Vec<_>>())
         }));
         match result {
             Ok(Ok(outputs)) => {
                 let done = Instant::now();
                 for (r, out) in live.into_iter().zip(outputs) {
                     metrics.on_completed(r.submitted, done);
-                    r.reply.respond(Ok(out));
+                    (r.reply)(Ok(out));
                 }
             }
             Ok(Err(e)) => {
                 metrics.replica_errors[replica].inc();
                 for r in live {
-                    r.reply.respond(Err(e.clone()));
+                    (r.reply)(Err(e.clone()));
                 }
             }
             Err(panic) => {
@@ -666,7 +643,7 @@ fn worker_loop<S: Scalar + Send + 'static>(
                 shared.retire(replica);
                 let err = ServeError::Replica(format!("replica {replica} panicked: {msg}"));
                 for r in live {
-                    r.reply.respond(Err(err.clone()));
+                    (r.reply)(Err(err.clone()));
                 }
                 // Retire: the engine state is suspect after an unwind. The
                 // supervisor (if any) will rebuild from the factory.
@@ -734,9 +711,8 @@ layer {
         WorkerShared {
             rx: Arc::new(Mutex::new(rx)),
             stop: Arc::new(AtomicBool::new(false)),
-            metrics: Arc::new(ServingMetrics::new(n, 4)),
+            metrics: Arc::new(ServingMetrics::new(n, 4, 1)),
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            pool: BufferPool::new(1),
         }
     }
 
@@ -839,7 +815,7 @@ layer {
             input: vec![id as f32],
             submitted: Instant::now(),
             deadline: None,
-            reply: Responder::Callback(Box::new(|_| {})),
+            reply: Box::new(|_| {}),
         };
         let ids = |rs: &[Request<f32>]| rs.iter().map(|r| r.input[0] as usize).collect::<Vec<_>>();
         for k in [0usize, 1, 5, 15, 16, 40] {
@@ -881,23 +857,6 @@ layer {
     }
 
     #[test]
-    fn reply_path_reuses_pooled_buffers() {
-        let server = Server::start(engines(1), BatchPolicy::default()).unwrap();
-        let x = [0.5f32; 6];
-        // Sequential requests: each reply buffer is back in the pool
-        // before the next checkout, so only the first can allocate.
-        for _ in 0..50 {
-            let out = server.infer(&x).unwrap();
-            assert_eq!(out.len(), 3);
-        }
-        let misses = server.pool().misses();
-        let hits = server.pool().hits();
-        server.shutdown();
-        assert_eq!(misses, 1, "steady state allocates nothing");
-        assert_eq!(hits, 49);
-    }
-
-    #[test]
     fn submit_async_matches_blocking_infer() {
         let server = Server::start(engines(1), BatchPolicy::default()).unwrap();
         let x = [0.5f32; 6];
@@ -930,10 +889,7 @@ layer {
             factory(),
             2,
             BatchPolicy::default(),
-            SupervisorPolicy {
-                poll: Duration::from_millis(1),
-                ..SupervisorPolicy::default()
-            },
+            SupervisorPolicy::default(),
         )
         .unwrap();
         let x = [0.25f32; 6];

@@ -136,9 +136,9 @@ impl<S: Scalar> Engine<S> {
 
     /// Run one micro-batch of up to [`Engine::max_batch`] samples; returns
     /// the outputs as one flat slice of `samples.len() * output_len`
-    /// values, sample-major, borrowed from the engine's output blob — no
-    /// allocation on the hot path (the batcher demuxes into pooled
-    /// buffers). The slice is valid until the next `infer_batch` call.
+    /// values, sample-major, borrowed from the engine's output blob (the
+    /// batcher copies each row into its request's reply). The slice is
+    /// valid until the next `infer_batch` call.
     /// Only the `samples.len()` seated rows are computed; rows left over
     /// from a larger earlier batch are outside the active batch and can
     /// neither be read nor cost anything.
@@ -284,20 +284,6 @@ impl<S: Scalar> EngineFactory<S> {
     pub fn params_bytes(&self) -> usize {
         self.params.iter().map(|p| p.bytes()).sum()
     }
-}
-
-/// Build `n` engine replicas from one spec and one snapshot. The snapshot
-/// bytes are decoded once; replicas receive copy-on-write clones of the
-/// decoded parameters (`Arc` inside `Blob`), so memory holds one weight
-/// copy regardless of `n`.
-pub fn build_replicas<S: Scalar>(
-    train_spec: &NetSpec,
-    sample_shape: &Shape,
-    cfg: &EngineConfig,
-    n_replicas: usize,
-    weights: Option<&[u8]>,
-) -> Result<Vec<Engine<S>>, ServeError> {
-    EngineFactory::new(train_spec, sample_shape, cfg, weights)?.build_n(n_replicas)
 }
 
 #[cfg(test)]

@@ -25,7 +25,10 @@
 //!   on overload), per-request deadlines ([`ServeError::TimedOut`]), one
 //!   worker thread per engine replica, and [`metrics::ServingMetrics`]
 //!   (live `serve.*` handles: latency percentiles, batch-size
-//!   distribution, queue depth, throughput).
+//!   distribution, queue depth, throughput). Each answer is an owned `Vec`
+//!   handed to the request's one completion callback
+//!   ([`Client::submit_async`]); the blocking [`Client::infer`] is that
+//!   callback sending on a channel it waits on.
 //! - [`EngineFactory`] — decodes a snapshot once and stamps out replicas
 //!   whose parameter blobs share that one decoded copy (`Arc`-backed
 //!   copy-on-write inside [`blob::Blob`]), so replica count does not
@@ -33,8 +36,6 @@
 //! - [`Server::start_supervised`] — a supervisor thread that scans the
 //!   replicas' liveness flags and re-staffs dead replicas from the
 //!   factory, bounded by [`SupervisorPolicy`] restarts per time window.
-//! - [`pool::BufferPool`] / [`OutputBuf`] — recycled reply buffers; the
-//!   steady-state reply path performs no per-request allocation.
 //!
 //! ```
 //! use serve::{BatchPolicy, Engine, EngineConfig, Server};
@@ -59,13 +60,11 @@ pub mod batcher;
 pub mod deploy;
 pub mod engine;
 pub mod metrics;
-pub mod pool;
 
 pub use batcher::{BatchPolicy, Client, Server, SupervisorPolicy};
 pub use deploy::{deploy_spec, DeploySpec};
-pub use engine::{build_replicas, Engine, EngineConfig, EngineFactory};
+pub use engine::{Engine, EngineConfig, EngineFactory};
 pub use metrics::{ServingMetrics, ServingReport};
-pub use pool::{BufferPool, OutputBuf};
 
 use std::fmt;
 

@@ -36,7 +36,8 @@ pub struct ServingMetrics {
     pub replica_errors: Vec<Counter>,
     /// Requests waiting in the admission queue right now.
     pub queue_depth: Gauge,
-    /// Deepest the admission queue ever got.
+    /// Deepest the admission queue ever got, as admitted requests saw it;
+    /// never above the queue's capacity.
     pub max_queue_depth: Gauge,
     /// Replicas with a worker attached. The batcher keeps the liveness
     /// state itself; this gauge only shows it.
@@ -51,12 +52,14 @@ pub struct ServingMetrics {
     pub batch_size: Histogram,
     registry: Registry,
     first_enqueue: OnceLock<Instant>,
+    queue_capacity: f64,
 }
 
 impl ServingMetrics {
     /// Handles for a server of `n_replicas` (all healthy) whose engines
-    /// take batches of up to `max_batch`.
-    pub fn new(n_replicas: usize, max_batch: usize) -> Self {
+    /// take batches of up to `max_batch`, behind a queue of
+    /// `queue_capacity`.
+    pub fn new(n_replicas: usize, max_batch: usize, queue_capacity: usize) -> Self {
         let reg = Registry::new();
         let sizes: Vec<f64> = (1..=max_batch).map(|b| b as f64).collect();
         let healthy_replicas = reg.gauge("serve.healthy_replicas");
@@ -78,6 +81,7 @@ impl ServingMetrics {
             batch_size: reg.histogram("serve.batch_size", &sizes),
             registry: reg,
             first_enqueue: OnceLock::new(),
+            queue_capacity: queue_capacity as f64,
         }
     }
 
@@ -86,10 +90,14 @@ impl ServingMetrics {
         &self.registry
     }
 
-    /// A request submitted at `at` was admitted to the queue.
-    pub fn on_enqueue(&self, at: Instant) {
+    /// A request submitted at `at` was admitted to the queue while
+    /// `serve.queue_depth`, its own slot counted, read `depth`.
+    pub fn on_admitted(&self, at: Instant, depth: f64) {
         self.first_enqueue.get_or_init(|| at);
-        self.max_queue_depth.set_max(self.queue_depth.add(1.0));
+        // The gauge also counts submits still racing for a slot and a
+        // request a worker has taken but not yet uncounted; the queue
+        // itself never holds more than its capacity.
+        self.max_queue_depth.set_max(depth.min(self.queue_capacity));
     }
 
     /// A request submitted at `submitted` was answered at `done`.
@@ -239,10 +247,13 @@ mod tests {
 
     #[test]
     fn report_aggregates_counters() {
-        let m = ServingMetrics::new(1, 4);
+        let m = ServingMetrics::new(1, 4, 2);
         let t0 = Instant::now();
-        m.on_enqueue(t0);
-        m.on_enqueue(t0);
+        m.on_admitted(t0, m.queue_depth.add(1.0));
+        m.on_admitted(t0, m.queue_depth.add(1.0));
+        // A third admission racing a rejected submit still reads the
+        // capacity as the mark.
+        m.on_admitted(t0, m.queue_depth.get() + 1.0);
         m.queue_depth.add(-1.0);
         m.queue_depth.add(-1.0);
         m.rejected.inc();
@@ -271,7 +282,7 @@ mod tests {
     fn storage_stays_bounded_over_a_million_records() {
         // Regression for unbounded Vec growth: a long-running server must
         // not accumulate one f64 per request. Aggregates stay exact.
-        let m = ServingMetrics::new(1, 8);
+        let m = ServingMetrics::new(1, 8, 1);
         let t0 = Instant::now();
         let n = 1_000_000u64;
         for i in 0..n {
@@ -308,7 +319,7 @@ mod tests {
         // 10 000 seeded log-uniform latencies over 10 µs..100 ms: each
         // reported percentile lies in the LATENCY_BOUNDS_US bucket that
         // holds the exact nearest-rank value of the sorted stream.
-        let m = ServingMetrics::new(1, 1);
+        let m = ServingMetrics::new(1, 1, 1);
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut stream: Vec<f64> = (0..10_000)
             .map(|_| {

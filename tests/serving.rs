@@ -13,7 +13,7 @@ mod common;
 use cgdnn::prelude::*;
 use common::{TinySource, TINY_SPEC};
 use net::faults::{arm, disarm_all, FaultMode};
-use serve::{BatchPolicy, Engine, EngineConfig, ServeError, Server};
+use serve::{BatchPolicy, Engine, EngineConfig, EngineFactory, ServeError, Server};
 use std::sync::mpsc::Receiver;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -80,17 +80,23 @@ fn request_samples(n: usize) -> Vec<Vec<f32>> {
 }
 
 fn build_engines(n: usize, snapshot: &[u8]) -> Vec<Engine<f32>> {
+    build_engines_of(n, 8, snapshot)
+}
+
+/// `n` replicas of the tiny net, sharing `snapshot`'s weights, each taking
+/// batches of up to `max_batch`.
+fn build_engines_of(n: usize, max_batch: usize, snapshot: &[u8]) -> Vec<Engine<f32>> {
     let spec = NetSpec::parse(TINY_SPEC).unwrap();
-    serve::engine::build_replicas(
+    EngineFactory::new(
         &spec,
         &Shape::from([1usize, 12, 12]),
         &EngineConfig {
-            max_batch: 8,
+            max_batch,
             n_threads: 2,
         },
-        n,
         Some(snapshot),
     )
+    .and_then(|f| f.build_n(n))
     .unwrap()
 }
 
@@ -170,9 +176,83 @@ fn overload_is_rejected_not_queued_unboundedly() {
     assert_eq!(report.completed, ok + 1);
     assert_eq!(report.rejected, rejected);
     assert!(
-        report.max_queue_depth <= 2 + 32,
-        "queue depth bounded by capacity plus in-flight race slack"
+        report.max_queue_depth <= 2,
+        "queue depth bounded by capacity: {}",
+        report.max_queue_depth
     );
+}
+
+/// `serve.max_queue_depth` is a mark of admitted requests: three submits
+/// against a 2-deep queue in front of a parked replica admit two, and the
+/// rejected third leaves the mark at the capacity, not one past it.
+#[test]
+fn a_rejected_submit_leaves_the_queue_depth_mark_at_capacity() {
+    let snap = trained_snapshot();
+    let _g = fault_lock();
+    let server = Server::start(build_engines(1, &snap), BatchPolicy { queue_depth: 2 }).unwrap();
+    let samples = request_samples(1);
+    let parked = park_only_replica(&server, &samples[0]);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let admitted: Vec<_> = (0..3)
+        .map(|_| {
+            let tx = tx.clone();
+            server
+                .client()
+                .submit_async(samples[0].clone(), None, move |r| {
+                    let _ = tx.send(r.is_ok());
+                })
+        })
+        .collect();
+    drop(tx);
+    let metrics = server.metrics();
+    assert_eq!(metrics.max_queue_depth.get(), 2.0);
+    assert_eq!(metrics.queue_depth.get(), 2.0);
+    assert_eq!(admitted, [Ok(()), Ok(()), Err(ServeError::Rejected)]);
+    parked.recv().unwrap();
+    assert_eq!(rx.iter().collect::<Vec<_>>(), [true, true]);
+    let report = server.shutdown();
+    assert_eq!(report.max_queue_depth, 2);
+    assert_eq!(metrics.queue_depth.get(), 0.0);
+    assert_eq!((report.completed, report.rejected), (3, 1));
+}
+
+/// A blocking caller whose queued request is dropped unanswered reads
+/// `Closed`. The only replica, taking batches of one, panics on the
+/// batch in front (that request reads `Replica`) and retires; the request
+/// still queued behind it goes with the queue.
+#[test]
+fn a_queued_request_dropped_by_a_dead_replica_reads_closed() {
+    let snap = trained_snapshot();
+    let _g = fault_lock();
+    let server = Server::start(build_engines_of(1, 1, &snap), BatchPolicy::default()).unwrap();
+    let samples = request_samples(3);
+    let parked = park_only_replica(&server, &samples[0]);
+    // Fires on the next batch, after the park's delay has fired.
+    arm("serve.worker", FaultMode::Panic, 0);
+    let waiters: Vec<_> = samples[1..]
+        .iter()
+        .map(|s| {
+            let client = server.client();
+            let s = s.clone();
+            std::thread::spawn(move || client.infer(&s))
+        })
+        .collect();
+    let metrics = server.metrics();
+    while metrics.queue_depth.get() < 2.0 {
+        std::thread::yield_now();
+    }
+    parked.recv().unwrap();
+    let mut results: Vec<_> = waiters.into_iter().map(|h| h.join().unwrap()).collect();
+    results.sort_by_key(|r| matches!(r, Err(ServeError::Closed)));
+    assert!(
+        matches!(
+            results[..],
+            [Err(ServeError::Replica(_)), Err(ServeError::Closed)]
+        ),
+        "{results:?}"
+    );
+    let report = server.shutdown();
+    assert_eq!((report.completed, report.healthy_replicas), (1, 0));
 }
 
 #[test]

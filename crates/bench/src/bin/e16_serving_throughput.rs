@@ -1,23 +1,17 @@
-//! E16 — serving throughput and latency under dynamic micro-batching.
+//! E16 — replica weight sharing in the serving tier.
 //!
-//! Beyond the paper: the training-side coarse-grain parallelism gives us a
-//! fast batched forward pass; this experiment measures what that buys an
-//! *online* serving tier. A load generator drives single-sample LeNet
-//! requests through the `serve` stack while we sweep:
+//! Beyond the paper: every serving replica is an engine over one deploy
+//! net, and the replicas an [`EngineFactory`] builds alias one decoded
+//! parameter set through copy-on-write blobs. This binary prints what that
+//! saves: the private weight bytes and the RSS growth of 1, 2, 4 and 8
+//! shared replicas against 4 independently loaded engines.
 //!
-//! 1. replica count (1, 2, 4 engines x 2 threads) at a fixed load, plus
-//!    the same 2 replicas with batching off (`max_batch` 1);
-//! 2. an overload burst against a tiny admission queue, demonstrating
-//!    bounded-memory backpressure (`Rejected`, not OOM).
-//!
-//! Output: throughput / latency series plus the full CSV serving report.
+//! Serving throughput and latency are measured over the wire by the
+//! benchmark's `serve_unary` and `serve_pipelined` workloads, and the wire
+//! path's figures are E17's (`cgdnn infer` + `cgdnn load`).
 
 use cgdnn_bench::banner;
-use serve::{BatchPolicy, Engine, EngineConfig, EngineFactory, Server};
-
-const SAMPLE: usize = 28 * 28;
-const REQUESTS: usize = 1000;
-const CLIENTS: usize = 8;
+use serve::{Engine, EngineConfig, EngineFactory};
 
 fn lenet_snapshot() -> Vec<u8> {
     // Serve real trained-format weights: build the training net and save
@@ -29,47 +23,6 @@ fn lenet_snapshot() -> Vec<u8> {
     buf
 }
 
-/// `requests` LeNet-shaped samples through `clients` closed-loop clients;
-/// returns (answered, failed).
-fn drive(server: &Server<f32>, requests: usize, clients: usize) -> (usize, usize) {
-    use layers::data::BatchSource;
-    let source = datasets::SyntheticMnist::new(512, 11);
-    let n_samples = BatchSource::<f32>::num_samples(&source);
-    let inputs = (0..requests)
-        .map(|i| {
-            let mut s = vec![0.0f32; SAMPLE];
-            source.fill(i % n_samples, &mut s);
-            s
-        })
-        .collect();
-    let ok = server.drive(inputs, clients, None);
-    (ok, requests - ok)
-}
-
-/// `replicas` LeNet engines sharing `snapshot`'s one decoded weight copy.
-fn lenet_engines(snapshot: &[u8], replicas: usize, cfg: &EngineConfig) -> Vec<Engine<f32>> {
-    let shape = blob::Shape::from(vec![1usize, 28, 28]);
-    EngineFactory::new(&cgdnn::nets::lenet_spec(), &shape, cfg, Some(snapshot))
-        .and_then(|f| f.build_n(replicas))
-        .expect("engines build")
-}
-
-fn run_config(label: &str, snapshot: &[u8], replicas: usize, threads: usize, max_batch: usize) {
-    let cfg = EngineConfig {
-        max_batch,
-        n_threads: threads,
-    };
-    let engines = lenet_engines(snapshot, replicas, &cfg);
-    let server = Server::start(engines, BatchPolicy { queue_depth: 128 }).expect("server starts");
-    let (ok, err) = drive(&server, REQUESTS, CLIENTS);
-    let r = server.shutdown();
-    println!(
-        "  {label:<26} {:>8.0} req/s   p50 {:>8.0} us  p95 {:>8.0} us  p99 {:>8.0} us  \
-         mean batch {:>5.2}  ({ok} ok / {err} failed)",
-        r.throughput_rps, r.p50_us, r.p95_us, r.p99_us, r.mean_batch
-    );
-}
-
 /// Linux VmRSS in KiB, if /proc is available.
 fn rss_kb() -> Option<i64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -78,6 +31,26 @@ fn rss_kb() -> Option<i64> {
         .find(|l| l.starts_with("VmRSS:"))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
+}
+
+/// Build engines with `build` and report the RSS they added. Every set is
+/// kept alive until the end, so no later set is placed in memory an earlier
+/// one freed.
+fn measured(
+    held: &mut Vec<Vec<Engine<f32>>>,
+    build: impl FnOnce() -> Vec<Engine<f32>>,
+) -> (usize, String) {
+    let before = rss_kb();
+    let engines = build();
+    let rss = match (before, rss_kb()) {
+        (Some(b), Some(a)) => format!("{:+} KiB RSS", a - b),
+        _ => "RSS unavailable".to_string(),
+    };
+    // Bytes of weight storage the engines own privately; a factory replica
+    // aliases the factory's copy through the Arc-backed blobs instead.
+    let private = engines.iter().map(|e| e.params_unique_bytes()).sum();
+    held.push(engines);
+    (private, rss)
 }
 
 /// Show that factory-built replicas hold one decoded weight copy between
@@ -96,37 +69,21 @@ fn weight_sharing_demo(snapshot: &[u8]) {
         "  decoded parameter set (data + diff): {:.1} KiB",
         one_copy as f64 / 1024.0
     );
+    let mut held = Vec::new();
     for n in [1usize, 2, 4, 8] {
-        let before = rss_kb();
-        let replicas = factory.build_n(n).expect("replicas build");
-        let after = rss_kb();
-        // Bytes of weight storage the replicas own privately; everything
-        // else aliases the factory's copy through the Arc-backed blobs.
-        let private: usize = replicas.iter().map(|e| e.params_unique_bytes()).sum();
-        let rss = match (before, after) {
-            (Some(b), Some(a)) => format!("{:+} KiB RSS", a - b),
-            _ => "RSS unavailable".to_string(),
-        };
-        println!(
-            "  {n} shared replica(s):  {:>10} private weight bytes  ({rss})",
-            private
-        );
+        let (private, rss) = measured(&mut held, || factory.build_n(n).expect("replicas build"));
+        println!("  {n} shared replica(s):  {private:>10} private weight bytes  ({rss})");
         assert_eq!(private, 0, "factory replicas must not copy weights");
     }
-    let before = rss_kb();
-    let privates: Vec<Engine<f32>> = (0..4)
-        .map(|_| {
-            let mut e = Engine::build(&spec, &shape, &cfg).expect("engine builds");
-            e.load_weights(snapshot).expect("weights load");
-            e
-        })
-        .collect();
-    let after = rss_kb();
-    let private: usize = privates.iter().map(|e| e.params_unique_bytes()).sum();
-    let rss = match (before, after) {
-        (Some(b), Some(a)) => format!("{:+} KiB RSS", a - b),
-        _ => "RSS unavailable".to_string(),
-    };
+    let (private, rss) = measured(&mut held, || {
+        (0..4)
+            .map(|_| {
+                let mut e = Engine::build(&spec, &shape, &cfg).expect("engine builds");
+                e.load_weights(snapshot).expect("weights load");
+                e
+            })
+            .collect()
+    });
     println!(
         "  4 private engine(s):  {private:>10} private weight bytes  ({rss}) \
          — {:.2}x one copy",
@@ -134,56 +91,10 @@ fn weight_sharing_demo(snapshot: &[u8]) {
     );
 }
 
-fn overload_demo(snapshot: &[u8]) {
-    let cfg = EngineConfig {
-        max_batch: 8,
-        n_threads: 1,
-    };
-    let engines = lenet_engines(snapshot, 1, &cfg);
-    // A 4-deep queue against a 16-client burst: admission control must
-    // shed load instead of growing the queue.
-    let server = Server::start(engines, BatchPolicy { queue_depth: 4 }).expect("server starts");
-    let (ok, err) = drive(&server, 400, 16);
-    let metrics = server.metrics();
-    let r = server.shutdown();
-    println!(
-        "  queue_depth 4, burst 16 clients: {ok} served, {err} rejected \
-         (max observed depth {}, {} batches)",
-        r.max_queue_depth, r.n_batches
-    );
-    assert!(
-        r.max_queue_depth <= 4,
-        "queue depth must stay within its bound"
-    );
-    println!(
-        "\nfull report of the overloaded run:\n{}",
-        metrics.registry().csv()
-    );
-}
-
 fn main() {
     banner(
         "E16",
-        "serving throughput: dynamic micro-batching over the coarse-grain forward pass",
+        "serving replicas share one decoded weight copy (Arc copy-on-write blobs)",
     );
-    let snapshot = lenet_snapshot();
-    println!("LeNet, {REQUESTS} single-sample requests, {CLIENTS} concurrent clients\n");
-
-    println!("replica weight sharing (Arc copy-on-write blobs):");
-    weight_sharing_demo(&snapshot);
-
-    println!("\nreplica sweep (2 threads each, max_batch 16):");
-    for replicas in [1, 2, 4] {
-        run_config(
-            &format!("{replicas} replica(s)"),
-            &snapshot,
-            replicas,
-            2,
-            16,
-        );
-    }
-    run_config("2 replicas, max_batch 1", &snapshot, 2, 2, 1);
-
-    println!("\noverload / backpressure:");
-    overload_demo(&snapshot);
+    weight_sharing_demo(&lenet_snapshot());
 }

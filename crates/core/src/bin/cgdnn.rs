@@ -517,11 +517,8 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     start_tracing(args);
     let threads: usize = args.get_parse("threads")?;
     let replicas: usize = args.get_parse("replicas")?;
-    let requests: usize = args.get_parse("requests")?;
-    let clients: usize = args.get_parse("clients")?;
     let max_batch: usize = args.get_parse("max-batch")?;
     let queue_depth: usize = args.get_parse("queue-depth")?;
-    let deadline_us: u64 = args.get_parse("deadline-us")?;
     let max_restarts: usize = args.get_parse("max-restarts")?;
     let restart_window_ms: u64 = args.get_parse("restart-window")?;
 
@@ -567,37 +564,16 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     // once: `--metrics`, `--metrics-every` and `stats --connect` read them
     // while the server runs, beside the training and `rpc.*` metrics.
     obs::registry::global().adopt(server.metrics().registry());
-
-    // `--listen ADDR` turns this process into a network server on the
-    // same micro-batcher instead of running the in-process load loop.
-    if let Some(listen) = args.get("listen") {
-        return run_rpc_server(args, server, listen);
-    }
-
-    // Load generation: `clients` closed-loop threads submit single-sample
-    // requests drawn from the data source.
-    let budget = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-    let ok = server.drive(samples(&*source, requests), clients, budget);
-    finish_serving(args, server)?;
-    println!("client view: {ok} ok, {} rejected/timed out", requests - ok);
-    Ok(())
+    run_rpc_server(args, server)
 }
 
-/// Drain `server`, print its report and write the run's outputs: `--csv`
-/// gets the server's `serve.*` rows, rendered like every other exposition.
-fn finish_serving(args: &Args, server: serve::Server<f32>) -> Result<(), String> {
-    let metrics = server.metrics();
-    println!("{}", server.shutdown());
-    write_flag(args, "csv", "report", || {
-        Ok(metrics.registry().csv().into_bytes())
-    })?;
-    write_observability(args, finish_tracing(args).as_deref())
-}
-
-/// Serve the micro-batcher over TCP until a client sends a drain request
-/// (or `--serve-for-ms` elapses). Blocks the main thread; the connections
-/// are multiplexed on the event loop inside [`rpc::RpcServer`].
-fn run_rpc_server(args: &Args, server: serve::Server<f32>, listen: &str) -> Result<(), String> {
+/// Serve the micro-batcher on `--listen` until a client sends a drain
+/// request (or `--serve-for-ms` elapses), then drain it, print its report
+/// and write the run's `--trace` and `--metrics`. Blocks the main thread;
+/// the connections are multiplexed on the event loop inside
+/// [`rpc::RpcServer`].
+fn run_rpc_server(args: &Args, server: serve::Server<f32>) -> Result<(), String> {
+    let listen = args.get("listen").unwrap_or_default();
     let cfg = rpc::RpcConfig {
         max_connections: args.get_parse("rpc-max-conns")?,
     };
@@ -624,7 +600,8 @@ fn run_rpc_server(args: &Args, server: serve::Server<f32>, listen: &str) -> Resu
         std::thread::sleep(Duration::from_millis(50));
     }
     rpc_server.shutdown();
-    finish_serving(args, server)
+    println!("{}", server.shutdown());
+    write_observability(args, finish_tracing(args).as_deref())
 }
 
 /// `--connect ADDR`, resolved.
@@ -636,7 +613,7 @@ fn connect_addr(args: &Args) -> Result<SocketAddr, String> {
         .ok_or_else(|| format!("{connect}: resolves to no address"))
 }
 
-/// `cgdnn load` — closed-loop wire load against a `--listen` server.
+/// `cgdnn load` — closed-loop wire load against an `infer` server.
 fn cmd_load(args: &Args) -> Result<(), String> {
     let addr = connect_addr(args)?;
     let cfg = rpc::LoadConfig {
@@ -687,26 +664,16 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         c.drain_server().map_err(|e| e.to_string())?;
         println!("server acknowledged drain");
     }
-    write_flag(args, "csv", "report", || Ok(report.csv().into_bytes()))?;
-    write_flag(args, "json", "json report", || {
-        Ok(report.json().into_bytes())
-    })
+    write_flag(args, "csv", "report", || Ok(report.csv().into_bytes()))
 }
 
 /// `cgdnn stats --connect ADDR` — scrape the metric registry of a live
-/// `infer --listen` server or training coordinator over the wire
-/// (`FRAME_STATS`), without disturbing it.
+/// `infer` server or training coordinator over the wire (`FRAME_STATS`),
+/// without disturbing it, and print it as `metric,value` CSV.
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let addr = connect_addr(args)?;
-    if args.has("csv") && args.has("json") {
-        return Err("--csv and --json are mutually exclusive".into());
-    }
     let snap = rpc::fetch_stats(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
-    if args.has("json") {
-        println!("{}", snap.json());
-    } else {
-        print!("{}", snap.csv());
-    }
+    print!("{}", snap.csv());
     Ok(())
 }
 

@@ -58,15 +58,13 @@ const fn switch(name: &'static str, subs: &'static [&'static str], help: &'stati
 const SUBCOMMANDS: &[(&str, &str)] = &[
     ("summary", "<spec> — layer table and memory report"),
     ("train", "<spec> — coarse-grain training: in-process, checkpointed, or distributed; every spec, CIFAR too, at LeNet's solver (momentum SGD, lr 0.01, inv)"),
-    ("infer", "<spec> — serve parameters: an in-process load loop, or --listen over TCP"),
-    ("load", "closed-loop wire load against an `infer --listen` server"),
+    ("infer", "<spec> — serve parameters over TCP until a client asks it to drain"),
+    ("load", "closed-loop wire load against an `infer` server"),
     ("stats", "scrape the live metrics of a serving or coordinating process"),
     ("simulate", "<spec> — project onto the paper's 16-core Xeon + K40"),
 ];
 
-/// Every flag `cgdnn` takes. A name may have several rows when subcommands
-/// read it differently (`stats --json` is a switch, `load --json FILE` a
-/// path); no two rows share a name and a subcommand.
+/// Every flag `cgdnn` takes, one row per name.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
     flag("data", Text, "KIND", "synthetic-mnist", &["summary", "train", "infer", "load", "simulate"], "synthetic-mnist | synthetic-cifar | idx:<images>,<labels> | cifar-bin:<file>"),
@@ -90,24 +88,21 @@ const FLAGS: &[Flag] = &[
     flag("restart-window", Int, "MS", "30000", &["train", "infer"], "window of the worker (train) or replica (infer) restart budget"),
     flag("port-file", Text, "FILE", "", &["train", "infer"], "write the bound --coordinator / --listen address"),
     flag("replicas", Int, "N", "1", &["infer"], "engine replicas, one worker thread each"),
-    flag("requests", Int, "N", "1000", &["infer", "load"], "requests to send"),
-    flag("clients", Int, "N", "4", &["infer", "load"], "concurrent clients"),
-    flag("deadline-us", Int, "US", "0", &["infer", "load"], "per-request deadline; 0 = none"),
+    flag("requests", Int, "N", "1000", &["load"], "requests to send"),
+    flag("clients", Int, "N", "4", &["load"], "concurrent clients"),
+    flag("deadline-us", Int, "US", "0", &["load"], "per-request deadline; 0 = none"),
     flag("max-batch", Int, "N", "16", &["infer"], "micro-batch capacity"),
     flag("queue-depth", Int, "N", "64", &["infer"], "admission queue bound"),
     flag("max-restarts", Int, "N", "5", &["infer"], "replica restarts allowed per --restart-window"),
-    flag("listen", Text, "ADDR", "", &["infer"], "serve over TCP instead of running the in-process load loop"),
-    flag("serve-for-ms", Int, "MS", "0", &["infer"], "with --listen: drain after MS; 0 = when a client asks"),
-    flag("rpc-max-conns", Int, "N", "24", &["infer"], "with --listen: live connections; one more is greeted HELLO_BUSY"),
-    flag("csv", Text, "FILE", "", &["infer", "load"], "write the report as CSV"),
+    flag("listen", Text, "ADDR", "127.0.0.1:0", &["infer"], "TCP address to serve on (port 0: any free port; see --port-file)"),
+    flag("serve-for-ms", Int, "MS", "0", &["infer"], "drain after MS; 0 = when a client asks"),
+    flag("rpc-max-conns", Int, "N", "24", &["infer"], "live connections; one more is greeted HELLO_BUSY"),
+    flag("csv", Text, "FILE", "", &["load"], "write the report as CSV"),
     flag("connect", Text, "ADDR", "", &["load", "stats"], "server to load, or any serving / coordinating process to scrape"),
     flag("pipeline", Int, "N", "1", &["load"], "requests each client keeps in flight"),
     flag("idle-conns", Int, "N", "0", &["load"], "extra connections that handshake, then sit idle"),
     flag("fuzz", Int, "N", "0", &["load"], "also send N malformed connections"),
     switch("drain-server", &["load"], "ask the server to drain and exit afterwards"),
-    flag("json", Text, "FILE", "", &["load"], "write the report as JSON"),
-    switch("csv", &["stats"], "CSV exposition (the default)"),
-    switch("json", &["stats"], "JSON exposition"),
     switch("profile", &["train"], "print the measured per-layer fwd/bwd table and imbalance factors"),
     flag("profile-csv", Text, "FILE", "", &["train"], "also write the --profile table as CSV"),
     flag("trace", Text, "FILE", "", &["train", "infer"], "record spans, write a Chrome trace_event JSON"),
@@ -297,10 +292,15 @@ mod tests {
         assert_eq!(a.get("data"), Some("synthetic-mnist"));
         assert_eq!(a.get("snapshot"), None);
         assert!(a.get_parse::<String>("snapshot").is_err());
-        // A row is chosen per subcommand: stats' --json is a switch, load's
-        // takes a FILE.
-        assert!(parse("stats", "--json").unwrap().has("json"));
-        assert!(parse("load", "--json").is_err());
+        // Only the subcommands a row names take the flag.
+        assert_eq!(
+            parse("load", "--csv r.csv").unwrap().get("csv"),
+            Some("r.csv")
+        );
+        assert!(parse("load", "--csv").is_err());
+        // `infer` always listens; port 0 picks a free one.
+        let i = parse("infer", "spec").unwrap();
+        assert_eq!(i.get("listen"), Some("127.0.0.1:0"));
     }
 
     #[test]
@@ -318,15 +318,6 @@ mod tests {
             .err()
             .unwrap();
         assert!(e.contains("fast") && e.contains("--metrics-every"), "{e}");
-    }
-
-    #[test]
-    fn one_name_two_rows_switch_or_path_by_subcommand() {
-        let s = parse("stats", "--connect 127.0.0.1:1 --json").unwrap();
-        assert!(s.has("json"));
-        let l = parse("load", "--connect 127.0.0.1:1 --json r.json --csv r.csv").unwrap();
-        assert_eq!(l.get("json"), Some("r.json"));
-        assert_eq!(l.get("csv"), Some("r.csv"));
     }
 
     #[test]
@@ -367,11 +358,9 @@ mod tests {
                     "--{} {sub}",
                     f.name
                 );
-                let rows = FLAGS
-                    .iter()
-                    .filter(|g| g.name == f.name && g.subs.contains(sub));
-                assert_eq!(rows.count(), 1, "--{} has two rows for {sub}", f.name);
             }
+            let rows = FLAGS.iter().filter(|g| g.name == f.name);
+            assert_eq!(rows.count(), 1, "--{} has two rows", f.name);
         }
         let train = help("train");
         assert!(train.contains("--iters N") && !train.contains("--listen ADDR"));
@@ -394,6 +383,15 @@ mod tests {
             ("train", "--lr 0.1"),
             ("train", "--guard-factor 0"),
             ("stats", "--watch 1"),
+            // One front door: `infer` only serves, `load` drives it, and
+            // every report is CSV.
+            ("infer", "--requests 10"),
+            ("infer", "--clients 2"),
+            ("infer", "--deadline-us 50"),
+            ("infer", "--csv s.csv"),
+            ("load", "--json r.json"),
+            ("stats", "--json"),
+            ("stats", "--csv"),
         ];
         for (sub, line) in retired {
             let flag = line.split_whitespace().next().unwrap();

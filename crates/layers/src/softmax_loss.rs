@@ -46,8 +46,9 @@ impl<S: Scalar> SoftmaxLossLayer<S> {
     }
 }
 
-/// Clamp used by Caffe to avoid `ln(0)`.
-const LOG_FLOOR: f64 = 1e-20;
+/// Caffe's clamp against `ln(0)`: `FLT_MIN`, the smallest normal `f32`,
+/// for either precision.
+const LOG_FLOOR: f64 = f32::MIN_POSITIVE as f64;
 
 impl<S: Scalar> Layer<S> for SoftmaxLossLayer<S> {
     fn name(&self) -> &str {
@@ -184,6 +185,20 @@ mod tests {
     fn uniform_scores_give_ln_c() {
         let (loss, _) = run(1, vec![0.0; 4 * 10], vec![0.0, 1.0, 2.0, 3.0], 4, 10);
         assert!((loss - (10.0f64).ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn loss_floor_is_flt_min() {
+        // Score gaps that give the true label a probability of 1e-30 (above
+        // FLT_MIN: no clamp) and of 1e-40 (below it: clamped to FLT_MIN).
+        for (p, want) in [(1e-30f64, 1e-30f64), (1e-40, f32::MIN_POSITIVE as f64)] {
+            let (loss, _) = run(1, vec![0.0, p.ln()], vec![1.0], 1, 2);
+            assert!(
+                (loss + want.ln()).abs() < 1e-9,
+                "p {p}: loss {loss}, want {}",
+                -want.ln()
+            );
+        }
     }
 
     #[test]

@@ -521,7 +521,7 @@ impl MetricValue {
 /// Snapshots serialize to a compact length-prefixed binary form
 /// ([`Snapshot::to_bytes`]) for `FRAME_STATS` payloads, subtract
 /// ([`Snapshot::delta`]) so workers ship only what changed, and render as
-/// CSV or JSON for the `cgdnn stats` CLI.
+/// the `metric,value` CSV that `cgdnn stats` prints.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     metrics: BTreeMap<String, MetricValue>,
@@ -729,64 +729,6 @@ impl Snapshot {
                 }
             }
         }
-        out
-    }
-
-    /// One flat JSON object, `name → value`. Counters are integers, gauges
-    /// numbers, histograms nested objects with
-    /// `count/sum/mean/min/max/p50/p90/p99`. Always strict JSON: non-finite
-    /// values (an empty histogram's extrema, a NaN sample's sum) render
-    /// as 0.
-    pub fn json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "0".to_string()
-            }
-        }
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            crate::trace::escape_json(name, &mut out);
-            out.push_str("\":");
-            match value {
-                MetricValue::Counter(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&num(*v));
-                }
-                MetricValue::Histogram {
-                    bounds,
-                    buckets,
-                    count,
-                    sum,
-                    min,
-                    max,
-                } => {
-                    let [p50, p90, p99] = [0.5, 0.9, 0.99]
-                        .map(|q| num(quantile_from_parts(bounds, buckets, *count, *min, *max, q)));
-                    let (mean, shown_min, shown_max) = if *count == 0 {
-                        (0.0, 0.0, 0.0)
-                    } else {
-                        (sum / *count as f64, *min, *max)
-                    };
-                    let _ = write!(
-                        out,
-                        "{{\"count\":{count},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99}}}",
-                        num(*sum),
-                        num(mean),
-                        num(shown_min),
-                        num(shown_max),
-                    );
-                }
-            }
-        }
-        out.push('}');
         out
     }
 }
@@ -1031,26 +973,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_is_flat_and_quantiled() {
-        let reg = Registry::new();
-        reg.counter("rpc.frames_total").add(12);
-        reg.histogram("lat", &[1.0, 10.0]).observe(2.0);
-        reg.histogram("rtt", &LATENCY_BOUNDS_US).observe(7.0);
-        let json = reg.snapshot().json();
-        let v = crate::json::parse(&json).expect("snapshot json parses");
-        assert_eq!(
-            v.get("rpc.frames_total").and_then(|n| n.as_f64()),
-            Some(12.0)
-        );
-        let lat = v.get("lat").expect("lat object");
-        assert_eq!(lat.get("count").and_then(|n| n.as_f64()), Some(1.0));
-        assert!(lat.get("p50").is_some() && lat.get("p99").is_some());
-        let rtt = v.get("rtt").expect("rtt object");
-        assert_eq!(rtt.get("p90").and_then(|n| n.as_f64()), Some(7.0));
-    }
-
-    #[test]
-    fn nan_samples_neither_panic_nor_break_strict_json() {
+    fn nan_samples_neither_panic_nor_break_the_csv() {
         // A NaN (a poisoned clock delta) sorts into the +Inf bucket: it
         // cannot leak into the lower quantiles, and a NaN-only histogram,
         // whose extrema stay at their empty identities, must still render.
@@ -1067,10 +990,13 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             only.quantile(q);
         }
-        let snap = reg.snapshot();
-        assert!(snap.csv().contains("only_nan_count,1\n"));
-        let json = crate::json::parse(&snap.json()).expect("strict JSON");
-        assert!(json.get("only_nan").and_then(|h| h.get("p99")).is_some());
+        let csv = reg.snapshot().csv();
+        assert!(csv.contains("only_nan_count,1\n"));
+        assert!(csv.contains("only_nan_p99,"));
+        for row in csv.lines().skip(1) {
+            let (name, value) = row.split_once(',').expect("two columns");
+            assert!(value.parse::<f64>().is_ok(), "{name}: '{value}'");
+        }
     }
 
     #[test]

@@ -273,7 +273,7 @@ pub fn take_events() -> Vec<Event> {
     out
 }
 
-pub(crate) fn escape_json(s: &str, out: &mut String) {
+fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

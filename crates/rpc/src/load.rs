@@ -109,34 +109,8 @@ impl LoadReport {
         }
     }
 
-    /// The report as a flat JSON object (the `BENCH_rpc.json` artifact
-    /// CI tracks across PRs). Hand-rolled like the rest of the repo's
-    /// JSON — no serde in the container.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\n  \"completed\": {},\n  \"rejected\": {},\n  \"timed_out\": {},\n  \
-             \"shutdown\": {},\n  \"errors\": {},\n  \"busy_retries\": {},\n  \
-             \"wall_secs\": {:.6},\n  \"throughput_rps\": {:.3},\n  \
-             \"rtt_p50_us\": {:.3},\n  \"rtt_p95_us\": {:.3},\n  \"rtt_p99_us\": {:.3},\n  \
-             \"rtt_max_us\": {:.3},\n  \"rtt_mean_us\": {:.3}\n}}\n",
-            self.completed,
-            self.rejected,
-            self.timed_out,
-            self.shutdown,
-            self.errors,
-            self.busy_retries,
-            self.wall.as_secs_f64(),
-            self.throughput_rps(),
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-            self.mean_us,
-        )
-    }
-
-    /// `metric,value` CSV, one line per field (same form factor as the
-    /// serving report).
+    /// `metric,value` CSV, one line per field (the form of every metrics
+    /// exposition).
     pub fn csv(&self) -> String {
         let mut out = String::from("metric,value\n");
         for (k, v) in [

@@ -805,7 +805,7 @@ impl EventLoop {
                 // compute, no serve-tier round trip, so in-flight requests
                 // are undisturbed). The snapshot is of the registry this
                 // server was started with: the process-global one under
-                // `cgdnn infer --listen`, where it is what `--metrics`
+                // `cgdnn infer`, where it is what `--metrics`
                 // would export.
                 let bytes = self.registry.snapshot().to_bytes();
                 let _: Result<(), std::convert::Infallible> =

@@ -274,38 +274,9 @@ impl<S: Scalar + Send + 'static> Server<S> {
     }
 
     /// A cheap cloneable handle for submitting requests from other threads
-    /// (the load generator's client side).
+    /// (the wire front end submits through one).
     pub fn client(&self) -> Client<S> {
         self.client.clone()
-    }
-
-    /// Closed-loop load: `clients` threads take `inputs` round-robin and
-    /// submit them one at a time, each waiting for its answer; `budget`, if
-    /// any, is every request's deadline from submission. Returns how many
-    /// were answered — the rest were rejected, timed out or failed.
-    pub fn drive(&self, inputs: Vec<Vec<S>>, clients: usize, budget: Option<Duration>) -> usize {
-        let clients = clients.max(1);
-        let mut shares: Vec<Vec<Vec<S>>> = (0..clients).map(|_| Vec::new()).collect();
-        for (i, input) in inputs.into_iter().enumerate() {
-            shares[i % clients].push(input);
-        }
-        let threads: Vec<_> = shares
-            .into_iter()
-            .map(|share| {
-                let client = self.client();
-                std::thread::spawn(move || {
-                    let deadline = || budget.map(|b| Instant::now() + b);
-                    share
-                        .iter()
-                        .filter(|x| client.submit(x, deadline()).is_ok())
-                        .count()
-                })
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|t| t.join().expect("a closed-loop client only submits"))
-            .sum()
     }
 
     /// Submit one sample and block for its output. See [`Client::infer`].

@@ -10,12 +10,12 @@
 //! and that is only a capacity: each call seats its own `n` samples as the
 //! net's active batch ([`net::Net::set_batch`]), writes them into the
 //! first `n` input rows and runs the ordinary [`net::Net::forward`], so a
-//! call costs what `n` samples cost, whatever `max_batch` is. Every
-//! forward kernel is per-sample, which makes a sample's output independent
-//! of `n` and of its row. Forward runs under `Phase::Test` (dropout
-//! disabled) with canonical-group reduction, so results are bit-identical
-//! for any team size — the property the serving determinism test pins
-//! down.
+//! call costs what `n` samples cost, whatever `max_batch` is. Forward runs
+//! under `Phase::Test` (dropout disabled) at the default `RunConfig`. Every
+//! forward kernel is per-sample: a thread computes a whole sample and no
+//! value is summed across threads, so a sample's output is independent of
+//! `n`, of its row and of the team size — bit for bit, the property the
+//! serving determinism test pins down.
 
 use crate::deploy::deploy_spec;
 use crate::ServeError;

@@ -245,12 +245,15 @@ fn live_stats_scrape_is_invisible_to_inflight_requests() {
         counter(&snap, "serve.completed"),
         counter(&snap, "rpc.completed")
     );
-    // The JSON rendering of the scraped snapshot is strict JSON with the
-    // scraped counter visible — what `cgdnn stats --connect --json` prints.
-    let v = obs::json::parse(&snap.json()).expect("snapshot json parses");
+    // The CSV rendering of the scraped snapshot carries the scraped
+    // counter — what `cgdnn stats --connect` prints.
+    let frames = snap
+        .csv()
+        .lines()
+        .find_map(|l| l.strip_prefix("rpc.frames_total,")?.parse::<u64>().ok());
     assert!(
-        v.get("rpc.frames_total").and_then(|n| n.as_f64()).unwrap() > 0.0,
-        "rpc.frames_total missing from JSON rendering"
+        frames.is_some_and(|n| n > 0),
+        "rpc.frames_total missing from the CSV rendering"
     );
     rpc.shutdown();
     server.shutdown();

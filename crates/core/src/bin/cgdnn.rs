@@ -325,17 +325,14 @@ struct CliHooks {
 }
 
 impl CliHooks {
-    /// Start rank `rank`'s worker; a respawn passes `rejoin` so the worker
-    /// resumes its rank in the running session.
-    fn spawn(&mut self, rank: usize, rejoin: bool) -> std::io::Result<()> {
+    /// Start rank `rank`'s worker, first spawn or respawn alike: a worker
+    /// joins a running session like a new one.
+    fn spawn(&mut self, rank: usize) -> std::io::Result<()> {
         let (rank, world) = (rank.to_string(), self.world.to_string());
         let mut cmd = Command::new(&self.exe);
         cmd.args(["train", &self.spec_path, "--worker-connect", &self.addr]);
         cmd.args(["--rank", &rank, "--workers", &world]);
         cmd.args(["--data", &self.data_kind]);
-        if rejoin {
-            cmd.arg("--rejoin");
-        }
         self.children.push(cmd.stdin(Stdio::null()).spawn()?);
         Ok(())
     }
@@ -348,7 +345,7 @@ impl dist::ElasticHooks for CliHooks {
     }
 
     fn respawn(&mut self, rank: usize) -> Result<bool, dist::DistError> {
-        self.spawn(rank, true)
+        self.spawn(rank)
             .map_err(|e| dist::DistError::Io(format!("respawning worker {rank}: {e}")))?;
         Ok(true)
     }
@@ -427,7 +424,7 @@ fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
     };
     for r in 0..workers {
         hooks
-            .spawn(r, false)
+            .spawn(r)
             .map_err(|e| format!("spawning worker {r}: {e}"))?;
     }
 
@@ -446,8 +443,10 @@ fn cmd_train_coordinator(args: &Args) -> Result<(), String> {
     let degraded_ok = args.has("degraded-ok");
     let result = if max_restarts > 0 || degraded_ok {
         let policy = dist::RecoveryPolicy {
-            max_restarts: max_restarts.max(1),
-            restart_window: Duration::from_millis(args.get_parse("restart-window")?),
+            budget: serve::RestartBudget::new(
+                max_restarts.max(1),
+                Duration::from_millis(args.get_parse("restart-window")?),
+            ),
             degraded_ok,
         };
         dist::run_coordinator_elastic(
@@ -497,10 +496,8 @@ fn cmd_train_worker(args: &Args) -> Result<(), String> {
     let mut net = build_shard_net(&spec, data_kind, rank, world)?;
     let addr = args.get("worker-connect").unwrap_or_default();
     let mut cfg = dist::WorkerConfig::new(addr.to_string(), rank);
-    // A respawned worker resumes its rank in the running session instead
-    // of joining a fresh one; a manually-managed worker can additionally
-    // ride out coordinator-link loss with its own reconnect budget.
-    cfg.rejoin = args.has("rejoin");
+    // A manually-managed worker can ride out coordinator-link loss with
+    // its own reconnect budget.
     cfg.max_rejoins = args.get_parse("max-rejoins")?;
     let report = dist::run_worker(&mut net, &cfg).map_err(|e| format!("worker {rank}: {e}"))?;
     println!(
@@ -527,7 +524,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         .map(|w| std::fs::read(w).map_err(|e| format!("{w}: {e}")))
         .transpose()?;
     // One factory: the snapshot is decoded exactly once, every replica
-    // shares that decoded copy, and the supervisor rebuilds dead replicas
+    // shares that decoded copy, and a panicked replica rebuilds from it
     // from it without touching the filesystem again.
     let factory = serve::EngineFactory::<f32>::new(
         &spec,
@@ -542,7 +539,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
     println!(
         "serving '{}': {replicas} replica(s) x {threads} thread(s), max_batch {max_batch}, \
          queue depth {queue_depth}, {:.1} KiB shared weights, \
-         supervisor: {max_restarts} restarts / {restart_window_ms} ms",
+         restart budget: {max_restarts} restarts / {restart_window_ms} ms",
         spec.name,
         factory.params_bytes() as f64 / 1024.0,
     );
@@ -554,10 +551,7 @@ fn cmd_infer(args: &Args) -> Result<(), String> {
         factory,
         replicas,
         serve::BatchPolicy { queue_depth },
-        serve::SupervisorPolicy {
-            max_restarts,
-            restart_window: Duration::from_millis(restart_window_ms),
-        },
+        serve::RestartBudget::new(max_restarts, Duration::from_millis(restart_window_ms)),
     )
     .map_err(|e| e.to_string())?;
     // The server's live `serve.*` handles join the process registry here,

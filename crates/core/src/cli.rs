@@ -81,7 +81,6 @@ const FLAGS: &[Flag] = &[
     flag("workers", Int, "N", "2", &["train"], "worker processes (a power of two dividing the batch)"),
     flag("worker-connect", Text, "ADDR", "", &["train"], "run as one worker of the coordinator at ADDR"),
     flag("rank", Int, "R", "0", &["train"], "this worker's rank (with --worker-connect)"),
-    switch("rejoin", &["train"], "worker: resume this rank in a running session (respawned workers get it)"),
     flag("max-rejoins", Int, "N", "0", &["train"], "worker: reconnect attempts after losing the coordinator, with backoff"),
     flag("max-worker-restarts", Int, "N", "0", &["train"], "coordinator: survive worker deaths (recompute the shard, respawn), N per --restart-window"),
     switch("degraded-ok", &["train"], "coordinator: when the restart budget runs out, keep training with dead ranks recomputed locally"),
@@ -286,7 +285,7 @@ mod tests {
         assert_eq!(a.positional, vec!["spec.txt"]);
         assert_eq!(a.get("threads"), Some("8"));
         assert_eq!(a.get_parse::<usize>("iters").unwrap(), 100);
-        assert!(a.has("profile") && !a.has("rejoin"));
+        assert!(a.has("profile") && !a.has("degraded-ok"));
         // Absent flags take their row's default; rows without one are None.
         assert_eq!(a.get_parse::<usize>("workers").unwrap(), 2);
         assert_eq!(a.get("data"), Some("synthetic-mnist"));
@@ -392,6 +391,8 @@ mod tests {
             ("load", "--json r.json"),
             ("stats", "--json"),
             ("stats", "--csv"),
+            // A returning worker joins like a new one.
+            ("train", "--rejoin"),
         ];
         for (sub, line) in retired {
             let flag = line.split_whitespace().next().unwrap();

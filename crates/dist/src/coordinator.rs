@@ -10,24 +10,26 @@
 //! # Elastic recovery
 //!
 //! [`run_coordinator`] is fail-stop (a dead worker ends the run with a
-//! typed error — the PR 6 contract). [`run_coordinator_elastic`] instead
-//! *survives* worker loss without giving up bit-identity:
+//! typed error). [`run_coordinator_elastic`] instead *survives* worker
+//! loss without giving up bit-identity:
 //!
 //! - A rank whose connection fails mid-step is marked **dead**; its
 //!   contribution is computed here instead, by the function the worker
 //!   runs (`step::shard_gradient`) on that rank's shard net, into the
 //!   *same slot* of the rank-order fold. Only wall-clock and the `dist.*`
 //!   recovery counters can tell the runs apart.
-//! - Each death draws on a sliding-window restart budget (the
-//!   `serve::SupervisorPolicy` shape). Within budget, [`ElasticHooks`]
-//!   may respawn the worker process; over budget the run either aborts
-//!   with [`DistError::RestartBudgetExhausted`] (default — the PR 6
-//!   bounded teardown) or, with `degraded_ok`, continues degraded with
-//!   respawning stood down.
-//! - At every step boundary the coordinator polls its listener for
-//!   `FRAME_REJOIN` handshakes: a restarted worker presents its rank, is
-//!   acked with the resume step + run shape, and is seated back into its
-//!   slot before the next broadcast (no rank state outlives a step).
+//! - Each death charges the one sliding-window [`serve::RestartBudget`]
+//!   (serving charges it per replica restart). Within budget,
+//!   [`ElasticHooks`] may respawn the worker process; over budget the run
+//!   either aborts with [`DistError::RestartBudgetExhausted`] (default —
+//!   the fail-stop teardown) or, with `degraded_ok`, continues degraded
+//!   with respawning stood down.
+//! - There is one join handshake. Admission runs it until every slot is
+//!   seated, and every step boundary runs it again on whatever waits on
+//!   the listener: a `FRAME_JOIN(rank)` into an empty slot is welcomed
+//!   with the step its first broadcast will carry and seated before that
+//!   broadcast. No rank state outlives a step, so a returning worker joins
+//!   exactly like a new one.
 
 use crate::frames::{
     decode_trace_events, encode_welcome, expect_frame, flatten_params, recv_blob, recv_frame,
@@ -37,8 +39,8 @@ use crate::step::{fold_and_update, shard_gradient};
 use crate::{DistConfig, DistError};
 use net::Net;
 use rpc::proto;
+use serve::RestartBudget;
 use solvers::Solver;
-use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -53,31 +55,17 @@ pub struct CoordinatorConfig {
     pub join_timeout: Duration,
 }
 
-/// Sliding-window restart budget for elastic runs — the same shape as
-/// `serve`'s replica supervisor: at most `max_restarts` worker deaths per
-/// `restart_window`, after which the run aborts (or stands down respawning
-/// and continues degraded, when `degraded_ok`).
-#[derive(Debug, Clone)]
+/// How an elastic run absorbs worker deaths: each one charges `budget`;
+/// when a charge is refused the run aborts (or stands down respawning and
+/// continues degraded, when `degraded_ok`).
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryPolicy {
-    /// Worker deaths tolerated per sliding window before the budget is
-    /// exhausted.
-    pub max_restarts: usize,
-    /// Width of the sliding window.
-    pub restart_window: Duration,
+    /// Worker deaths tolerated per sliding window.
+    pub budget: RestartBudget,
     /// On budget exhaustion: `false` aborts with
     /// [`DistError::RestartBudgetExhausted`]; `true` keeps training with
     /// every remaining dead rank recomputed locally, respawning stopped.
     pub degraded_ok: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            max_restarts: 5,
-            restart_window: Duration::from_secs(30),
-            degraded_ok: false,
-        }
-    }
 }
 
 /// What the embedding process supplies for elastic recovery. The
@@ -93,8 +81,8 @@ pub trait ElasticHooks {
 
     /// Restart worker `rank`'s process. Return `Ok(false)` when respawn is
     /// not available (externally managed workers reconnect on their own
-    /// with `FRAME_REJOIN`); a respawn *error* is reported but does not
-    /// end the run — the rank simply stays dead until something rejoins.
+    /// with `FRAME_JOIN`); a respawn *error* is reported but does not end
+    /// the run — the rank simply stays dead until something joins it.
     fn respawn(&mut self, rank: usize) -> Result<bool, DistError>;
 }
 
@@ -131,7 +119,7 @@ impl Metrics {
     }
 }
 
-/// The welcome / rejoin-ack payload for this run, stamped with the
+/// The `FRAME_WELCOME` payload for this run, stamped with the
 /// observability handshake: the tracing flag (workers mirror it) and the
 /// coordinator's trace clock, sampled *now* so the worker's offset
 /// computation sees the freshest possible reference.
@@ -174,64 +162,11 @@ fn handshake(
     recv_frame(stream)
 }
 
-/// Accept and admit `world` workers: [`handshake`], `FRAME_JOIN` with the
-/// rank in `aux`, `FRAME_WELCOME` reply. Returns the slots, every one live.
-/// Leaves the listener nonblocking — the elastic step loop keeps polling
-/// it for rejoins.
-fn admit_workers(
-    listener: &TcpListener,
-    cfg: &CoordinatorConfig,
-    num_params: usize,
-) -> Result<Vec<Option<TcpStream>>, DistError> {
-    let _span = obs::trace::span("dist_admit", "dist");
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + cfg.join_timeout;
-    let world = cfg.dist.world;
-    let mut streams: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
-    let mut joined = 0usize;
-    while joined < world {
-        let mut stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(DistError::JoinTimeout { joined, world });
-                }
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let join = handshake(&mut stream, cfg, num_params)?;
-        if join.kind != proto::FRAME_JOIN {
-            return Err(DistError::Protocol(format!(
-                "expected FRAME_JOIN, got kind {}",
-                join.kind
-            )));
-        }
-        let rank = join.aux as usize;
-        if rank >= world {
-            return Err(DistError::Protocol(format!(
-                "worker joined with rank {rank}, world is {world}"
-            )));
-        }
-        if streams[rank].is_some() {
-            return Err(DistError::Protocol(format!("duplicate rank {rank}")));
-        }
-        let welcome = welcome_payload(cfg);
-        send_frame(&mut stream, proto::FRAME_WELCOME, 0, rank as u32, &welcome)?;
-        streams[rank] = Some(stream);
-        joined += 1;
-    }
-    Ok(streams)
-}
-
 /// Elastic-mode state: the budget, the embedder's hooks, and the cached
 /// per-rank shard nets used to recompute a dead rank's contribution.
 struct Elastic<'h> {
     policy: RecoveryPolicy,
     hooks: &'h mut dyn ElasticHooks,
-    /// Timestamps of deaths inside the sliding window.
-    deaths: VecDeque<Instant>,
     /// Budget exhausted under `degraded_ok`: stop respawning, keep going.
     respawn_stopped: bool,
     shard_nets: Vec<Option<Net<f32>>>,
@@ -268,7 +203,8 @@ struct StepLoop<'a, 'h> {
     solver: &'a mut Solver<f32>,
     cfg: &'a CoordinatorConfig,
     metrics: Metrics,
-    /// Per-rank connection; `None` = dead, awaiting respawn/rejoin.
+    /// Per-rank connection; `None` = not joined yet, or dead and awaiting
+    /// a join.
     slots: Vec<Option<TcpStream>>,
     elastic: Option<Elastic<'h>>,
     on_step: OnStep<'a>,
@@ -371,34 +307,24 @@ impl StepLoop<'_, '_> {
         self.slots[rank] = None;
         self.metrics.worker_deaths.inc();
         eprintln!("coordinator: worker {rank} lost mid-step ({e}); recovering on its shard");
-        let now = Instant::now();
-        while el
-            .deaths
-            .front()
-            .is_some_and(|t| now.duration_since(*t) > el.policy.restart_window)
-        {
-            el.deaths.pop_front();
-        }
-        if el.deaths.len() >= el.policy.max_restarts {
+        if !el.policy.budget.try_charge(Instant::now()) {
+            // A refused charge means the window holds `max_restarts`
+            // deaths already; this one makes one more.
+            let deaths = el.policy.budget.max_restarts + 1;
             if !el.policy.degraded_ok {
-                return Err(DistError::RestartBudgetExhausted {
-                    rank,
-                    deaths: el.deaths.len() + 1,
-                });
+                return Err(DistError::RestartBudgetExhausted { rank, deaths });
             }
             if !el.respawn_stopped {
                 el.respawn_stopped = true;
                 eprintln!(
-                    "coordinator: restart budget exhausted ({} deaths in {:?}) — \
+                    "coordinator: restart budget exhausted ({deaths} deaths in {:?}) — \
                      continuing degraded, respawn stood down",
-                    el.deaths.len() + 1,
-                    el.policy.restart_window
+                    el.policy.budget.restart_window
                 );
             }
             self.metrics.recoveries.inc();
             return Ok(());
         }
-        el.deaths.push_back(now);
         self.metrics.recoveries.inc();
         if !el.respawn_stopped {
             match el.hooks.respawn(rank) {
@@ -411,72 +337,90 @@ impl StepLoop<'_, '_> {
         Ok(())
     }
 
-    /// Drain the (nonblocking) listener of control connections — rejoin
-    /// attempts and live `FRAME_STATS` scrapes — at a step boundary. Never
-    /// fatal to the run: a bad peer is rejected and dropped.
-    fn poll_control(&mut self, resume_step: u64) {
+    /// Admit the run's workers: poll the nonblocking listener every 10 ms
+    /// and [`StepLoop::join`] each connection until every slot is seated,
+    /// or fail with `JoinTimeout` at `join_timeout`. A refused peer or a
+    /// stats scrape does not end admission.
+    fn admit(&mut self) -> Result<(), DistError> {
+        let _span = obs::trace::span("dist_admit", "dist");
+        self.listener.set_nonblocking(true)?;
+        let deadline = Instant::now() + self.cfg.join_timeout;
+        let world = self.cfg.dist.world;
+        let step = self.solver.iteration();
         loop {
+            let joined = self.slots.iter().flatten().count();
+            if joined == world {
+                return Ok(());
+            }
             let stream = match self.listener.accept() {
                 Ok((s, _)) => s,
-                Err(_) => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return Err(DistError::JoinTimeout { joined, world });
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                    continue;
+                }
+                Err(e) => return Err(e.into()),
             };
-            if let Err(e) = self.serve_control(stream, resume_step) {
-                eprintln!("coordinator: control connection rejected: {e}");
+            if let Err(e) = self.join(stream, step) {
+                eprintln!("coordinator: connection refused during admission: {e}");
             }
         }
     }
 
-    /// One bounded control connection: [`handshake`], then dispatch on the
-    /// first frame — `FRAME_STATS` is answered with a chunked registry
-    /// snapshot (any mode; `cgdnn stats --connect` against a training
-    /// coordinator), `FRAME_REJOIN(rank)` is acked with
-    /// `(resume_step, run shape)` and seated (elastic mode only). Every
-    /// read/write is under `io_timeout`.
-    fn serve_control(&mut self, mut stream: TcpStream, resume_step: u64) -> Result<(), DistError> {
+    /// At a step boundary, [`StepLoop::join`] every connection waiting on
+    /// the (nonblocking) listener. Never fatal to the run: a bad peer is
+    /// refused and dropped.
+    fn poll_control(&mut self, step: u64) {
+        while let Ok((stream, _)) = self.listener.accept() {
+            match self.join(stream, step) {
+                Ok(Some(rank)) => {
+                    self.metrics.rejoins.inc();
+                    eprintln!("coordinator: worker {rank} joined at step {step}");
+                }
+                Ok(None) => {}
+                Err(e) => eprintln!("coordinator: control connection refused: {e}"),
+            }
+        }
+    }
+
+    /// The one join handshake, at admission and at every step boundary:
+    /// [`handshake`], then dispatch on the peer's first frame.
+    /// `FRAME_JOIN(rank)` into an empty slot is welcomed — `FRAME_WELCOME`
+    /// with `step` in `id` — and seated; `FRAME_STATS` is answered with a
+    /// registry snapshot (`cgdnn stats --connect`). Anything else — a rank
+    /// outside the world or already seated, any other kind — is refused
+    /// with `FRAME_DONE(error)`. Returns the seated rank, if any. Every
+    /// read and write is under `io_timeout`.
+    fn join(&mut self, mut stream: TcpStream, step: u64) -> Result<Option<usize>, DistError> {
         let world = self.cfg.dist.world;
         let req = handshake(&mut stream, self.cfg, self.num_params)?;
-        match req.kind {
+        let rank = req.aux as usize;
+        let why = match req.kind {
             proto::FRAME_STATS => {
                 let bytes = obs::registry::global().snapshot().to_bytes();
                 send_blob(&mut stream, proto::FRAME_STATS, req.id, &bytes)?;
-                return Ok(());
+                return Ok(None);
             }
-            proto::FRAME_REJOIN => {}
-            k => {
-                return Err(DistError::Protocol(format!(
-                    "expected FRAME_REJOIN or FRAME_STATS, got kind {k}"
-                )))
+            proto::FRAME_JOIN if rank >= world => format!("rank {rank} is outside world {world}"),
+            proto::FRAME_JOIN if self.slots[rank].is_some() => format!("rank {rank} is seated"),
+            proto::FRAME_JOIN => {
+                let welcome = welcome_payload(self.cfg);
+                send_frame(
+                    &mut stream,
+                    proto::FRAME_WELCOME,
+                    step,
+                    rank as u32,
+                    &welcome,
+                )?;
+                self.slots[rank] = Some(stream);
+                return Ok(Some(rank));
             }
-        }
-        let _span = obs::trace::span("dist_rejoin", "dist");
-        let rank = req.aux as usize;
-        let refusal = if self.elastic.is_none() {
-            Some("run is not elastic")
-        } else if rank >= world {
-            Some("rank outside world")
-        } else if self.slots[rank].is_some() {
-            Some("rank is healthy")
-        } else {
-            None
+            k => format!("expected FRAME_JOIN or FRAME_STATS, got kind {k}"),
         };
-        if let Some(why) = refusal {
-            let _ = send_frame(&mut stream, proto::FRAME_DONE, 0, 1, why.as_bytes());
-            return Err(DistError::Protocol(format!(
-                "rejoin of rank {rank} (world {world}) refused: {why}"
-            )));
-        }
-        let ack = welcome_payload(self.cfg);
-        send_frame(
-            &mut stream,
-            proto::FRAME_REJOIN,
-            resume_step,
-            rank as u32,
-            &ack,
-        )?;
-        self.slots[rank] = Some(stream);
-        self.metrics.rejoins.inc();
-        eprintln!("coordinator: worker {rank} rejoined at step {resume_step}");
-        Ok(())
+        let _ = send_frame(&mut stream, proto::FRAME_DONE, 0, 1, why.as_bytes());
+        Err(DistError::Protocol(format!("join refused: {why}")))
     }
 
     /// After the clean `FRAME_DONE` broadcast, every live worker flushes a
@@ -576,7 +520,7 @@ where
 /// [`run_coordinator`], but surviving worker death: dead ranks are
 /// recomputed locally (bit-identity preserved — see the module docs),
 /// respawned within `policy`'s sliding-window budget via `hooks`, and
-/// reseated through the `FRAME_REJOIN` handshake at step boundaries.
+/// seated again through the join handshake at step boundaries.
 pub fn run_coordinator_elastic<F>(
     listener: TcpListener,
     net: &mut Net<f32>,
@@ -592,7 +536,6 @@ where
     let elastic = Elastic {
         policy,
         hooks,
-        deaths: VecDeque::new(),
         respawn_stopped: false,
         shard_nets: (0..cfg.dist.world).map(|_| None).collect(),
     };
@@ -609,18 +552,18 @@ fn drive(
 ) -> Result<Vec<f32>, DistError> {
     cfg.dist.validate()?;
     let num_params = net.num_params();
-    let slots = admit_workers(&listener, cfg, num_params)?;
     let mut sl = StepLoop {
         listener,
         net,
         solver,
         cfg,
         metrics: Metrics::new(),
-        slots,
+        slots: (0..cfg.dist.world).map(|_| None).collect(),
         elastic,
         on_step,
         num_params,
     };
+    sl.admit()?;
     match (0..cfg.dist.iters).map(|_| sl.step()).collect() {
         Ok(losses) => {
             sl.broadcast_done(0, "training complete");

@@ -174,7 +174,7 @@ pub fn done_to_err(f: &Frame) -> DistError {
 /// buffer trace events and flush them at teardown.
 pub const WELCOME_FLAG_TRACING: u32 = 1;
 
-/// The `FRAME_WELCOME` / rejoin-ack payload: session shape plus the
+/// The `FRAME_WELCOME` payload: session shape plus the
 /// observability handshake (feature flags and the coordinator's
 /// monotonic clock, µs, sampled just before the payload was encoded —
 /// the worker pins its own clock against it so both sides' trace

@@ -51,7 +51,7 @@
 //! down instead of hanging the barrier. That is the *fail-stop* mode;
 //! [`run_coordinator_elastic`] survives worker loss without giving up
 //! bit-identity (recompute, respawn within a [`RecoveryPolicy`] budget,
-//! rejoin — see the `coordinator` module docs).
+//! join again — see the `coordinator` module docs).
 
 pub mod coordinator;
 pub mod frames;

@@ -6,13 +6,12 @@
 //!
 //! Because no worker state outlives a step — parameters arrive with every
 //! broadcast and the data cursor is seated from the step number — a worker
-//! can *rejoin* a running coordinator: the `FRAME_REJOIN` handshake
-//! (instead of `FRAME_JOIN`) carries the rank out and the run shape back,
-//! and the next broadcast supplies everything else. [`run_worker`] uses
-//! this two ways — a respawned process first-connects with
-//! [`WorkerConfig::rejoin`], and a surviving process that loses the
-//! coordinator link retries the connection itself with capped exponential
-//! backoff, up to [`WorkerConfig::max_rejoins`] times.
+//! that comes back to a running coordinator joins exactly like a new one:
+//! `FRAME_JOIN` carries the rank out, `FRAME_WELCOME` the run shape back,
+//! and the next broadcast supplies everything else. So a respawned process
+//! needs no flag, and a surviving process that loses the coordinator link
+//! reconnects itself with capped exponential backoff, up to
+//! [`WorkerConfig::max_rejoins`] times.
 
 use crate::frames::{
     decode_welcome, done_to_err, encode_trace_events, expect_frame, recv_frame, recv_tensor,
@@ -35,9 +34,6 @@ pub struct WorkerConfig {
     pub rank: usize,
     /// Per-read/-write socket timeout.
     pub io_timeout: Duration,
-    /// Open with the `FRAME_REJOIN` handshake instead of `FRAME_JOIN` —
-    /// set for a respawned worker resuming its rank in a running session.
-    pub rejoin: bool,
     /// Reconnect-and-rejoin attempts after a lost coordinator link before
     /// giving up. `0` is the fail-stop behaviour: the first link loss is
     /// the worker's final error.
@@ -55,7 +51,6 @@ impl WorkerConfig {
             addr: addr.into(),
             rank,
             io_timeout: Duration::from_secs(30),
-            rejoin: false,
             max_rejoins: 0,
             fail_after_steps: None,
         }
@@ -104,16 +99,16 @@ struct Session<'a> {
     /// Registry state at worker start; the teardown flush ships the delta
     /// against this, so the coordinator merges only what *this run* did.
     baseline: obs::Snapshot,
-    /// `coordinator_clock − local_clock` in µs, pinned at each welcome /
-    /// rejoin ack. Added to every trace timestamp at flush so worker
-    /// events land on the coordinator's timeline (the error is bounded by
-    /// the one-way delivery delay of the ack frame).
+    /// `coordinator_clock − local_clock` in µs, pinned at each welcome.
+    /// Added to every trace timestamp at flush so worker events land on
+    /// the coordinator's timeline (the error is bounded by the one-way
+    /// delivery delay of the welcome frame).
     clock_offset_us: f64,
 }
 
 impl Session<'_> {
     /// Connect and run until clean `FRAME_DONE` (→ `Ok`) or failure.
-    fn run(&mut self, net: &mut Net<f32>, rejoin: bool) -> Result<(), DistError> {
+    fn run(&mut self, net: &mut Net<f32>) -> Result<(), DistError> {
         let cfg = self.cfg;
         let rank = cfg.rank;
         let mut stream = connect(cfg)?;
@@ -121,8 +116,8 @@ impl Session<'_> {
         stream.set_read_timeout(Some(cfg.io_timeout))?;
         stream.set_write_timeout(Some(cfg.io_timeout))?;
 
-        // Handshake: hello exchange, then JOIN(rank)/WELCOME — or, when
-        // resuming, REJOIN(rank) out and REJOIN(resume_step, shape) back.
+        // Handshake: hello exchange, then JOIN(rank) out and WELCOME back,
+        // at the start of the run and on every return alike.
         let mut hello = [0u8; proto::SERVER_HELLO_LEN];
         stream
             .read_exact(&mut hello)
@@ -141,13 +136,14 @@ impl Session<'_> {
             )));
         }
         stream.write_all(&proto::encode_client_hello())?;
-        let (join_kind, ack_kind) = if rejoin {
-            (proto::FRAME_REJOIN, proto::FRAME_REJOIN)
-        } else {
-            (proto::FRAME_JOIN, proto::FRAME_WELCOME)
-        };
-        send_frame(&mut stream, join_kind, rank as u64, rank as u32, &[])?;
-        let ack = expect_frame(&mut stream, ack_kind, None).map_err(lost_if_io)?;
+        send_frame(
+            &mut stream,
+            proto::FRAME_JOIN,
+            rank as u64,
+            rank as u32,
+            &[],
+        )?;
+        let ack = expect_frame(&mut stream, proto::FRAME_WELCOME, None).map_err(lost_if_io)?;
         let welcome = decode_welcome(&ack.payload)?;
         // Observability handshake: pin the clock offset against the
         // coordinator's stamp, and mirror its tracing switch so worker
@@ -258,8 +254,8 @@ fn retryable(e: &DistError) -> bool {
 /// (`step::shard_gradient` pins both): the bitwise claim depends on it.
 ///
 /// With [`WorkerConfig::max_rejoins`] > 0, a lost coordinator link is
-/// retried: sleep with capped exponential backoff, reconnect, and resume
-/// the rank through the `FRAME_REJOIN` handshake.
+/// retried: sleep with capped exponential backoff, reconnect, and join
+/// again.
 pub fn run_worker(net: &mut Net<f32>, cfg: &WorkerConfig) -> Result<WorkerReport, DistError> {
     let reg = obs::registry::global();
     // Every trace event this process records from here on carries the
@@ -276,9 +272,8 @@ pub fn run_worker(net: &mut Net<f32>, cfg: &WorkerConfig) -> Result<WorkerReport
     };
     let rejoins_metric = reg.counter("dist.worker_rejoins");
     let mut rejoins = 0u32;
-    let mut rejoin = cfg.rejoin;
     loop {
-        match session.run(net, rejoin) {
+        match session.run(net) {
             Ok(()) => {
                 return Ok(WorkerReport {
                     steps: session.steps,
@@ -298,7 +293,6 @@ pub fn run_worker(net: &mut Net<f32>, cfg: &WorkerConfig) -> Result<WorkerReport
                     cfg.rank
                 );
                 std::thread::sleep(backoff);
-                rejoin = true;
             }
         }
     }

@@ -79,7 +79,8 @@ pub struct LoadReport {
     pub timed_out: u64,
     /// Requests cut short by server drain.
     pub shutdown: u64,
-    /// Protocol or socket failures (each ends its client's loop).
+    /// Requests answered with an error, plus protocol or socket failures
+    /// (each of those ends its client's loop).
     pub errors: u64,
     /// `HELLO_BUSY` connect refusals absorbed by backoff-and-retry.
     pub busy_retries: u64,
@@ -232,10 +233,11 @@ pub fn run(
                                     }
                                     Outcome::Rejected => part.rejected += 1,
                                     Outcome::TimedOut => part.timed_out += 1,
-                                    Outcome::Error(_) => {
-                                        part.errors += 1;
-                                        break 'run;
-                                    }
+                                    // One request failed (a replica panic,
+                                    // say) on a connection the server keeps
+                                    // open: count it and go on. A dead
+                                    // socket ends the client below.
+                                    Outcome::Error(_) => part.errors += 1,
                                 }
                             }
                             Err(RpcError::ServerShutdown) => {

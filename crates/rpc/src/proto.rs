@@ -105,8 +105,11 @@ pub const RESP_ERROR: u8 = 5;
 
 /// Worker → coordinator: join the training group. `aux` = worker rank.
 pub const FRAME_JOIN: u8 = 16;
-/// Coordinator → worker: admission. Payload: world `u32` | effective
-/// batch `u32` | total iterations `u32` (little-endian).
+/// Coordinator → worker: admission, at the start of the run or at any
+/// step boundary after (a returning worker joins like a new one). `id` is
+/// the step the worker's first broadcast will carry (0 at the start).
+/// Payload: world `u32` | effective batch `u32` | total iterations `u32`
+/// (little-endian), then the observability block.
 pub const FRAME_WELCOME: u8 = 17;
 /// Worker → coordinator: one chunk of the flattened local gradient for
 /// step `id`. Chunked `f32` payload.
@@ -122,12 +125,6 @@ pub const FRAME_STEP: u8 = 21;
 /// Either direction: the run is over. `aux` 0 = clean finish, 1 = error;
 /// payload is an optional UTF-8 reason.
 pub const FRAME_DONE: u8 = 22;
-/// Worker → coordinator: a restarted worker asks to resume its rank.
-/// `aux` = worker rank. The coordinator acks with another `FRAME_REJOIN`
-/// whose `id` is the resume step and whose payload is the same 12-byte
-/// shape block as `FRAME_WELCOME`, so the worker can re-derive its local
-/// batch and re-seat its data cursor at `resume_step * local_batch`.
-pub const FRAME_REJOIN: u8 = 23;
 /// Either direction: a registry-snapshot exchange. As a request (client →
 /// server, `aux` 0, empty payload) it asks the serving process for a
 /// read-only [`obs`] registry snapshot; the response frames carry the
@@ -594,7 +591,6 @@ mod tests {
             FRAME_PARAMS,
             FRAME_STEP,
             FRAME_DONE,
-            FRAME_REJOIN,
             FRAME_STATS,
             FRAME_TRACE,
         ];

@@ -296,8 +296,6 @@ struct Completion {
     frame: Vec<u8>,
     /// When the request frame was decoded, for `rpc.frame_seconds`.
     t0: Instant,
-    /// Close the connection after flushing (serve tier shut down).
-    close_after: bool,
 }
 
 /// Connection lifecycle. `Hello` = our hello is sent/queued, the
@@ -509,9 +507,6 @@ impl EventLoop {
                 .frame_seconds
                 .observe(comp.t0.elapsed().as_secs_f64());
             c.queue(&comp.frame);
-            if comp.close_after && c.state != ConnState::Closing {
-                c.state = ConnState::Closing;
-            }
             if c.inflight == 0 && c.state != ConnState::Closing && (self.draining || c.got_eof) {
                 if self.draining {
                     let frame = encode_frame(proto::RESP_SHUTDOWN, 0, 0, &[]);
@@ -845,35 +840,30 @@ impl EventLoop {
         let waker = self.waker.clone();
         let metrics = Arc::clone(&self.metrics);
         let res = self.bridge.submit_async(sample, deadline, move |r| {
-            let (frame, close_after) = match r {
+            let frame = match r {
                 Ok(out) => {
                     let mut p = Vec::new();
                     proto::write_f32s(&mut p, &out);
                     metrics.completed.inc();
-                    (encode_frame(proto::RESP_PROBS, frame_id, 0, &p), false)
+                    encode_frame(proto::RESP_PROBS, frame_id, 0, &p)
                 }
                 Err(serve::ServeError::Rejected) => {
                     metrics.rejected.inc();
-                    (encode_frame(proto::RESP_REJECTED, frame_id, 0, &[]), false)
+                    encode_frame(proto::RESP_REJECTED, frame_id, 0, &[])
                 }
                 Err(serve::ServeError::TimedOut) => {
                     metrics.timed_out.inc();
-                    (encode_frame(proto::RESP_TIMED_OUT, frame_id, 0, &[]), false)
+                    encode_frame(proto::RESP_TIMED_OUT, frame_id, 0, &[])
                 }
-                Err(serve::ServeError::Closed) => {
-                    (encode_frame(proto::RESP_SHUTDOWN, frame_id, 0, &[]), true)
-                }
-                Err(e) => (
-                    encode_frame(proto::RESP_ERROR, frame_id, 0, e.to_string().as_bytes()),
-                    false,
-                ),
+                // A replica's failure answers this request only; the
+                // connection and the server stay up.
+                Err(e) => encode_frame(proto::RESP_ERROR, frame_id, 0, e.to_string().as_bytes()),
             };
             let mut q = comps.lock().unwrap_or_else(|p| p.into_inner());
             q.push(Completion {
                 conn: id,
                 frame,
                 t0,
-                close_after,
             });
             drop(q);
             waker.wake();

@@ -69,7 +69,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 /// Threads of the serving stack in this process: the tasks under
 /// `/proc/self/task` whose name starts `rpc-` or `serve-` (the event loop,
-/// the batch workers, the supervisor). A thread spawned without a name
+/// the batch workers). A thread spawned without a name
 /// inherits its creator's, so a per-connection thread started by any of
 /// them is counted too — while the test harness's own threads, which come
 /// and go as sibling tests start and finish, are not.

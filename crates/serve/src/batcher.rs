@@ -23,20 +23,21 @@
 //! it waits on; a request dropped unanswered drops the sender, which the
 //! waiter reads as [`ServeError::Closed`].
 //!
-//! A server started with [`Server::start_supervised`] also runs a
-//! supervisor thread: it scans the replicas' liveness flags, rebuilds
-//! dead engines from the [`EngineFactory`] (sharing the one decoded weight
-//! copy — no snapshot re-read), and re-staffs their worker threads. The
-//! [`SupervisorPolicy`] bounds restarts to `max_restarts` per sliding
-//! `restart_window`; exhausting the budget means something is
-//! systematically wrong, so the supervisor stands down and the server
-//! keeps serving on the surviving replicas.
+//! A worker whose engine panics answers its batch with an error and
+//! retires its replica. On a server started with
+//! [`Server::start_supervised`] the same worker then restarts it in place:
+//! it charges the shared [`RestartBudget`] and rebuilds its engine from the
+//! [`EngineFactory`] (sharing the one decoded weight copy — no snapshot
+//! re-read) on its own thread. A replica that dies more often than the
+//! budget allows points at a systematic fault: it stays retired, and the
+//! server keeps serving on the surviving replicas.
 
 use crate::engine::{Engine, EngineFactory};
 use crate::metrics::{micros, ServingMetrics, ServingReport};
 use crate::ServeError;
 use mmblas::Scalar;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -57,29 +58,55 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Restart discipline for the supervisor thread.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorPolicy {
-    /// Restarts allowed inside one sliding `restart_window`; the
-    /// supervisor stands down when the budget is exhausted (a replica
-    /// dying this often points at a systematic fault, not a blip).
+/// A sliding-window restart budget: at most `max_restarts` charges inside
+/// any `restart_window`. A charge leaves the window once it is a full
+/// window old. Serving charges it per replica restart, distributed
+/// training per worker death; running out means something is dying
+/// systematically, not blipping.
+#[derive(Debug, Clone)]
+pub struct RestartBudget {
+    /// Charges allowed inside one sliding window.
     pub max_restarts: usize,
-    /// Width of the sliding restart-budget window.
+    /// Width of the sliding window.
     pub restart_window: Duration,
+    /// Times of the charges still inside the window, oldest first.
+    charges: VecDeque<Instant>,
 }
 
-impl Default for SupervisorPolicy {
-    /// 5 restarts per 30 s window.
-    fn default() -> Self {
+impl RestartBudget {
+    /// A budget with nothing charged yet.
+    pub fn new(max_restarts: usize, restart_window: Duration) -> Self {
         Self {
-            max_restarts: 5,
-            restart_window: Duration::from_secs(30),
+            max_restarts,
+            restart_window,
+            charges: VecDeque::new(),
         }
+    }
+
+    /// Charge one restart at `now`, if the window has room; `false` (and
+    /// nothing charged) when it is full.
+    pub fn try_charge(&mut self, now: Instant) -> bool {
+        while self
+            .charges
+            .front()
+            .is_some_and(|t| now.duration_since(*t) >= self.restart_window)
+        {
+            self.charges.pop_front();
+        }
+        if self.charges.len() >= self.max_restarts {
+            return false;
+        }
+        self.charges.push_back(now);
+        true
     }
 }
 
-/// How often the supervisor scans for dead replicas.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(20);
+impl Default for RestartBudget {
+    /// 5 restarts per 30 s window.
+    fn default() -> Self {
+        Self::new(5, Duration::from_secs(30))
+    }
+}
 
 /// How a finished request reaches its submitter: called once, on the
 /// worker thread that finishes the request, with its output row or its
@@ -95,15 +122,18 @@ struct Request<S: Scalar> {
 }
 
 /// Everything a worker thread needs besides its own engine; cloned once
-/// per spawn so the supervisor can re-staff a replica with the same view.
+/// per worker.
 struct WorkerShared<S: Scalar + Send + 'static> {
     rx: Arc<Mutex<Receiver<Request<S>>>>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServingMetrics>,
-    /// Which replicas have a worker attached: the supervisor's work list
-    /// and [`Client`]'s admission check. `serve.healthy_replicas` shows
-    /// the count; no decision reads the gauge.
+    /// Which replicas have a working engine: [`Client`]'s admission
+    /// check. `serve.healthy_replicas` shows the count; no decision reads
+    /// the gauge.
     alive: Arc<[AtomicBool]>,
+    /// What a panicked replica rebuilds from and the budget it charges;
+    /// `None` (a server from [`Server::start`]) retires it for good.
+    restart: Option<Arc<(EngineFactory<S>, Mutex<RestartBudget>)>>,
 }
 
 impl<S: Scalar + Send + 'static> Clone for WorkerShared<S> {
@@ -113,6 +143,7 @@ impl<S: Scalar + Send + 'static> Clone for WorkerShared<S> {
             stop: Arc::clone(&self.stop),
             metrics: Arc::clone(&self.metrics),
             alive: Arc::clone(&self.alive),
+            restart: self.restart.clone(),
         }
     }
 }
@@ -124,34 +155,29 @@ impl<S: Scalar + Send + 'static> WorkerShared<S> {
         self.metrics.healthy_replicas.add(-1.0);
     }
 
-    /// Replica `i` is back: the supervisor re-staffed its worker.
+    /// Replica `i` is back: its worker rebuilt the engine.
     fn revive(&self, i: usize) {
         self.alive[i].store(true, Ordering::SeqCst);
         self.metrics.healthy_replicas.add(1.0);
         self.metrics.replica_restarts.inc();
     }
+
+    /// A fresh engine for a panicked replica, if this server restarts
+    /// replicas, the budget has room and the build succeeds.
+    fn rebuild(&self) -> Option<Engine<S>> {
+        let (factory, budget) = self.restart.as_deref()?;
+        if !budget.lock().try_charge(Instant::now()) {
+            return None;
+        }
+        factory.build().ok()
+    }
 }
 
-/// Staff replica `i` with a worker thread running `engine`.
-fn spawn_worker<S: Scalar + Send + 'static>(
-    i: usize,
-    engine: Engine<S>,
-    shared: WorkerShared<S>,
-) -> std::io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name(format!("serve-worker-{i}"))
-        .spawn(move || worker_loop(i, engine, shared))
-}
-
-/// A running inference service: engines, workers, queue, metrics, and
-/// (optionally) a supervisor re-staffing dead replicas.
+/// A running inference service: engines, workers, queue and metrics.
 pub struct Server<S: Scalar + Send + 'static = f32> {
     /// The submit side; [`Server::client`] hands out clones.
     client: Client<S>,
-    /// Shared with the supervisor, which appends re-staffed workers here
-    /// so shutdown joins every thread it ever started.
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    supervisor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     output_len: usize,
 }
@@ -159,30 +185,34 @@ pub struct Server<S: Scalar + Send + 'static = f32> {
 impl<S: Scalar + Send + 'static> Server<S> {
     /// Start serving on the given engine replicas (one worker thread
     /// each). All engines must share a sample shape and batch capacity.
-    /// Dead replicas stay dead; use [`Server::start_supervised`] for
-    /// self-healing.
+    /// A panicked replica stays retired; use [`Server::start_supervised`]
+    /// for self-healing.
     pub fn start(engines: Vec<Engine<S>>, policy: BatchPolicy) -> Result<Self, ServeError> {
         Self::start_inner(engines, policy, None)
     }
 
-    /// Start serving on `n_replicas` engines built from `factory`, plus a
-    /// supervisor thread that rebuilds and re-staffs any replica whose
-    /// worker dies — without re-reading the snapshot, since the factory
-    /// holds the one decoded weight copy all replicas share.
+    /// Start serving on `n_replicas` engines built from `factory`. A
+    /// worker whose engine panics rebuilds it from `factory` — without
+    /// re-reading the snapshot, since the factory holds the one decoded
+    /// weight copy all replicas share — while `budget` has room.
     pub fn start_supervised(
         factory: EngineFactory<S>,
         n_replicas: usize,
         policy: BatchPolicy,
-        supervisor: SupervisorPolicy,
+        budget: RestartBudget,
     ) -> Result<Self, ServeError> {
         let engines = factory.build_n(n_replicas)?;
-        Self::start_inner(engines, policy, Some((factory, supervisor)))
+        Self::start_inner(
+            engines,
+            policy,
+            Some(Arc::new((factory, Mutex::new(budget)))),
+        )
     }
 
     fn start_inner(
         engines: Vec<Engine<S>>,
         policy: BatchPolicy,
-        supervise: Option<(EngineFactory<S>, SupervisorPolicy)>,
+        restart: Option<Arc<(EngineFactory<S>, Mutex<RestartBudget>)>>,
     ) -> Result<Self, ServeError> {
         let first = engines
             .first()
@@ -211,16 +241,20 @@ impl<S: Scalar + Send + 'static> Server<S> {
                 policy.queue_depth,
             )),
             alive: (0..n_replicas).map(|_| AtomicBool::new(true)).collect(),
+            restart,
         };
         let mut workers = Vec::with_capacity(n_replicas);
         let mut spawn_err = None;
         for (i, engine) in engines.into_iter().enumerate() {
-            match spawn_worker(i, engine, shared.clone()) {
+            let worker = shared.clone();
+            let spawned = std::thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || worker_loop(i, engine, worker));
+            match spawned {
                 Ok(h) => workers.push(h),
                 Err(e) => {
                     // A replica we cannot staff is a dead replica, not a
-                    // fatal error — serve on whatever did spawn (or let
-                    // the supervisor retry it).
+                    // fatal error — serve on whatever did spawn.
                     shared.retire(i);
                     spawn_err = Some(e);
                 }
@@ -232,22 +266,6 @@ impl<S: Scalar + Send + 'static> Server<S> {
                 spawn_err.map_or_else(|| "no engines".into(), |e| e.to_string())
             )));
         }
-        let workers = Arc::new(Mutex::new(workers));
-        let supervisor = match supervise {
-            None => None,
-            Some((factory, sup)) => {
-                let shared = shared.clone();
-                let workers = Arc::clone(&workers);
-                Some(
-                    std::thread::Builder::new()
-                        .name("serve-supervisor".into())
-                        .spawn(move || supervisor_loop(factory, sup, shared, workers))
-                        .map_err(|e| {
-                            ServeError::Build(format!("could not spawn supervisor: {e}"))
-                        })?,
-                )
-            }
-        };
         Ok(Self {
             client: Client {
                 tx,
@@ -256,7 +274,6 @@ impl<S: Scalar + Send + 'static> Server<S> {
                 sample_len,
             },
             workers,
-            supervisor,
             stop: shared.stop,
             output_len,
         })
@@ -308,11 +325,7 @@ impl<S: Scalar + Send + 'static> Server<S> {
         // Dropping our sender closes the channel once all clients are gone;
         // workers also poll `stop` so they exit even while clients linger.
         drop(self.client.tx);
-        // Supervisor first, so no new workers appear while we drain.
-        if let Some(s) = self.supervisor {
-            let _ = s.join();
-        }
-        for w in self.workers.lock().drain(..) {
+        for w in self.workers {
             let _ = w.join();
         }
         self.client.metrics.report()
@@ -410,10 +423,10 @@ impl<S: Scalar + Send + 'static> Client<S> {
             )));
         }
         if !self.alive.iter().any(|a| a.load(Ordering::SeqCst)) {
-            // Every worker has died; nothing will ever drain the queue.
-            // (Under a supervisor this is a transient state — the caller
-            // may retry — but blocking here until a restart would turn a
-            // fast failure into an unbounded stall.)
+            // Every replica is retired; nothing will drain the queue.
+            // (While a panicked replica rebuilds this is a transient state
+            // — the caller may retry — but blocking here until the rebuild
+            // would turn a fast failure into an unbounded stall.)
             return Err(ServeError::Closed);
         }
         let submitted = Instant::now();
@@ -439,58 +452,6 @@ impl<S: Scalar + Send + 'static> Client<S> {
             Err(TrySendError::Disconnected(_)) => {
                 self.metrics.queue_depth.add(-1.0);
                 Err(ServeError::Closed)
-            }
-        }
-    }
-}
-
-/// The self-healing loop: scan for dead replicas, rebuild their engines
-/// from the factory's shared weight copy, re-staff their worker threads —
-/// at most `max_restarts` times per sliding `restart_window`. Runs until
-/// shutdown or until the budget is exhausted (then the surviving replicas
-/// serve on unsupervised).
-fn supervisor_loop<S: Scalar + Send + 'static>(
-    factory: EngineFactory<S>,
-    sup: SupervisorPolicy,
-    shared: WorkerShared<S>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut restarts: Vec<Instant> = Vec::new();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(SUPERVISOR_POLL);
-        for i in 0..shared.alive.len() {
-            if shared.alive[i].load(Ordering::SeqCst) {
-                continue;
-            }
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = Instant::now();
-            restarts.retain(|t| now.duration_since(*t) < sup.restart_window);
-            if restarts.len() >= sup.max_restarts {
-                // Budget exhausted: replicas are dying faster than a
-                // restart can plausibly fix. Stand down rather than mask
-                // a systematic failure with a restart storm.
-                return;
-            }
-            let engine = match factory.build() {
-                Ok(e) => e,
-                // Build failed (e.g. allocation); leave the replica dead
-                // and try again next poll.
-                Err(_) => continue,
-            };
-            match spawn_worker(i, engine, shared.clone()) {
-                Ok(h) => {
-                    restarts.push(now);
-                    // Re-staff before flipping the flag so a client never
-                    // observes "alive" with no worker attached.
-                    workers.lock().push(h);
-                    shared.revive(i);
-                }
-                Err(_) => continue,
             }
         }
     }
@@ -523,8 +484,8 @@ fn fill_batch<S: Scalar>(
 /// answers its in-flight batch with [`ServeError::Replica`] and retires —
 /// it never takes the process (or the other replicas) down with it, and
 /// the shared queue keeps draining through the survivors. Under
-/// [`Server::start_supervised`] the retirement is what the supervisor's
-/// scan picks up.
+/// [`Server::start_supervised`] the worker then rebuilds its engine and
+/// revives the replica, while the [`RestartBudget`] has room.
 fn worker_loop<S: Scalar + Send + 'static>(
     replica: usize,
     mut engine: Engine<S>,
@@ -616,9 +577,15 @@ fn worker_loop<S: Scalar + Send + 'static>(
                 for r in live {
                     (r.reply)(Err(err.clone()));
                 }
-                // Retire: the engine state is suspect after an unwind. The
-                // supervisor (if any) will rebuild from the factory.
-                return;
+                // The engine state is suspect after an unwind: restart in
+                // place on a fresh engine, or stay retired.
+                match shared.rebuild() {
+                    Some(fresh) => {
+                        engine = fresh;
+                        shared.revive(replica);
+                    }
+                    None => return,
+                }
             }
         }
     }
@@ -684,6 +651,7 @@ layer {
             stop: Arc::new(AtomicBool::new(false)),
             metrics: Arc::new(ServingMetrics::new(n, 4, 1)),
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
+            restart: None,
         }
     }
 
@@ -855,12 +823,31 @@ layer {
     }
 
     #[test]
+    fn restart_budget_refuses_a_full_window_until_it_slides() {
+        let t0 = Instant::now();
+        let window = Duration::from_secs(10);
+        let mut budget = RestartBudget::new(2, window);
+        assert!(budget.try_charge(t0));
+        assert!(budget.try_charge(t0 + Duration::from_secs(4)));
+        assert!(
+            !budget.try_charge(t0 + Duration::from_secs(9)),
+            "window full"
+        );
+        // The first charge leaves the window once it is a full window old;
+        // the refused charge was never counted.
+        assert!(budget.try_charge(t0 + window));
+        assert!(!budget.try_charge(t0 + window));
+        assert!(budget.try_charge(t0 + Duration::from_secs(14)));
+        assert!(!RestartBudget::new(0, window).try_charge(t0));
+    }
+
+    #[test]
     fn supervised_server_without_faults_never_restarts() {
         let server = Server::start_supervised(
             factory(),
             2,
             BatchPolicy::default(),
-            SupervisorPolicy::default(),
+            RestartBudget::default(),
         )
         .unwrap();
         let x = [0.25f32; 6];

@@ -218,8 +218,8 @@ impl<S: Scalar> Engine<S> {
 /// (in [`EngineFactory::new`]); every [`EngineFactory::build`] hands the
 /// new engine copy-on-write clones of those parameters, so N replicas
 /// share one decoded copy — the paper's single-weight-copy invariant,
-/// extended to serving. The supervisor uses the same factory to rebuild a
-/// dead replica without re-reading or re-decoding anything.
+/// extended to serving. A panicked replica rebuilds from the same factory
+/// without re-reading or re-decoding anything.
 pub struct EngineFactory<S: Scalar = f32> {
     train_spec: NetSpec,
     sample_shape: Shape,

@@ -33,9 +33,10 @@
 //!   whose parameter blobs share that one decoded copy (`Arc`-backed
 //!   copy-on-write inside [`blob::Blob`]), so replica count does not
 //!   multiply weight memory.
-//! - [`Server::start_supervised`] — a supervisor thread that scans the
-//!   replicas' liveness flags and re-staffs dead replicas from the
-//!   factory, bounded by [`SupervisorPolicy`] restarts per time window.
+//! - [`Server::start_supervised`] — a worker whose engine panics rebuilds
+//!   it in place from the factory, bounded by a [`RestartBudget`] of
+//!   restarts per sliding window (the budget distributed training also
+//!   charges per worker death).
 //!
 //! ```
 //! use serve::{BatchPolicy, Engine, EngineConfig, Server};
@@ -61,7 +62,7 @@ pub mod deploy;
 pub mod engine;
 pub mod metrics;
 
-pub use batcher::{BatchPolicy, Client, Server, SupervisorPolicy};
+pub use batcher::{BatchPolicy, Client, RestartBudget, Server};
 pub use deploy::{deploy_spec, DeploySpec};
 pub use engine::{Engine, EngineConfig, EngineFactory};
 pub use metrics::{ServingMetrics, ServingReport};

@@ -29,7 +29,7 @@ pub struct ServingMetrics {
     pub rejected: Counter,
     /// Requests whose deadline expired before execution.
     pub timed_out: Counter,
-    /// Worker re-staffs performed by the supervisor.
+    /// Panicked replicas rebuilt in place by their workers.
     pub replica_restarts: Counter,
     /// Batch-execution failures (engine errors and panics) per replica:
     /// `serve.replica_<i>_errors`.
@@ -199,7 +199,7 @@ pub struct ServingReport {
     pub replica_errors: Vec<u64>,
     /// Replicas still in service at snapshot time.
     pub healthy_replicas: usize,
-    /// Worker re-staffs performed by the supervisor.
+    /// Panicked replicas rebuilt in place by their workers.
     pub replica_restarts: u64,
     /// First enqueue → last completion, seconds.
     pub wall_secs: f64,

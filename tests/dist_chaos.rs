@@ -25,6 +25,7 @@ use dist::{
     RecoveryPolicy, WorkerConfig, WorkerReport,
 };
 use net::faults::{arm, disarm_all, FaultMode};
+use serve::RestartBudget;
 use std::net::TcpListener;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -153,8 +154,7 @@ fn chaotic_run(iters: usize, world: usize) -> (Result<Vec<f32>, DistError>, Vec<
         join_timeout: Duration::from_secs(10),
     };
     let policy = RecoveryPolicy {
-        max_restarts: 32,
-        restart_window: Duration::from_secs(120),
+        budget: RestartBudget::new(32, Duration::from_secs(120)),
         degraded_ok: false,
     };
     let mut hooks = RecomputeOnly { world };
@@ -185,8 +185,8 @@ fn xorshift(s: &mut u64) -> u64 {
 }
 
 /// Arm `n` seeded faults across the dist chaos points. Skip counts start
-/// past the join handshake (~4 frame sends/recvs for a 2-worker run) so a
-/// fault never kills admission, which is deliberately fail-fast.
+/// past the join handshake (~4 frame sends/recvs for a 2-worker run), so
+/// the storm lands on the step loop.
 fn arm_storm(seed: u64, n: usize) {
     let points = [
         "dist.frame.send",
@@ -254,8 +254,8 @@ fn injected_step_error_triggers_recovery_and_rejoin() {
     let reg = obs::registry::global();
     let recoveries_before = reg.counter("dist.recoveries").get();
     let rejoins_before = reg.counter("dist.worker_rejoins").get();
-    // Rank 1's step loop errors once mid-run; the worker reconnects itself
-    // through FRAME_REJOIN while the coordinator recomputes the gap.
+    // Rank 1's step loop errors once mid-run; the worker reconnects and
+    // joins again while the coordinator recomputes the gap.
     arm("dist.worker.step.r1", FaultMode::Error, 1);
     let (result, params) = chaotic_run(6, 2);
     disarm_all();

@@ -1,7 +1,7 @@
 //! Elastic recovery, proven end-to-end over real loopback TCP: a worker
 //! lost mid-step is recomputed on its exact shard (loss trajectory and
 //! final parameters stay **bit-identical** to the single-process
-//! reference), a respawned worker rejoins through `FRAME_REJOIN`, the
+//! reference), a respawned worker joins again like a new one, the
 //! sliding-window restart budget turns a death storm into a typed error,
 //! and every failure — join timeout, mid-chunk disconnect in either
 //! direction — is typed and bounded by `io_timeout`, never a hang.
@@ -13,6 +13,7 @@ use dist::{
     DistError, ElasticHooks, RecoveryPolicy, WorkerConfig, WorkerReport,
 };
 use rpc::proto;
+use serve::RestartBudget;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -92,8 +93,8 @@ fn worker_net(rank: usize, world: usize) -> Net<f32> {
 }
 
 /// Test hooks: shard nets from the shared micro spec; respawn either
-/// starts a fresh rejoin-handshake worker thread or reports "externally
-/// managed" (`Ok(false)`).
+/// starts a fresh worker thread or reports "externally managed"
+/// (`Ok(false)`).
 struct TestHooks {
     addr: String,
     world: usize,
@@ -116,7 +117,6 @@ impl ElasticHooks for TestHooks {
             let mut net = worker_net(rank, world);
             let mut cfg = WorkerConfig::new(addr, rank);
             cfg.io_timeout = Duration::from_secs(10);
-            cfg.rejoin = true;
             run_worker(&mut net, &cfg)
         }));
         Ok(true)
@@ -234,9 +234,9 @@ fn degraded_run_stays_bit_identical() {
 fn respawned_worker_rejoins_and_run_stays_bit_identical() {
     let (ref_losses, ref_params) = reference_run(6, 2);
     // Rank 1 dies at step 1; the hooks respawn it as a fresh thread that
-    // rejoins with FRAME_REJOIN. The step delay gives the respawn time to
-    // land, so later steps are served by the rejoined worker, not by
-    // recompute.
+    // joins with FRAME_JOIN like a new worker. The step delay gives the
+    // respawn time to land, so later steps are served by the rejoined
+    // worker, not by recompute.
     let out = elastic_run(
         6,
         2,
@@ -264,8 +264,7 @@ fn restart_budget_exhaustion_is_typed_and_bounded() {
     // Budget of one death: rank 1's death at step 1 is absorbed, rank 0's
     // at step 2 exhausts the window.
     let policy = RecoveryPolicy {
-        max_restarts: 1,
-        restart_window: Duration::from_secs(60),
+        budget: RestartBudget::new(1, Duration::from_secs(60)),
         degraded_ok: false,
     };
     let out = elastic_run(5, 2, &[(1, 1), (0, 2)], policy, false, Duration::ZERO);
@@ -290,8 +289,7 @@ fn degraded_ok_survives_budget_exhaustion_bit_identically() {
     // coordinator stops respawning and finishes every remaining step by
     // recomputing both shards locally.
     let policy = RecoveryPolicy {
-        max_restarts: 1,
-        restart_window: Duration::from_secs(60),
+        budget: RestartBudget::new(1, Duration::from_secs(60)),
         degraded_ok: true,
     };
     let out = elastic_run(5, 2, &[(1, 1), (0, 2)], policy, false, Duration::ZERO);
@@ -489,4 +487,129 @@ fn mid_chunk_params_disconnect_is_typed_on_the_worker() {
         "mid-chunk loss took {:?} — not bounded by io_timeout",
         t0.elapsed()
     );
+}
+
+/// The same steps with every rank in-process and no socket
+/// (`dist::train_local`): what a run with a misbehaving peer on the
+/// listener must still reproduce bit for bit.
+fn local_run(iters: usize, world: usize) -> (Vec<f32>, Vec<f32>) {
+    let mut net = Net::from_spec(&spec(8), Some(Box::new(Ramp))).unwrap();
+    let mut solver = Solver::<f32>::new(SolverConfig::lenet());
+    let mut shards: Vec<_> = (0..world).map(|r| worker_net(r, world)).collect();
+    let losses = dist::train_local(
+        &mut net,
+        &mut solver,
+        &mut shards,
+        &micro_cfg(iters, world).dist,
+    )
+    .unwrap();
+    (losses, flat_params(&net))
+}
+
+fn micro_cfg(iters: usize, world: usize) -> CoordinatorConfig {
+    CoordinatorConfig {
+        dist: DistConfig {
+            world,
+            effective_batch: 8,
+            num_samples: 16,
+            iters,
+            io_timeout: Duration::from_secs(10),
+        },
+        join_timeout: Duration::from_secs(10),
+    }
+}
+
+fn spawn_worker(addr: String, rank: usize) -> JoinHandle<Result<WorkerReport, DistError>> {
+    std::thread::spawn(move || {
+        let mut net = worker_net(rank, 2);
+        let mut cfg = WorkerConfig::new(addr, rank);
+        cfg.io_timeout = Duration::from_secs(10);
+        run_worker(&mut net, &cfg)
+    })
+}
+
+/// Admission runs the one join handshake: a second worker presenting a
+/// seated rank is refused and dropped, and a stats scrape (`cgdnn stats
+/// --connect`) is answered — neither ends the run.
+#[test]
+fn admission_refuses_a_duplicate_rank_and_answers_a_scrape() {
+    let (ref_losses, ref_params) = local_run(4, 2);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peers = std::thread::spawn(move || {
+        let twins = [0, 0].map(|rank| spawn_worker(addr.to_string(), rank));
+        // Rank 1 has not connected, so admission is still open.
+        let scrape = rpc::fetch_stats(addr, Duration::from_secs(10));
+        let rank1 = spawn_worker(addr.to_string(), 1);
+        let twins = twins.map(|h| h.join().unwrap());
+        (scrape, twins, rank1.join().unwrap())
+    });
+    let mut net = Net::from_spec(&spec(8), Some(Box::new(Ramp))).unwrap();
+    let mut solver = Solver::<f32>::new(SolverConfig::lenet());
+    let result = run_coordinator(
+        listener,
+        &mut net,
+        &mut solver,
+        &micro_cfg(4, 2),
+        |_, _, _, _| Ok(()),
+    );
+    let (scrape, twins, rank1) = peers.join().unwrap();
+    assert_eq!(result.expect("the run completes"), ref_losses);
+    assert_eq!(flat_params(&net), ref_params, "final parameters diverged");
+    assert!(scrape.is_ok(), "scrape during admission: {scrape:?}");
+    assert_eq!(rank1.map(|r| r.steps), Ok(4));
+    let seated = twins
+        .iter()
+        .filter(|r| r.as_ref().is_ok_and(|r| r.steps == 4));
+    assert_eq!(seated.count(), 1, "one of the twins ran: {twins:?}");
+    assert!(
+        twins
+            .iter()
+            .any(|r| matches!(r, Err(DistError::Remote(m)) if m.contains("rank 0 is seated"))),
+        "the other was refused: {twins:?}"
+    );
+}
+
+/// Kind 23 was a second, rejoin-only handshake; it is no join now. A peer
+/// opening with it mid-run is refused with `FRAME_DONE(error)` at the
+/// next step boundary, and the run goes on undisturbed.
+#[test]
+fn retired_kind_23_is_refused_mid_run() {
+    let (ref_losses, ref_params) = local_run(4, 2);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let workers: Vec<_> = (0..2).map(|r| spawn_worker(addr.to_string(), r)).collect();
+    let mut net = Net::from_spec(&spec(8), Some(Box::new(Ramp))).unwrap();
+    let mut solver = Solver::<f32>::new(SolverConfig::lenet());
+    let mut peer = None;
+    let result = run_coordinator(
+        listener,
+        &mut net,
+        &mut solver,
+        &micro_cfg(4, 2),
+        |it, _, _, _| {
+            if it == 2 {
+                // Both hellos and the frame fit in the socket buffers, so
+                // this does not wait for the coordinator to accept.
+                let mut s = TcpStream::connect(addr)?;
+                s.set_read_timeout(Some(Duration::from_secs(10)))?;
+                s.write_all(&proto::encode_client_hello())?;
+                frames::send_frame(&mut s, 23, 2, 1, &[]).map_err(std::io::Error::other)?;
+                peer = Some(s);
+            }
+            Ok(())
+        },
+    );
+    assert_eq!(result.expect("the run completes"), ref_losses);
+    assert_eq!(flat_params(&net), ref_params, "final parameters diverged");
+    for w in workers {
+        assert_eq!(w.join().unwrap().map(|r| r.steps), Ok(4));
+    }
+    let mut s = peer.expect("the peer connected at step 2");
+    let mut hello = [0u8; proto::SERVER_HELLO_LEN];
+    s.read_exact(&mut hello).unwrap();
+    let refusal = frames::recv_frame(&mut s).unwrap();
+    assert_eq!((refusal.kind, refusal.aux), (proto::FRAME_DONE, 1));
+    let why = String::from_utf8_lossy(&refusal.payload);
+    assert!(why.contains("got kind 23"), "refusal: {why}");
 }

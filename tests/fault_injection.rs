@@ -17,6 +17,7 @@ use common::tiny_net;
 use net::faults::{arm, disarm_all, FaultMode};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 // The fault registry is process-global; these tests must not interleave.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -234,11 +235,10 @@ fn commit_window_crash_orphan_is_swept_by_the_next_save() {
     let _ = std::fs::remove_dir_all(dir.path());
 }
 
-#[test]
-fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
-    let _g = guard();
+/// Replicas of the tiny net: 144-value samples, 10 outputs, batches of 4.
+fn tiny_factory() -> serve::EngineFactory<f32> {
     let spec = NetSpec::parse(common::TINY_SPEC).unwrap();
-    let factory = serve::EngineFactory::<f32>::new(
+    serve::EngineFactory::<f32>::new(
         &spec,
         &Shape::from([1usize, 12, 12]),
         &serve::EngineConfig {
@@ -247,7 +247,25 @@ fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
         },
         None,
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// Poll until `healthy_replicas` reads `n`, for at most 5 s.
+fn await_healthy(metrics: &serve::ServingMetrics, n: f64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.healthy_replicas.get() != n {
+        assert!(
+            Instant::now() < deadline,
+            "healthy_replicas did not reach {n} within 5 s"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
+    let _g = guard();
+    let factory = tiny_factory();
 
     // Reference: a never-killed engine sharing the factory's weights.
     let mut reference = factory.build().unwrap();
@@ -261,7 +279,7 @@ fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
         factory,
         2,
         serve::BatchPolicy::default(),
-        serve::SupervisorPolicy::default(),
+        serve::RestartBudget::default(),
     )
     .unwrap();
     let metrics = server.metrics();
@@ -273,15 +291,8 @@ fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
     let e = server.infer(&samples[0]).unwrap_err();
     assert!(matches!(e, serve::ServeError::Replica(_)), "got: {e}");
 
-    // The supervisor notices within its poll interval and re-staffs.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while metrics.healthy_replicas.get() < 2.0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "supervisor did not restore healthy_replicas within 5 s"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
+    // The worker rebuilds its engine in place, right after answering.
+    await_healthy(&metrics, 2.0);
     assert_eq!(metrics.replica_restarts.get(), 1);
 
     // Post-restart outputs are bit-identical to the never-killed
@@ -302,18 +313,7 @@ fn supervisor_restores_killed_replica_with_bit_identical_outputs() {
 #[test]
 fn serve_worker_panic_degrades_but_does_not_kill_the_server() {
     let _g = guard();
-    let spec = NetSpec::parse(common::TINY_SPEC).unwrap();
-    let engines = serve::EngineFactory::<f32>::new(
-        &spec,
-        &Shape::from([1usize, 12, 12]),
-        &serve::EngineConfig {
-            max_batch: 4,
-            n_threads: 1,
-        },
-        None,
-    )
-    .and_then(|f| f.build_n(2))
-    .unwrap();
+    let engines = tiny_factory().build_n(2).unwrap();
     let server = serve::Server::start(engines, serve::BatchPolicy::default()).unwrap();
     let metrics = server.metrics();
     assert_eq!(metrics.healthy_replicas.get(), 2.0);
@@ -340,4 +340,88 @@ fn serve_worker_panic_degrades_but_does_not_kill_the_server() {
     assert_eq!(report.healthy_replicas, 1);
     assert_eq!(report.replica_errors.iter().sum::<u64>(), 1);
     assert_eq!(report.completed, 6);
+}
+
+#[test]
+fn exhausted_restart_budget_leaves_the_replica_retired() {
+    let _g = guard();
+    let server = serve::Server::start_supervised(
+        tiny_factory(),
+        2,
+        serve::BatchPolicy::default(),
+        serve::RestartBudget::new(1, Duration::from_secs(60)),
+    )
+    .unwrap();
+    let metrics = server.metrics();
+
+    // The first panic charges the budget's one restart: rebuilt in place.
+    arm("serve.worker", FaultMode::Panic, 0);
+    let e = server.infer(&[0.3; 144]).unwrap_err();
+    assert!(matches!(e, serve::ServeError::Replica(_)), "got: {e}");
+    await_healthy(&metrics, 2.0);
+
+    // The second finds the budget spent: that replica stays retired, and
+    // the survivor serves the queue.
+    arm("serve.worker", FaultMode::Panic, 0);
+    let e = server.infer(&[0.3; 144]).unwrap_err();
+    assert!(matches!(e, serve::ServeError::Replica(_)), "got: {e}");
+    for i in 0..6 {
+        let out = server.infer(&[0.1 * i as f32; 144]).unwrap();
+        assert_eq!(out.len(), 10);
+    }
+    assert_eq!(metrics.healthy_replicas.get(), 1.0);
+    let report = server.shutdown();
+    assert_eq!(report.healthy_replicas, 1);
+    assert_eq!(report.replica_restarts, 1);
+    assert_eq!(report.replica_errors.iter().sum::<u64>(), 2);
+    assert_eq!(report.completed, 6);
+    assert!(metrics
+        .registry()
+        .csv()
+        .contains("serve.replica_restarts,1\n"));
+}
+
+/// A replica panic answers one request with `RESP_ERROR` on a connection
+/// the server keeps open; the load client counts it and sends the rest of
+/// its quota, so every request is accounted for as answered or failed.
+#[test]
+fn load_counts_a_replica_panic_and_sends_its_whole_quota() {
+    let _g = guard();
+    let server = serve::Server::start_supervised(
+        tiny_factory(),
+        2,
+        serve::BatchPolicy::default(),
+        serve::RestartBudget::default(),
+    )
+    .unwrap();
+    let reg = obs::Registry::new();
+    let rpc = rpc::RpcServer::start(
+        "127.0.0.1:0",
+        server.client(),
+        server.output_len(),
+        rpc::RpcConfig::default(),
+        &reg,
+    )
+    .unwrap();
+    arm("serve.worker", FaultMode::Panic, 5);
+    let cfg = rpc::LoadConfig {
+        clients: 4,
+        requests: 200,
+        ..rpc::LoadConfig::default()
+    };
+    let samples: Vec<Vec<f32>> = (0..4).map(|i| vec![0.05 * (i + 1) as f32; 144]).collect();
+    let report = rpc::load::run(rpc.local_addr(), &cfg, &samples).unwrap();
+    rpc.shutdown();
+    let served = server.shutdown();
+    assert!(
+        (1..=4).contains(&report.errors),
+        "the one panicked batch of at most 4: {report:?}"
+    );
+    assert_eq!(
+        report.completed + report.errors,
+        200,
+        "every request answered: {report:?}"
+    );
+    assert_eq!(served.replica_restarts, 1);
+    assert_eq!(served.healthy_replicas, 2);
 }

@@ -209,6 +209,9 @@ struct StepLoop<'a, 'h> {
     elastic: Option<Elastic<'h>>,
     on_step: OnStep<'a>,
     num_params: usize,
+    /// The iteration the run stops at: the solver's at the start plus
+    /// `iters`.
+    end: u64,
 }
 
 impl StepLoop<'_, '_> {
@@ -326,7 +329,12 @@ impl StepLoop<'_, '_> {
             return Ok(());
         }
         self.metrics.recoveries.inc();
-        if !el.respawn_stopped {
+        // A respawned worker is seated at a later step boundary. The run's
+        // last step has none: the new process would find the run over and
+        // exit with an error, so the shard is recomputed here instead.
+        if self.solver.iteration() + 1 >= self.end {
+            eprintln!("coordinator: worker {rank} lost in the last step; not respawned");
+        } else if !el.respawn_stopped {
             match el.hooks.respawn(rank) {
                 Ok(true) => eprintln!("coordinator: respawned worker {rank}"),
                 // Externally managed workers reconnect on their own.
@@ -552,6 +560,7 @@ fn drive(
 ) -> Result<Vec<f32>, DistError> {
     cfg.dist.validate()?;
     let num_params = net.num_params();
+    let end = solver.iteration() + cfg.dist.iters as u64;
     let mut sl = StepLoop {
         listener,
         net,
@@ -562,6 +571,7 @@ fn drive(
         elastic,
         on_step,
         num_params,
+        end,
     };
     sl.admit()?;
     match (0..cfg.dist.iters).map(|_| sl.step()).collect() {

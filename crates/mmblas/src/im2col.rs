@@ -132,25 +132,34 @@ impl TapSpan {
     }
 }
 
-/// Calls `f(block, plane, rows, cols)` for every `(c, kh, kw)` row of the
-/// column matrix, in that order: `block` is the offset of its
-/// `out_h x out_w` entries, `plane` that of channel `c` in the image, and
-/// `rows` / `cols` say which entries mirror a pixel of the plane. All
-/// clipping is decided here, once per row of the matrix; the loops of
-/// [`im2col`] and [`col2im`] over a span test nothing.
-fn for_each_tap(geom: &Conv2dGeometry, mut f: impl FnMut(usize, usize, TapSpan, TapSpan)) {
+/// Calls `f(tap, rows, cols)` once per kernel tap `tap = kh * kernel_w +
+/// kw`, with `rows` / `cols` saying which entries of its `out_h x out_w`
+/// blocks mirror a pixel. A tap's block for channel `c` is row `c * taps +
+/// tap` of the column matrix and reads plane `c` of the image: the spans do
+/// not depend on the channel, so they are solved once per tap, not once per
+/// row of the matrix, and the callers loop over the channels. All clipping is
+/// decided here; the loops of [`im2col`] and [`col2im`] over a span test
+/// nothing.
+fn for_each_tap(geom: &Conv2dGeometry, mut f: impl FnMut(usize, TapSpan, TapSpan)) {
     let (oh, ow) = (geom.out_h(), geom.out_w());
-    let mut block = 0usize;
-    for c in 0..geom.channels {
-        for kh in 0..geom.kernel_h {
-            let rows = TapSpan::new(oh, geom.height, kh, geom.pad_h, geom.stride_h);
-            for kw in 0..geom.kernel_w {
-                let cols = TapSpan::new(ow, geom.width, kw, geom.pad_w, geom.stride_w);
-                f(block, c * geom.height * geom.width, rows, cols);
-                block += oh * ow;
-            }
+    for kh in 0..geom.kernel_h {
+        let rows = TapSpan::new(oh, geom.height, kh, geom.pad_h, geom.stride_h);
+        for kw in 0..geom.kernel_w {
+            let cols = TapSpan::new(ow, geom.width, kw, geom.pad_w, geom.stride_w);
+            f(kh * geom.kernel_w + kw, rows, cols);
         }
     }
+}
+
+/// `(block, plane)` offsets of tap `tap` for every channel: its block in the
+/// column matrix and the channel's plane in the image.
+fn channels(geom: &Conv2dGeometry, tap: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (taps, block, plane) = (
+        geom.kernel_h * geom.kernel_w,
+        geom.col_cols(),
+        geom.height * geom.width,
+    );
+    (0..geom.channels).map(move |c| ((c * taps + tap) * block, c * plane))
 }
 
 /// Expand one `(C, H, W)` image into a `(C*kh*kw) x (out_h*out_w)` row-major
@@ -165,54 +174,86 @@ pub fn im2col<S: Scalar>(geom: &Conv2dGeometry, image: &[S], col: &mut [S]) {
 
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let (width, sh, sw) = (geom.width, geom.stride_h, geom.stride_w);
-    for_each_tap(geom, |block, plane, rows, cols| {
-        let block = &mut col[block..block + oh * ow];
+    for_each_tap(geom, |tap, rows, cols| {
         if rows.is_empty() || cols.is_empty() {
-            block.fill(S::ZERO);
+            for (block, _) in channels(geom, tap) {
+                col[block..block + oh * ow].fill(S::ZERO);
+            }
             return;
         }
         // Padding before the first mirrored entry and after the last one.
         let (head, tail) = (rows.lo * ow + cols.lo, (rows.hi - 1) * ow + cols.hi);
-        block[..head].fill(S::ZERO);
-        block[tail..].fill(S::ZERO);
-        let src = &image[plane + rows.first * width + cols.first..];
         let n = cols.hi - cols.lo;
-        if sw == 1 && sh == 1 && ow == width {
-            // Output rows and image rows have one pitch ("same" padding), so
-            // the tap is a single shifted copy of the plane; what it drags
-            // across the row ends is zeroed below.
-            block[head..tail].copy_from_slice(&src[..tail - head]);
-        } else {
-            let rows = block[head..tail].chunks_mut(ow).zip(src.chunks(sh * width));
-            for (dst, src) in rows {
-                if sw == 1 {
-                    dst[..n].copy_from_slice(&src[..n]);
-                } else {
+        let first = rows.first * width + cols.first;
+        // Whether every entry of the block mirrors a pixel (no padding).
+        let inside = head == 0 && tail == oh * ow && n == ow;
+        for (block, plane) in channels(geom, tap) {
+            let block = &mut col[block..block + oh * ow];
+            let src = &image[plane + first..];
+            if sw == 1 && sh == 1 && ow == width {
+                // Output rows and image rows have one pitch ("same"
+                // padding), so the tap is a single shifted copy of the
+                // plane; what it drags across the row ends is zeroed below.
+                block[head..tail].copy_from_slice(&src[..tail - head]);
+            } else if sw == 1 {
+                for oy in 0..rows.hi - rows.lo {
+                    let at = head + oy * ow;
+                    copy_row(&mut block[at..at + n], &src[oy * sh * width..][..n]);
+                }
+            } else {
+                let rows = block[head..tail].chunks_mut(ow).zip(src.chunks(sh * width));
+                for (dst, src) in rows {
                     for (d, s) in dst[..n].iter_mut().zip(src.iter().step_by(sw)) {
                         *d = *s;
                     }
                 }
             }
-        }
-        // The padding between two mirrored rows (the end of one, the start
-        // of the next) is `ow - n` adjacent entries, stored column by
-        // column: a `fill` per row is a `memset` call for an entry or two.
-        let gaps = &mut block[head + n..tail];
-        if !gaps.is_empty() {
-            for g in 0..ow - n {
-                for d in gaps[g..].iter_mut().step_by(ow) {
-                    *d = S::ZERO;
+            if inside {
+                continue;
+            }
+            // The padding outside the mirrored rectangle: before its first
+            // entry, after its last, and between two of its rows (the end
+            // of one, the start of the next: `ow - n` adjacent entries,
+            // stored column by column, as a `fill` per row is a `memset`
+            // call for an entry or two).
+            block[..head].fill(S::ZERO);
+            block[tail..].fill(S::ZERO);
+            let gaps = &mut block[head + n..tail];
+            if !gaps.is_empty() {
+                for g in 0..ow - n {
+                    for d in gaps[g..].iter_mut().step_by(ow) {
+                        *d = S::ZERO;
+                    }
                 }
             }
         }
     });
 }
 
+/// `dst.copy_from_slice(src)` for a row of a few entries, where a `memcpy`
+/// call would cost more than the copy: 8 entries at a time, then one at a
+/// time (an indexed loop, which is not turned back into a `memcpy` call).
+#[inline(always)]
+fn copy_row<S: Scalar>(dst: &mut [S], src: &[S]) {
+    let mut j = 0;
+    while j + 8 <= dst.len() {
+        let d: &mut [S; 8] = (&mut dst[j..j + 8]).try_into().expect("8 entries");
+        *d = src[j..j + 8].try_into().expect("8 entries");
+        j += 8;
+    }
+    while j < dst.len() {
+        dst[j] = src[j];
+        j += 1;
+    }
+}
+
 /// Inverse of [`im2col`]: scatter-accumulate a column matrix back into an
 /// image. Overlapping taps sum (the gradient semantics of convolution).
 /// The output image is zeroed first. Each pixel receives its contributions
 /// in `(kh, kw, oy)` order, which is part of the contract: training is
-/// reproducible bit for bit only while that order stands.
+/// reproducible bit for bit only while that order stands. (The taps are
+/// visited in that order with the channels innermost; two channels never
+/// share a pixel.)
 ///
 /// # Panics
 /// Panics if slice lengths do not match the geometry.
@@ -224,26 +265,29 @@ pub fn col2im<S: Scalar>(geom: &Conv2dGeometry, col: &[S], image: &mut [S]) {
     crate::level1::zero(image);
     let ow = geom.out_w();
     let (width, sh, sw) = (geom.width, geom.stride_h, geom.stride_w);
-    for_each_tap(geom, |block, plane, rows, cols| {
+    for_each_tap(geom, |tap, rows, cols| {
         if rows.is_empty() || cols.is_empty() {
             return;
         }
         let (head, tail) = (rows.lo * ow + cols.lo, (rows.hi - 1) * ow + cols.hi);
-        let dst = &mut image[plane + rows.first * width + cols.first..];
         let n = cols.hi - cols.lo;
-        let rows = col[block + head..block + tail]
-            .chunks(ow)
-            .zip(dst.chunks_mut(sh * width));
-        // A row holds at most one contribution per pixel, so the order
-        // within it is free.
-        for (src, dst) in rows {
-            if sw == 1 {
-                for (d, s) in dst[..n].iter_mut().zip(&src[..n]) {
-                    *d += *s;
-                }
-            } else {
-                for (d, s) in dst.iter_mut().step_by(sw).zip(&src[..n]) {
-                    *d += *s;
+        let first = rows.first * width + cols.first;
+        for (block, plane) in channels(geom, tap) {
+            let dst = &mut image[plane + first..];
+            let rows = col[block + head..block + tail]
+                .chunks(ow)
+                .zip(dst.chunks_mut(sh * width));
+            // A row holds at most one contribution per pixel, so the order
+            // within it is free.
+            for (src, dst) in rows {
+                if sw == 1 {
+                    for (d, s) in dst[..n].iter_mut().zip(&src[..n]) {
+                        *d += *s;
+                    }
+                } else {
+                    for (d, s) in dst.iter_mut().step_by(sw).zip(&src[..n]) {
+                        *d += *s;
+                    }
                 }
             }
         }

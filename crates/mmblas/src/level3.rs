@@ -7,11 +7,11 @@
 //!
 //! # Structure
 //!
-//! The kernel is a register-tiled `MR x NR` (6 x 16) outer-product
-//! microkernel over fixed `KC`-deep panels of the `k` dimension:
+//! The kernel is a register-tiled `MR x W` outer-product microkernel (6 rows
+//! by 16 or 32 lanes) over fixed `KC`-deep panels of the `k` dimension:
 //!
 //! * the **lane operand** (the one whose columns become vector lanes) is
-//!   packed, one `kb x NR` strip at a time, into a zero-padded stack buffer
+//!   packed, one `kb x W` strip at a time, into a zero-padded stack buffer
 //!   that stays in L1 while the strip is swept down the other operand;
 //! * the **broadcast operand** is never copied: the microkernel reads its
 //!   `MR` rows through `(row, column)` strides, which covers stored and
@@ -23,24 +23,26 @@
 //!   convolution's weight gradient: the `m x k` output diff, not the big
 //!   column matrix).
 //!
-//! The microkernel exists twice: `tile_scalar`, portable Rust, and an
-//! AVX2/FMA twin for `f32` selected once per call by
-//! `is_x86_feature_detected!`. `f64`, and `f32` on hosts without AVX2+FMA,
-//! run the scalar twin — compiled a second time with the `fma` target
-//! feature where the CPU has it, so `mul_add` is an instruction, not a libm
-//! call.
+//! The microkernel exists twice: `tile_scalar`, portable Rust, and
+//! `simd::tile`, written once over a register type. Each `f32` call takes
+//! the widest path the CPU has ([`Isa`]): with AVX-512F the 6 x 32 tile of
+//! two `__m512` a row, unless the lane operand has at most 16 columns (half
+//! a strip of padding); then, or with AVX2 only, the 6 x 16 tile of two
+//! `__m256`. `f64`, and `f32` without AVX2+FMA, run the scalar twin —
+//! compiled a second time with the `fma` target feature where the CPU has
+//! it, so `mul_add` is an instruction, not a libm call.
 //!
-//! The AVX2 twin has one more path, the **narrow path**, for a lane operand
-//! of at most `NARROW` (8) columns whose broadcast operand has contiguous
-//! rows (`A`'s column stride 1) and whose `C` is contiguous along those rows
-//! (`C`'s row stride 1). That is exactly the swapped product of a few-row
-//! inner-product forward, `gemm(No, Yes, rows <= 8, outputs, k)`, where the
-//! tile would leave 8–15 of its 16 lanes on padding. The narrow path puts
-//! its lanes on 16 consecutive rows of `A` (the weight rows) instead: it
-//! loads 4 columns of them, transposes the block in registers, and keeps
-//! one accumulator per column of `B` (per request row), taking one
-//! `vfmadd` per `p` against the broadcast `B[p][j]`. No copy of `A` is
-//! made, and nothing is allocated.
+//! Both vector paths have one more path, the (AVX2) **narrow path**, for a
+//! lane operand of at most `NARROW` (8) columns whose broadcast operand has
+//! contiguous rows (`A`'s column stride 1) and whose `C` is contiguous along
+//! those rows (`C`'s row stride 1). That is exactly the swapped product of a
+//! few-row inner-product forward, `gemm(No, Yes, rows <= 8, outputs, k)`,
+//! where a tile would leave 8–15 of its 16 lanes on padding. The narrow path
+//! puts its lanes on 16 consecutive rows of `A` (the weight rows) instead:
+//! it loads 4 columns of them, transposes the block in registers, and keeps
+//! one accumulator per column of `B` (per request row), taking one `vfmadd`
+//! per `p` against the broadcast `B[p][j]`. No copy of `A` is made, and
+//! nothing is allocated.
 //!
 //! # Bit-identity
 //!
@@ -48,11 +50,12 @@
 //! `j` (or, in the swapped orientation, over `i`) and never over `k`, so no
 //! lane-reduction tree exists. Per panel the accumulator starts at `+0.0` and
 //! takes `acc = fma(a[i][p], b[p][j], acc)` for ascending `p`; panels are
-//! `KC` deep, start at `p = 0` and are visited in ascending order; each panel
-//! is folded into `C` by the same expression (`write_back`): `alpha * acc`
-//! when `beta == 0` on the first panel, `fma(alpha, acc, beta * C[i][j])`
-//! otherwise (`beta` is 1 after the first panel). Nothing in that recipe
-//! depends on where `(i, j)` sits in a tile, on the tile's position, on the
+//! `KC` deep (on every path: `KC`, not a strip width, fixes the association),
+//! start at `p = 0` and are visited in ascending order; each panel is folded
+//! into `C` by `fold`: `alpha * acc` when `beta == 0` on the first panel,
+//! `fma(alpha, acc, beta * C[i][j])` otherwise (`beta` is 1 after the first
+//! panel). Nothing in that recipe depends on where `(i, j)` sits in a tile,
+//! on the tile's width, its register type or position, on the
 //! orientation (`fma` commutes in its factors) or on which rows and columns
 //! the call covers, and the scalar twin's `mul_add` is the same correctly
 //! rounded `fma` the vector instruction computes per lane.
@@ -61,11 +64,11 @@
 //! a lane still holds one `C[i][j]` and nothing else, the register
 //! transpose only moves `A[i][p]` into lane `i` without arithmetic, each
 //! panel's lanes start at `+0.0` and take `fma(a[i][p], b[p][j], acc)` for
-//! ascending `p` over the same `KC` panels, and each panel is folded by the
-//! same expression `write_back` uses. Which lanes a product runs on is
-//! never part of the recipe, so it returns the tile kernel's bits. Hence:
+//! ascending `p` over the same `KC` panels, and each panel is folded by
+//! `fold`. Which lanes a product runs on is never part of the recipe, so
+//! it returns the tile kernel's bits. Hence:
 //!
-//! * the SIMD and scalar paths return the same bits;
+//! * every path — scalar, AVX2, AVX-512 — returns the same bits;
 //! * any row range of a product, computed by calling [`gemm`] on
 //!   `&a[row0 * lda..]`, equals the same rows of the full call bit for bit —
 //!   which is all a channel-split layer or a row-parallel driver needs.
@@ -74,28 +77,24 @@
 //! edge tile are accumulated but not written back.
 
 use crate::{Scalar, Transpose};
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
-/// Register tile of the microkernel: `MR` broadcast rows by `NR` lanes.
-/// For `f32` on AVX2 that is 12 accumulator registers, 2 for the `B` row and
-/// 1 for the broadcast — 15 of 16.
+/// Register tile: `MR` broadcast rows by `NR` lanes (`2 * NR` on AVX-512). On
+/// AVX2: 12 accumulators, 2 registers for the `B` row, 1 for the broadcast.
 pub(crate) const MR: usize = 6;
 pub(crate) const NR: usize = 16;
 
-/// Depth of one `k` panel. A packed strip is `KC * NR` elements (16 KiB of
-/// `f32`), sized to sit in L1 beside the `MR` rows being streamed. Part of
-/// the numerical contract: changing it changes the summation association.
+/// Depth of one `k` panel, sized so that a packed strip (16 or 32 KiB of
+/// `f32`) sits in L1. Part of the numerical contract: it fixes the association.
 pub(crate) const KC: usize = 256;
 
-/// Widest lane operand the AVX2 twin hands to its narrow path instead of
+/// Widest lane operand the vector paths hand to their narrow path instead of
 /// the `MR x NR` tile, which would leave `NR - n` of its lanes on padding.
 /// Set at the measured crossover of `gemm(No, Yes, rows, 500, 800)`: on a
 /// 2-core Xeon the narrow path is 2.1–3.1x faster than the tile at 1–4
 /// rows, 1.6–2.4x at 5–7 and 1.0–1.25x at 8, where its spilled
 /// accumulators close the gap.
 pub(crate) const NARROW: usize = 8;
-
-/// One microkernel result: row-major `MR x NR` accumulators.
-type Tile<S> = [S; MR * NR];
 
 /// A read-only strided matrix: element `(i, j)` is `data[i * rs + j * cs]`.
 /// A stored row-major matrix has `cs == 1`; its transpose swaps the strides.
@@ -140,6 +139,16 @@ pub struct Strided<'a, S> {
     beta: S,
     c_rs: usize,
     c_cs: usize,
+}
+
+/// One microkernel call: the panel at `a_off` (row `i` of `A` starts at
+/// `a_off[i]`) of the tile of `C` at `c[0]`, whose `mr x nr` corner is real.
+struct Tile<'a, S> {
+    p: &'a Strided<'a, S>,
+    a_off: [usize; MR],
+    beta: S,
+    mr: usize,
+    nr: usize,
 }
 
 fn check_gemm_args<S: Scalar>(
@@ -256,7 +265,7 @@ pub fn gemm_naive<S: Scalar>(
 /// operands. `beta == 0` overwrites `C` without reading it, and
 /// `alpha == 0` leaves `A` and `B` unread (the BLAS conventions).
 ///
-/// The result is bit-identical with or without SIMD, and every row range
+/// The result is bit-identical on every instruction set, and every row range
 /// computed on its own (`&a[row0 * lda..]`, the matching rows of `c`) is
 /// bit-identical to those rows of the full product; see the
 /// [module docs](self) for the argument. The call allocates nothing.
@@ -359,7 +368,7 @@ fn gemm_with<S: Scalar>(
 /// target: the scalar twin every other path is held to. On an x86_64
 /// baseline `mul_add` is a libm call here.
 pub(crate) fn gemm_portable<S: Scalar>(p: &Strided<'_, S>, c: &mut [S]) {
-    gemm_loops(tile_scalar::<S>, p, c);
+    gemm_loops::<S, NR>(tile_scalar, p, c);
 }
 
 /// The strided core for `f64`, and for `f32` without AVX2: the portable
@@ -387,73 +396,123 @@ unsafe fn gemm_fma<S: Scalar>(p: &Strided<'_, S>, c: &mut [S]) {
     // A closure, not the bare `tile_scalar`: the closure inherits this
     // function's target features, so the microkernel inlined into it is
     // compiled with FMA (a fn item would be called through a shim without).
-    gemm_loops(
-        |kb, a, a_off, a_cs, strip, acc| tile_scalar(kb, a, a_off, a_cs, strip, acc),
-        p,
-        c,
-    );
+    gemm_loops::<S, NR>(|t, strip, c| tile_scalar(t, strip, c), p, c);
 }
 
-/// The strided core for `f32`: AVX2 where the CPU has it.
-pub(crate) fn gemm_f32(p: &Strided<'_, f32>, c: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        // SAFETY: `gemm_avx2` requires the `avx2` and `fma` CPU features,
-        // and both were detected on the running CPU on the line above.
-        unsafe { avx2::gemm_avx2(p, c) };
-        return;
+/// The paths of the `f32` [`gemm`], narrowest first. A call takes the one
+/// [`force_isa`] pinned, or else the widest the CPU has.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Isa {
+    Scalar,
+    Avx2,
+    Avx512,
+}
+
+impl Isa {
+    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Avx2, Isa::Avx512];
+
+    /// Whether the running CPU has this path's features.
+    pub fn available(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return match self {
+            Isa::Scalar => true,
+            Isa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            Isa::Avx512 => is_x86_feature_detected!("avx512f") && Isa::Avx2.available(),
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        return self == Isa::Scalar;
     }
-    gemm_scalar(p, c);
 }
 
-/// Loop nest shared by both twins.
+/// `Isa as u8` of the pinned path, if any (`Relaxed`: it publishes nothing).
+static PINNED: AtomicU8 = AtomicU8::new(u8::MAX);
+
+/// Test hook: every later `f32` [`gemm`] in the process takes `isa`'s path
+/// (`None`: the widest). Returns `false`, pinning nothing, if the CPU lacks it.
+#[doc(hidden)]
+pub fn force_isa(isa: Option<Isa>) -> bool {
+    let ok = isa.is_none_or(Isa::available);
+    if ok {
+        PINNED.store(isa.map_or(u8::MAX, |isa| isa as u8), Relaxed);
+    }
+    ok
+}
+
+/// The strided core for `f32`.
+pub(crate) fn gemm_f32(p: &Strided<'_, f32>, c: &mut [f32]) {
+    let pinned = Isa::ALL.get(PINNED.load(Relaxed) as usize).copied();
+    let widest = Isa::ALL.into_iter().rev().find(|isa| isa.available());
+    gemm_on(pinned.or(widest).unwrap_or(Isa::Scalar), p, c);
+}
+
+/// The `f32` strided core on `isa`'s path, which the CPU must have.
+fn gemm_on(isa: Isa, p: &Strided<'_, f32>, c: &mut [f32]) {
+    assert!(isa.available(), "gemm: this CPU has no {isa:?} path");
+    match isa {
+        // SAFETY: `available` (asserted) detected `avx512f`, `avx2` and `fma`.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { simd::gemm_avx512(p, c) },
+        // SAFETY: `available` (asserted) detected `avx2` and `fma`.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { simd::gemm_avx2(p, c) },
+        _ => gemm_scalar(p, c),
+    }
+}
+
+/// Loop nest shared by every path, over strips `W` lanes wide.
 ///
-/// `inline(always)` so that the AVX2 twin's copy — packing, write-back and
-/// all — is compiled with that function's target features.
+/// `inline(always)` so that each vector path's copy — packing and all — is
+/// compiled with that function's target features.
 #[inline(always)]
-fn gemm_loops<S: Scalar>(
-    tile: impl Fn(usize, &[S], &[usize; MR], usize, &[S], &mut Tile<S>),
+fn gemm_loops<S: Scalar, const W: usize>(
+    tile: impl Fn(&Tile<'_, S>, &[[S; W]], &mut [S]),
     p: &Strided<'_, S>,
     c: &mut [S],
 ) {
     let (a, b) = (p.a, p.b);
-    let mut strip = [S::ZERO; KC * NR];
-    let mut acc = [S::ZERO; MR * NR];
+    let mut strip = Aligned([[S::ZERO; W]; KC]); // No row load splits a line.
     for pc in (0..p.k).step_by(KC) {
         let kb = KC.min(p.k - pc);
         // Later panels add to what the first one wrote.
         let beta = if pc == 0 { p.beta } else { S::ONE };
-        for jr in (0..p.n).step_by(NR) {
-            let nr = NR.min(p.n - jr);
-            pack_strip(&mut strip, b, pc, kb, jr, nr);
+        for jr in (0..p.n).step_by(W) {
+            let nr = W.min(p.n - jr);
+            pack_strip(&mut strip.0[..kb], b, pc, jr, nr);
             for ir in (0..p.m).step_by(MR) {
                 let mr = MR.min(p.m - ir);
-                // Offsets of the tile's rows at column `pc`; an edge tile
-                // re-reads its last row instead of reading past the matrix.
-                let a_off: [usize; MR] =
-                    std::array::from_fn(|i| (ir + i.min(mr - 1)) * a.rs + pc * a.cs);
-                tile(kb, a.data, &a_off, a.cs, &strip, &mut acc);
-                let c_tile = &mut c[ir * p.c_rs + jr * p.c_cs..];
-                write_back(&acc, p.alpha, beta, c_tile, p.c_rs, p.c_cs, mr, nr);
+                let t = Tile {
+                    p,
+                    // Offsets of the tile's rows at column `pc`; an edge
+                    // tile re-reads its last row instead of reading past
+                    // the matrix.
+                    a_off: std::array::from_fn(|i| (ir + i.min(mr - 1)) * a.rs + pc * a.cs),
+                    beta,
+                    mr,
+                    nr,
+                };
+                tile(&t, &strip.0[..kb], &mut c[ir * p.c_rs + jr * p.c_cs..]);
             }
         }
     }
 }
 
-/// Copies the `kb x nr` block of `b` at `(pc, jr)` to `strip[p * NR + j]`
-/// and zeroes lanes `nr..NR`, so the microkernel always reads full rows.
+#[repr(align(64))]
+struct Aligned<T>(T);
+
+/// Copies the `strip.len() x nr` block of `b` at `(pc, jr)` to `strip[p][j]`
+/// and zeroes lanes `nr..W`, so the microkernel always reads full rows.
 #[inline(always)]
-fn pack_strip<S: Scalar>(
-    strip: &mut [S; KC * NR],
+fn pack_strip<S: Scalar, const W: usize>(
+    strip: &mut [[S; W]],
     b: MatRef<'_, S>,
     pc: usize,
-    kb: usize,
     jr: usize,
     nr: usize,
 ) {
     let block = &b.data[pc * b.rs + jr * b.cs..];
     if b.cs == 1 {
-        for (p, dst) in strip.chunks_exact_mut(NR).take(kb).enumerate() {
+        for (p, dst) in strip.iter_mut().enumerate() {
             dst[..nr].copy_from_slice(&block[p * b.rs..][..nr]);
             dst[nr..].fill(S::ZERO);
         }
@@ -462,12 +521,12 @@ fn pack_strip<S: Scalar>(
         // element; walk each run once (contiguous when `b.rs == 1`).
         for j in 0..nr {
             let run = &block[j * b.cs..];
-            for p in 0..kb {
-                strip[p * NR + j] = run[p * b.rs];
+            for (p, dst) in strip.iter_mut().enumerate() {
+                dst[j] = run[p * b.rs];
             }
         }
-        if nr < NR {
-            for dst in strip.chunks_exact_mut(NR).take(kb) {
+        if nr < W {
+            for dst in strip.iter_mut() {
                 dst[nr..].fill(S::ZERO);
             }
         }
@@ -485,67 +544,53 @@ fn fold<S: Scalar>(alpha: S, beta: S, cij: &mut S, v: S) {
     };
 }
 
-/// Folds one panel's accumulators into the `mr x nr` corner of the tile of
-/// `C` starting at `c[0]`.
+/// Folds one panel's accumulators, row `i` in `acc[i]`, into the `mr x nr`
+/// corner of the tile of `C` at `c[0]`.
 #[inline(always)]
-fn write_back<S: Scalar>(
-    acc: &Tile<S>,
-    alpha: S,
-    beta: S,
-    c: &mut [S],
-    c_rs: usize,
-    c_cs: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let fold = |cij: &mut S, v: S| fold(alpha, beta, cij, v);
-    for (i, arow) in acc.chunks_exact(NR).take(mr).enumerate() {
-        if c_cs == 1 {
+fn write_back<S: Scalar, const W: usize>(t: &Tile<'_, S>, acc: &[[S; W]; MR], c: &mut [S]) {
+    let fold = |cij: &mut S, v: S| fold(t.p.alpha, t.beta, cij, v);
+    for (i, arow) in acc.iter().take(t.mr).enumerate() {
+        if t.p.c_cs == 1 {
             // Contiguous row of C: a slice, so the loop vectorizes.
-            for (cij, &v) in c[i * c_rs..][..nr].iter_mut().zip(arow) {
+            for (cij, &v) in c[i * t.p.c_rs..][..t.nr].iter_mut().zip(arow) {
                 fold(cij, v);
             }
         } else {
-            for (j, &v) in arow[..nr].iter().enumerate() {
-                fold(&mut c[i * c_rs + j * c_cs], v);
+            for (j, &v) in arow[..t.nr].iter().enumerate() {
+                fold(&mut c[i * t.p.c_rs + j * t.p.c_cs], v);
             }
         }
     }
 }
 
-/// Portable microkernel, the scalar twin of `avx2::tile_avx2`:
-/// `acc[i][j] = sum over p < kb of a[a_off[i] + p * a_cs] * strip[p][j]`,
-/// fused, ascending `p`, from `+0.0`.
+/// Portable microkernel, the scalar twin of `simd::tile`:
+/// `acc[i][j] = sum over p of a[a_off[i] + p * a_cs] * strip[p][j]`, fused,
+/// ascending `p`, from `+0.0`, then folded into `C`.
 #[inline(always)]
-fn tile_scalar<S: Scalar>(
-    kb: usize,
-    a: &[S],
-    a_off: &[usize; MR],
-    a_cs: usize,
-    strip: &[S],
-    acc: &mut Tile<S>,
-) {
-    *acc = [S::ZERO; MR * NR];
-    for (p, brow) in strip.chunks_exact(NR).take(kb).enumerate() {
-        for (row, &off) in acc.chunks_exact_mut(NR).zip(a_off) {
-            let aip = a[off + p * a_cs];
+fn tile_scalar<S: Scalar, const W: usize>(t: &Tile<'_, S>, strip: &[[S; W]], c: &mut [S]) {
+    let mut acc = [[S::ZERO; W]; MR];
+    for (p, brow) in strip.iter().enumerate() {
+        for (row, &off) in acc.iter_mut().zip(&t.a_off) {
+            let aip = t.p.a.data[off + p * t.p.a.cs];
             for (cij, &bpj) in row.iter_mut().zip(brow) {
                 *cij = aip.mul_add_s(bpj, *cij);
             }
         }
     }
+    write_back(t, &acc, c);
 }
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{fold, gemm_loops, Strided, Tile, KC, MR, NARROW, NR};
+mod simd {
+    use super::{fold, gemm_loops, write_back, Strided, Tile, KC, MR, NARROW, NR};
     use std::arch::x86_64::{
-        __m256, _mm256_castps128_ps256, _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps,
-        _mm256_set1_ps, _mm256_setr_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
-        _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_loadu_ps,
+        __m256, __m512, _mm256_castps128_ps256, _mm256_fmadd_ps, _mm256_insertf128_ps,
+        _mm256_loadu_ps, _mm256_set1_ps, _mm256_setr_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
+        _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_set1_ps, _mm512_storeu_ps, _mm_loadu_ps,
     };
 
-    /// [`gemm_loops`] compiled for AVX2+FMA around [`tile_avx2`], or the
+    /// [`gemm_loops`] over the 6 x 16 tile of two `__m256` a row, or the
     /// [`narrow`] path when the problem has that shape.
     ///
     /// # Safety
@@ -565,13 +610,119 @@ mod avx2 {
             }
             return;
         }
-        // The closure inherits this function's target features, which is
-        // what makes its call to `tile_avx2` a safe one.
-        gemm_loops(
-            |kb, a, a_off, a_cs, strip, acc| tile_avx2(kb, a, a_off, a_cs, strip, acc),
-            p,
-            c,
+        // SAFETY: the closure inherits `avx2,fma`, `__m256`'s features.
+        gemm_loops(|t, s, c| unsafe { tile::<__m256, NR>(t, s, c) }, p, c);
+    }
+
+    /// [`gemm_loops`] over the 6 x 32 tile of two `__m512` a row, or
+    /// [`gemm_avx2`] for a lane operand of at most `NR` columns.
+    ///
+    /// # Safety
+    /// The running CPU must support the `avx512f`, `avx2` and `fma` features.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn gemm_avx512(p: &Strided<'_, f32>, c: &mut [f32]) {
+        if p.n <= NR {
+            // SAFETY: the caller guarantees `gemm_avx2`'s features.
+            unsafe { gemm_avx2(p, c) };
+        } else {
+            // SAFETY: the closure inherits `avx512f`, `__m512`'s feature.
+            gemm_loops(|t, s, c| unsafe { tile::<__m512, 32>(t, s, c) }, p, c);
+        }
+    }
+
+    /// A vector register of `N` `f32` lanes, as [`tile`] uses it.
+    ///
+    /// # Safety
+    /// Each method requires its impl's CPU features (`avx2` and `fma` for
+    /// `__m256`, `avx512f` for `__m512`); `load` reads and `store` writes the
+    /// `N` floats at `p`.
+    trait Lanes: Copy {
+        const N: usize;
+        // SAFETY: (each method) the trait's `# Safety` section.
+        unsafe fn splat(x: f32) -> Self;
+        // SAFETY: as above.
+        unsafe fn load(p: *const f32) -> Self;
+        // SAFETY: as above.
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+        // SAFETY: as above.
+        unsafe fn store(p: *mut f32, v: Self);
+    }
+
+    /// `impl Lanes for $ty`: `$n` lanes, the features `$f`, an intrinsic each.
+    #[rustfmt::skip]
+    macro_rules! lanes {
+        ($ty:ty, $n:literal, $f:literal, $splat:ident, $load:ident, $fma:ident, $store:ident) => {
+            impl Lanes for $ty {
+                const N: usize = $n;
+                // SAFETY: (each method) the trait's contract: the caller
+                // guarantees `$f`, and for `load` / `store` the access.
+                #[inline] #[target_feature(enable = $f)]
+                unsafe fn splat(x: f32) -> Self { $splat(x) }
+                // SAFETY: as above.
+                #[inline] #[target_feature(enable = $f)]
+                unsafe fn load(p: *const f32) -> Self { $load(p) }
+                // SAFETY: as above.
+                #[inline] #[target_feature(enable = $f)]
+                unsafe fn fma(a: Self, b: Self, c: Self) -> Self { $fma(a, b, c) }
+                // SAFETY: as above.
+                #[inline] #[target_feature(enable = $f)]
+                unsafe fn store(p: *mut f32, v: Self) { $store(p, v) }
+            }
+        };
+    }
+    lanes! { __m256, 8, "avx2,fma", _mm256_set1_ps, _mm256_loadu_ps, _mm256_fmadd_ps, _mm256_storeu_ps }
+    lanes! { __m512, 16, "avx512f", _mm512_set1_ps, _mm512_loadu_ps, _mm512_fmadd_ps, _mm512_storeu_ps }
+
+    /// The vector twin of [`super::tile_scalar`], `W = 2 * L::N` lanes wide:
+    /// row `i` lives in two registers, lane = column `j`, and takes one fused
+    /// multiply-add per `p` — the twin's operation, in its order. With
+    /// `alpha == 1` and `beta == 0`, [`fold`] is `1 * acc == acc`, so a full
+    /// tile on contiguous rows of `C` is stored there from the registers;
+    /// any other spills to the stack for [`write_back`].
+    ///
+    /// # Safety
+    /// The running CPU must support `L`'s features.
+    #[inline(always)]
+    unsafe fn tile<L: Lanes, const W: usize>(t: &Tile<'_, f32>, strip: &[[f32; W]], c: &mut [f32]) {
+        assert!(2 * L::N == W && !strip.is_empty(), "tile: bad panel");
+        // The largest index read below is `max(a_off) + (kb - 1) * a_cs`;
+        // checked, so that no smaller `off + p * a_cs` can wrap either.
+        let last = t.a_off.iter().copied().max().and_then(|off| {
+            let span = (strip.len() - 1).checked_mul(t.p.a.cs)?;
+            off.checked_add(span)
+        });
+        assert!(
+            last.is_some_and(|last| last < t.p.a.data.len()),
+            "tile: A rows out of range"
         );
+        // SAFETY: the caller guarantees `L`'s features, which every `L::`
+        // call needs; `off + p * a_cs <= last < a.len()` (asserted above);
+        // the two registers of a row load and store lanes `0..N` and `N..2N
+        // = W` of a `W`-long row: of `brow`, of `spill`, or of `C`.
+        unsafe {
+            let mut acc = [[L::splat(0.0); 2]; MR];
+            for (p, brow) in strip.iter().enumerate() {
+                let b = [L::load(brow.as_ptr()), L::load(brow.as_ptr().add(L::N))];
+                for (ci, &off) in acc.iter_mut().zip(&t.a_off) {
+                    let aip = L::splat(*t.p.a.data.get_unchecked(off + p * t.p.a.cs));
+                    *ci = [L::fma(aip, b[0], ci[0]), L::fma(aip, b[1], ci[1])];
+                }
+            }
+            if t.p.alpha == 1.0 && t.beta == 0.0 && t.p.c_cs == 1 && t.nr == W {
+                for (i, ci) in acc.iter().take(t.mr).enumerate() {
+                    let row = c[i * t.p.c_rs..][..W].as_mut_ptr();
+                    L::store(row, ci[0]);
+                    L::store(row.add(L::N), ci[1]);
+                }
+            } else {
+                let mut spill = [[0.0; W]; MR];
+                for (row, ci) in spill.iter_mut().zip(&acc) {
+                    L::store(row.as_mut_ptr(), ci[0]);
+                    L::store(row.as_mut_ptr().add(L::N), ci[1]);
+                }
+                write_back(t, &spill, c);
+            }
+        }
     }
 
     /// 8-lane registers per column of `B` in a narrow block: two, so that
@@ -711,57 +862,6 @@ mod avx2 {
             _mm256_shuffle_ps::<0xEE>(t1, t3), // a3 b3 c3 d3
         ]
     }
-
-    /// AVX2/FMA microkernel, the vector twin of [`super::tile_scalar`]: row
-    /// `i` of the tile lives in two 8-lane registers, lane = column `j`, and
-    /// takes one `vfmadd` per `p` — the same fused operation, in the same
-    /// order, as the scalar twin applies to each `acc[i][j]`.
-    #[target_feature(enable = "avx2,fma")]
-    fn tile_avx2(
-        kb: usize,
-        a: &[f32],
-        a_off: &[usize; MR],
-        a_cs: usize,
-        strip: &[f32],
-        acc: &mut Tile<f32>,
-    ) {
-        assert!(kb >= 1 && strip.len() >= kb * NR, "tile: bad panel");
-        // The largest index read below is `max(a_off) + (kb - 1) * a_cs`;
-        // checked, so that no smaller `off + p * a_cs` can wrap either.
-        let last = a_off.iter().copied().max().and_then(|off| {
-            let span = (kb - 1).checked_mul(a_cs)?;
-            off.checked_add(span)
-        });
-        assert!(
-            last.is_some_and(|last| last < a.len()),
-            "tile: A rows out of range"
-        );
-        let mut c = [[_mm256_setzero_ps(); 2]; MR];
-        for p in 0..kb {
-            // SAFETY: `p < kb` and `strip.len() >= kb * NR` (asserted above),
-            // so both 8-float loads end at or before `p * NR + 16 <=
-            // strip.len()`; `loadu` has no alignment requirement.
-            let (b0, b1) = unsafe {
-                let row = strip.as_ptr().add(p * NR);
-                (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
-            };
-            for (ci, &off) in c.iter_mut().zip(a_off) {
-                // SAFETY: `off + p * a_cs <= max(a_off) + (kb - 1) * a_cs <
-                // a.len()` by the assert above.
-                let aip = _mm256_set1_ps(unsafe { *a.get_unchecked(off + p * a_cs) });
-                ci[0] = _mm256_fmadd_ps(aip, b0, ci[0]);
-                ci[1] = _mm256_fmadd_ps(aip, b1, ci[1]);
-            }
-        }
-        for (row, ci) in acc.chunks_exact_mut(NR).zip(&c) {
-            // SAFETY: `row` is exactly `NR = 16` floats, so the two 8-float
-            // unaligned stores cover it and nothing else.
-            unsafe {
-                _mm256_storeu_ps(row.as_mut_ptr(), ci[0]);
-                _mm256_storeu_ps(row.as_mut_ptr().add(8), ci[1]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -885,7 +985,7 @@ mod tests {
         cases
     }
 
-    /// Problems the AVX2 twin hands to its narrow path: `op(B)` transposed
+    /// Problems the vector paths hand to the narrow path: `op(B)` transposed
     /// with at most `NARROW` rows of `C` (after the swap, `NARROW` lanes
     /// over the stored rows of `B`), and a one-column `C` with `ldc == 1`
     /// in the stored orientation. Row counts of `A` on and either side of
@@ -988,6 +1088,55 @@ mod tests {
         );
     }
 
+    /// [`gemm`] on path `Isa::ALL[I]`, whatever the widest path is.
+    fn gemm_path<const I: usize>(
+        ta: Transpose,
+        tb: Transpose,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f32,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        beta: f32,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        gemm_with(
+            |p, c| gemm_on(Isa::ALL[I], p, c),
+            ta,
+            tb,
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            lda,
+            b,
+            ldb,
+            beta,
+            c,
+            ldc,
+        );
+    }
+
+    /// The `f32` [`gemm`] on every path this CPU has, named; a path it lacks
+    /// is reported as skipped, so that a pass never hides which paths ran.
+    fn f32_paths() -> Vec<(Isa, GemmFn<f32>)> {
+        let all: [GemmFn<f32>; 3] = [gemm_path::<0>, gemm_path::<1>, gemm_path::<2>];
+        let paths: Vec<_> = Isa::ALL
+            .into_iter()
+            .zip(all)
+            .filter(|(isa, _)| isa.available())
+            .collect();
+        for isa in Isa::ALL.iter().filter(|isa| !isa.available()) {
+            eprintln!("level3 tests: this CPU has no {isa:?} path; skipped it");
+        }
+        paths
+    }
+
     fn run<S: Scalar>(f: GemmFn<S>, case: &Case, a: &[S], b: &[S], c0: &[S]) -> Vec<S> {
         let (lda, ldb, ldc) = case.lds();
         let mut c = c0.to_vec();
@@ -1041,12 +1190,14 @@ mod tests {
         let ip = ip_cases();
         for case in conv_cases().iter().chain(&ip) {
             let (a, b, c0) = operands::<f32>(case);
-            let got = run(gemm::<f32>, case, &a, &b, &c0);
             let twin = run(gemm_twin::<f32>, case, &a, &b, &c0);
             let want = run(gemm_naive::<f32>, case, &a, &b, &c0);
-            let what = format!("{case:?}");
-            assert_bitwise(&got, &twin, &what);
-            assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+            for (isa, path) in f32_paths() {
+                let got = run(path, case, &a, &b, &c0);
+                let what = format!("{isa:?} {case:?}");
+                assert_bitwise(&got, &twin, &what);
+                assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+            }
         }
         for case in &ip {
             let (a, b, c0) = operands::<f64>(case);
@@ -1065,10 +1216,13 @@ mod tests {
         for case in edge_cases() {
             let what = format!("{case:?}");
             let (a, b, c0) = operands::<f32>(&case);
-            let got = run(gemm::<f32>, &case, &a, &b, &c0);
-            assert_bitwise(&got, &run(gemm_twin::<f32>, &case, &a, &b, &c0), &what);
+            let twin = run(gemm_twin::<f32>, &case, &a, &b, &c0);
             let want = run(gemm_naive::<f32>, &case, &a, &b, &c0);
-            assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+            for (isa, path) in f32_paths() {
+                let got = run(path, &case, &a, &b, &c0);
+                assert_bitwise(&got, &twin, &format!("{isa:?} {what}"));
+                assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+            }
 
             let (a, b, c0) = operands::<f64>(&case);
             let got = run(gemm::<f64>, &case, &a, &b, &c0);
@@ -1083,12 +1237,15 @@ mod tests {
     #[test]
     fn narrow_path_matches_oracle_and_twin_bitwise() {
         for case in narrow_cases() {
-            let what = format!("{case:?}");
             let (a, b, c0) = operands::<f32>(&case);
-            let got = run(gemm::<f32>, &case, &a, &b, &c0);
-            assert_bitwise(&got, &run(gemm_twin::<f32>, &case, &a, &b, &c0), &what);
+            let twin = run(gemm_twin::<f32>, &case, &a, &b, &c0);
             let want = run(gemm_naive::<f32>, &case, &a, &b, &c0);
-            assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+            for (isa, path) in f32_paths() {
+                let what = format!("{isa:?} {case:?}");
+                let got = run(path, &case, &a, &b, &c0);
+                assert_bitwise(&got, &twin, &what);
+                assert_close(&got, &want, case.k, f32::EPSILON as f64, &what);
+            }
         }
     }
 
@@ -1105,9 +1262,12 @@ mod tests {
         }
         cases.push(Case::new(Yes, No, 20, NR + 3, 2 * KC + 5, 0.5));
         cases.push(Case::new(Yes, Yes, 20, MR + 1, 2 * KC + 5, 0.5));
-        for case in cases {
-            let (a, b, c0) = operands::<f32>(&case);
-            let full = run(gemm::<f32>, &case, &a, &b, &c0);
+        for (case, (isa, path)) in cases
+            .iter()
+            .flat_map(|c| f32_paths().into_iter().map(move |p| (c, p)))
+        {
+            let (a, b, c0) = operands::<f32>(case);
+            let full = run(path, case, &a, &b, &c0);
             let (lda, ldb, ldc) = case.lds();
             for row0 in 0..case.m {
                 for rows in 1..=case.m - row0 {
@@ -1118,7 +1278,7 @@ mod tests {
                     };
                     let c_rows = row0 * ldc..(row0 + rows) * ldc;
                     let mut got = c0[c_rows.clone()].to_vec();
-                    gemm(
+                    path(
                         case.ta,
                         case.tb,
                         rows,
@@ -1136,7 +1296,7 @@ mod tests {
                     assert_bitwise(
                         &got,
                         &full[c_rows],
-                        &format!("rows {row0}+{rows} of {case:?}"),
+                        &format!("{isa:?}: rows {row0}+{rows} of {case:?}"),
                     );
                 }
             }
@@ -1156,14 +1316,17 @@ mod tests {
             cases.push(Case::new(No, Yes, m, 2 * MR + 5, KC + 37, 0.0));
             cases.push(Case::new(No, Yes, m, NR + 3, KC + 37, 1.0));
         }
-        for case in cases {
-            let (a, b, c0) = operands::<f32>(&case);
-            let full = run(gemm::<f32>, &case, &a, &b, &c0);
+        for (case, (isa, path)) in cases
+            .iter()
+            .flat_map(|c| f32_paths().into_iter().map(move |p| (c, p)))
+        {
+            let (a, b, c0) = operands::<f32>(case);
+            let full = run(path, case, &a, &b, &c0);
             let (lda, ldb, ldc) = case.lds();
             for col0 in 0..case.n {
                 for cols in 1..=case.n - col0 {
                     let mut got = c0.clone();
-                    gemm(
+                    path(
                         case.ta,
                         case.tb,
                         case.m,
@@ -1178,7 +1341,7 @@ mod tests {
                         &mut got[col0..],
                         ldc,
                     );
-                    let what = format!("columns {col0}+{cols} of {case:?}");
+                    let what = format!("{isa:?}: columns {col0}+{cols} of {case:?}");
                     let (inside, after) = (col0..col0 + cols, col0 + cols..);
                     for (row, (want, before)) in
                         got.chunks(ldc).zip(full.chunks(ldc).zip(c0.chunks(ldc)))
@@ -1222,7 +1385,8 @@ mod tests {
                     }
                     let want = run(gemm_naive::<f32>, &case, &a, &b, &c0);
                     assert!(want.iter().any(|v| v.is_nan()), "oracle dropped {poison}");
-                    for f in [gemm::<f32>, gemm_twin::<f32>] {
+                    let paths = f32_paths().into_iter().map(|(_, path)| path);
+                    for f in paths.chain([gemm_twin::<f32> as GemmFn<f32>]) {
                         let got = run(f, &case, &a, &b, &c0);
                         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                             assert_eq!(g.is_nan(), w.is_nan(), "element {i} of {case:?}");
@@ -1232,8 +1396,10 @@ mod tests {
                 }
             }
             // Finite operands: nothing of the NaN-filled C survives beta = 0.
-            let got = run(gemm::<f32>, &case, &clean_a, &clean_b, &c0);
-            assert!(got.iter().all(|v| v.is_finite()), "{case:?}");
+            for (isa, path) in f32_paths() {
+                let got = run(path, &case, &clean_a, &clean_b, &c0);
+                assert!(got.iter().all(|v| v.is_finite()), "{isa:?} {case:?}");
+            }
         }
     }
 

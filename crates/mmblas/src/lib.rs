@@ -10,13 +10,14 @@
 //! reads like the Caffe `caffe_cpu_gemm`/`caffe_cpu_gemv` call sites it
 //! mirrors.
 //!
-//! There is one GEMM, [`gemm`]: a register-tiled 6x16 microkernel over
-//! packed strips, written with AVX2/FMA intrinsics for `f32` (selected at run
-//! time) beside a scalar twin that performs the same fused operations in the
-//! same order; the AVX2 side also has a narrow path for products with at
-//! most 8 lane columns (a few-row inner product), which keeps that order.
-//! Its results are therefore bit-identical with or without SIMD
-//! and for any row range of a product — the property the coarse-grain
+//! There is one GEMM, [`gemm`]: a register-tiled microkernel over packed
+//! strips, written once over 8- and 16-lane registers for `f32` (6x16 with
+//! AVX2/FMA, 6x32 with AVX-512F, selected at run time) beside a scalar twin
+//! that performs the same fused operations in the same order; the vector
+//! paths also have a narrow path for products with at most 8 lane columns
+//! (a few-row inner product), which keeps that order. Its results are
+//! therefore bit-identical on every instruction set and for any row range
+//! of a product — the property the coarse-grain
 //! drivers' bit-identity guarantees rest on ([`level3`] has the argument).
 //! [`gemm_naive`] is the triple-loop oracle the tests compare against.
 //!

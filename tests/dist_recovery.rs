@@ -259,6 +259,42 @@ fn respawned_worker_rejoins_and_run_stays_bit_identical() {
 }
 
 #[test]
+fn a_worker_lost_in_the_last_step_is_not_respawned() {
+    let iters = 4;
+    let (ref_losses, ref_params) = reference_run(iters, 2);
+    // Rank 1 dies in the last step: no later step boundary could seat a
+    // replacement, so none is started, and the coordinator recomputes the
+    // shard.
+    let last = iters as u64 - 1;
+    let out = elastic_run(
+        iters,
+        2,
+        &[(1, last)],
+        RecoveryPolicy::default(),
+        true,
+        Duration::ZERO,
+    );
+    let losses = out.result.expect("elastic run should complete");
+    assert_eq!(ref_losses, losses, "loss trajectory diverged");
+    assert_eq!(ref_params, out.params, "final parameters diverged");
+    assert_eq!(out.respawned.len(), 0, "a worker respawned after the run");
+
+    // One step earlier the replacement still has a boundary to join at.
+    let out = elastic_run(
+        iters,
+        2,
+        &[(1, last - 1)],
+        RecoveryPolicy::default(),
+        true,
+        Duration::from_millis(50),
+    );
+    let losses = out.result.expect("elastic run should complete");
+    assert_eq!(ref_losses, losses, "loss trajectory diverged");
+    assert_eq!(ref_params, out.params, "final parameters diverged");
+    assert_eq!(out.respawned.len(), 1, "exactly one respawn");
+}
+
+#[test]
 fn restart_budget_exhaustion_is_typed_and_bounded() {
     let t0 = Instant::now();
     // Budget of one death: rank 1's death at step 1 is absorbed, rank 0's

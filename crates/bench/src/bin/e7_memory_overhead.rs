@@ -6,38 +6,26 @@
 //! convolutional layers: ≤640 KB (MNIST) and ≤1250 KB (CIFAR-10) at 16
 //! threads, ~5% of the 8 MB / 36 MB sequential footprints.
 //!
-//! One honest divergence: Caffe's InnerProduct computes `dW` with a single
-//! batched GEMM (`dW = dY^T X`), so its IP layers need **no** privatization
-//! and the paper's bound comes from the conv layers. Our implementation
-//! applies the paper's Algorithm 5 uniformly — IP layers privatize too — so
-//! our worst-case bound is LeNet's `ip1` (400 K coefficients), much larger
-//! than conv2's 25 K. This binary therefore reports both: the
-//! conv-only bound (comparable to the paper) and our uniform bound.
+//! As in Caffe, our InnerProduct computes `dW` as GEMMs over disjoint rows
+//! of `dW` and privatizes nothing, so the slot is sized by the largest
+//! convolution (LeNet's conv2, not its 400 K-coefficient `ip1`). The
+//! per-layer list shows every parameter gradient, the slot line which one
+//! sizes the slot.
 
 use cgdnn_bench::{banner, cifar_net, compare, mnist_net};
 use layers::ReductionMode;
 use net::Net;
 
-fn per_layer_breakdown(name: &str, net: &Net<f32>) -> (f64, f64) {
-    println!("--- {name}: per-layer privatized-gradient sizes ---");
-    let mut conv_max_kb = 0.0f64;
-    let mut all_max_kb = 0.0f64;
+fn per_layer_breakdown(name: &str, net: &Net<f32>) {
+    println!("--- {name}: per-layer parameter gradients ---");
     for p in net.profiles() {
         let elems = p.backward.reduction_elems;
         if elems == 0 {
             continue;
         }
         let kb = (elems * 4) as f64 / 1024.0;
-        println!(
-            "  {:<8}{:>10.1} KB per slot  ({})",
-            p.name, kb, p.layer_type
-        );
-        if p.layer_type == "Convolution" {
-            conv_max_kb = conv_max_kb.max(kb);
-        }
-        all_max_kb = all_max_kb.max(kb);
+        println!("  {:<8}{:>10.1} KB  ({})", p.name, kb, p.layer_type);
     }
-    (conv_max_kb, all_max_kb)
 }
 
 fn main() {
@@ -49,34 +37,29 @@ fn main() {
         ("MNIST/LeNet", mnist_net(), 640.0, 8.0),
         ("CIFAR-10", cifar_net(), 1250.0, 36.0),
     ] {
-        let (conv_max_kb, all_max_kb) = per_layer_breakdown(name, &net);
+        per_layer_breakdown(name, &net);
         net.ensure_workspace(16, ReductionMode::Ordered);
         let report = net.memory_report();
         println!("\n{name} @16 threads:\n{report}\n");
+        let privatized = (report.slots * report.slot_bytes) as f64;
         compare(
-            "conv-only privatization @16T (KB)",
+            "privatization @16T (KB)",
             paper_overhead_kb,
-            16.0 * conv_max_kb,
-        );
-        compare(
-            "uniform (incl. IP) privatization @16T (KB)",
-            paper_overhead_kb,
-            16.0 * all_max_kb,
+            privatized / 1024.0,
         );
         compare(
             "sequential footprint (MB)",
             paper_seq_mb,
             report.sequential_bytes() as f64 / (1024.0 * 1024.0),
         );
-        let conv_pct = 100.0 * 16.0 * conv_max_kb * 1024.0 / report.sequential_bytes() as f64;
-        compare("conv-only overhead %", 5.0, conv_pct);
+        let pct = 100.0 * privatized / report.sequential_bytes() as f64;
+        compare("privatization overhead %", 5.0, pct);
         println!();
     }
     println!(
-        "note: the conv-only rows are the quantity comparable to the paper\n\
-         (Caffe's IP layers use one batched GEMM and never privatize); the\n\
-         uniform rows are what our Algorithm-5-everywhere design costs.\n\
-         Our blob footprint is also larger because in-place layers are not\n\
-         supported and every blob carries an eagerly-allocated diff buffer."
+        "note: the overhead line adds the 15 extra column buffers to the\n\
+         privatized slots. Our blob footprint is larger than Caffe's because\n\
+         in-place layers are not supported and every blob carries an\n\
+         eagerly-allocated diff buffer."
     );
 }

@@ -68,6 +68,17 @@ mod tests {
         assert_eq!(net.blob("ip2").unwrap().shape().dims(), &[64, 10]);
     }
 
+    /// The inner products privatize nothing, so LeNet's slot is conv2's
+    /// gradient (50 x 20 x 5 x 5 weights + 50 biases), not ip1's 400 K.
+    #[test]
+    fn lenet_slot_holds_conv2s_gradient() {
+        let mut net = lenet::<f32>(Box::new(SyntheticMnist::new(128, 0))).unwrap();
+        net.ensure_workspace(16, layers::ReductionMode::Ordered);
+        let report = net.memory_report();
+        assert_eq!(report.slots, 16);
+        assert_eq!(report.slot_bytes, 25_050 * 4);
+    }
+
     #[test]
     fn cifar_quick_builds() {
         let net = cifar10_quick::<f32>(Box::new(SyntheticCifar::new(200, 0))).unwrap();

@@ -4,19 +4,22 @@
 //! samples the static schedule deals a thread (Caffe's layer is one GEMM
 //! per batch; a run is the coarse-grain share of it). The GEMM's bits do
 //! not depend on the run, so the team size does not show in `Y`.
-//! Backward: `dW += dy_s ⊗ x_s`
-//! and `db += dy_s` through the privatized ordered reduction; `dx_s = W^T
-//! dy_s` through the disjoint segment loop — per sample, because a
-//! coarse-grain slot holds too few samples for a GEMM to beat them.
+//! Backward, as Caffe computes it, with no privatized gradient: `dW +=
+//! dy^T X` is Algorithm 4 over the rows of `dW` — each thread's run of
+//! rows is one GEMM per reduction group of samples, in group order, and
+//! `db` folds per-group sums in the same order — so the bits depend on the
+//! slot count alone, as under [`backward_reduce`](crate::drivers::backward_reduce).
+//! `dx = dy W` is one GEMM per thread's run of samples.
 
 use crate::ctx::ExecCtx;
-use crate::drivers::{backward_reduce, parallel_rows, parallel_segments};
+use crate::drivers::parallel_rows;
 use crate::fill::{weight_and_bias, Filler};
 use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
 use mmblas::Scalar;
 use mmblas::Transpose::{No, Yes};
+use omprt::{static_chunk, DisjointSlices};
 
 /// Configuration for [`InnerProductLayer`].
 #[derive(Debug, Clone)]
@@ -134,28 +137,78 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
     fn backward(&mut self, ctx: &ExecCtx<'_, S>, top: &[&Blob<S>], bottom: &mut [Blob<S>]) {
         let (m, k) = (self.cfg.num_output, self.k);
         let batch = self.batch;
-        let tdiff = top[0].diff();
+        let dy = top[0].diff();
+        let groups = ctx.reduction.slots(ctx.team.size());
 
-        // Parameter gradients via the privatized reduction (Algorithm 5).
+        // dW += dy^T X and db += sum of dy, over disjoint rows of both:
+        // group `g` is the samples of slot `g` of the ordered reduction.
         {
-            let bdata = bottom[0].data();
-            let mut shared: Vec<&mut [S]> = self.params.iter_mut().map(|p| p.diff_mut()).collect();
-            backward_reduce(ctx, batch, &mut shared, |s, parts, _scratch| {
-                let dy = &tdiff[s * m..(s + 1) * m];
-                let xs = &bdata[s * k..(s + 1) * k];
-                mmblas::ger(m, k, S::ONE, dy, xs, parts[0], k);
-                mmblas::axpy(S::ONE, dy, parts[1]);
+            let x = bottom[0].data();
+            let (w, b) = self.params.split_at_mut(1);
+            let db = DisjointSlices::new(b[0].diff_mut(), 1);
+            parallel_rows(ctx, w[0].diff_mut(), k, |rows, dw| {
+                // SAFETY: `parallel_rows` deals each run of rows to one
+                // thread once, and row `i` of `dW` owns entry `i` of `db`.
+                let db = unsafe { db.segments_mut(rows.clone()) };
+                for g in 0..groups {
+                    let s = static_chunk(g, groups, batch);
+                    if s.is_empty() {
+                        continue;
+                    }
+                    let dy_s = &dy[s.start * m + rows.start..];
+                    let x_s = &x[s.start * k..];
+                    mmblas::gemm(
+                        Yes,
+                        No,
+                        rows.len(),
+                        k,
+                        s.len(),
+                        S::ONE,
+                        dy_s,
+                        m,
+                        x_s,
+                        k,
+                        S::ONE,
+                        dw,
+                        k,
+                    );
+                    for (i, dbi) in rows.clone().zip(db.iter_mut()) {
+                        let mut part = S::ZERO;
+                        for sample in s.clone() {
+                            part += dy[sample * m + i];
+                        }
+                        *dbi += part;
+                    }
+                }
             });
         }
 
-        // Bottom diff: dx_s = W^T dy_s — disjoint per-sample segments.
+        // dx = dy W, one GEMM per thread's run of samples.
         if self.propagate_down {
             let w = self.params[0].data();
-            parallel_segments(ctx, bottom[0].diff_mut(), k, |s, dx| {
-                let dy = &tdiff[s * m..(s + 1) * m];
-                mmblas::gemv(Yes, m, k, S::ONE, w, k, dy, S::ZERO, dx);
+            parallel_rows(ctx, bottom[0].diff_mut(), k, |rows, dx| {
+                let dy_r = &dy[rows.start * m..rows.end * m];
+                mmblas::gemm(
+                    No,
+                    No,
+                    rows.len(),
+                    k,
+                    m,
+                    S::ONE,
+                    dy_r,
+                    m,
+                    w,
+                    k,
+                    S::ZERO,
+                    dx,
+                    k,
+                );
             });
         }
+    }
+
+    fn privatized_len(&self) -> usize {
+        0
     }
 
     fn params(&self) -> &[Blob<S>] {
@@ -189,8 +242,9 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
                     2.0 * m * k + m
                 },
                 bytes_in_per_iter: (m + k + WEIGHT_RESIDENCY * m * k) * elem,
-                // The rank-1 update rewrites the privatized dW each sample,
-                // again mostly cache-resident.
+                // Charged as the paper's layer runs it, a per-sample rank-1
+                // update of a privatized, mostly cache-resident dW — the
+                // model the figures are calibrated on (EXPERIMENTS E12).
                 bytes_out_per_iter: (WEIGHT_RESIDENCY * m * k + k) * elem,
                 seq_flops: 0.0,
                 reduction_elems: 0,
@@ -203,6 +257,7 @@ impl<S: Scalar> Layer<S> for InnerProductLayer<S> {
 mod tests {
     use super::*;
     use crate::workspace::{Workspace, WorkspaceRequest};
+    use crate::ReductionMode;
     use omprt::ThreadTeam;
 
     fn make(n_out: usize) -> InnerProductLayer<f64> {
@@ -340,6 +395,196 @@ mod tests {
                     "batch {batch}, {threads} threads"
                 );
             }
+        }
+    }
+
+    /// `(dW, db, dx)` of one backward pass over `x` with output diff `dy`.
+    fn backward_f32(
+        l: &mut InnerProductLayer<f32>,
+        x: &Blob<f32>,
+        dy: &[f32],
+        threads: usize,
+        mode: ReductionMode,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let shapes = l.setup(&[x]);
+        for p in l.params_mut() {
+            p.diff_mut().fill(0.0);
+        }
+        let team = ThreadTeam::new(threads);
+        let ws = Workspace::new(threads, mode.slots(threads), WorkspaceRequest::of(&*l));
+        let ctx = ExecCtx::new(&team, &ws).with_reduction(mode);
+        let mut top = Blob::new(shapes[0].clone());
+        top.diff_mut().copy_from_slice(dy);
+        let mut bots = vec![x.clone()];
+        l.backward(&ctx, &[&top], &mut bots);
+        let p = l.params();
+        (
+            p[0].diff().to_vec(),
+            p[1].diff().to_vec(),
+            bots[0].diff().to_vec(),
+        )
+    }
+
+    /// `f32`, so a release run exercises the vector kernels: under every
+    /// team size and reduction mode, at batches that leave groups empty and
+    /// that are no multiple of the group count, `dW` is bitwise one GEMM
+    /// per reduction group of samples added in group order, `db` the
+    /// per-group sums added in group order, and `dx` one whole-batch GEMM —
+    /// hence equal for every team size at one slot count — and all three
+    /// are close to the triple-loop oracle.
+    #[test]
+    fn backward_is_bitwise_one_gemm_per_group_at_every_team_size() {
+        const M: usize = 20;
+        const K: usize = 300;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let close = |got: &[f32], want: &[f32], what: &str| {
+            for (g, o) in got.iter().zip(want) {
+                assert!(
+                    (g - o).abs() <= 1e-5 * (1.0 + o.abs()),
+                    "{what}: {g} vs oracle {o}"
+                );
+            }
+        };
+        let modes = [
+            ReductionMode::Ordered,
+            ReductionMode::Canonical { groups: 1 },
+            ReductionMode::Canonical { groups: 2 },
+            ReductionMode::Canonical { groups: 3 },
+            ReductionMode::Canonical { groups: 4 },
+        ];
+        for batch in [1usize, 5, 37, 64] {
+            let xs: Vec<f32> = (0..batch * K).map(|i| (i as f32 * 0.37).sin()).collect();
+            let x: Blob<f32> = Blob::from_data([batch, K], xs.clone());
+            // A third of the output diff is zero, as behind a ReLU.
+            let dy: Vec<f32> = (0..batch * M)
+                .map(|i| {
+                    if i % 3 == 1 {
+                        0.0
+                    } else {
+                        (i as f32 * 0.11).cos() * 0.1
+                    }
+                })
+                .collect();
+            let mut l = InnerProductLayer::<f32>::new("ip", InnerProductConfig::new(M));
+            l.setup(&[&x]);
+            let w = l.params()[0].data().to_vec();
+
+            let mut dw_oracle = vec![0.0f32; M * K];
+            let mut dx_oracle = vec![0.0f32; batch * K];
+            mmblas::gemm_naive(
+                Yes,
+                No,
+                M,
+                K,
+                batch,
+                1.0,
+                &dy,
+                M,
+                &xs,
+                K,
+                0.0,
+                &mut dw_oracle,
+                K,
+            );
+            mmblas::gemm_naive(
+                No,
+                No,
+                batch,
+                K,
+                M,
+                1.0,
+                &dy,
+                M,
+                &w,
+                K,
+                0.0,
+                &mut dx_oracle,
+                K,
+            );
+            let db_oracle: Vec<f32> = (0..M).map(|i| dy.iter().skip(i).step_by(M).sum()).collect();
+            let mut dx_want = vec![0.0f32; batch * K];
+            mmblas::gemm(
+                No,
+                No,
+                batch,
+                K,
+                M,
+                1.0,
+                &dy,
+                M,
+                &w,
+                K,
+                0.0,
+                &mut dx_want,
+                K,
+            );
+
+            for mode in modes {
+                for threads in 1..=4 {
+                    let groups = mode.slots(threads);
+                    let mut dw_want = vec![0.0f32; M * K];
+                    let mut db_want = vec![0.0f32; M];
+                    for g in 0..groups {
+                        let s = static_chunk(g, groups, batch);
+                        if s.is_empty() {
+                            continue;
+                        }
+                        let (dy_s, x_s) = (&dy[s.start * M..], &xs[s.start * K..]);
+                        mmblas::gemm(
+                            Yes,
+                            No,
+                            M,
+                            K,
+                            s.len(),
+                            1.0,
+                            dy_s,
+                            M,
+                            x_s,
+                            K,
+                            1.0,
+                            &mut dw_want,
+                            K,
+                        );
+                        for (i, db) in db_want.iter_mut().enumerate() {
+                            let mut part = 0.0f32;
+                            for n in s.clone() {
+                                part += dy[n * M + i];
+                            }
+                            *db += part;
+                        }
+                    }
+                    let (dw, db, dx) = backward_f32(&mut l, &x, &dy, threads, mode);
+                    let what = format!("batch {batch}, {threads} threads, {mode:?}");
+                    assert_eq!(bits(&dw), bits(&dw_want), "dW, {what}");
+                    assert_eq!(bits(&db), bits(&db_want), "db, {what}");
+                    assert_eq!(bits(&dx), bits(&dx_want), "dx, {what}");
+                    close(&dw, &dw_oracle, &format!("dW, {what}"));
+                    close(&db, &db_oracle, &format!("db, {what}"));
+                    close(&dx, &dx_oracle, &format!("dx, {what}"));
+                }
+            }
+        }
+    }
+
+    /// IEEE propagation: `0 * NaN` is NaN, so a NaN input reaches `dW`'s
+    /// column even where its sample's output diff is all zero (unlike
+    /// `mmblas::ger`, which skips zero coefficients).
+    #[test]
+    fn a_nan_input_reaches_dw_behind_a_zero_output_diff() {
+        let (batch, m, k) = (3usize, 4usize, 5usize);
+        let mut xs: Vec<f32> = (0..batch * k).map(|i| i as f32 * 0.25).collect();
+        xs[k + 2] = f32::NAN;
+        let x: Blob<f32> = Blob::from_data([batch, k], xs);
+        let dy: Vec<f32> = (0..batch * m)
+            .map(|i| if i / m == 1 { 0.0 } else { 1.0 + i as f32 })
+            .collect();
+        for threads in [1, 2] {
+            let mut l = InnerProductLayer::<f32>::new("ip", InnerProductConfig::new(m));
+            let (dw, db, dx) = backward_f32(&mut l, &x, &dy, threads, ReductionMode::Ordered);
+            for (e, v) in dw.iter().enumerate() {
+                assert_eq!(v.is_nan(), e % k == 2, "dW[{e}] = {v}, {threads} threads");
+            }
+            assert!(db.iter().chain(&dx).all(|v| v.is_finite()));
         }
     }
 

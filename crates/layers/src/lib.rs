@@ -12,7 +12,9 @@
 //!   output segment, so no synchronization is needed;
 //! * weight/bias gradients are accumulated into *privatized* buffers from the
 //!   shared [`Workspace`] and merged through an ordered reduction
-//!   ([`drivers::backward_reduce`]).
+//!   ([`drivers::backward_reduce`]) — except the inner product's, which, as
+//!   in Caffe, is a GEMM over disjoint rows of `dW`, one call per reduction
+//!   group in group order (same bits for a given slot count).
 //!
 //! Running with a team of size 1 executes the identical code path
 //! sequentially — there is no separate "serial implementation", which is
@@ -88,8 +90,7 @@ pub trait Layer<S: Scalar = f32>: Send {
 
     /// Learnable parameter blobs: empty, or [`fill::weight_and_bias`]'s
     /// weight and bias, whose learning-rate multipliers are
-    /// [`fill::LR_MULTS`]. The net derives the privatized gradient's length
-    /// from their sizes.
+    /// [`fill::LR_MULTS`].
     fn params(&self) -> &[Blob<S>] {
         &[]
     }
@@ -119,6 +120,14 @@ pub trait Layer<S: Scalar = f32>: Send {
     /// [`WorkspaceRequest::of`] adds the privatized gradient.
     fn col_len(&self) -> usize {
         0
+    }
+
+    /// Elements of gradient the backward pass privatizes per reduction
+    /// slot ([`drivers::backward_reduce`]): by default all of its
+    /// parameters. A layer that writes its parameter diffs in place, row by
+    /// row, returns 0.
+    fn privatized_len(&self) -> usize {
+        self.params().iter().map(|p| p.count()).sum()
     }
 
     /// Analytic work profiles of one forward and one backward pass over
@@ -155,6 +164,7 @@ mod trait_tests {
         assert!(d.params_mut().is_empty());
         assert!(!d.is_loss());
         assert_eq!(d.col_len(), 0);
+        assert_eq!(d.privatized_len(), 0);
         assert_eq!(WorkspaceRequest::of(&d), WorkspaceRequest::default());
         assert_eq!(d.data_cursor(), None);
         d.set_data_cursor(7); // no-op by default

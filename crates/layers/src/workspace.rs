@@ -4,9 +4,11 @@
 //! The paper (§3.2.1) emphasises that the privatization memory "never
 //! crosses the layer boundaries", so one workspace sized for the *largest*
 //! layer is reused by every layer — total extra memory is bounded by the
-//! layer with the most coefficients (the convolutional layers for both
-//! networks), about 5% of the sequential footprint. [`Workspace::bytes`]
-//! reports the exact figure for experiment E7.
+//! largest gradient a layer privatizes ([`Layer::privatized_len`]). As in
+//! Caffe, that is a convolution in both networks: the inner product writes
+//! its weight gradient by rows of `dW` and privatizes nothing (LeNet's
+//! slot is conv2's 25 050 elements, not ip1's 400 K).
+//! [`Workspace::bytes`] reports the exact figure for experiment E7.
 
 use crate::Layer;
 use mmblas::Scalar;
@@ -18,17 +20,17 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub struct WorkspaceRequest {
     /// Elements of per-thread column buffer (im2col lowering).
     pub col_len: usize,
-    /// Total elements of all parameter gradients (privatized per slot).
+    /// Elements of parameter gradient privatized per slot.
     pub grad_len: usize,
 }
 
 impl WorkspaceRequest {
-    /// What `layer` needs: its [`Layer::col_len`], and a privatized
-    /// gradient as long as its parameters.
+    /// What `layer` needs: its [`Layer::col_len`] and
+    /// [`Layer::privatized_len`].
     pub fn of<S: Scalar, L: Layer<S> + ?Sized>(layer: &L) -> Self {
         Self {
             col_len: layer.col_len(),
-            grad_len: layer.params().iter().map(|p| p.count()).sum(),
+            grad_len: layer.privatized_len(),
         }
     }
 

@@ -1,13 +1,12 @@
 //! Level-2 BLAS: matrix-vector operations.
 //!
-//! **Deviation from IEEE propagation, kept on purpose:** [`ger`] and the
-//! transposed [`gemv`] skip row `i` when `alpha * x[i] == 0`, so a NaN or
-//! infinity in that row of the other operand does not reach the result
-//! (`0 * NaN` is dropped; [`crate::gemm`] and its oracle never skip). The
-//! inner-product layers call these with `x` = the output diff, which is
-//! exactly zero wherever a following ReLU was inactive: at 50 % zeros the
-//! LeNet `ip1` shapes (500 x 800) run in 22 µs instead of 41 µs, for one
-//! compare per row. `skip_rows_with_zero_coefficient` pins the behaviour.
+//! **Deviation from IEEE propagation:** [`ger`] and the transposed
+//! [`gemv`] skip row `i` when `alpha * x[i] == 0`, so a NaN or infinity in
+//! that row of the other operand does not reach the result (`0 * NaN` is
+//! dropped; [`crate::gemm`] and its oracle never skip).
+//! `skip_rows_with_zero_coefficient` pins the behaviour. No layer calls
+//! these (the inner product is GEMMs both ways); their one caller is the
+//! benchmark's per-sample `ip*` primitives.
 
 use crate::{Scalar, Transpose};
 

@@ -77,6 +77,7 @@
 //! edge tile are accumulated but not written back.
 
 use crate::{Scalar, Transpose};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 /// Register tile: `MR` broadcast rows by `NR` lanes (`2 * NR` on AVX-512). On
@@ -471,14 +472,18 @@ fn gemm_loops<S: Scalar, const W: usize>(
     c: &mut [S],
 ) {
     let (a, b) = (p.a, p.b);
-    let mut strip = Aligned([[S::ZERO; W]; KC]); // No row load splits a line.
+    // No row load splits a line. Only the `min(k, KC)` rows a panel reads
+    // are initialized: a 25-deep conv1 product would otherwise zero 32 KiB
+    // to read 3 KiB of it.
+    let mut strip = Aligned([const { MaybeUninit::<[S; W]>::uninit() }; KC]);
+    let strip = zeroed(&mut strip.0[..KC.min(p.k)]);
     for pc in (0..p.k).step_by(KC) {
         let kb = KC.min(p.k - pc);
         // Later panels add to what the first one wrote.
         let beta = if pc == 0 { p.beta } else { S::ONE };
         for jr in (0..p.n).step_by(W) {
             let nr = W.min(p.n - jr);
-            pack_strip(&mut strip.0[..kb], b, pc, jr, nr);
+            pack_strip(&mut strip[..kb], b, pc, jr, nr);
             for ir in (0..p.m).step_by(MR) {
                 let mr = MR.min(p.m - ir);
                 let t = Tile {
@@ -491,7 +496,7 @@ fn gemm_loops<S: Scalar, const W: usize>(
                     mr,
                     nr,
                 };
-                tile(&t, &strip.0[..kb], &mut c[ir * p.c_rs + jr * p.c_cs..]);
+                tile(&t, &strip[..kb], &mut c[ir * p.c_rs + jr * p.c_cs..]);
             }
         }
     }
@@ -499,6 +504,16 @@ fn gemm_loops<S: Scalar, const W: usize>(
 
 #[repr(align(64))]
 struct Aligned<T>(T);
+
+/// `rows`, each set to zero, as initialized rows.
+#[inline(always)]
+fn zeroed<S: Scalar, const W: usize>(rows: &mut [MaybeUninit<[S; W]>]) -> &mut [[S; W]] {
+    for row in rows.iter_mut() {
+        row.write([S::ZERO; W]);
+    }
+    // SAFETY: the loop above initialized every element of `rows`.
+    unsafe { rows.assume_init_mut() }
+}
 
 /// Copies the `strip.len() x nr` block of `b` at `(pc, jr)` to `strip[p][j]`
 /// and zeroes lanes `nr..W`, so the microkernel always reads full rows.

@@ -551,14 +551,16 @@ impl<S: Scalar> Net<S> {
 
     /// Analytic work profiles of every layer (for the machine simulator):
     /// the layer's two passes, with the backward's reduction as long as
-    /// the layer's parameters, and the batch its first bottom (a data
-    /// layer's first top) holds.
+    /// the layer's parameters — the paper's merge, which `machine` charges
+    /// the inner product too, though it privatizes nothing (EXPERIMENTS
+    /// E12) — and the batch its first bottom (a data layer's first top)
+    /// holds.
     pub fn profiles(&self) -> Vec<LayerProfile> {
         (0..self.layers.len())
             .map(|i| {
                 let layer = &self.layers[i];
                 let (forward, mut backward) = layer.profile();
-                backward.reduction_elems = WorkspaceRequest::of(layer.as_ref()).grad_len;
+                backward.reduction_elems = layer.params().iter().map(|p| p.count()).sum();
                 let first = self.bottoms[i].first().or(self.tops[i].first());
                 LayerProfile {
                     name: layer.name().to_string(),

@@ -23,6 +23,8 @@ pub struct MemoryReport {
     pub threads: usize,
     /// Reduction slots the workspace is sized for.
     pub slots: usize,
+    /// Bytes of one slot: the largest gradient a layer privatizes.
+    pub slot_bytes: usize,
 }
 
 impl MemoryReport {
@@ -34,6 +36,7 @@ impl MemoryReport {
             parallel_overhead_bytes: ws.overhead_bytes(),
             threads: ws.n_threads(),
             slots: ws.n_slots(),
+            slot_bytes: ws.request().grad_len * std::mem::size_of::<S>(),
         }
     }
 
@@ -62,9 +65,10 @@ impl std::fmt::Display for MemoryReport {
         )?;
         write!(
             f,
-            "parallel overhead ({} threads, {} slots): {:.1} KB ({:.2}%)",
+            "parallel overhead ({} threads, {} slots of {:.1} KB): {:.1} KB ({:.2}%)",
             self.threads,
             self.slots,
+            self.slot_bytes as f64 / 1024.0,
             self.parallel_overhead_bytes as f64 / 1024.0,
             self.overhead_percent()
         )
@@ -83,6 +87,7 @@ mod tests {
             parallel_overhead_bytes: 50,
             threads: 4,
             slots: 4,
+            slot_bytes: 10,
         };
         assert_eq!(r.sequential_bytes(), 1000);
         assert!((r.overhead_percent() - 5.0).abs() < 1e-12);
@@ -96,6 +101,7 @@ mod tests {
             parallel_overhead_bytes: 0,
             threads: 1,
             slots: 1,
+            slot_bytes: 0,
         };
         assert_eq!(r.overhead_percent(), 0.0);
     }
@@ -108,6 +114,7 @@ mod tests {
             parallel_overhead_bytes: 512,
             threads: 16,
             slots: 16,
+            slot_bytes: 16,
         };
         let s = r.to_string();
         assert!(s.contains("16 threads"));

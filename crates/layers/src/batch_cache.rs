@@ -1,7 +1,7 @@
 //! Per-batch layer state that outlives a change of the active batch.
 //!
-//! Some layers keep one value per output element between passes (pooling's
-//! argmax mask, LRN's scale, the dropout mask). `setup` runs again whenever
+//! Some layers keep one value per output element between passes (LRN's
+//! scale, the dropout mask). `setup` runs again whenever
 //! the net seats a different batch, so these buffers follow the blob
 //! convention: allocated once at the largest extent ever seated, exposed
 //! as a slice of the active extent. Rows past the active extent are never

@@ -2,25 +2,24 @@
 //!
 //! Output dimensions use Caffe's ceil-mode formula
 //! `pooled = ceil((in + 2*pad - kernel) / stride) + 1`, with windows clipped
-//! to the input. MAX pooling records an argmax mask for the backward
-//! scatter. Both passes are coalesced over `(sample, channel)` segments —
-//! the pooling granularity the paper analyses (pool2 on MNIST saturates
-//! because these segments become tiny).
+//! to the input. MAX pooling keeps no arg-max mask: the backward re-derives
+//! each window's arg-max from the forward's input and output. Both passes
+//! are coalesced over `(sample, channel)` segments — the pooling
+//! granularity the paper analyses (pool2 on MNIST saturates because these
+//! segments become tiny).
 
-use crate::batch_cache::BatchCache;
 use crate::ctx::ExecCtx;
 use crate::drivers::parallel_segments;
 use crate::profile::PassProfile;
 use crate::Layer;
 use blob::{Blob, Shape};
-use mmblas::{Scalar, TapSpan};
-use omprt::DisjointSlices;
+use mmblas::Scalar;
 use std::hint::select_unpredictable;
 
 /// Pooling operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolMethod {
-    /// Window maximum (with argmax mask).
+    /// Window maximum.
     Max,
     /// Window average.
     Ave,
@@ -85,11 +84,8 @@ pub struct PoolingLayer<S: Scalar = f32> {
     in_w: usize,
     out_h: usize,
     out_w: usize,
-    /// MAX mode, per kernel column `w`: the outputs of a row whose tap `w`
-    /// lies inside the input, and the input column the first of them reads.
-    taps: Vec<TapSpan>,
-    /// Argmax mask (index within the bottom `(s, c)` segment) for MAX mode.
-    mask: BatchCache<u32>,
+    /// MAX mode: the taps of the current geometry.
+    table: Option<TapTable>,
     _marker: std::marker::PhantomData<S>,
 }
 
@@ -105,8 +101,7 @@ impl<S: Scalar> PoolingLayer<S> {
             in_w: 0,
             out_h: 0,
             out_w: 0,
-            taps: Vec::new(),
-            mask: BatchCache::new(),
+            table: None,
             _marker: std::marker::PhantomData,
         }
     }
@@ -121,61 +116,120 @@ fn extent(cfg: &PoolConfig, dim: usize, o: usize) -> std::ops::Range<usize> {
     start.saturating_sub(cfg.pad)..(start + cfg.kernel - cfg.pad).min(dim)
 }
 
-/// One tap of a row of windows: folds `src[i * stride]`, the segment's
-/// element `first + i * stride`, into the running maximum `best[i]` and its
-/// arg-max `arg[i]`. Two selects per output and no branch, with the outputs
-/// innermost so that the loop vectorizes; strict `>` keeps the earlier tap
-/// on ties and lets a NaN neither win nor lose its place, exactly as a scan
-/// of one window at a time does.
-#[inline(always)]
-fn max_tap<S: Scalar>(best: &mut [S], arg: &mut [u32], src: &[S], stride: usize, first: usize) {
-    let outs = best.iter_mut().zip(arg.iter_mut()).zip(src.chunks(stride));
-    for (i, ((b, a), tap)) in outs.enumerate() {
-        let take = tap[0] > *b;
-        *b = select_unpredictable(take, tap[0], *b);
-        *a = select_unpredictable(take, (first + i * stride) as u32, *a);
-    }
+/// Outputs a MAX kernel carries in registers at once: each tap then costs
+/// two loads (its offset and its pixel), not four.
+const BLOCK: usize = 8;
+
+/// The taps of every MAX window of an `(sample, channel)` segment, as
+/// offsets into it: `kernel²` rows, tap-major, row `kh * kernel + kw`
+/// holding tap `(kh, kw)` of each output — the order a window scan meets
+/// them in — padded to a whole `BLOCK` (offset 0). A tap that falls
+/// outside its (clipped) window points at the window's first in-image
+/// tap, which row 0 holds: re-reading that tap can neither raise a maximum
+/// (strict `>`) nor precede it in scan order.
+struct TapTable {
+    /// Every one `< in_seg`: what lets the kernels skip bounds checks.
+    offsets: Vec<u32>,
+    in_seg: usize,
+    /// Outputs per segment.
+    outs: usize,
 }
 
-/// MAX-pools one `(sample, channel)` segment `xin` into `out`, with the
-/// arg-max indices in `mask`. A row of windows is swept tap by tap — for
-/// each input row `h` of the row's extent and each kernel column `w`, every
-/// output whose tap `(h, w)` is inside the input at once — instead of window
-/// by window. An output still meets its taps in the `(h, w)` order of a
-/// window scan, so values and indices are those of the scan; the border
-/// needs no code of its own because the clipping is in `taps`.
-fn max_segment<S: Scalar>(
-    cfg: &PoolConfig,
-    taps: &[TapSpan],
-    in_w: usize,
-    out_w: usize,
-    xin: &[S],
-    out: &mut [S],
-    mask: &mut [u32],
-) {
-    let in_h = xin.len() / in_w;
-    let rows = out
-        .chunks_exact_mut(out_w)
-        .zip(mask.chunks_exact_mut(out_w));
-    for (oy, (best, arg)) in rows.enumerate() {
-        let hs = extent(cfg, in_h, oy);
-        // A window starts out as its first in-image tap.
-        for (ox, (b, a)) in best.iter_mut().zip(arg.iter_mut()).enumerate() {
-            let idx = hs.start * in_w + extent(cfg, in_w, ox).start;
-            (*b, *a) = (xin[idx], idx as u32);
-        }
-        for h in hs {
-            for t in taps {
-                let first = h * in_w + t.first;
-                let (best, arg) = (&mut best[t.lo..t.hi], &mut arg[t.lo..t.hi]);
-                let src = &xin[first..(h + 1) * in_w];
-                // Spelled out for the strides the nets pool with, the tap
-                // loop steps by a constant and vectorizes.
-                match cfg.stride {
-                    1 => max_tap(best, arg, src, 1, first),
-                    2 => max_tap(best, arg, src, 2, first),
-                    s => max_tap(best, arg, src, s, first),
+impl TapTable {
+    fn new(cfg: &PoolConfig, in_h: usize, in_w: usize, out_h: usize, out_w: usize) -> Self {
+        let (k, pad, stride) = (cfg.kernel, cfg.pad, cfg.stride);
+        let in_seg = in_h * in_w;
+        assert!(
+            u32::try_from(in_seg).is_ok(),
+            "Pooling: a plane of more than u32::MAX pixels"
+        );
+        let at = |o: usize, tap: usize, axis: &std::ops::Range<usize>| {
+            (o * stride + tap)
+                .checked_sub(pad)
+                .filter(|p| axis.contains(p))
+        };
+        let outs = out_h * out_w;
+        let mut offsets = Vec::with_capacity(k * k * outs.next_multiple_of(BLOCK));
+        for kh in 0..k {
+            for kw in 0..k {
+                for oy in 0..out_h {
+                    let hs = extent(cfg, in_h, oy);
+                    for ox in 0..out_w {
+                        let ws = extent(cfg, in_w, ox);
+                        let (h, w) = at(oy, kh, &hs)
+                            .zip(at(ox, kw, &ws))
+                            .unwrap_or((hs.start, ws.start));
+                        offsets.push((h * in_w + w) as u32);
+                    }
                 }
+                offsets.resize(offsets.len().next_multiple_of(BLOCK), 0);
+            }
+        }
+        assert!(offsets.iter().all(|&i| (i as usize) < in_seg));
+        Self {
+            offsets,
+            in_seg,
+            outs,
+        }
+    }
+
+    /// Block `b` of every row, in tap order.
+    fn block(&self, b: usize) -> impl DoubleEndedIterator<Item = &[u32; BLOCK]> {
+        let rows = self.offsets.chunks_exact(self.outs.next_multiple_of(BLOCK));
+        rows.map(move |row| row[b * BLOCK..][..BLOCK].try_into().expect("a padded row"))
+    }
+
+    /// MAX-pools segment `xin` into `out`, `BLOCK` outputs at a time: row 0,
+    /// then each later row folded in by strict `>`. Every output meets its
+    /// taps in window-scan order, so ties keep the earlier tap, a NaN
+    /// neither wins nor loses its place, and the values are the scan's bit
+    /// for bit.
+    fn max<S: Scalar>(&self, xin: &[S], out: &mut [S]) {
+        assert!(xin.len() == self.in_seg && out.len() == self.outs);
+        // SAFETY: every offset is below `in_seg` (asserted in `new`), which
+        // is `xin.len()` (asserted above).
+        let at = |i: u32| unsafe { *xin.get_unchecked(i as usize) };
+        for (b, out) in out.chunks_mut(BLOCK).enumerate() {
+            let mut rows = self.block(b);
+            let first = rows.next().expect("a tap");
+            let mut best: [S; BLOCK] = std::array::from_fn(|j| at(first[j]));
+            for row in rows {
+                for (o, &i) in best.iter_mut().zip(row) {
+                    let v = at(i);
+                    *o = select_unpredictable(v > *o, v, *o);
+                }
+            }
+            out.copy_from_slice(&best[..out.len()]);
+        }
+    }
+
+    /// MAX backward of one segment: `dx` is zeroed, then each `dy` is added
+    /// at its output's arg-max, in output order. The arg-max is re-derived
+    /// from the segment's input `xin` and pooled `top`, `BLOCK` outputs at a
+    /// time, as the first tap in scan order whose bits equal the output's
+    /// (a select per tap from the last row back to row 0). That is the tap
+    /// the scan kept: every tap before it is strictly below the maximum (or
+    /// NaN, whose bits differ), a NaN output comes only from a NaN first
+    /// tap, and `±0` are told apart by their bits.
+    fn backward<S: Scalar>(&self, xin: &[S], top: &[S], dy: &[S], dx: &mut [S]) {
+        assert!(xin.len() == self.in_seg && top.len() == self.outs && dy.len() == self.outs);
+        // SAFETY: as in `max`.
+        let at = |i: u32| unsafe { *xin.get_unchecked(i as usize) };
+        mmblas::zero(dx);
+        for (b, (top, dy)) in top.chunks(BLOCK).zip(dy.chunks(BLOCK)).enumerate() {
+            let mut y = [0u64; BLOCK];
+            for (y, v) in y.iter_mut().zip(top) {
+                *y = v.bits();
+            }
+            let mut rows = self.block(b).rev();
+            let mut found = *rows.next().expect("a tap");
+            for row in rows {
+                for ((a, &i), &y) in found.iter_mut().zip(row).zip(&y) {
+                    *a = select_unpredictable(at(i).bits() == y, i, *a);
+                }
+            }
+            for (&a, &g) in found.iter().zip(dy) {
+                dx[a as usize] += g;
             }
         }
     }
@@ -194,6 +248,7 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         assert_eq!(bottom.len(), 1, "Pooling: exactly one bottom");
         let b = bottom[0];
         assert_eq!(b.shape().ndim(), 4, "Pooling: 4-D bottom required");
+        let regeometry = (b.height(), b.width()) != (self.in_h, self.in_w);
         self.batch = b.num();
         self.channels = b.channels();
         self.in_h = b.height();
@@ -211,13 +266,9 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         );
         self.out_h = pooled_dim(self.in_h, kernel, pad, stride);
         self.out_w = pooled_dim(self.in_w, kernel, pad, stride);
-        let out_count = self.batch * self.channels * self.out_h * self.out_w;
-        if self.cfg.method == PoolMethod::Max {
-            self.mask.seat(out_count);
-            self.taps = (0..kernel)
-                .map(|w| TapSpan::new(self.out_w, self.in_w, w, pad, stride))
-                .filter(|tap| !tap.is_empty())
-                .collect();
+        if self.cfg.method == PoolMethod::Max && (regeometry || self.table.is_none()) {
+            let (in_h, in_w, out_h, out_w) = (self.in_h, self.in_w, self.out_h, self.out_w);
+            self.table = Some(TapTable::new(&self.cfg, in_h, in_w, out_h, out_w));
         }
         vec![Shape::from(vec![
             self.batch,
@@ -233,20 +284,12 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         let out_seg = self.out_h * self.out_w;
         let (out_w, in_h, in_w) = (self.out_w, self.in_h, self.in_w);
         let cfg = self.cfg;
-        let taps = &self.taps;
-        match cfg.method {
-            PoolMethod::Max => {
-                let mask_ds = DisjointSlices::new(&mut self.mask, out_seg);
-                parallel_segments(ctx, top[0].data_mut(), out_seg, |sc, out| {
-                    // SAFETY: each segment index runs exactly once.
-                    let mseg = unsafe { mask_ds.segment_mut(sc) };
-                    let xin = &x[sc * in_seg..(sc + 1) * in_seg];
-                    max_segment(&cfg, taps, in_w, out_w, xin, out, mseg);
-                });
-            }
-            PoolMethod::Ave => {
-                parallel_segments(ctx, top[0].data_mut(), out_seg, |sc, out| {
-                    let xin = &x[sc * in_seg..(sc + 1) * in_seg];
+        let table = self.table.as_ref();
+        parallel_segments(ctx, top[0].data_mut(), out_seg, |sc, out| {
+            let xin = &x[sc * in_seg..(sc + 1) * in_seg];
+            match cfg.method {
+                PoolMethod::Max => table.expect("MAX set-up").max(xin, out),
+                PoolMethod::Ave => {
                     for (oy, row) in out.chunks_exact_mut(out_w).enumerate() {
                         let hr = extent(&cfg, in_h, oy);
                         for (ox, o) in row.iter_mut().enumerate() {
@@ -260,29 +303,34 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
                             *o = acc / S::from_usize(hr.len() * wr.len());
                         }
                     }
-                });
+                }
             }
-        }
+        });
     }
 
+    /// MAX re-derives each arg-max from the top the forward wrote and the
+    /// bottom it read; `Net` refuses in-place layers, so both reach here
+    /// unchanged.
     fn backward(&mut self, ctx: &ExecCtx<'_, S>, top: &[&Blob<S>], bottom: &mut [Blob<S>]) {
-        let tdiff = top[0].diff();
+        let (ydata, tdiff) = (top[0].data(), top[0].diff());
         let in_seg = self.in_h * self.in_w;
         let out_seg = self.out_h * self.out_w;
         let (out_h, out_w, in_h, in_w) = (self.out_h, self.out_w, self.in_h, self.in_w);
         let cfg = self.cfg;
-        let mask = &self.mask;
-        parallel_segments(ctx, bottom[0].diff_mut(), in_seg, |sc, dx| {
-            mmblas::zero(dx);
-            let dy = &tdiff[sc * out_seg..(sc + 1) * out_seg];
+        let table = self.table.as_ref();
+        let (x, dxs) = bottom[0].data_diff_mut();
+        let x: &[S] = x;
+        parallel_segments(ctx, dxs, in_seg, |sc, dx| {
+            let seg = sc * out_seg..(sc + 1) * out_seg;
+            let dy = &tdiff[seg.clone()];
             match cfg.method {
                 PoolMethod::Max => {
-                    let mseg = &mask[sc * out_seg..(sc + 1) * out_seg];
-                    for (o, &g) in dy.iter().enumerate() {
-                        dx[mseg[o] as usize] += g;
-                    }
+                    let xin = &x[sc * in_seg..(sc + 1) * in_seg];
+                    let table = table.expect("MAX set-up");
+                    table.backward(xin, &ydata[seg], dy, dx);
                 }
                 PoolMethod::Ave => {
+                    mmblas::zero(dx);
                     for oy in 0..out_h {
                         for ox in 0..out_w {
                             let (hr, wr) = (extent(&cfg, in_h, oy), extent(&cfg, in_w, ox));
@@ -308,8 +356,9 @@ impl<S: Scalar> Layer<S> for PoolingLayer<S> {
         (
             PassProfile {
                 coalesced_iters: self.batch * self.channels,
-                // Per tap: a load, a compare and two selects (MAX), or a
-                // load and an add in a short window loop (AVE): ~4 ops.
+                // Per tap: two loads (offset, pixel), a compare and a
+                // select (MAX), or a load and an add in a short window loop
+                // (AVE): ~4 ops.
                 flops_per_iter: out_seg * window * 4.0,
                 bytes_in_per_iter: in_seg * elem,
                 bytes_out_per_iter: out_seg * elem,
@@ -455,9 +504,9 @@ mod tests {
         }
     }
 
-    /// The forward pass as it was before the tap sweep — one clipped window
-    /// at a time, strict `>` in `(h, w)` order, `h`-then-`w` sums — kept as
-    /// the oracle of the differential tests: `(top, mask)` of one segment.
+    /// The window scan — one clipped window at a time, strict `>` in `(h, w)`
+    /// order, `h`-then-`w` sums — as the oracle of the differential tests:
+    /// `(top, arg-max mask)` of one segment.
     fn scan_oracle<S: Scalar>(
         cfg: &PoolConfig,
         in_h: usize,
@@ -500,25 +549,24 @@ mod tests {
         (top, mask)
     }
 
-    /// Forward output and mask of the layer against the oracle, bit for
-    /// bit, on a `(2, 2, in_h, in_w)` bottom at 1 and 2 threads.
-    fn assert_forward_matches_oracle<S: Scalar>(
-        cfg: PoolConfig,
-        in_h: usize,
-        in_w: usize,
-        data: &[S],
-    ) {
-        // Widening to `f64` is exact, so equal bits there are equal bits in `S`.
-        let bits = |v: &[S]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+    /// The layer against the oracle, bit for bit, on a `(2, 2, in_h, in_w)`
+    /// bottom at 1 and 2 threads: its top, and (MAX) its backward `dx`,
+    /// which must be the oracle's mask scattered in output order.
+    fn assert_matches_oracle<S: Scalar>(cfg: PoolConfig, in_h: usize, in_w: usize, data: &[S]) {
+        let bits = |v: &[S]| -> Vec<u64> { v.iter().map(|x| x.bits()).collect() };
         let seg = in_h * in_w;
         assert_eq!(data.len(), 4 * seg);
-        let (mut want_top, mut want_mask) = (Vec::new(), Vec::new());
-        for xin in data.chunks(seg) {
+        let (mut want_top, mut want_dx) = (Vec::new(), vec![S::ZERO; data.len()]);
+        let dy = |o: usize| S::from_usize(o % 5 + 1);
+        for (sc, xin) in data.chunks(seg).enumerate() {
             let (top, mask) = scan_oracle(&cfg, in_h, in_w, xin);
+            for (o, &m) in mask.iter().enumerate() {
+                want_dx[sc * seg + m as usize] += dy(want_top.len() + o);
+            }
             want_top.extend(top);
-            want_mask.extend(mask);
         }
         for threads in [1, 2] {
+            let what = format!("{cfg:?} {in_h}x{in_w} at {threads} threads");
             let mut l: PoolingLayer<S> = PoolingLayer::new("p", cfg);
             let b: Blob<S> = Blob::from_data([2usize, 2, in_h, in_w], data.to_vec());
             let shapes = l.setup(&[&b]);
@@ -527,12 +575,16 @@ mod tests {
             let ctx = ExecCtx::new(&team, &ws);
             let mut tops = vec![Blob::new(shapes[0].clone())];
             l.forward(&ctx, &[&b], &mut tops);
-            assert_eq!(
-                bits(tops[0].data()),
-                bits(&want_top),
-                "{cfg:?} {in_h}x{in_w} at {threads} threads"
-            );
-            assert_eq!(&l.mask[..], &want_mask[..], "{cfg:?} {in_h}x{in_w} mask");
+            assert_eq!(bits(tops[0].data()), bits(&want_top), "top, {what}");
+            if cfg.method == PoolMethod::Ave {
+                continue;
+            }
+            for (o, g) in tops[0].diff_mut().iter_mut().enumerate() {
+                *g = dy(o);
+            }
+            let mut bots = vec![b];
+            l.backward(&ctx, &[&tops[0]], &mut bots);
+            assert_eq!(bits(bots[0].diff()), bits(&want_dx), "dx, {what}");
         }
     }
 
@@ -577,8 +629,8 @@ mod tests {
             let data = noise(4 * in_h * in_w, seed as u64);
             let single: Vec<f32> = data.iter().map(|&v| v as f32).collect();
             for cfg in both_methods(kernel, pad, stride) {
-                assert_forward_matches_oracle(cfg, in_h, in_w, &data);
-                assert_forward_matches_oracle(cfg, in_h, in_w, &single);
+                assert_matches_oracle(cfg, in_h, in_w, &data);
+                assert_matches_oracle(cfg, in_h, in_w, &single);
             }
         }
     }
@@ -611,19 +663,28 @@ mod tests {
         for data in [flat, coarse, wild, all_neg_inf] {
             for (kernel, pad, stride) in [(2, 0, 2), (3, 0, 2), (3, 1, 2), (3, 1, 1)] {
                 for cfg in both_methods(kernel, pad, stride) {
-                    assert_forward_matches_oracle(cfg, in_h, in_w, &data);
+                    assert_matches_oracle(cfg, in_h, in_w, &data);
                 }
             }
         }
-        // The documented tie rule, stated directly.
+        // The documented tie rule, stated directly: each window's gradient
+        // lands on its first pixel.
         let mut l: PoolingLayer<f32> = PoolingLayer::new("p", PoolConfig::max(3, 2));
         let b: Blob<f32> = Blob::from_data([1usize, 1, 4, 4], vec![7.0; 16]);
         let shapes = l.setup(&[&b]);
         let team = ThreadTeam::new(1);
         let ws = Workspace::<f32>::empty();
+        let ctx = ExecCtx::new(&team, &ws);
         let mut tops = vec![Blob::new(shapes[0].clone())];
-        l.forward(&ExecCtx::new(&team, &ws), &[&b], &mut tops);
-        assert_eq!(&l.mask[..], &[0, 2, 8, 10]);
+        l.forward(&ctx, &[&b], &mut tops);
+        tops[0].diff_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let mut bots = vec![b];
+        l.backward(&ctx, &[&tops[0]], &mut bots);
+        let landed: Vec<(usize, f32)> = (bots[0].diff().iter().enumerate())
+            .filter(|(_, &g)| g != 0.0)
+            .map(|(i, &g)| (i, g))
+            .collect();
+        assert_eq!(landed, [(0, 1.0), (2, 2.0), (8, 3.0), (10, 4.0)]);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //! [`GpuModel`]; they are machine-wide, not per-figure.
 
 pub mod cpu;
-pub mod csv;
 pub mod gpu;
 pub mod report;
 

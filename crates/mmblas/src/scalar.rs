@@ -57,6 +57,9 @@ pub trait Scalar:
     fn mul_add_s(self, a: Self, b: Self) -> Self;
     /// `true` if the value is finite (not NaN/inf).
     fn is_finite_s(self) -> bool;
+    /// The IEEE bit pattern, zero-extended: equal exactly when the bits are
+    /// (so `-0.0` and `+0.0` differ, and a NaN equals its own copy).
+    fn bits(self) -> u64;
 
     /// Hook for [`crate::gemm`]: the kernel for this element type. `f32`
     /// dispatches to the AVX2/FMA microkernel where the CPU has it, `f64` to
@@ -125,6 +128,10 @@ macro_rules! impl_scalar {
                 <$t>::is_finite(self)
             }
             #[inline]
+            fn bits(self) -> u64 {
+                self.to_bits() as u64
+            }
+            #[inline]
             fn gemm_strided(problem: &crate::level3::Strided<'_, Self>, c: &mut [Self]) {
                 $gemm(problem, c)
             }
@@ -163,5 +170,7 @@ mod tests {
         assert!((-0.0f32).max_s(0.0).is_sign_negative());
         assert!(1.0f32.is_finite_s());
         assert!(!(f32::NAN).is_finite_s());
+        assert_eq!(1.0f32.bits(), 0x3f80_0000);
+        assert_ne!((-0.0f64).bits(), 0.0f64.bits());
     }
 }

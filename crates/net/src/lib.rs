@@ -674,6 +674,26 @@ mod tests {
         .is_err());
     }
 
+    /// MAX pooling's backward re-derives each arg-max from its top and
+    /// bottom, so a layer that writes back into the pool's top must not
+    /// build.
+    #[test]
+    fn writing_back_into_a_max_pools_top_is_a_spec_error() {
+        let spec = NetSpec::parse(
+            "layer {\n name: pool\n type: Pooling\n bottom: x\n top: p\n method: MAX\n kernel: 2\n stride: 2\n}\n\
+             layer {\n name: relu\n type: ReLU\n bottom: p\n top: p\n}",
+        )
+        .unwrap();
+        let inputs = [("x".to_string(), blob::Shape::from([2usize, 1, 4, 4]))];
+        let e = Net::<f32>::from_spec_with_inputs(&spec, None, &inputs)
+            .err()
+            .expect("an in-place layer on a pool's top must not build");
+        assert_eq!(
+            e.to_string(),
+            "layer 'relu': top blob 'p' already exists (in-place layers are not supported)"
+        );
+    }
+
     #[test]
     fn data_and_input_blobs_may_fan_out() {
         let net = build(

@@ -13,8 +13,8 @@
 //!   inside a bucket, and its snapshot delta subtracts, so per-rank folds
 //!   add up. One process-wide instance lives behind [`registry::global`];
 //!   the trainer, the checkpoint writer, and the serving tier all publish
-//!   into it, and [`Registry::csv`] exposes everything in the same
-//!   `metric,value` form factor as `machine::csv`.
+//!   into it, and [`Registry::csv`] exposes everything as `metric,value`
+//!   rows.
 //! * [`trace`] — span-based tracing. Instrumented sites (omprt parallel
 //!   regions, barrier waits, per-layer fwd/bwd passes, checkpoint I/O)
 //!   record [`trace::Event`]s into thread-local buffers, flushed on demand

@@ -409,8 +409,7 @@ impl Registry {
         self.metrics.lock().extend(theirs);
     }
 
-    /// `metric,value` CSV of every metric, sorted by name — the same form
-    /// factor as `machine::csv`. Histograms expand to
+    /// `metric,value` CSV of every metric, sorted by name. Histograms expand to
     /// `_count`/`_sum`/`_mean`/`_min`/`_max` rows, interpolated
     /// `_p50`/`_p90`/`_p99` rows, and cumulative `_le_<bound>` bucket rows.
     pub fn csv(&self) -> String {

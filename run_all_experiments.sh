@@ -27,5 +27,4 @@ for b in "${BINS[@]}"; do
   echo "== $b"
   ./target/release/"$b" | tee "results/$b.txt"
 done
-./target/release/export_csv
 echo "all experiment outputs are under results/"

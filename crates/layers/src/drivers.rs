@@ -1,9 +1,11 @@
 //! Parallel drivers: the reusable renderings of Algorithms 4 and 5.
 //!
-//! * [`parallel_rows`] / [`parallel_segments`] — the coalesced,
-//!   statically-scheduled loop over disjoint output segments (Algorithm 4),
-//!   handed to the kernel as each thread's one contiguous run (the inner
-//!   product's row-range GEMM) or one segment at a time.
+//! * [`parallel_rows`] / [`parallel_segments`] /
+//!   [`parallel_segments_scratch`] — the coalesced, statically-scheduled
+//!   loop over disjoint output segments (Algorithm 4), handed to the kernel
+//!   as each thread's one contiguous run (the inner product's row-range GEMM)
+//!   or one segment at a time, optionally with the thread's scratch buffer
+//!   (convolution's im2col column).
 //!   Forward passes and backward-data passes write disjoint segments, so no
 //!   synchronization is required.
 //! * [`backward_reduce`] — the privatize-then-merge pattern for weight/bias
@@ -21,6 +23,30 @@ use mmblas::Scalar;
 use omprt::{for_each_range, static_chunk, DisjointSlices, SendPtr};
 use std::ops::Range;
 
+/// The one loop shape under every segment driver: `out` holds
+/// `out.len() / row_len` disjoint rows, and `f(thread_id, rows, out_rows)`
+/// runs once per thread with the contiguous run of rows its static chunk
+/// holds ([`for_each_range`]; not at all for an empty run).
+fn for_each_run<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], row_len: usize, f: F)
+where
+    S: Scalar,
+    F: Fn(usize, Range<usize>, &mut [S]) + Sync,
+{
+    if out.is_empty() {
+        return;
+    }
+    let ds = DisjointSlices::new(out, row_len);
+    let n = ds.len();
+    ctx.team.parallel(|w| {
+        let _span = obs::trace::span("segments", "driver");
+        for_each_range(w, n, |rows| {
+            // SAFETY: `for_each_range` deals disjoint runs, one thread each.
+            let out_rows = unsafe { ds.segments_mut(rows.clone()) };
+            f(w.thread_id, rows, out_rows);
+        });
+    });
+}
+
 /// The coalesced, statically-scheduled loop of Algorithm 4 with each
 /// thread's run kept whole: `out` holds `out.len() / row_len` disjoint
 /// rows (one per coalesced iteration), and `f(rows, out_rows)` is invoked
@@ -36,19 +62,7 @@ where
     S: Scalar,
     F: Fn(Range<usize>, &mut [S]) + Sync,
 {
-    if out.is_empty() {
-        return;
-    }
-    let ds = DisjointSlices::new(out, row_len);
-    let n = ds.len();
-    ctx.team.parallel(|w| {
-        let _span = obs::trace::span("segments", "driver");
-        for_each_range(w, n, |rows| {
-            // SAFETY: `for_each_range` deals disjoint runs, one thread each.
-            let out_rows = unsafe { ds.segments_mut(rows.clone()) };
-            f(rows, out_rows);
-        });
-    });
+    for_each_run(ctx, out, row_len, |_, rows, out_rows| f(rows, out_rows));
 }
 
 /// [`parallel_rows`] one segment at a time: `f(i, segment)` is invoked
@@ -64,6 +78,21 @@ where
     parallel_rows(ctx, out, seg_len, |rows, segs| {
         for (i, seg) in rows.zip(segs.chunks_exact_mut(seg_len)) {
             f(i, seg);
+        }
+    });
+}
+
+/// [`parallel_segments`] plus the thread's scratch buffer (the im2col
+/// column buffer of convolution): `f(i, segment, scratch)`.
+pub fn parallel_segments_scratch<S, F>(ctx: &ExecCtx<'_, S>, out: &mut [S], seg_len: usize, f: F)
+where
+    S: Scalar,
+    F: Fn(usize, &mut [S], &mut ThreadScratch<S>) + Sync,
+{
+    for_each_run(ctx, out, seg_len, |tid, rows, segs| {
+        let mut scratch = ctx.workspace.thread_scratch(tid);
+        for (i, seg) in rows.zip(segs.chunks_exact_mut(seg_len)) {
+            f(i, seg, &mut scratch);
         }
     });
 }
@@ -457,6 +486,30 @@ mod tests {
             // One static run per thread.
             assert_eq!(calls.into_inner(), threads, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn parallel_segments_scratch_lends_each_thread_its_scratch() {
+        let threads = 3;
+        let team = ThreadTeam::new(threads);
+        let ws = Workspace::new(
+            threads,
+            threads,
+            WorkspaceRequest {
+                col_len: 2,
+                grad_len: 0,
+            },
+        );
+        let ctx = ExecCtx::new(&team, &ws);
+        let mut out = vec![0.0f64; 12];
+        parallel_segments_scratch(&ctx, &mut out, 4, |s, seg, scratch| {
+            assert_eq!(scratch.col.len(), 2);
+            seg.fill(s as f64);
+        });
+        let mut segs = vec![0.0f64; 12];
+        parallel_segments(&ctx, &mut segs, 4, |s, seg| seg.fill(s as f64));
+        assert_eq!(out, [0., 0., 0., 0., 1., 1., 1., 1., 2., 2., 2., 2.]);
+        assert_eq!(out, segs);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl Conv2dGeometry {
         self.channels * self.height * self.width
     }
 
-    pub(crate) fn validate(&self) {
+    fn validate(&self) {
         assert!(
             self.stride_h > 0 && self.stride_w > 0,
             "im2col: zero stride"
@@ -234,7 +234,7 @@ pub fn im2col<S: Scalar>(geom: &Conv2dGeometry, image: &[S], col: &mut [S]) {
 /// call would cost more than the copy: 8 entries at a time, then one at a
 /// time (an indexed loop, which is not turned back into a `memcpy` call).
 #[inline(always)]
-pub(crate) fn copy_row<S: Scalar>(dst: &mut [S], src: &[S]) {
+fn copy_row<S: Scalar>(dst: &mut [S], src: &[S]) {
     let mut j = 0;
     while j + 8 <= dst.len() {
         let d: &mut [S; 8] = (&mut dst[j..j + 8]).try_into().expect("8 entries");

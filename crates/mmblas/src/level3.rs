@@ -1,9 +1,9 @@
 //! Level-3 BLAS: general matrix-matrix multiply.
 //!
-//! One kernel, [`gemm`] (and its convolution face [`gemm_image`]), plus the
-//! triple-loop test oracle [`gemm_naive`]. Convolution layers call them per
-//! data segment from inside the coarse-grain parallel region, exactly as
-//! Caffe's layers call a sequential OpenBLAS kernel.
+//! One kernel, [`gemm`], plus the triple-loop test oracle [`gemm_naive`].
+//! Convolution layers call [`gemm`] per data segment from inside the
+//! coarse-grain parallel region, exactly as Caffe's layers call a sequential
+//! OpenBLAS kernel.
 //!
 //! # Structure
 //!
@@ -66,15 +66,8 @@
 //! panel's lanes start at `+0.0` and take `fma(a[i][p], b[p][j], acc)` for
 //! ascending `p` over the same `KC` panels, and each panel is folded by
 //! `fold`. Which lanes a product runs on is never part of the recipe, so
-//! it returns the tile kernel's bits.
+//! it returns the tile kernel's bits. Hence:
 //!
-//! The lane operand of [`gemm_image`] is a convolution's `im2col(image)`,
-//! never stored: `pack_image` writes each `kb x W` strip from the image
-//! through the same [`TapSpan`]s, padding as zeros, so the strip holds the
-//! values `im2col` would have written at those rows and columns, and the
-//! tiles, `KC` panels and `fma` order that consume it are unchanged. Hence:
-//!
-//! * `gemm_image` returns `im2col` then `gemm`'s bits;
 //! * every path — scalar, AVX2, AVX-512 — returns the same bits;
 //! * any row range of a product, computed by calling [`gemm`] on
 //!   `&a[row0 * lda..]`, equals the same rows of the full call bit for bit —
@@ -83,8 +76,7 @@
 //! Padding never leaks: padded lanes and the clamped duplicate rows of an
 //! edge tile are accumulated but not written back.
 
-use crate::im2col::{copy_row, Conv2dGeometry};
-use crate::{Scalar, TapSpan, Transpose};
+use crate::{Scalar, Transpose};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
@@ -132,15 +124,6 @@ impl<'a, S> MatRef<'a, S> {
     }
 }
 
-/// The lane operand of a product: a strided matrix, or the lowered image
-/// `im2col(geom, image)` of a convolution, which is packed straight from
-/// the image and never exists whole.
-#[derive(Clone, Copy)]
-enum LaneOperand<'a, S> {
-    Mat(MatRef<'a, S>),
-    Image(&'a Conv2dGeometry, &'a [S], &'a [(TapSpan, TapSpan)]),
-}
-
 /// One product in the kernel's own terms, after [`gemm`] has checked the
 /// arguments and chosen the orientation: `C (m x n) = alpha * A * B + beta *
 /// C` with `A` the broadcast operand (`m x k`), `B` the lane operand
@@ -153,7 +136,7 @@ pub struct Strided<'a, S> {
     k: usize,
     alpha: S,
     a: MatRef<'a, S>,
-    b: LaneOperand<'a, S>,
+    b: MatRef<'a, S>,
     beta: S,
     c_rs: usize,
     c_cs: usize,
@@ -323,45 +306,6 @@ pub fn gemm<S: Scalar>(
     );
 }
 
-/// `C = A * im2col(geom, image)`, a convolution's forward product without
-/// its column matrix: bit for bit [`gemm`]`(No, No, m, n, k, 1, a, k, col,
-/// n, 0, c, n)` after [`im2col`](crate::im2col)`(geom, image, col)`, with
-/// `k = geom.col_rows()`, `n = geom.col_cols()`, `A` and `C` stored tight.
-/// Each strip of the lane operand is packed straight from the image (see
-/// the [module docs](self)).
-///
-/// # Panics
-/// Panics if the geometry is invalid or has no channels, or a slice is
-/// too short.
-pub fn gemm_image<S: Scalar>(m: usize, a: &[S], geom: &Conv2dGeometry, image: &[S], c: &mut [S]) {
-    geom.validate();
-    let (k, n) = (geom.col_rows(), geom.col_cols());
-    assert!(k > 0, "gemm_image: no channels");
-    assert_eq!(image.len(), geom.image_len(), "gemm_image: image length");
-    assert!(a.len() >= m * k, "gemm_image: A slice too short");
-    assert!(c.len() >= m * n, "gemm_image: C slice too short");
-    let problem = Strided {
-        m,
-        n,
-        k,
-        alpha: S::ONE,
-        a: MatRef::stored(a, k),
-        b: LaneOperand::Image(geom, image, &tap_spans(geom)),
-        beta: S::ZERO,
-        c_rs: n,
-        c_cs: 1,
-    };
-    S::gemm_strided(&problem, c);
-}
-
-/// The row and column [`TapSpan`]s of each tap of `g`, in tap order.
-fn tap_spans(g: &Conv2dGeometry) -> Vec<(TapSpan, TapSpan)> {
-    let (kh, kw) = (g.kernel_h, g.kernel_w);
-    let rows = |tap| TapSpan::new(g.out_h(), g.height, tap / kw, g.pad_h, g.stride_h);
-    let cols = |tap| TapSpan::new(g.out_w(), g.width, tap % kw, g.pad_w, g.stride_w);
-    (0..kh * kw).map(|tap| (rows(tap), cols(tap))).collect()
-}
-
 /// [`gemm`] over an explicit strided core: argument checks, the degenerate
 /// cases, and the choice of orientation.
 fn gemm_with<S: Scalar>(
@@ -400,7 +344,7 @@ fn gemm_with<S: Scalar>(
             k,
             alpha,
             a: b.t(),
-            b: LaneOperand::Mat(a.t()),
+            b: a.t(),
             beta,
             c_rs: 1,
             c_cs: ldc,
@@ -412,7 +356,7 @@ fn gemm_with<S: Scalar>(
             k,
             alpha,
             a,
-            b: LaneOperand::Mat(b),
+            b,
             beta,
             c_rs: ldc,
             c_cs: 1,
@@ -576,17 +520,11 @@ fn zeroed<S: Scalar, const W: usize>(rows: &mut [MaybeUninit<[S; W]>]) -> &mut [
 #[inline(always)]
 fn pack_strip<S: Scalar, const W: usize>(
     strip: &mut [[S; W]],
-    b: LaneOperand<'_, S>,
+    b: MatRef<'_, S>,
     pc: usize,
     jr: usize,
     nr: usize,
 ) {
-    let b = match b {
-        LaneOperand::Mat(b) => b,
-        LaneOperand::Image(g, image, spans) => {
-            return pack_image(strip, (g, image, spans), pc, jr, nr)
-        }
-    };
     let block = &b.data[pc * b.rs + jr * b.cs..];
     if b.cs == 1 {
         for (p, dst) in strip.iter_mut().enumerate() {
@@ -605,55 +543,6 @@ fn pack_strip<S: Scalar, const W: usize>(
         if nr < W {
             for dst in strip.iter_mut() {
                 dst[nr..].fill(S::ZERO);
-            }
-        }
-    }
-}
-
-/// [`pack_strip`] for the lowered image: strip row `p` is tap `(pc + p) %
-/// taps` of channel `(pc + p) / taps`, its columns `jr..jr + nr` run along
-/// output rows. A tap's runs of mirrored pixels are found once per strip
-/// from its [`TapSpan`]s (solved once per call), then copied into each of
-/// its channels' zeroed rows; nothing inside the tap loop divides.
-#[inline(always)]
-fn pack_image<S: Scalar, const W: usize>(
-    strip: &mut [[S; W]],
-    (g, image, spans): (&Conv2dGeometry, &[S], &[(TapSpan, TapSpan)]),
-    pc: usize,
-    jr: usize,
-    nr: usize,
-) {
-    let (taps, plane, ow) = (spans.len(), g.height * g.width, g.out_w());
-    let ((oy0, ox0), (q, r)) = ((jr / ow, jr % ow), (pc / taps, pc % taps));
-    for (tap, &(rows, cols)) in spans.iter().enumerate() {
-        // `(d, len, at)`: columns `d..d + len` mirror a plane from `at` on.
-        let mut runs = [(0, 0, 0); W];
-        let (mut count, mut oy, mut ox, mut d) = (0, oy0, ox0, 0);
-        while d < nr {
-            let len = (ow - ox).min(nr - d);
-            let lo = cols.lo.clamp(ox, ox + len);
-            let hi = cols.hi.clamp(lo, ox + len);
-            if lo < hi && (rows.lo..rows.hi).contains(&oy) {
-                let iy = rows.first + (oy - rows.lo) * g.stride_h;
-                let at = iy * g.width + cols.first + (lo - cols.lo) * g.stride_w;
-                (runs[count], count) = ((d + lo - ox, hi - lo, at), count + 1);
-            }
-            (oy, ox, d) = (oy + 1, 0, d + len);
-        }
-        // The strip rows of this tap: channels `c0..`, `taps` rows apart.
-        let c0 = q + usize::from(tap < r);
-        let dsts = strip.iter_mut().skip(c0 * taps + tap - pc).step_by(taps);
-        for (dst, src) in dsts.zip(image[c0 * plane..].chunks_exact(plane)) {
-            *dst = [S::ZERO; W];
-            for &(d, len, at) in &runs[..count] {
-                if g.stride_w == 1 {
-                    copy_row(&mut dst[d..d + len], &src[at..at + len]);
-                } else {
-                    let src = src[at..].iter().step_by(g.stride_w);
-                    for (d, s) in dst[d..d + len].iter_mut().zip(src) {
-                        *d = *s;
-                    }
-                }
             }
         }
     }
@@ -708,9 +597,7 @@ fn tile_scalar<S: Scalar, const W: usize>(t: &Tile<'_, S>, strip: &[[S; W]], c: 
 
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{
-        fold, gemm_loops, write_back, LaneOperand, MatRef, Strided, Tile, KC, MR, NARROW, NR,
-    };
+    use super::{fold, gemm_loops, write_back, Strided, Tile, KC, MR, NARROW, NR};
     use std::arch::x86_64::{
         __m256, __m512, _mm256_castps128_ps256, _mm256_fmadd_ps, _mm256_insertf128_ps,
         _mm256_loadu_ps, _mm256_set1_ps, _mm256_setr_ps, _mm256_setzero_ps, _mm256_shuffle_ps,
@@ -725,16 +612,16 @@ mod simd {
     /// The running CPU must support the `avx2` and `fma` features.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn gemm_avx2(p: &Strided<'_, f32>, c: &mut [f32]) {
-        if let (LaneOperand::Mat(b), true) = (p.b, p.n <= NARROW && p.a.cs == 1 && p.c_rs == 1) {
+        if p.n <= NARROW && p.a.cs == 1 && p.c_rs == 1 {
             match p.n {
-                1 => narrow::<1>(p, b, c),
-                2 => narrow::<2>(p, b, c),
-                3 => narrow::<3>(p, b, c),
-                4 => narrow::<4>(p, b, c),
-                5 => narrow::<5>(p, b, c),
-                6 => narrow::<6>(p, b, c),
-                7 => narrow::<7>(p, b, c),
-                _ => narrow::<NARROW>(p, b, c),
+                1 => narrow::<1>(p, c),
+                2 => narrow::<2>(p, c),
+                3 => narrow::<3>(p, c),
+                4 => narrow::<4>(p, c),
+                5 => narrow::<5>(p, c),
+                6 => narrow::<6>(p, c),
+                7 => narrow::<7>(p, c),
+                _ => narrow::<NARROW>(p, c),
             }
             return;
         }
@@ -868,8 +755,8 @@ mod simd {
     /// per `KC` panel, taking the fused products in ascending `p` and folded
     /// by [`fold`] — the tile kernel's recipe, hence its bits.
     #[target_feature(enable = "avx2,fma")]
-    fn narrow<const N: usize>(p: &Strided<'_, f32>, b: MatRef<'_, f32>, c: &mut [f32]) {
-        let a = p.a;
+    fn narrow<const N: usize>(p: &Strided<'_, f32>, c: &mut [f32]) {
+        let (a, b) = (p.a, p.b);
         assert!(p.n == N && a.cs == 1 && p.c_rs == 1, "narrow: not narrow");
         // The largest indices read below are `(m - 1) * a.rs + k - 1` in A
         // and `(k - 1) * b.rs + (N - 1) * b.cs` in B; checked, so that no
@@ -1528,61 +1415,6 @@ mod tests {
                 let got = run(path, &case, &clean_a, &clean_b, &c0);
                 assert!(got.iter().all(|v| v.is_finite()), "{isa:?} {case:?}");
             }
-        }
-    }
-
-    /// [`gemm_image`] is bitwise `im2col` then the `(No, No)` [`gemm`], on
-    /// every `f32` path this CPU has and for `f64`: the nets' five
-    /// convolutions (`k` past `KC` splits a channel's taps across panels),
-    /// then padding, stride 2, a 1x1 kernel and a kernel wider than the
-    /// image (narrow lane operands, which never take the narrow path). `C`
-    /// starts as NaN, so that an entry left unwritten shows.
-    #[test]
-    fn image_packed_product_is_bitwise_im2col_then_gemm() {
-        let square = Conv2dGeometry::square;
-        let geoms = [
-            (20, square(1, 28, 5, 0, 1)),
-            (50, square(20, 12, 5, 0, 1)),
-            (32, square(3, 32, 5, 2, 1)),
-            (32, square(32, 16, 5, 2, 1)),
-            (64, square(32, 8, 5, 2, 1)),
-            (7, square(3, 9, 3, 1, 1)),
-            (5, square(4, 11, 3, 1, 2)),
-            (9, square(6, 7, 1, 0, 1)),
-            (3, square(2, 3, 5, 2, 1)),
-            (4, square(3, 2, 3, 1, 2)),
-        ];
-        for (seed, (m, g)) in geoms.into_iter().enumerate() {
-            let (k, n, seed) = (g.col_rows(), g.col_cols(), seed as u64);
-            let case = Case::new(No, No, m, n, k, 0.0);
-            let what = |path: &dyn std::fmt::Debug| format!("{path:?} {m} x {g:?}");
-            let (image, a) = (dense::<f32>(g.image_len(), seed), dense::<f32>(m * k, seed));
-            let mut col = vec![0.0; g.col_len()];
-            crate::im2col(&g, &image, &mut col);
-            for (isa, path) in f32_paths() {
-                let want = run(path, &case, &a, &col, &vec![f32::NAN; m * n]);
-                let mut got = vec![f32::NAN; m * n];
-                let problem = Strided {
-                    m,
-                    n,
-                    k,
-                    alpha: 1.0,
-                    a: MatRef::stored(&a, k),
-                    b: LaneOperand::Image(&g, &image, &tap_spans(&g)),
-                    beta: 0.0,
-                    c_rs: n,
-                    c_cs: 1,
-                };
-                gemm_on(isa, &problem, &mut got);
-                assert_bitwise(&got, &want, &what(&isa));
-            }
-            let (image, a) = (dense::<f64>(g.image_len(), seed), dense::<f64>(m * k, seed));
-            let mut col = vec![0.0; g.col_len()];
-            crate::im2col(&g, &image, &mut col);
-            let want = run(gemm::<f64>, &case, &a, &col, &vec![f64::NAN; m * n]);
-            let mut got = vec![f64::NAN; m * n];
-            gemm_image(m, &a, &g, &image, &mut got);
-            assert_bitwise(&got, &want, &what(&"f64"));
         }
     }
 

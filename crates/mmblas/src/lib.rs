@@ -46,7 +46,7 @@ pub mod scalar;
 pub use im2col::{col2im, conv_out_dim, im2col, Conv2dGeometry, TapSpan};
 pub use level1::*;
 pub use level2::{gemv, ger};
-pub use level3::{gemm, gemm_image, gemm_naive};
+pub use level3::{gemm, gemm_naive};
 pub use rng::Pcg32;
 pub use scalar::Scalar;
 
